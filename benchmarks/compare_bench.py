@@ -30,7 +30,10 @@ sanity asserts inside the kernel bench module turn any divergence from
 the ``"python"`` reference into a failed run.
 
 Exit status is the pytest exit status; the regression table marks every
-benchmark whose mean moved more than ``THRESHOLD`` in either direction.
+benchmark whose mean moved by more than ``THRESHOLD`` in either
+direction *and* by more than ``NOISE_SIGMAS`` combined standard
+deviations of the two runs (``sqrt(sd_previous² + sd_current²)``), so
+round-to-round noise never reads as a regression.
 
 BENCH JSON schema
 -----------------
@@ -65,6 +68,11 @@ sort_keys=True)``).  The fields this tracker and the benches rely on:
     steered through (``--backend``/``REPRO_KERNEL_BACKEND``, or
     ``"auto"``).  The trajectory table prints one legend line per run
     so per-backend artifacts stay distinguishable.
+``cpu_count`` / ``cpu_affinity``
+    Added by this tracker: ``os.cpu_count()`` and the number of CPUs
+    the run could use (``len(os.sched_getaffinity(0))`` where the
+    platform has it).  With one usable CPU, ``n_jobs=2`` rows measure
+    total work, not speedup.
 
 Anything else pytest-benchmark emits is carried along untouched —
 consumers must tolerate unknown keys.
@@ -73,6 +81,7 @@ consumers must tolerate unknown keys.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -83,11 +92,15 @@ from pathlib import Path
 #: Relative mean-time change below which a benchmark counts as unchanged.
 THRESHOLD = 0.15
 
+#: A verdict also needs the means to differ by more than this many
+#: combined standard deviations of the two runs.
+NOISE_SIGMAS = 2.0
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATTERN = re.compile(r"BENCH_(\d+)\.json$")
 
 #: Pytest arguments selecting the CI smoke subset.  The round flags only
-#: affect non-pedantic benches; pedantic benches (the planner fan-out)
+#: affect non-pedantic benches; pedantic benches (the scheduler fan-out)
 #: honor the ``BENCH_QUICK`` environment variable instead, which
 #: :func:`run_suite` exports in quick mode.
 QUICK_ARGS = [
@@ -108,13 +121,22 @@ def existing_runs() -> list[tuple[int, Path]]:
     return sorted(runs)
 
 
-def load_means(path: Path) -> dict[str, float]:
-    """``{benchmark fullname: mean seconds}`` from a benchmark JSON."""
+def load_stats(path: Path) -> dict[str, tuple[float, float]]:
+    """``{benchmark fullname: (mean, stddev)}`` in seconds from a
+    benchmark JSON (a single-round benchmark has a stddev of 0)."""
     data = json.loads(path.read_text())
     return {
-        bench["fullname"]: bench["stats"]["mean"]
+        bench["fullname"]: (
+            bench["stats"]["mean"],
+            bench["stats"].get("stddev") or 0.0,
+        )
         for bench in data.get("benchmarks", [])
     }
+
+
+def load_means(path: Path) -> dict[str, float]:
+    """``{benchmark fullname: mean seconds}`` from a benchmark JSON."""
+    return {name: mean for name, (mean, _) in load_stats(path).items()}
 
 
 def load_backend(path: Path) -> str:
@@ -156,7 +178,10 @@ def format_seconds(seconds: float) -> str:
     return f"{seconds * 1000.0:8.3f}ms"
 
 
-def print_table(previous: dict[str, float], current: dict[str, float]) -> None:
+def print_table(
+    previous: dict[str, tuple[float, float]],
+    current: dict[str, tuple[float, float]],
+) -> None:
     shared = sorted(set(previous) & set(current))
     if not shared:
         print("no overlapping benchmarks to compare")
@@ -170,12 +195,15 @@ def print_table(previous: dict[str, float], current: dict[str, float]) -> None:
     print("-" * len(header))
     regressions = 0
     for name in shared:
-        old, new = previous[name], current[name]
+        (old, old_sd), (new, new_sd) = previous[name], current[name]
         ratio = new / old if old > 0 else float("inf")
-        if ratio > 1.0 + THRESHOLD:
+        beyond_noise = abs(new - old) > NOISE_SIGMAS * math.hypot(
+            old_sd, new_sd
+        )
+        if ratio > 1.0 + THRESHOLD and beyond_noise:
             verdict = "REGRESSED"
             regressions += 1
-        elif ratio < 1.0 - THRESHOLD:
+        elif ratio < 1.0 - THRESHOLD and beyond_noise:
             verdict = "improved"
         else:
             verdict = "~"
@@ -277,6 +305,12 @@ def main(argv: list[str]) -> int:
         data["kernel_backend"] = (
             backend or os.environ.get("REPRO_KERNEL_BACKEND") or "auto"
         )
+        data["cpu_count"] = os.cpu_count()
+        data["cpu_affinity"] = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        )
         target.write_text(
             json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
         )
@@ -289,7 +323,7 @@ def main(argv: list[str]) -> int:
         current = load_means(target)
         previous_path = runs[-1][1]
         print(f"comparing against {previous_path.name}:\n")
-        print_table(load_means(previous_path), current)
+        print_table(load_stats(previous_path), load_stats(target))
         next_index = runs[-1][0] + 1
         print(f"\nfull trajectory BENCH_0 → BENCH_{next_index}:\n")
         print_trajectory(runs, next_index, current)

@@ -1,17 +1,15 @@
 """Bench: what fault tolerance costs when nothing goes wrong.
 
-The fault layer's contract is that it is pay-as-you-go: with the
-default policy the scheduler keeps its unsupervised dispatch paths and
-a spilled store keeps its single-pass reads, so runs that never fault
-must not slow down.  These benches put numbers on that claim, on the
-same adversarial skewed-block workload as the scheduler benches (one
-giant block holding ~50% of all candidate pairs):
+The fault layer's contract is that it is pay-as-you-go: every run is
+supervised, but a run that never faults retries nothing and a spilled
+store keeps its single-pass reads, so clean runs must not slow down.
+These benches put numbers on that claim, on the same adversarial
+skewed-block workload as the scheduler benches (one giant block
+holding ~50% of all candidate pairs):
 
-* ``clean_path`` — end-to-end skewed detect at ``n_jobs=2``,
-  unsupervised vs supervised (retry budget + generous timeout that
-  never fires).  Supervision swaps ``imap`` for ``apply_async`` with
-  per-dispatch deadlines; the pair of rows records that a clean
-  supervised run stays within noise of the unsupervised one.
+* ``clean_path`` — end-to-end skewed detect at ``n_jobs=2`` under a
+  retry budget and a generous timeout that never fires: the price of
+  deadline-tracked, throttled dispatch when nothing goes wrong.
 * ``recovery`` — the same supervised run with one injected crash on
   the first attempt: the marginal price of an actual retry (one extra
   dispatch of one chunk) on top of the clean path.
@@ -51,12 +49,8 @@ def expected_pairs(skewed_relation):
     ).total_pairs
 
 
-@pytest.mark.parametrize("supervision", ["unsupervised", "supervised"])
-def test_bench_faults_clean_path(
-    benchmark, skewed_relation, expected_pairs, supervision
-):
-    """Skewed detect, n_jobs=2: supervised dispatch vs the raw path."""
-    supervised = supervision == "supervised"
+def test_bench_faults_clean_path(benchmark, skewed_relation, expected_pairs):
+    """Skewed detect, n_jobs=2, under a policy that never fires."""
 
     def run():
         detector = _detector()
@@ -64,19 +58,18 @@ def test_bench_faults_clean_path(
             skewed_relation,
             n_jobs=2,
             keep_derivations=False,
-            retry=SUPERVISED if supervised else None,
+            retry=SUPERVISED,
         )
         return detector, result
 
     detector, result = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
     assert len(result.decisions) == expected_pairs
-    if supervised:
-        report = detector.last_report
-        # Clean path: supervision engaged, but nothing ever faulted.
-        assert report.worker_crashes == 0
-        assert report.worker_timeouts == 0
-        assert report.retried_dispatches == 0
-        assert not report.failures
+    report = detector.last_report
+    # Clean path: supervision engaged, but nothing ever faulted.
+    assert report.worker_crashes == 0
+    assert report.worker_timeouts == 0
+    assert report.retried_dispatches == 0
+    assert not report.failures
 
 
 def test_bench_faults_recovery(

@@ -1,12 +1,9 @@
-"""Bench: block-aware execution planner vs legacy striped fan-out.
+"""Bench: block-aware execution planner.
 
-The PR-1 fan-out striped anonymous chunks of the flat candidate stream
-across workers, so every fork re-learned the same similarity table.  The
-planner schedules whole block partitions per worker (disjoint cache
-working sets) and pre-warms the shared caches from the per-partition
-vocabulary before forking — these benches track that the partitioned
-path stays ahead of striping on the same blocking workload, and that
-plan construction and streaming stay cheap.
+The planner hands the engine whole block partitions (disjoint cache
+working sets), and a pooled run pre-warms the shared caches from the
+plan before forking — these benches track that plan construction,
+streaming and cache pre-warming stay cheap.
 """
 
 from __future__ import annotations
@@ -46,28 +43,6 @@ def _detector():
         weighted_model(),
         reducer=CertainKeyBlocking(BLOCK_KEY),
     )
-
-
-@pytest.mark.parametrize("scheduling", ["striped", "partitioned"])
-def test_bench_planner_blocking_fanout(
-    benchmark, planner_dataset, scheduling
-):
-    """Same blocking workload, n_jobs=2: partitions vs blind stripes."""
-    relation = planner_dataset.relation
-    expected = plan_candidates(
-        CertainKeyBlocking(BLOCK_KEY), relation
-    ).total_pairs
-
-    def run():
-        return _detector().detect(
-            relation,
-            scheduling=scheduling,
-            n_jobs=2,
-            keep_derivations=False,
-        )
-
-    result = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
-    assert len(result.decisions) == expected
 
 
 def test_bench_planner_plan_construction(benchmark, planner_dataset):

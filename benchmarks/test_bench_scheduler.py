@@ -1,13 +1,12 @@
-"""Bench: skew-aware work stealing vs partitioned scheduling.
+"""Bench: skew-aware work stealing on a skewed plan.
 
 The workload is the planner's worst case: one giant block holding ~50%
-of all candidate pairs next to many small blocks.  Partitioned
-scheduling handles it by serially pre-warming every partition's full
-pairwise similarity table in the parent before forking — on the skewed
-plan that serial section is a large fraction of all kernel work, so it
-bounds any parallel speedup (Amdahl), and past the warm budget it is
-abandoned half-done with the caches left unfrozen.  The stealing
-scheduler subdivides the giant block by refined sub-key
+of all candidate pairs next to many small blocks.  Pre-warming every
+partition's full pairwise similarity table in the parent before
+forking would make that serial section a large fraction of all kernel
+work, bounding any parallel speedup (Amdahl), and past the warm budget
+it is abandoned half-done with the caches left unfrozen.  The engine
+instead subdivides the giant block by refined sub-key
 (``CertainKeyBlocking.split_partition``), dispatches the work units
 largest-first through the pool's shared queue, and skips parent-side
 warming entirely — its serialized section is the subdivision itself,
@@ -15,15 +14,12 @@ milliseconds instead of seconds.
 
 Three bench families:
 
-* ``skewed_fanout`` — end-to-end wall clock of the three scheduling
-  modes at ``n_jobs=2`` on the skewed workload.  On multi-core hosts
-  the stealing mode's near-zero serial section is the headline; on a
-  single-CPU container (this repo's CI) wall clock equals total work,
-  so partitioned and stealing record within noise of each other — read
-  them together with the ``serial_section`` pair below.
-* ``skew_serial_section`` — the pre-fork serialized section of each
-  mode on the same skewed plan: ``prewarm_plan`` (partitioned's warm)
-  vs work-unit subdivision (stealing's split).  This is the
+* ``skewed_fanout`` — end-to-end wall clock at ``n_jobs=2`` on the
+  skewed workload.  On a single-CPU host wall clock equals total work;
+  read it together with the ``serial_section`` pair below.
+* ``skew_serial_section`` — the pre-fork serialized section on the
+  same skewed plan: a whole-plan ``prewarm_plan`` vs the work-unit
+  subdivision the engine does instead.  This is the
   hardware-independent witness of the skew win: the section a second
   worker cannot help with shrinks by ~two orders of magnitude.
 * ``multisource_between`` — the ℛ1/ℛ2 consolidation scenario:
@@ -120,13 +116,8 @@ def _detector():
     )
 
 
-@pytest.mark.parametrize(
-    "scheduling", ["striped", "partitioned", "stealing"]
-)
-def test_bench_scheduler_skewed_fanout(
-    benchmark, skewed_relation, scheduling
-):
-    """Same skewed workload, n_jobs=2, all three scheduling modes."""
+def test_bench_scheduler_skewed_fanout(benchmark, skewed_relation):
+    """The skewed workload at n_jobs=2: split units, no parent warm."""
     expected = plan_candidates(
         CertainKeyBlocking(BLOCK_KEY), skewed_relation
     ).total_pairs
@@ -134,7 +125,6 @@ def test_bench_scheduler_skewed_fanout(
     def run():
         return _detector().detect(
             skewed_relation,
-            scheduling=scheduling,
             n_jobs=2,
             keep_derivations=False,
         )
@@ -146,12 +136,12 @@ def test_bench_scheduler_skewed_fanout(
 def test_bench_scheduler_serial_section_partitioned(
     benchmark, skewed_relation
 ):
-    """Partitioned's pre-fork serial section: warming the skewed plan.
+    """The pre-fork serial section a whole-plan warm would cost.
 
-    Everything measured here happens in the parent while the pool would
-    sit idle — the giant block's full pairwise table dominates, so this
-    section scales with the square of the skew and caps any parallel
-    speedup.
+    Everything measured here would happen in the parent while the pool
+    sits idle — the giant block's full pairwise table dominates, so
+    this section scales with the square of the skew and would cap any
+    parallel speedup.
     """
     plan = plan_candidates(CertainKeyBlocking(BLOCK_KEY), skewed_relation)
 
@@ -165,12 +155,13 @@ def test_bench_scheduler_serial_section_partitioned(
 def test_bench_scheduler_serial_section_stealing(
     benchmark, skewed_relation
 ):
-    """Stealing's pre-fork serial section: sub-key work-unit subdivision.
+    """The engine's pre-fork serial section: sub-key subdivision.
 
-    The direct counterpart of the partitioned warm above — the only
-    work stealing does before workers start.  The recorded gap between
-    the two serial sections is the hardware-independent skew win: it is
-    the part of the run ``n_jobs=2`` cannot halve.
+    The direct counterpart of the whole-plan warm above — the only work
+    a pooled run over the skewed plan does before workers start.  The
+    recorded gap between the two serial sections is the
+    hardware-independent skew win: it is the part of the run
+    ``n_jobs=2`` cannot halve.
     """
     reducer = CertainKeyBlocking(BLOCK_KEY)
     plan = plan_candidates(reducer, skewed_relation)
@@ -179,10 +170,10 @@ def test_bench_scheduler_serial_section_stealing(
     def run():
         engine = ExecutionEngine(
             _detector().procedure,
-            ExecutionSettings(scheduling="stealing"),
+            ExecutionSettings(n_jobs=2),
             splitter=reducer,
         )
-        unit_pairs, _, _, _ = engine._stealing_units(
+        unit_pairs, _ = engine._work_units(
             skewed_relation, plan
         )
         return unit_pairs

@@ -9,9 +9,9 @@ resolved thresholds and pushdown floors, the plan's per-partition
 content fingerprints, and the per-partition η counts.
 
 The **semantic payload** deliberately excludes how the run was
-executed — worker count, scheduling mode, kernel backend, storage
-backend — because the execution layers are all pinned bitwise to the
-serial reference: a spilled ``n_jobs=2`` stealing run over the same
+executed — worker count, kernel backend, storage backend — because
+the execution layers are all pinned bitwise to the serial reference:
+a spilled ``n_jobs=2`` run with split work units over the same
 data with the same model *must* produce the same manifest fingerprint
 as an in-memory serial run, and ``tests/test_calibration.py`` holds the
 system to that.  Execution details are still recorded, as
@@ -87,7 +87,7 @@ class AuditManifest:
     failures:
         Labels of partitions dropped by ``on_error="skip"``, sorted.
     environment:
-        Execution metadata (n_jobs, scheduling, kernel backend,
+        Execution metadata (n_jobs, kernel backend,
         storage class, model repr) — recorded for forensics, **excluded
         from the fingerprint** (see module docstring).
     digest:

@@ -3,12 +3,13 @@
 Everything between planning and the per-pair decision:
 
 * :mod:`~repro.matching.executor.scheduler` —
-  :class:`ExecutionEngine` / :class:`ExecutionSettings`: partitioned
-  scheduling, skew-aware work stealing (cost-budget subdivision through
-  the reducers' ``split_partition`` hook, largest-first dispatch,
-  plan-order reassembly), cache pre-warm/freeze around forks;
+  :class:`ExecutionEngine` / :class:`ExecutionSettings`: one pipeline
+  for every run — cache pre-warm/freeze around forks, work units
+  (skew-aware subdivision through the reducers' ``split_partition``
+  hook, largest-first dispatch), one supervised runner, plan-order
+  reassembly;
 * :mod:`~repro.matching.executor.workers` — forked worker state and the
-  chunk/batch deciding helpers shared by serial and fanned-out paths;
+  one decide loop shared by in-process attempts and workers;
 * :mod:`~repro.matching.executor.multisource` — source-tagged planning
   over :class:`~repro.pdb.storage.MultiSourceStore` views and
   cross-source pruning (the ℛ1/ℛ2, ℛ3/ℛ4 consolidation scenario
@@ -25,7 +26,7 @@ Everything between planning and the per-pair decision:
 * :mod:`~repro.matching.executor.results` — the
   :class:`DetectionResult` container every path produces.
 
-Every mode yields exactly the decisions of the plain serial pipeline,
+Every configuration yields exactly the decisions of the plain serial pipeline,
 in the same order, for every storage backend.
 """
 
@@ -58,12 +59,9 @@ from repro.matching.executor.results import DetectionResult, slice_result
 from repro.matching.executor.scheduler import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_SPLIT_PAIRS,
-    ENGINE_SCHEDULING_MODES,
     PREWARM_PAIR_BUDGET,
-    SPLIT_COST_MODELS,
     ExecutionEngine,
     ExecutionSettings,
-    estimate_partition_weight,
     prewarm_plan,
     subdivide_partition,
 )
@@ -71,10 +69,8 @@ from repro.matching.executor.scheduler import (
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_SPLIT_PAIRS",
-    "ENGINE_SCHEDULING_MODES",
     "ON_ERROR_MODES",
     "PREWARM_PAIR_BUDGET",
-    "SPLIT_COST_MODELS",
     "DeadlineExceeded",
     "DetectionResult",
     "ExecutionEngine",
@@ -91,7 +87,6 @@ __all__ = [
     "WorkerTimeout",
     "check_deadline",
     "cross_source_plan",
-    "estimate_partition_weight",
     "partition_sources",
     "plan_sources",
     "prewarm_plan",

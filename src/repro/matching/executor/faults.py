@@ -14,10 +14,11 @@ module gives the executor a *fault model*:
 * a :class:`RetryPolicy` (attempt budget, per-dispatch timeout,
   exponential backoff) carried by
   :class:`~repro.matching.executor.scheduler.ExecutionSettings`;
-* the :class:`SupervisedDispatcher`, the driver behind the scheduler's
-  supervised parallel paths: every dispatch is tracked against its
-  deadline, failed attempts are retried up to the budget, and an
-  exhausted work unit is resolved per ``on_error`` —
+* the two runners every work unit goes through —
+  :func:`run_supervised_inline` in-process and the
+  :class:`SupervisedDispatcher` over a worker pool: every attempt is
+  tracked against its deadline, failed attempts are retried up to the
+  budget, and an exhausted work unit is resolved per ``on_error`` —
 
   ``"raise"``
       raise a :class:`PartitionFailure` (chained to the underlying
@@ -40,10 +41,11 @@ increment report counters and emit
 :class:`~repro.matching.executor.progress.FaultEvent` objects, so a
 run can never degrade silently (the chaos CI job pins exactly this).
 
-Supervision is opt-in: with the default policy (one attempt, no
-timeout) and ``on_error="raise"`` the scheduler keeps its zero-overhead
-unsupervised paths and errors propagate raw, exactly as before the
-fault layer existed.
+Both runners resolve a failed attempt in one place,
+:func:`_resolve_failed_attempt`.  With the default policy (one
+attempt, no timeout) and ``on_error="raise"`` it engages no recovery:
+the attempt's own exception propagates unchanged, with its own type,
+and nothing is recorded — a clean run pays one ``try`` per work unit.
 
 A genuinely *killed* worker (SIGKILL, ``os._exit``) never reports
 back — the pool respawns a replacement but the in-flight task is lost,
@@ -53,14 +55,14 @@ dispatch deadline lapses.  Supervising against crashes therefore needs
 worker surface immediately as :class:`WorkerCrash` without any
 deadline.
 
-In-process attempts (serial execution, ``n_jobs=1`` stealing) honor
-the same timeout *cooperatively*: the engine's chunk loops call
-:func:`check_deadline` at every chunk boundary, and a lapsed attempt
-raises :class:`DeadlineExceeded` — classified by
-:func:`run_supervised_inline` as a :class:`WorkerTimeout` and resolved
-through exactly the same retry → degrade/skip/raise ladder as a
-dispatched timeout.  Only the degraded re-execution runs
-deadline-free: it is the run's last resort and must complete.
+In-process attempts (``n_jobs=1``) honor the same timeout
+*cooperatively*: the engine's chunk loop calls :func:`check_deadline`
+at every chunk boundary, and a lapsed attempt raises
+:class:`DeadlineExceeded` — classified by :func:`run_supervised_inline`
+as a :class:`WorkerTimeout` and resolved through exactly the same
+retry → degrade/skip/raise ladder as a dispatched timeout.  Only the
+degraded re-execution runs deadline-free: it is the run's last resort
+and must complete.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import heapq
 import queue
 import time
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.matching.executor.progress import FaultEvent, ProgressTracker
 
@@ -82,7 +84,7 @@ _RETRYING = object()
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """One run's recovery budget for supervised dispatch.
+    """One run's recovery budget for every work unit.
 
     Attributes
     ----------
@@ -96,7 +98,7 @@ class RetryPolicy:
         timeout set, dispatch is throttled to ``n_jobs`` outstanding
         tasks so time spent queued behind other tasks never counts
         against a unit's deadline.  In-process (serial) attempts
-        enforce the same budget cooperatively — the chunk loops check
+        enforce the same budget cooperatively — the chunk loop checks
         the attempt deadline at every chunk boundary
         (:func:`check_deadline`), so a lapsed attempt times out
         between chunks; a comparison stuck *inside* one chunk still
@@ -121,7 +123,8 @@ class RetryPolicy:
 
     @property
     def supervises(self) -> bool:
-        """Whether this policy alone requires supervised execution."""
+        """Whether this policy alone engages recovery (retries or a
+        deadline)."""
         return self.max_attempts > 1 or self.timeout is not None
 
     def delay(self, failed_attempt: int) -> float:
@@ -133,9 +136,9 @@ class RetryPolicy:
     def deadline(self) -> float | None:
         """Monotonic deadline for an attempt starting now.
 
-        ``None`` when the policy sets no timeout.  In-process attempt
-        loops capture this once per attempt and hand it to the chunk
-        loops, whose :func:`check_deadline` calls enforce it.
+        ``None`` when the policy sets no timeout.  In-process attempts
+        capture this once per attempt and hand it to the chunk loop,
+        whose :func:`check_deadline` calls enforce it.
         """
         if self.timeout is None:
             return None
@@ -190,7 +193,7 @@ class DeadlineExceeded(Exception):
 
     Control-flow signal, not part of the public fault taxonomy: raised
     by the cooperative :func:`check_deadline` checks inside the
-    engine's chunk loops and converted to a :class:`WorkerTimeout` by
+    engine's chunk loop and converted to a :class:`WorkerTimeout` by
     :func:`run_supervised_inline`.
     """
 
@@ -198,8 +201,8 @@ class DeadlineExceeded(Exception):
 def check_deadline(deadline: float | None) -> None:
     """Raise :class:`DeadlineExceeded` when *deadline* has lapsed.
 
-    The in-process enforcement point: chunk loops call this at every
-    chunk boundary with the deadline captured by
+    The in-process enforcement point: the chunk loop calls this at
+    every chunk boundary with the deadline captured by
     :meth:`RetryPolicy.deadline` at attempt start (``None`` = no
     timeout configured, never raises).
     """
@@ -339,6 +342,54 @@ def fail_partitions(
         ) from fault
 
 
+def _resolve_failed_attempt(
+    fault: ExecutionFault,
+    error: BaseException,
+    *,
+    partitions,
+    fallback: Callable[[], list],
+    policy: RetryPolicy,
+    on_error: str,
+    tracker: ProgressTracker,
+):
+    """Retry, degrade, skip or raise one failed attempt of a work unit.
+
+    The one decision point both runners share.  Without recovery
+    configured — *policy* neither retries nor times out and *on_error*
+    is ``"raise"`` — the attempt's own *error* is re-raised unchanged
+    and nothing is recorded.  Otherwise the attempt is counted and
+    resolved: :data:`_RETRYING` while the attempt budget lasts (the
+    caller reschedules after ``policy.delay``), the hook-free
+    *fallback*'s results under ``"degrade"``, or ``None`` once the
+    unit's *partitions* are failed terminally (recorded; raises under
+    ``"raise"``).
+    """
+    if not policy.supervises and on_error == "raise":
+        raise error
+    _record_attempt(tracker, fault)
+    if fault.attempt < policy.max_attempts:
+        _record_retry(tracker, fault)
+        return _RETRYING
+    if on_error == "degrade":
+        try:
+            results = fallback()
+        except Exception as degraded_error:  # noqa: BLE001 — terminal below
+            terminal = WorkerCrash(
+                "degraded in-process re-execution raised "
+                f"{type(degraded_error).__name__}: {degraded_error}",
+                partitions=fault.partitions,
+                sources=fault.sources,
+                attempt=fault.attempt,
+            )
+            terminal.__cause__ = degraded_error
+            fail_partitions(tracker, partitions, terminal, on_error=on_error)
+            return None
+        _record_degraded(tracker, fault)
+        return results
+    fail_partitions(tracker, partitions, fault, on_error=on_error)
+    return None
+
+
 def run_supervised_inline(
     execute: Callable[[int], list],
     *,
@@ -353,22 +404,24 @@ def run_supervised_inline(
     ``execute(attempt)`` runs the unit (consulting any installed fault
     hook); ``fallback()`` is the hook-free, deadline-free degraded
     re-execution.  Returns the unit's results, or ``None`` when it was
-    skipped / failed terminally (already recorded; raises under
-    ``on_error="raise"``).  Timeouts are enforced cooperatively:
+    skipped / failed terminally.  Timeouts are enforced cooperatively:
     ``execute`` raises :class:`DeadlineExceeded` at a chunk boundary
     once ``policy.timeout`` lapses, classified here as a
     :class:`WorkerTimeout`; every other exception is a
-    :class:`WorkerCrash`.
+    :class:`WorkerCrash`.  Each failed attempt is resolved by
+    :func:`_resolve_failed_attempt`.
     """
-    labels, sources = _partitions_context(partitions)
     attempt = 1
     while True:
-        fault: ExecutionFault
         try:
             return execute(attempt)
         except PartitionFailure:
             raise
-        except DeadlineExceeded as error:
+        except Exception as raised:  # noqa: BLE001 — classified below
+            error = raised
+        labels, sources = _partitions_context(partitions)
+        fault: ExecutionFault
+        if isinstance(error, DeadlineExceeded):
             fault = WorkerTimeout(
                 f"in-process execution exceeded its {policy.timeout}s "
                 "deadline at a chunk boundary",
@@ -376,8 +429,7 @@ def run_supervised_inline(
                 sources=sources,
                 attempt=attempt,
             )
-            fault.__cause__ = error
-        except Exception as error:  # noqa: BLE001 — classified below
+        else:
             fault = WorkerCrash(
                 f"in-process execution raised {type(error).__name__}: "
                 f"{error}",
@@ -385,36 +437,22 @@ def run_supervised_inline(
                 sources=sources,
                 attempt=attempt,
             )
-            fault.__cause__ = error
-        _record_attempt(tracker, fault)
-        if attempt < policy.max_attempts:
-            _record_retry(tracker, fault)
-            delay = policy.delay(attempt)
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-            continue
-        if on_error == "degrade":
-            try:
-                results = fallback()
-            except Exception as degraded_error:  # noqa: BLE001
-                fault = WorkerCrash(
-                    "degraded in-process re-execution raised "
-                    f"{type(degraded_error).__name__}: "
-                    f"{degraded_error}",
-                    partitions=labels,
-                    sources=sources,
-                    attempt=attempt,
-                )
-                fault.__cause__ = degraded_error
-                fail_partitions(
-                    tracker, partitions, fault, on_error=on_error
-                )
-                return None
-            _record_degraded(tracker, fault)
-            return results
-        fail_partitions(tracker, partitions, fault, on_error=on_error)
-        return None
+        fault.__cause__ = error
+        outcome = _resolve_failed_attempt(
+            fault,
+            error,
+            partitions=partitions,
+            fallback=fallback,
+            policy=policy,
+            on_error=on_error,
+            tracker=tracker,
+        )
+        if outcome is not _RETRYING:
+            return outcome
+        delay = policy.delay(attempt)
+        if delay > 0:
+            time.sleep(delay)
+        attempt += 1
 
 
 @dataclass
@@ -433,7 +471,7 @@ class SupervisedDispatcher:
     that queue with a wake-up at the earliest outstanding deadline, so
     a clean run costs one queue round trip per task and a hung or dead
     worker is detected the moment its deadline lapses — never by
-    blocking forever on an ``imap`` slot.
+    blocking forever on one missing result.
 
     Parameters
     ----------
@@ -450,7 +488,7 @@ class SupervisedDispatcher:
     max_outstanding:
         Dispatch throttle used when a timeout is configured (normally
         ``n_jobs``); without a timeout every task is submitted up
-        front, exactly like ``imap``.
+        front.
     """
 
     def __init__(
@@ -482,7 +520,8 @@ class SupervisedDispatcher:
 
         ``None`` marks a task resolved by skip / degraded-failure; its
         partitions are recorded in the report's failures.  Raises
-        :class:`PartitionFailure` under ``on_error="raise"``.
+        :class:`PartitionFailure` under ``on_error="raise"``, or the
+        worker's own exception when no recovery is configured.
         """
         policy = self._policy
         results_queue: queue.Queue = queue.Queue()
@@ -552,7 +591,9 @@ class SupervisedDispatcher:
                 for index in overdue:
                     attempt = pending.pop(index).attempt
                     fault = self._timeout_fault(index, attempt)
-                    outcome = self._attempt_failed(index, fault, delayed)
+                    outcome = self._attempt_failed(
+                        index, fault, fault, delayed
+                    )
                     if outcome is not _RETRYING:
                         finished += 1
                         yield index, outcome
@@ -569,7 +610,7 @@ class SupervisedDispatcher:
                 yield index, result
                 continue
             fault = self._crash_fault(index, attempt, error)
-            outcome = self._attempt_failed(index, fault, delayed)
+            outcome = self._attempt_failed(index, fault, error, delayed)
             if outcome is not _RETRYING:
                 finished += 1
                 yield index, outcome
@@ -605,44 +646,29 @@ class SupervisedDispatcher:
         self,
         index: int,
         fault: ExecutionFault,
+        error: BaseException,
         delayed: list[tuple[float, int, int]],
     ):
-        """Retry, degrade, skip or raise one failed dispatch attempt."""
-        tracker = self._tracker
-        _record_attempt(tracker, fault)
-        policy = self._policy
-        if fault.attempt < policy.max_attempts:
-            _record_retry(tracker, fault)
+        """Resolve one failed dispatch attempt, queueing any retry."""
+        outcome = _resolve_failed_attempt(
+            fault,
+            error,
+            partitions=self._task_partitions(index),
+            fallback=lambda: self._fallback(index),
+            policy=self._policy,
+            on_error=self._on_error,
+            tracker=self._tracker,
+        )
+        if outcome is _RETRYING:
             heapq.heappush(
                 delayed,
                 (
-                    time.monotonic() + policy.delay(fault.attempt),
+                    time.monotonic() + self._policy.delay(fault.attempt),
                     index,
                     fault.attempt + 1,
                 ),
             )
-            return _RETRYING
-        partitions = self._task_partitions(index)
-        if self._on_error == "degrade":
-            try:
-                results = self._fallback(index)
-            except Exception as error:  # noqa: BLE001 — terminal below
-                terminal = WorkerCrash(
-                    "degraded in-process re-execution raised "
-                    f"{type(error).__name__}: {error}",
-                    partitions=fault.partitions,
-                    sources=fault.sources,
-                    attempt=fault.attempt,
-                )
-                terminal.__cause__ = error
-                fail_partitions(
-                    tracker, partitions, terminal, on_error=self._on_error
-                )
-                return None
-            _record_degraded(tracker, fault)
-            return results
-        fail_partitions(tracker, partitions, fault, on_error=self._on_error)
-        return None
+        return outcome
 
 
 __all__ = [

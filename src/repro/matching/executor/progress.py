@@ -82,8 +82,6 @@ class ExecutionReport:
     is complete only once the slice iterator is exhausted).
     """
 
-    #: Scheduling mode the engine ran ("partitioned" or "stealing").
-    scheduling: str = ""
     #: Worker processes used (1 = in-process).
     n_jobs: int = 1
     #: Partitions in the executed plan.
@@ -103,7 +101,7 @@ class ExecutionReport:
     subkey_split_partitions: int = 0
     #: Oversized partitions (or sub-key groups) banded contiguously.
     banded_partitions: int = 0
-    #: Schedulable work units after subdivision (stealing mode).
+    #: Work units after subdivision (one per partition in-process).
     work_units: int = 0
     #: Dispatch tasks handed to the worker queue.
     dispatch_tasks: int = 0
@@ -140,7 +138,7 @@ class ExecutionReport:
     def summary(self) -> str:
         """One log-friendly line describing the run."""
         parts = [
-            f"{self.scheduling} n_jobs={self.n_jobs}",
+            f"n_jobs={self.n_jobs}",
             f"{self.completed_partitions}/{self.partitions} partitions",
             f"{self.decided_pairs}/{self.total_pairs} pairs",
             f"eta m={self.decided_matches} p={self.decided_possibles} "
@@ -185,9 +183,8 @@ class ProgressTracker:
     observer: ProgressObserver | None = None
     fault_observer: FaultObserver | None = None
 
-    def start(self, plan, *, scheduling: str, n_jobs: int) -> None:
+    def start(self, plan, *, n_jobs: int) -> None:
         """Record the plan shape before execution begins."""
-        self.report.scheduling = scheduling
         self.report.n_jobs = n_jobs
         self.report.partitions = len(plan.partitions)
         self.report.total_pairs = plan.total_pairs

@@ -7,35 +7,40 @@ and the per-pair decision (:meth:`XTupleDecisionProcedure.decide
 :class:`~repro.reduction.plan.CandidatePlan` over any
 :class:`~repro.pdb.storage.XTupleStore` and yields one
 :class:`~repro.matching.executor.results.DetectionResult` slice per
-partition, in plan order, bitwise identical to the serial seed pipeline
-under every mode:
+partition, in plan order, bitwise identical to the serial seed
+pipeline.  Every run takes the same four steps:
 
-``scheduling="partitioned"``
-    Whole partitions are assigned to workers in plan order
-    (consecutive small partitions coalesced into chunk-sized dispatch
-    batches); before forking, the matcher's shared similarity caches
-    are pre-warmed from the per-partition vocabulary and frozen
-    read-only, so every worker shares the parent's table copy-on-write.
+1. **Prewarm / freeze.**  Before forking, the matcher's shared
+   similarity caches are warmed from the plan's candidate pairs and
+   frozen read-only, so every worker shares the parent's table
+   copy-on-write.  By default this happens when a pool is used and no
+   partition exceeds the split budget; a skewed plan skips it, since
+   its sub-key units keep worker working sets coherent and warming
+   would serialize work the workers can do in parallel.
+2. **Work units.**  In-process runs (``n_jobs == 1``) take every
+   partition whole, in plan order.  A pool subdivides partitions
+   exceeding the ``split_pairs`` cost budget — by the reducer's sub-key
+   ``split_partition`` hook
+   (:class:`~repro.reduction.plan.SplittableReducer`) when available,
+   by contiguous row-banding otherwise — and packs the units into
+   dispatch tasks *largest first*, so an idle worker always steals the
+   biggest remaining unit and one giant block no longer serializes the
+   run.
+3. **One supervised runner.**  Tasks run through
+   :func:`~repro.matching.executor.faults.run_supervised_inline`
+   in-process or the
+   :class:`~repro.matching.executor.faults.SupervisedDispatcher` over a
+   pool.  With the default :class:`RetryPolicy` (one attempt, no
+   deadline) and ``on_error="raise"`` an attempt's exception
+   propagates unchanged.
+4. **One collector.**  Each partition's decisions are reassembled into
+   its original pair order and emitted in plan order; a partition of a
+   terminally failed task is dropped whole.
 
-``scheduling="stealing"``
-    Skew-aware work stealing.  Partitions exceeding the ``split_pairs``
-    cost budget are subdivided — by the reducer's sub-key
-    ``split_partition`` hook (:class:`~repro.reduction.plan.SplittableReducer`)
-    when available, by contiguous row-banding otherwise — and the
-    resulting work units are dispatched *largest first* through the
-    pool's shared task queue, so an idle worker always steals the
-    biggest remaining unit and one giant block no longer serializes the
-    run.  Sub-key groups keep each unit's member working set coherent,
-    so workers decide them with cold caches without duplicating
-    similarity work.  The parent reassembles each partition's decisions
-    into the partition's original pair order before yielding, so
-    results are independent of stealing order.
-
-Both modes equal the serial path decision for decision: a pair's
-decision is a pure function of its two x-tuples and the configured
-procedure (similarity caches memoize deterministic values), so
-execution order can never change results — only the emission order
-could, and reassembly pins that to plan order.
+A pair's decision is a pure function of its two x-tuples and the
+configured procedure (similarity caches memoize deterministic values),
+so scheduling can change the order of work but never a result — only
+the emission order could, and reassembly pins that to plan order.
 """
 
 from __future__ import annotations
@@ -44,13 +49,10 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.matching.engine import XTupleDecision, XTupleDecisionProcedure
-from repro.pdb.storage.base import fetch_tuples
-from repro.pdb.values import NULL, PatternValue
 from repro.matching.executor.faults import (
     ON_ERROR_MODES,
     RetryPolicy,
     SupervisedDispatcher,
-    check_deadline,
     run_supervised_inline,
 )
 from repro.matching.executor.progress import (
@@ -61,9 +63,8 @@ from repro.matching.executor.progress import (
 )
 from repro.matching.executor.results import DetectionResult, slice_result
 from repro.matching.executor.workers import (
-    decide_batch,
-    decide_pairs,
     decide_supervised,
+    decide_task,
     fault_hook,
     fork_context,
     init_worker,
@@ -81,9 +82,9 @@ from repro.reduction.plan import (
 #: that per-chunk result lists never hold more than a sliver of a run.
 DEFAULT_CHUNK_SIZE = 1024
 
-#: Cost budget (candidate pairs) above which the stealing scheduler
-#: subdivides a partition.  Matches the window-family planning target:
-#: a unit this size amortizes dispatch but cannot monopolize a worker.
+#: Cost budget (candidate pairs) above which a pooled run subdivides a
+#: partition.  Matches the window-family planning target: a unit this
+#: size amortizes dispatch but cannot monopolize a worker.
 DEFAULT_SPLIT_PAIRS = 2048
 
 #: Total pairwise-similarity budget for cache pre-warming, across all
@@ -102,60 +103,6 @@ PREWARM_PAIR_BUDGET = 200_000
 #: ``warm → warm_pairs → batch_similarities``.
 PAIR_AWARE_ADVANTAGE = 2
 
-#: Scheduling modes the engine itself implements.  The legacy pre-plan
-#: "striped" fan-out lives in the detector facade.
-ENGINE_SCHEDULING_MODES = ("partitioned", "stealing")
-
-#: Cost models for the stealing scheduler's split/dispatch decisions.
-#: ``"pairs"`` (default) costs a unit by its candidate-pair count;
-#: ``"weighted"`` additionally weighs each partition by its members'
-#: alternative counts and string lengths, so fat-tuple partitions split
-#: earlier and dispatch first even when their pair counts are modest.
-SPLIT_COST_MODELS = ("pairs", "weighted")
-
-#: Members sampled per partition when estimating a weighted cost —
-#: bounds the scheduling-time fetch work regardless of partition size.
-COST_SAMPLE_MEMBERS = 64
-
-
-def estimate_partition_weight(
-    relation,
-    partition: CandidatePartition,
-    *,
-    sample: int = COST_SAMPLE_MEMBERS,
-) -> float:
-    """Relative per-pair decision cost of one partition's tuples.
-
-    A pair's decision work scales with the alternative combinations it
-    compares (``alternatives²``) times the length of the strings each
-    comparison edits — pair counts alone treat a partition of 1-line
-    certain tuples and one of 8-alternative long-string tuples as equal
-    work.  The estimate samples up to *sample* members (one bounded
-    ``fetch``, served from resident objects or the store's page cache)
-    and returns ``mean_alternatives² × mean plain-outcome length``; the
-    caller normalizes across the plan, so only *relative* magnitudes
-    matter.
-    """
-    members = partition.members[:sample]
-    if not members:
-        return 1.0
-    working_set = fetch_tuples(relation, members)
-    alternatives = 0
-    plain_bytes = 0
-    for xtuple in working_set.values():
-        alternatives += len(xtuple.alternatives)
-        for alternative in xtuple.alternatives:
-            for attribute in alternative.attributes:
-                for outcome, _probability in alternative.value(
-                    attribute
-                ).items():
-                    if outcome is NULL or isinstance(outcome, PatternValue):
-                        continue
-                    plain_bytes += len(str(outcome))
-    mean_alternatives = alternatives / len(members)
-    mean_bytes = plain_bytes / max(1, alternatives)
-    return (mean_alternatives**2) * max(1.0, mean_bytes)
-
 
 @dataclass(frozen=True)
 class ExecutionSettings:
@@ -163,21 +110,22 @@ class ExecutionSettings:
 
     Parameters mirror :meth:`DuplicateDetector.detect
     <repro.matching.pipeline.DuplicateDetector.detect>`; ``split_pairs``
-    is the stealing scheduler's cost budget.
+    is a pooled run's cost budget per work unit.
     """
 
     chunk_size: int = DEFAULT_CHUNK_SIZE
     n_jobs: int = 1
     keep_derivations: bool = True
     keep_compared_pairs: bool = True
-    scheduling: str = "partitioned"
+    #: Parent-side cache warm before executing; ``None`` resolves per
+    #: plan (:meth:`should_prewarm`).
     prewarm: bool | None = None
     split_pairs: int = DEFAULT_SPLIT_PAIRS
     #: Parent-side warm budget (pairwise similarity evaluations).  A
     #: partition whose vocabulary table exceeds what remains of the
     #: budget leaves the warm *incomplete*: the caches are then not
     #: frozen around the fork and every worker re-learns its share —
-    #: the skew pathology the stealing scheduler avoids (see
+    #: the skew pathology work-unit subdivision avoids (see
     #: ``benchmarks/test_bench_scheduler.py``).
     prewarm_budget: int = PREWARM_PAIR_BUDGET
     #: Comparison-kernel backend the run's procedure was configured
@@ -186,10 +134,10 @@ class ExecutionSettings:
     #: the selector and clones the procedure before constructing the
     #: engine — but validated here so a typo fails loudly.
     kernel_backend: str = "auto"
-    #: Recovery budget for supervised dispatch (attempts / per-dispatch
-    #: timeout / backoff); the default policy never retries and sets no
-    #: deadline, which — together with ``on_error="raise"`` — keeps the
-    #: unsupervised zero-overhead execution paths.
+    #: Recovery budget of every attempt (attempts / per-attempt
+    #: timeout / backoff).  The default policy never retries and sets
+    #: no deadline, which — together with ``on_error="raise"`` — lets
+    #: an attempt's exception propagate unchanged.
     retry: RetryPolicy = RetryPolicy()
     #: How a work unit that exhausts the retry budget is resolved:
     #: ``"raise"`` aborts with a ``PartitionFailure``, ``"degrade"``
@@ -197,20 +145,12 @@ class ExecutionSettings:
     #: ``"skip"`` drops the unit's partitions and records the failures
     #: in ``ExecutionReport.failures``.
     on_error: str = "raise"
-    #: Stealing-mode cost model: ``"pairs"`` costs work units by pair
-    #: count alone; ``"weighted"`` weighs each partition by sampled
-    #: alternative counts and string lengths
-    #: (:func:`estimate_partition_weight`), so a partition of fat
-    #: tuples splits at a lower pair count and its units dispatch
-    #: earlier.  Scheduling-only: reassembly pins results to plan
-    #: order, so decisions are bitwise identical under either model.
-    split_cost_model: str = "pairs"
     #: Retained-cache mode (incremental sessions): the caller keeps the
     #: matcher's similarity caches warm *across* runs, so the engine
-    #: must not spend the run re-prewarming them — ``should_prewarm``
-    #: resolves to False — but still freezes them read-only around a
-    #: fork (restoring afterwards) so workers share the retained tables
-    #: copy-on-write exactly like a freshly warmed run would.
+    #: must not spend the run re-prewarming them, but still freezes
+    #: them read-only around a fork (restoring afterwards) so workers
+    #: share the retained tables copy-on-write exactly like a freshly
+    #: warmed run would.
     retain_caches: bool = False
 
     def __post_init__(self) -> None:
@@ -218,11 +158,6 @@ class ExecutionSettings:
             raise ValueError("chunk_size must be positive")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be at least 1 (or None)")
-        if self.scheduling not in ENGINE_SCHEDULING_MODES:
-            raise ValueError(
-                f"unknown engine scheduling {self.scheduling!r}; "
-                f"expected one of {ENGINE_SCHEDULING_MODES}"
-            )
         if self.split_pairs <= 0:
             raise ValueError("split_pairs must be positive")
         if self.prewarm_budget < 0:
@@ -233,43 +168,30 @@ class ExecutionSettings:
             from repro.similarity.backends.base import get_backend
 
             get_backend(self.kernel_backend)
-        if self.split_cost_model not in SPLIT_COST_MODELS:
-            raise ValueError(
-                f"unknown split_cost_model {self.split_cost_model!r}; "
-                f"expected one of {SPLIT_COST_MODELS}"
-            )
         if self.on_error not in ON_ERROR_MODES:
             raise ValueError(
                 f"unknown on_error {self.on_error!r}; "
                 f"expected one of {ON_ERROR_MODES}"
             )
 
-    @property
-    def supervised(self) -> bool:
-        """Whether this run needs the supervised dispatch machinery.
+    def should_prewarm(self, plan: CandidatePlan) -> bool:
+        """Whether to warm the caches in the parent before running *plan*.
 
-        False for the defaults (one attempt, no timeout, raise), so
-        existing runs keep the unsupervised code paths — raw exceptions
-        propagate unchanged and the clean path pays nothing.
-        """
-        return self.retry.supervises or self.on_error != "raise"
-
-    @property
-    def should_prewarm(self) -> bool:
-        """Resolved pre-warm default.
-
-        Partitioned scheduling warms exactly when forking; stealing
-        defaults to *not* warming — its sub-key units keep worker
-        working sets coherent, so parent-side warming would serialize
-        similarity work the workers can compute in parallel.  Retained-
-        cache runs never re-prewarm: the session already holds the warm
-        tables.
+        An explicit ``prewarm`` wins.  Otherwise warm exactly when
+        forking over a plan no partition of which exceeds the split
+        budget: a plan that needs subdivision keeps each worker's
+        working set coherent through its sub-key units, and warming it
+        would serialize similarity work the workers can do in
+        parallel.  Retained-cache runs never re-prewarm: the session
+        already holds the warm tables.
         """
         if self.retain_caches:
             return False
         if self.prewarm is not None:
             return self.prewarm
-        return self.scheduling == "partitioned" and self.n_jobs > 1
+        return self.n_jobs > 1 and all(
+            len(partition) <= self.split_pairs for partition in plan
+        )
 
 
 def prewarm_plan(
@@ -409,16 +331,15 @@ class ExecutionEngine:
         Execution knobs; see :class:`ExecutionSettings`.
     splitter:
         Optional provider of the ``split_partition`` sub-key hook —
-        normally the detector's reducer.  Only consulted under stealing
-        scheduling for partitions over the cost budget.
+        normally the detector's reducer.  Only consulted by pooled runs,
+        for partitions over the cost budget.
     observer:
         Optional per-partition progress callback
         (:data:`~repro.matching.executor.progress.ProgressObserver`).
     fault_observer:
         Optional recovery-action callback
         (:data:`~repro.matching.executor.progress.FaultObserver`),
-        called on every retry, degradation and terminal failure of a
-        supervised run.
+        called on every retry, degradation and terminal failure.
     """
 
     def __init__(
@@ -441,443 +362,121 @@ class ExecutionEngine:
         """The engine's execution knobs."""
         return self._settings
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
     def execute(
         self, relation, plan: CandidatePlan
     ) -> Iterator[DetectionResult]:
         """Yield one result slice per partition, in plan order."""
         settings = self._settings
-        self._tracker.start(
-            plan, scheduling=settings.scheduling, n_jobs=settings.n_jobs
-        )
+        self._tracker.start(plan, n_jobs=settings.n_jobs)
         self.report.kernel_backend = settings.kernel_backend
-        matcher = self._procedure.matcher
-        newly_frozen: list = []
-        if settings.should_prewarm:
-            warmed, complete = prewarm_plan(
-                matcher, relation, plan, budget=settings.prewarm_budget
-            )
-            self.report.prewarmed_entries = warmed
-            if complete and settings.n_jobs > 1:
-                newly_frozen = matcher.freeze_caches()
-                self.report.caches_frozen = True
-        elif settings.retain_caches and settings.n_jobs > 1:
-            # Retained-cache session: tables were warmed by earlier runs
-            # and live across calls — freeze them read-only around the
-            # fork so workers share them copy-on-write, thaw after.
-            newly_frozen = matcher.freeze_caches()
-            self.report.caches_frozen = bool(newly_frozen)
+        if not plan.partitions:
+            return
+        newly_frozen = self._prewarm(relation, plan)
         try:
-            supervised = settings.supervised
-            if settings.scheduling == "stealing":
-                yield from self._execute_stealing(relation, plan)
-            elif settings.n_jobs == 1:
-                if supervised:
-                    yield from self._execute_serial_supervised(
-                        relation, plan
-                    )
-                else:
-                    yield from self._execute_serial(relation, plan)
-            elif supervised:
-                yield from self._execute_partitioned_supervised(
-                    relation, plan
-                )
+            unit_pairs, owners = self._work_units(relation, plan)
+            if settings.n_jobs == 1:
+                tasks = [
+                    [(unit, pairs)] for unit, pairs in enumerate(unit_pairs)
+                ]
+                run = self._run_inline
             else:
-                yield from self._execute_partitioned(relation, plan)
+                tasks = self._stealing_tasks(unit_pairs)
+                self.report.dispatch_tasks = len(tasks)
+                run = self._run_pool
+
+            def task_partitions(index: int) -> list[CandidatePartition]:
+                covered = dict.fromkeys(
+                    owners[unit] for unit, _pairs in tasks[index]
+                )
+                return [plan.partitions[i] for i in covered]
+
+            yield from self._collect(
+                plan,
+                run(relation, tasks, task_partitions),
+                tasks,
+                unit_pairs,
+                owners,
+            )
         finally:
             # Restore only the freezes this run established; caches the
             # caller froze beforehand stay frozen.
             for cache in newly_frozen:
                 cache.thaw()
 
-    # ------------------------------------------------------------------
-    # Partitioned execution (plan order, whole partitions per worker)
-    # ------------------------------------------------------------------
+    def _prewarm(self, relation, plan: CandidatePlan) -> list:
+        """Warm and freeze the caches as the settings resolve for *plan*.
 
-    def _execute_serial(
-        self, relation, plan: CandidatePlan
-    ) -> Iterator[DetectionResult]:
+        Returns the caches this run froze, for thawing afterwards.
+        """
         settings = self._settings
-        size = plan.relation_size
-        for partition in plan:
-            decisions = tuple(self._decide_partition(relation, partition))
-            yield slice_result(
-                partition,
-                decisions,
-                size,
-                settings.keep_compared_pairs,
+        matcher = self._procedure.matcher
+        forking = settings.n_jobs > 1
+        if settings.should_prewarm(plan):
+            warmed, complete = prewarm_plan(
+                matcher, relation, plan, budget=settings.prewarm_budget
             )
-            self._tracker.slice_done(partition, decisions)
+            self.report.prewarmed_entries = warmed
+            if complete and forking:
+                self.report.caches_frozen = True
+                return matcher.freeze_caches()
+        elif settings.retain_caches and forking:
+            # Retained-cache session: tables were warmed by earlier runs
+            # and live across calls — freeze them read-only around the
+            # fork so workers share them copy-on-write, thaw after.
+            newly_frozen = matcher.freeze_caches()
+            self.report.caches_frozen = bool(newly_frozen)
+            return newly_frozen
+        return []
 
-    def _decide_partition(
-        self,
-        relation,
-        partition: CandidatePartition,
-        deadline: float | None = None,
-    ) -> list[XTupleDecision]:
-        """Decide one whole partition in-process, chunk by chunk.
+    def _work_units(
+        self, relation, plan: CandidatePlan
+    ) -> tuple[list[tuple[tuple[str, str], ...]], list[int]]:
+        """The plan's work units: ``(unit pair tuples, unit → partition
+        index)``, unit ids being list positions.
 
-        Loads the working set chunk by chunk, exactly like the parallel
-        dispatch path: residency stays bounded by chunk_size even when
-        a plan degenerates to one partition spanning the whole relation
-        (full comparison, legacy pairs()-only reducers).  With a
-        *deadline* (supervised serial attempts), every chunk boundary
-        checks it — a lapsed attempt raises
-        :class:`~repro.matching.executor.faults.DeadlineExceeded` for
-        the supervisor to classify as a timeout.  Also the hook-free,
-        deadline-free degraded re-execution of a supervised run.
+        In-process runs keep every partition whole, in plan order — the
+        serial fetch order and page-cache behaviour.  A pooled run
+        subdivides each partition over the split budget
+        (:func:`subdivide_partition`).
         """
         settings = self._settings
-        decisions: list[XTupleDecision] = []
-        pairs = partition.pairs
-        for start in range(0, len(pairs), settings.chunk_size):
-            check_deadline(deadline)
-            chunk = pairs[start : start + settings.chunk_size]
-            decisions.extend(
-                decide_pairs(
-                    self._procedure,
-                    relation,
-                    chunk,
-                    settings.keep_derivations,
-                )
-            )
-        return decisions
-
-    def _execute_serial_supervised(
-        self, relation, plan: CandidatePlan
-    ) -> Iterator[DetectionResult]:
-        """Serial execution under the attempt budget, one unit per
-        partition.
-
-        Each attempt captures its deadline from the retry policy before
-        running, and the partition's chunk loop checks it at every
-        chunk boundary — a lapsed attempt surfaces as a
-        :class:`~repro.matching.executor.faults.WorkerTimeout` and
-        consumes retry budget like any dispatched timeout.  The
-        fault-injection hook is consulted once per attempt with the
-        partition's pairs (inside the deadline, so a hook that stalls
-        trips the timeout), and the degraded fallback is hook- and
-        deadline-free.
-        """
-        settings = self._settings
-        size = plan.relation_size
-        for partition in plan:
-
-            def attempt_partition(attempt, partition=partition):
-                deadline = settings.retry.deadline()
-                hook = fault_hook()
-                if hook is not None:
-                    hook(attempt, list(partition.pairs))
-                return self._decide_partition(
-                    relation, partition, deadline=deadline
-                )
-
-            decisions = run_supervised_inline(
-                attempt_partition,
-                fallback=lambda partition=partition: self._decide_partition(
-                    relation, partition
-                ),
-                partitions=(partition,),
-                policy=settings.retry,
-                on_error=settings.on_error,
-                tracker=self._tracker,
-            )
-            if decisions is None:
-                continue
-            decisions = tuple(decisions)
-            yield slice_result(
-                partition,
-                decisions,
-                size,
-                settings.keep_compared_pairs,
-            )
-            self._tracker.slice_done(partition, decisions)
-
-    def _partition_batches(
-        self, plan: CandidatePlan
-    ) -> list[list[tuple[int, tuple[tuple[str, str], ...]]]]:
-        """Coalesce the plan into chunk-sized dispatch batches.
-
-        One dispatch batch holds whole consecutive partitions (split
-        only when a single partition exceeds chunk_size) and carries
-        ~chunk_size pairs, so worker round trips stay as coarse as the
-        striped fan-out while cache working sets stay block-aligned.
-        """
-        chunk_size = self._settings.chunk_size
-        batches: list[list[tuple[int, tuple[tuple[str, str], ...]]]] = []
-        batch: list[tuple[int, tuple[tuple[str, str], ...]]] = []
-        batched_pairs = 0
-        for index, partition in enumerate(plan.partitions):
-            pairs = partition.pairs
-            for start in range(0, len(pairs), chunk_size):
-                piece = pairs[start : start + chunk_size]
-                batch.append((index, piece))
-                batched_pairs += len(piece)
-                if batched_pairs >= chunk_size:
-                    batches.append(batch)
-                    batch = []
-                    batched_pairs = 0
-        if batch:
-            batches.append(batch)
-        return batches
-
-    def _execute_partitioned(
-        self, relation, plan: CandidatePlan
-    ) -> Iterator[DetectionResult]:
-        settings = self._settings
-        size = plan.relation_size
-        batches = self._partition_batches(plan)
-        if not batches:
-            return
-        self.report.dispatch_tasks = len(batches)
-        with fork_context().Pool(
-            settings.n_jobs,
-            initializer=init_worker,
-            initargs=(
-                self._procedure,
-                relation,
-                settings.keep_derivations,
-            ),
-        ) as pool:
-            current: int | None = None
-            bucket: list[XTupleDecision] = []
-            for batch_results in pool.imap(decide_batch, batches):
-                for index, chunk_decisions in batch_results:
-                    if current is None:
-                        current = index
-                    elif index != current:
-                        yield self._partition_slice(
-                            plan, current, tuple(bucket), size
-                        )
-                        bucket = []
-                        current = index
-                    bucket.extend(chunk_decisions)
-            if current is not None:
-                yield self._partition_slice(
-                    plan, current, tuple(bucket), size
-                )
-
-    def _partition_slice(
-        self,
-        plan: CandidatePlan,
-        index: int,
-        decisions: tuple[XTupleDecision, ...],
-        size: int,
-    ) -> DetectionResult:
-        partition = plan.partitions[index]
-        result = slice_result(
-            partition,
-            decisions,
-            size,
-            self._settings.keep_compared_pairs,
-        )
-        self._tracker.slice_done(partition, decisions)
-        return result
-
-    def _execute_partitioned_supervised(
-        self, relation, plan: CandidatePlan
-    ) -> Iterator[DetectionResult]:
-        """Partitioned execution under retry/timeout supervision.
-
-        Dispatches the same coalesced batches as the unsupervised path,
-        but through the :class:`SupervisedDispatcher`; completed tasks
-        are re-ordered to plan order before emission.  A task resolved
-        terminally (``on_error="skip"``, or a degraded re-execution
-        that itself failed) drops *every* partition it covers — chunks
-        of those partitions decided by neighbouring successful tasks
-        are discarded at the emission boundary, so a partition is
-        either complete or absent, never truncated.
-        """
-        settings = self._settings
-        size = plan.relation_size
-        batches = self._partition_batches(plan)
-        if not batches:
-            return
-        self.report.dispatch_tasks = len(batches)
-
-        def batch_partitions(index: int) -> list[CandidatePartition]:
-            seen = dict.fromkeys(tag for tag, _pairs in batches[index])
-            return [plan.partitions[tag] for tag in seen]
-
-        def fallback(index: int):
-            return [
-                (
-                    tag,
-                    decide_pairs(
-                        self._procedure,
-                        relation,
-                        pairs,
-                        settings.keep_derivations,
-                    ),
-                )
-                for tag, pairs in batches[index]
-            ]
-
-        dispatcher = SupervisedDispatcher(
-            policy=settings.retry,
-            on_error=settings.on_error,
-            tracker=self._tracker,
-            task_partitions=batch_partitions,
-            fallback=fallback,
-            max_outstanding=settings.n_jobs,
-        )
-        with fork_context().Pool(
-            settings.n_jobs,
-            initializer=init_worker,
-            initargs=(
-                self._procedure,
-                relation,
-                settings.keep_derivations,
-            ),
-        ) as pool:
-            buffer: dict[int, list | None] = {}
-            next_task = 0
-            current: int | None = None
-            bucket: list[XTupleDecision] = []
-            failed: set[int] = set()
-            for task_index, task_results in dispatcher.run(
-                pool, decide_supervised, batches
-            ):
-                buffer[task_index] = task_results
-                while next_task in buffer:
-                    results = buffer.pop(next_task)
-                    if results is None:
-                        # Terminal failure: every partition the batch
-                        # covers is dropped; keep the emission cursor
-                        # moving with decision-free placeholders.
-                        covered = dict.fromkeys(
-                            tag for tag, _pairs in batches[next_task]
-                        )
-                        failed.update(covered)
-                        results = [(tag, None) for tag in covered]
-                    next_task += 1
-                    for index, chunk_decisions in results:
-                        if current is None:
-                            current = index
-                        elif index != current:
-                            if current not in failed:
-                                yield self._partition_slice(
-                                    plan, current, tuple(bucket), size
-                                )
-                            bucket = []
-                            current = index
-                        if chunk_decisions is not None:
-                            bucket.extend(chunk_decisions)
-            if current is not None and current not in failed:
-                yield self._partition_slice(
-                    plan, current, tuple(bucket), size
-                )
-
-    # ------------------------------------------------------------------
-    # Skew-aware work stealing
-    # ------------------------------------------------------------------
-
-    def _partition_weights(
-        self, relation, plan: CandidatePlan
-    ) -> list[float] | None:
-        """Per-partition cost weights under the configured model.
-
-        ``None`` for the pair-count model.  Under ``"weighted"`` each
-        partition's sampled weight (alternative counts × string
-        lengths) is normalized by the plan's pair-weighted mean, so the
-        plan's *total* weighted cost equals its total pair count and
-        ``split_pairs`` keeps its meaning of "average-tuple pairs".
-        """
-        if self._settings.split_cost_model != "weighted":
-            return None
-        if not plan.partitions:
-            return []
-        raw = [
-            estimate_partition_weight(relation, partition)
-            for partition in plan.partitions
-        ]
-        total_pairs = sum(len(p.pairs) for p in plan.partitions)
-        if total_pairs <= 0:
-            return [1.0] * len(raw)
-        baseline = (
-            sum(
-                weight * len(partition.pairs)
-                for weight, partition in zip(raw, plan.partitions)
-            )
-            / total_pairs
-        )
-        if baseline <= 0.0:
-            return [1.0] * len(raw)
-        return [weight / baseline for weight in raw]
-
-    def _stealing_units(
-        self, relation, plan: CandidatePlan
-    ) -> tuple[
-        list[tuple[tuple[str, str], ...]],
-        list[int],
-        list[int],
-        list[float],
-    ]:
-        """Subdivide the plan into schedulable work units.
-
-        Returns ``(unit pair tuples, unit → partition index, units per
-        partition, unit costs)``; unit ids are list positions.  Under
-        the weighted cost model a partition's effective split budget is
-        ``split_pairs / weight`` — fat-tuple partitions subdivide at
-        lower pair counts — and unit costs carry the weight into
-        dispatch ordering.
-        """
-        settings = self._settings
-        weights = self._partition_weights(relation, plan)
         unit_pairs: list[tuple[tuple[str, str], ...]] = []
-        unit_partition: list[int] = []
-        unit_costs: list[float] = []
-        units_per_partition = [0] * len(plan.partitions)
+        owners: list[int] = []
         for index, partition in enumerate(plan.partitions):
-            weight = weights[index] if weights else 1.0
-            budget = settings.split_pairs
-            if weight > 0.0:
-                budget = max(1, int(settings.split_pairs / weight))
-            if len(partition) <= budget:
+            if settings.n_jobs == 1 or len(partition) <= settings.split_pairs:
                 units = [partition]
             else:
                 units = subdivide_partition(
                     self._splitter,
                     relation,
                     partition,
-                    max_pairs=budget,
+                    max_pairs=settings.split_pairs,
                     report=self.report,
                 )
-            units_per_partition[index] = len(units)
             for unit in units:
-                unit_partition.append(index)
                 unit_pairs.append(unit.pairs)
-                unit_costs.append(len(unit.pairs) * weight)
+                owners.append(index)
         self.report.work_units = len(unit_pairs)
-        return unit_pairs, unit_partition, units_per_partition, unit_costs
+        return unit_pairs, owners
 
     def _stealing_tasks(
-        self,
-        unit_pairs: list[tuple[tuple[str, str], ...]],
-        unit_costs: list[float] | None = None,
+        self, unit_pairs: list[tuple[tuple[str, str], ...]]
     ) -> list[list[tuple[int, tuple[tuple[str, str], ...]]]]:
-        """Pack units into dispatch tasks, costliest units first.
+        """Pack units into dispatch tasks, largest units first.
 
         Largest-first (LPT) dispatch through the pool's shared queue is
         what makes the stealing: whichever worker goes idle takes the
         biggest remaining unit, so the skewed block's sub-units spread
-        across workers instead of queueing behind each other.  "Biggest"
-        is the unit's cost — pair count under the default model, weight-
-        scaled pairs under ``"weighted"``.  Units of a chunk's worth of
-        pairs or more always ship alone — coalescing them would glue a
-        skewed block's sub-units back together — and only smaller units
-        are packed into ~chunk-sized tasks so tiny blocks don't pay one
-        IPC round trip each.
+        across workers instead of queueing behind each other.  Units of
+        a chunk's worth of pairs or more always ship alone — coalescing
+        them would glue a skewed block's sub-units back together — and
+        only smaller units are packed into ~chunk-sized tasks so tiny
+        blocks don't pay one IPC round trip each.
         """
         chunk_size = self._settings.chunk_size
-        if unit_costs is None:
-            unit_costs = [float(len(pairs)) for pairs in unit_pairs]
         order = sorted(
             range(len(unit_pairs)),
-            key=lambda unit: (-unit_costs[unit], unit),
+            key=lambda unit: (-len(unit_pairs[unit]), unit),
         )
         tasks: list[list[tuple[int, tuple[tuple[str, str], ...]]]] = []
         task: list[tuple[int, tuple[tuple[str, str], ...]]] = []
@@ -900,64 +499,70 @@ class ExecutionEngine:
     def _decide_task(
         self, relation, task, deadline: float | None = None
     ) -> list:
-        """Decide one stealing task of ``(unit, pairs)`` in-process.
+        """Decide one task in-process (see :func:`decide_task`)."""
+        settings = self._settings
+        return decide_task(
+            self._procedure,
+            relation,
+            task,
+            settings.keep_derivations,
+            settings.chunk_size,
+            deadline,
+        )
 
-        With a *deadline* (supervised serial stealing), each unit is
-        decided in chunk-sized slices with a deadline check at every
-        chunk boundary; without one (the default, and the degraded
-        fallback) the loop is equivalent to deciding each unit whole.
+    def _run_inline(
+        self, relation, tasks, task_partitions
+    ) -> Iterator[tuple[int, list | None]]:
+        """Run every task in-process, in order, under the attempt budget.
+
+        Yields ``(task index, results | None)`` exactly like the pool's
+        dispatcher.  Each attempt captures its deadline before running
+        and the task's chunk loop checks it at every chunk boundary, so
+        ``RetryPolicy.timeout`` is honored without a pool; the fault
+        hook is consulted once per attempt with the task's flattened
+        pairs (inside the deadline), and the degraded fallback is hook-
+        and deadline-free.
         """
         settings = self._settings
-        results: list = []
-        for unit, pairs in task:
-            decisions: list[XTupleDecision] = []
-            for start in range(0, len(pairs), settings.chunk_size):
-                check_deadline(deadline)
-                decisions.extend(
-                    decide_pairs(
-                        self._procedure,
-                        relation,
-                        pairs[start : start + settings.chunk_size],
-                        settings.keep_derivations,
+        for index, task in enumerate(tasks):
+
+            def attempt(number, task=task):
+                deadline = settings.retry.deadline()
+                hook = fault_hook()
+                if hook is not None:
+                    hook(
+                        number,
+                        [pair for _unit, pairs in task for pair in pairs],
                     )
-                )
-            results.append((unit, decisions))
-        return results
+                return self._decide_task(relation, task, deadline)
 
-    def _execute_stealing(
-        self, relation, plan: CandidatePlan
-    ) -> Iterator[DetectionResult]:
+            yield index, run_supervised_inline(
+                attempt,
+                fallback=lambda task=task: self._decide_task(
+                    relation, task
+                ),
+                partitions=task_partitions(index),
+                policy=settings.retry,
+                on_error=settings.on_error,
+                tracker=self._tracker,
+            )
+
+    def _run_pool(
+        self, relation, tasks, task_partitions
+    ) -> Iterator[tuple[int, list | None]]:
+        """Dispatch every task to a forked pool under the attempt budget.
+
+        Yields ``(task index, results | None)`` in completion order.
+        """
         settings = self._settings
-        if not plan.partitions:
-            return
-        unit_pairs, unit_partition, remaining, unit_costs = (
-            self._stealing_units(relation, plan)
+        dispatcher = SupervisedDispatcher(
+            policy=settings.retry,
+            on_error=settings.on_error,
+            tracker=self._tracker,
+            task_partitions=task_partitions,
+            fallback=lambda index: self._decide_task(relation, tasks[index]),
+            max_outstanding=settings.n_jobs,
         )
-        tasks = self._stealing_tasks(unit_pairs, unit_costs)
-        self.report.dispatch_tasks = len(tasks)
-        supervised = settings.supervised
-
-        def task_partitions(index: int) -> list[CandidatePartition]:
-            seen = dict.fromkeys(
-                unit_partition[unit] for unit, _pairs in tasks[index]
-            )
-            return [plan.partitions[i] for i in seen]
-
-        if settings.n_jobs == 1:
-            if supervised:
-                runner = self._run_tasks_inline_supervised(
-                    relation, tasks, task_partitions
-                )
-                yield from self._collect_stolen_supervised(
-                    plan, runner, tasks, unit_pairs, unit_partition,
-                    remaining,
-                )
-                return
-            results = (self._decide_task(relation, task) for task in tasks)
-            yield from self._collect_stolen(
-                plan, results, unit_pairs, unit_partition, remaining
-            )
-            return
         with fork_context().Pool(
             settings.n_jobs,
             initializer=init_worker,
@@ -965,164 +570,59 @@ class ExecutionEngine:
                 self._procedure,
                 relation,
                 settings.keep_derivations,
+                settings.chunk_size,
             ),
         ) as pool:
-            if supervised:
-                dispatcher = SupervisedDispatcher(
-                    policy=settings.retry,
-                    on_error=settings.on_error,
-                    tracker=self._tracker,
-                    task_partitions=task_partitions,
-                    fallback=lambda index: self._decide_task(
-                        relation, tasks[index]
-                    ),
-                    max_outstanding=settings.n_jobs,
-                )
-                yield from self._collect_stolen_supervised(
-                    plan,
-                    dispatcher.run(pool, decide_supervised, tasks),
-                    tasks,
-                    unit_pairs,
-                    unit_partition,
-                    remaining,
-                )
-            else:
-                yield from self._collect_stolen(
-                    plan,
-                    pool.imap_unordered(decide_batch, tasks),
-                    unit_pairs,
-                    unit_partition,
-                    remaining,
-                )
+            yield from dispatcher.run(pool, decide_supervised, tasks)
 
-    def _run_tasks_inline_supervised(
-        self, relation, tasks, task_partitions
-    ) -> Iterator[tuple[int, list | None]]:
-        """Serial stealing under the attempt budget.
-
-        Yields ``(task index, results | None)`` exactly like the
-        parallel dispatcher.  Each attempt captures its deadline before
-        running and the task's chunk loop checks it at every chunk
-        boundary, so ``RetryPolicy.timeout`` is honored without a pool;
-        the fault hook is consulted once per attempt with the task's
-        flattened pairs (inside the deadline), the degraded fallback is
-        hook- and deadline-free.
-        """
-        settings = self._settings
-        for task_index, task in enumerate(tasks):
-
-            def attempt_task(attempt, task=task):
-                deadline = settings.retry.deadline()
-                hook = fault_hook()
-                if hook is not None:
-                    hook(
-                        attempt,
-                        [pair for _unit, pairs in task for pair in pairs],
-                    )
-                return self._decide_task(relation, task, deadline=deadline)
-
-            yield task_index, run_supervised_inline(
-                attempt_task,
-                fallback=lambda task=task: self._decide_task(
-                    relation, task
-                ),
-                partitions=task_partitions(task_index),
-                policy=settings.retry,
-                on_error=settings.on_error,
-                tracker=self._tracker,
-            )
-
-    def _collect_stolen(
-        self,
-        plan: CandidatePlan,
-        results,
-        unit_pairs: list[tuple[tuple[str, str], ...]],
-        unit_partition: list[int],
-        remaining: list[int],
-    ) -> Iterator[DetectionResult]:
-        """Regroup stolen units and emit partitions in plan order.
-
-        Units arrive in completion order; each partition's decisions
-        are reassembled into its original pair emission order, and
-        finished partitions are buffered until every earlier partition
-        has been yielded — stealing reorders *work*, never *results*.
-        """
-        size = plan.relation_size
-        keep = self._settings.keep_compared_pairs
-        pending: dict[int, dict[int, list[XTupleDecision]]] = {}
-        ready: dict[int, tuple[XTupleDecision, ...]] = {}
-        next_index = 0
-        for task_results in results:
-            for unit, decisions in task_results:
-                index = unit_partition[unit]
-                bucket = pending.setdefault(index, {})
-                bucket[unit] = decisions
-                remaining[index] -= 1
-                if remaining[index]:
-                    continue
-                ready[index] = _reassemble(
-                    plan.partitions[index], pending.pop(index), unit_pairs
-                )
-                while next_index in ready:
-                    partition = plan.partitions[next_index]
-                    assembled = ready.pop(next_index)
-                    yield slice_result(partition, assembled, size, keep)
-                    self._tracker.slice_done(partition, assembled)
-                    next_index += 1
-        if pending or next_index != len(plan.partitions):  # pragma: no cover
-            raise RuntimeError(
-                "work-stealing execution lost "
-                f"{len(plan.partitions) - next_index} partitions"
-            )
-
-    def _collect_stolen_supervised(
+    def _collect(
         self,
         plan: CandidatePlan,
         runner: Iterator[tuple[int, list | None]],
         tasks,
         unit_pairs: list[tuple[tuple[str, str], ...]],
-        unit_partition: list[int],
-        remaining: list[int],
+        owners: list[int],
     ) -> Iterator[DetectionResult]:
-        """Regroup supervised stolen units, dropping failed partitions.
+        """Regroup task results and emit partitions in plan order.
 
-        Like :meth:`_collect_stolen`, but the runner yields ``(task
-        index, results | None)`` — ``None`` marks a task resolved
-        terminally, which drops every partition any of its units
-        belongs to (a partition is either complete or absent, never
-        truncated); the remaining partitions still emit in plan order.
+        Tasks finish in any order; each partition's decisions are
+        reassembled into its original pair order, and finished
+        partitions are buffered until every earlier partition has been
+        yielded — scheduling reorders *work*, never *results*.  A
+        ``None`` result marks a task resolved terminally, which drops
+        every partition any of its units belongs to (a partition is
+        either complete or absent, never truncated); the remaining
+        partitions still emit in plan order.
         """
         size = plan.relation_size
         keep = self._settings.keep_compared_pairs
+        remaining = [0] * len(plan.partitions)
+        for index in owners:
+            remaining[index] += 1
         pending: dict[int, dict[int, list[XTupleDecision]]] = {}
         ready: dict[int, tuple[XTupleDecision, ...] | None] = {}
         failed: set[int] = set()
         next_index = 0
-
-        def resolve(index: int) -> None:
-            if index in failed:
-                pending.pop(index, None)
-                ready[index] = None
-            else:
-                ready[index] = _reassemble(
-                    plan.partitions[index], pending.pop(index), unit_pairs
-                )
-
-        for task_index, task_results in runner:
-            if task_results is None:
-                for unit, _pairs in tasks[task_index]:
-                    index = unit_partition[unit]
+        for task_index, results in runner:
+            if results is None:
+                results = [(unit, None) for unit, _pairs in tasks[task_index]]
+            for unit, decisions in results:
+                index = owners[unit]
+                if decisions is None:
                     failed.add(index)
-                    remaining[index] -= 1
-                    if not remaining[index]:
-                        resolve(index)
-            else:
-                for unit, decisions in task_results:
-                    index = unit_partition[unit]
+                else:
                     pending.setdefault(index, {})[unit] = decisions
-                    remaining[index] -= 1
-                    if not remaining[index]:
-                        resolve(index)
+                remaining[index] -= 1
+                if remaining[index]:
+                    continue
+                buckets = pending.pop(index, None)
+                ready[index] = (
+                    None
+                    if index in failed
+                    else _reassemble(
+                        plan.partitions[index], buckets, unit_pairs
+                    )
+                )
             while next_index in ready:
                 decisions = ready.pop(next_index)
                 partition = plan.partitions[next_index]
@@ -1132,7 +632,7 @@ class ExecutionEngine:
                 next_index += 1
         if pending or next_index != len(plan.partitions):  # pragma: no cover
             raise RuntimeError(
-                "supervised work-stealing execution lost "
+                "execution lost "
                 f"{len(plan.partitions) - next_index} partitions"
             )
 
@@ -1144,8 +644,9 @@ def _reassemble(
 ) -> tuple[XTupleDecision, ...]:
     """One partition's decisions, restored to plan emission order."""
     if len(buckets) == 1:
-        # Whole partitions ride as one unit — most of a typical plan —
-        # and sub-key groups that stayed intact: no reorder needed.
+        # Whole partitions ride as one unit — every partition of an
+        # in-process run, most of a pooled one — and sub-key groups
+        # that stayed intact: no reorder needed.
         ((unit, decisions),) = buckets.items()
         if unit_pairs[unit] == partition.pairs:
             return tuple(decisions)
@@ -1157,14 +658,10 @@ def _reassemble(
 
 
 __all__ = [
-    "COST_SAMPLE_MEMBERS",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_SPLIT_PAIRS",
-    "ENGINE_SCHEDULING_MODES",
     "ExecutionEngine",
     "ExecutionSettings",
-    "SPLIT_COST_MODELS",
-    "estimate_partition_weight",
     "prewarm_plan",
     "subdivide_partition",
 ]

@@ -8,32 +8,34 @@ worker re-opens a spilled store's segment files for itself and never
 copies the relation (see
 :meth:`repro.pdb.storage.spill.SpillingXTupleStore._handle`).
 
-The same chunk-deciding helpers back the in-process serial paths, so
-serial and fanned-out execution share one code path per pair.
+:func:`decide_task` is the engine's one decide loop: in-process
+attempts and worker dispatches decide their pairs through the same
+code, chunk by chunk.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
+from repro.matching.executor.faults import check_deadline
 from repro.pdb.storage import fetch_tuples
 
 #: Worker-process state for the multiprocessing fan-out, installed by
 #: :func:`init_worker` via the fork of the parent.  Each worker gets its
 #: own copy of the decision procedure — and therefore its own similarity
-#: caches.  Under partitioned scheduling those caches arrive pre-warmed
-#: and frozen (read-only, shared copy-on-write); under stealing and
-#: striped scheduling they grow independently per worker.
+#: caches.  Caches the parent warmed and froze before forking arrive
+#: read-only, shared copy-on-write; otherwise they grow independently
+#: per worker.
 _WORKER_STATE: dict[str, object] = {}
 
 
-def init_worker(procedure, relation, keep_derivations) -> None:
+def init_worker(procedure, relation, keep_derivations, chunk_size) -> None:
     """Pool initializer: install per-process decision state."""
     _WORKER_STATE["procedure"] = procedure
     _WORKER_STATE["relation"] = relation
     _WORKER_STATE["keep_derivations"] = keep_derivations
+    _WORKER_STATE["chunk_size"] = chunk_size
 
 
 def fork_context():
@@ -74,33 +76,46 @@ def decide_pairs(procedure, relation, pairs, keep_derivations):
     ]
 
 
-def decide_chunk(pairs: Sequence[tuple[str, str]]):
-    """Worker entry point: decide one chunk from the installed state."""
-    return decide_pairs(
-        _WORKER_STATE["procedure"],
-        _WORKER_STATE["relation"],
-        pairs,
-        _WORKER_STATE["keep_derivations"],
-    )
+def decide_task(
+    procedure,
+    relation,
+    task,
+    keep_derivations: bool,
+    chunk_size: int,
+    deadline: float | None = None,
+):
+    """Decide one task of ``(unit, pairs)`` work units, chunk by chunk.
 
-
-def decide_batch(batch):
-    """Decide one dispatch batch of ``(tag, pairs)`` chunks.
-
-    Small chunks are coalesced into one batch so worker round trips
-    cost the same as a flat fan-out; the per-chunk result lists keep
-    the tag (a partition index, or a stealing-mode work-unit id) for
-    the parent's regrouping.
+    Each chunk loads its own working set, so residency stays bounded by
+    *chunk_size* even when a plan degenerates to one partition spanning
+    the whole relation.  With a *deadline* (an in-process attempt under
+    a timeout) every chunk boundary checks it, and a lapsed attempt
+    raises :class:`~repro.matching.executor.faults.DeadlineExceeded`.
+    Returns ``[(unit, decisions)]`` in task order.
     """
-    return [(tag, decide_chunk(pairs)) for tag, pairs in batch]
+    results = []
+    for unit, pairs in task:
+        decisions = []
+        for start in range(0, len(pairs), chunk_size):
+            check_deadline(deadline)
+            decisions.extend(
+                decide_pairs(
+                    procedure,
+                    relation,
+                    pairs[start : start + chunk_size],
+                    keep_derivations,
+                )
+            )
+        results.append((unit, decisions))
+    return results
 
 
 #: Test seam for deterministic fault injection (see
 #: :mod:`repro.testing.faults`).  Installed in the *parent* before the
-#: pool forks, so every worker inherits it; consulted only by the
-#: supervised dispatch path, once per attempt, with the attempt number
-#: and the flattened pairs of the dispatch — ``None`` (the production
-#: default) costs nothing.
+#: pool forks, so every worker inherits it; consulted once per attempt,
+#: in-process and in workers alike, with the attempt number and the
+#: flattened pairs of the task — ``None`` (the production default)
+#: costs nothing.
 _FAULT_HOOK = None
 
 
@@ -120,38 +135,31 @@ def fault_hook():
 
 
 def decide_supervised(payload):
-    """Supervised worker entry point: ``(attempt, batch)`` dispatches.
+    """Worker entry point: decide one ``(attempt, task)`` dispatch.
 
-    Identical to :func:`decide_batch` except that the attempt number
-    travels with the task — retries land on whichever worker is free,
-    so per-process counters cannot target "the second attempt", but a
-    payload-borne attempt can — and the fault hook is consulted first.
+    The attempt number travels with the task — retries land on
+    whichever worker is free, so per-process counters cannot target
+    "the second attempt", but a payload-borne attempt can — and the
+    fault hook is consulted first, with the task's flattened pairs.
     """
-    attempt, batch = payload
+    attempt, task = payload
     hook = _FAULT_HOOK
     if hook is not None:
-        hook(attempt, [pair for _tag, pairs in batch for pair in pairs])
-    return decide_batch(batch)
-
-
-def chunked(
-    pairs: Iterator[tuple[str, str]], size: int
-) -> Iterator[list[tuple[str, str]]]:
-    """Bounded chunks of a pair stream (the striped legacy fan-out)."""
-    while True:
-        chunk = list(itertools.islice(pairs, size))
-        if not chunk:
-            return
-        yield chunk
+        hook(attempt, [pair for _unit, pairs in task for pair in pairs])
+    return decide_task(
+        _WORKER_STATE["procedure"],
+        _WORKER_STATE["relation"],
+        task,
+        _WORKER_STATE["keep_derivations"],
+        _WORKER_STATE["chunk_size"],
+    )
 
 
 __all__ = [
     "chunk_working_set",
-    "chunked",
-    "decide_batch",
-    "decide_chunk",
     "decide_pairs",
     "decide_supervised",
+    "decide_task",
     "fault_hook",
     "fork_context",
     "init_worker",

@@ -24,8 +24,8 @@ fan-out, skew-aware work stealing, streaming.  Inter-source detection
 :class:`~repro.pdb.storage.MultiSourceStore` view — two spilled stores
 are consolidated without ever materializing their union.
 
-Every mode produces exactly the decisions of the plain serial pipeline,
-in the same order, for every storage backend.
+Every configuration produces exactly the decisions of the plain serial
+pipeline, in the same order, for every storage backend.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ from repro.matching.executor import (
 )
 from repro.matching.executor.progress import FaultObserver, ProgressObserver
 from repro.matching.executor.results import DetectionResult
-from repro.matching.executor.workers import (
-    chunked as _chunked,
-    decide_chunk as _decide_chunk,
-    fork_context as _fork_context,
-    init_worker as _init_worker,
-)
 from repro.matching.pushdown import SimilarityFloors
 from repro.similarity.backends.base import resolve_backend_name
 from repro.pdb.relations import ProbabilisticRelation, XRelation
@@ -65,7 +59,6 @@ from repro.reduction.plan import (
     DEFAULT_PARTITION_PAIRS,
     CandidatePlan,
     PlanBuilder,
-    ordered_pair as _ordered,
     plan_candidates,
     plan_fingerprints,
 )
@@ -169,11 +162,6 @@ def _status_counts(decisions) -> list[int]:
 #: never dropped by unrelated cutoffs).
 _MAX_PRUNED_PROCEDURES = 8
 
-#: Scheduling modes ``detect`` accepts: the engine's plan-driven modes
-#: plus the legacy pre-planner stripe fan-out.
-SCHEDULING_MODES = ("partitioned", "stealing", "striped")
-
-
 class DuplicateDetector:
     """Configurable five-step duplicate detection pipeline.
 
@@ -202,8 +190,8 @@ class DuplicateDetector:
     ----------
     last_report:
         The :class:`~repro.matching.executor.ExecutionReport` of the
-        most recent plan-driven ``detect`` / ``detect_between`` call
-        (``None`` before the first run and for striped runs).  For
+        most recent ``detect`` / ``detect_between`` call
+        (``None`` before the first run).  For
         streamed runs the counters finish filling as the slice iterator
         is consumed.
     """
@@ -353,13 +341,11 @@ class DuplicateDetector:
         n_jobs: int | None = 1,
         keep_derivations: bool = True,
         keep_compared_pairs: bool = True,
-        scheduling: str = "partitioned",
         stream: bool = False,
         prewarm: bool | None = None,
         min_similarity: float | Mapping[str, float] | str | None = None,
         kernel_backend: str | None = None,
         split_pairs: int | None = None,
-        split_cost_model: str | None = None,
         prewarm_budget: int | None = None,
         on_progress: ProgressObserver | None = None,
         retry: RetryPolicy | None = None,
@@ -410,20 +396,19 @@ class DuplicateDetector:
         Parameters
         ----------
         chunk_size:
-            Candidate pairs per worker dispatch (default
-            :data:`~repro.matching.executor.DEFAULT_CHUNK_SIZE`).
-            Under plan-driven scheduling, partitions larger than this
-            are split into contiguous sub-chunks; chunk boundaries
-            never cross partitions.
+            Candidate pairs decided per working-set load (default
+            :data:`~repro.matching.executor.DEFAULT_CHUNK_SIZE`);
+            chunk boundaries never cross partitions.
         n_jobs:
             Number of worker processes.  1 (default) decides everything
-            in-process; ``None`` uses one worker per CPU.  Workers are
-            forked and receive *whole partitions* (or, under stealing,
-            whole work units), so each worker's similarity-cache
-            working set covers one block neighborhood.  Storage
-            backends are opened read-only by workers: a forked worker
-            re-opens a spilled store's segment files for itself and
-            never copies the relation.
+            in-process, one whole partition after another in plan
+            order; ``None`` uses one worker per CPU.  Workers are
+            forked and receive whole partitions — or, for partitions
+            above ``split_pairs``, their sub-key or banded work units —
+            so each worker's similarity-cache working set covers one
+            block neighborhood.  Storage backends are opened read-only
+            by workers: a forked worker re-opens a spilled store's
+            segment files for itself and never copies the relation.
         keep_derivations:
             When ``False``, decisions are returned without their
             intermediate comparison matrices (``derivation_input`` is
@@ -432,36 +417,23 @@ class DuplicateDetector:
             When ``False``, the result's ``compared_pairs`` is empty, so
             streaming large runs never accumulates a set of every pair
             id.  Decisions are unaffected.
-        scheduling:
-            ``"partitioned"`` (default) plans the reducer's block/window
-            structure and schedules whole partitions in plan order;
-            ``"stealing"`` additionally subdivides partitions exceeding
-            the ``split_pairs`` cost budget (via the reducer's sub-key
-            ``split_partition`` hook, else contiguous banding) and
-            dispatches the work units largest-first through a
-            work-stealing queue — one skewed block no longer serializes
-            a parallel run, and results are reassembled into plan order
-            so decisions stay bitwise identical;  ``"striped"`` is the
-            legacy mode striping anonymous chunks of the flat pair
-            stream across workers (kept for comparison and for reducers
-            whose plan should be bypassed).
         stream:
-            With ``True`` (plan-driven scheduling only), returns a lazy
-            iterator of per-partition :class:`DetectionResult` slices
-            instead of one collected result — decisions for a partition
+            With ``True``, returns a lazy iterator of per-partition
+            :class:`DetectionResult` slices instead of one collected
+            result — decisions for a partition
             are released to the caller as soon as it is decided, so a
             run over a huge relation never materializes all decisions.
         prewarm:
             Whether to pre-warm the matcher's similarity caches from the
-            plan's per-partition vocabulary before executing.  Default
-            (``None``) warms exactly when forking under partitioned
-            scheduling (when the warm table is complete the caches are
-            frozen read-only for the pool's lifetime so every worker
-            shares the parent's table copy-on-write); stealing defaults
-            to *no* parent-side warming — its sub-key work units keep
-            worker working sets coherent, so warming would serialize
-            similarity work the workers compute in parallel.  Ignored
-            under striped scheduling.
+            plan's candidate pairs before executing.  Default
+            (``None``) warms exactly when forking a pool over a plan
+            with no partition above ``split_pairs`` (when the warm
+            table is complete the caches are frozen read-only for the
+            pool's lifetime so every worker shares the parent's table
+            copy-on-write); a plan that needs subdivision is not
+            warmed in the parent — its sub-key work units keep worker
+            working sets coherent, so warming would serialize
+            similarity work the workers compute in parallel.
         min_similarity:
             Threshold pushdown.  ``"auto"`` derives per-attribute
             cutoffs from the decision model's classifier structure
@@ -494,24 +466,21 @@ class DuplicateDetector:
             backend-aware comparators such as
             :data:`~repro.similarity.FAST_LEVENSHTEIN`.
         split_pairs:
-            Stealing-mode cost budget: partitions above this many pairs
-            are subdivided (default
-            :data:`~repro.matching.executor.DEFAULT_SPLIT_PAIRS`).
-        split_cost_model:
-            How the stealing scheduler costs work units: ``"pairs"``
-            (default) by candidate-pair count alone, ``"weighted"`` by
-            pairs scaled with sampled alternative counts and string
-            lengths, so fat-tuple partitions split earlier and dispatch
-            first.  Scheduling-only — decisions are bitwise identical
-            under either model.
+            Cost budget of a pooled run (default
+            :data:`~repro.matching.executor.DEFAULT_SPLIT_PAIRS`):
+            partitions above this many pairs are subdivided — via the
+            reducer's sub-key ``split_partition`` hook, else contiguous
+            banding — and the work units dispatched largest-first
+            through the pool's shared queue, so one skewed block no
+            longer serializes a parallel run.  Results are reassembled
+            into plan order, so decisions stay bitwise identical.
+            In-process runs never subdivide.
         prewarm_budget:
             Parent-side warm budget in pairwise similarity evaluations
             (default
             :data:`~repro.matching.executor.PREWARM_PAIR_BUDGET`).
             When one partition's vocabulary table exceeds what remains,
-            warming stops incomplete and the caches are not frozen —
-            the skewed-block regime where ``scheduling="stealing"``
-            takes over.
+            warming stops incomplete and the caches are not frozen.
         on_progress:
             Optional callback invoked once per completed partition with
             a :class:`~repro.matching.executor.PartitionProgress`
@@ -524,9 +493,9 @@ class DuplicateDetector:
             ``max_attempts`` (with exponential ``backoff``), each
             dispatch bounded by ``timeout`` seconds.  The default
             policy (one attempt, no deadline) together with
-            ``on_error="raise"`` keeps the zero-overhead unsupervised
-            execution paths, where worker errors propagate raw exactly
-            as before.  Plan-driven scheduling only.
+            ``on_error="raise"`` engages no recovery: an attempt's
+            exception propagates unchanged, with its own type, and
+            nothing is retried or recorded.
         on_error:
             What happens to a work unit that exhausts the retry
             budget: ``"raise"`` (default) aborts the run with a
@@ -553,8 +522,7 @@ class DuplicateDetector:
             ``True`` records it as :attr:`last_manifest` only; a path
             additionally writes the manifest JSON (with a tamper-
             evident self-digest) to that file.  Requires a collected
-            plan-driven run (not ``stream=True``, not
-            ``scheduling="striped"``).
+            run (not ``stream=True``).
         """
         relation = self._prepared_relation(relation)
         return self._detect_prepared(
@@ -564,13 +532,11 @@ class DuplicateDetector:
             n_jobs=n_jobs,
             keep_derivations=keep_derivations,
             keep_compared_pairs=keep_compared_pairs,
-            scheduling=scheduling,
             stream=stream,
             prewarm=prewarm,
             min_similarity=min_similarity,
             kernel_backend=kernel_backend,
             split_pairs=split_pairs,
-            split_cost_model=split_cost_model,
             prewarm_budget=prewarm_budget,
             on_progress=on_progress,
             retry=retry,
@@ -604,9 +570,9 @@ class DuplicateDetector:
         :class:`~repro.pdb.storage.SessionJournal`) for durable
         sessions: ingests append to the journal, and a restart replays
         it and restores the snapshot's caches and fingerprint index.
-        Remaining keyword options are those of :meth:`detect` that a
-        plan-driven run accepts (``n_jobs``, ``scheduling``,
-        ``keep_derivations``, ``retry`` …), plus ``within_sources``.
+        Remaining keyword options are those of :meth:`detect`
+        (``n_jobs``, ``split_pairs``, ``keep_derivations``, ``retry``
+        …), plus ``within_sources``.
         """
         from repro.service.session import DetectionSession
 
@@ -657,16 +623,6 @@ class DuplicateDetector:
         """
         sources = [self._prepare_source(s) for s in (left, right, *more)]
         view = combine_sources(sources)
-        if detect_options.get("scheduling") == "striped":
-            if not within_sources:
-                raise ValueError(
-                    "within_sources=False needs a plan-driven scheduling "
-                    "mode; striped execution cannot prune source pairs"
-                )
-            # Striped execution regenerates the flat pair stream itself;
-            # building (and discarding) the partitioned plan here would
-            # double the planning cost for nothing.
-            return self._detect_prepared(view, plan=None, **detect_options)
         if not within_sources:
             # Zone-map pruning (Section V's search-space reduction across
             # sources): statistics prove some sources share no block key
@@ -711,13 +667,11 @@ class DuplicateDetector:
         n_jobs: int | None = 1,
         keep_derivations: bool = True,
         keep_compared_pairs: bool = True,
-        scheduling: str = "partitioned",
         stream: bool = False,
         prewarm: bool | None = None,
         min_similarity: float | Mapping[str, float] | str | None = None,
         kernel_backend: str | None = None,
         split_pairs: int | None = None,
-        split_cost_model: str | None = None,
         prewarm_budget: int | None = None,
         on_progress: ProgressObserver | None = None,
         retry: RetryPolicy | None = None,
@@ -727,56 +681,19 @@ class DuplicateDetector:
     ) -> DetectionResult | Iterator[DetectionResult]:
         backend = resolve_backend_name(kernel_backend)
         procedure = self._resolve_procedure(min_similarity, backend)
-        if audit and (stream or scheduling == "striped"):
+        if audit and stream:
             raise ValueError(
-                "audit manifests require a collected plan-driven run "
-                "(stream=False, scheduling='partitioned' or 'stealing')"
+                "audit manifests require a collected run (stream=False)"
             )
         if chunk_size is None:
             chunk_size = DEFAULT_CHUNK_SIZE
         if n_jobs is None:
             n_jobs = multiprocessing.cpu_count()
-        if scheduling not in SCHEDULING_MODES:
-            raise ValueError(
-                f"unknown scheduling {scheduling!r}; "
-                f"expected one of {SCHEDULING_MODES}"
-            )
-        if stream and scheduling == "striped":
-            raise ValueError(
-                "stream=True requires plan-driven scheduling "
-                "(partitioned or stealing)"
-            )
-
-        if scheduling == "striped":
-            if chunk_size <= 0:
-                raise ValueError("chunk_size must be positive")
-            if n_jobs < 1:
-                raise ValueError("n_jobs must be at least 1 (or None)")
-            if (retry is not None and retry.supervises) or on_error != "raise":
-                raise ValueError(
-                    "retry/on_error supervision requires plan-driven "
-                    "scheduling (partitioned or stealing); striped "
-                    "execution has no partitions to attribute faults to"
-                )
-            result = self._detect_striped(
-                relation,
-                procedure,
-                chunk_size=chunk_size,
-                n_jobs=n_jobs,
-                keep_derivations=keep_derivations,
-                keep_compared_pairs=keep_compared_pairs,
-            )
-            # Striped runs have no report; clear only after success so a
-            # raising run never destroys the previous run's counters.
-            self.last_report = None
-            return result
-
         settings_options = dict(
             chunk_size=chunk_size,
             n_jobs=n_jobs,
             keep_derivations=keep_derivations,
             keep_compared_pairs=keep_compared_pairs,
-            scheduling=scheduling,
             prewarm=prewarm,
             kernel_backend=backend,
             on_error=on_error,
@@ -785,8 +702,6 @@ class DuplicateDetector:
             settings_options["retry"] = retry
         if split_pairs is not None:
             settings_options["split_pairs"] = split_pairs
-        if split_cost_model is not None:
-            settings_options["split_cost_model"] = split_cost_model
         if prewarm_budget is not None:
             settings_options["prewarm_budget"] = prewarm_budget
         engine = ExecutionEngine(
@@ -854,7 +769,6 @@ class DuplicateDetector:
             ),
             environment={
                 "n_jobs": report.n_jobs,
-                "scheduling": report.scheduling,
                 "kernel_backend": backend,
                 "storage": type(relation).__name__,
                 "model": type(procedure.model).__name__,
@@ -863,63 +777,6 @@ class DuplicateDetector:
         if not isinstance(audit, bool):
             manifest.write(audit)
         return manifest
-
-    # ------------------------------------------------------------------
-    # Striped execution (legacy fan-out, pre-planner)
-    # ------------------------------------------------------------------
-
-    def _detect_striped(
-        self,
-        relation: XRelation | XTupleStore,
-        procedure: XTupleDecisionProcedure,
-        *,
-        chunk_size: int,
-        n_jobs: int,
-        keep_derivations: bool,
-        keep_compared_pairs: bool,
-    ) -> DetectionResult:
-        seen: set[tuple[str, str]] = set()
-
-        def unique_pairs() -> Iterator[tuple[str, str]]:
-            for left_id, right_id in self._reducer.pairs(relation):
-                if left_id == right_id:
-                    continue
-                pair = _ordered(left_id, right_id)
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                yield pair
-
-        decisions: list[XTupleDecision] = []
-        if n_jobs == 1:
-            decide = procedure.decide
-            get = relation.get
-            for chunk in _chunked(unique_pairs(), chunk_size):
-                for left_id, right_id in chunk:
-                    decisions.append(
-                        decide(
-                            get(left_id),
-                            get(right_id),
-                            keep_derivations=keep_derivations,
-                        )
-                    )
-        else:
-            with _fork_context().Pool(
-                n_jobs,
-                initializer=_init_worker,
-                initargs=(procedure, relation, keep_derivations),
-            ) as pool:
-                for chunk_decisions in pool.imap(
-                    _decide_chunk, _chunked(unique_pairs(), chunk_size)
-                ):
-                    decisions.extend(chunk_decisions)
-        return DetectionResult(
-            decisions=tuple(decisions),
-            compared_pairs=(
-                frozenset(seen) if keep_compared_pairs else frozenset()
-            ),
-            relation_size=len(relation),
-        )
 
     def __repr__(self) -> str:
         return (

@@ -143,7 +143,7 @@ class ProbabilisticValue:
         in ``(0, 1]`` and sum to at most 1 (within tolerance).
     """
 
-    __slots__ = ("_dist", "_hash")
+    __slots__ = ("_dist", "_hash", "_exact_key")
 
     def __init__(self, outcomes: Mapping[Any, float]) -> None:
         if not outcomes:
@@ -169,6 +169,7 @@ class ProbabilisticValue:
             dist[NULL] = dist.get(NULL, 0.0) + residual
         self._dist: dict[Any, float] = dist
         self._hash: int | None = None
+        self._exact_key: tuple[tuple[Any, float], ...] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -394,6 +395,21 @@ class ProbabilisticValue:
             abs(prob - other._dist[value]) <= PROBABILITY_TOLERANCE
             for value, prob in self._dist.items()
         )
+
+    @property
+    def exact_key(self) -> tuple[tuple[Any, float], ...]:
+        """The exact, ordered ``(outcome, probability)`` items.
+
+        ``==`` and ``hash`` tolerate probability differences up to
+        :data:`PROBABILITY_TOLERANCE` and ignore outcome order, but the
+        Equation-5 double loop's floating-point sum depends on both; a
+        memo keyed on this tuple therefore returns, bit for bit, what
+        the uncached loop computes.  Built once per value.
+        """
+        key = self._exact_key
+        if key is None:
+            key = self._exact_key = tuple(self._dist.items())
+        return key
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -10,7 +10,6 @@ normally built through
 """
 
 from repro.service.session import (
-    SESSION_SCHEDULING,
     SNAPSHOT_FORMAT,
     DetectionSession,
     SessionStats,
@@ -18,7 +17,6 @@ from repro.service.session import (
 
 __all__ = [
     "DetectionSession",
-    "SESSION_SCHEDULING",
     "SNAPSHOT_FORMAT",
     "SessionStats",
 ]

@@ -115,7 +115,6 @@ def build_session(args: argparse.Namespace):
         open_base(args.base),
         journal=args.journal,
         n_jobs=args.n_jobs,
-        scheduling=args.scheduling,
         keep_derivations=not args.no_derivations,
         min_similarity=args.min_similarity,
         kernel_backend=args.kernel_backend,
@@ -263,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--min-similarity", default=None, help="similarity floors: 'auto' or a float")
         sub.add_argument("--kernel-backend", default=None, help="comparison kernel backend")
         sub.add_argument("--n-jobs", type=int, default=1, help="worker processes")
-        sub.add_argument("--scheduling", default="partitioned", choices=("partitioned", "stealing"))
         sub.add_argument("--no-derivations", action="store_true", help="drop derivation matrices (enables decision persistence)")
         sub.add_argument("--progress", action="store_true", help="stream per-partition progress to stderr")
         if extra:

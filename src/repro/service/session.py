@@ -60,10 +60,6 @@ from repro.reduction import delta_plan, plan_fingerprints
 #: Snapshot schema version; unknown versions are ignored on restore.
 SNAPSHOT_FORMAT = 1
 
-#: Scheduling modes a session may use (striped execution has no plan,
-#: hence nothing to fingerprint or retain).
-SESSION_SCHEDULING = ("partitioned", "stealing")
-
 
 @dataclass
 class SessionStats:
@@ -121,7 +117,7 @@ class DetectionSession:
         The resolved Figure-6 decision procedure.
     reducer:
         The detector's search-space reduction strategy (planner and,
-        under stealing, the sub-key splitter).
+        in pooled runs, the sub-key splitter).
     base:
         The prepared base relation or store the session overlays.
     journal:
@@ -149,7 +145,6 @@ class DetectionSession:
         n_jobs: int | None = 1,
         keep_derivations: bool = True,
         keep_compared_pairs: bool = True,
-        scheduling: str = "partitioned",
         prewarm: bool | None = None,
         prewarm_budget: int | None = None,
         split_pairs: int | None = None,
@@ -161,11 +156,6 @@ class DetectionSession:
         audit: str | os.PathLike | bool | None = None,
         floors=None,
     ) -> None:
-        if scheduling not in SESSION_SCHEDULING:
-            raise ValueError(
-                f"unknown session scheduling {scheduling!r}; "
-                f"expected one of {SESSION_SCHEDULING}"
-            )
         self._procedure = procedure
         self._reducer = reducer
         self._store = SessionStore(base)
@@ -178,7 +168,6 @@ class DetectionSession:
         )
         self._keep_derivations = keep_derivations
         self._keep_compared_pairs = keep_compared_pairs
-        self._scheduling = scheduling
         self._prewarm = prewarm
         self._prewarm_budget = prewarm_budget
         self._split_pairs = split_pairs
@@ -408,7 +397,6 @@ class DetectionSession:
             failures=skipped,
             environment={
                 "n_jobs": self._n_jobs,
-                "scheduling": self._scheduling,
                 "kernel_backend": self._backend,
                 "storage": type(self._store).__name__,
                 "model": type(self._procedure.model).__name__,
@@ -453,7 +441,6 @@ class DetectionSession:
             n_jobs=self._n_jobs,
             keep_derivations=self._keep_derivations,
             keep_compared_pairs=self._keep_compared_pairs,
-            scheduling=self._scheduling,
             kernel_backend=self._backend,
             on_error=self._on_error,
             retain_caches=retain,
@@ -539,7 +526,6 @@ class DetectionSession:
 
 __all__ = [
     "DetectionSession",
-    "SESSION_SCHEDULING",
     "SNAPSHOT_FORMAT",
     "SessionStats",
 ]

@@ -141,10 +141,11 @@ class UncertainValueComparator:
                 else SimilarityCache(base)
             )
         # Value-level memos (enabled together with the element cache):
-        # full Equation-5 results keyed by the ordered value pair, and
-        # pattern expansions keyed by the unexpanded value.
+        # full Equation-5 results keyed by the ordered pair of exact
+        # value keys, and pattern expansions keyed by the unexpanded
+        # value's exact key (:attr:`ProbabilisticValue.exact_key`).
         self._pair_cache: dict[Any, float] = {}
-        self._prepared_cache: dict[ProbabilisticValue, ProbabilisticValue] = {}
+        self._prepared_cache: dict[tuple, ProbabilisticValue] = {}
         # Threshold pushdown: a positive floor plus a bandable base
         # arms the certain-value fast path with the cutoff-banded
         # kernel and its band-keyed cache.
@@ -366,7 +367,7 @@ class UncertainValueComparator:
         if self._policy != PatternPolicy.EXPAND:
             return value
         if self._memoize:
-            cached = self._prepared_cache.get(value)
+            cached = self._prepared_cache.get(value.exact_key)
             if cached is not None:
                 return cached
         prepared = value
@@ -375,7 +376,7 @@ class UncertainValueComparator:
         if self._memoize:
             if len(self._prepared_cache) >= _VALUE_MEMO_CAP:
                 self._prepared_cache.clear()
-            self._prepared_cache[value] = prepared
+            self._prepared_cache[value.exact_key] = prepared
         return prepared
 
     def __call__(
@@ -401,11 +402,12 @@ class UncertainValueComparator:
         left_value = _coerce(left)
         right_value = _coerce(right)
         if self._memoize:
-            # Memoize whole Equation-5 results on the *ordered* value
-            # pair: uncertain values recur across candidate pairs, and
-            # the ordered key keeps memoized results bit-identical to
-            # the uncached double loop.
-            key = (left_value, right_value)
+            # Memoize whole Equation-5 results on the *ordered* pair of
+            # exact value keys: uncertain values recur across candidate
+            # pairs, and only keys exact in outcome order and
+            # probability keep memoized results bit-identical to the
+            # uncached double loop.
+            key = (left_value.exact_key, right_value.exact_key)
             cached = self._pair_cache.get(key)
             if cached is not None:
                 return cached

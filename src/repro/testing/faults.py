@@ -6,13 +6,13 @@ module injects the three production failure modes the fault-tolerance
 layer defends against — worker death, hung dispatch, bit rot — at
 seed-chosen but fully deterministic targets:
 
-* **content-addressed dispatch hooks** — the executor's supervised
-  paths consult an installed hook once per dispatch attempt with the
-  attempt number and the dispatch's candidate pairs
+* **content-addressed dispatch hooks** — the executor consults an
+  installed hook once per attempt of every work unit with the attempt
+  number and the unit's candidate pairs
   (:func:`repro.matching.executor.workers.set_fault_hook`).  Hooks
   built here fire when a chosen *target pair* is part of the dispatch,
   so the same pair misbehaves wherever scheduling happens to place it —
-  across ``"partitioned"`` / ``"stealing"``, any worker count, any
+  whole partitions or split work units, any worker count, any
   chunking.  The attempt number travels in the dispatch payload, so
   ``attempts=(1,)`` injectors fail the first attempt and let the retry
   succeed no matter which worker process the retry lands on;

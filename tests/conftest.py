@@ -1,0 +1,52 @@
+"""Shared test fixtures: the reference oracle for decision equality.
+
+Every execution configuration — worker count, work-unit splitting,
+streaming, storage layout, supervision — must decide exactly what the
+seed pipeline decides.  :func:`oracle_detect` is that pipeline spelled
+out with no planner, scheduler or batched fetch in between, so the
+suites compare against something the engine cannot share a bug with.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.matching.executor import DetectionResult
+from repro.reduction.plan import ordered_pair
+
+
+def oracle_detect(detector, relation, *, keep_derivations=True):
+    """Decide the reducer's deduplicated ``pairs()`` stream, in order.
+
+    Self-pairs are skipped and each unordered pair is decided once, at
+    its first occurrence, with ``detector.procedure.decide`` on tuples
+    read one at a time through ``relation.get``.
+    """
+    decide = detector.procedure.decide
+    seen: set[tuple[str, str]] = set()
+    decisions = []
+    for left, right in detector.reducer.pairs(relation):
+        if left == right:
+            continue
+        pair = ordered_pair(left, right)
+        if pair in seen:
+            continue
+        seen.add(pair)
+        decisions.append(
+            decide(
+                relation.get(pair[0]),
+                relation.get(pair[1]),
+                keep_derivations=keep_derivations,
+            )
+        )
+    return DetectionResult(
+        decisions=tuple(decisions),
+        compared_pairs=frozenset(seen),
+        relation_size=len(relation),
+    )
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """:func:`oracle_detect`, for tests and fixtures of any scope."""
+    return oracle_detect

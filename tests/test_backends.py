@@ -522,7 +522,7 @@ def test_backend_detection_is_bitwise_python(
     stealing = _detector(factory).detect(
         relation,
         kernel_backend=backend,
-        scheduling="stealing",
+        n_jobs=2,
         split_pairs=9,
     )
     assert _triples(stealing) == reference

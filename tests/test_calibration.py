@@ -624,8 +624,8 @@ def test_manifest_stable_across_execution_variants(
 ):
     """The acceptance pin: execution never changes the fingerprint.
 
-    Serial in-memory is the reference; ``n_jobs=2`` (both scheduling
-    modes), the spilled out-of-core store under ``n_jobs=2``, and a
+    Serial in-memory is the reference; ``n_jobs=2`` (whole partitions
+    and split work units), the spilled out-of-core store under ``n_jobs=2``, and a
     forced ``python`` kernel backend must all produce byte-identical
     manifest payloads.
     """
@@ -644,7 +644,7 @@ def test_manifest_stable_across_execution_variants(
         audit=True,
         n_jobs=2,
         chunk_size=7,
-        scheduling="stealing",
+        split_pairs=7,
     )
     variants["stealing"] = stealing.last_manifest
 
@@ -728,10 +728,6 @@ def test_manifest_rejects_streamed_runs(flat_relation):
     detector = _audited_detector()
     with pytest.raises(ValueError, match="audit"):
         detector.detect(flat_relation, audit=True, stream=True)
-    with pytest.raises(ValueError, match="audit"):
-        detector.detect(
-            flat_relation, audit=True, scheduling="striped"
-        )
 
 
 # ----------------------------------------------------------------------

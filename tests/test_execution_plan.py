@@ -6,10 +6,10 @@ Two invariant families are pinned here:
   stream: concatenated plan pairs equal the normalized, deduplicated
   ``pairs()`` sequence *in order*, and no pair appears in two
   partitions;
-* **execution equivalence** — partitioned scheduling, multiprocessing
+* **execution equivalence** — in-process execution, multiprocessing
   fan-out over whole partitions, and ``stream=True`` all produce exactly
-  the decisions of the legacy striped serial pipeline (the seed
-  behavior), for every reducer family of Section V.
+  the decisions of the reference oracle (the seed behavior), for every
+  reducer family of Section V.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def test_plan_builder_dedups_like_the_pipeline(pairs, split):
 
 @pytest.mark.parametrize("name", sorted(REDUCERS))
 def test_partitioned_and_streamed_match_serial_seed_pipeline(
-    name, flat_relation, x_relation
+    name, flat_relation, x_relation, oracle
 ):
     """Partitioned, parallel and streamed execution are bitwise-serial."""
     factory, kind = REDUCERS[name]
@@ -274,7 +274,7 @@ def test_partitioned_and_streamed_match_serial_seed_pipeline(
             default_matcher(), weighted_model(), reducer=factory()
         )
 
-    reference = detector().detect(relation, scheduling="striped")
+    reference = oracle(detector(), relation)
     partitioned = detector().detect(relation)
     parallel = detector().detect(relation, n_jobs=2, chunk_size=7)
     slices = list(detector().detect(relation, stream=True))
@@ -315,21 +315,8 @@ def test_keep_compared_pairs_false_drops_the_pair_set(flat_relation):
     slim = detector().detect(flat_relation, keep_compared_pairs=False)
     assert _triples(slim) == _triples(reference)
     assert slim.compared_pairs == frozenset()
-    striped_slim = detector().detect(
-        flat_relation, scheduling="striped", keep_compared_pairs=False
-    )
-    assert _triples(striped_slim) == _triples(reference)
-    assert striped_slim.compared_pairs == frozenset()
     # Clustering still works from the decisions alone.
     assert slim.clusters().clusters == reference.clusters().clusters
-
-
-def test_invalid_scheduling_options_raise(flat_relation):
-    detector = DuplicateDetector(default_matcher(), weighted_model())
-    with pytest.raises(ValueError):
-        detector.detect(flat_relation, scheduling="ring")
-    with pytest.raises(ValueError):
-        detector.detect(flat_relation, scheduling="striped", stream=True)
 
 
 def test_detector_plan_exposes_the_execution_plan(x_relation):
@@ -504,11 +491,14 @@ def test_pattern_vocabulary_prewarm_covers_expansion_lookups():
         job_cache.thaw()
 
 
-def test_prewarmed_parallel_detection_is_unchanged(x_relation):
+def test_prewarmed_parallel_detection_is_unchanged(x_relation, oracle):
     reducer = CertainKeyBlocking(BLOCK_KEY)
-    reference = DuplicateDetector(
-        default_matcher(), weighted_model(), reducer=reducer
-    ).detect(x_relation, scheduling="striped")
+    reference = oracle(
+        DuplicateDetector(
+            default_matcher(), weighted_model(), reducer=reducer
+        ),
+        x_relation,
+    )
     matcher = default_matcher()
     warmed = DuplicateDetector(
         matcher, weighted_model(), reducer=reducer

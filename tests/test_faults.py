@@ -6,7 +6,7 @@ dispatches, flipped segment bytes —
 
 * whenever recovery succeeds (retry or in-process degradation), the
   run's decisions are **bitwise identical** to the clean serial
-  pipeline's, across reducers and scheduling modes;
+  pipeline's, across reducers and work-unit shapes;
 * whenever recovery is exhausted, the run resolves per ``on_error``:
   a structured ``PartitionFailure`` raised, or recorded in
   ``ExecutionReport.failures`` with the partitions dropped whole;
@@ -72,6 +72,10 @@ FAULT_SEEDS = (11, 29)
 TIMEOUT = 0.4
 STALL = 1.5
 
+#: Work-unit shapes of a pooled run: whole partitions (the default split
+#: budget) or stolen sub-units (a budget that splits most blocks).
+SPLIT_PAIRS = {"partitioned": None, "stealing": 16}
+
 
 @pytest.fixture(scope="module")
 def flat_relation():
@@ -94,12 +98,10 @@ def _triples(result):
 
 
 @pytest.fixture(scope="module")
-def references(flat_relation):
-    """Clean serial (striped) decisions per reducer: the golden runs."""
+def references(flat_relation, oracle):
+    """Clean oracle decisions per reducer: the golden runs."""
     return {
-        name: _triples(
-            _detector(make()).detect(flat_relation, scheduling="striped")
-        )
+        name: _triples(oracle(_detector(make()), flat_relation))
         for name, make in REDUCERS.items()
     }
 
@@ -128,14 +130,14 @@ def _assert_observable(report: ExecutionReport, events) -> None:
 
 
 # ----------------------------------------------------------------------
-# Retry-then-degrade stays bitwise golden: 3 reducers × both schedulings
+# Retry-then-degrade stays bitwise golden: 3 reducers × both unit shapes
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduling", ["partitioned", "stealing"])
+@pytest.mark.parametrize("units", sorted(SPLIT_PAIRS))
 @pytest.mark.parametrize("name", sorted(REDUCERS))
 def test_retry_then_degrade_bitwise_golden(
-    name, scheduling, flat_relation, references
+    name, units, flat_relation, references
 ):
     """Crash every attempt: the budget is spent retrying, then the unit
     degrades to an in-process re-execution — decisions bitwise-equal to
@@ -149,8 +151,7 @@ def test_retry_then_degrade_bitwise_golden(
             flat_relation,
             n_jobs=2,
             chunk_size=16,
-            scheduling=scheduling,
-            split_pairs=16,
+            split_pairs=SPLIT_PAIRS[units],
             retry=RetryPolicy(max_attempts=2),
             on_error="degrade",
             on_fault=events.append,
@@ -214,10 +215,10 @@ def test_worker_kill_recovered_by_deadline(
     _assert_observable(report, events)
 
 
-@pytest.mark.parametrize("scheduling", ["partitioned", "stealing"])
+@pytest.mark.parametrize("units", sorted(SPLIT_PAIRS))
 @pytest.mark.parametrize("seed", FAULT_SEEDS)
 def test_stall_recovered_by_deadline(
-    seed, scheduling, flat_relation, references
+    seed, units, flat_relation, references
 ):
     """A hung dispatch misses its deadline and is retried; the stalled
     attempt's late result is discarded as stale, not double-counted."""
@@ -229,8 +230,7 @@ def test_stall_recovered_by_deadline(
             flat_relation,
             n_jobs=2,
             chunk_size=16,
-            scheduling=scheduling,
-            split_pairs=16,
+            split_pairs=SPLIT_PAIRS[units],
             retry=RetryPolicy(max_attempts=2, timeout=TIMEOUT),
             on_fault=events.append,
         )
@@ -268,9 +268,9 @@ def test_composed_faults_recover(flat_relation, references):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduling", ["partitioned", "stealing"])
+@pytest.mark.parametrize("units", sorted(SPLIT_PAIRS))
 def test_skip_drops_failed_partitions_whole(
-    scheduling, flat_relation, references
+    units, flat_relation, references
 ):
     detector = _detector(REDUCERS["blocking"]())
     plan = detector.plan(flat_relation)
@@ -280,8 +280,7 @@ def test_skip_drops_failed_partitions_whole(
             flat_relation,
             n_jobs=2,
             chunk_size=8,
-            scheduling=scheduling,
-            split_pairs=16,
+            split_pairs=SPLIT_PAIRS[units],
             retry=RetryPolicy(max_attempts=2),
             on_error="skip",
         )
@@ -364,10 +363,7 @@ def test_degrade_failure_falls_back_to_recorded_failure(flat_relation):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduling", ["partitioned", "stealing"])
-def test_serial_supervision_retries_and_degrades(
-    scheduling, flat_relation, references
-):
+def test_serial_supervision_retries_and_degrades(flat_relation, references):
     detector = _detector(REDUCERS["blocking"]())
     plan = detector.plan(flat_relation)
     pair = FaultInjector(7).pick_pair(plan)
@@ -376,8 +372,6 @@ def test_serial_supervision_retries_and_degrades(
         result = detector.detect(
             flat_relation,
             n_jobs=1,
-            scheduling=scheduling,
-            split_pairs=16,
             retry=RetryPolicy(max_attempts=2),
             on_error="degrade",
             on_fault=events.append,
@@ -403,18 +397,21 @@ def test_serial_kill_degenerates_to_crash(flat_relation, references):
     assert detector.last_report.worker_crashes >= 1
 
 
-def test_unsupervised_default_never_consults_hook(flat_relation):
-    """The compat pin: default settings take the unsupervised paths and
-    worker exceptions propagate raw — not wrapped, not retried."""
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_default_settings_propagate_raw_exceptions(n_jobs, flat_relation):
+    """The compat pin: default settings engage no recovery.  Every run
+    consults the fault hook, and an injected crash propagates with its
+    own type — not wrapped, not retried — with nothing recorded."""
     detector = _detector(REDUCERS["blocking"]())
-    plan = detector.plan(flat_relation)
-    pair = FaultInjector(7).pick_pair(plan)
+    pair = FaultInjector(7).pick_pair(detector.plan(flat_relation))
     with installed(crash_on(pair)):
-        # The hook is only consulted by supervised dispatch; a default
-        # run never sees it at all.
-        result = detector.detect(flat_relation, n_jobs=1)
-    assert result.decisions
-    assert detector.last_report.worker_crashes == 0
+        with pytest.raises(InjectedWorkerCrash):
+            detector.detect(flat_relation, n_jobs=n_jobs)
+    report = detector.last_report
+    assert report.worker_crashes == 0
+    assert report.retried_dispatches == 0
+    assert report.degraded_tasks == 0
+    assert not report.failures
 
 
 # ----------------------------------------------------------------------
@@ -440,20 +437,6 @@ def test_retry_policy_validation():
 def test_settings_reject_unknown_on_error():
     with pytest.raises(ValueError, match="on_error"):
         ExecutionSettings(on_error="retry-forever")
-
-
-def test_striped_rejects_supervision(flat_relation):
-    detector = _detector(REDUCERS["blocking"]())
-    with pytest.raises(ValueError, match="plan-driven"):
-        detector.detect(
-            flat_relation,
-            scheduling="striped",
-            retry=RetryPolicy(max_attempts=2),
-        )
-    with pytest.raises(ValueError, match="plan-driven"):
-        detector.detect(
-            flat_relation, scheduling="striped", on_error="skip"
-        )
 
 
 def test_fault_taxonomy_carries_context():
@@ -634,8 +617,7 @@ def test_kill_hook_degenerates_in_main_process():
 
 
 class TestLastReportPublication:
-    """A raising detect still publishes its partial report, and a
-    raising striped run never destroys the previous run's counters."""
+    """A raising detect still publishes its partial report."""
 
     def test_plan_driven_raise_publishes_partial_report(
         self, flat_relation
@@ -660,24 +642,6 @@ class TestLastReportPublication:
         # The partial counters of the raising run are inspectable.
         assert report.worker_crashes >= 1
         assert report.retried_dispatches >= 1
-
-    def test_striped_raise_preserves_previous_report(self, flat_relation):
-        detector = _detector(REDUCERS["blocking"]())
-        detector.detect(flat_relation)
-        previous = detector.last_report
-        assert previous is not None
-        with pytest.raises(ValueError, match="chunk_size"):
-            detector.detect(
-                flat_relation, scheduling="striped", chunk_size=0
-            )
-        assert detector.last_report is previous
-
-    def test_striped_success_clears_report(self, flat_relation):
-        detector = _detector(REDUCERS["blocking"]())
-        detector.detect(flat_relation)
-        assert detector.last_report is not None
-        detector.detect(flat_relation, scheduling="striped")
-        assert detector.last_report is None
 
 
 # ----------------------------------------------------------------------
@@ -711,10 +675,8 @@ def test_serial_timeout_retries_then_recovers(flat_relation, references):
     _assert_observable(report, events)
 
 
-def test_serial_stealing_timeout_degrades_bitwise(
-    flat_relation, references
-):
-    """Serial stealing (n_jobs=1): every attempt stalls, the budget is
+def test_serial_timeout_degrades_bitwise(flat_relation, references):
+    """In-process (n_jobs=1): every attempt stalls, the budget is
     spent on timeouts, and the deadline-free degraded re-execution
     completes bitwise-identical — ``RetryPolicy.timeout`` is honored
     without a pool."""
@@ -724,8 +686,6 @@ def test_serial_stealing_timeout_degrades_bitwise(
     with installed(stall_on(pair, TIMEOUT * 2, attempts=(1, 2))):
         result = detector.detect(
             flat_relation,
-            scheduling="stealing",
-            split_pairs=16,
             chunk_size=16,
             retry=RetryPolicy(max_attempts=2, timeout=TIMEOUT),
             on_error="degrade",

@@ -420,13 +420,6 @@ def test_consolidation_session_restricts_to_cross_pairs(flat_relation):
     assert _quads(result) == expected
 
 
-def test_session_rejects_striped_scheduling(flat_relation):
-    base, _, _ = split_scenario(flat_relation)
-    detector = _detector(REDUCERS["certain_blocking"][0]())
-    with pytest.raises(ValueError, match="scheduling"):
-        detector.session(base, scheduling="striped")
-
-
 def test_ingest_validates_operations(flat_relation):
     base, _, _ = split_scenario(flat_relation)
     session = _detector(REDUCERS["certain_blocking"][0]()).session(base)

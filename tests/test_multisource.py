@@ -237,23 +237,9 @@ def test_detect_between_is_stealing_compatible(flat_halves):
     factory = lambda: CertainKeyBlocking(BLOCK_KEY)  # noqa: E731
     reference = _detector(factory).detect(left.union(right))
     stolen = _detector(factory).detect_between(
-        left, right, scheduling="stealing", split_pairs=7, n_jobs=2
+        left, right, split_pairs=7, n_jobs=2
     )
     assert _triples(stolen) == _triples(reference)
-
-
-def test_striped_detect_between_still_works(flat_halves):
-    left, right = flat_halves
-    factory = lambda: SortedNeighborhood(SORT_KEY, window=5)  # noqa: E731
-    reference = _detector(factory).detect(left.union(right))
-    striped = _detector(factory).detect_between(
-        left, right, scheduling="striped"
-    )
-    assert _triples(striped) == _triples(reference)
-    with pytest.raises(ValueError, match="within_sources=False"):
-        _detector(factory).detect_between(
-            left, right, scheduling="striped", within_sources=False
-        )
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Three invariant families pin the executor extraction:
 
-* **stealing equivalence** — ``scheduling="stealing"`` (cost-budget
-  subdivision + largest-first dispatch + plan-order reassembly)
-  produces exactly the decisions of the legacy striped serial pipeline,
-  serial and fanned out, streamed and collected;
+* **stealing equivalence** — a pooled run's cost-budget subdivision,
+  largest-first dispatch and plan-order reassembly produce exactly the
+  decisions of the reference oracle, streamed and collected, and an
+  in-process run never splits;
 * **exact cover** — every subdivision path (sub-key hook, grouping
   helper, banding fallback) covers a partition's pairs exactly once
   (hypothesis properties), and a broken splitter is rejected loudly;
@@ -34,11 +34,9 @@ from repro.matching import (
 from repro.matching.executor import (
     ExecutionEngine,
     ExecutionSettings,
-    estimate_partition_weight,
     subdivide_partition,
 )
 from repro.pdb.relations import XRelation
-from repro.pdb.xtuples import XTuple
 from repro.reduction import (
     CandidatePartition,
     CertainKeyBlocking,
@@ -88,18 +86,15 @@ STEALING_REDUCERS = {
 
 
 @pytest.mark.parametrize("name", sorted(STEALING_REDUCERS))
-def test_stealing_matches_serial_seed_pipeline(name, flat_relation):
+def test_stealing_matches_serial_seed_pipeline(
+    name, flat_relation, oracle
+):
     """Tiny split budget forces subdivision on every oversized block."""
     factory = STEALING_REDUCERS[name]
-    reference = _detector(factory()).detect(
-        flat_relation, scheduling="striped"
-    )
-    serial = _detector(factory()).detect(
-        flat_relation, scheduling="stealing", split_pairs=11
-    )
+    reference = oracle(_detector(factory()), flat_relation)
+    serial = _detector(factory()).detect(flat_relation)
     parallel = _detector(factory()).detect(
         flat_relation,
-        scheduling="stealing",
         split_pairs=11,
         n_jobs=2,
         chunk_size=23,
@@ -117,7 +112,6 @@ def test_stealing_stream_slices_stay_in_plan_order(flat_relation):
     slices = list(
         detector.detect(
             flat_relation,
-            scheduling="stealing",
             split_pairs=7,
             n_jobs=2,
             stream=True,
@@ -135,9 +129,8 @@ def test_stealing_stream_slices_stay_in_plan_order(flat_relation):
 
 def test_stealing_report_counts_splits(flat_relation):
     detector = _detector(CertainKeyBlocking(BLOCK_KEY))
-    detector.detect(flat_relation, scheduling="stealing", split_pairs=7)
+    detector.detect(flat_relation, n_jobs=2, split_pairs=7)
     report = detector.last_report
-    assert report.scheduling == "stealing"
     assert report.oversized_partitions > 0
     assert report.subkey_split_partitions > 0
     assert report.work_units > report.partitions
@@ -166,7 +159,6 @@ def test_partitioned_report_counts_dispatches(flat_relation):
     detector = _detector(CertainKeyBlocking(BLOCK_KEY))
     detector.detect(flat_relation, n_jobs=2, chunk_size=13)
     report = detector.last_report
-    assert report.scheduling == "partitioned"
     assert report.n_jobs == 2
     assert report.dispatch_tasks > 0
     assert report.prewarmed_entries > 0
@@ -177,12 +169,11 @@ def test_partitioned_report_counts_dispatches(flat_relation):
 def test_stealing_defaults_to_no_parent_prewarm(flat_relation):
     detector = _detector(CertainKeyBlocking(BLOCK_KEY))
     detector.detect(
-        flat_relation, scheduling="stealing", n_jobs=2, split_pairs=7
+        flat_relation, n_jobs=2, split_pairs=7
     )
     assert detector.last_report.prewarmed_entries == 0
     detector.detect(
         flat_relation,
-        scheduling="stealing",
         n_jobs=2,
         split_pairs=7,
         prewarm=True,
@@ -195,8 +186,6 @@ def test_execution_settings_validate():
         ExecutionSettings(chunk_size=0)
     with pytest.raises(ValueError):
         ExecutionSettings(n_jobs=0)
-    with pytest.raises(ValueError):
-        ExecutionSettings(scheduling="ring")
     with pytest.raises(ValueError):
         ExecutionSettings(split_pairs=0)
     with pytest.raises(ValueError):
@@ -218,12 +207,15 @@ def test_prewarm_budget_overflow_skips_freezing(flat_relation):
     assert detector.last_report.caches_frozen
 
 
-def test_detect_rejects_unknown_scheduling(flat_relation):
-    detector = _detector(FullComparison())
-    with pytest.raises(ValueError):
-        detector.detect(flat_relation, scheduling="ring")
-    with pytest.raises(ValueError):
-        detector.detect(flat_relation, scheduling="striped", stream=True)
+def test_in_process_runs_never_split(flat_relation):
+    """n_jobs=1 decides every partition whole, in plan order: the split
+    budget only subdivides work a pool would otherwise serialize."""
+    detector = _detector(CertainKeyBlocking(BLOCK_KEY))
+    detector.detect(flat_relation, split_pairs=7)
+    report = detector.last_report
+    assert report.oversized_partitions == 0
+    assert report.work_units == report.partitions
+    assert report.dispatch_tasks == 0
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +341,7 @@ def test_engine_is_usable_directly(flat_relation):
     plan = plan_candidates(reducer, flat_relation)
     engine = ExecutionEngine(
         detector.procedure,
-        ExecutionSettings(scheduling="stealing", split_pairs=9),
+        ExecutionSettings(n_jobs=2, split_pairs=9),
         splitter=reducer,
     )
     slices = list(engine.execute(flat_relation, plan))
@@ -421,105 +413,3 @@ def test_pruned_procedure_memo_evicts_oldest_not_everything():
     assert procedures[0] not in memo_values
     assert all(p in memo_values for p in procedures[1:])
     assert len(memo_values) == _MAX_PRUNED_PROCEDURES
-
-
-# ----------------------------------------------------------------------
-# Weighted stealing cost model
-# ----------------------------------------------------------------------
-
-
-def _fat_thin_relation():
-    """Two blocks of equal pair count but wildly different pair cost:
-    "fat" tuples carry two long-string alternatives each (4 alternative
-    combinations per pair, long edit distances), "thin" tuples a single
-    short certain row."""
-    fat = [
-        XTuple.build(
-            f"fat-{i}",
-            [
-                (
-                    {
-                        "name": f"aardvark-{i}-" + "x" * 28,
-                        "job": "archivist-" + "y" * 15,
-                    },
-                    0.6,
-                ),
-                (
-                    {
-                        "name": f"aardwolf-{i}-" + "x" * 28,
-                        "job": "archivist-" + "z" * 15,
-                    },
-                    0.4,
-                ),
-            ],
-        )
-        for i in range(8)
-    ]
-    thin = [
-        XTuple.build(
-            f"thin-{i}", [({"name": f"zed-{i}", "job": "zk"}, 1.0)]
-        )
-        for i in range(8)
-    ]
-    return XRelation("fatthin", ("name", "job"), fat + thin)
-
-
-def test_weight_estimate_separates_fat_from_thin():
-    relation = _fat_thin_relation()
-    plan = CertainKeyBlocking(BLOCK_KEY).plan(relation)
-    weights = {
-        partition.members[0][:3]: estimate_partition_weight(
-            relation, partition
-        )
-        for partition in plan
-    }
-    assert set(weights) == {"fat", "thi"}
-    assert weights["fat"] > 10 * weights["thi"]
-
-
-def test_weighted_cost_model_is_bitwise_and_splits_finer(
-    flat_relation,
-):
-    """The weighted model subdivides expensive partitions that the
-    pair-count model leaves whole — and stays bitwise-identical."""
-    relation = _fat_thin_relation()
-    reference = _detector(CertainKeyBlocking(BLOCK_KEY)).detect(
-        relation, scheduling="striped"
-    )
-    by_pairs = _detector(CertainKeyBlocking(BLOCK_KEY))
-    pairs_result = by_pairs.detect(
-        relation, scheduling="stealing", split_pairs=28
-    )
-    by_weight = _detector(CertainKeyBlocking(BLOCK_KEY))
-    weight_result = by_weight.detect(
-        relation,
-        scheduling="stealing",
-        split_pairs=28,
-        split_cost_model="weighted",
-    )
-    assert _triples(pairs_result) == _triples(reference)
-    assert _triples(weight_result) == _triples(reference)
-    # Both blocks hold 28 pairs: the pair model splits neither, the
-    # weighted model subdivides the fat block's budget-blowing pairs.
-    assert (
-        by_weight.last_report.work_units
-        > by_pairs.last_report.work_units
-    )
-    # The weighted run also works fanned out.
-    fanned = _detector(CertainKeyBlocking(BLOCK_KEY)).detect(
-        relation,
-        scheduling="stealing",
-        split_pairs=28,
-        split_cost_model="weighted",
-        n_jobs=2,
-    )
-    assert _triples(fanned) == _triples(reference)
-
-
-def test_split_cost_model_validates():
-    with pytest.raises(ValueError):
-        ExecutionSettings(split_cost_model="bogus")
-    assert (
-        ExecutionSettings(split_cost_model="weighted").split_cost_model
-        == "weighted"
-    )

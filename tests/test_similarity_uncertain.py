@@ -137,3 +137,34 @@ class TestMembershipInvariance:
         # The same distribution compared twice gives the same result; no
         # notion of tuple probability exists at this level by design.
         assert comparator(value, value) == comparator(value, value)
+
+
+class TestExactMemoKeys:
+    """The value-level memos never alias values that are equal only
+    within tolerance: a memoized comparator returns, bit for bit, what
+    the uncached Equation-5 double loop returns."""
+
+    OTHER = ProbabilisticValue({"xyz": 0.3, "aaa": 0.3, "xbc": 0.4})
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                ProbabilisticValue({"xyz": 0.15, "abd": 0.25, "zzz": 0.6}),
+                ProbabilisticValue({"zzz": 0.6, "abd": 0.25, "xyz": 0.15}),
+            ),
+            (
+                ProbabilisticValue({"abd": 0.3, "xyz": 0.7}),
+                ProbabilisticValue({"abd": 0.3 + 4e-10, "xyz": 0.7 - 4e-10}),
+            ),
+        ],
+        ids=["reordered", "shifted"],
+    )
+    def test_memoized_result_is_bitwise_the_double_loop(self, first, second):
+        assert first == second and hash(first) == hash(second)
+        memoized = UncertainValueComparator(HAMMING, cache=True)
+        uncached = UncertainValueComparator(HAMMING)
+        memoized(first, self.OTHER)
+        memoized(self.OTHER, first)
+        assert memoized(second, self.OTHER) == uncached(second, self.OTHER)
+        assert memoized(self.OTHER, second) == uncached(self.OTHER, second)

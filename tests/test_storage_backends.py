@@ -225,15 +225,6 @@ def test_detector_plan_is_backend_independent(x_relation, stores):
     )
 
 
-def test_striped_scheduling_works_on_stores(flat_relation, stores):
-    """The legacy striped fan-out reads through the page cache too."""
-    store = open_store(stores["flat"], page_size=4, max_pages=3)
-    factory = lambda: SortedNeighborhood(SORT_KEY, window=5)  # noqa: E731
-    reference = _detector(factory).detect(flat_relation)
-    striped = _detector(factory).detect(store, scheduling="striped")
-    assert _triples(striped) == _triples(reference)
-
-
 def test_clusters_match_across_backends(x_relation, stores):
     store = open_store(stores["x"])
     factory = lambda: CertainKeyBlocking(BLOCK_KEY)  # noqa: E731
