@@ -12,7 +12,12 @@ claims of the kernel layer are tracked by the benchmark harness:
   reference fails the build;
 * memoized (``SimilarityCache``) vs uncached Equation-5 matching on the
   same pair workload;
-* comparison-matrix construction with the precomputed weight matrix.
+* comparison-matrix construction with the precomputed weight matrix;
+* the scalar/numpy crossovers of the batched decide loop at 2, 37 and
+  300 pairs: per-pair vs vectorized Jaro–Winkler on cache misses (the
+  rows ``BATCH_SCORE_MIN_PAIRS`` is set from) and per-pair ``decide``
+  vs ``decide_batch`` on warm caches (the rows ``BATCH_MIN_CELLS`` is
+  set from).
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from repro.similarity.edit import (
     damerau_levenshtein_distance,
     levenshtein_distance,
 )
-from repro.similarity.jaro import JARO_WINKLER
+from repro.experiments.quality import default_matcher, weighted_model
+from repro.matching import DuplicateDetector
+from repro.similarity.jaro import JARO_WINKLER, BoundedJaroWinkler
 from repro.similarity.kernels import (
     banded_damerau_levenshtein,
     banded_levenshtein,
@@ -188,9 +195,6 @@ def test_bench_perpair_similarity_python(benchmark, warm_batch):
     assert total > 0
 
 
-@pytest.mark.skipif(
-    not numpy_backend.available(), reason="numpy not installed"
-)
 def test_bench_numpy_batch_similarities(benchmark, warm_batch):
     """Partition-vectorized scoring of the whole warm batch at once."""
 
@@ -231,16 +235,15 @@ def test_backends_agree_bitwise_on_bench_data(word_pairs):
         assert bitparallel_damerau_levenshtein(a, b) == (
             damerau_levenshtein_distance(a, b)
         )
-    if numpy_backend.available():
-        assert numpy_backend.batch_levenshtein_similarities(
-            word_pairs, min_similarity=0.75
-        ) == [
-            banded_levenshtein_similarity(a, b, min_similarity=0.75)
-            for a, b in word_pairs
-        ]
-        assert numpy_backend.batch_edit_distances(word_pairs) == [
-            levenshtein_distance(a, b) for a, b in word_pairs
-        ]
+    assert numpy_backend.batch_levenshtein_similarities(
+        word_pairs, min_similarity=0.75
+    ) == [
+        banded_levenshtein_similarity(a, b, min_similarity=0.75)
+        for a, b in word_pairs
+    ]
+    assert numpy_backend.batch_edit_distances(word_pairs) == [
+        levenshtein_distance(a, b) for a, b in word_pairs
+    ]
 
 
 def _matcher(cache: bool) -> AttributeMatcher:
@@ -320,3 +323,81 @@ def test_bench_matrix_construction(benchmark, matching_workload):
 
     checksum = benchmark(run)
     assert checksum > 0.0
+
+
+# ----------------------------------------------------------------------
+# Scalar/numpy crossovers of the batched decide loop
+# ----------------------------------------------------------------------
+
+#: Batch sizes of the crossover rows: a near-empty batch, the size of a
+#: typical incremental-refresh partition, and a full-run chunk's share.
+CROSSOVER_SIZES = (2, 37, 300)
+
+
+@pytest.mark.parametrize("size", CROSSOVER_SIZES)
+@pytest.mark.parametrize("path", ("scalar", "numpy"))
+def test_bench_jaro_winkler_crossover(benchmark, path, size):
+    """Distinct name/job pairs scored per pair or in one numpy batch."""
+    rng = random.Random(size)
+    pairs = [
+        (rng.choice(JOBS), rng.choice(JOBS) + rng.choice("aeiou"))
+        for _ in range(size)
+    ]
+    comparator = BoundedJaroWinkler()
+
+    def scalar():
+        return [comparator(left, right) for left, right in pairs]
+
+    scores = benchmark(
+        scalar
+        if path == "scalar"
+        else lambda: comparator.batch_similarities(pairs)
+    )
+    assert scores == scalar()
+
+
+@pytest.fixture(scope="module")
+def decide_pairs():
+    relation = generate_dataset(
+        DatasetConfig(entity_count=60, seed=101), flat=True
+    ).relation
+    tuples = list(relation)
+    return [
+        (left, right)
+        for index, left in enumerate(tuples)
+        for right in tuples[index + 1 :]
+    ]
+
+
+@pytest.mark.parametrize("size", CROSSOVER_SIZES)
+@pytest.mark.parametrize("path", ("scalar", "batch"))
+def test_bench_decide_crossover(benchmark, decide_pairs, path, size):
+    """Warm-cache decisions per pair or in one ``decide_batch`` call
+    (forced onto the array path even below ``BATCH_MIN_CELLS``)."""
+    procedure = DuplicateDetector(default_matcher(), weighted_model()).procedure
+    pairs = decide_pairs[:size]
+    lefts = [left for left, _ in pairs]
+    rights = [right for _, right in pairs]
+    expected = [
+        procedure.decide(left, right, keep_derivations=False)
+        for left, right in pairs
+    ]
+    if path == "scalar":
+        decided = benchmark(
+            lambda: [
+                procedure.decide(left, right, keep_derivations=False)
+                for left, right in pairs
+            ]
+        )
+    else:
+        import repro.matching.engine as engine
+
+        floor = engine.BATCH_MIN_CELLS
+        engine.BATCH_MIN_CELLS = 0
+        try:
+            decided = benchmark(
+                lambda: procedure.decide_batch(lefts, rights, False)
+            )
+        finally:
+            engine.BATCH_MIN_CELLS = floor
+    assert decided == expected

@@ -19,8 +19,11 @@ Provided combination functions:
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from typing import Protocol, runtime_checkable
+
+import numpy as np
 
 from repro.matching.comparison import ComparisonVector
 from repro.matching.pushdown import SimilarityFloors
@@ -41,22 +44,62 @@ class CombinationFunction(Protocol):
 
 
 def _weights_for(
-    vector: ComparisonVector, weights: Mapping[str, float] | Sequence[float]
+    attributes: Sequence[str], weights: Mapping[str, float] | Sequence[float]
 ) -> list[float]:
-    """Resolve a weight specification against a concrete vector."""
+    """Resolve a weight specification against a vector's attributes."""
     if isinstance(weights, Mapping):
         try:
-            return [float(weights[attr]) for attr in vector.attributes]
+            return [float(weights[attr]) for attr in attributes]
         except KeyError as missing:
             raise KeyError(
                 f"no weight for attribute {missing.args[0]!r}"
             ) from None
     resolved = [float(w) for w in weights]
-    if len(resolved) != len(vector):
+    if len(resolved) != len(attributes):
         raise ValueError(
-            f"{len(resolved)} weights for a {len(vector)}-ary vector"
+            f"{len(resolved)} weights for a {len(attributes)}-ary vector"
         )
     return resolved
+
+
+# The ``combine_batch(attributes, vectors)`` methods below evaluate φ
+# for every row of a cells × attributes array at once, bitwise equal to
+# the scalar call on each row: the same float operations in the same
+# order, attribute by attribute (``min``/``max`` keep the first of
+# equal values, sums follow :func:`_builtin_sum`).
+
+#: Whether the builtin ``sum`` of floats compensates rounding (Neumaier
+#: summation, CPython 3.12 and later) instead of adding left to right.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+def _builtin_sum(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum(row)`` for every row, bitwise as this interpreter's ``sum``.
+
+    The builtin starts from the int 0 and, since CPython 3.12, keeps a
+    Neumaier compensation term that it adds back at the end when it is
+    non-zero and finite; both are replayed column by column.
+    """
+    total = 0.0 + columns[0]
+    if not _COMPENSATED_SUM:
+        for column in columns[1:]:
+            total = total + column
+        return total
+    compensation = np.zeros_like(total)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for column in columns[1:]:
+            partial = total + column
+            compensation += np.where(
+                np.abs(total) >= np.abs(column),
+                (total - partial) + column,
+                (column - partial) + total,
+            )
+            total = partial
+        return np.where(
+            (compensation != 0.0) & np.isfinite(compensation),
+            total + compensation,
+            total,
+        )
 
 
 class WeightedSum:
@@ -90,8 +133,17 @@ class WeightedSum:
         self.normalized = abs(total - 1.0) <= 1e-9
 
     def __call__(self, vector: ComparisonVector) -> float:
-        weights = _weights_for(vector, self._weights)
+        weights = _weights_for(vector.attributes, self._weights)
         return sum(w * c for w, c in zip(weights, vector.values))
+
+    def combine_batch(
+        self, attributes: Sequence[str], vectors: np.ndarray
+    ) -> np.ndarray:
+        """φ of every row of a cells × attributes array."""
+        weights = _weights_for(attributes, self._weights)
+        return _builtin_sum(
+            [weight * vectors[:, column] for column, weight in enumerate(weights)]
+        )
 
     def __repr__(self) -> str:
         return f"WeightedSum({self._weights!r})"
@@ -105,6 +157,12 @@ class Average:
     def __call__(self, vector: ComparisonVector) -> float:
         return sum(vector.values) / len(vector)
 
+    def combine_batch(
+        self, attributes: Sequence[str], vectors: np.ndarray
+    ) -> np.ndarray:
+        """φ of every row of a cells × attributes array."""
+        return _builtin_sum(vectors.T) / len(attributes)
+
     def __repr__(self) -> str:
         return "Average()"
 
@@ -117,6 +175,16 @@ class Minimum:
     def __call__(self, vector: ComparisonVector) -> float:
         return min(vector.values)
 
+    def combine_batch(
+        self, attributes: Sequence[str], vectors: np.ndarray
+    ) -> np.ndarray:
+        """φ of every row of a cells × attributes array."""
+        best = vectors[:, 0].copy()
+        for column in range(1, len(attributes)):
+            values = vectors[:, column]
+            best = np.where(values < best, values, best)
+        return best
+
     def __repr__(self) -> str:
         return "Minimum()"
 
@@ -128,6 +196,16 @@ class Maximum:
 
     def __call__(self, vector: ComparisonVector) -> float:
         return max(vector.values)
+
+    def combine_batch(
+        self, attributes: Sequence[str], vectors: np.ndarray
+    ) -> np.ndarray:
+        """φ of every row of a cells × attributes array."""
+        best = vectors[:, 0].copy()
+        for column in range(1, len(attributes)):
+            values = vectors[:, column]
+            best = np.where(values > best, values, best)
+        return best
 
     def __repr__(self) -> str:
         return "Maximum()"

@@ -592,6 +592,46 @@ class AttributeMatcher:
             values.append(value)
         return ComparisonVector.trusted(tuple(attributes), tuple(values))
 
+    def compare_batch(
+        self,
+        attributes: tuple[str, ...],
+        rows: Sequence[Row],
+        lefts: np.ndarray,
+        rights: np.ndarray,
+    ) -> np.ndarray:
+        """Comparison vectors of many row pairs, as a cells × attributes array.
+
+        Cell ``c`` pairs ``rows[lefts[c]]`` with ``rows[rights[c]]``;
+        its row is bitwise what :meth:`compare_rows` returns for that
+        pair when every left row has *attributes* — one
+        :meth:`UncertainValueComparator.similarity_batch` call per
+        attribute, the same loud error for a similarity outside
+        ``[0, 1]`` (the first one in row-major order) and the same
+        clamp of round-off above 1.
+        """
+        comparators = self._comparators
+        default = self._default
+        vectors = np.empty((len(lefts), len(attributes)), dtype=np.float64)
+        for column, attr in enumerate(attributes):
+            comparator = comparators.get(attr, default)
+            if comparator is None:
+                raise KeyError(
+                    f"no comparator configured for attribute {attr!r} "
+                    "and no default given"
+                )
+            vectors[:, column] = comparator.similarity_batch(
+                [row.value(attr) for row in rows], lefts, rights
+            )
+        outside = (vectors > 1.0 + 1e-12) | ~(vectors >= 0.0)
+        if outside.any():
+            cell, column = divmod(int(outside.argmax()), len(attributes))
+            raise ValueError(
+                f"similarity of {attributes[column]!r} outside [0, 1]: "
+                f"{float(vectors[cell, column])}"
+            )
+        np.minimum(vectors, 1.0, out=vectors)
+        return vectors
+
     # ------------------------------------------------------------------
     # Matrix level
     # ------------------------------------------------------------------

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
+
+import numpy as np
 
 from repro.matching.comparison import ComparisonVector
 
@@ -42,7 +45,7 @@ class MatchStatus(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """Outcome of deciding one tuple pair.
 
@@ -129,11 +132,33 @@ class ThresholdClassifier:
         """Bundle :meth:`classify` with the classified value."""
         return Decision(self.classify(similarity), similarity)
 
+    def classify_batch(
+        self, similarities: Sequence[float] | np.ndarray
+    ) -> list[MatchStatus]:
+        """:meth:`classify` of every similarity, compared as one array.
+
+        A subclass that overrides :meth:`classify` is looped instead,
+        so its own rule decides.
+        """
+        if type(self).classify is not ThresholdClassifier.classify:
+            return [self.classify(value) for value in similarities]
+        values = np.asarray(similarities, dtype=np.float64)
+        codes = np.where(
+            values > self.match_threshold,
+            0,
+            np.where(values < self.unmatch_threshold, 2, 1),
+        )
+        return [_BY_CODE[code] for code in codes.tolist()]
+
     def __repr__(self) -> str:
         return (
             f"ThresholdClassifier(T_mu={self.match_threshold:g}, "
             f"T_lambda={self.unmatch_threshold:g})"
         )
+
+
+#: Statuses by the codes :meth:`ThresholdClassifier.classify_batch` uses.
+_BY_CODE = (MatchStatus.MATCH, MatchStatus.POSSIBLE, MatchStatus.UNMATCH)
 
 
 @runtime_checkable
@@ -190,6 +215,17 @@ class CombinedDecisionModel:
         """Classify the pair based on φ(c⃗)."""
         return self.classifier.decide(self.similarity(vector))
 
+    def similarity_batch(self, attributes, vectors: np.ndarray):
+        """φ of every row of a cells × attributes array.
+
+        Uses the combination function's ``combine_batch`` when it has
+        one, else calls φ row by row (see :func:`model_similarities`).
+        """
+        combine = getattr(self._combination, "combine_batch", None)
+        if combine is not None:
+            return combine(attributes, vectors)
+        return _each_similarity(self._combination, attributes, vectors)
+
     def attribute_floors(self):
         """Pushdown floors, when the combination function is prunable.
 
@@ -210,3 +246,28 @@ class CombinedDecisionModel:
             f"CombinedDecisionModel({self.name!r}, {self._combination!r}, "
             f"{self.classifier!r})"
         )
+
+
+def _each_similarity(similarity, attributes, vectors: np.ndarray) -> list:
+    """``similarity(c⃗)`` for each row, as a :class:`ComparisonVector`."""
+    attributes = tuple(attributes)
+    trusted = ComparisonVector.trusted
+    return [
+        similarity(trusted(attributes, tuple(row)))
+        for row in vectors.tolist()
+    ]
+
+
+def model_similarities(model, attributes, vectors: np.ndarray):
+    """Step 1 (φ) of *model* for every row of a cells × attributes array.
+
+    The model's ``similarity_batch`` when it has one; otherwise the
+    default: its scalar :meth:`DecisionModel.similarity` on each row.
+    Either way the values are bitwise what the per-pair procedure
+    computes.
+    """
+    batch = getattr(model, "similarity_batch", None)
+    if batch is not None:
+        return batch(attributes, vectors)
+    return _each_similarity(model.similarity, attributes, vectors)
+

@@ -45,6 +45,7 @@ from repro.matching.decision.base import (
     Decision,
     MatchStatus,
     ThresholdClassifier,
+    model_similarities,
 )
 from repro.matching.decision.reasons import (
     DecisionReason,
@@ -490,6 +491,11 @@ class CalibratedModel:
     def decide(self, vector: ComparisonVector) -> Decision:
         """Classify φ(c⃗) with the calibrated (or forcing) classifier."""
         return self.classifier.decide(self.similarity(vector))
+
+    def similarity_batch(self, attributes, vectors):
+        """φ of every row of a cells × attributes array — the inner
+        model's (see :func:`~repro.matching.decision.base.model_similarities`)."""
+        return model_similarities(self._model, attributes, vectors)
 
     def attribute_floors(self):
         """Forward the inner model's pushdown floors.

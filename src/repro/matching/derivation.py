@@ -147,6 +147,82 @@ class DerivationInput:
                 yield i, j, self.similarities[i][j], status, weight
 
 
+class DerivationBatch:
+    """The :class:`DerivationInput` of many x-tuple pairs, as flat cells.
+
+    Pair ``p`` owns the cells ``offsets[p]:offsets[p + 1]`` — its
+    ``k × l`` matrix in row-major order, with ``shapes[p] == (k, l)``.
+    Per cell: the step-1.1 similarity (:attr:`similarities`, the values
+    as computed, and :attr:`similarity_array`, the same as float64),
+    the step-1.2 status (:attr:`statuses`, or ``None``) and the
+    conditional weight (:attr:`weight_array`).
+    """
+
+    __slots__ = (
+        "similarities",
+        "similarity_array",
+        "statuses",
+        "weight_array",
+        "offsets",
+        "shapes",
+    )
+
+    def __init__(
+        self,
+        similarities: Sequence,
+        statuses: Sequence[MatchStatus] | None,
+        weights: np.ndarray,
+        offsets: np.ndarray,
+        shapes: Sequence[tuple[int, int]],
+    ) -> None:
+        self.similarity_array = np.asarray(similarities, dtype=np.float64)
+        self.similarities = (
+            similarities.tolist()
+            if isinstance(similarities, np.ndarray)
+            else similarities
+        )
+        self.statuses = statuses
+        self.weight_array = weights
+        self.offsets = offsets
+        self.shapes = shapes
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+    def input(self, pair: int) -> DerivationInput:
+        """Pair *pair*'s :class:`DerivationInput`, as the scalar path builds it."""
+        start = int(self.offsets[pair])
+        rows, columns = self.shapes[pair]
+
+        def matrix(cells, begin=start):
+            return tuple(
+                tuple(cells[begin + row * columns : begin + (row + 1) * columns])
+                for row in range(rows)
+            )
+
+        return DerivationInput(
+            similarities=matrix(self.similarities),
+            statuses=(
+                matrix(self.statuses) if self.statuses is not None else None
+            ),
+            weights=matrix(
+                self.weight_array[start : start + rows * columns].tolist(), 0
+            ),
+        )
+
+
+def derive_all(derivation, batch: DerivationBatch) -> list:
+    """ϑ of every pair of *batch*, bitwise as the per-pair calls.
+
+    The derivation's ``derive_batch`` when it has one; otherwise the
+    default: the scalar call on each pair's :class:`DerivationInput`.
+    """
+    vectorized = getattr(derivation, "derive_batch", None)
+    if vectorized is not None:
+        return vectorized(batch)
+    return [derivation(batch.input(pair)) for pair in range(len(batch))]
+
+
 @runtime_checkable
 class DerivationFunction(Protocol):
     """ϑ — maps the matrix information of an x-tuple pair to one degree."""
@@ -185,6 +261,29 @@ class ExpectedSimilarity:
         return float(
             np.dot(data.weight_array.ravel(), data.similarity_array.ravel())
         )
+
+    def derive_batch(self, batch: DerivationBatch) -> list[float]:
+        """Equation 6 for every pair of *batch*.
+
+        Pairs up to :data:`_VECTOR_THRESHOLD` cells add ``w · s`` cell
+        by cell in row-major order, like the scalar loop, for all pairs
+        at once; larger pairs take the scalar ``np.dot`` call.
+        """
+        offsets = batch.offsets
+        counts = np.diff(offsets)
+        starts = offsets[:-1]
+        small = counts <= _VECTOR_THRESHOLD
+        weights = batch.weight_array
+        similarities = batch.similarity_array
+        total = np.zeros(len(counts))
+        for cell in range(int(counts[small].max(initial=0))):
+            pairs = small & (counts > cell)
+            cells = starts[pairs] + cell
+            total[pairs] += weights[cells] * similarities[cells]
+        results = total.tolist()
+        for pair in np.flatnonzero(~small).tolist():
+            results[pair] = self(batch.input(pair))
+        return results
 
     def __repr__(self) -> str:
         return "ExpectedSimilarity()"

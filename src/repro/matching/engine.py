@@ -16,7 +16,10 @@ exactly to Figure 3 — tests assert this equivalence.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.matching.comparison import (
     AttributeMatcher,
@@ -27,18 +30,32 @@ from repro.matching.decision.base import (
     DecisionModel,
     MatchStatus,
     ThresholdClassifier,
+    model_similarities,
 )
 from repro.matching.derivation import (
+    DerivationBatch,
     DerivationFunction,
     DerivationInput,
     ExpectedSimilarity,
+    derive_all,
 )
 from repro.matching.pushdown import SimilarityFloors, derive_floors
 from repro.pdb.tuples import ProbabilisticTuple
 from repro.pdb.xtuples import XTuple
 
 
-@dataclass(frozen=True)
+#: Fewest alternative-pair cells a batch needs before
+#: :meth:`XTupleDecisionProcedure.decide_batch` runs it as arrays.  The
+#: array path pays a fixed few hundred microseconds per batch (numpy
+#: calls, encoding) that per-pair :meth:`~XTupleDecisionProcedure.decide`
+#: calls only overtake at a few dozen cells — warm caches, the
+#: incremental session's case, put the crossover highest; smaller
+#: batches take the per-pair loop.  The ``test_bench_decide_crossover``
+#: rows of ``benchmarks/test_bench_kernels.py`` measure both sides.
+BATCH_MIN_CELLS = 48
+
+
+@dataclass(frozen=True, slots=True)
 class XTupleDecision:
     """Full record of one x-tuple pair decision.
 
@@ -257,6 +274,95 @@ class XTupleDecisionProcedure:
             derivation_input=data if keep_derivations else None,
         )
 
+    def decide_batch(
+        self,
+        lefts: Sequence[XTuple],
+        rights: Sequence[XTuple],
+        keep_derivations: bool = True,
+    ) -> list[XTupleDecision]:
+        """Figure 6 for many x-tuple pairs at once, as arrays.
+
+        Returns ``[self.decide(l, r, keep_derivations=…) for l, r in
+        zip(lefts, rights)]``, bitwise, with each step run once over
+        all alternative-pair cells of the batch:
+        :meth:`AttributeMatcher.compare_batch` (Eq. 5 per attribute),
+        the model's φ (:func:`model_similarities`), the step-1.2
+        classification when ϑ is decision-based, ϑ
+        (:func:`derive_all`, Eq. 6) and the final classification.
+        Only the result records are built per pair, and the
+        :class:`DerivationInput` ones only with *keep_derivations*.
+        Batches under :data:`BATCH_MIN_CELLS` cells, where the arrays'
+        fixed costs outweigh their gain, are decided pair by pair.
+
+        The first pair is also decided by :meth:`decide` beforehand —
+        one per-pair run per batch, checked against the batch's record
+        for it, so a batch path that drifts from the single-pair
+        procedure fails loudly instead of deciding differently.
+        """
+        if len(lefts) < BATCH_MIN_CELLS and (
+            sum(
+                len(left.alternatives) * len(right.alternatives)
+                for left, right in zip(lefts, rights)
+            )
+            < BATCH_MIN_CELLS
+        ):
+            return self._decide_each(lefts, rights, keep_derivations)
+        cells = _CellBatch(lefts, rights)
+        if cells.attributes is None:
+            # Alternatives of differing schemas: no common vector layout.
+            return self._decide_each(lefts, rights, keep_derivations)
+        reference = self.decide(
+            lefts[0], rights[0], keep_derivations=keep_derivations
+        )
+        vectors = self._matcher.compare_batch(
+            cells.attributes, cells.rows, cells.lefts, cells.rights
+        )
+        similarities = model_similarities(
+            self._model, cells.attributes, vectors
+        )
+        statuses = (
+            self._model.classifier.classify_batch(similarities)
+            if self._derivation.requires_statuses
+            else None
+        )
+        batch = DerivationBatch(
+            similarities, statuses, cells.weights, cells.offsets, cells.shapes
+        )
+        derived = derive_all(self._derivation, batch)
+        records = list(
+            map(
+                XTupleDecision,
+                [left.tuple_id for left in lefts],
+                [right.tuple_id for right in rights],
+                map(
+                    Decision,
+                    self._final_classifier.classify_batch(derived),
+                    derived,
+                ),
+                (
+                    [batch.input(pair) for pair in range(len(batch))]
+                    if keep_derivations
+                    else [None] * len(batch)
+                ),
+            )
+        )
+        first = records[0]
+        if first != reference or repr(first.similarity) != repr(
+            reference.similarity
+        ):
+            raise RuntimeError(
+                f"batched decision of ({first.left_id}, {first.right_id}) "
+                f"differs from the per-pair procedure: {first.decision} "
+                f"vs {reference.decision}"
+            )
+        return records
+
+    def _decide_each(self, lefts, rights, keep_derivations):
+        return [
+            self.decide(left, right, keep_derivations=keep_derivations)
+            for left, right in zip(lefts, rights)
+        ]
+
     # ------------------------------------------------------------------
     # Flat-tuple convenience (Section IV-A)
     # ------------------------------------------------------------------
@@ -282,3 +388,65 @@ class XTupleDecisionProcedure:
             f"XTupleDecisionProcedure({variant}, ϑ={self._derivation!r}, "
             f"final={self._final_classifier!r})"
         )
+
+
+class _CellBatch:
+    """The alternative-pair cells of a batch of x-tuple pairs.
+
+    Each distinct x-tuple's alternatives become :attr:`rows` once; pair
+    ``p``'s ``k × l`` matrix becomes the cells ``offsets[p]:offsets[p +
+    1]`` in row-major order, cell ``c`` pairing ``rows[lefts[c]]`` with
+    ``rows[rights[c]]``, with its Eq. 6/8/9 conditional weight computed
+    as :class:`ComparisonMatrix` does.  :attr:`attributes` is the rows'
+    shared schema, or ``None`` when they differ.
+    """
+
+    __slots__ = (
+        "rows", "lefts", "rights", "weights", "offsets", "shapes", "attributes",
+    )
+
+    def __init__(self, lefts: Sequence[XTuple], rights: Sequence[XTuple]):
+        xtuples = dict(zip(map(id, lefts), lefts))
+        xtuples.update(zip(map(id, rights), rights))
+        position = {key: index for index, key in enumerate(xtuples)}
+        rows: list = []
+        first_row: list[int] = []
+        sizes: list[int] = []
+        conditional: list[float] = []
+        for xtuple in xtuples.values():
+            alternatives = xtuple.alternatives
+            probabilities = tuple(alt.probability for alt in alternatives)
+            total = sum(probabilities)
+            first_row.append(len(rows))
+            sizes.append(len(alternatives))
+            rows.extend(alternatives)
+            conditional.extend(p / total for p in probabilities)
+        locate = position.__getitem__
+        left_at = np.fromiter(
+            map(locate, map(id, lefts)), dtype=np.int64, count=len(lefts)
+        )
+        right_at = np.fromiter(
+            map(locate, map(id, rights)), dtype=np.int64, count=len(rights)
+        )
+        first = np.array(first_row, dtype=np.int64)
+        size = np.array(sizes, dtype=np.int64)
+        left_size = size[left_at]
+        right_size = size[right_at]
+        counts = left_size * right_size
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        if int(offsets[-1]) == len(counts):
+            self.lefts = first[left_at]
+            self.rights = first[right_at]
+        else:
+            owner = np.repeat(np.arange(len(counts)), counts)
+            within = np.arange(int(offsets[-1])) - offsets[:-1][owner]
+            self.lefts = first[left_at][owner] + within // right_size[owner]
+            self.rights = first[right_at][owner] + within % right_size[owner]
+        weight = np.array(conditional, dtype=np.float64)
+        self.weights = weight[self.lefts] * weight[self.rights]
+        self.rows = rows
+        self.offsets = offsets
+        self.shapes = list(zip(left_size.tolist(), right_size.tolist()))
+        schemas = {row.attributes for row in rows}
+        schema = schemas.pop()
+        self.attributes = schema if schema and not schemas else None

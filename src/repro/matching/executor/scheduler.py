@@ -78,9 +78,13 @@ from repro.reduction.plan import (
 )
 
 #: Default number of candidate pairs decided per batch.  Large enough to
-#: amortize dispatch overhead (and IPC when fanning out), small enough
-#: that per-chunk result lists never hold more than a sliver of a run.
-DEFAULT_CHUNK_SIZE = 1024
+#: amortize dispatch overhead (and IPC when fanning out) and the
+#: per-batch encoding of the batched decide
+#: (:meth:`~repro.matching.engine.XTupleDecisionProcedure.decide_batch`
+#: encodes each chunk's values and looks up its distinct element pairs
+#: once), small enough that per-chunk result lists never hold more than
+#: a sliver of a run.
+DEFAULT_CHUNK_SIZE = 4096
 
 #: Cost budget (candidate pairs) above which a pooled run subdivides a
 #: partition.  Matches the window-family planning target: a unit this

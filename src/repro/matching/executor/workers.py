@@ -10,7 +10,7 @@ copies the relation (see
 
 :func:`decide_task` is the engine's one decide loop: in-process
 attempts and worker dispatches decide their pairs through the same
-code, chunk by chunk.
+code, one batched call per chunk.
 """
 
 from __future__ import annotations
@@ -64,16 +64,18 @@ def chunk_working_set(relation, pairs: Sequence[tuple[str, str]]):
 
 
 def decide_pairs(procedure, relation, pairs, keep_derivations):
-    """Decide one bounded chunk of pairs against one working set."""
+    """Decide one bounded chunk of pairs against one working set.
+
+    One :meth:`~repro.matching.engine.XTupleDecisionProcedure.decide_batch`
+    call: the chunk's comparison, φ, ϑ and classification run as
+    arrays over all its pairs.
+    """
     working_set = chunk_working_set(relation, pairs)
-    decide = procedure.decide
-    return [
-        decide(
-            working_set[left], working_set[right],
-            keep_derivations=keep_derivations,
-        )
-        for left, right in pairs
-    ]
+    return procedure.decide_batch(
+        [working_set[left] for left, _right in pairs],
+        [working_set[right] for _left, right in pairs],
+        keep_derivations,
+    )
 
 
 def decide_task(

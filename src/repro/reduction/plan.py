@@ -676,15 +676,21 @@ def partition_fingerprint(
     generations, an equal fingerprint proves the retained decisions for
     the old partition are bitwise-valid for the new one.
     """
+    # The digest reads ``left \x00 right \x01`` (UTF-8) per pair, then
+    # \x02 and the member fingerprints: one joined buffer per part feeds
+    # the streaming hash the same bytes as per-piece updates would.
     digest = hashlib.blake2b(digest_size=_FINGERPRINT_BYTES)
-    for left, right in partition.pairs:
-        digest.update(left.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(right.encode("utf-8"))
-        digest.update(b"\x01")
+    digest.update(
+        "".join(
+            f"{left}\x00{right}\x01" for left, right in partition.pairs
+        ).encode("utf-8")
+    )
     digest.update(b"\x02")
-    for member in partition.members:
-        digest.update(tuple_fingerprints[member].encode("ascii"))
+    digest.update(
+        "".join(
+            tuple_fingerprints[member] for member in partition.members
+        ).encode("ascii")
+    )
     return digest.hexdigest()
 
 

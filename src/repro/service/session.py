@@ -331,7 +331,7 @@ class DetectionSession:
                     counts["mpu".index(status)] += 1
                 partition_counts[partition.label] = counts
 
-        current = set(covered)
+        current = frozenset(covered)
         self.tombstones = tuple(
             pair for pair in self._previous_pairs if pair not in current
         )
@@ -353,9 +353,7 @@ class DetectionSession:
         self._result = DetectionResult(
             decisions=tuple(decisions),
             compared_pairs=(
-                frozenset(covered)
-                if self._keep_compared_pairs
-                else frozenset()
+                current if self._keep_compared_pairs else frozenset()
             ),
             relation_size=len(view),
         )

@@ -15,17 +15,15 @@ prewarm path can hand whole candidate batches to.  Three backends ship:
     available, ~an order of magnitude fewer interpreted operations.
 ``"numpy"``
     The bit-parallel per-pair kernels plus the vectorized batch scorer
-    (:mod:`repro.similarity.backends.numpy_backend`); only available
-    when numpy imports.
+    (:mod:`repro.similarity.backends.numpy_backend`).
 
 Selection is by name — ``DuplicateDetector.detect(kernel_backend=...)``
 and :class:`repro.matching.executor.scheduler.ExecutionSettings` accept
 any registered name or ``"auto"``.  ``"auto"`` resolves to the
 ``REPRO_KERNEL_BACKEND`` environment variable when set, otherwise to
-the fastest available backend (``numpy`` if importable, else
-``bitparallel``).  Every backend returns bitwise-identical results, so
-switching is purely a performance decision; the golden suites in
-``tests/test_backends.py`` enforce this.
+the fastest available backend (``numpy``).  Every backend returns
+bitwise-identical results, so switching is purely a performance
+decision; the golden suites in ``tests/test_backends.py`` enforce this.
 """
 
 from __future__ import annotations
@@ -269,7 +267,6 @@ def _register_builtin_backends() -> None:
                     numpy_backend.batch_damerau_levenshtein_similarities
                 ),
             },
-            is_available=numpy_backend.available,
         )
     )
 

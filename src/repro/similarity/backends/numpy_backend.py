@@ -20,10 +20,7 @@ Distances are exact integers, so the similarity wrappers reproduce the
 banded kernels' results bit for bit (the ``min_similarity`` cutoff is
 applied to the exact distance with the same one-row slack formula).
 
-numpy is an optional runtime dependency: the module degrades to
-``available() == False`` when the import fails, and the backend
-registry (:mod:`repro.similarity.backends.base`) then auto-selects the
-bit-parallel backend instead.  Per-pair calls delegate to
+Per-pair calls delegate to
 :mod:`repro.similarity.backends.bitparallel` — the batch path only pays
 off when amortized over many pairs.
 """
@@ -32,6 +29,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+import numpy as _np
+
 from repro.similarity.base import as_strings, similarity_from_distance
 from repro.similarity.backends.bitparallel import (
     bitparallel_damerau_levenshtein,
@@ -39,16 +38,6 @@ from repro.similarity.backends.bitparallel import (
     bitparallel_levenshtein,
     bitparallel_levenshtein_similarity,
 )
-
-try:  # pragma: no cover - exercised via the availability flag
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
-def available() -> bool:
-    """Whether the numpy batch path can run in this interpreter."""
-    return _np is not None
 
 
 def _encode(string: str) -> "Any":
@@ -125,8 +114,6 @@ def batch_edit_distances(
     (order-normalized — both distances are symmetric), and runs one
     vectorized DP per group.  Matches the reference DPs exactly.
     """
-    if _np is None:  # pragma: no cover - guarded by available()
-        raise RuntimeError("numpy is not available")
     encoded: dict[str, Any] = {}
     groups: dict[tuple[int, int], list[tuple[int, str, str]]] = {}
     results: list[int] = [0] * len(pairs)

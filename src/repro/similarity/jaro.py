@@ -7,7 +7,10 @@ introduced for census name matching [27].
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
+
+import numpy as np
 
 from repro.similarity.base import NamedComparator, as_strings, clamp01
 
@@ -120,6 +123,225 @@ def jaro_winkler_upper_bound(
     return clamp01(jaro_bound + prefix * prefix_scale * (1.0 - jaro_bound))
 
 
+#: Cells (pairs × length²) scored per vectorized slice: bounds the
+#: ``pairs × length × length`` match-candidate arrays of
+#: :func:`batch_jaro_winkler_similarities` to a few hundred kilobytes
+#: however large the batch or long its strings.
+_SLICE_CELLS = 1 << 18
+
+#: Codepoint filling the rows of strings shorter than the slice's
+#: longest one; above U+10FFFF, so it never equals a real character.
+_PAD = np.uint32(0xFFFFFFFF)
+
+
+def _codepoint_rows(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each string as one padded ``uint32`` codepoint row, plus lengths.
+
+    One encode of the concatenation and one scatter, instead of one
+    array per string.
+    """
+    lengths = np.fromiter(
+        (len(string) for string in strings), dtype=np.int64, count=len(strings)
+    )
+    width = max(int(lengths.max()), 1) if len(strings) else 1
+    rows = np.full((len(strings), width), _PAD, dtype=np.uint32)
+    flat = np.frombuffer(
+        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+    )
+    if flat.size:
+        row_of = np.repeat(np.arange(len(strings)), lengths)
+        starts = np.cumsum(lengths) - lengths
+        rows[row_of, np.arange(flat.size) - starts[row_of]] = flat
+    return rows, lengths
+
+
+def _jaro_winkler_slice(
+    left: np.ndarray,
+    right: np.ndarray,
+    left_len: np.ndarray,
+    right_len: np.ndarray,
+    prefix_scale: float,
+    max_prefix: int,
+    min_similarity: float,
+) -> np.ndarray:
+    """Jaro–Winkler of one slice of padded codepoint rows.
+
+    Every step is the scalar :func:`jaro_winkler_similarity` applied to
+    all rows at once, with the same operand order in each float
+    operation, so each result is bitwise the scalar one:
+
+    * the greedy match scan runs once per left position — each row's
+      candidate is its first unmatched equal character inside the
+      window, found with one ``argmax`` over the whole slice;
+    * transpositions compare the matched characters of both sides in
+      position order, each moved to the slot its running match count
+      names;
+    * with a positive *min_similarity* the upper bound of
+      :func:`jaro_winkler_upper_bound` is evaluated first and rows it
+      proves below the floor read 0.0 without joining the scan.
+    """
+    count = len(left)
+    width = max(left.shape[1], right.shape[1], max_prefix)
+    if left.shape[1] < width:
+        left = np.pad(
+            left, ((0, 0), (0, width - left.shape[1])), constant_values=_PAD
+        )
+    if right.shape[1] < width:
+        right = np.pad(
+            right, ((0, 0), (0, width - right.shape[1])), constant_values=_PAD
+        )
+    # Winkler's common prefix, capped at max_prefix.
+    prefix = np.zeros(count, dtype=np.int64)
+    alive = np.ones(count, dtype=bool)
+    shortest = np.minimum(left_len, right_len)
+    for position in range(max_prefix):
+        alive &= (left[:, position] == right[:, position]) & (
+            position < shortest
+        )
+        prefix += alive
+    equal = (left_len == right_len) & (left == right).all(axis=1)
+    empty = shortest == 0
+    result = np.zeros(count, dtype=np.float64)
+    scan = ~(equal | empty)
+    if min_similarity > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = (shortest / left_len + shortest / right_len + 1.0) / 3.0
+            bound = bound + prefix * prefix_scale * (1.0 - bound)
+        bound = np.minimum(np.maximum(bound, 0.0), 1.0)
+        scan &= ~(bound < min_similarity)
+    result[equal] = 1.0
+    rows = np.flatnonzero(scan)
+    if rows.size:
+        result[rows] = _jaro_winkler_scanned(
+            left[rows],
+            right[rows],
+            left_len[rows],
+            right_len[rows],
+            prefix[rows],
+            prefix_scale,
+        )
+    return result
+
+
+def _jaro_winkler_scanned(
+    left, right, left_len, right_len, prefix, prefix_scale
+) -> np.ndarray:
+    """The match scan and Jaro–Winkler formula for non-trivial rows."""
+    count, width = left.shape
+    window = np.maximum(np.maximum(left_len, right_len) // 2 - 1, 0)
+    columns = np.arange(width)
+    all_rows = np.arange(count)
+    # candidates[r, i, j]: right[j] equals left[i], |i - j| is within
+    # the row's window and j is inside the right string.  Padding never
+    # matches: a padded left position equals only right padding, which
+    # lies beyond the right string.
+    bands = np.abs(columns[:, None] - columns) <= (
+        np.arange(int(window.max()) + 1)[:, None, None]
+    )
+    candidates = right[:, None, :] == left[:, :, None]
+    candidates &= bands[window]
+    candidates &= (columns < right_len[:, None])[:, None, :]
+    left_matched = np.zeros((count, width), dtype=bool)
+    right_free = np.ones((count, width), dtype=bool)
+    for position in range(int(left_len.max())):
+        open_ = candidates[:, position, :] & right_free
+        first = open_.argmax(axis=1)
+        found = open_[all_rows, first]
+        right_free[all_rows[found], first[found]] = False
+        left_matched[:, position] = found
+    matches = left_matched.sum(axis=1)
+    # A transposition is a position k where the k-th matched characters
+    # of the two sides differ; unmatched tails stay padding on both.
+    differ = _matched_in_order(left, left_matched) != _matched_in_order(
+        right, ~right_free
+    )
+    transpositions = differ.sum(axis=1) // 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jaro = (
+            matches / left_len
+            + matches / right_len
+            + (matches - transpositions) / matches
+        ) / 3.0
+    jaro[matches == 0] = 0.0
+    similarity = jaro + prefix * prefix_scale * (1.0 - jaro)
+    return np.minimum(np.maximum(similarity, 0.0), 1.0)
+
+
+def _matched_in_order(text: np.ndarray, matched: np.ndarray) -> np.ndarray:
+    """Each row's matched characters moved to the front, in position
+    order, padding behind."""
+    rows, positions = np.nonzero(matched)
+    rank = np.cumsum(matched, axis=1)[rows, positions] - 1
+    ordered = np.full(text.shape, _PAD, dtype=np.uint32)
+    ordered[rows, rank] = text[rows, positions]
+    return ordered
+
+
+def batch_jaro_winkler_similarities(
+    pairs: Sequence[tuple[Any, Any]],
+    *,
+    prefix_scale: float = 0.1,
+    max_prefix: int = 4,
+    min_similarity: float = 0.0,
+) -> list[float]:
+    """Jaro–Winkler of a batch of pairs, vectorized with numpy.
+
+    Bitwise equal, pair by pair, to :class:`BoundedJaroWinkler` with
+    the same parameters (so to :func:`jaro_winkler_similarity` when
+    *min_similarity* is 0).  Each distinct string is encoded once as
+    a padded codepoint row and gathered by integer code; pairs are
+    scored in slices of similar length, so padding stays small and
+    the working arrays stay bounded.
+    """
+    if not 0.0 <= prefix_scale * max_prefix <= 1.0:
+        raise ValueError("prefix_scale * max_prefix must stay within [0, 1]")
+    if not pairs:
+        return []
+    left_strings = [
+        left if type(left) is str else str(left) for left, _ in pairs
+    ]
+    right_strings = [
+        right if type(right) is str else str(right) for _, right in pairs
+    ]
+    codes = {
+        string: code
+        for code, string in enumerate(dict.fromkeys(left_strings + right_strings))
+    }
+    left_codes = np.fromiter(
+        map(codes.__getitem__, left_strings), dtype=np.int64, count=len(pairs)
+    )
+    right_codes = np.fromiter(
+        map(codes.__getitem__, right_strings), dtype=np.int64, count=len(pairs)
+    )
+    rows, lengths = _codepoint_rows(list(codes))
+    left_len = lengths[left_codes]
+    right_len = lengths[right_codes]
+    longest = np.maximum(left_len, right_len)
+    order = np.argsort(longest, kind="stable")
+    result = np.empty(len(pairs), dtype=np.float64)
+    start = 0
+    while start < len(pairs):
+        # Pairs come shortest first, so the slice's last pair is its
+        # widest; shrink the slice until its arrays fit the budget.
+        stop = len(pairs)
+        width = max(int(longest[order[stop - 1]]), 1)
+        while stop - start > 1 and (stop - start) * width * width > _SLICE_CELLS:
+            stop = start + max(1, _SLICE_CELLS // (width * width))
+            width = max(int(longest[order[stop - 1]]), 1)
+        members = order[start:stop]
+        start = stop
+        result[members] = _jaro_winkler_slice(
+            rows[left_codes[members], :width],
+            rows[right_codes[members], :width],
+            left_len[members],
+            right_len[members],
+            prefix_scale,
+            max_prefix,
+            min_similarity,
+        )
+    return result.tolist()
+
+
 class BoundedJaroWinkler:
     """A Jaro–Winkler comparator with a pushdown similarity floor.
 
@@ -168,6 +390,21 @@ class BoundedJaroWinkler:
             right_str,
             prefix_scale=self._scale,
             max_prefix=self._max_prefix,
+        )
+
+    def batch_similarities(self, pairs: Sequence[tuple[Any, Any]]) -> list[float]:
+        """Score a batch of pairs with the vectorized numpy scorer.
+
+        The same hook :meth:`repro.similarity.kernels.BandedEditComparator.batch_similarities`
+        exposes: a list positionally aligned with *pairs*, bitwise equal
+        to calling the comparator on each pair (see
+        :func:`batch_jaro_winkler_similarities`).
+        """
+        return batch_jaro_winkler_similarities(
+            pairs,
+            prefix_scale=self._scale,
+            max_prefix=self._max_prefix,
+            min_similarity=self.min_similarity,
         )
 
     def with_min_similarity(

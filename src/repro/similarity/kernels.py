@@ -430,6 +430,42 @@ def _pair_key(left: Any, right: Any) -> tuple[Any, Any]:
     return ((type(left), left), (type(right), right))
 
 
+#: Fewest pairs a batch must hold before :func:`score_pairs` hands it
+#: to a comparator's vectorized ``batch_similarities`` hook instead of
+#: looping the comparator.  A numpy batch call costs a fixed few hundred
+#: microseconds however small the batch, which per-pair Jaro–Winkler
+#: calls only overtake at a few dozen pairs; the
+#: ``test_bench_jaro_winkler_crossover`` rows of
+#: ``benchmarks/test_bench_kernels.py`` measure both sides at 2, 37 and
+#: 300 pairs.  The choice follows the batch's own size, never an option.
+BATCH_SCORE_MIN_PAIRS = 40
+
+
+def score_pairs(base: Comparator, pairs: list[tuple[Any, Any]]) -> list[float]:
+    """``[base(left, right) for left, right in pairs]``, batched when it pays.
+
+    Batches of at least :data:`BATCH_SCORE_MIN_PAIRS` go through the
+    comparator's ``batch_similarities`` hook when it has one (and the
+    hook does not decline with ``None``); results are bitwise the same
+    either way.
+    """
+    if len(pairs) >= BATCH_SCORE_MIN_PAIRS:
+        batch = getattr(base, "batch_similarities", None)
+        if callable(batch):
+            results = batch(pairs)
+            if results is not None:
+                return results
+    return [base(left, right) for left, right in pairs]
+
+
+def _lookup_key(left: Any, right: Any) -> tuple[Any, Any] | None:
+    """The cache key of a lookup, or ``None`` when the reflexive
+    shortcut of :meth:`SimilarityCache.__call__` answers it."""
+    if left is right or (type(left) is type(right) and left == right):
+        return None
+    return _pair_key(left, right)
+
+
 #: Public alias: the canonical unordered-pair key, used by pair-aware
 #: prewarm collection (:func:`repro.reduction.plan.partition_value_pairs`)
 #: to deduplicate candidate value pairs exactly as the cache would.
@@ -523,6 +559,79 @@ class SimilarityCache:
             store[key] = result
         return result
 
+    def lookup_batch(
+        self,
+        pairs: list[tuple[Any, Any]],
+        counts: list[int] | None = None,
+    ) -> list[float]:
+        """``self(left, right)`` for each pair, misses scored in one batch.
+
+        Each pair stands for *counts[i]* identical lookups (default one).
+        Answers, stores and counts exactly what that many per-pair calls
+        would, in any order — a repeated miss counts as the hit the
+        first one's stored entry would have served, or, while frozen,
+        as another miss — but scores the distinct misses in one
+        :func:`score_pairs` call.  A batch that could fill the store
+        takes the per-pair path, whose wholesale clear it would
+        otherwise have to replay.
+        """
+        if counts is None:
+            counts = [1] * len(pairs)
+        store = self._store
+        if len(store) + len(pairs) >= self.max_entries:
+            results = []
+            for (left, right), count in zip(pairs, counts):
+                for _ in range(count):
+                    value = self(left, right)
+                results.append(value)
+            return results
+        # Keys as __call__ builds them (None: answered reflexively,
+        # uncounted); comprehensions and map keep the loop in C.
+        keys = [
+            ((left, right) if left < right else (right, left))
+            if type(left) is str and type(right) is str and left != right
+            else _lookup_key(left, right)
+            for left, right in pairs
+        ]
+        results = list(map(store.get, keys))
+        self.hits += sum(
+            count
+            for count, found in zip(counts, results)
+            if found is not None
+        )
+        absent = [
+            index
+            for index, (key, found) in enumerate(zip(keys, results))
+            if found is None
+        ]
+        reflexive = self.reflexive_value
+        first: dict[tuple[Any, Any], int] = {}
+        occurrences = 0
+        for index in absent:
+            key = keys[index]
+            if key is None:
+                results[index] = reflexive
+            else:
+                first.setdefault(key, index)
+                occurrences += counts[index]
+        if not first:
+            return results
+        if self._frozen:
+            self.misses += occurrences
+        else:
+            self.misses += len(first)
+            self.hits += occurrences - len(first)
+        fresh = dict(
+            zip(first, score_pairs(self.base, [pairs[i] for i in first.values()]))
+        )
+        for index in absent:
+            key = keys[index]
+            if key is not None:
+                results[index] = fresh[key]
+        if not self._frozen:
+            store.update(fresh)
+        return results
+
     def __len__(self) -> int:
         return len(self._store)
 
@@ -612,13 +721,7 @@ class SimilarityCache:
             pending[key] = (left, right)
         if not pending:
             return 0
-        results: list[float] | None = None
-        batch = getattr(self.base, "batch_similarities", None)
-        if callable(batch):
-            results = batch(list(pending.values()))
-        if results is None:
-            base = self.base
-            results = [base(left, right) for left, right in pending.values()]
+        results = score_pairs(self.base, list(pending.values()))
         for key, result in zip(pending, results):
             store[key] = result
         self.warmed += len(pending)

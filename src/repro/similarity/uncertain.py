@@ -21,12 +21,14 @@ lexicon-free use.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import Any
+
+import numpy as np
 
 from repro.pdb.values import NULL, PatternValue, ProbabilisticValue
 from repro.similarity.base import Comparator, NamedComparator
-from repro.similarity.kernels import SimilarityCache, pair_key
+from repro.similarity.kernels import SimilarityCache, pair_key, score_pairs
 
 
 class PatternPolicy:
@@ -146,6 +148,9 @@ class UncertainValueComparator:
         # value's exact key (:attr:`ProbabilisticValue.exact_key`).
         self._pair_cache: dict[Any, float] = {}
         self._prepared_cache: dict[tuple, ProbabilisticValue] = {}
+        # Element codes and prepared outcomes of similarity_batch,
+        # created by its first call.
+        self._registry: _Registry | None = None
         # Threshold pushdown: a positive floor plus a bandable base
         # arms the certain-value fast path with the cutoff-banded
         # kernel and its band-keyed cache.
@@ -422,6 +427,134 @@ class UncertainValueComparator:
             self._prepared(right_value), self._domain_similarity
         )
 
+    def similarity_batch(
+        self,
+        values: Sequence[ProbabilisticValue | Any],
+        lefts: np.ndarray,
+        rights: np.ndarray,
+    ) -> np.ndarray:
+        """``self(values[lefts[c]], values[rights[c]])`` for every c, as float64.
+
+        *values* are the operands of a batch and *lefts* / *rights*
+        integer index arrays pairing them up.  Every rule of
+        :meth:`__call__` holds pair by pair — ⊥ semantics, the
+        certain-value fast path (banded under a pushdown floor),
+        ``expand`` preparation, the exact-key Equation-5 memo and the
+        double loop summed term by term in dict order — with the work
+        done on integer codes: each value and domain element is encoded
+        once, Equation-5 terms are expanded and summed as arrays, and
+        each distinct element pair is looked up once per cache
+        (:meth:`SimilarityCache.lookup_batch`, counting every
+        occurrence as the per-pair calls would), so cache misses are
+        scored in one batch call.  A batch that could overflow the
+        value memo takes the per-pair path.
+        """
+        lefts = np.asarray(lefts, dtype=np.int64)
+        rights = np.asarray(rights, dtype=np.int64)
+        if self._memoize and (
+            len(self._pair_cache) + len(lefts) >= _VALUE_MEMO_CAP
+        ):
+            return np.array(
+                [
+                    self(values[left], values[right])
+                    for left, right in zip(lefts.tolist(), rights.tolist())
+                ],
+                dtype=np.float64,
+            )
+        registry = self._registry
+        if registry is None or len(registry) >= _VALUE_MEMO_CAP:
+            registry = self._registry = _Registry()
+        codes = _Codes(self, registry, values)
+        left_plain = codes.plain[lefts]
+        right_plain = codes.plain[rights]
+        results = np.zeros(len(lefts), dtype=np.float64)
+        certain = (left_plain != _VALUE) & (right_plain != _VALUE)
+        missing = certain & ((left_plain == _NULL) | (right_plain == _NULL))
+        results[missing & (left_plain == right_plain)] = 1.0
+        fast = np.flatnonzero(certain & ~missing)
+        fast_pairs = np.stack((left_plain[fast], right_plain[fast]), axis=1)
+        banded = np.zeros(len(fast), dtype=bool)
+        if self._banded_base is not None:
+            patterns = codes.patterns()
+            banded = ~(patterns[fast_pairs[:, 0]] | patterns[fast_pairs[:, 1]])
+            results[fast[banded]] = codes.similarities(
+                fast_pairs[banded], self._banded_cache, self._banded_base
+            )
+        uncertain = np.flatnonzero(~certain)
+        terms = _Terms()
+        finish = self._expectations(
+            codes, terms, lefts[uncertain], rights[uncertain]
+        )
+        exact_values = codes.similarities(
+            np.concatenate((fast_pairs[~banded], terms.pairs)),
+            self._cache,
+            self._base,
+        )
+        direct = len(fast) - int(banded.sum())
+        results[fast[~banded]] = exact_values[:direct]
+        results[uncertain] = finish(exact_values[direct:])
+        return results
+
+    def _expectations(self, codes: "_Codes", terms: "_Terms", lefts, rights):
+        """Equation 5 for uncertain value pairs, deferred on their terms.
+
+        Adds the terms of every pair the memo cannot answer to *terms*
+        and returns ``finish(similarities)``: given the similarities of
+        ``terms.pairs``, each pair's expectation, with every newly
+        computed one memoized.
+        """
+        memo = self._pair_cache if self._memoize else None
+        if memo is not None:
+            # Values with equal exact keys share one memo entry: map
+            # each to the first of its kind, so distinct pairs below are
+            # distinct memo keys.
+            used = list(dict.fromkeys(np.concatenate((lefts, rights)).tolist()))
+            exact_keys = [codes.exact_key(index) for index in used]
+            first_of: dict[Any, int] = {}
+            canonical = np.arange(len(codes.values))
+            canonical[used] = [
+                first_of.setdefault(key, index)
+                for key, index in zip(exact_keys, used)
+            ]
+            key_of = dict(zip(used, exact_keys)).__getitem__
+            lefts = canonical[lefts]
+            rights = canonical[rights]
+        span = max(len(codes.values), 1)
+        distinct, pair_slot, _ = _distinct(lefts * span + rights)
+        left_ids = (distinct // span).tolist()
+        right_ids = (distinct % span).tolist()
+        if memo is None:
+            keys = None
+            known = np.zeros(len(distinct), dtype=np.float64)
+            missed = np.arange(len(distinct))
+        else:
+            all_keys = list(zip(map(key_of, left_ids), map(key_of, right_ids)))
+            found = list(map(memo.get, all_keys))
+            known = np.array(
+                [0.0 if cached is None else cached for cached in found],
+                dtype=np.float64,
+            )
+            missed = np.array(
+                [slot for slot, cached in enumerate(found) if cached is None],
+                dtype=np.int64,
+            )
+            keys = [all_keys[slot] for slot in missed.tolist()]
+        sides = [
+            value
+            for slot in missed.tolist()
+            for value in (left_ids[slot], right_ids[slot])
+        ]
+        terms.expand(codes, sides)
+
+        def finish(similarities: np.ndarray) -> np.ndarray:
+            totals = terms.sums(similarities)
+            if keys is not None:
+                memo.update(zip(keys, totals.tolist()))
+            known[missed] = totals
+            return known[pair_slot]
+
+        return finish
+
     def _plain_element(self, value: Any) -> Any:
         """The single domain element behind *value*, or ``_UNCERTAIN``.
 
@@ -466,6 +599,245 @@ _UNCERTAIN = object()
 #: Soft capacity of the per-comparator value-level memos; on overflow
 #: they are cleared wholesale (see SimilarityCache for the rationale).
 _VALUE_MEMO_CAP = 1 << 20
+
+
+#: Most distinct element pairs one :meth:`SimilarityCache.lookup_batch`
+#: call receives.
+_LOOKUP_SLICE = 2048
+
+#: Plain-element codes of values that are ⊥ or genuinely uncertain
+#: (element codes are ≥ 0).
+_NULL = -1
+_VALUE = -2
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(distinct keys, inverse, counts)``, first occurrences first."""
+    listed = keys.tolist()
+    index = {key: slot for slot, key in enumerate(dict.fromkeys(listed))}
+    inverse = np.fromiter(
+        map(index.__getitem__, listed), dtype=np.int64, count=len(listed)
+    )
+    distinct = np.fromiter(index, dtype=np.int64, count=len(index))
+    return distinct, inverse, np.bincount(inverse, minlength=len(index))
+
+
+class _Registry:
+    """Domain-element codes and prepared outcomes, kept across batches.
+
+    Elements are coded by type and value, so ``1`` and ``1.0`` stay
+    apart as they do in :class:`SimilarityCache` keys; prepared
+    Equation-5 outcomes are keyed by the unprepared value's exact key,
+    like the pattern-expansion memo.
+    """
+
+    __slots__ = ("_codes", "elements", "patterns", "outcomes")
+
+    def __init__(self) -> None:
+        self._codes: dict[Any, int] = {}
+        self.elements: list[Any] = []
+        self.patterns: list[bool] = []
+        self.outcomes: dict[tuple, tuple[list[int], list[float]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.elements) + len(self.outcomes)
+
+    def element(self, element: Any) -> int:
+        if element is NULL:
+            return _NULL
+        key = element if type(element) is str else (type(element), element)
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self.elements)
+            self.elements.append(element)
+            self.patterns.append(isinstance(element, PatternValue))
+        return code
+
+
+class _Codes:
+    """Integer codes for the values of one batch.
+
+    :attr:`plain` maps each value to its single domain element's code,
+    :data:`_NULL` for ⊥, or :data:`_VALUE` when it takes the
+    Equation-5 path; element codes come from the comparator's
+    :class:`_Registry`.
+    """
+
+    __slots__ = (
+        "_comparator", "_registry", "values", "plain", "elements", "_coerced",
+    )
+
+    def __init__(
+        self,
+        comparator: "UncertainValueComparator",
+        registry: _Registry,
+        values: Sequence[Any],
+    ) -> None:
+        self._comparator = comparator
+        self._registry = registry
+        self.values = values
+        self.elements = registry.elements
+        self._coerced: dict[int, ProbabilisticValue] = {}
+        plain_element = comparator._plain_element
+        element = registry.element
+        plain = []
+        for value in values:
+            single = plain_element(value)
+            plain.append(_VALUE if single is _UNCERTAIN else element(single))
+        self.plain = np.array(plain, dtype=np.int64)
+
+    def _value(self, index: int) -> ProbabilisticValue:
+        value = self._coerced.get(index)
+        if value is None:
+            value = self._coerced[index] = _coerce(self.values[index])
+        return value
+
+    def exact_key(self, index: int) -> tuple:
+        return self._value(index).exact_key
+
+    def items(self, index: int) -> tuple[list[int], list[float]]:
+        """Value *index*, prepared, as ``(element codes, probabilities)``."""
+        value = self._value(index)
+        outcomes = self._registry.outcomes
+        known = outcomes.get(value.exact_key)
+        if known is None:
+            pairs = tuple(self._comparator._prepared(value).items())
+            element = self._registry.element
+            known = outcomes[value.exact_key] = (
+                [element(outcome) for outcome, _ in pairs],
+                [probability for _, probability in pairs],
+            )
+        return known
+
+    def patterns(self) -> np.ndarray:
+        """Per element code: whether the element is a pattern value."""
+        return np.array(self._registry.patterns, dtype=bool)
+
+    def similarities(
+        self,
+        pairs: np.ndarray,
+        cache: SimilarityCache | None,
+        base: Comparator | None,
+    ) -> np.ndarray:
+        """Domain similarity of each element-code pair (``pairs`` is N×2).
+
+        Distinct pairs are resolved once: patterns by
+        :meth:`UncertainValueComparator._domain_similarity`, Equation 4
+        by equality, everything else through *cache* (looked up as
+        often as the pair occurs) or, without one, *base*.
+        """
+        if not len(pairs):
+            return np.zeros(0, dtype=np.float64)
+        span = len(self.elements)
+        distinct, inverse, occurrences = _distinct(
+            pairs[:, 0] * span + pairs[:, 1]
+        )
+        left_codes = distinct // span
+        right_codes = distinct % span
+        if base is None:
+            direct = np.ones(len(distinct), dtype=bool)
+        else:
+            patterns = self.patterns()
+            direct = patterns[left_codes] | patterns[right_codes]
+        values = np.empty(len(distinct), dtype=np.float64)
+        elements = self.elements
+        if direct.any():
+            # Equation 4 or pattern heuristics: per pair, uncached.
+            domain = self._comparator._domain_similarity
+            for slot in np.flatnonzero(direct).tolist():
+                values[slot] = domain(
+                    elements[left_codes[slot]], elements[right_codes[slot]]
+                )
+        element = elements.__getitem__
+        looked_up = np.flatnonzero(~direct)
+        # In slices, so the per-pair Python objects of one lookup stay
+        # bounded however large the batch.
+        for start in range(0, len(looked_up), _LOOKUP_SLICE):
+            slots = looked_up[start : start + _LOOKUP_SLICE]
+            operands = list(
+                zip(
+                    map(element, left_codes[slots].tolist()),
+                    map(element, right_codes[slots].tolist()),
+                )
+            )
+            values[slots] = (
+                cache.lookup_batch(operands, occurrences[slots].tolist())
+                if cache is not None
+                else score_pairs(base, operands)
+            )
+        return values[inverse]
+
+
+class _Terms:
+    """The Equation-5 double loops of a batch, as flat term arrays.
+
+    Each value pair contributes its ``k × l`` terms in dict order (left
+    outer, right inner); :meth:`sums` adds them up term position by
+    term position for all pairs at once — per pair the scalar loop's
+    sequence of ``total += w · sim`` (``+= w`` for ⊥ = ⊥, nothing for ⊥
+    against a value).
+    """
+
+    __slots__ = ("pairs", "_weights", "_both_null", "_compared", "_offsets")
+
+    def __init__(self) -> None:
+        self.pairs = np.zeros((0, 2), dtype=np.int64)
+        self._offsets = np.zeros(1, dtype=np.int64)
+
+    def expand(self, codes: _Codes, sides: list[int]) -> None:
+        """Build the terms of the value pairs ``sides[2p], sides[2p + 1]``;
+        :attr:`pairs` then lists the element pairs :meth:`sums` needs."""
+        if not sides:
+            return
+        index = {value: slot for slot, value in enumerate(dict.fromkeys(sides))}
+        element_codes: list[int] = []
+        probabilities: list[float] = []
+        starts: list[int] = []
+        sizes: list[int] = []
+        for value in index:
+            value_codes, value_probs = codes.items(value)
+            starts.append(len(element_codes))
+            sizes.append(len(value_codes))
+            element_codes.extend(value_codes)
+            probabilities.extend(value_probs)
+        element_codes = np.array(element_codes, dtype=np.int64)
+        probabilities = np.array(probabilities, dtype=np.float64)
+        starts = np.array(starts, dtype=np.int64)
+        sizes = np.array(sizes, dtype=np.int64)
+        slots = np.array([index[value] for value in sides], dtype=np.int64)
+        left, right = slots[0::2], slots[1::2]
+        right_size = sizes[right]
+        counts = sizes[left] * right_size
+        self._offsets = np.concatenate(([0], np.cumsum(counts)))
+        owner = np.repeat(np.arange(len(counts)), counts)
+        within = np.arange(int(self._offsets[-1])) - self._offsets[:-1][owner]
+        left_item = starts[left][owner] + within // right_size[owner]
+        right_item = starts[right][owner] + within % right_size[owner]
+        self._weights = probabilities[left_item] * probabilities[right_item]
+        left_codes = element_codes[left_item]
+        right_codes = element_codes[right_item]
+        self._both_null = (left_codes == _NULL) & (right_codes == _NULL)
+        self._compared = (left_codes != _NULL) & (right_codes != _NULL)
+        self.pairs = np.stack(
+            (left_codes[self._compared], right_codes[self._compared]), axis=1
+        )
+
+    def sums(self, similarities: np.ndarray) -> np.ndarray:
+        offsets = self._offsets
+        counts = np.diff(offsets)
+        totals = np.zeros(len(counts), dtype=np.float64)
+        if not len(counts):
+            return totals
+        contribution = np.zeros(int(offsets[-1]), dtype=np.float64)
+        contribution[self._both_null] = self._weights[self._both_null]
+        contribution[self._compared] = (
+            self._weights[self._compared] * similarities
+        )
+        starts = offsets[:-1]
+        for term in range(int(counts.max())):
+            pairs = counts > term
+            totals[pairs] += contribution[starts[pairs] + term]
+        return totals
 
 
 def _equality(left: Any, right: Any) -> float:

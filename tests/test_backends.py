@@ -75,11 +75,6 @@ LONG_TEXT = st.text(
 )
 FLOORS = st.sampled_from([0.0, 0.15, 0.4, 0.85, 0.99])
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_backend.available(), reason="numpy not installed"
-)
-
-
 # ----------------------------------------------------------------------
 # Bit-parallel kernels vs reference DPs
 # ----------------------------------------------------------------------
@@ -158,7 +153,6 @@ class TestBitparallelPinning:
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 class TestNumpyBatchPinning:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -212,11 +206,8 @@ class TestBackendSelection:
 
     def test_auto_prefers_numpy_then_bitparallel(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        expected = (
-            "numpy" if numpy_backend.available() else "bitparallel"
-        )
-        assert resolve_backend_name(None) == expected
-        assert resolve_backend_name("auto") == expected
+        assert resolve_backend_name(None) == "numpy"
+        assert resolve_backend_name("auto") == "numpy"
 
     def test_env_var_overrides_auto(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
@@ -237,13 +228,9 @@ class TestBackendSelection:
         assert resolve_backend_name("auto") == "bitparallel"
         monkeypatch.setenv(BACKEND_ENV_VAR, "AUTO")
         # Case-normalized "auto" falls through to preference order.
-        expected = (
-            "numpy" if numpy_backend.available() else "bitparallel"
-        )
-        assert resolve_backend_name(None) == expected
-        if numpy_backend.available():
-            monkeypatch.setenv(BACKEND_ENV_VAR, "NumPy")
-            assert resolve_backend_name(None) == "numpy"
+        assert resolve_backend_name(None) == "numpy"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "NumPy")
+        assert resolve_backend_name(None) == "numpy"
 
     def test_env_var_casing_does_not_relax_unknown_names(
         self, monkeypatch
@@ -266,8 +253,8 @@ class TestBackendSelection:
         self, monkeypatch
     ):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(numpy_backend, "_np", None)
-        assert not numpy_backend.available()
+        numpy = get_backend("numpy")
+        monkeypatch.setattr(numpy, "_is_available", lambda: False)
         assert not get_backend("numpy").available
         assert resolve_backend_name("auto") == "bitparallel"
         with pytest.raises(ValueError, match="not available"):
@@ -323,13 +310,11 @@ class TestComparatorBackends:
     def test_batch_similarities_hook(self):
         pairs = [("meier", "maier"), ("bauer", "brauer")]
         python_batch = FAST_LEVENSHTEIN.batch_similarities(pairs)
-        if numpy_backend.available():
-            clone = FAST_LEVENSHTEIN.with_backend("numpy")
-            assert clone.batch_similarities(pairs) == [
-                FAST_LEVENSHTEIN(left, right) for left, right in pairs
-            ]
-        else:
-            assert python_batch is None
+        clone = FAST_LEVENSHTEIN.with_backend("numpy")
+        assert clone.batch_similarities(pairs) == [
+            FAST_LEVENSHTEIN(left, right) for left, right in pairs
+        ]
+        assert python_batch is None
 
     def test_cache_with_base_shares_the_store(self):
         cache = SimilarityCache(FAST_LEVENSHTEIN)

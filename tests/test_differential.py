@@ -1,4 +1,4 @@
-"""One seeded differential test over the execution lattice.
+"""Seeded differential tests over the execution lattice and the decide path.
 
 Scheduling may change the order of work but never a result, so every
 sampled configuration must decide exactly what the reference oracle
@@ -6,20 +6,49 @@ sampled configuration must decide exactly what the reference oracle
 in-process or on a two-worker pool, any split budget, collected or
 streamed, in memory or spilled in either layout, under a clean
 two-attempt retry policy that degrades or raises on exhaustion.
+
+The batched decide loop must likewise agree with the oracle's per-pair
+``decide`` for every decision model, derivation, pattern policy and
+pushdown setting, with and without kept derivations.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import DatasetConfig, generate_dataset
+from repro.datagen.corpus import JOBS
 from repro.experiments.quality import default_matcher, weighted_model
 from repro.matching import DuplicateDetector, FullComparison
+from repro.matching.combination import (
+    Average,
+    LogLikelihoodRatio,
+    Maximum,
+    Minimum,
+    WeightedSum,
+)
+from repro.matching.comparison import AttributeMatcher
+from repro.matching.decision.base import (
+    CombinedDecisionModel,
+    ThresholdClassifier,
+)
+from repro.matching.decision.calibration import Calibration, CalibratedModel
+from repro.matching.decision.fellegi_sunter import FellegiSunterModel
+from repro.matching.decision.gates import GateTrip
+from repro.matching.decision.rules import IdentificationRule, RuleBasedModel
+from repro.matching.derivation import DERIVATIONS
 from repro.matching.executor import RetryPolicy
 from repro.pdb.io import open_store
 from repro.pdb.relations import XRelation
+from repro.pdb.values import NULL, PatternValue, ProbabilisticValue
+from repro.pdb.xtuples import TupleAlternative, XTuple
+from repro.similarity.jaro import FAST_JARO_WINKLER
+from repro.similarity.kernels import FAST_LEVENSHTEIN
+from repro.similarity.uncertain import PatternPolicy, UncertainValueComparator
 from repro.reduction import (
     AlternativeKeyBlocking,
     AlternativeSorting,
@@ -180,3 +209,207 @@ def test_sampled_configuration_decides_like_the_oracle(
     report = detector.last_report
     assert report.worker_crashes + report.worker_timeouts == 0
     assert not report.failures
+
+
+# ----------------------------------------------------------------------
+# Decide-path dimension
+# ----------------------------------------------------------------------
+
+DECIDE_ATTRIBUTES = ("name", "job", "city")
+NAMES = ("meier", "meyer", "maier", "schmidt", "schmitt", "anna", "anne")
+CITIES = ("berlin", "bern", "bremen", "essen", "esens")
+PATTERNS = (PatternValue("mu*"), PatternValue("ba*"), PatternValue("pi*"))
+
+
+def _uncertain(rng, domain, *, null=0.0):
+    """A certain, ⊥ or uncertain value over *domain*."""
+    roll = rng.random()
+    if roll < null:
+        return None
+    if roll < 0.6:
+        return rng.choice(domain)
+    outcomes = rng.sample(domain, rng.randint(2, 3))
+    if rng.random() < 0.3:
+        outcomes.append(NULL)
+    masses = [rng.random() + 0.1 for _ in outcomes]
+    return ProbabilisticValue(
+        {o: m / sum(masses) for o, m in zip(outcomes, masses)}
+    )
+
+
+def _decide_relation() -> XRelation:
+    """x-tuples with ⊥ outcomes and pattern jobs; two 9-alternative
+    tuples make 81-cell pairs (above the derivations' vector threshold)."""
+    rng = random.Random(2010)
+    jobs = list(JOBS[:12]) + list(PATTERNS)
+    tuples = []
+    for index in range(24):
+        width = 9 if index in (3, 17) else rng.randint(1, 3)
+        masses = [rng.random() + 0.2 for _ in range(width)]
+        scale = rng.uniform(0.5, 1.0) / sum(masses)
+        tuples.append(
+            XTuple(
+                f"d{index:02d}",
+                [
+                    TupleAlternative(
+                        {
+                            "name": _uncertain(rng, NAMES, null=0.05),
+                            "job": _uncertain(rng, jobs, null=0.1),
+                            "city": _uncertain(rng, CITIES, null=0.1),
+                        },
+                        mass * scale,
+                    )
+                    for mass in masses
+                ],
+            )
+        )
+    return XRelation("decide", DECIDE_ATTRIBUTES, tuples)
+
+
+def _decide_matcher(policy: str) -> AttributeMatcher:
+    job = (
+        UncertainValueComparator(
+            FAST_JARO_WINKLER,
+            pattern_policy=PatternPolicy.EXPAND,
+            pattern_lexicon=JOBS,
+            cache=True,
+        )
+        if policy == "expand"
+        else UncertainValueComparator(
+            FAST_JARO_WINKLER, pattern_policy=PatternPolicy.PREFIX, cache=True
+        )
+    )
+    return AttributeMatcher(
+        {
+            "name": UncertainValueComparator(FAST_JARO_WINKLER, cache=True),
+            "job": job,
+            "city": UncertainValueComparator(FAST_LEVENSHTEIN, cache=True),
+        }
+    )
+
+
+def _calibrated(trips):
+    calibration = Calibration(
+        method="conformal",
+        threshold=0.8,
+        target_fpr=0.05,
+        alpha=None,
+        n_match=20,
+        n_nonmatch=20,
+        feasible=True,
+        calibration_fpr=0.0,
+        set_fingerprint="differential",
+    )
+    return CalibratedModel(
+        _weighted3(), calibration, gate_trips=trips
+    )
+
+
+def _weighted3():
+    return CombinedDecisionModel(
+        WeightedSum({"name": 0.5, "job": 0.3, "city": 0.2}),
+        ThresholdClassifier(0.85, 0.6),
+    )
+
+
+#: Decision models; the threshold-based ones (rules, Fellegi–Sunter,
+#: log-likelihood ratio) also derive pushdown floors.
+DECIDE_MODELS = {
+    "weighted": _weighted3,
+    "average": lambda: CombinedDecisionModel(
+        Average(), ThresholdClassifier(0.8, 0.6)
+    ),
+    "minimum": lambda: CombinedDecisionModel(
+        Minimum(), ThresholdClassifier(0.7, 0.4)
+    ),
+    "maximum": lambda: CombinedDecisionModel(
+        Maximum(), ThresholdClassifier(0.95, 0.8)
+    ),
+    "rules": lambda: RuleBasedModel(
+        [
+            IdentificationRule.build(
+                [("name", 0.85), ("job", 0.8)], 0.95, name="both"
+            ),
+            IdentificationRule.build([("name", 0.92)], 0.8, name="name"),
+            IdentificationRule.build(
+                [("city", 0.7), ("name", 0.75)], 0.7, name="city"
+            ),
+        ],
+        ThresholdClassifier(0.75, 0.5),
+    ),
+    "fellegi_sunter": lambda: FellegiSunterModel(
+        m_probabilities={"name": 0.92, "job": 0.7, "city": 0.8},
+        u_probabilities={"name": 0.03, "job": 0.05, "city": 0.2},
+        classifier=ThresholdClassifier(40.0, 2.0),
+        agreement_threshold=0.82,
+    ),
+    "llr": lambda: CombinedDecisionModel(
+        LogLikelihoodRatio(
+            {"name": 0.9, "job": 0.7, "city": 0.8},
+            {"name": 0.1, "job": 0.2, "city": 0.3},
+            agreement_threshold=0.86,
+        ),
+        ThresholdClassifier(2.0, -1.0),
+    ),
+    "calibrated": lambda: _calibrated(()),
+    "calibrated_gated": lambda: _calibrated(
+        (GateTrip("min_calibration_size", 3.0, 50.0),)
+    ),
+}
+
+#: A final classifier on each derivation's scale.
+FINAL_CLASSIFIERS = {
+    "matching_weight": ThresholdClassifier(2.0, 0.5),
+    "expected_matching_result": ThresholdClassifier(1.2, 0.6),
+}
+
+
+@pytest.fixture(scope="module")
+def decide_relation():
+    return _decide_relation()
+
+
+def _decide_detector(model, derivation, policy):
+    return DuplicateDetector(
+        _decide_matcher(policy),
+        DECIDE_MODELS[model](),
+        derivation=DERIVATIONS[derivation](),
+        final_classifier=FINAL_CLASSIFIERS.get(derivation),
+    )
+
+
+def _bitwise(decisions):
+    return [
+        (d.left_id, d.right_id, d.status, repr(d.similarity))
+        for d in decisions
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    model=st.sampled_from(sorted(DECIDE_MODELS)),
+    derivation=st.sampled_from(sorted(DERIVATIONS)),
+    policy=st.sampled_from(("expand", "prefix")),
+    pushdown=st.booleans(),
+    keep_derivations=st.booleans(),
+)
+def test_batched_decide_path_decides_like_the_oracle(
+    decide_relation, oracle, model, derivation, policy, pushdown,
+    keep_derivations,
+):
+    reference = oracle(
+        _decide_detector(model, derivation, policy),
+        decide_relation,
+        keep_derivations=keep_derivations,
+    ).decisions
+    detector = _decide_detector(model, derivation, policy)
+    result = detector.detect(
+        decide_relation,
+        keep_derivations=keep_derivations,
+        min_similarity="auto" if pushdown else None,
+        chunk_size=64,
+    )
+    assert _bitwise(result.decisions) == _bitwise(reference)
+    assert [d.derivation_input for d in result.decisions] == [
+        d.derivation_input for d in reference
+    ]
