@@ -79,10 +79,7 @@ def partition_sources(
 
     Metadata-only: consults the view's id → source map, never a tuple.
     """
-    seen: dict[str, None] = {}
-    for member in partition.members:
-        seen[view.source_of(member)] = None
-    return tuple(seen)
+    return tuple(dict.fromkeys(map(view.source_of, partition.members)))
 
 
 def tag_plan_sources(
@@ -92,7 +89,12 @@ def tag_plan_sources(
     return replace(
         plan,
         partitions=tuple(
-            replace(partition, sources=partition_sources(partition, view))
+            CandidatePartition(
+                partition.label,
+                partition.pairs,
+                partition.members,
+                partition_sources(partition, view),
+            )
             for partition in plan.partitions
         ),
         source_names=view.source_names,

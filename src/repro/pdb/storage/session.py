@@ -22,20 +22,29 @@ supplies the two pieces that reconcile the contracts:
   delta as the second source.
 
 * :class:`SessionJournal` — the appendable on-disk form of a session: a
-  JSONL journal of upsert/delete operations (appended per ingest, so a
-  restart replays the exact overlay) plus an atomically-replaced
-  snapshot document the service layer uses for its partition
-  fingerprint index and similarity-cache entries.  Snapshot staleness
-  is safe by construction: fingerprints cover the decision-relevant
-  content, so a stale index simply fails to match and the refresh
-  recomputes — never serves wrong retained state.
+  journal of upsert/delete batches (one CRC-framed record per ingest,
+  so a restart replays the exact overlay and a torn batch not at all)
+  plus a snapshot document the service layer uses for its retained
+  decisions and similarity-cache entries — an atomically-replaced base
+  and an append-only log of what each later save changed (both logs
+  are :class:`FramedLog` files).  Snapshot staleness is safe by
+  construction: fingerprints cover the decision-relevant content, so a
+  stale index simply fails to match and the refresh recomputes — never
+  serves wrong retained state.
+
+The overlay also keeps the per-tuple memos a refresh reads — content
+fingerprints and certain blocking keys — and drops an id from them
+whenever it changes, so a refresh re-hashes and re-keys changed tuples
+only.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from collections.abc import Iterable, Iterator, Mapping
+from typing import Any
 
 from repro.pdb.errors import SchemaMismatchError
 from repro.pdb.io import (
@@ -53,6 +62,7 @@ DELTA_SOURCE = "Δ"
 #: File names inside a session journal directory.
 JOURNAL_NAME = "journal.jsonl"
 SNAPSHOT_NAME = "snapshot.json"
+DELTA_NAME = "snapshot.delta.jsonl"
 
 
 class SessionStore:
@@ -89,6 +99,14 @@ class SessionStore:
         self._added: dict[str, XTuple] = {}
         self._deleted: set[str] = set()
         self._ids_cache: tuple[str, ...] | None = None
+        #: Per-tuple memos, each valid for the ids it holds: content
+        #: fingerprints, and the blocking-key values of every
+        #: ``(key parts, strategy)`` a planner asked for.  Upsert and
+        #: delete of an id drop it from all of them.
+        self.fingerprints: dict[str, str] = {}
+        self._key_memos: dict[tuple, dict[str, str]] = {}
+        #: Blocking keys computed through :meth:`key_memo` users.
+        self.keys_computed = 0
 
     # ------------------------------------------------------------------
     # Mutation (the only writable surface in the storage package)
@@ -113,6 +131,7 @@ class SessionStore:
         """
         self._check_schema(xtuple)
         tuple_id = xtuple.tuple_id
+        self._forget(tuple_id)
         if tuple_id in self._added:
             self._added[tuple_id] = xtuple
             return
@@ -128,14 +147,29 @@ class SessionStore:
         """Retract one x-tuple from the view (``KeyError`` if absent)."""
         if tuple_id in self._added:
             del self._added[tuple_id]
-            self._ids_cache = None
-            return
-        if tuple_id in self._base and tuple_id not in self._deleted:
+        elif tuple_id in self._base and tuple_id not in self._deleted:
             self._deleted.add(tuple_id)
             self._replaced.pop(tuple_id, None)
-            self._ids_cache = None
-            return
-        raise KeyError(tuple_id)
+        else:
+            raise KeyError(tuple_id)
+        self._ids_cache = None
+        self._forget(tuple_id)
+
+    def _forget(self, tuple_id: str) -> None:
+        """Drop *tuple_id* from every per-tuple memo."""
+        self.fingerprints.pop(tuple_id, None)
+        for memo in self._key_memos.values():
+            memo.pop(tuple_id, None)
+
+    def key_memo(self, key, strategy) -> dict[str, str]:
+        """The ``tuple id → key value`` memo of one blocking key.
+
+        Keyed by the key's parts and the conflict-resolution strategy:
+        a certain key is a function of its x-tuple alone (Section V),
+        so an entry stays valid until its id is upserted or deleted.
+        Filled by :func:`repro.reduction.plan.tuple_keys`.
+        """
+        return self._key_memos.setdefault((key.parts, strategy), {})
 
     def apply(self, operation: Mapping) -> None:
         """Apply one journal operation document (see :class:`SessionJournal`)."""
@@ -347,27 +381,195 @@ class SessionProjection:
         )
 
 
+class FramedLog:
+    """One append-only log file of CRC-framed records.
+
+    A record is one line, ``header \\t payload \\n``: the header is a
+    compact JSON object carrying the writer's fields plus ``seq`` (1, 2,
+    … over the framed records), ``crc`` (CRC32) and ``len`` (byte
+    length) of the payload.  Lines without a tab are unframed legacy
+    lines, yielded as their decoded JSON object.  Reading stops at the
+    first line that is cut short, fails its CRC or breaks the ``seq``
+    numbering: everything before it is the *committed* prefix,
+    everything from it on the torn tail, which the next :meth:`append`
+    truncates.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        #: Byte offset where the committed prefix ends, and the ``seq``
+        #: of its last framed record; ``None`` until a :meth:`records`
+        #: pass or a write established them.
+        self.end: int | None = None
+        self.seq = 0
+        #: Lines past the committed prefix at the last full pass.
+        self.torn = 0
+
+    def records(self) -> Iterator[tuple[dict | None, Any]]:
+        """``(header, payload bytes)`` per committed record, in order;
+        ``(None, object)`` per legacy line.
+
+        A consumer that stops early leaves :attr:`end` after the last
+        record it took, so a later append overwrites the rest.
+        """
+        offset = 0
+        self.end = 0
+        self.seq = 0
+        self.torn = 0
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with handle:
+            for line in handle:
+                record = _parse_line(line, self.seq + 1)
+                if record is None:
+                    self.torn = 1 + sum(1 for _ in handle)
+                    return
+                offset += len(line)
+                if record is not _BLANK:
+                    yield record
+                    if record[0] is not None:
+                        self.seq += 1
+                self.end = offset
+
+    def frame(self, header: Mapping, payload: str) -> bytes:
+        """The next record: *header* plus ``seq``, the payload's CRC32
+        and length, a tab, the payload, a newline."""
+        if self.end is None:
+            for _ in self.records():
+                pass
+        body = payload.encode("utf-8")
+        head = json.dumps(
+            {
+                **header,
+                "seq": self.seq + 1,
+                "crc": zlib.crc32(body),
+                "len": len(body),
+            },
+            separators=(",", ":"),
+        )
+        return head.encode("utf-8") + b"\t" + body + b"\n"
+
+    def append(self, record: bytes, boundary: str, hook) -> None:
+        """Durably write the record :meth:`frame` just built after the
+        committed prefix.
+
+        *hook* (see :attr:`SessionJournal.write_hook`) is called with
+        *boundary* once the torn tail is gone, just before the write.
+        """
+        mode = "r+b" if os.path.exists(self.path) else "wb"
+        with open(self.path, mode) as handle:
+            handle.seek(self.end)
+            handle.truncate()
+            if hook is not None:
+                hook(boundary, self.path, record)
+            handle.write(record)
+            handle.flush()
+            os.fsync(handle.fileno())
+        self.end += len(record)
+        self.seq += 1
+
+    def truncate(self, hook) -> None:
+        """Durably empty the log (*hook* as for :meth:`append`)."""
+        if hook is not None:
+            hook("truncate", self.path, b"")
+        if os.path.exists(self.path):
+            with open(self.path, "r+b") as handle:
+                handle.truncate(0)
+                os.fsync(handle.fileno())
+        self.end = 0
+        self.seq = 0
+
+
+#: Marker :func:`_parse_line` returns for blank lines.
+_BLANK = object()
+
+
+def _parse_line(line: bytes, seq: int):
+    """A committed record of *line*, :data:`_BLANK`, or ``None`` (torn)."""
+    if not line.endswith(b"\n"):
+        return None
+    head, tab, body = line[:-1].partition(b"\t")
+    try:
+        if not tab:
+            if not head.strip():
+                return _BLANK
+            legacy = json.loads(head)
+            return (None, legacy) if isinstance(legacy, dict) else None
+        header = json.loads(head)
+    except ValueError:
+        return None
+    if (
+        not isinstance(header, dict)
+        or header.get("seq") != seq
+        or header.get("len") != len(body)
+        or header.get("crc") != zlib.crc32(body)
+    ):
+        return None
+    return header, body
+
+
 class SessionJournal:
     """Appendable on-disk persistence of one detection session.
 
     Layout under *path*:
 
-    * ``journal.jsonl`` — one JSON document per applied operation
-      (``{"op": "upsert", "tuple": {...exact codec...}}`` /
-      ``{"op": "delete", "id": ...}``), appended and flushed per
-      ingest.  Replaying the journal over the base store rebuilds the
-      session's overlay exactly.
-    * ``snapshot.json`` — an atomically-replaced document the service
-      layer owns (partition fingerprint index, portable
-      similarity-cache entries, optionally retained decisions).  The
-      journal never interprets it beyond JSON.
+    * ``journal.jsonl`` — one :class:`FramedLog` record per ingest,
+      header ``{"seq", "ops", "crc", "len"}``, payload the JSON array of
+      the batch's operations (``{"op": "upsert", "tuple": {...exact
+      codec...}}`` / ``{"op": "delete", "id": ...}``).  Replaying the
+      committed records over the base store rebuilds the session's
+      overlay exactly; a batch is applied whole or not at all.
+      Unframed one-operation lines of older journals still replay.
+    * ``snapshot.json`` — the *base* of a document the service layer
+      owns (portable similarity-cache entries ``caches``, optionally
+      retained decisions ``retained``), tagged with a random
+      ``generation`` and atomically replaced.
+    * ``snapshot.delta.jsonl`` — what later saves added, one
+      :class:`FramedLog` record each, header ``{"gen", "seq", "crc",
+      "len"}``, payload ``{"caches": {attribute: [[left, right,
+      similarity], ...]}, "retained": {fingerprint: rows}, "dropped":
+      [fingerprint, ...]}`` (each key optional).
+
+    :meth:`load_snapshot` folds the records of the base's generation
+    into the base, drops before additions per record.  A compaction
+    (:meth:`save_snapshot`) writes a new base under a new generation,
+    then truncates the delta log; :meth:`append_snapshot_delta` declines
+    (returns ``None``) until this journal wrote or loaded a base, and
+    whenever the deltas would outgrow it — so a fold reads at most
+    twice the base.
+
+    A cut at any write leaves the committed prefix of each log intact:
+    a torn journal batch is not replayed (its ingest never happened),
+    a torn or stale delta only ends the fold early.  Staleness is safe:
+    the index holds content fingerprints, so a missing entry only makes
+    its partition recompute.  Dropped tail lines are counted in
+    :attr:`torn_records`.
     """
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
         os.makedirs(self.path, exist_ok=True)
-        self._journal_path = os.path.join(self.path, JOURNAL_NAME)
+        self._journal = FramedLog(os.path.join(self.path, JOURNAL_NAME))
+        self._deltas = FramedLog(os.path.join(self.path, DELTA_NAME))
         self._snapshot_path = os.path.join(self.path, SNAPSHOT_NAME)
+        #: The base this journal last wrote or loaded: its generation
+        #: and size (the delta log holds what was committed after it).
+        self._generation: str | None = None
+        self._base_bytes = 0
+        #: Called before every durable write of the directory as
+        #: ``(boundary, path, data)``, *boundary* one of ``"journal"``,
+        #: ``"delta"`` (a record append), ``"replace"`` (the base's
+        #: atomic replace) or ``"truncate"`` (emptying the delta log);
+        #: raising is a fault injection (see
+        #: :func:`repro.testing.faults.cut_write`).  ``None``: no hook.
+        self.write_hook = None
+
+    @property
+    def torn_records(self) -> int:
+        """Torn or corrupt records the last reads dropped (both logs)."""
+        return self._journal.torn + self._deltas.torn
 
     # -- operations ----------------------------------------------------
 
@@ -382,28 +584,31 @@ class SessionJournal:
         return {"op": "delete", "id": tuple_id}
 
     def append_ops(self, operations: Iterable[Mapping]) -> int:
-        """Append operation documents to the journal, flushed durably."""
-        count = 0
-        with open(self._journal_path, "a", encoding="utf-8") as journal:
-            for operation in operations:
-                # No sort_keys: encoded alternatives carry attribute
-                # order, which replay must reproduce byte for byte.
-                journal.write(json.dumps(operation, separators=(",", ":")))
-                journal.write("\n")
-                count += 1
-            journal.flush()
-            os.fsync(journal.fileno())
-        return count
+        """Append one batch of operations as one record, durably."""
+        batch = list(operations)
+        if not batch:
+            return 0
+        # No sort_keys: encoded alternatives carry attribute order,
+        # which replay must reproduce byte for byte.
+        record = self._journal.frame(
+            {"ops": len(batch)}, json.dumps(batch, separators=(",", ":"))
+        )
+        self._journal.append(record, "journal", self.write_hook)
+        return len(batch)
 
     def ops(self) -> Iterator[dict]:
-        """Replay the journal's operations in append order."""
-        if not os.path.exists(self._journal_path):
-            return
-        with open(self._journal_path, "r", encoding="utf-8") as journal:
-            for line in journal:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+        """Replay the committed operations in append order."""
+        for header, payload in self._journal.records():
+            if header is None:
+                yield payload
+                continue
+            batch = json.loads(payload)
+            if len(batch) != header.get("ops"):
+                raise ValueError(
+                    f"journal batch {header.get('seq')} holds {len(batch)} "
+                    f"operations, its header says {header.get('ops')}"
+                )
+            yield from batch
 
     def replay_into(self, store: SessionStore) -> int:
         """Apply every journaled operation to *store*; returns the count."""
@@ -415,23 +620,72 @@ class SessionJournal:
 
     # -- snapshot ------------------------------------------------------
 
-    def save_snapshot(self, document: Mapping) -> None:
-        """Atomically replace the snapshot document."""
-        write_text_atomic(
-            self._snapshot_path,
-            json.dumps(document, separators=(",", ":"), sort_keys=True),
+    def save_snapshot(self, document: Mapping) -> int:
+        """Compact: write *document* as a new base generation (atomic
+        replace), then truncate the delta log.  Returns bytes written."""
+        generation = os.urandom(8).hex()
+        text = json.dumps(
+            {**document, "generation": generation}, separators=(",", ":")
         )
+        data = text.encode("utf-8")
+        if self.write_hook is not None:
+            self.write_hook("replace", self._snapshot_path, data)
+        write_text_atomic(self._snapshot_path, text)
+        self._deltas.truncate(self.write_hook)
+        self._generation = generation
+        self._base_bytes = len(data)
+        return len(data)
+
+    def append_snapshot_delta(self, delta: Mapping) -> int | None:
+        """Append one delta record to the base this journal wrote or
+        loaded.
+
+        Returns the bytes written, or ``None`` when the caller must
+        compact instead: no base written yet, or the delta log would
+        outgrow the base.
+        """
+        if self._generation is None:
+            return None
+        record = self._deltas.frame(
+            {"gen": self._generation}, json.dumps(delta, separators=(",", ":"))
+        )
+        if self._deltas.end + len(record) > self._base_bytes:
+            return None
+        self._deltas.append(record, "delta", self.write_hook)
+        return len(record)
 
     def load_snapshot(self) -> dict | None:
-        """The last saved snapshot document, or ``None``."""
+        """The base snapshot with its generation's committed deltas
+        folded in, or ``None``.  Later deltas append after the fold."""
         if not os.path.exists(self._snapshot_path):
             return None
-        with open(self._snapshot_path, "r", encoding="utf-8") as snapshot:
-            return json.load(snapshot)
+        with open(self._snapshot_path, "rb") as snapshot:
+            data = snapshot.read()
+        document = json.loads(data)
+        generation = document.get("generation")
+        if generation is None:
+            return document  # written before snapshots had delta logs
+        caches = document.setdefault("caches", {})
+        for header, payload in self._deltas.records():
+            if header is None or header.get("gen") != generation:
+                break  # a compaction cut before its truncate
+            delta = json.loads(payload)
+            if "retained" in delta or "dropped" in delta:
+                retained = document.setdefault("retained", {})
+                for fingerprint in delta.get("dropped", ()):
+                    retained.pop(fingerprint, None)
+                retained.update(delta.get("retained", {}))
+            for attribute, rows in delta.get("caches", {}).items():
+                caches.setdefault(attribute, []).extend(rows)
+        self._generation = generation
+        self._base_bytes = len(data)
+        return document
 
 
 __all__ = [
+    "DELTA_NAME",
     "DELTA_SOURCE",
+    "FramedLog",
     "JOURNAL_NAME",
     "SNAPSHOT_NAME",
     "SessionJournal",

@@ -75,6 +75,7 @@ from repro.reduction.plan import (
     plan_from_window,
     split_partition_by_groups,
     tuple_fingerprint,
+    tuple_keys,
 )
 from repro.reduction.snm import (
     SortedNeighborhood,
@@ -139,6 +140,7 @@ __all__ = [
     "prefix_transform",
     "refine_key",
     "tuple_fingerprint",
+    "tuple_keys",
     "split_block_by_refined_key",
     "select_diverse_worlds",
     "select_probable_worlds",

@@ -38,6 +38,7 @@ from repro.reduction.plan import (
     plan_from_blocks,
     planning_view,
     split_partition_by_groups,
+    tuple_keys,
     within_block_pairs,
 )
 from repro.reduction.world_selection import (
@@ -171,15 +172,16 @@ class CertainKeyBlocking:
     def blocks(self, relation: XRelation) -> dict[str, list[str]]:
         """Partition: ``key value → member tuple ids``.
 
-        The scan reads nothing but the key attributes (and alternative
-        probabilities), so key extraction runs over
-        :func:`~repro.reduction.plan.planning_view` — columnar stores
-        serve it from the keyed columns alone.
+        The keys come from :func:`~repro.reduction.plan.tuple_keys`:
+        a scan of the key attributes alone (columnar stores serve it
+        from the keyed columns), or on a session overlay the memoized
+        keys with only changed tuples re-keyed.
         """
         blocks: dict[str, list[str]] = {}
-        for xtuple in planning_view(relation, self._key.attributes):
-            key_value = self._key_strategy(xtuple, self._key)
-            blocks.setdefault(key_value, []).append(xtuple.tuple_id)
+        for tuple_id, key_value in tuple_keys(
+            relation, self._key, self._key_strategy
+        ):
+            blocks.setdefault(key_value, []).append(tuple_id)
         return blocks
 
     @property

@@ -30,6 +30,9 @@ makes the structure explicit:
   columns of stores that support projection (the columnar backend),
   and spill-time statistics (zone maps, key histograms) reach the
   planner without touching tuple data;
+* :func:`tuple_keys` — the certain-key pass over that view, memoized
+  per tuple on session overlays so a refresh re-keys changed tuples
+  only;
 * :func:`tuple_fingerprint` / :func:`partition_fingerprint` /
   :func:`plan_fingerprints` / :func:`delta_plan` — content fingerprints
   over a partition's decision-relevant state (pairs + member tuple
@@ -54,6 +57,7 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator, MutableMapping, Sequence
 from dataclasses import dataclass, replace
+from itertools import chain, combinations
 from typing import Any, Collection, Mapping, Protocol, runtime_checkable
 
 from repro.pdb.storage.base import fetch_tuples
@@ -239,6 +243,40 @@ def planning_view(relation, attributes: Iterable[str]):
         return relation
 
 
+def tuple_keys(relation, key, strategy) -> list[tuple[str, str]]:
+    """``(tuple id, certain key value)`` per tuple, in iteration order.
+
+    The key pass of certain-key blocking and sorting: *strategy* (the
+    conflict resolution, e.g. most probable key) applied to every tuple
+    of the :func:`planning_view`.  A store exposing ``key_memo`` (the
+    session overlay, which invalidates an id's entries when it changes)
+    keeps the computed keys: once its memo is warm only ids missing
+    from it are fetched — in :data:`VOCABULARY_BATCH_MEMBERS` batches —
+    and keyed, and the result walks ``tuple_ids``, the same order the
+    scan would have produced.
+    """
+    key_memo = getattr(relation, "key_memo", None)
+    memo = key_memo(key, strategy) if callable(key_memo) else None
+    if not memo:
+        keyed = [
+            (xtuple.tuple_id, strategy(xtuple, key))
+            for xtuple in planning_view(relation, key.attributes)
+        ]
+        if memo is not None:
+            memo.update(keyed)
+            relation.keys_computed += len(keyed)
+        return keyed
+    tuple_ids = relation.tuple_ids
+    missing = [tuple_id for tuple_id in tuple_ids if tuple_id not in memo]
+    for start in range(0, len(missing), VOCABULARY_BATCH_MEMBERS):
+        batch = missing[start : start + VOCABULARY_BATCH_MEMBERS]
+        working_set = fetch_tuples(relation, batch)
+        for tuple_id in batch:
+            memo[tuple_id] = strategy(working_set[tuple_id], key)
+    relation.keys_computed += len(missing)
+    return [(tuple_id, memo[tuple_id]) for tuple_id in tuple_ids]
+
+
 class PlanBuilder:
     """Accumulates partitions under the pipeline's pair invariants.
 
@@ -262,23 +300,21 @@ class PlanBuilder:
         """
         seen = self._seen
         unique: list[tuple[str, str]] = []
-        members: dict[str, None] = {}
         for left, right in pairs:
             if left == right:
                 continue
-            pair = ordered_pair(left, right)
+            # ordered_pair, inlined: this loop runs once per candidate.
+            pair = (left, right) if left <= right else (right, left)
             if pair in seen:
                 continue
             seen.add(pair)
             unique.append(pair)
-            members[pair[0]] = None
-            members[pair[1]] = None
         if unique:
             self._partitions.append(
                 CandidatePartition(
                     label=str(label),
                     pairs=tuple(unique),
-                    members=tuple(members),
+                    members=tuple(dict.fromkeys(chain.from_iterable(unique))),
                 )
             )
         return len(unique)
@@ -296,9 +332,7 @@ def within_block_pairs(
     members: Sequence[str],
 ) -> Iterator[tuple[str, str]]:
     """All unordered pairs inside one block, in enumeration order."""
-    for i, left in enumerate(members):
-        for right in members[i + 1 :]:
-            yield left, right
+    return combinations(members, 2)
 
 
 def window_span_pairs(
@@ -330,7 +364,8 @@ def plan_from_blocks(
     """One partition per block, in block-insertion order."""
     builder = PlanBuilder()
     for key, members in blocks.items():
-        builder.add(f"{prefix}:{key}", within_block_pairs(members))
+        if len(members) > 1:  # a single member forms no pair
+            builder.add(f"{prefix}:{key}", within_block_pairs(members))
     return builder.build(relation_size=relation_size, source=source)
 
 

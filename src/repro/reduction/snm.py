@@ -26,8 +26,8 @@ from repro.reduction.plan import (
     CandidatePlan,
     ordered_pair as _ordered,
     plan_from_window,
-    planning_view,
     split_partition_by_groups,
+    tuple_keys,
 )
 
 #: Members fetched per batch while recomputing keys for a sub-key
@@ -174,12 +174,15 @@ class SortedNeighborhood:
     def keyed_ids(self, relation: XRelation) -> list[tuple[str, str]]:
         """``(key value, tuple id)`` pairs for the whole relation.
 
-        Runs over :func:`~repro.reduction.plan.planning_view`, so
-        columnar stores serve the pass from the keyed columns alone.
+        Keys come from :func:`~repro.reduction.plan.tuple_keys`
+        (columnar stores serve the pass from the keyed columns alone;
+        session overlays re-key changed tuples only).
         """
         return [
-            (self._key_strategy(xtuple, self._key), xtuple.tuple_id)
-            for xtuple in planning_view(relation, self._key.attributes)
+            (key_value, tuple_id)
+            for tuple_id, key_value in tuple_keys(
+                relation, self._key, self._key_strategy
+            )
         ]
 
     def sorted_ids(self, relation: XRelation) -> list[str]:

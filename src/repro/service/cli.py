@@ -143,6 +143,7 @@ def result_document(session, result: DetectionResult) -> dict[str, Any]:
             "pairs_executed": stats.pairs_executed,
             "tombstoned_pairs": stats.tombstoned_pairs,
             "gate_trips": stats.gate_trips,
+            **durability_counters(stats),
             "cache_hit_rates": session.cache_hit_rates(),
         },
         "report": report.summary() if report is not None else None,
@@ -155,12 +156,23 @@ def result_document(session, result: DetectionResult) -> dict[str, Any]:
     return document
 
 
+def durability_counters(stats) -> dict[str, int]:
+    """The session's snapshot, re-keying and recovery counters."""
+    return {
+        "snapshot_bytes": stats.snapshot_bytes,
+        "snapshot_compactions": stats.snapshot_compactions,
+        "keys_computed": stats.keys_computed,
+        "torn_records": stats.torn_records,
+    }
+
+
 def stats_document(session) -> dict[str, Any]:
     """The JSON answer for a stats query."""
     return {
         "summary": session.stats.summary(),
         "overlay_size": session.store.overlay_size,
         "tuples": len(session.store),
+        **durability_counters(session.stats),
         "cache_hit_rates": session.cache_hit_rates(),
     }
 

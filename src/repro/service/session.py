@@ -86,6 +86,14 @@ class SessionStats:
     #: whose gates tripped counts its trips once per refresh — every
     #: refresh it force-decides UNSURE is one more audit-worthy event).
     gate_trips: int = 0
+    #: Snapshot bytes actually written (bases and delta records) and
+    #: how many saves rewrote the base.
+    snapshot_bytes: int = 0
+    snapshot_compactions: int = 0
+    #: Blocking keys computed by the planner (memoized keys excluded).
+    keys_computed: int = 0
+    #: Torn or corrupt journal/snapshot records dropped on open.
+    torn_records: int = 0
 
     def summary(self) -> str:
         """One-line operator summary of the session so far."""
@@ -97,6 +105,14 @@ class SessionStats:
             f"pairs {self.pairs_executed}/{self.pairs_planned} decided, "
             f"{self.tombstoned_pairs} tombstoned"
         )
+        line += f"; {self.keys_computed} keys computed"
+        if self.snapshot_bytes:
+            line += (
+                f"; snapshot {self.snapshot_bytes} B written, "
+                f"{self.snapshot_compactions} compactions"
+            )
+        if self.torn_records:
+            line += f"; {self.torn_records} torn records dropped"
         if self.gate_trips:
             line += f"; {self.gate_trips} gate trips (forced UNSURE)"
         return line
@@ -179,14 +195,17 @@ class DetectionSession:
         self._audit = audit
         self._floors = floors
 
-        #: Memoized per-tuple content fingerprints, invalidated on
-        #: upsert/delete of the id.
-        self._tuple_fps: dict[str, str] = {}
         #: Fingerprint → retained per-partition decision slice.
         self._retained: dict[str, tuple[XTupleDecision, ...]] = {}
         #: Pairs the current result covers, in plan order.
         self._previous_pairs: tuple[tuple[str, str], ...] = ()
         self._result: DetectionResult | None = None
+        #: What the journal's snapshot holds: one cache cursor per
+        #: attribute, and the retained fingerprints (``None`` when
+        #: decisions are not persisted).  ``None`` until a save or a
+        #: restore; the first save of a session that restored nothing
+        #: therefore compacts.
+        self._saved: tuple[dict, set[str] | None] | None = None
 
         self.stats = SessionStats()
         #: Report of the most recent refresh's execution (the *delta*
@@ -205,6 +224,7 @@ class DetectionSession:
         if self._journal is not None:
             self._journal.replay_into(self._store)
             self._restore_snapshot()
+            self.stats.torn_records = self._journal.torn_records
 
     # ------------------------------------------------------------------
     # Public surface
@@ -244,13 +264,11 @@ class DetectionSession:
         upserted = 0
         for xtuple in upserts:
             self._store.upsert(xtuple)
-            self._tuple_fps.pop(xtuple.tuple_id, None)
             operations.append(SessionJournal.upsert_op(xtuple))
             upserted += 1
         deleted = 0
         for tuple_id in deletes:
             self._store.delete(tuple_id)
-            self._tuple_fps.pop(tuple_id, None)
             operations.append(SessionJournal.delete_op(tuple_id))
             deleted += 1
         if self._journal is not None and operations:
@@ -271,7 +289,7 @@ class DetectionSession:
         if not self._within_sources:
             plan = cross_source_plan(plan, view)
         fingerprints = plan_fingerprints(
-            view, plan, tuple_fingerprints=self._tuple_fps
+            view, plan, tuple_fingerprints=view.fingerprints
         )
         stale = delta_plan(plan, fingerprints, self._retained)
 
@@ -346,6 +364,7 @@ class DetectionSession:
         self.stats.pairs_executed += stale.total_pairs
         self.stats.tombstoned_pairs += len(self.tombstones)
         self.stats.gate_trips += len(self.gate_trips)
+        self.stats.keys_computed = view.keys_computed
 
         if self._audit:
             self._record_manifest(fingerprints, partition_counts, skipped)
@@ -420,10 +439,40 @@ class DetectionSession:
         }
 
     def save(self) -> None:
-        """Persist the snapshot (cache entries, retained index)."""
+        """Persist the snapshot (cache entries, retained index).
+
+        Appends what changed since the last save as one delta record;
+        the first save, a save after a cache was cleared, and a save
+        whose deltas would outgrow the base rewrite the base instead
+        (see :class:`~repro.pdb.storage.SessionJournal`).
+        """
         if self._journal is None:
             raise ValueError("session has no journal to save into")
-        self._journal.save_snapshot(self._snapshot_document())
+        delta = self._snapshot_delta()
+        written = None
+        if delta is not None:
+            written = (
+                self._journal.append_snapshot_delta(delta) if delta else 0
+            )
+        persisted = self._retained
+        if written is None:
+            document = self._snapshot_document()
+            written = self._journal.save_snapshot(document)
+            self.stats.snapshot_compactions += 1
+            persisted = document.get("retained", {})
+        self.stats.snapshot_bytes += written
+        self._mark_saved(persisted)
+
+    def _mark_saved(self, persisted) -> None:
+        """Record that the snapshot now holds the live caches and, when
+        decisions persist, the retained fingerprints of *persisted*."""
+        self._saved = (
+            {
+                attribute: cache.cursor()
+                for attribute, cache in self._matcher.cache_stats().items()
+            },
+            None if self._keep_derivations else set(persisted),
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -458,39 +507,78 @@ class DetectionSession:
     def _snapshot_document(self) -> dict:
         caches: dict[str, list] = {}
         for attribute, cache in self._matcher.cache_stats().items():
-            entries = [
-                [left, right, value]
-                for left, right, value in cache.export_entries()
-            ]
+            entries = list(cache.export_entries())
             if entries:
                 caches[attribute] = entries
         document: dict = {"format": SNAPSHOT_FORMAT, "caches": caches}
         if not self._keep_derivations:
-            # Decisions are portable only without derivation matrices;
-            # JSON round-trips Python floats exactly, so restored
-            # decisions stay bitwise-identical.
-            retained: dict[str, list] = {}
-            portable = True
-            for fingerprint, slice_decisions in self._retained.items():
-                rows = []
-                for decision in slice_decisions:
-                    if decision.derivation_input is not None:
-                        portable = False
-                        break
-                    rows.append(
-                        [
-                            decision.left_id,
-                            decision.right_id,
-                            decision.decision.status.value,
-                            decision.decision.similarity,
-                        ]
-                    )
-                if not portable:
-                    break
-                retained[fingerprint] = rows
-            if portable:
+            retained = self._portable_slices(self._retained)
+            if retained is not None:
                 document["retained"] = retained
         return document
+
+    def _snapshot_delta(self) -> dict | None:
+        """What changed since the last save, or ``None`` when only a
+        full document describes the state (no save yet, a cache was
+        cleared or replaced, a retained slice is not portable)."""
+        if self._saved is None:
+            return None
+        cursors, saved_fps = self._saved
+        live = self._matcher.cache_stats()
+        if live.keys() != cursors.keys():
+            return None
+        delta: dict = {}
+        caches: dict[str, list] = {}
+        for attribute, cache in live.items():
+            entries = cache.export_since(cursors[attribute])
+            if entries is None:
+                return None
+            if entries:
+                caches[attribute] = entries
+        if caches:
+            delta["caches"] = caches
+        if saved_fps is not None:
+            added = self._portable_slices(
+                {
+                    fingerprint: slice_decisions
+                    for fingerprint, slice_decisions in self._retained.items()
+                    if fingerprint not in saved_fps
+                }
+            )
+            if added is None:
+                return None
+            dropped = [
+                fingerprint
+                for fingerprint in saved_fps
+                if fingerprint not in self._retained
+            ]
+            if added:
+                delta["retained"] = added
+            if dropped:
+                delta["dropped"] = dropped
+        return delta
+
+    @staticmethod
+    def _portable_slices(slices) -> dict[str, list] | None:
+        """JSON rows per retained slice, or ``None`` if one carries
+        derivation matrices.  JSON round-trips Python floats exactly,
+        so restored decisions stay bitwise-identical."""
+        portable: dict[str, list] = {}
+        for fingerprint, slice_decisions in slices.items():
+            rows = []
+            for decision in slice_decisions:
+                if decision.derivation_input is not None:
+                    return None
+                rows.append(
+                    (
+                        decision.left_id,
+                        decision.right_id,
+                        decision.decision.status.value,
+                        decision.decision.similarity,
+                    )
+                )
+            portable[fingerprint] = rows
+        return portable
 
     def _restore_snapshot(self) -> None:
         document = self._journal.load_snapshot()
@@ -501,18 +589,22 @@ class DetectionSession:
             cache = live.get(attribute)
             if cache is not None:
                 cache.absorb(tuple(row) for row in rows)
-        if self._keep_derivations:
-            return
-        for fingerprint, rows in (document.get("retained") or {}).items():
-            self._retained[fingerprint] = tuple(
-                XTupleDecision(
-                    left_id,
-                    right_id,
-                    Decision(MatchStatus(status), float(similarity)),
-                    None,
+        if not self._keep_derivations:
+            for fingerprint, rows in (
+                document.get("retained") or {}
+            ).items():
+                self._retained[fingerprint] = tuple(
+                    XTupleDecision(
+                        left_id,
+                        right_id,
+                        Decision(MatchStatus(status), float(similarity)),
+                        None,
+                    )
+                    for left_id, right_id, status, similarity in rows
                 )
-                for left_id, right_id, status, similarity in rows
-            )
+        # The restored state is what the snapshot holds: the next save
+        # appends what changes after it.
+        self._mark_saved(self._retained)
 
     def __repr__(self) -> str:
         return (

@@ -50,7 +50,7 @@ module provides the performance core:
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Any, Iterable, Iterator
 
 from repro.similarity.base import (
@@ -515,6 +515,7 @@ class SimilarityCache:
         "_bands",
         "_frozen",
         "_store",
+        "_clears",
     )
 
     def __init__(
@@ -541,6 +542,9 @@ class SimilarityCache:
         ] = {}
         self._frozen = False
         self._store: dict[tuple[Any, Any], float] = {}
+        #: Wholesale clears of the store so far — one counter shared
+        #: with every :meth:`with_base` view, like the store itself.
+        self._clears = [0]
 
     def __call__(self, left: Any, right: Any) -> float:
         if left is right or (type(left) is type(right) and left == right):
@@ -556,6 +560,7 @@ class SimilarityCache:
         if not self._frozen:
             if len(store) >= self.max_entries:
                 store.clear()
+                self._clears[0] += 1
             store[key] = result
         return result
 
@@ -810,6 +815,7 @@ class SimilarityCache:
             band=self.band,
         )
         clone._store = self._store
+        clone._clears = self._clears
         clone._bands = self._bands
         clone._frozen = self._frozen
         return clone
@@ -823,10 +829,41 @@ class SimilarityCache:
         type codec.  Entries under composite keys (non-string operands)
         are simply not exported; they are re-derivable on demand.
         """
-        for key, value in self._store.items():
-            left, right = key
+        return self._portable(self._store.items())
+
+    @staticmethod
+    def _portable(items) -> Iterator[tuple[str, str, float]]:
+        for (left, right), value in items:
             if type(left) is str and type(right) is str:
                 yield left, right, value
+
+    def cursor(self) -> tuple:
+        """A position in the table's insertion order, for
+        :meth:`export_since`.
+
+        Entries are only ever appended — lookups, warming and absorbing
+        insert, nothing removes one entry — until a wholesale clear
+        (the overflow clear or :meth:`clear`) empties the store; the
+        cursor records the store, its clear count and its length.
+        """
+        return (self._store, self._clears[0], len(self._store))
+
+    def export_since(
+        self, cursor: tuple
+    ) -> list[tuple[str, str, float]] | None:
+        """The portable entries stored after *cursor*, in insertion order.
+
+        ``None`` when the table was cleared (or is another table) since
+        the cursor was taken: entries exported before it may be gone,
+        so only a full :meth:`export_entries` describes the table.
+        """
+        store, clears, position = cursor
+        if store is not self._store or clears != self._clears[0]:
+            return None
+        # Walk back from the newest entry: O(new entries), not O(table).
+        fresh = list(islice(reversed(store.items()), len(store) - position))
+        fresh.reverse()
+        return list(self._portable(fresh))
 
     def absorb(self, entries: Iterable[tuple[Any, Any, float]]) -> int:
         """Restore previously exported entries without recomputation.
@@ -858,6 +895,7 @@ class SimilarityCache:
     def clear(self) -> None:
         """Drop all entries and reset the statistics."""
         self._store.clear()
+        self._clears[0] += 1
         self.hits = 0
         self.misses = 0
         self.warmed = 0

@@ -3,18 +3,23 @@
 Currently one: :mod:`repro.testing.faults`, the deterministic
 fault-injection harness behind the chaos suite — seeded injectors that
 kill the worker handling a chosen dispatch, stall it past its deadline,
-crash it outright, or flip a byte of a spilled segment on disk.  Lives
-in the package (not ``tests/``) so downstream deployments can chaos-test
-their own configurations with the same tools CI uses.
+crash it outright, flip a byte of a spilled segment on disk, or cut a
+durable session at one write boundary of its directory.  Lives in the
+package (not ``tests/``) so downstream deployments can chaos-test their
+own configurations with the same tools CI uses.
 """
 
 from repro.testing.faults import (
+    WRITE_BOUNDARIES,
     FaultHook,
     FaultInjector,
     FlippedByte,
     InjectedWorkerCrash,
+    InjectedWriteCrash,
+    WriteHook,
     compose,
     crash_on,
+    cut_write,
     installed,
     kill_on,
     stall_on,
@@ -25,8 +30,12 @@ __all__ = [
     "FaultInjector",
     "FlippedByte",
     "InjectedWorkerCrash",
+    "InjectedWriteCrash",
+    "WRITE_BOUNDARIES",
+    "WriteHook",
     "compose",
     "crash_on",
+    "cut_write",
     "installed",
     "kill_on",
     "stall_on",

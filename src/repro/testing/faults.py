@@ -18,7 +18,13 @@ seed-chosen but fully deterministic targets:
   succeed no matter which worker process the retry lands on;
 * **on-disk byte flips** — :meth:`FaultInjector.flip_byte` corrupts a
   seed-chosen byte of a seed-chosen segment of a spilled store, for
-  exercising checksum verification and quarantine.
+  exercising checksum verification and quarantine;
+* **cut session writes** — :func:`cut_write` crashes a durable session
+  at one write boundary of its directory (journal append, snapshot
+  delta append, compaction's base replace or delta truncate), leaving
+  nothing or a torn half of what the write would have put on disk
+  (install it as the session journal's
+  :attr:`~repro.pdb.storage.SessionJournal.write_hook`).
 
 The hooks are installed in the parent *before* the engine forks its
 pool, so every worker inherits them (fork start method; the platforms
@@ -55,8 +61,22 @@ from repro.matching.executor.workers import set_fault_hook
 FaultHook = Callable[[int, Sequence[tuple[str, str]]], None]
 
 
+#: Hook signature a session journal consults before each write
+#: (:attr:`~repro.pdb.storage.SessionJournal.write_hook`):
+#: ``(boundary, path, data) -> None``; raising is the injection.
+WriteHook = Callable[[str, str, bytes], None]
+
+#: The write boundaries of a session directory, in the order one
+#: compacting save reaches them after its ingest's journal append.
+WRITE_BOUNDARIES = ("journal", "delta", "replace", "truncate")
+
+
 class InjectedWorkerCrash(RuntimeError):
     """The exception :func:`crash_on` injectors raise inside a worker."""
+
+
+class InjectedWriteCrash(RuntimeError):
+    """The exception :func:`cut_write` injectors raise at a write."""
 
 
 @contextmanager
@@ -158,6 +178,39 @@ def stall_on(
     def hook(attempt: int, pairs: Sequence[tuple[str, str]]) -> None:
         if matches(attempt, pairs):
             time.sleep(seconds)
+
+    return hook
+
+
+def cut_write(boundary: str, *, torn: bool = False) -> WriteHook:
+    """Crash the session write reaching *boundary*.
+
+    Without *torn* the write never starts (a crash between records).
+    With it, the cut lands mid-write: an append leaves the first half
+    of its record at the end of the log, a base replace leaves half the
+    new base in a stray temporary file beside it, a truncate leaves the
+    delta log cut to half its length.  Install it as a journal's
+    ``write_hook``.
+    """
+    if boundary not in WRITE_BOUNDARIES:
+        raise ValueError(f"unknown write boundary {boundary!r}")
+
+    def hook(at: str, path: str, data: bytes) -> None:
+        if at != boundary:
+            return
+        if torn:
+            if boundary in ("journal", "delta"):
+                with open(path, "ab") as handle:
+                    handle.write(data[: len(data) // 2])
+            elif boundary == "replace":
+                with open(f"{path}.cut.tmp", "wb") as handle:
+                    handle.write(data[: len(data) // 2])
+            elif os.path.exists(path):
+                os.truncate(path, os.path.getsize(path) // 2)
+        raise InjectedWriteCrash(
+            f"injected {'torn ' if torn else ''}cut at the {boundary} "
+            f"write of {os.path.basename(path)}"
+        )
 
     return hook
 
@@ -288,8 +341,12 @@ __all__ = [
     "FaultInjector",
     "FlippedByte",
     "InjectedWorkerCrash",
+    "InjectedWriteCrash",
+    "WRITE_BOUNDARIES",
+    "WriteHook",
     "compose",
     "crash_on",
+    "cut_write",
     "installed",
     "kill_on",
     "stall_on",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.matching.executor import DetectionResult
+from repro.pdb.relations import XRelation
 from repro.reduction.plan import ordered_pair
 
 
@@ -50,3 +51,38 @@ def oracle_detect(detector, relation, *, keep_derivations=True):
 def oracle():
     """:func:`oracle_detect`, for tests and fixtures of any scope."""
     return oracle_detect
+
+
+def materialize_batches(base, batches) -> XRelation:
+    """The relation a session over *base* holds after ingesting
+    ``(upserts, deletes)`` *batches*, built without the session.
+
+    Base ids keep their position (a re-upserted base id returns to
+    it), new ids append in arrival order; within a batch upserts apply
+    before deletes.
+    """
+    live = {xtuple.tuple_id: xtuple for xtuple in base}
+    added: dict = {}
+    for upserts, deletes in batches:
+        for xtuple in upserts:
+            if xtuple.tuple_id in base:
+                live[xtuple.tuple_id] = xtuple
+            else:
+                added[xtuple.tuple_id] = xtuple
+        for tuple_id in deletes:
+            if tuple_id in added:
+                del added[tuple_id]
+            else:
+                del live[tuple_id]
+    rows = [live[t] for t in base.tuple_ids if t in live]
+    return XRelation(
+        f"{base.name}+batches",
+        base.schema.attributes,
+        rows + list(added.values()),
+    )
+
+
+@pytest.fixture(scope="session")
+def materialize():
+    """:func:`materialize_batches`, for tests and fixtures of any scope."""
+    return materialize_batches

@@ -333,6 +333,22 @@ class TestComparatorBackends:
         clone("meier", "unseen")
         assert cache("unseen", "meier") is not None
         assert cache.hits > 0
+        # Cursors see what either view stored since, in insertion order,
+        # until a wholesale clear through either view — the clear count
+        # is shared like the store.
+        cursor = cache.cursor()
+        clone("meier", "brandt")
+        assert cache.export_since(cursor) == [
+            ("brandt", "meier", FAST_LEVENSHTEIN("meier", "brandt"))
+        ]
+        clone.clear()
+        assert cache.export_since(cursor) is None
+        small = SimilarityCache(FAST_LEVENSHTEIN, max_entries=2)
+        small("a", "b")
+        cursor = small.cursor()
+        small("a", "c")
+        small("a", "d")  # overflow: the store clears wholesale
+        assert small.export_since(cursor) is None
 
     def test_banded_caches_memoized_per_band_and_backend(self):
         cache = SimilarityCache(FAST_LEVENSHTEIN)

@@ -10,11 +10,17 @@ two-attempt retry policy that degrades or raises on exhaustion.
 The batched decide loop must likewise agree with the oracle's per-pair
 ``decide`` for every decision model, derivation, pattern policy and
 pushdown setting, with and without kept derivations.
+
+A durable session must too: after every ingest of a sampled stream of
+re-keying upserts, deletes with re-upserts and new ids, and again when
+re-opened from its directory — with caches small enough to clear
+wholesale between saves.
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +53,7 @@ from repro.pdb.relations import XRelation
 from repro.pdb.values import NULL, PatternValue, ProbabilisticValue
 from repro.pdb.xtuples import TupleAlternative, XTuple
 from repro.similarity.jaro import FAST_JARO_WINKLER
-from repro.similarity.kernels import FAST_LEVENSHTEIN
+from repro.similarity.kernels import FAST_LEVENSHTEIN, SimilarityCache
 from repro.similarity.uncertain import PatternPolicy, UncertainValueComparator
 from repro.reduction import (
     AlternativeKeyBlocking,
@@ -60,6 +66,7 @@ from repro.reduction import (
     SubstringKey,
     UncertainKeyClusteringBlocking,
     UncertainKeySNM,
+    most_probable_key,
 )
 
 SORT_KEY = SubstringKey([("name", 3), ("job", 2)])
@@ -413,3 +420,144 @@ def test_batched_decide_path_decides_like_the_oracle(
     assert [d.derivation_input for d in result.decisions] == [
         d.derivation_input for d in reference
     ]
+
+
+# ----------------------------------------------------------------------
+# Session dimension
+# ----------------------------------------------------------------------
+
+#: Two reducers whose key pass a session memoizes per tuple, and one
+#: whose blocks it recomputes whole.
+SESSION_REDUCERS = ("certain_blocking", "snm", "phonetic_blocking")
+
+#: First-name-letter key: a donor with another initial re-keys a tuple
+#: under every sampled reducer.
+INITIAL = SubstringKey([("name", 1)])
+
+
+@pytest.fixture(scope="module")
+def session_relation():
+    """x-tuples in which every session reducer finds blocks to keep."""
+    return generate_dataset(DatasetConfig(entity_count=16, seed=63)).relation
+
+
+def _session_detector(name, max_entries):
+    """*name*'s detector; with *max_entries*, caches that small clear
+    wholesale while a session runs (so a save must compact)."""
+    if max_entries is None:
+        matcher = default_matcher()
+    else:
+        matcher = AttributeMatcher(
+            {
+                "name": UncertainValueComparator(
+                    FAST_JARO_WINKLER,
+                    cache=SimilarityCache(
+                        FAST_JARO_WINKLER, max_entries=max_entries
+                    ),
+                ),
+                "job": UncertainValueComparator(
+                    FAST_JARO_WINKLER,
+                    pattern_policy=PatternPolicy.EXPAND,
+                    pattern_lexicon=JOBS,
+                    cache=SimilarityCache(
+                        FAST_JARO_WINKLER, max_entries=max_entries
+                    ),
+                ),
+            }
+        )
+    return DuplicateDetector(
+        matcher, weighted_model(), reducer=REDUCERS[name][0]()
+    )
+
+
+def _session_batches(relation, steps):
+    """A session's base and ingest batches from sampled ``(kind, pick)``
+    steps over the last third of *relation* (the donors)."""
+    rows = list(relation)
+    cut = len(rows) - len(rows) // 3
+    base = XRelation(relation.name, relation.schema.attributes, rows[:cut])
+    donors = rows[cut:]
+    live = list(base.tuple_ids)
+    content = {xtuple.tuple_id: xtuple for xtuple in base}
+    batches = []
+    for number, (kind, pick) in enumerate(steps):
+        victim = live[pick % len(live)]
+        donor = donors[pick % len(donors)]
+        if kind == "rekey":
+            initial = most_probable_key(content[victim], INITIAL)
+            donor = next(
+                (
+                    candidate
+                    for candidate in donors
+                    if most_probable_key(candidate, INITIAL) != initial
+                ),
+                donor,
+            )
+        if kind in ("rekey", "modify"):
+            content[victim] = XTuple(victim, donor.alternatives)
+            batches.append(([content[victim]], []))
+        elif kind == "delete_readd":
+            batches.append(([], [victim]))
+            batches.append(([content[victim]], []))
+        else:
+            fresh = XTuple(f"new{number}", donor.alternatives)
+            content[fresh.tuple_id] = fresh
+            live.append(fresh.tuple_id)
+            batches.append(([fresh], []))
+    return base, batches
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(SESSION_REDUCERS),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("rekey", "modify", "delete_readd", "new")),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+    max_entries=st.sampled_from((None, 2)),
+)
+def test_session_decides_like_the_oracle(
+    session_relation, oracle, materialize, name, steps, max_entries
+):
+    """detect over the committed view, every ingest of the stream, and
+    a re-opened session all decide what the oracle decides."""
+    base, batches = _session_batches(session_relation, steps)
+    with tempfile.TemporaryDirectory() as directory:
+        detector = _session_detector(name, max_entries)
+        session = detector.session(
+            base, journal=directory, keep_derivations=False
+        )
+        session.detect()
+        caches = detector.procedure.matcher.cache_stats().values()
+        for count, (upserts, deletes) in enumerate(batches, 1):
+            cursors = [cache.cursor() for cache in caches]
+            compactions = session.stats.snapshot_compactions
+            result = session.ingest(upserts, deletes=deletes)
+            if any(
+                cache.export_since(cursor) is None
+                for cache, cursor in zip(caches, cursors)
+            ):
+                # A cache cleared since the last save: the save compacts.
+                assert session.stats.snapshot_compactions == compactions + 1
+            reference = oracle(
+                _detector(name),
+                materialize(base, batches[:count]),
+                keep_derivations=False,
+            )
+            assert _bitwise(result.decisions) == _bitwise(
+                reference.decisions
+            )
+        view = materialize(base, batches)
+        detected = _detector(name).detect(view, keep_derivations=False)
+        assert _bitwise(detected.decisions) == _bitwise(reference.decisions)
+        reopened = _session_detector(name, max_entries).session(
+            base, journal=directory, keep_derivations=False
+        )
+        assert _bitwise(reopened.detect().decisions) == _bitwise(
+            reference.decisions
+        )
+        assert reopened.stats.torn_records == 0

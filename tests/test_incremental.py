@@ -42,6 +42,7 @@ from repro.reduction import (
     plan_candidates,
     plan_fingerprints,
 )
+from repro.service.cli import stats_document
 
 SORT_KEY = SubstringKey([("name", 3), ("job", 2)])
 BLOCK_KEY = SubstringKey([("name", 1), ("job", 1)])
@@ -255,9 +256,12 @@ def test_untouched_partitions_are_not_re_executed(flat_relation):
     session.detect()
     executed_before = session.stats.partitions_executed
     planned_before = session.stats.partitions_planned
+    assert session.stats.keys_computed == len(base)
     session.ingest(upserts, deletes=deletes)
     executed = session.stats.partitions_executed - executed_before
     planned = session.stats.partitions_planned - planned_before
+    # Only the upserted tuples were re-keyed.
+    assert session.stats.keys_computed == len(base) + len(upserts)
     # The delta touches a handful of blocks; the rest splice in.
     assert 0 < executed < planned
     assert session.stats.partitions_reused == planned - executed
@@ -366,6 +370,11 @@ def test_journal_resume_reuses_all_partitions(tmp_path, flat_relation):
     )
     first.detect()
     ingested = first.ingest(upserts, deletes=deletes)
+    document = stats_document(first)
+    assert document["snapshot_bytes"] == first.stats.snapshot_bytes > 0
+    assert document["snapshot_compactions"] == 1  # the first save
+    assert document["keys_computed"] == len(base) + len(upserts)
+    assert document["torn_records"] == 0
 
     resumed = _detector(factory()).session(
         base, journal=journal, keep_derivations=False

@@ -1,0 +1,305 @@
+"""Crash consistency of durable detection sessions.
+
+A session directory holds a framed journal (one CRC-checked record per
+ingest), a snapshot base and an append-only snapshot delta log.  Every
+test here cuts an ingest at one write boundary — mid-record or between
+records of the journal append and of the delta append, at compaction's
+base replace and at its delta truncate — re-opens the directory, and
+requires the re-opened session to decide exactly what the oracle
+decides over the *committed* view (the journal's complete batches), or
+the cut to be reported (a dropped torn record, or the ingest's own
+exception).  It must never differ silently.  The next ingest must then
+truncate whatever the cut left behind and resume normally.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import pytest
+
+from repro.datagen import DatasetConfig, generate_dataset
+from repro.experiments.quality import default_matcher, weighted_model
+from repro.matching import DuplicateDetector
+from repro.pdb.relations import XRelation
+from repro.pdb.storage import SessionJournal
+from repro.pdb.storage.session import (
+    DELTA_NAME,
+    JOURNAL_NAME,
+    SNAPSHOT_NAME,
+    FramedLog,
+)
+from repro.pdb.xtuples import XTuple
+from repro.reduction import CertainKeyBlocking, SubstringKey
+from repro.testing import (
+    WRITE_BOUNDARIES,
+    InjectedWriteCrash,
+    cut_write,
+)
+
+BLOCK_KEY = SubstringKey([("name", 1), ("job", 1)])
+
+
+def _detector() -> DuplicateDetector:
+    return DuplicateDetector(
+        default_matcher(),
+        weighted_model(),
+        reducer=CertainKeyBlocking(BLOCK_KEY),
+    )
+
+
+def _open(base, path, detector=None):
+    return (detector or _detector()).session(
+        base, journal=str(path), keep_derivations=False
+    )
+
+
+def _quads(decisions):
+    return [
+        (d.left_id, d.right_id, d.status, repr(d.similarity))
+        for d in decisions
+    ]
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    """A base plus three batches over six of its blocks A–F, each batch
+    touching blocks that hold pairs: a re-keying modify (A's member
+    takes B's content), a new id joining C, a delete from D; a modify
+    and a new id, a delete from F; the re-upsert of D's deleted id, a
+    new id, and the delete of the first new id."""
+    base = XRelation(
+        "crash",
+        ("name", "job"),
+        generate_dataset(
+            DatasetConfig(entity_count=48, seed=71), flat=True
+        ).relation,
+    )
+    a, b, c, d, e, f = (
+        partition.members
+        for partition in _detector().plan(base).partitions[:6]
+    )
+
+    def like(tuple_id, donor):
+        return XTuple(tuple_id, base.get(donor).alternatives)
+
+    first = ([like(a[0], b[0]), like("n0", c[0])], [d[0]])
+    second = ([like(e[0], a[1]), like("n1", b[1])], [f[0]])
+    third = ([base.get(d[0]), like("n2", c[1])], ["n0"])
+    return base, [first, second, third]
+
+
+def _folded_slices(path) -> int:
+    """Retained slices the folded snapshot of *path* holds."""
+    return len(SessionJournal(str(path)).load_snapshot()["retained"])
+
+
+@pytest.fixture
+def expected(oracle, materialize):
+    """The oracle's decisions over ``base ⊎ batches``."""
+
+    def decide(base, batches):
+        return _quads(
+            oracle(
+                _detector(),
+                materialize(base, batches),
+                keep_derivations=False,
+            ).decisions
+        )
+
+    return decide
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["between", "mid"])
+@pytest.mark.parametrize("boundary", WRITE_BOUNDARIES)
+def test_cut_ingest_resumes_to_the_oracle(
+    tmp_path, scenario, expected, boundary, torn
+):
+    base, (first, second, third) = scenario
+    path = tmp_path / "session"
+    session = _open(base, path)
+    session.detect()
+    session.save()
+    session.ingest(first[0], deletes=first[1])
+
+    detector = _detector()
+    resumed = _open(base, path, detector)
+    resumed.detect()
+    if boundary in ("replace", "truncate"):
+        # A cleared cache forces the next save to compact.
+        detector.procedure.matcher.cache_stats()["name"].clear()
+    resumed.journal.write_hook = cut_write(boundary, torn=torn)
+    with pytest.raises(InjectedWriteCrash):
+        resumed.ingest(second[0], deletes=second[1])
+
+    committed = [first] if boundary == "journal" else [first, second]
+    reopened = _open(base, path)
+    assert _quads(reopened.detect().decisions) == expected(
+        base, committed
+    )
+    if boundary in ("journal", "truncate"):
+        # The snapshot is as current as the journal, and no stale slice
+        # folded in: one slice per planned partition.
+        assert _folded_slices(path) == reopened.stats.partitions_planned
+    # A torn append is reported.  A cut truncate leaves stale records
+    # of the old generation, the last one possibly cut short: the fold
+    # stops at the first of them.  Every other cut raised to the caller
+    # and left only whole records behind.
+    if torn and boundary in ("journal", "delta"):
+        assert reopened.stats.torn_records == 1
+    elif torn and boundary == "truncate":
+        assert reopened.stats.torn_records <= 1
+    else:
+        assert reopened.stats.torn_records == 0
+
+    reopened.ingest(third[0], deletes=third[1])
+    final = _open(base, path)
+    assert _quads(final.detect().decisions) == expected(
+        base, committed + [third]
+    )
+    # Whatever the cut left behind was overwritten: the snapshot folds
+    # whole again, so nothing re-runs.
+    assert final.stats.torn_records == 0
+    assert final.stats.partitions_executed == 0
+
+
+def test_cut_free_compaction_keeps_replay_bounded(
+    tmp_path, scenario, expected
+):
+    """Deltas never outgrow the base: a save that would make them
+    compacts instead.  Every byte written is counted."""
+    base, (first, second, _third) = scenario
+    donors = [first[0][0].alternatives, second[0][0].alternatives]
+    victim = first[0][1].tuple_id
+    path = tmp_path / "session"
+    session = _open(base, path)
+    session.detect()
+    for round_ in range(40):
+        session.ingest([XTuple(victim, donors[round_ % 2])])
+    stats = session.stats
+    assert stats.snapshot_compactions >= 2  # the first save, then size
+    base_size = os.path.getsize(path / SNAPSHOT_NAME)
+    delta_size = os.path.getsize(path / DELTA_NAME)
+    assert delta_size <= base_size
+    assert stats.snapshot_bytes >= base_size + delta_size
+    assert "compactions" in stats.summary()
+
+    reopened = _open(base, path)
+    assert _quads(reopened.detect().decisions) == expected(
+        base, [([XTuple(victim, donors[1])], [])]
+    )
+    assert reopened.stats.partitions_executed == 0
+
+
+def test_cut_free_reopen_folds_every_delta(tmp_path, scenario, expected):
+    """Each re-open restores base plus deltas: every retained slice is
+    back, so nothing re-runs, and later saves append after the fold."""
+    base, batches = scenario
+    path = tmp_path / "session"
+    session = _open(base, path)
+    session.detect()
+    folded = 0
+    for count, (upserts, deletes) in enumerate(batches, 1):
+        session.ingest(upserts, deletes=deletes)
+        folded += (path / DELTA_NAME).exists() and bool(
+            os.path.getsize(path / DELTA_NAME)
+        )
+        session = _open(base, path)
+        result = session.detect()
+        assert _quads(result.decisions) == expected(
+            base, batches[:count]
+        )
+        assert session.stats.partitions_executed == 0
+        assert session.last_report is None
+        # Dropped slices stay dropped: one per planned partition.
+        assert _folded_slices(path) == session.stats.partitions_planned
+    assert folded
+
+
+def test_legacy_session_directory_still_opens(tmp_path, scenario, expected):
+    """Unframed one-operation journal lines and a generation-less
+    snapshot (the layout before framing) replay and restore, and later
+    ingests append framed records after them."""
+    base, (first, second, _third) = scenario
+    current = tmp_path / "current"
+    session = _open(base, current)
+    session.detect()
+    session.ingest(first[0], deletes=first[1])
+    document = SessionJournal(str(current)).load_snapshot()
+    del document["generation"]
+
+    legacy = tmp_path / "legacy"
+    legacy.mkdir()
+    operations = [SessionJournal.upsert_op(x) for x in first[0]] + [
+        SessionJournal.delete_op(t) for t in first[1]
+    ]
+    (legacy / JOURNAL_NAME).write_text(
+        "".join(
+            json.dumps(op, separators=(",", ":")) + "\n" for op in operations
+        )
+    )
+    (legacy / SNAPSHOT_NAME).write_text(
+        json.dumps(document, separators=(",", ":"), sort_keys=True)
+    )
+
+    reopened = _open(base, legacy)
+    assert _quads(reopened.detect().decisions) == expected(
+        base, [first]
+    )
+    assert reopened.stats.partitions_executed == 0  # snapshot restored
+
+    reopened.ingest(second[0], deletes=second[1])
+    final = _open(base, legacy)
+    assert _quads(final.detect().decisions) == expected(
+        base, [first, second]
+    )
+
+
+def test_torn_legacy_line_is_dropped_and_reported(
+    tmp_path, scenario, expected
+):
+    base, (first, _second, _third) = scenario
+    path = tmp_path / "legacy"
+    path.mkdir()
+    whole = json.dumps(SessionJournal.upsert_op(first[0][0]))
+    torn = json.dumps(SessionJournal.upsert_op(first[0][1]))
+    (path / JOURNAL_NAME).write_text(whole + "\n" + torn[: len(torn) // 2])
+    reopened = _open(base, path)
+    assert reopened.stats.torn_records == 1
+    assert _quads(reopened.detect().decisions) == expected(
+        base, [([first[0][0]], [])]
+    )
+
+
+def test_corrupt_journal_record_ends_replay(tmp_path):
+    """A record failing its CRC ends replay there: the batches before
+    it replay, it and everything after are the torn tail, which the
+    next append overwrites."""
+    path = str(tmp_path / "session")
+    journal = SessionJournal(path)
+    for index in range(3):
+        journal.append_ops([SessionJournal.delete_op(f"t{index}")])
+    log = os.path.join(path, JOURNAL_NAME)
+    with open(log, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    corrupt = lines[1].replace(b'"t1"', b'"tX"')
+    with open(log, "wb") as handle:
+        handle.write(lines[0] + corrupt + lines[2])
+
+    reopened = SessionJournal(path)
+    assert [op["id"] for op in reopened.ops()] == ["t0"]
+    assert reopened.torn_records == 2
+    reopened.append_ops([SessionJournal.delete_op("t9")])
+    assert [op["id"] for op in SessionJournal(path).ops()] == ["t0", "t9"]
+
+
+def test_framed_log_rejects_a_broken_sequence(tmp_path):
+    """Records must number 1, 2, …: a duplicated record is corruption."""
+    path = str(tmp_path / "log")
+    record = FramedLog(path).frame({}, "[]")
+    with open(path, "wb") as handle:
+        handle.write(record + record)
+    log = FramedLog(path)
+    assert len(list(log.records())) == 1
+    assert log.torn == 1 and log.end == len(record) and log.seq == 1
