@@ -3,12 +3,12 @@
 The columnar backend's two plan-time promises, asserted (not just
 timed):
 
-* **projection beats row decode** — a key-extraction pass over a wide
+* **projection beats full decode** — a key-extraction pass over a wide
   spilled relation reads only the key column through
   :func:`~repro.reduction.plan.planning_view`, so building the same
-  plan must be at least 3× faster than over the row store, which
-  decodes every fat payload column of every tuple just to read a one
-  character block key;
+  plan must be at least 3× faster than over the same store with its
+  projection hidden, which decodes every fat payload column of every
+  tuple just to read a one character block key;
 * **zone maps prune before any fetch** — consolidating sources whose
   first-key-part ranges are provably disjoint drops those sources from
   ``detect_between(within_sources=False)`` planning entirely: at least
@@ -44,17 +44,18 @@ ROUNDS = 1 if QUICK else 3
 WIDE_TUPLES = 240 if QUICK else 600
 
 #: The wide workload: 2 key-ish columns + 12 fat payload columns the
-#: planning pass never needs, 3 alternatives per tuple.  Row planning
-#: decodes all of it; columnar planning reads the name column plus the
-#: thin structure file.
+#: planning pass never needs, 3 alternatives per tuple.  Full-decode
+#: planning decodes all of it; projected planning reads the name column
+#: plus the thin structure file.
 NOTE_COLUMNS = 12
 ALTERNATIVES = 3
 PAYLOAD = "q" * 160
 
 BLOCK_KEY = SubstringKey([("name", 1)])
 
-#: Floor asserted on the row/columnar planning-time ratio.  Measured
-#: ~3.7× on the reference workload; 3.0 is the acceptance criterion.
+#: Floor asserted on the full-decode/projected planning-time ratio.
+#: Measured 4.6–4.9× on the reference workload (1 CPU); 3.0 is the
+#: acceptance criterion.
 MIN_PLANNING_SPEEDUP = 3.0
 
 STORE_OPTIONS = {"segment_size": 64, "page_size": 32, "max_pages": 2}
@@ -79,15 +80,29 @@ def _wide_relation() -> XRelation:
 
 
 @pytest.fixture(scope="module")
-def wide_stores(tmp_path_factory):
-    """The wide workload spilled in both layouts."""
-    relation = _wide_relation()
+def wide_store(tmp_path_factory):
+    """The wide workload, spilled."""
     root = tmp_path_factory.mktemp("bench_columnar")
-    row = relation.spill(str(root / "rows"), **STORE_OPTIONS)
-    columnar = relation.spill(
-        str(root / "columnar"), layout="columnar", **STORE_OPTIONS
-    )
-    return {"row": row, "columnar": columnar}
+    return _wide_relation().spill(str(root / "wide"), **STORE_OPTIONS)
+
+
+class _WithoutProjection:
+    """A store with ``project`` hidden: planning falls back to
+    iterating full decodes of every tuple."""
+
+    def __init__(self, store) -> None:
+        self._store = store
+
+    def __iter__(self):
+        return iter(self._store)
+
+    def __len__(self):
+        return len(self._store)
+
+    def __getattr__(self, attribute):
+        if attribute == "project":
+            raise AttributeError(attribute)
+        return getattr(self._store, attribute)
 
 
 def _best_plan_time(store, rounds: int) -> float:
@@ -99,37 +114,39 @@ def _best_plan_time(store, rounds: int) -> float:
     return best
 
 
-def test_bench_columnar_planning_scan_beats_row_decode(
-    benchmark, wide_stores
+def test_bench_columnar_planning_scan_beats_full_decode(
+    benchmark, wide_store
 ):
     """Plan construction over the columnar projection is ≥3× faster
-    than over the row store — and builds the identical plan."""
-    row, columnar = wide_stores["row"], wide_stores["columnar"]
-    row_plan = plan_candidates(CertainKeyBlocking(BLOCK_KEY), row)
-    columnar_plan = plan_candidates(
-        CertainKeyBlocking(BLOCK_KEY), columnar
+    than over a full decode of the same store — and builds the
+    identical plan."""
+    projected = wide_store
+    decoded = _WithoutProjection(wide_store)
+    decoded_plan = plan_candidates(CertainKeyBlocking(BLOCK_KEY), decoded)
+    projected_plan = plan_candidates(
+        CertainKeyBlocking(BLOCK_KEY), projected
     )
-    assert [p.label for p in columnar_plan] == [
-        p.label for p in row_plan
+    assert [p.label for p in projected_plan] == [
+        p.label for p in decoded_plan
     ]
-    assert [p.pairs for p in columnar_plan] == [
-        p.pairs for p in row_plan
+    assert [p.pairs for p in projected_plan] == [
+        p.pairs for p in decoded_plan
     ]
     # Warm-up above also paid the one-time per-file CRC verification;
     # the timed rounds below measure steady-state planning.
-    row_s = _best_plan_time(row, ROUNDS)
-    columnar_s = _best_plan_time(columnar, ROUNDS)
-    speedup = row_s / columnar_s
+    decoded_s = _best_plan_time(decoded, ROUNDS)
+    projected_s = _best_plan_time(projected, ROUNDS)
+    speedup = decoded_s / projected_s
     assert speedup >= MIN_PLANNING_SPEEDUP, (
-        f"columnar planning speedup {speedup:.2f}× over row decode is "
-        f"below the {MIN_PLANNING_SPEEDUP}× floor "
-        f"(row {row_s * 1000:.1f} ms, columnar {columnar_s * 1000:.1f} ms)"
+        f"projected planning speedup {speedup:.2f}× over full decode "
+        f"is below the {MIN_PLANNING_SPEEDUP}× floor (full decode "
+        f"{decoded_s * 1000:.1f} ms, projected {projected_s * 1000:.1f} ms)"
     )
-    benchmark.extra_info["row_plan_s"] = row_s
-    benchmark.extra_info["columnar_plan_s"] = columnar_s
+    benchmark.extra_info["full_decode_plan_s"] = decoded_s
+    benchmark.extra_info["projected_plan_s"] = projected_s
     benchmark.extra_info["speedup"] = speedup
     benchmark.pedantic(
-        lambda: plan_candidates(CertainKeyBlocking(BLOCK_KEY), columnar),
+        lambda: plan_candidates(CertainKeyBlocking(BLOCK_KEY), projected),
         iterations=1,
         rounds=ROUNDS,
     )
@@ -191,9 +208,7 @@ def consolidation_sources(tmp_path_factory):
         ("D", "stuvw"),
     ):
         relation = _source(name, letters, 4)
-        stores[name] = relation.spill(
-            str(root / name), layout="columnar", segment_size=8
-        )
+        stores[name] = relation.spill(str(root / name), segment_size=8)
     return stores
 
 

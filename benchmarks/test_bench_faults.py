@@ -13,9 +13,9 @@ holding ~50% of all candidate pairs):
 * ``recovery`` — the same supervised run with one injected crash on
   the first attempt: the marginal price of an actual retry (one extra
   dispatch of one chunk) on top of the clean path.
-* ``checksum_stream`` — streaming a spilled copy of the workload with
-  segment CRC verification on vs off: the integrity tax on out-of-core
-  reads (one ``zlib.crc32`` fold per line, no extra read pass).
+* ``checksum_stream`` — streaming a spilled copy of the workload
+  through a fresh store, so every file's CRC is verified on its first
+  map: the out-of-core read path with its integrity check included.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import pytest
 from test_bench_scheduler import BLOCK_KEY, _detector, _skewed_relation
 
 from repro.matching.executor import RetryPolicy
-from repro.pdb.storage import SpillingXTupleStore
+from repro.pdb.io import open_store
 from repro.reduction import CertainKeyBlocking, plan_candidates
 from repro.testing import FaultInjector, installed
 
@@ -96,19 +96,18 @@ def test_bench_faults_recovery(
     assert fresh.last_report.recovered
 
 
-@pytest.mark.parametrize("checksums", ["verified", "unverified"])
+@pytest.mark.parametrize("checksums", ["verified"])
 def test_bench_faults_checksum_stream(
     benchmark, tmp_path_factory, skewed_relation, checksums
 ):
-    """Full streaming read of a spilled store, CRC folding on vs off."""
+    """Full streaming read of a spilled store, every file CRC-checked."""
     path = str(tmp_path_factory.mktemp("faults") / f"store-{checksums}")
     skewed_relation.spill(path, segment_size=64).close()
-    verify = checksums == "verified"
 
     def run():
-        # A fresh store each round: verified segments are remembered per
-        # instance, so reusing one would measure the fold only once.
-        store = SpillingXTupleStore(path, verify_checksums=verify)
+        # A fresh store each round: verified files are remembered per
+        # instance, so reusing one would measure the check only once.
+        store = open_store(path)
         count = sum(1 for _ in store)
         store.close()
         return count

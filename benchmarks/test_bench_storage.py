@@ -1,7 +1,7 @@
 """Bench: in-memory vs spilled detection — wall clock and peak RSS.
 
 The out-of-core promise is a *memory* bound, not a speed win: detection
-over a :class:`~repro.pdb.storage.SpillingXTupleStore` must keep peak
+over a :class:`~repro.pdb.storage.ColumnarXTupleStore` must keep peak
 additional RSS bounded by the page cache plus one partition's working
 set — not by relation size — while staying within sight of the
 in-memory wall clock.  Wall clock is tracked by pytest-benchmark on the

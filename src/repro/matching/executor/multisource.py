@@ -156,10 +156,11 @@ def source_key_ranges(
 ) -> list[tuple[str, str] | None]:
     """First-key-part zone per source, from statistics alone.
 
-    Columnar sources answer from their spill-time zone maps without
+    Spilled sources answer from their spill-time zone maps without
     touching tuple data; in-memory relations stream their resident
-    values once; row-spilled stores (which would have to decode every
-    segment) report ``None`` — unbounded, never pruned.
+    values once; a store without statistics (a manifest that records
+    none, or any other backend that would have to decode every tuple)
+    reports ``None`` — unbounded, never pruned.
     """
     attribute, length = key.parts[0]
     ranges: list[tuple[str, str] | None] = []

@@ -4,9 +4,9 @@ Workers are forked (where the platform allows) with the decision
 procedure, the relation handle and the run options installed once per
 process by :func:`init_worker`; every dispatch then ships only pair
 ids.  Storage backends are opened read-only by workers — a forked
-worker re-opens a spilled store's segment files for itself and never
+worker maps a spilled store's segment files for itself and never
 copies the relation (see
-:meth:`repro.pdb.storage.spill.SpillingXTupleStore._handle`).
+:meth:`repro.pdb.storage.columnar.ColumnarXTupleStore._map`).
 
 :func:`decide_task` is the engine's one decide loop: in-process
 attempts and worker dispatches decide their pairs through the same

@@ -359,7 +359,7 @@ class DuplicateDetector:
         first (Section IV-A as the 1-alternative special case).  The
         relation may be any storage backend satisfying
         :class:`~repro.pdb.storage.XTupleStore` — in particular an
-        out-of-core :class:`~repro.pdb.storage.SpillingXTupleStore`
+        out-of-core :class:`~repro.pdb.storage.ColumnarXTupleStore`
         opened via :func:`repro.pdb.io.open_store`, in which case only
         one chunk-sized working set (plus the store's page cache) is
         ever decoded at a time and results are identical bit for bit to
@@ -605,7 +605,7 @@ class DuplicateDetector:
         sources: iteration order equals the union's, so decisions are
         bitwise identical to ``detect(left.union(right))``, but no
         combined relation is ever built — two (or more) out-of-core
-        :class:`~repro.pdb.storage.SpillingXTupleStore` sources are
+        :class:`~repro.pdb.storage.ColumnarXTupleStore` sources are
         consolidated through multi-store working-set fetches.  Every
         partition of the plan is tagged with the sources it touches.
 

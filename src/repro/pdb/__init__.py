@@ -13,7 +13,7 @@ Implements the data models the paper operates on:
 * ranking by uncertain keys (Section V-A.4);
 * storage backends — the :class:`XTupleStore` protocol with the
   in-memory :class:`XRelation` and the out-of-core
-  :class:`SpillingXTupleStore` (:mod:`repro.pdb.storage`).
+  :class:`ColumnarXTupleStore` (:mod:`repro.pdb.storage`).
 """
 
 from repro.pdb.conditioning import (
@@ -44,7 +44,7 @@ from repro.pdb.ranking import (
 )
 from repro.pdb.relations import ProbabilisticRelation, Schema, XRelation
 from repro.pdb.storage import (
-    SpillingXTupleStore,
+    ColumnarXTupleStore,
     StorageError,
     XTupleStore,
     fetch_tuples,
@@ -75,6 +75,7 @@ __all__ = [
     "PROBABILITY_TOLERANCE",
     "DEFAULT_MAX_WORLDS",
     "RANKING_FUNCTIONS",
+    "ColumnarXTupleStore",
     "ConditioningError",
     "DuplicateTupleIdError",
     "EmptyDistributionError",
@@ -89,7 +90,6 @@ __all__ = [
     "ProbabilisticValue",
     "Schema",
     "SchemaMismatchError",
-    "SpillingXTupleStore",
     "StorageError",
     "TupleAlternative",
     "UnknownAttributeError",

@@ -50,9 +50,9 @@ class SegmentCorruptionError(StorageError):
     Carries enough context to act on: ``segment_file`` (absolute path),
     ``expected_crc`` / ``actual_crc``, and ``tuple_ids`` (the tuples the
     manifest locates in the segment) — exactly what
-    :meth:`SpillingXTupleStore.quarantine
-    <repro.pdb.storage.spill.SpillingXTupleStore.quarantine>` needs to
-    isolate the damage.
+    :meth:`ColumnarXTupleStore.quarantine
+    <repro.pdb.storage.columnar.ColumnarXTupleStore.quarantine>` needs
+    to isolate the damage.
     """
 
     def __init__(

@@ -359,13 +359,13 @@ def load(path: str) -> XRelation:
 def open_store(path: str, **store_options):
     """Open an on-disk relation as the matching storage backend.
 
-    A directory is opened as the out-of-core store class its manifest
-    declares — row-JSONL directories as a
-    :class:`~repro.pdb.storage.SpillingXTupleStore`, columnar ones
-    (``spill_relation(layout="columnar")``) as a
-    :class:`~repro.pdb.storage.ColumnarXTupleStore` (``store_options``
-    — e.g. ``page_size`` / ``max_pages`` — are forwarded); a file is
-    read fully via :func:`load` into an in-memory
+    A directory written by :func:`~repro.pdb.storage.spill_relation` is
+    opened as a :class:`~repro.pdb.storage.ColumnarXTupleStore`
+    (``store_options`` — e.g. ``page_size`` / ``max_pages`` — are
+    forwarded); a directory in the retired row layout raises
+    :class:`~repro.pdb.errors.StorageError` naming the fix (materialize
+    it with an earlier release, then re-spill).  A file is read fully
+    via :func:`load` into an in-memory
     :class:`~repro.pdb.relations.XRelation`.  Both returns satisfy the
     :class:`~repro.pdb.storage.XTupleStore` protocol the detection
     pipeline consumes, and detection over a spilled store is bitwise
@@ -390,27 +390,10 @@ def open_store(path: str, **store_options):
     >>> reopened.materialize().tuple_ids
     ('t0', 't1', 't2')
     """
-    from repro.pdb.storage.columnar import (
-        COLUMNAR_LAYOUT,
-        ColumnarXTupleStore,
-    )
-    from repro.pdb.storage.spill import MANIFEST_NAME, SpillingXTupleStore
+    from repro.pdb.storage.columnar import ColumnarXTupleStore
 
     if os.path.isdir(path):
-        # The manifest's layout marker picks the store class; malformed
-        # or missing manifests fall through to the row loader, whose
-        # errors name the real problem.
-        layout = "rows"
-        try:
-            with open(
-                os.path.join(path, MANIFEST_NAME), encoding="utf-8"
-            ) as handle:
-                layout = json.load(handle).get("layout", "rows")
-        except (OSError, json.JSONDecodeError):
-            pass
-        if layout == COLUMNAR_LAYOUT:
-            return ColumnarXTupleStore(path, **store_options)
-        return SpillingXTupleStore(path, **store_options)
+        return ColumnarXTupleStore(path, **store_options)
     if not os.path.exists(path):
         raise StorageError(
             f"no relation file or store directory at {path!r}"

@@ -247,11 +247,11 @@ class XRelation(_BaseRelation):
     def spill(self, path: str, **spill_options):
         """Write this relation to an out-of-core store directory.
 
-        Returns the opened store; keyword options (``segment_size``,
-        ``page_size``, ``max_pages``, ``max_open_segments``, and
-        ``layout`` — ``"rows"`` for the JSONL row store, ``"columnar"``
-        for the mmap-backed columnar store with spill-time zone maps)
-        are forwarded to :func:`repro.pdb.storage.spill_relation`.
+        Returns the opened
+        :class:`~repro.pdb.storage.ColumnarXTupleStore`; keyword options
+        (``segment_size``, ``page_size``, ``max_pages``,
+        ``max_open_segments``) are forwarded to
+        :func:`repro.pdb.storage.spill_relation`.
         """
         from repro.pdb.storage import spill_relation
 

@@ -1,25 +1,25 @@
 """Storage backends for x-relations.
 
-Three interchangeable implementations of the :class:`XTupleStore`
+Two interchangeable implementations of the :class:`XTupleStore`
 protocol feed the detection pipeline:
 
 * :class:`~repro.pdb.relations.XRelation` — the in-memory backend
   (every tuple resident, ``fetch`` hands out the existing objects);
-* :class:`SpillingXTupleStore` — the out-of-core row backend over a
-  directory of append-only JSONL segments with an LRU page cache
-  (only ids and segment offsets resident);
-* :class:`ColumnarXTupleStore` — the out-of-core columnar backend
-  (per-attribute column files, mmap-backed reads, spill-time zone maps
-  and key histograms) whose :meth:`~ColumnarXTupleStore.project` scans
-  a subset of attributes without decoding the rest and whose
+* :class:`ColumnarXTupleStore` — the out-of-core backend over a
+  directory of per-attribute column files (mmap-backed reads, an LRU
+  page cache of decoded tuples, spill-time zone maps and key
+  histograms; only ids and offsets resident), whose
+  :meth:`~ColumnarXTupleStore.project` scans a subset of attributes
+  without decoding the rest and whose
   :meth:`~ColumnarXTupleStore.statistics` feeds plan-time pruning.
 
-Conversions: :func:`spill_relation` (``layout="rows"|"columnar"``) /
+Conversions: :func:`spill_relation` /
 :meth:`XRelation.spill <repro.pdb.relations.XRelation.spill>` write a
-store directory; :func:`repro.pdb.io.open_store` opens either form;
+store directory; :func:`repro.pdb.io.open_store` opens one;
 ``materialize()`` loads a store back into memory.
 """
 
+from repro.pdb.errors import SegmentCorruptionError, StorageError
 from repro.pdb.storage.base import (
     XTupleStore,
     fetch_tuples,
@@ -27,9 +27,19 @@ from repro.pdb.storage.base import (
 )
 from repro.pdb.storage.columnar import (
     COLUMNAR_LAYOUT,
+    DEFAULT_MAX_OPEN_SEGMENTS,
+    DEFAULT_MAX_PAGES,
+    DEFAULT_PAGE_SIZE,
+    DEFAULT_SEGMENT_SIZE,
+    MANIFEST_NAME,
+    QUARANTINE_DIR,
     ColumnarProjection,
     ColumnarXTupleStore,
-    spill_columnar,
+    PageCacheInfo,
+    QuarantinedSegment,
+    SegmentIntegrity,
+    StoreVerification,
+    spill_relation,
 )
 from repro.pdb.storage.multi import (
     MultiSourceProjection,
@@ -41,22 +51,6 @@ from repro.pdb.storage.session import (
     SessionJournal,
     SessionProjection,
     SessionStore,
-)
-from repro.pdb.storage.spill import (
-    DEFAULT_MAX_OPEN_SEGMENTS,
-    DEFAULT_MAX_PAGES,
-    DEFAULT_PAGE_SIZE,
-    DEFAULT_SEGMENT_SIZE,
-    MANIFEST_NAME,
-    QUARANTINE_DIR,
-    PageCacheInfo,
-    QuarantinedSegment,
-    SegmentCorruptionError,
-    SegmentIntegrity,
-    SpillingXTupleStore,
-    StorageError,
-    StoreVerification,
-    spill_relation,
 )
 from repro.pdb.storage.stats import (
     AttributeStatistics,
@@ -88,7 +82,6 @@ __all__ = [
     "SessionJournal",
     "SessionProjection",
     "SessionStore",
-    "SpillingXTupleStore",
     "StatisticsBuilder",
     "StorageError",
     "StoreStatistics",
@@ -100,6 +93,5 @@ __all__ = [
     "project_xtuple",
     "ranges_overlap",
     "relation_statistics",
-    "spill_columnar",
     "spill_relation",
 ]

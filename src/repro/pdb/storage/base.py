@@ -6,7 +6,7 @@ read-only surface: sized iteration in insertion order, id membership,
 id lookup, and batch lookup of a partition's working set.  This module
 names that surface (:class:`XTupleStore`) so that the in-memory
 :class:`~repro.pdb.relations.XRelation` and the out-of-core
-:class:`~repro.pdb.storage.spill.SpillingXTupleStore` are
+:class:`~repro.pdb.storage.columnar.ColumnarXTupleStore` are
 interchangeable everywhere a relation flows through the stack.
 
 Contract (both implementations):
@@ -19,7 +19,7 @@ Contract (both implementations):
 * ``store.fetch(tuple_ids)`` returns a ``{tuple_id: XTuple}`` mapping
   for a *working set* — the ids of one plan partition or dispatch
   chunk.  Backends may service it however is cheapest (the in-memory
-  relation hands out its existing objects; the spilling store groups
+  relation hands out its existing objects; the columnar store groups
   ids by segment page so each page is decoded once);
 * stores are read-only from the pipeline's perspective: forked workers
   may share one store and only ever read through it.

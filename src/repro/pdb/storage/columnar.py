@@ -1,7 +1,8 @@
-"""Columnar, mmap-backed x-relation storage with spill-time statistics.
+"""Out-of-core x-relations: columnar, mmap-backed segment families.
 
-A *columnar* store decomposes each segment of tuples into one
-*structure* file plus one file per schema attribute:
+A *spilled* x-relation lives in a directory.  Each segment of tuples is
+decomposed into one *structure* file plus one file per schema
+attribute:
 
 .. code-block:: text
 
@@ -15,23 +16,31 @@ A *columnar* store decomposes each segment of tuples into one
       seg-00000.col01.jsonl
       ...
 
+Segment files are written append-only by :func:`spill_relation` and
+never touched afterwards; the manifest is written last and atomically
+(:func:`repro.pdb.io.write_text_atomic`), so an interrupted spill never
+produces a directory that opens as a store.
+
 The structure line records, per alternative, its probability and its
-attribute *order* (``0`` when it equals the schema order) — the detail
-that makes reassembled tuples bitwise-identical to the row backend:
-per-alternative attribute iteration order survives the round trip just
-like outcome order does (the exact value codec of
-:func:`repro.pdb.io.encode_value_exact` is shared with the row layout).
-A column line holds the values of the alternatives that carry the
-attribute, in alternative order, so any subset of columns can be
-reassembled without consulting the others.
+attribute *order* (``0`` when it equals the schema order), and values
+use the *exact* codec (:func:`repro.pdb.io.encode_value_exact`):
+per-alternative attribute order and outcome iteration order survive the
+round trip, so floating-point accumulations over decoded tuples — and
+therefore detection results — are bitwise-identical to the in-memory
+relation's.  A column line holds the values of the alternatives that
+carry the attribute, in alternative order, so any subset of columns can
+be reassembled without consulting the others.
 
 Reads are **mmap-backed**: every file is mapped once per process and
 lines are sliced straight out of the mapping, so OS-cached pages are
 served without a read syscall or userspace buffering, and forked
 workers share the page cache with their parent for free (a mapping has
-no seek position, unlike the row backend's file handles).  Mappings
-are pickled away (`__getstate__`), so shipping a store to a spawn-based
-worker costs only metadata.
+no seek position).  Only ids and offsets stay resident; :meth:`get` and
+:meth:`fetch` decode through an LRU cache of fixed-size *pages* (runs
+of consecutive tuples within one segment), so decoded residency stays
+bounded by ``page_size × max_pages``.  Mappings and pages are pickled
+away (``__getstate__``), so shipping a store to a spawn-based worker
+costs only metadata.
 
 The payoff is **projection**: :meth:`ColumnarXTupleStore.project`
 scans the structure file plus only the named attributes' columns —
@@ -43,12 +52,14 @@ pattern counts) and per-source **key histograms**
 prune work whose key ranges cannot overlap before touching any tuple
 data.
 
-Integrity mirrors the row backend: a CRC32 per file, verified lazily
-the first time a mapping is sliced (a projection pass therefore only
-pays for the files it actually reads), :meth:`verify` for a whole-store
-audit and :meth:`quarantine` to isolate a segment *family* — structure
-file and all its columns move together, the manifest is rewritten
-atomically first.
+Integrity: a CRC32 per file, verified lazily the first time a mapping
+is sliced (a projection pass therefore only pays for the files it
+actually reads), raising
+:class:`~repro.pdb.errors.SegmentCorruptionError` (path, expected and
+actual CRC, affected tuple ids) on mismatch; :meth:`verify` audits the
+whole store without serving tuples and :meth:`quarantine` isolates a
+segment *family* — structure file and all its columns move together,
+the manifest is rewritten atomically first.
 """
 
 from __future__ import annotations
@@ -59,6 +70,7 @@ import os
 import zlib
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 
 from repro.pdb.errors import SegmentCorruptionError, StorageError
 from repro.pdb.io import (
@@ -67,27 +79,115 @@ from repro.pdb.io import (
     write_text_atomic,
 )
 from repro.pdb.relations import Schema, XRelation
-from repro.pdb.storage.spill import (
-    DEFAULT_MAX_OPEN_SEGMENTS,
-    DEFAULT_MAX_PAGES,
-    DEFAULT_PAGE_SIZE,
-    DEFAULT_SEGMENT_SIZE,
-    MANIFEST_NAME,
-    QUARANTINE_DIR,
-    STORE_FORMAT,
-    PageCacheInfo,
-    QuarantinedSegment,
-    SegmentIntegrity,
-    StoreVerification,
-)
 from repro.pdb.storage.stats import StatisticsBuilder, StoreStatistics
 from repro.pdb.xtuples import TupleAlternative, XTuple
+
+#: Manifest file name inside a store directory.
+MANIFEST_NAME = "manifest.json"
+
+#: Format identifier of the store layout.
+STORE_FORMAT = 1
 
 #: Manifest value of the ``layout`` key identifying this format.
 COLUMNAR_LAYOUT = "columnar"
 
+#: Directory (inside a store) quarantined segment files are moved to.
+QUARANTINE_DIR = "quarantine"
+
+#: Tuples per segment family written by :func:`spill_relation`.
+DEFAULT_SEGMENT_SIZE = 512
+
+#: Tuples decoded together on a page-cache miss.
+DEFAULT_PAGE_SIZE = 64
+
+#: Pages the LRU cache retains (decoded residency ≤ pages × page size).
+DEFAULT_MAX_PAGES = 32
+
+#: Files kept mapped per process (LRU); large relations have
+#: relation_size / segment_size segment families, far beyond the
+#: default FD ulimit, so mappings are evicted-and-closed like pages.
+DEFAULT_MAX_OPEN_SEGMENTS = 64
+
 #: Pseudo column index of a segment's structure (tuples) file.
 _STRUCTURE = -1
+
+
+@dataclass(frozen=True)
+class PageCacheInfo:
+    """A snapshot of one store's page-cache behaviour."""
+
+    hits: int
+    misses: int
+    evictions: int
+    pages: int
+    cached_tuples: int
+    page_size: int
+    max_pages: int
+
+    @property
+    def capacity_tuples(self) -> int:
+        """Upper bound on decoded tuples the cache can hold."""
+        return self.page_size * self.max_pages
+
+
+@dataclass(frozen=True)
+class SegmentIntegrity:
+    """Audit result for one file of a store."""
+
+    #: File name (relative to the store directory).
+    file: str
+    #: Tuples the manifest locates in the file's segment.
+    tuples: int
+    #: Manifest CRC32 (``None`` = no checksum recorded, unverifiable).
+    expected_crc: int | None
+    #: CRC32 of the bytes on disk (``None`` when the file is unreadable).
+    actual_crc: int | None
+    #: Human-readable status: ``"ok"``, ``"corrupt"``, ``"unreadable"``
+    #: or ``"unverifiable"``.
+    status: str
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+
+@dataclass(frozen=True)
+class StoreVerification:
+    """Whole-store audit produced by :meth:`ColumnarXTupleStore.verify`."""
+
+    #: Store directory audited.
+    path: str
+    #: Per-file results, in manifest order.
+    segments: tuple[SegmentIntegrity, ...]
+
+    @property
+    def ok(self) -> bool:
+        """Whether every file verified clean."""
+        return all(segment.ok for segment in self.segments)
+
+    @property
+    def corrupt(self) -> tuple[SegmentIntegrity, ...]:
+        """Files that failed the audit (corrupt or unreadable)."""
+        return tuple(
+            segment
+            for segment in self.segments
+            if segment.status in ("corrupt", "unreadable")
+        )
+
+
+@dataclass(frozen=True)
+class QuarantinedSegment:
+    """Receipt of one :meth:`ColumnarXTupleStore.quarantine` call."""
+
+    #: Structure file name of the family that was isolated.
+    file: str
+    #: Where the first moved file went (inside ``quarantine/``), or
+    #: ``None`` if the family had already vanished.
+    quarantined_path: str | None
+    #: Ids of the tuples that became unavailable.
+    tuple_ids: tuple[str, ...]
+    #: Tuples still servable from the store afterwards.
+    remaining: int
 
 
 def _tuples_name(index: int) -> str:
@@ -104,7 +204,7 @@ def _write_lines(file_path: str, lines: Sequence[str]) -> tuple[list[int], int]:
     crc = 0
     position = 0
     # newline="" disables newline translation: recorded offsets must
-    # match the bytes on disk exactly (same contract as the row spill).
+    # match the bytes on disk exactly.
     with open(file_path, "w", encoding="utf-8", newline="") as handle:
         for line in lines:
             handle.write(line)
@@ -122,7 +222,7 @@ def _dump(document) -> str:
     return json.dumps(document, separators=(",", ":"), ensure_ascii=False)
 
 
-def spill_columnar(
+def spill_relation(
     relation,
     path: str,
     *,
@@ -130,8 +230,9 @@ def spill_columnar(
     page_size: int = DEFAULT_PAGE_SIZE,
     max_pages: int = DEFAULT_MAX_PAGES,
     max_open_segments: int = DEFAULT_MAX_OPEN_SEGMENTS,
+    layout: str = COLUMNAR_LAYOUT,
 ) -> "ColumnarXTupleStore":
-    """Write *relation* to *path* in the columnar layout.
+    """Write *relation* (any :class:`XTupleStore`) to a store directory.
 
     Streams tuples in insertion order into ``segment_size``-tuple
     segment families (structure file + one file per schema attribute),
@@ -139,7 +240,13 @@ def spill_columnar(
     offsets, CRCs, statistics — is written last and atomically, so an
     interrupted spill never produces a directory that opens as a store.
     Returns the directory opened as a :class:`ColumnarXTupleStore`.
+    ``layout`` accepts only ``"columnar"``, the one on-disk layout.
     """
+    if layout != COLUMNAR_LAYOUT:
+        raise ValueError(
+            f"unknown spill layout {layout!r}: the row layout was "
+            f"retired, {COLUMNAR_LAYOUT!r} is the only on-disk layout"
+        )
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
     try:
@@ -267,9 +374,10 @@ def spill_columnar(
         }
         write_text_atomic(manifest_path, _dump(manifest))
     except BaseException:
-        # A failed spill must not leave anything behind (same contract
-        # as the row backend): orphaned segment families would silently
-        # coexist with a later spill into the same path.
+        # A failed spill must not leave anything behind: orphaned
+        # segment families would silently coexist with a later spill
+        # into the same path, and a manifest without its files is a
+        # corrupt store.
         for file_path in written_files + [manifest_path]:
             try:
                 os.unlink(file_path)
@@ -289,28 +397,30 @@ class ColumnarXTupleStore:
 
     Satisfies :class:`~repro.pdb.storage.base.XTupleStore` — iteration
     order, decoded values and probabilities are bitwise-identical to
-    both the in-memory relation and the row-JSONL backend.  Beyond the
-    protocol it offers :meth:`project` (scan a subset of attributes
-    without decoding the rest) and :meth:`statistics` (the spill-time
-    zone maps and histograms as a
-    :class:`~repro.pdb.storage.stats.StoreStatistics`).
+    the in-memory relation.  Beyond the protocol it offers
+    :meth:`project` (scan a subset of attributes without decoding the
+    rest) and :meth:`statistics` (the spill-time zone maps and
+    histograms as a :class:`~repro.pdb.storage.stats.StoreStatistics`).
 
     Parameters
     ----------
     path:
-        A directory produced by :func:`spill_columnar` /
-        ``spill_relation(layout="columnar")``.
+        A directory produced by :func:`spill_relation` /
+        :meth:`XRelation.spill <repro.pdb.relations.XRelation.spill>`.
     page_size / max_pages:
         LRU cache of fully-decoded tuples for :meth:`get` /
-        :meth:`fetch`, exactly as in the row backend.
+        :meth:`fetch`: ``page_size`` consecutive tuples are decoded per
+        miss, and decoded residency never exceeds
+        ``page_size × max_pages`` tuples (plus any working set a caller
+        is currently holding).
     max_open_segments:
         Mapped *files* kept per process (LRU).  A full-tuple scan keeps
         ``1 + len(schema)`` files of the current segment mapped, so the
         cap should exceed the attribute count (the default 64 does).
-    verify_checksums:
-        Verify each file's bytes against its manifest CRC32 the first
-        time the mapping is sliced (default on).  Lazy and per-file:
-        a projection pass only verifies the files it reads.
+
+    Every file whose manifest entry records a CRC32 is verified the
+    first time its mapping is sliced — lazily and per file, so a
+    projection pass only verifies the files it reads.
     """
 
     def __init__(
@@ -320,7 +430,6 @@ class ColumnarXTupleStore:
         page_size: int = DEFAULT_PAGE_SIZE,
         max_pages: int = DEFAULT_MAX_PAGES,
         max_open_segments: int = DEFAULT_MAX_OPEN_SEGMENTS,
-        verify_checksums: bool = True,
     ) -> None:
         if page_size < 1:
             raise ValueError("page_size must be >= 1")
@@ -332,7 +441,6 @@ class ColumnarXTupleStore:
         self._page_size = page_size
         self._max_pages = max_pages
         self._max_open_segments = max_open_segments
-        self._verify_checksums = verify_checksums
         self._load_manifest()
         #: (segment, column) → mmap; column -1 is the structure file.
         self._maps: OrderedDict[tuple[int, int], mmap.mmap] = OrderedDict()
@@ -366,8 +474,9 @@ class ColumnarXTupleStore:
         if layout != COLUMNAR_LAYOUT:
             raise StorageError(
                 f"store at {path!r} uses the {layout!r} layout, not "
-                f"{COLUMNAR_LAYOUT!r}; open it with open_store() or "
-                "SpillingXTupleStore"
+                f"{COLUMNAR_LAYOUT!r}; the row layout was retired: "
+                "materialize() the store with an earlier release, then "
+                "re-spill it"
             )
         self._segment_files: list[list[str]] = []  # [structure, col...]
         self._segment_offsets: list[list[list[int]]] = []
@@ -471,10 +580,9 @@ class ColumnarXTupleStore:
     def _map(self, segment: int, column: int) -> mmap.mmap:
         """The (lazily created, LRU-bounded) mapping of one file.
 
-        The first slice of a file triggers its CRC verification (when
-        enabled); a mapping evicted and re-created later is not
-        re-verified — like the row backend, verification happens once
-        per file per store instance.
+        The first slice of a file triggers its CRC verification; a
+        mapping evicted and re-created later is not re-verified —
+        verification happens once per file per store instance.
         """
         key = (segment, column)
         maps = self._maps
@@ -493,11 +601,7 @@ class ColumnarXTupleStore:
                 f"unreadable segment file {file_path!r}: {error}"
             ) from error
         expected = self._segment_crcs[segment][column + 1]
-        if (
-            self._verify_checksums
-            and expected is not None
-            and key not in self._verified
-        ):
+        if expected is not None and key not in self._verified:
             actual = zlib.crc32(mapped)
             if actual != expected:
                 mapped.close()
@@ -564,7 +668,7 @@ class ColumnarXTupleStore:
         subset of the schema (projection); unselected attributes are
         skipped without reading their files.  Per-alternative attribute
         order is restored from the structure line, so full decodes are
-        bitwise-identical to the row backend.
+        bitwise-identical to the spilled relation.
         """
         structure = self._parse(segment, _STRUCTURE, position)
         column_values = {
@@ -794,8 +898,9 @@ class ColumnarXTupleStore:
         manifest["segments"] = kept
         manifest["count"] = sum(len(doc["ids"]) for doc in kept)
         write_text_atomic(manifest_path, _dump(manifest))
-        # Manifest first, move second (same crash contract as the row
-        # backend's quarantine).
+        # Manifest first, move second: after the atomic rewrite the
+        # store no longer references the family, so a crash before (or
+        # during) the moves merely leaves orphaned files behind.
         quarantine_dir = os.path.join(self._path, QUARANTINE_DIR)
         quarantined_path: str | None = None
         for file_path in family:
@@ -910,5 +1015,16 @@ __all__ = [
     "COLUMNAR_LAYOUT",
     "ColumnarProjection",
     "ColumnarXTupleStore",
-    "spill_columnar",
+    "DEFAULT_MAX_OPEN_SEGMENTS",
+    "DEFAULT_MAX_PAGES",
+    "DEFAULT_PAGE_SIZE",
+    "DEFAULT_SEGMENT_SIZE",
+    "MANIFEST_NAME",
+    "PageCacheInfo",
+    "QUARANTINE_DIR",
+    "QuarantinedSegment",
+    "STORE_FORMAT",
+    "SegmentIntegrity",
+    "StoreVerification",
+    "spill_relation",
 ]

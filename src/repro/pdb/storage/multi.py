@@ -7,7 +7,7 @@ stores entirely.  :class:`MultiSourceStore` gives the execution layer
 the union *view* instead: any number of backends satisfying
 :class:`~repro.pdb.storage.base.XTupleStore` (in-memory
 :class:`~repro.pdb.relations.XRelation`s, spilled
-:class:`~repro.pdb.storage.spill.SpillingXTupleStore`s, or a mix)
+:class:`~repro.pdb.storage.columnar.ColumnarXTupleStore`s, or a mix)
 behind one store whose iteration order is exactly the union's —
 source 0's tuples, then source 1's, … — so detection over the view is
 bitwise identical to detection over the materialized union.
@@ -15,7 +15,7 @@ bitwise identical to detection over the materialized union.
 Only *metadata* is combined: the view keeps a tuple-id → source index
 map (ids it already holds as strings) and otherwise delegates.  A
 working-set :meth:`fetch` splits the requested ids per backing store,
-lets each store batch its own lookups (the spilling store groups by
+lets each store batch its own lookups (the columnar store groups by
 segment page, the in-memory relation hands out resident objects), and
 re-keys the merged result into request order — the *multi-store
 working-set fetch* the execution engine loads partitions through.

@@ -237,7 +237,7 @@ class SessionStore:
         """Working-set fetch: overlay ids served here, the rest batched.
 
         Base ids are fetched through the base store in one batch (the
-        spilling store groups them by segment page), then the merged
+        columnar store groups them by segment page), then the merged
         mapping is re-keyed into request order.
         """
         requested = list(tuple_ids)

@@ -208,7 +208,7 @@ def store_statistics(relation) -> StoreStatistics | None:
 
     Stores that fold zone maps and key histograms at spill time (the
     columnar backend) answer from their manifest; everything else —
-    in-memory relations, row stores — returns ``None``, and callers
+    in-memory relations, session overlays — returns ``None``, and callers
     that *need* statistics fall back to
     :func:`repro.pdb.storage.stats.relation_statistics` (one streaming
     pass) or skip the statistics-driven optimization.

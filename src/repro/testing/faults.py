@@ -17,8 +17,9 @@ seed-chosen but fully deterministic targets:
   ``attempts=(1,)`` injectors fail the first attempt and let the retry
   succeed no matter which worker process the retry lands on;
 * **on-disk byte flips** — :meth:`FaultInjector.flip_byte` corrupts a
-  seed-chosen byte of a seed-chosen segment of a spilled store, for
-  exercising checksum verification and quarantine;
+  seed-chosen byte of a seed-chosen file (structure or column) of a
+  seed-chosen segment family of a spilled store, for exercising
+  checksum verification and quarantine;
 * **cut session writes** — :func:`cut_write` crashes a durable session
   at one write boundary of its directory (journal append, snapshot
   delta append, compaction's base replace or delta truncate), leaving
@@ -229,7 +230,7 @@ def compose(*hooks: FaultHook) -> FaultHook:
 class FlippedByte:
     """Receipt of one on-disk byte flip (enough to undo it)."""
 
-    #: Absolute path of the segment file that was corrupted.
+    #: Absolute path of the file that was corrupted.
     path: str
     #: Byte offset that was flipped.
     offset: int
@@ -305,20 +306,22 @@ class FaultInjector:
     def flip_byte(
         self, store, *, segment: int | None = None
     ) -> FlippedByte:
-        """Flip one seed-chosen byte of one segment of a spilled store.
+        """Flip one seed-chosen byte of one file of a spilled store.
 
-        *store* is a :class:`~repro.pdb.storage.SpillingXTupleStore`
-        (any object exposing ``_segment_files``); *segment* pins the
-        segment index, otherwise it is seed-chosen.  Returns a
-        :class:`FlippedByte` receipt that can :meth:`~FlippedByte.restore`
-        the original byte.
+        *store* is a :class:`~repro.pdb.storage.ColumnarXTupleStore`
+        (any object whose ``_segment_files`` lists one file family per
+        segment: the structure file, then one file per column);
+        *segment* pins the segment index, otherwise it is seed-chosen.
+        The file within the family and the byte within the file are
+        seed-chosen.  Returns a :class:`FlippedByte` receipt that can
+        :meth:`~FlippedByte.restore` the original byte.
         """
-        files = list(store._segment_files)
-        if not files:
+        families = list(store._segment_files)
+        if not families:
             raise ValueError("store has no segments to corrupt")
         if segment is None:
-            segment = self._rng.randrange(len(files))
-        path = files[segment]
+            segment = self._rng.randrange(len(families))
+        path = self._rng.choice(families[segment])
         size = os.path.getsize(path)
         if size == 0:
             raise ValueError(f"segment {path!r} is empty")

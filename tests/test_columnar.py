@@ -1,18 +1,15 @@
-"""Golden suite for the columnar mmap-backed storage backend.
+"""Golden suite for the columnar surface of the spilled store.
 
-Four invariant families pin the columnar path:
+The backend-equivalence matrix and the codec round trips every store
+must pass live in ``test_storage_backends.py``; this suite pins what
+only the columnar layout offers:
 
-* **backend equivalence** — for every Section-V reducer, the full
-  detect pipeline over a :class:`ColumnarXTupleStore` produces
-  *bitwise* the decisions, compared-pair sets and partition labels of
-  the in-memory and row-spilled runs — serial, ``n_jobs=2``, under a
-  session overlay, and through the pruned ``detect_between``
-  consolidation alike;
-* **codec round trips** — generated x-relations (mixed certain /
-  uncertain, empty columns, page-spanning strings) survive
-  ``spill_columnar → iterate`` with exact outcome order, probabilities
-  and per-alternative attribute order (hypothesis properties plus
-  explicit edge cases);
+* **session and consolidation equivalence** — a session overlay over
+  a :class:`ColumnarXTupleStore` and the pruned ``detect_between``
+  consolidation decide *bitwise* like the in-memory runs;
+* **codec edge cases** — empty columns, page-spanning strings and
+  per-alternative attribute order survive ``spill_relation →
+  iterate`` exactly;
 * **projection laziness** — :meth:`project` reads only the selected
   columns' bytes: values match a full decode filtered to the
   selection, and rot in an unselected column is never noticed while a
@@ -25,22 +22,17 @@ Four invariant families pin the columnar path:
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.datagen import DatasetConfig, generate_dataset
-from repro.experiments.quality import default_matcher, weighted_model
-from repro.matching import DuplicateDetector, FullComparison
 from repro.matching.executor import (
     cross_source_plan,
     plan_sources,
     prune_disjoint_sources,
     source_key_ranges,
 )
-from repro.pdb import NULL, PatternValue, ProbabilisticValue
 from repro.pdb.errors import SegmentCorruptionError
 from repro.pdb.io import open_store
 from repro.pdb.relations import XRelation
@@ -50,174 +42,21 @@ from repro.pdb.storage import (
     SessionStore,
     XTupleStore,
     project_xtuple,
-    spill_columnar,
     spill_relation,
 )
 from repro.pdb.xtuples import TupleAlternative, XTuple
-from repro.reduction import (
-    AlternativeKeyBlocking,
-    AlternativeSorting,
-    CertainKeyBlocking,
-    MultiPassBlocking,
-    MultiPassSNM,
-    PhoneticBlocking,
-    SortedNeighborhood,
-    SubstringKey,
-    UncertainKeyClusteringBlocking,
-    UncertainKeySNM,
-    plan_candidates,
+from repro.reduction import CertainKeyBlocking
+
+# flat_relation, x_relation and stores are fixtures.
+from storage_cases import (  # noqa: F401
+    BLOCK_KEY,
+    build_detector,
+    exact_value_items,
+    flat_relation,
+    stores,
+    triples,
+    x_relation,
 )
-
-SORT_KEY = SubstringKey([("name", 3), ("job", 2)])
-BLOCK_KEY = SubstringKey([("name", 1), ("job", 1)])
-
-
-def r34() -> XRelation:
-    from repro.experiments.paper_data import MU_JOBS, relation_r34
-
-    return XRelation(
-        "R34x",
-        ("name", "job"),
-        [
-            xt.expand_patterns({"job": MU_JOBS}).expand()
-            for xt in relation_r34()
-        ],
-    )
-
-
-@pytest.fixture(scope="module")
-def flat_relation():
-    return generate_dataset(
-        DatasetConfig(entity_count=20, seed=91), flat=True
-    ).relation
-
-
-@pytest.fixture(scope="module")
-def x_relation():
-    return generate_dataset(DatasetConfig(entity_count=12, seed=93)).relation
-
-
-@pytest.fixture(scope="module")
-def stores(tmp_path_factory, flat_relation, x_relation):
-    """Every fixture relation spilled columnar, small segments/pages."""
-    root = tmp_path_factory.mktemp("columnar-stores")
-    spilled = {}
-    for kind, relation in (
-        ("flat", flat_relation),
-        ("x", x_relation),
-        ("r34", r34()),
-    ):
-        relation.spill(
-            str(root / kind),
-            layout="columnar",
-            segment_size=7,
-            page_size=4,
-            max_pages=3,
-        )
-        spilled[kind] = str(root / kind)
-    return spilled
-
-
-#: The same ten-reducer matrix the row-backend suite pins.
-REDUCERS = {
-    "full": (lambda: FullComparison(), "flat"),
-    "certain_blocking": (lambda: CertainKeyBlocking(BLOCK_KEY), "x"),
-    "alternative_blocking": (
-        lambda: AlternativeKeyBlocking(BLOCK_KEY),
-        "x",
-    ),
-    "snm": (lambda: SortedNeighborhood(SORT_KEY, window=5), "flat"),
-    "alternative_sorting": (
-        lambda: AlternativeSorting(SORT_KEY, window=4),
-        "x",
-    ),
-    "uncertain_snm": (lambda: UncertainKeySNM(SORT_KEY, window=4), "x"),
-    "uncertain_clustering": (
-        lambda: UncertainKeyClusteringBlocking(BLOCK_KEY, radius=0.4),
-        "x",
-    ),
-    "phonetic_blocking": (lambda: PhoneticBlocking(), "x"),
-    "multipass_snm": (
-        lambda: MultiPassSNM(
-            SORT_KEY, window=3, selection="diverse", world_count=2
-        ),
-        "r34",
-    ),
-    "multipass_blocking": (
-        lambda: MultiPassBlocking(
-            BLOCK_KEY, selection="diverse", world_count=2
-        ),
-        "r34",
-    ),
-}
-
-
-def _relation_for(kind, flat_relation, x_relation):
-    if kind == "flat":
-        return flat_relation
-    if kind == "x":
-        return x_relation
-    return r34()
-
-
-def _detector(factory):
-    return DuplicateDetector(
-        default_matcher(), weighted_model(), reducer=factory()
-    )
-
-
-def _triples(result):
-    return [
-        (d.left_id, d.right_id, d.status, d.similarity)
-        for d in result.decisions
-    ]
-
-
-def _exact_value_items(relation):
-    return {
-        xtuple.tuple_id: [
-            (
-                alternative.probability,
-                {
-                    attribute: list(alternative.value(attribute).items())
-                    for attribute in alternative.attributes
-                },
-            )
-            for alternative in xtuple.alternatives
-        ]
-        for xtuple in relation
-    }
-
-
-# ----------------------------------------------------------------------
-# Golden equivalence: columnar vs in-memory/row, all reducers, all modes
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", sorted(REDUCERS))
-def test_columnar_detection_is_bitwise_row(
-    name, flat_relation, x_relation, stores
-):
-    """The acceptance pin: serial + n_jobs=2, every reducer, bitwise."""
-    factory, kind = REDUCERS[name]
-    relation = _relation_for(kind, flat_relation, x_relation)
-    store = open_store(stores[kind], page_size=4, max_pages=3)
-    assert isinstance(store, ColumnarXTupleStore)
-
-    reference = _detector(factory).detect(relation)
-    serial = _detector(factory).detect(store)
-    parallel = _detector(factory).detect(store, n_jobs=2, chunk_size=7)
-
-    assert _triples(serial) == _triples(reference)
-    assert _triples(parallel) == _triples(reference)
-    assert serial.compared_pairs == reference.compared_pairs
-    assert parallel.compared_pairs == reference.compared_pairs
-    assert serial.relation_size == reference.relation_size
-
-    plan = plan_candidates(factory(), relation)
-    store_plan = plan_candidates(factory(), store)
-    assert [p.label for p in store_plan] == [p.label for p in plan]
-    assert list(store_plan.pairs()) == list(plan.pairs())
 
 
 def test_columnar_store_satisfies_the_protocol(x_relation, stores):
@@ -256,9 +95,9 @@ def test_session_overlay_over_columnar_is_bitwise(x_relation, stores):
         list(x_relation) + added,
     )
     factory = lambda: CertainKeyBlocking(BLOCK_KEY)  # noqa: E731
-    reference = _detector(factory).detect(union)
-    overlay = _detector(factory).detect(session)
-    assert _triples(overlay) == _triples(reference)
+    reference = build_detector(factory).detect(union)
+    overlay = build_detector(factory).detect(session)
+    assert triples(overlay) == triples(reference)
     assert overlay.compared_pairs == reference.compared_pairs
 
 
@@ -286,7 +125,7 @@ def consolidation_sources(tmp_path):
         "C": _named("C", [("zeno", "baker"), ("zoe", "clerk")]),
     }
     stores = {
-        name: spill_columnar(relation, str(tmp_path / name), segment_size=2)
+        name: spill_relation(relation, str(tmp_path / name), segment_size=2)
         for name, relation in relations.items()
     }
     return relations, stores
@@ -298,14 +137,14 @@ def test_pruned_detect_between_is_bitwise(consolidation_sources):
     run pair for pair."""
     relations, stores = consolidation_sources
     factory = lambda: CertainKeyBlocking(BLOCK_KEY)  # noqa: E731
-    reference = _detector(factory).detect_between(
+    reference = build_detector(factory).detect_between(
         relations["A"], relations["B"], relations["C"],
         within_sources=False,
     )
-    pruned = _detector(factory).detect_between(
+    pruned = build_detector(factory).detect_between(
         stores["A"], stores["B"], stores["C"], within_sources=False
     )
-    assert _triples(pruned) == _triples(reference)
+    assert triples(pruned) == triples(reference)
     assert pruned.compared_pairs == reference.compared_pairs
 
 
@@ -331,15 +170,19 @@ def test_prune_disjoint_sources_drops_only_provably_disjoint(
 
 
 def test_prune_keeps_everything_without_statistics(tmp_path):
-    """A row-spilled source reports no statistics — unbounded — so even
-    actually-disjoint data licenses no prune next to it."""
-    row_store = spill_relation(
-        _named("A", [("anna", "baker")]), str(tmp_path / "a-rows")
-    )
-    columnar = spill_columnar(
+    """A source whose manifest records no statistics is unbounded, so
+    even actually-disjoint data licenses no prune next to it."""
+    target = tmp_path / "a-bare"
+    spill_relation(_named("A", [("anna", "baker")]), str(target)).close()
+    manifest_path = target / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    del manifest["statistics"]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    bare = open_store(str(target))
+    columnar = spill_relation(
         _named("C", [("zoe", "clerk")]), str(tmp_path / "c-col")
     )
-    view = MultiSourceStore([row_store, columnar], name="mixed")
+    view = MultiSourceStore([bare, columnar], name="mixed")
     reducer = CertainKeyBlocking(BLOCK_KEY)
     ranges = source_key_ranges(view, reducer.prune_key)
     assert ranges[0] is None and ranges[1] is not None
@@ -348,65 +191,8 @@ def test_prune_keeps_everything_without_statistics(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Codec round trips
+# Codec edge cases
 # ----------------------------------------------------------------------
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    entity_count=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=10_000),
-    alternatives=st.integers(min_value=1, max_value=3),
-    flat=st.booleans(),
-    segment_size=st.integers(min_value=1, max_value=7),
-    page_size=st.integers(min_value=1, max_value=5),
-)
-def test_generated_relations_survive_columnar_roundtrip(
-    tmp_path_factory,
-    entity_count,
-    seed,
-    alternatives,
-    flat,
-    segment_size,
-    page_size,
-):
-    """Property: spill_columnar → iterate is the identity, exactly —
-    structurally and bitwise (outcome order, float probabilities)."""
-    relation = generate_dataset(
-        DatasetConfig(
-            entity_count=entity_count,
-            seed=seed,
-            alternatives_per_xtuple=alternatives,
-        ),
-        flat=flat,
-    ).relation
-    target = str(
-        tmp_path_factory.mktemp("columnar-roundtrip")
-        / f"s{seed}-{entity_count}"
-    )
-    store = spill_columnar(
-        relation,
-        target,
-        segment_size=segment_size,
-        page_size=page_size,
-        max_pages=2,
-    )
-    assert list(store) == list(relation)
-    assert store.tuple_ids == relation.tuple_ids
-    assert _exact_value_items(store) == _exact_value_items(relation)
-    for tuple_id in relation.tuple_ids:
-        assert store.get(tuple_id) == relation.get(tuple_id)
-    assert store.materialize().xtuples == relation.xtuples
-
-
-def test_empty_relation_roundtrip(tmp_path):
-    empty = XRelation("E", ("name", "job"))
-    store = empty.spill(str(tmp_path / "empty"), layout="columnar")
-    assert len(store) == 0
-    assert list(store) == []
-    assert store.tuple_ids == ()
-    assert store.fetch([]) == {}
-    assert sorted(os.listdir(tmp_path / "empty")) == ["manifest.json"]
 
 
 def test_empty_columns_roundtrip(tmp_path):
@@ -438,9 +224,9 @@ def test_empty_columns_roundtrip(tmp_path):
             return iter(xtuples)
 
     relation = Sparse()
-    store = spill_columnar(relation, str(tmp_path / "sparse"))
+    store = spill_relation(relation, str(tmp_path / "sparse"))
     assert list(store) == xtuples
-    assert _exact_value_items(store) == _exact_value_items(relation)
+    assert exact_value_items(store) == exact_value_items(relation)
     decoded = store.get("t1")
     assert decoded.alternatives[0].attributes == ("name",)
     assert decoded.alternatives[1].attributes == ("job",)
@@ -460,7 +246,7 @@ def test_page_spanning_strings_roundtrip(tmp_path):
             XTuple.certain("t2", {"name": "tiny", "job": big[::-1]}),
         ],
     )
-    store = spill_columnar(
+    store = spill_relation(
         relation, str(tmp_path / "big"), segment_size=1, page_size=1
     )
     assert list(store) == list(relation)
@@ -468,32 +254,11 @@ def test_page_spanning_strings_roundtrip(tmp_path):
     assert list(first.value("name").items()) == [(big, 1.0)]
 
 
-def test_mixed_order_distribution_roundtrip_is_exact(tmp_path):
-    """⊥ and pattern outcomes interleaved with plain ones keep their
-    positions, exactly like the row codec."""
-    value = ProbabilisticValue(
-        {"alpha": 0.3, NULL: 0.2, PatternValue("mu*"): 0.1, "beta": 0.15}
-    )
-    relation = XRelation(
-        "O",
-        ("name", "job"),
-        [
-            XTuple(
-                "t1",
-                [TupleAlternative({"name": "Tim", "job": value}, 0.8)],
-            )
-        ],
-    )
-    store = spill_columnar(relation, str(tmp_path / "ordered"))
-    decoded = store.get("t1").alternatives[0].value("job")
-    assert list(decoded.items()) == list(value.items())
-    assert decoded.null_probability == value.null_probability
-
-
 def test_columnar_layout_roundtrips_through_open_store(
     tmp_path, x_relation
 ):
-    """open_store dispatches on the manifest's layout marker."""
+    """A directory spilled with the explicit layout marker re-opens as
+    the columnar store."""
     target = str(tmp_path / "dispatch")
     spill_relation(x_relation, target, layout="columnar")
     store = open_store(target, page_size=4, max_pages=2)
@@ -525,7 +290,7 @@ def test_projection_never_reads_unselected_columns(tmp_path, x_relation):
     """Rot in an unselected column goes unnoticed by the projection —
     proof its bytes were never sliced — while a full scan trips the CRC."""
     target = tmp_path / "lazy"
-    spill_columnar(x_relation, str(target), segment_size=5)
+    spill_relation(x_relation, str(target), segment_size=5)
     victim = sorted(target.glob("seg-*.col01.jsonl"))[0]  # the job column
     victim.write_bytes(b'["corrupt"]\n' * 5)
     store = ColumnarXTupleStore(str(target))
@@ -574,7 +339,7 @@ def test_segment_zone_maps_are_per_segment(tmp_path):
     relation = _named(
         "Z", [("anna", "baker"), ("bob", "clerk"), ("zoe", "smith")]
     )
-    store = spill_columnar(relation, str(tmp_path / "zones"), segment_size=2)
+    store = spill_relation(relation, str(tmp_path / "zones"), segment_size=2)
     first, second = store.segment_zones(0), store.segment_zones(1)
     assert first["name"]["min"].startswith("a")
     assert second["name"]["min"].startswith("z")
@@ -584,7 +349,7 @@ def test_verify_reports_per_file_and_quarantine_isolates_family(
     tmp_path, x_relation
 ):
     target = tmp_path / "audit"
-    store = spill_columnar(x_relation, str(target), segment_size=5)
+    store = spill_relation(x_relation, str(target), segment_size=5)
     victim = sorted(target.glob("seg-00001.col00.jsonl"))[0]
     victim.write_bytes(b'["rot"]\n')
     store.close()

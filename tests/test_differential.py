@@ -4,7 +4,7 @@ Scheduling may change the order of work but never a result, so every
 sampled configuration must decide exactly what the reference oracle
 (``tests/conftest.py``) decides, bit for bit: any of the ten reducers,
 in-process or on a two-worker pool, any split budget, collected or
-streamed, in memory or spilled in either layout, under a clean
+streamed, in memory or spilled to disk, under a clean
 two-attempt retry policy that degrades or raises on exhaustion.
 
 The batched decide loop must likewise agree with the oracle's per-pair
@@ -144,14 +144,13 @@ def relations():
 
 @pytest.fixture(scope="module")
 def spilled(tmp_path_factory, relations):
-    """Every relation spilled in both on-disk layouts."""
+    """Every relation spilled once."""
     root = tmp_path_factory.mktemp("lattice")
     paths = {}
     for kind, relation in relations.items():
-        for layout in ("rows", "columnar"):
-            path = str(root / f"{kind}-{layout}")
-            relation.spill(path, layout=layout, segment_size=5).close()
-            paths[kind, layout] = path
+        path = str(root / kind)
+        relation.spill(path, segment_size=5).close()
+        paths[kind] = path
     return paths
 
 
@@ -169,7 +168,7 @@ def references(relations, oracle):
     n_jobs=st.sampled_from((1, 2)),
     split_pairs=st.integers(min_value=1, max_value=40),
     stream=st.booleans(),
-    storage=st.sampled_from(("memory", "rows", "columnar")),
+    storage=st.sampled_from(("memory", "spilled")),
     on_error=st.sampled_from(("degrade", "raise")),
 )
 def test_sampled_configuration_decides_like_the_oracle(
@@ -187,9 +186,7 @@ def test_sampled_configuration_decides_like_the_oracle(
     if storage == "memory":
         relation = relations[kind]
     else:
-        relation = open_store(
-            spilled[kind, storage], page_size=4, max_pages=3
-        )
+        relation = open_store(spilled[kind], page_size=4, max_pages=3)
     detector = _detector(name)
     try:
         result = detector.detect(

@@ -542,6 +542,66 @@ def test_quarantine_keeps_rest_servable(tmp_path, flat_relation):
     assert fresh.verify().ok
 
 
+def test_byte_flip_in_any_family_file_is_caught(tmp_path, flat_relation):
+    """Flips land on seed-chosen files of a segment family — the
+    structure file or any column — and the next read of the family
+    raises, naming the flipped file."""
+    store = flat_relation.spill(str(tmp_path / "store"), segment_size=16)
+    family = store._segment_files[1]
+    assert len(family) == 1 + len(flat_relation.schema.attributes)
+    touched = set()
+    for seed in range(12):
+        flip = FaultInjector(seed).flip_byte(store, segment=1)
+        assert flip.path in family
+        touched.add(flip.path)
+        fresh = open_store(store.path)
+        with pytest.raises(SegmentCorruptionError) as info:
+            list(fresh)
+        assert info.value.segment_file == flip.path
+        assert info.value.tuple_ids == flat_relation.tuple_ids[16:32]
+        flip.restore()
+        assert open_store(store.path).verify().ok
+    # Seeds spread over the family, not just its structure file.
+    assert len(touched) > 1
+
+
+def test_quarantine_crash_after_manifest_rewrite_keeps_survivors(
+    tmp_path, flat_relation, monkeypatch
+):
+    """A crash moving the family's first file — after the manifest was
+    rewritten without it — leaves orphaned files, never a manifest
+    pointing at missing data: a fresh open serves exactly the
+    surviving tuples and audits clean."""
+    from repro.pdb.storage import QUARANTINE_DIR
+
+    store = flat_relation.spill(str(tmp_path / "store"), segment_size=16)
+    flip = FaultInjector(11).flip_byte(store, segment=2)
+    real_replace = os.replace
+
+    def crash_on_quarantine_move(source, destination):
+        if os.path.basename(os.path.dirname(destination)) == QUARANTINE_DIR:
+            raise OSError("injected crash moving a quarantined file")
+        real_replace(source, destination)
+
+    monkeypatch.setattr(os, "replace", crash_on_quarantine_move)
+    with pytest.raises(OSError, match="injected crash"):
+        store.quarantine(flip.path)
+    monkeypatch.undo()
+
+    dropped = set(flat_relation.tuple_ids[32:48])
+    survivors = tuple(
+        tuple_id
+        for tuple_id in flat_relation.tuple_ids
+        if tuple_id not in dropped
+    )
+    fresh = open_store(store.path)
+    assert fresh.tuple_ids == survivors
+    assert fresh.verify().ok
+    assert list(fresh) == [flat_relation.get(i) for i in survivors]
+    # The corrupt family stayed where it was, orphaned.
+    assert os.path.exists(flip.path)
+
+
 def test_detect_between_with_quarantined_source(tmp_path, flat_relation):
     """One source of a consolidation loses a segment: quarantine it and
     the partial run equals the clean run over the surviving tuples."""

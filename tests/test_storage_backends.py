@@ -4,7 +4,7 @@ Two invariant families pin the out-of-core path:
 
 * **backend equivalence** — for every Section-V reducer, running the
   full detect pipeline against a spilled
-  :class:`~repro.pdb.storage.SpillingXTupleStore` produces *bitwise*
+  :class:`~repro.pdb.storage.ColumnarXTupleStore` produces *bitwise*
   the decisions (ids, statuses, similarities), compared-pair sets and
   partition labels of the in-memory :class:`XRelation` run — serial,
   ``n_jobs=2``, ``stream=True`` and ``keep_compared_pairs=False``
@@ -13,6 +13,10 @@ Two invariant families pin the out-of-core path:
   survive ``spill → open_store → iterate`` with exact outcome order,
   alternative probabilities and values intact (hypothesis properties
   plus the empty / single-alternative / maybe-tuple edge cases).
+
+Directories in the retired row layout are rejected with the fix.
+The columnar-only surface (projection, zone maps, pruning, family
+quarantine) is pinned by ``test_columnar.py``.
 """
 
 from __future__ import annotations
@@ -32,146 +36,28 @@ from repro.pdb import NULL, PatternValue, ProbabilisticValue
 from repro.pdb.io import open_store
 from repro.pdb.relations import Schema, XRelation
 from repro.pdb.storage import (
+    ColumnarXTupleStore,
     SegmentCorruptionError,
-    SpillingXTupleStore,
     StorageError,
     XTupleStore,
     fetch_tuples,
     spill_relation,
 )
 from repro.pdb.xtuples import TupleAlternative, XTuple
-from repro.reduction import (
-    AlternativeKeyBlocking,
-    AlternativeSorting,
-    CertainKeyBlocking,
-    MultiPassBlocking,
-    MultiPassSNM,
-    PhoneticBlocking,
-    SortedNeighborhood,
-    SubstringKey,
-    UncertainKeyClusteringBlocking,
-    UncertainKeySNM,
-    plan_candidates,
+from repro.reduction import CertainKeyBlocking, plan_candidates
+
+# flat_relation, x_relation and stores are fixtures.
+from storage_cases import (  # noqa: F401
+    BLOCK_KEY,
+    REDUCERS,
+    build_detector,
+    exact_value_items,
+    flat_relation,
+    relation_for,
+    stores,
+    triples,
+    x_relation,
 )
-
-SORT_KEY = SubstringKey([("name", 3), ("job", 2)])
-BLOCK_KEY = SubstringKey([("name", 1), ("job", 1)])
-
-
-def r34() -> XRelation:
-    """The paper's ℛ34 (5 x-tuples) — small enough for world passes."""
-    from repro.experiments.paper_data import MU_JOBS, relation_r34
-
-    return XRelation(
-        "R34x",
-        ("name", "job"),
-        [
-            xt.expand_patterns({"job": MU_JOBS}).expand()
-            for xt in relation_r34()
-        ],
-    )
-
-
-@pytest.fixture(scope="module")
-def flat_relation():
-    return generate_dataset(
-        DatasetConfig(entity_count=20, seed=91), flat=True
-    ).relation
-
-
-@pytest.fixture(scope="module")
-def x_relation():
-    return generate_dataset(DatasetConfig(entity_count=12, seed=93)).relation
-
-
-@pytest.fixture(scope="module")
-def stores(tmp_path_factory, flat_relation, x_relation):
-    """Every fixture relation spilled once, with a tiny page cache."""
-    root = tmp_path_factory.mktemp("stores")
-    spilled = {}
-    for kind, relation in (
-        ("flat", flat_relation),
-        ("x", x_relation),
-        ("r34", r34()),
-    ):
-        relation.spill(
-            str(root / kind), segment_size=7, page_size=4, max_pages=3
-        )
-        spilled[kind] = str(root / kind)
-    return spilled
-
-
-#: Reducer factories and which fixture-backed relation they run on —
-#: the same ten-reducer matrix the planner suite pins.
-REDUCERS = {
-    "full": (lambda: FullComparison(), "flat"),
-    "certain_blocking": (lambda: CertainKeyBlocking(BLOCK_KEY), "x"),
-    "alternative_blocking": (
-        lambda: AlternativeKeyBlocking(BLOCK_KEY),
-        "x",
-    ),
-    "snm": (lambda: SortedNeighborhood(SORT_KEY, window=5), "flat"),
-    "alternative_sorting": (
-        lambda: AlternativeSorting(SORT_KEY, window=4),
-        "x",
-    ),
-    "uncertain_snm": (lambda: UncertainKeySNM(SORT_KEY, window=4), "x"),
-    "uncertain_clustering": (
-        lambda: UncertainKeyClusteringBlocking(BLOCK_KEY, radius=0.4),
-        "x",
-    ),
-    "phonetic_blocking": (lambda: PhoneticBlocking(), "x"),
-    "multipass_snm": (
-        lambda: MultiPassSNM(
-            SORT_KEY, window=3, selection="diverse", world_count=2
-        ),
-        "r34",
-    ),
-    "multipass_blocking": (
-        lambda: MultiPassBlocking(
-            BLOCK_KEY, selection="diverse", world_count=2
-        ),
-        "r34",
-    ),
-}
-
-
-def _relation_for(kind, flat_relation, x_relation):
-    if kind == "flat":
-        return flat_relation
-    if kind == "x":
-        return x_relation
-    return r34()
-
-
-def _detector(factory):
-    return DuplicateDetector(
-        default_matcher(), weighted_model(), reducer=factory()
-    )
-
-
-def _triples(result):
-    return [
-        (d.left_id, d.right_id, d.status, d.similarity)
-        for d in result.decisions
-    ]
-
-
-def _exact_value_items(relation):
-    """Every value's exact ``(outcome, probability)`` sequence, per id."""
-    return {
-        xtuple.tuple_id: [
-            (
-                alternative.probability,
-                {
-                    attribute: list(alternative.value(attribute).items())
-                    for attribute in alternative.attributes
-                },
-            )
-            for alternative in xtuple.alternatives
-        ]
-        for xtuple in relation
-    }
 
 
 # ----------------------------------------------------------------------
@@ -185,26 +71,26 @@ def test_spilled_detection_is_bitwise_in_memory(
 ):
     """The acceptance pin: every mode, every reducer, both backends."""
     factory, kind = REDUCERS[name]
-    relation = _relation_for(kind, flat_relation, x_relation)
+    relation = relation_for(kind, flat_relation, x_relation)
     store = open_store(stores[kind], page_size=4, max_pages=3)
 
-    reference = _detector(factory).detect(relation)
-    serial = _detector(factory).detect(store)
-    parallel = _detector(factory).detect(store, n_jobs=2, chunk_size=7)
+    reference = build_detector(factory).detect(relation)
+    serial = build_detector(factory).detect(store)
+    parallel = build_detector(factory).detect(store, n_jobs=2, chunk_size=7)
     slices = list(
-        _detector(factory).detect(
+        build_detector(factory).detect(
             store, stream=True, keep_compared_pairs=False
         )
     )
 
-    assert _triples(serial) == _triples(reference)
-    assert _triples(parallel) == _triples(reference)
+    assert triples(serial) == triples(reference)
+    assert triples(parallel) == triples(reference)
     assert serial.compared_pairs == reference.compared_pairs
     assert parallel.compared_pairs == reference.compared_pairs
     assert serial.relation_size == reference.relation_size
 
-    streamed = [triple for piece in slices for triple in _triples(piece)]
-    assert streamed == _triples(reference)
+    streamed = [triple for piece in slices for triple in triples(piece)]
+    assert streamed == triples(reference)
     assert all(piece.compared_pairs == frozenset() for piece in slices)
     plan = plan_candidates(factory(), relation)
     assert [piece.partition_label for piece in slices] == [
@@ -219,7 +105,7 @@ def test_spilled_detection_is_bitwise_in_memory(
 
 def test_detector_plan_is_backend_independent(x_relation, stores):
     store = open_store(stores["x"])
-    detector = _detector(lambda: CertainKeyBlocking(BLOCK_KEY))
+    detector = build_detector(lambda: CertainKeyBlocking(BLOCK_KEY))
     assert list(detector.plan(store).pairs()) == list(
         detector.plan(x_relation).pairs()
     )
@@ -228,8 +114,8 @@ def test_detector_plan_is_backend_independent(x_relation, stores):
 def test_clusters_match_across_backends(x_relation, stores):
     store = open_store(stores["x"])
     factory = lambda: CertainKeyBlocking(BLOCK_KEY)  # noqa: E731
-    in_memory = _detector(factory).detect(x_relation)
-    spilled = _detector(factory).detect(store)
+    in_memory = build_detector(factory).detect(x_relation)
+    spilled = build_detector(factory).detect(store)
     assert (
         spilled.clusters().clusters == in_memory.clusters().clusters
     )
@@ -252,7 +138,7 @@ def test_detect_between_accepts_stores(x_relation, stores):
     still requires in-memory sources."""
     from repro.pdb.errors import DuplicateTupleIdError
 
-    detector = _detector(lambda: CertainKeyBlocking(BLOCK_KEY))
+    detector = build_detector(lambda: CertainKeyBlocking(BLOCK_KEY))
     with pytest.raises(DuplicateTupleIdError):
         detector.detect_between(open_store(stores["x"]), x_relation)
     prepared = DuplicateDetector(
@@ -397,19 +283,60 @@ def test_pickled_store_ships_metadata_only(x_relation, stores):
 
 def test_store_open_rejects_bad_directories(tmp_path):
     with pytest.raises(StorageError, match="not a spilled store"):
-        SpillingXTupleStore(str(tmp_path / "missing"))
+        ColumnarXTupleStore(str(tmp_path / "missing"))
     corrupt = tmp_path / "corrupt"
     corrupt.mkdir()
     (corrupt / "manifest.json").write_text("{not json", encoding="utf-8")
     with pytest.raises(StorageError, match="corrupt store manifest"):
-        SpillingXTupleStore(str(corrupt))
+        ColumnarXTupleStore(str(corrupt))
     truncated = tmp_path / "truncated"
     truncated.mkdir()
     (truncated / "manifest.json").write_text(
-        '{"format": 1}', encoding="utf-8"
+        '{"format": 1, "layout": "columnar"}', encoding="utf-8"
     )
     with pytest.raises(StorageError, match="missing key"):
-        SpillingXTupleStore(str(truncated))
+        ColumnarXTupleStore(str(truncated))
+
+
+@pytest.mark.parametrize("layout", [None, "rows"])
+def test_open_store_rejects_row_layout_directories(tmp_path, layout):
+    """A directory in the retired row layout — a manifest without a
+    layout marker, or marked ``"rows"`` — fails to open and names the
+    fix instead of being misread."""
+    target = tmp_path / "rows"
+    target.mkdir()
+    manifest = {
+        "format": 1,
+        "kind": "repro-xtuple-store",
+        "name": "R",
+        "schema": ["name"],
+        "count": 1,
+        "segments": [
+            {"file": "seg-00000.jsonl", "ids": ["t0"], "offsets": [0]}
+        ],
+    }
+    if layout is not None:
+        manifest["layout"] = layout
+    (target / "manifest.json").write_text(
+        json.dumps(manifest), encoding="utf-8"
+    )
+    (target / "seg-00000.jsonl").write_text(
+        '{"id":"t0","alternatives":[]}\n', encoding="utf-8"
+    )
+    with pytest.raises(StorageError, match="row layout was retired") as info:
+        open_store(str(target))
+    message = str(info.value)
+    assert "'rows'" in message
+    assert "materialize()" in message and "re-spill" in message
+
+
+def test_spill_rejects_the_row_layout(tmp_path, x_relation):
+    target = tmp_path / "rows"
+    with pytest.raises(ValueError, match="row layout was retired"):
+        x_relation.spill(str(target), layout="rows")
+    with pytest.raises(ValueError, match="row layout was retired"):
+        spill_relation(x_relation, str(target), layout="rows")
+    assert not target.exists()
 
 
 def test_serial_detection_loads_bounded_working_sets(flat_relation, stores):
@@ -417,7 +344,7 @@ def test_serial_detection_loads_bounded_working_sets(flat_relation, stores):
     serial execution fetches chunk-sized working sets, like workers."""
     batch_sizes = []
 
-    class Spying(SpillingXTupleStore):
+    class Spying(ColumnarXTupleStore):
         def fetch(self, tuple_ids):
             ids = list(tuple_ids)
             batch_sizes.append(len(ids))
@@ -425,7 +352,7 @@ def test_serial_detection_loads_bounded_working_sets(flat_relation, stores):
 
     store = Spying(stores["flat"], page_size=4, max_pages=3)
     chunk_size = 16
-    result = _detector(lambda: FullComparison()).detect(
+    result = build_detector(lambda: FullComparison()).detect(
         store, chunk_size=chunk_size, keep_derivations=False
     )
     assert result.decisions
@@ -456,26 +383,35 @@ def test_segment_read_errors_surface_as_storage_errors(
     """A store whose segments vanished or rotted after opening reports
     StorageError from get/fetch/iteration, not raw OS/JSON errors.
 
-    With checksums verified (the default), overwritten bytes are caught
-    by the CRC before any line is decoded; with verification off, the
-    per-line decode error surfaces instead, carrying the segment path,
+    Overwritten bytes are caught by the CRC before any line is decoded;
+    in a file whose manifest entry records no CRC (unverifiable), the
+    per-line decode error surfaces instead, carrying the file path,
     byte offset and tuple id.
     """
     target = tmp_path / "rotting"
     store = x_relation.spill(str(target), segment_size=4)
-    victim = sorted(target.glob("seg-*.jsonl"))[1]
+    victim = target / "seg-00001.tuples.jsonl"
     original = victim.read_bytes()
     victim.write_bytes(b"{corrupt\n" * 4)
     store.clear_cache()
     with pytest.raises(SegmentCorruptionError, match="integrity"):
         store.get(x_relation.tuple_ids[4])
-    # Iteration re-diagnoses the unparseable line via the checksum, so
-    # bit rot reports the whole segment's blast radius, not one line.
+    # Iteration maps the file through the same check, so bit rot
+    # reports the whole segment's blast radius, not one line.
     with pytest.raises(SegmentCorruptionError, match="integrity"):
         list(store)
-    unverified = SpillingXTupleStore(str(target), verify_checksums=False)
+    manifest_path = target / "manifest.json"
+    manifest_text = manifest_path.read_text(encoding="utf-8")
+    manifest = json.loads(manifest_text)
+    del manifest["segments"][1]["crc32"]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    unverifiable = open_store(str(target))
+    assert [entry.status for entry in unverifiable.verify().segments].count(
+        "unverifiable"
+    ) == 1
     with pytest.raises(StorageError, match="corrupt segment line") as info:
-        unverified.get(x_relation.tuple_ids[4])
+        unverifiable.get(x_relation.tuple_ids[4])
+    manifest_path.write_text(manifest_text, encoding="utf-8")
     assert "byte offset" in str(info.value)
     assert repr(x_relation.tuple_ids[4]) in str(info.value)
     victim.unlink()
@@ -517,11 +453,11 @@ def test_interrupted_spill_never_opens(tmp_path, x_relation):
     target.mkdir()
     # Simulate a crash after segment data hit disk but before the
     # manifest: segment files exist, manifest does not.
-    (target / "seg-00000.jsonl").write_text(
-        '{"id":"t0","alternatives":[]}\n', encoding="utf-8"
+    (target / "seg-00000.tuples.jsonl").write_text(
+        '{"id":"t0","alts":[]}\n', encoding="utf-8"
     )
     with pytest.raises(StorageError, match="not a spilled store"):
-        SpillingXTupleStore(str(target))
+        open_store(str(target))
 
 
 def test_open_store_reads_plain_relation_files(tmp_path, x_relation):
@@ -585,7 +521,7 @@ def test_generated_relations_survive_spill_roundtrip(
     )
     assert list(store) == list(relation)
     assert store.tuple_ids == relation.tuple_ids
-    assert _exact_value_items(store) == _exact_value_items(relation)
+    assert exact_value_items(store) == exact_value_items(relation)
     for tuple_id in relation.tuple_ids:
         assert store.get(tuple_id) == relation.get(tuple_id)
     assert store.materialize().xtuples == relation.xtuples
@@ -659,14 +595,30 @@ def test_mixed_order_distribution_roundtrip_is_exact(tmp_path):
 
 
 def test_segment_lines_use_the_exact_codec(tmp_path, x_relation):
+    """Structure lines carry the ids in spill order; every column line
+    holds the exact encodings of the values that alternatives carry."""
+    from repro.pdb.io import encode_value_exact
+
     x_relation.spill(str(tmp_path / "exact"), segment_size=1_000)
-    segment = tmp_path / "exact" / "seg-00000.jsonl"
-    documents = [
-        json.loads(line)
-        for line in segment.read_text(encoding="utf-8").splitlines()
-    ]
-    assert [doc["id"] for doc in documents] == list(x_relation.tuple_ids)
-    encoded = json.dumps(documents)
-    # Uncertain values must be stored in the ordered form, never the
-    # order-losing legacy {"dist": ...} grouping.
-    assert '"dist"' not in encoded
+    root = tmp_path / "exact"
+
+    def documents(file_name):
+        text = (root / file_name).read_text(encoding="utf-8")
+        return [json.loads(line) for line in text.splitlines()]
+
+    structure = documents("seg-00000.tuples.jsonl")
+    assert [doc["id"] for doc in structure] == list(x_relation.tuple_ids)
+    for column, attribute in enumerate(x_relation.schema.attributes):
+        lines = documents(f"seg-00000.col{column:02d}.jsonl")
+        expected = [
+            [
+                encode_value_exact(alternative.value(attribute))
+                for alternative in xtuple.alternatives
+                if attribute in alternative.attributes
+            ]
+            for xtuple in x_relation
+        ]
+        assert lines == json.loads(json.dumps(expected))
+        # Uncertain values must be stored in the ordered form, never
+        # the order-losing legacy {"dist": ...} grouping.
+        assert '"dist"' not in json.dumps(lines)
