@@ -2,7 +2,7 @@
 
 The out-of-core promise is a *memory* bound, not a speed win: detection
 over a :class:`~repro.pdb.storage.ColumnarXTupleStore` must keep peak
-additional RSS bounded by the page cache plus one partition's working
+additional RSS bounded by the tuple cache plus one partition's working
 set — not by relation size — while staying within sight of the
 in-memory wall clock.  Wall clock is tracked by pytest-benchmark on the
 same blocking workload the planner benches use; peak RSS is measured
@@ -37,7 +37,7 @@ from repro.reduction import CertainKeyBlocking, SubstringKey, plan_candidates
 KEY_SPEC = [("name", 1), ("job", 1)]
 BLOCK_KEY = SubstringKey(KEY_SPEC)
 
-#: Page-cache knobs for the spilled runs: at most 4 × 64 decoded tuples
+#: Tuple-cache bound for the spilled runs: at most 4 × 64 decoded tuples
 #: resident, far below the n=1200 relation.
 STORE_OPTIONS = {"page_size": 64, "max_pages": 4}
 

@@ -439,7 +439,7 @@ class ExecutionEngine:
         index)``, unit ids being list positions.
 
         In-process runs keep every partition whole, in plan order — the
-        serial fetch order and page-cache behaviour.  A pooled run
+        serial fetch order and tuple-cache behaviour.  A pooled run
         subdivides each partition over the split budget
         (:func:`subdivide_partition`).
         """

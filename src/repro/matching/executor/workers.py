@@ -51,9 +51,9 @@ def chunk_working_set(relation, pairs: Sequence[tuple[str, str]]):
     """The tuples one chunk of pairs touches, loaded as one batch.
 
     One batched working-set load per chunk: out-of-core stores decode
-    each needed segment page once instead of per pair lookup (and a
+    each needed tuple once instead of per pair lookup (and a
     multi-source view splits the batch per backing store), and the
-    caller only ever holds this chunk's tuples (plus the store's page
+    caller only ever holds this chunk's tuples (plus the store's tuple
     cache) decoded — never a whole single-partition plan's relation.
     """
     members: dict[str, None] = {}

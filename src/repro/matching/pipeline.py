@@ -361,7 +361,7 @@ class DuplicateDetector:
         :class:`~repro.pdb.storage.XTupleStore` — in particular an
         out-of-core :class:`~repro.pdb.storage.ColumnarXTupleStore`
         opened via :func:`repro.pdb.io.open_store`, in which case only
-        one chunk-sized working set (plus the store's page cache) is
+        one chunk-sized working set (plus the store's tuple cache) is
         ever decoded at a time and results are identical bit for bit to
         the in-memory run.
 

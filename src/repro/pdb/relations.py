@@ -124,7 +124,7 @@ class _BaseRelation:
         """Batch lookup of a working set (the storage-backend protocol).
 
         The in-memory backend just hands out its existing tuple objects;
-        out-of-core backends decode segment pages instead (see
+        out-of-core backends decode the requested tuples instead (see
         :mod:`repro.pdb.storage`).
         """
         by_id = self._by_id

@@ -7,7 +7,7 @@ protocol feed the detection pipeline:
   (every tuple resident, ``fetch`` hands out the existing objects);
 * :class:`ColumnarXTupleStore` — the out-of-core backend over a
   directory of per-attribute column files (mmap-backed reads, an LRU
-  page cache of decoded tuples, spill-time zone maps and key
+  cache of decoded tuples, spill-time zone maps and key
   histograms; only ids and offsets resident), whose
   :meth:`~ColumnarXTupleStore.project` scans a subset of attributes
   without decoding the rest and whose

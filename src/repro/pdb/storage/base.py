@@ -19,8 +19,8 @@ Contract (both implementations):
 * ``store.fetch(tuple_ids)`` returns a ``{tuple_id: XTuple}`` mapping
   for a *working set* — the ids of one plan partition or dispatch
   chunk.  Backends may service it however is cheapest (the in-memory
-  relation hands out its existing objects; the columnar store groups
-  ids by segment page so each page is decoded once);
+  relation hands out its existing objects; the columnar store decodes
+  each uncached tuple once, in file order);
 * stores are read-only from the pipeline's perspective: forked workers
   may share one store and only ever read through it.
 """

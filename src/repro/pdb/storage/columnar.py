@@ -36,11 +36,12 @@ lines are sliced straight out of the mapping, so OS-cached pages are
 served without a read syscall or userspace buffering, and forked
 workers share the page cache with their parent for free (a mapping has
 no seek position).  Only ids and offsets stay resident; :meth:`get` and
-:meth:`fetch` decode through an LRU cache of fixed-size *pages* (runs
-of consecutive tuples within one segment), so decoded residency stays
-bounded by ``page_size × max_pages``.  Mappings and pages are pickled
-away (``__getstate__``), so shipping a store to a spawn-based worker
-costs only metadata.
+:meth:`fetch` serve an LRU cache of decoded tuples keyed by tuple id
+and decode only the requested tuples that miss it — one structure line
+plus one line per column each, in file order — so decoded residency
+stays bounded by ``page_size × max_pages`` tuples.  Mappings and cached
+tuples are pickled away (``__getstate__``), so shipping a store to a
+spawn-based worker costs only metadata.
 
 The payoff is **projection**: :meth:`ColumnarXTupleStore.project`
 scans the structure file plus only the named attributes' columns —
@@ -97,15 +98,13 @@ QUARANTINE_DIR = "quarantine"
 #: Tuples per segment family written by :func:`spill_relation`.
 DEFAULT_SEGMENT_SIZE = 512
 
-#: Tuples decoded together on a page-cache miss.
+#: Tuple-cache bound, as ``page_size × max_pages`` decoded tuples.
 DEFAULT_PAGE_SIZE = 64
-
-#: Pages the LRU cache retains (decoded residency ≤ pages × page size).
 DEFAULT_MAX_PAGES = 32
 
 #: Files kept mapped per process (LRU); large relations have
 #: relation_size / segment_size segment families, far beyond the
-#: default FD ulimit, so mappings are evicted-and-closed like pages.
+#: default FD ulimit, so mappings are evicted-and-closed like tuples.
 DEFAULT_MAX_OPEN_SEGMENTS = 64
 
 #: Pseudo column index of a segment's structure (tuples) file.
@@ -114,12 +113,14 @@ _STRUCTURE = -1
 
 @dataclass(frozen=True)
 class PageCacheInfo:
-    """A snapshot of one store's page-cache behaviour."""
+    """A snapshot of one store's tuple-cache behaviour.
+
+    Hits and misses count requested tuples; a miss is one decode.
+    """
 
     hits: int
     misses: int
     evictions: int
-    pages: int
     cached_tuples: int
     page_size: int
     max_pages: int
@@ -408,11 +409,10 @@ class ColumnarXTupleStore:
         A directory produced by :func:`spill_relation` /
         :meth:`XRelation.spill <repro.pdb.relations.XRelation.spill>`.
     page_size / max_pages:
-        LRU cache of fully-decoded tuples for :meth:`get` /
-        :meth:`fetch`: ``page_size`` consecutive tuples are decoded per
-        miss, and decoded residency never exceeds
+        Bound of the LRU cache of fully-decoded tuples behind
+        :meth:`get` / :meth:`fetch`: it never holds more than
         ``page_size × max_pages`` tuples (plus any working set a caller
-        is currently holding).
+        is currently holding).  A miss decodes just the missing tuple.
     max_open_segments:
         Mapped *files* kept per process (LRU).  A full-tuple scan keeps
         ``1 + len(schema)`` files of the current segment mapped, so the
@@ -444,9 +444,8 @@ class ColumnarXTupleStore:
         self._load_manifest()
         #: (segment, column) → mmap; column -1 is the structure file.
         self._maps: OrderedDict[tuple[int, int], mmap.mmap] = OrderedDict()
-        self._pages: OrderedDict[tuple[int, int], list[XTuple]] = (
-            OrderedDict()
-        )
+        #: tuple id → decoded tuple, least recently used first.
+        self._cache: OrderedDict[str, XTuple] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -693,54 +692,41 @@ class ColumnarXTupleStore:
         return XTuple(structure["id"], alternatives)
 
     # ------------------------------------------------------------------
-    # Random access through the page cache
+    # Random access through the tuple cache
     # ------------------------------------------------------------------
 
     def get(self, tuple_id: str) -> XTuple:
-        """Decode one x-tuple by id (via the page cache)."""
-        segment, position = self._locate[tuple_id]
-        page = self._load_page(segment, position // self._page_size)
-        return page[position % self._page_size]
+        """Decode one x-tuple by id (via the tuple cache)."""
+        return self._lookup((tuple_id,))[tuple_id]
 
     def fetch(self, tuple_ids: Iterable[str]) -> dict[str, XTuple]:
-        """Decode a working set, touching each needed page only once."""
-        wanted = list(tuple_ids)
-        by_page: dict[tuple[int, int], list[str]] = {}
-        for tuple_id in wanted:
-            segment, position = self._locate[tuple_id]
-            by_page.setdefault(
-                (segment, position // self._page_size), []
-            ).append(tuple_id)
-        result: dict[str, XTuple] = {}
-        for key in sorted(by_page):
-            page = self._load_page(*key)
-            for tuple_id in by_page[key]:
-                position = self._locate[tuple_id][1]
-                result[tuple_id] = page[position % self._page_size]
-        return {tuple_id: result[tuple_id] for tuple_id in wanted}
+        """Decode a working set, in request order; each tuple once."""
+        return self._lookup(tuple_ids)
 
-    def _load_page(self, segment: int, page_number: int) -> list[XTuple]:
-        key = (segment, page_number)
-        pages = self._pages
-        page = pages.get(key)
-        if page is not None:
-            self._hits += 1
-            pages.move_to_end(key)
-            return page
-        self._misses += 1
+    def _lookup(self, tuple_ids: Iterable[str]) -> dict[str, XTuple]:
+        """Serve cache hits, then decode the misses in file order."""
+        found: dict[str, XTuple | None] = dict.fromkeys(tuple_ids)
+        cache = self._cache
+        missing: list[tuple[int, int, str]] = []
+        for tuple_id in found:
+            cached = cache.get(tuple_id)
+            if cached is None:
+                missing.append((*self._locate[tuple_id], tuple_id))
+            else:
+                cache.move_to_end(tuple_id)
+                found[tuple_id] = cached
+        self._hits += len(found) - len(missing)
         columns = self._all_columns()
-        start = page_number * self._page_size
-        count = min(
-            self._page_size, len(self._segment_ids[segment]) - start
-        )
-        page = [
-            self._decode(segment, start + i, columns) for i in range(count)
-        ]
-        pages[key] = page
-        if len(pages) > self._max_pages:
-            pages.popitem(last=False)
-            self._evictions += 1
-        return page
+        capacity = self._page_size * self._max_pages
+        for segment, position, tuple_id in sorted(missing):
+            found[tuple_id] = cache[tuple_id] = self._decode(
+                segment, position, columns
+            )
+            self._misses += 1
+            if len(cache) > capacity:
+                cache.popitem(last=False)
+                self._evictions += 1
+        return found
 
     # ------------------------------------------------------------------
     # Projection and statistics — the planner-facing surface
@@ -780,20 +766,19 @@ class ColumnarXTupleStore:
     # ------------------------------------------------------------------
 
     def cache_info(self) -> PageCacheInfo:
-        """Current page-cache statistics."""
+        """Current tuple-cache statistics."""
         return PageCacheInfo(
             hits=self._hits,
             misses=self._misses,
             evictions=self._evictions,
-            pages=len(self._pages),
-            cached_tuples=sum(len(page) for page in self._pages.values()),
+            cached_tuples=len(self._cache),
             page_size=self._page_size,
             max_pages=self._max_pages,
         )
 
     def clear_cache(self) -> None:
-        """Drop every cached page (counters are kept)."""
-        self._pages.clear()
+        """Drop every cached tuple (counters are kept)."""
+        self._cache.clear()
 
     def materialize(self, name: str | None = None) -> XRelation:
         """Load the whole store into an in-memory :class:`XRelation`."""
@@ -922,7 +907,7 @@ class ColumnarXTupleStore:
         )
 
     def close(self) -> None:
-        """Close every mapping and drop cached pages (idempotent)."""
+        """Close every mapping and drop cached tuples (idempotent)."""
         maps = getattr(self, "_maps", None)
         if maps:
             for mapped in maps.values():
@@ -931,11 +916,7 @@ class ColumnarXTupleStore:
                 except (OSError, ValueError):
                     pass
         self._maps = OrderedDict()
-        pages = getattr(self, "_pages", None)
-        if pages is not None:
-            pages.clear()
-        else:
-            self._pages = OrderedDict()
+        self._cache = OrderedDict()
 
     def __enter__(self) -> "ColumnarXTupleStore":
         return self
@@ -944,11 +925,11 @@ class ColumnarXTupleStore:
         self.close()
 
     def __getstate__(self) -> dict:
-        # Mappings are process-local and pages are cheap to refill;
-        # pickling (e.g. spawn-based pools) ships metadata only.
+        # Mappings are process-local and cached tuples are cheap to
+        # refill; pickling (e.g. spawn-based pools) ships metadata only.
         state = self.__dict__.copy()
         state["_maps"] = OrderedDict()
-        state["_pages"] = OrderedDict()
+        state["_cache"] = OrderedDict()
         return state
 
     def __repr__(self) -> str:

@@ -15,8 +15,8 @@ bitwise identical to detection over the materialized union.
 Only *metadata* is combined: the view keeps a tuple-id → source index
 map (ids it already holds as strings) and otherwise delegates.  A
 working-set :meth:`fetch` splits the requested ids per backing store,
-lets each store batch its own lookups (the columnar store groups by
-segment page, the in-memory relation hands out resident objects), and
+lets each store batch its own lookups (the columnar store decodes only
+uncached tuples, the in-memory relation hands out resident objects), and
 re-keys the merged result into request order — the *multi-store
 working-set fetch* the execution engine loads partitions through.
 """
@@ -183,7 +183,7 @@ class MultiSourceStore:
         """Multi-store working-set fetch.
 
         Ids are grouped per owning store so each backend services its
-        share as one batch (page-grouped decodes for spilled stores),
+        share as one batch (one decode per uncached tuple when spilled),
         then the merged mapping is re-keyed into the caller's request
         order — the same contract as a single store's ``fetch``.
         """

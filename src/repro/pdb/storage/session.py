@@ -237,7 +237,7 @@ class SessionStore:
         """Working-set fetch: overlay ids served here, the rest batched.
 
         Base ids are fetched through the base store in one batch (the
-        columnar store groups them by segment page), then the merged
+        columnar store decodes each uncached one once), then the merged
         mapping is re-keyed into request order.
         """
         requested = list(tuple_ids)

@@ -52,7 +52,7 @@ SPLIT_REFINEMENT_LIMIT = 4
 
 #: Member tuples fetched per batch while computing refined sub-keys, so
 #: splitting a giant block of an out-of-core store never pins more than
-#: this many decoded tuples beyond the store's page cache.
+#: this many decoded tuples beyond the store's tuple cache.
 SPLIT_FETCH_BATCH = 512
 
 
@@ -96,7 +96,7 @@ def split_block_by_refined_key(
     # key is computed while the batch is resident, and only the id →
     # key strings survive — splitting a giant block of an out-of-core
     # store never pins more than SPLIT_FETCH_BATCH decoded tuples
-    # beyond the store's page cache.
+    # beyond the store's tuple cache.
     refined_keys = [
         refine_key(key, 2**level) for level in range(1, refinement_limit + 1)
     ]

@@ -36,7 +36,7 @@ from repro.matching.executor import (
     WorkerCrash,
     WorkerTimeout,
 )
-from repro.pdb.errors import SegmentCorruptionError
+from repro.pdb.errors import SegmentCorruptionError, StorageError
 from repro.pdb.io import open_store
 from repro.pdb.relations import XRelation
 from repro.reduction import (
@@ -563,6 +563,58 @@ def test_byte_flip_in_any_family_file_is_caught(tmp_path, flat_relation):
         assert open_store(store.path).verify().ok
     # Seeds spread over the family, not just its structure file.
     assert len(touched) > 1
+
+
+def test_byte_flip_reached_by_a_single_tuple_fetch(tmp_path, flat_relation):
+    """Fetching one tuple of a flipped family maps the tuple's structure
+    file and every column, so a flip in any of them raises with the
+    whole family's ids, never a decode of the damaged bytes."""
+    store = flat_relation.spill(str(tmp_path / "store"), segment_size=16)
+    family_ids = flat_relation.tuple_ids[16:32]
+    for seed in range(6):
+        flip = FaultInjector(seed).flip_byte(store, segment=1)
+        fresh = open_store(store.path)
+        with pytest.raises(SegmentCorruptionError) as info:
+            fresh.fetch([family_ids[seed]])
+        assert info.value.segment_file == flip.path
+        assert info.value.tuple_ids == family_ids
+        flip.restore()
+
+
+def test_byte_flip_in_an_unchecksummed_column_line_names_the_tuple(
+    tmp_path, flat_relation
+):
+    """A flipped column line whose file records no CRC surfaces from
+    ``fetch`` as a per-line ``StorageError`` naming the tuple and the
+    byte offset; its neighbours decode line by line, untouched."""
+    import json
+
+    path = str(tmp_path / "store")
+    flat_relation.spill(path, segment_size=16).close()
+    manifest_file = os.path.join(path, "manifest.json")
+    with open(manifest_file, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    column = manifest["segments"][1]["columns"][0]
+    del column["crc32"]
+    with open(manifest_file, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    offset = column["offsets"][5]
+    with open(os.path.join(path, column["file"]), "r+b") as handle:
+        handle.seek(offset)
+        original = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([original ^ 0xFF]))
+
+    store = open_store(path)
+    victim = flat_relation.tuple_ids[21]
+    with pytest.raises(StorageError, match="corrupt segment line") as info:
+        store.fetch([victim])
+    assert not isinstance(info.value, SegmentCorruptionError)
+    assert f"byte offset {offset}" in str(info.value)
+    assert repr(victim) in str(info.value)
+    ids = flat_relation.tuple_ids
+    neighbours = ids[16:21] + ids[22:32]
+    assert store.fetch(neighbours) == flat_relation.fetch(neighbours)
 
 
 def test_quarantine_crash_after_manifest_rewrite_keeps_survivors(

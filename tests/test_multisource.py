@@ -90,7 +90,7 @@ def x_halves():
 
 @pytest.fixture(scope="module")
 def spilled_halves(tmp_path_factory, flat_halves, x_halves):
-    """Every source spilled separately, with a tiny page cache."""
+    """Every source spilled separately, with a tiny tuple cache."""
     root = tmp_path_factory.mktemp("sources")
     spilled = {}
     for kind, halves in (

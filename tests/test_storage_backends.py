@@ -174,11 +174,12 @@ def test_page_cache_residency_stays_bounded(x_relation, stores):
     store = open_store(stores["x"], page_size=4, max_pages=3)
     for tuple_id in x_relation.tuple_ids:
         store.get(tuple_id)
-    info = store.cache_info()
-    assert info.cached_tuples <= info.capacity_tuples == 12
-    assert info.pages <= info.max_pages
+        info = store.cache_info()
+        assert info.cached_tuples <= info.capacity_tuples == 12
     assert info.evictions > 0  # the relation is larger than the cache
-    assert info.misses >= len(x_relation) // 4
+    # No id repeats and none survives until it is asked for again, so
+    # every get is a miss that decodes exactly one tuple.
+    assert info.misses == len(x_relation)
 
 
 def test_fetch_decodes_each_page_once(x_relation, stores):
@@ -228,6 +229,84 @@ def test_scattered_fetch_does_not_pin_evicted_pages(tmp_path):
     assert store.fetch(scattered) == relation.fetch(scattered)
 
 
+def test_cold_fetch_decodes_only_the_requested_tuples(
+    flat_relation, stores
+):
+    """A working set scattered one id per page decodes one tuple per
+    id, in file order, whatever order the ids were requested in; a
+    repeat is served from cache, and ``get`` shares the cache without
+    going through ``fetch``."""
+    decoded = []
+    fetches = []
+
+    class Spying(ColumnarXTupleStore):
+        def _decode(self, segment, position, columns):
+            decoded.append((segment, position))
+            return super()._decode(segment, position, columns)
+
+        def fetch(self, tuple_ids):
+            fetches.append(tuple_ids)
+            return super().fetch(tuple_ids)
+
+    page_size = 4
+    store = Spying(stores["flat"], page_size=page_size, max_pages=64)
+    scattered = flat_relation.tuple_ids[::page_size][::-1]
+    k = len(scattered)
+    assert 1 < k <= store.cache_info().capacity_tuples
+
+    working_set = store.fetch(scattered)
+    assert list(working_set) == list(scattered)
+    assert working_set == flat_relation.fetch(scattered)
+    assert len(decoded) == k == store.cache_info().misses
+    assert decoded == sorted(decoded)
+
+    assert store.fetch(scattered) == working_set
+    info = store.cache_info()
+    assert (info.hits, info.misses, len(decoded)) == (k, k, k)
+
+    fetches.clear()
+    assert store.get(scattered[0]) is working_set[scattered[0]]
+    assert not fetches and store.cache_info().hits == k + 1
+
+    store.clear_cache()
+    decoded.clear()
+    a, b = flat_relation.tuple_ids[9], flat_relation.tuple_ids[2]
+    result = store.fetch([a, b, a])
+    assert list(result) == [a, b]
+    assert result == flat_relation.fetch([a, b])
+    assert decoded == sorted(decoded) and len(decoded) == 2
+
+
+def test_tuple_cache_serves_only_live_ids(tmp_path, flat_relation):
+    """The cache is keyed by tuple id: unknown ids and ids quarantined
+    away raise ``KeyError`` even if they were cached, and survivors
+    decode correctly after their segment indices shift."""
+    store = flat_relation.spill(str(tmp_path / "store"), segment_size=8)
+    ids = flat_relation.tuple_ids
+    with pytest.raises(KeyError):
+        store.fetch([ids[0], "no-such-id"])
+    store.fetch(ids)
+    assert store.cache_info().cached_tuples == len(ids)
+
+    receipt = store.quarantine(1)
+    assert receipt.tuple_ids == ids[8:16]
+    assert store.cache_info().cached_tuples == 0
+    for tuple_id in receipt.tuple_ids:
+        with pytest.raises(KeyError):
+            store.get(tuple_id)
+        with pytest.raises(KeyError):
+            store.fetch([ids[0], tuple_id])
+    survivors = ids[:8] + ids[16:]
+    assert store._locate[ids[16]] == (1, 0)
+    assert store.fetch(survivors[::-1]) == flat_relation.fetch(
+        survivors[::-1]
+    )
+    assert all(
+        store.get(tuple_id) == flat_relation.get(tuple_id)
+        for tuple_id in survivors
+    )
+
+
 def test_fetch_tuples_helper_covers_both_backends(x_relation, stores):
     ids = x_relation.tuple_ids[:5]
     assert fetch_tuples(x_relation, ids) == fetch_tuples(
@@ -266,14 +345,14 @@ def test_sequential_iteration_bypasses_the_cache(x_relation, stores):
     store = open_store(stores["x"], page_size=4, max_pages=2)
     assert list(store) == list(x_relation)
     info = store.cache_info()
-    assert info.misses == 0 and info.pages == 0
+    assert info.misses == 0 and info.cached_tuples == 0
 
 
 def test_pickled_store_ships_metadata_only(x_relation, stores):
     store = open_store(stores["x"])
     store.fetch(x_relation.tuple_ids[:8])
     clone = pickle.loads(pickle.dumps(store))
-    assert clone.cache_info().pages == 0
+    assert clone.cache_info().cached_tuples == 0
     assert clone.tuple_ids == store.tuple_ids
     assert list(clone) == list(store)
     assert clone.get(x_relation.tuple_ids[3]) == x_relation.get(
