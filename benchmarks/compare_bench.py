@@ -16,18 +16,11 @@ Usage::
     python benchmarks/compare_bench.py              # full suite
     python benchmarks/compare_bench.py -k kernels   # forward pytest args
     python benchmarks/compare_bench.py --quick      # CI smoke subset
-    python benchmarks/compare_bench.py --quick --backend bitparallel
 
 ``--quick`` runs only the kernel, planner, storage, cutoff, scheduler
 and fault benches with minimal rounds and writes ``BENCH_quick.json``
 (outside the numbered trajectory), so CI can smoke the harness
 quickly.
-
-``--backend <name>`` exports ``REPRO_KERNEL_BACKEND`` for the bench
-process, steering every detection bench through that comparison-kernel
-backend; CI smokes each registered backend this way, and the bitwise
-sanity asserts inside the kernel bench module turn any divergence from
-the ``"python"`` reference into a failed run.
 
 Exit status is the pytest exit status; the regression table marks every
 benchmark whose mean moved by more than ``THRESHOLD`` in either
@@ -64,10 +57,9 @@ sort_keys=True)``).  The fields this tracker and the benches rely on:
 ``datetime`` / ``version``
     Run timestamp and pytest-benchmark schema version.
 ``kernel_backend``
-    Added by this tracker: the comparison-kernel backend the run was
-    steered through (``--backend``/``REPRO_KERNEL_BACKEND``, or
-    ``"auto"``).  The trajectory table prints one legend line per run
-    so per-backend artifacts stay distinguishable.
+    Written by earlier versions of this tracker (the kernel-backend
+    selector a run was steered through); still present in older
+    ``BENCH_*.json`` files and ignored like any other unknown key.
 ``cpu_count`` / ``cpu_affinity``
     Added by this tracker: ``os.cpu_count()`` and the number of CPUs
     the run could use (``len(os.sched_getaffinity(0))`` where the
@@ -139,21 +131,8 @@ def load_means(path: Path) -> dict[str, float]:
     return {name: mean for name, (mean, _) in load_stats(path).items()}
 
 
-def load_backend(path: Path) -> str:
-    """The kernel backend a recorded run was steered through."""
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return "auto"
-    return data.get("kernel_backend", "auto")
-
-
 def run_suite(
-    json_path: Path,
-    pytest_args: list[str],
-    *,
-    quick: bool = False,
-    backend: str | None = None,
+    json_path: Path, pytest_args: list[str], *, quick: bool = False
 ) -> int:
     command = [
         sys.executable,
@@ -166,8 +145,6 @@ def run_suite(
     env = dict(os.environ)
     if quick:
         env["BENCH_QUICK"] = "1"
-    if backend is not None:
-        env["REPRO_KERNEL_BACKEND"] = backend
     print("$", " ".join(command))
     return subprocess.call(command, cwd=REPO_ROOT, env=env)
 
@@ -255,15 +232,6 @@ def print_trajectory(
             )
         print(f"{_short(name):<{name_width}}  " + "  ".join(cells))
     print("-" * len(header))
-    legend = ", ".join(
-        f"BENCH_{index}={load_backend(path)}" for index, path in runs
-    )
-    current_backend = os.environ.get("REPRO_KERNEL_BACKEND") or "auto"
-    if legend:
-        legend += ", "
-    print(
-        f"kernel backends: {legend}BENCH_{current_index}={current_backend}"
-    )
 
 
 def _short(fullname: str) -> str:
@@ -274,37 +242,23 @@ def _short(fullname: str) -> str:
 def main(argv: list[str]) -> int:
     quick = "--quick" in argv
     argv = [argument for argument in argv if argument != "--quick"]
-    backend = None
-    if "--backend" in argv:
-        flag = argv.index("--backend")
-        try:
-            backend = argv[flag + 1]
-        except IndexError:
-            print("--backend requires a value (e.g. --backend bitparallel)")
-            return 2
-        del argv[flag : flag + 2]
-        os.environ["REPRO_KERNEL_BACKEND"] = backend
     if quick:
         argv = QUICK_ARGS + argv
     runs = existing_runs()
     if quick:
-        suffix = f"_{backend}" if backend else ""
-        target = REPO_ROOT / f"BENCH_quick{suffix}.json"
+        target = REPO_ROOT / "BENCH_quick.json"
     else:
         next_index = runs[-1][0] + 1 if runs else 0
         target = REPO_ROOT / f"BENCH_{next_index}.json"
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp) / "bench.json"
-        status = run_suite(scratch, argv, quick=quick, backend=backend)
+        status = run_suite(scratch, argv, quick=quick)
         if not scratch.exists():
             print("benchmark run produced no JSON; nothing written")
             return status or 1
         # Compact re-serialization: pytest-benchmark pretty-prints >100k
         # lines; one line per run keeps the committed artifacts small.
         data = json.loads(scratch.read_text())
-        data["kernel_backend"] = (
-            backend or os.environ.get("REPRO_KERNEL_BACKEND") or "auto"
-        )
         data["cpu_count"] = os.cpu_count()
         data["cpu_affinity"] = (
             len(os.sched_getaffinity(0))

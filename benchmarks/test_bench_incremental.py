@@ -21,6 +21,7 @@ Three bench families:
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import time
@@ -30,6 +31,10 @@ import pytest
 #: compare_bench.py --quick exports BENCH_QUICK=1; pedantic benches drop
 #: to one round then so the CI smoke stays fast.
 ROUNDS = 1 if os.environ.get("BENCH_QUICK") else 3
+
+#: Distinct deltas (and cold full detects) the speedup assertion takes
+#: the best of.
+SPEEDUP_ROUNDS = 3
 
 from repro.experiments.quality import default_matcher, weighted_model
 from repro.matching import DuplicateDetector
@@ -129,9 +134,12 @@ def test_bench_incremental_ingest_delta(benchmark, blocked_relation):
 
     result = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
     assert result.relation_size == len(blocked_relation)
-    # Every round re-executed the touched block and spliced the rest.
+    # Every round re-executed the touched block and spliced the rest
+    # (one round under --benchmark-disable, ROUNDS otherwise).
     assert session.last_report.partitions == 1
-    assert session.stats.partitions_reused > planned
+    assert session.stats.partitions_reused == (
+        session.stats.ingests * (planned - 1)
+    )
 
 
 def test_bench_incremental_full_union(benchmark, blocked_relation):
@@ -147,31 +155,44 @@ def test_bench_incremental_full_union(benchmark, blocked_relation):
 
 
 def test_incremental_delta_speedup_and_equality(blocked_relation):
-    """Acceptance: ≥5× vs full recompute, bitwise-identical decisions."""
+    """Acceptance: ≥5× vs full recompute, bitwise-identical decisions.
+
+    A single timed span is at the mercy of interpreter noise (a garbage
+    collection or a scheduler stall landing inside it), so the ratio
+    takes the best of :data:`SPEEDUP_ROUNDS` distinct 1% ingests
+    against the best of as many cold full detects, each span started
+    after ``gc.collect()``.  Every delta is checked for equality.
+    """
     session = _detector().session(
         blocked_relation, keep_derivations=False
     )
     session.detect()
-    delta = _delta(blocked_relation, 0)
+    ingest_times: list[float] = []
+    full_times: list[float] = []
+    for salt in range(SPEEDUP_ROUNDS):
+        delta = _delta(blocked_relation, salt)
+        gc.collect()
+        started = time.perf_counter()
+        incremental = session.ingest(delta)
+        ingest_times.append(time.perf_counter() - started)
 
-    started = time.perf_counter()
-    incremental = session.ingest(delta)
-    ingest_elapsed = time.perf_counter() - started
+        union = _apply(blocked_relation, delta)
+        detector = _detector()
+        gc.collect()
+        started = time.perf_counter()
+        scratch = detector.detect(union, keep_derivations=False)
+        full_times.append(time.perf_counter() - started)
 
-    union = _apply(blocked_relation, delta)
-    detector = _detector()
-    started = time.perf_counter()
-    scratch = detector.detect(union, keep_derivations=False)
-    full_elapsed = time.perf_counter() - started
-
-    assert [
-        (d.left_id, d.right_id, d.status, d.similarity)
-        for d in incremental.decisions
-    ] == [
-        (d.left_id, d.right_id, d.status, d.similarity)
-        for d in scratch.decisions
-    ]
-    assert incremental.compared_pairs == scratch.compared_pairs
+        assert [
+            (d.left_id, d.right_id, d.status, d.similarity)
+            for d in incremental.decisions
+        ] == [
+            (d.left_id, d.right_id, d.status, d.similarity)
+            for d in scratch.decisions
+        ]
+        assert incremental.compared_pairs == scratch.compared_pairs
+    ingest_elapsed = min(ingest_times)
+    full_elapsed = min(full_times)
     # 1/16 of the plan re-executes; even with refresh overhead the
     # margin over the acceptance floor is wide.
     assert full_elapsed / ingest_elapsed >= 5.0, (

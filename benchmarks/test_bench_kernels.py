@@ -6,10 +6,10 @@ claims of the kernel layer are tracked by the benchmark harness:
 
 * banded + early-exit Levenshtein/Damerau vs the full reference DP at a
   realistic duplicate-detection cutoff;
-* the Myers bit-parallel kernels and the numpy batch scorer vs both of
-  the above, with bitwise-agreement sanity asserts — the CI smoke runs
-  this module per backend, so any divergence from the ``"python"``
-  reference fails the build;
+* the Myers bit-parallel kernels and the numpy batch scorer (the
+  ``"fast"`` kernel) vs both of the above, with bitwise-agreement
+  sanity asserts — the CI smoke runs this module, so any divergence
+  from the ``"python"`` reference fails the build;
 * memoized (``SimilarityCache``) vs uncached Equation-5 matching on the
   same pair workload;
 * comparison-matrix construction with the precomputed weight matrix;
@@ -218,11 +218,11 @@ def test_banded_equals_reference_on_bench_data(word_pairs):
 
 
 def test_backends_agree_bitwise_on_bench_data(word_pairs):
-    """The CI divergence gate: every backend pins to the reference.
+    """The CI divergence gate: the fast kernel pins to the reference.
 
     Runs inside the ``--quick`` smoke (this module matches the
-    ``kernels`` selector), so a backend drifting from the ``"python"``
-    kernels fails the benchmark job, not just the unit suite.
+    ``kernels`` selector), so a fast kernel drifting from the
+    ``"python"`` DPs fails the benchmark job, not just the unit suite.
     """
     for a, b in word_pairs:
         reference = levenshtein_distance(a, b)

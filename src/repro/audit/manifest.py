@@ -87,9 +87,10 @@ class AuditManifest:
     failures:
         Labels of partitions dropped by ``on_error="skip"``, sorted.
     environment:
-        Execution metadata (n_jobs, kernel backend,
-        storage class, model repr) — recorded for forensics, **excluded
-        from the fingerprint** (see module docstring).
+        Execution metadata (n_jobs, kernel ``"fast"``/``"python"``,
+        storage class, model class; see :func:`run_environment`) —
+        recorded for forensics, **excluded from the fingerprint** (see
+        module docstring).
     digest:
         The self-digest recorded in a loaded file; ``None`` for
         freshly built manifests (computed on write).
@@ -239,6 +240,29 @@ def load_manifest(
     return manifest
 
 
+def status_counts(decisions) -> list[int]:
+    """η counts ``[matches, possibles, unmatches]`` of one decision slice."""
+    counts = [0, 0, 0]
+    for decided in decisions:
+        counts["mpu".index(decided.decision.status.value)] += 1
+    return counts
+
+
+def run_environment(settings, store, procedure) -> dict:
+    """The ``environment`` entry of a run's manifest: how it executed.
+
+    *settings* are the run's
+    :class:`~repro.matching.executor.ExecutionSettings`, *store* the
+    relation or view it read.
+    """
+    return {
+        "n_jobs": settings.n_jobs,
+        "kernel_backend": settings.kernel_backend,
+        "storage": type(store).__name__,
+        "model": type(procedure.model).__name__,
+    }
+
+
 def build_manifest(
     *,
     procedure,
@@ -304,4 +328,6 @@ __all__ = [
     "ManifestIntegrityError",
     "build_manifest",
     "load_manifest",
+    "run_environment",
+    "status_counts",
 ]

@@ -366,17 +366,15 @@ class AttributeMatcher:
             comparators, default=default, cache=self._cache_enabled
         )
 
-    def with_backend(self, backend) -> "AttributeMatcher":
-        """A matcher whose edit comparators run on a kernel backend.
+    def with_backend(self, backend: str) -> "AttributeMatcher":
+        """A matcher whose edit comparators run on another kernel.
 
-        The kernel-backend seam: *backend* (a name like
-        ``"bitparallel"`` / ``"numpy"`` or a resolved
-        :class:`~repro.similarity.backends.KernelBackend`) is
+        The kernel seam: *backend* (``"fast"`` or ``"python"``) is
         distributed over the per-attribute comparators with
         :meth:`~repro.similarity.uncertain.UncertainValueComparator.with_backend`.
         Comparators that are not backend-aware (Jaro–Winkler, custom
         functions, Equation 4) are reused unchanged, as is the matcher
-        itself when nothing changes.  Every backend is pinned bitwise
+        itself when nothing changes.  The fast kernel is pinned bitwise
         to the reference DPs, so results are identical; domain-element
         caches are shared between the original and the clone.
         """

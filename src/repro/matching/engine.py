@@ -182,15 +182,16 @@ class XTupleDecisionProcedure:
             classifier=self._final_classifier,
         )
 
-    def with_backend(self, backend) -> "XTupleDecisionProcedure":
-        """A clone whose edit kernels run on a different backend.
+    def with_backend(self, backend: str) -> "XTupleDecisionProcedure":
+        """A clone whose edit comparators run on kernel *backend*
+        (``"fast"`` or ``"python"``).
 
         Model, derivation and final classifier are shared; only the
-        matcher is replaced by its backend-configured clone (see
-        :meth:`AttributeMatcher.with_backend`).  Backends are pinned
-        bitwise to the reference DPs, so decisions are identical.
-        Returns ``self`` when nothing changes (no backend-aware
-        comparators, or the backend is already active).
+        matcher is replaced by its kernel-configured clone (see
+        :meth:`AttributeMatcher.with_backend`).  The fast kernel is
+        pinned bitwise to the reference DPs, so decisions are
+        identical.  Returns ``self`` when nothing changes (no
+        backend-aware comparators, or the kernel is already active).
         """
         matcher = self._matcher.with_backend(backend)
         if matcher is self._matcher:

@@ -88,8 +88,8 @@ class ExecutionReport:
     partitions: int = 0
     #: Candidate pairs in the executed plan.
     total_pairs: int = 0
-    #: Comparison-kernel backend recorded in the run's settings
-    #: (``"auto"`` when the caller never resolved a concrete one).
+    #: Edit kernel recorded in the run's settings (``"fast"`` or
+    #: ``"python"``).
     kernel_backend: str = ""
     #: Similarity-cache entries stored by pre-warming.
     prewarmed_entries: int = 0

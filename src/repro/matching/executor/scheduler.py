@@ -76,6 +76,7 @@ from repro.reduction.plan import (
     partition_value_pairs,
     partition_vocabulary,
 )
+from repro.similarity.kernels import resolve_kernel
 
 #: Default number of candidate pairs decided per batch.  Large enough to
 #: amortize dispatch overhead (and IPC when fanning out) and the
@@ -132,12 +133,12 @@ class ExecutionSettings:
     #: the skew pathology work-unit subdivision avoids (see
     #: ``benchmarks/test_bench_scheduler.py``).
     prewarm_budget: int = PREWARM_PAIR_BUDGET
-    #: Comparison-kernel backend the run's procedure was configured
-    #: with (``"auto"`` when the caller did not resolve one).  Purely
-    #: informational at the engine level — the detector facade resolves
-    #: the selector and clones the procedure before constructing the
-    #: engine — but validated here so a typo fails loudly.
-    kernel_backend: str = "auto"
+    #: Edit kernel the run's procedure was configured with (``"fast"``
+    #: or ``"python"``; ``None`` reads ``"fast"``).  Informational at
+    #: the engine level — the detector facade clones the procedure
+    #: before constructing the engine — but validated here so a typo
+    #: fails loudly.
+    kernel_backend: str = "fast"
     #: Recovery budget of every attempt (attempts / per-attempt
     #: timeout / backoff).  The default policy never retries and sets
     #: no deadline, which — together with ``on_error="raise"`` — lets
@@ -166,12 +167,9 @@ class ExecutionSettings:
             raise ValueError("split_pairs must be positive")
         if self.prewarm_budget < 0:
             raise ValueError("prewarm_budget must be >= 0")
-        if self.kernel_backend != "auto":
-            # Raises ValueError for unregistered names; availability is
-            # checked at resolution time, not here.
-            from repro.similarity.backends.base import get_backend
-
-            get_backend(self.kernel_backend)
+        object.__setattr__(
+            self, "kernel_backend", resolve_kernel(self.kernel_backend)
+        )
         if self.on_error not in ON_ERROR_MODES:
             raise ValueError(
                 f"unknown on_error {self.on_error!r}; "
@@ -214,7 +212,7 @@ def prewarm_plan(
     by roughly ``|span| / (2·(w−1))`` under the square.  The collected
     batches are scored through
     :meth:`~repro.matching.comparison.AttributeMatcher.warm_pairs`,
-    which hands whole batches to the kernel backend's vectorized scorer
+    which hands whole batches to the fast kernel's vectorized scorer
     when one is configured (encode once, score in bulk) and loops per
     pair otherwise.
 

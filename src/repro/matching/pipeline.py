@@ -36,6 +36,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Protocol, runtime_checkable
 
+from repro.audit.manifest import build_manifest, run_environment, status_counts
 from repro.matching.comparison import AttributeMatcher
 from repro.matching.decision.base import DecisionModel
 from repro.matching.derivation import DerivationFunction
@@ -52,7 +53,6 @@ from repro.matching.executor import (
 from repro.matching.executor.progress import FaultObserver, ProgressObserver
 from repro.matching.executor.results import DetectionResult
 from repro.matching.pushdown import SimilarityFloors
-from repro.similarity.backends.base import resolve_backend_name
 from repro.pdb.relations import ProbabilisticRelation, XRelation
 from repro.pdb.storage import XTupleStore, combine_sources
 from repro.reduction.plan import (
@@ -139,20 +139,6 @@ class FullComparison:
 
     def __repr__(self) -> str:
         return "FullComparison()"
-
-
-def _status_counts(decisions) -> list[int]:
-    """η counts ``[matches, possibles, unmatches]`` of one slice."""
-    counts = [0, 0, 0]
-    for decided in decisions:
-        status = decided.decision.status.value
-        if status == "m":
-            counts[0] += 1
-        elif status == "p":
-            counts[1] += 1
-        else:
-            counts[2] += 1
-    return counts
 
 
 #: Soft bound on memoized pruned pipeline clones per detector.  A
@@ -265,43 +251,73 @@ class DuplicateDetector:
                 floors = None
         return floors
 
-    def _resolve_procedure(
+    def _resolve_run(
         self,
-        min_similarity: float | Mapping[str, float] | str | None,
+        min_similarity: float | Mapping[str, float] | str | None = None,
+        *,
         kernel_backend: str | None = None,
-    ) -> XTupleDecisionProcedure:
-        """The procedure a detect run should execute with.
+        chunk_size: int | None = None,
+        n_jobs: int | None = 1,
+        keep_derivations: bool = True,
+        keep_compared_pairs: bool = True,
+        prewarm: bool | None = None,
+        split_pairs: int | None = None,
+        prewarm_budget: int | None = None,
+        retry: RetryPolicy | None = None,
+        on_error: str = "raise",
+    ) -> tuple[
+        XTupleDecisionProcedure, SimilarityFloors | None, ExecutionSettings
+    ]:
+        """One run's ``(procedure, floors, settings)`` from its options.
 
-        Resolves the ``min_similarity`` option into
-        :class:`~repro.matching.pushdown.SimilarityFloors` and the
-        ``kernel_backend`` selector into a registered backend name,
-        derives the configured pipeline clone once per distinct
-        ``(floors, backend)`` combination and reuses it afterwards
+        The one place :meth:`detect`, :meth:`detect_between` and
+        :meth:`session` resolve their options.  ``n_jobs=None`` means
+        one worker per CPU; the other ``None`` options keep the
+        :class:`~repro.matching.executor.ExecutionSettings` defaults.
+        The configured pipeline clone is derived once per distinct
+        ``(floors, kernel)`` combination and reused afterwards
         (including its band-keyed similarity caches), evicting
         least-recently-used clones past the bound.
         """
-        backend = resolve_backend_name(kernel_backend)
+        defaulted = dict(
+            chunk_size=chunk_size,
+            split_pairs=split_pairs,
+            prewarm_budget=prewarm_budget,
+            retry=retry,
+        )
+        settings = ExecutionSettings(
+            n_jobs=multiprocessing.cpu_count() if n_jobs is None else n_jobs,
+            keep_derivations=keep_derivations,
+            keep_compared_pairs=keep_compared_pairs,
+            prewarm=prewarm,
+            kernel_backend=kernel_backend,
+            on_error=on_error,
+            **{
+                name: value
+                for name, value in defaulted.items()
+                if value is not None
+            },
+        )
         floors = self._resolve_floors(min_similarity)
         key = (
             floors.signature() if floors is not None else None,
-            backend,
+            settings.kernel_backend,
         )
         memo = self._pruned_procedures
         procedure = memo.get(key)
         if procedure is None:
-            procedure = self._procedure.with_backend(backend)
+            procedure = self._procedure.with_backend(settings.kernel_backend)
             if floors is not None:
                 procedure = procedure.with_floors(floors)
-            if procedure is self._procedure:
-                # Nothing changed (no backend-aware comparators and no
-                # floors): the base procedure needs no memo slot.
-                return procedure
-            while len(memo) >= _MAX_PRUNED_PROCEDURES:
-                memo.popitem(last=False)
-            memo[key] = procedure
+            if procedure is not self._procedure:
+                # A base procedure that nothing changed (no
+                # backend-aware comparators, no floors) needs no slot.
+                while len(memo) >= _MAX_PRUNED_PROCEDURES:
+                    memo.popitem(last=False)
+                memo[key] = procedure
         else:
             memo.move_to_end(key)
-        return procedure
+        return procedure, floors, settings
 
     @property
     def reducer(self) -> PairGenerator:
@@ -451,20 +467,17 @@ class DuplicateDetector:
             under pushdown fills the band-keyed cutoff caches instead
             of the exact tables.
         kernel_backend:
-            Which comparison-kernel implementation family scores
-            attribute similarities: ``"python"`` (the reference banded
-            DPs), ``"bitparallel"`` (Myers bit-parallel automatons), or
-            ``"numpy"`` (bit-parallel per pair plus a vectorized batch
-            scorer for cache pre-warming).  ``None``/``"auto"``
-            (default) picks the fastest available backend —
-            ``REPRO_KERNEL_BACKEND`` overrides, then numpy when
-            importable, then bitparallel.  Every backend is pinned
-            bitwise to the reference DPs
-            (:mod:`repro.similarity.backends`), so this is purely a
+            Which edit kernel scores attribute similarities:
+            ``"fast"`` (``None``, the default) — Myers bit-parallel
+            kernels per pair plus a numpy batch scorer for cache
+            pre-warming — or ``"python"``, the reference banded DPs.
+            The fast kernel is pinned bitwise to the reference
+            (``tests/test_backends.py``), so this is purely a
             performance knob; it composes with ``min_similarity``
-            (cutoff-banded kernels exist per backend) and only affects
+            (both kernels honor the cutoff band) and only affects
             backend-aware comparators such as
-            :data:`~repro.similarity.FAST_LEVENSHTEIN`.
+            :data:`~repro.similarity.FAST_LEVENSHTEIN`.  Any other
+            value raises ``ValueError``.
         split_pairs:
             Cost budget of a pooled run (default
             :data:`~repro.matching.executor.DEFAULT_SPLIT_PAIRS`):
@@ -518,29 +531,30 @@ class DuplicateDetector:
             calibration fingerprints, resolved thresholds/floors, plan
             fingerprints and per-partition η counts, canonicalized so
             any execution variant of the same inputs (n_jobs, spilled
-            storage, kernel backend) fingerprints byte-identically.
+            storage, kernel) fingerprints byte-identically.
             ``True`` records it as :attr:`last_manifest` only; a path
             additionally writes the manifest JSON (with a tamper-
             evident self-digest) to that file.  Requires a collected
             run (not ``stream=True``).
         """
-        relation = self._prepared_relation(relation)
         return self._detect_prepared(
-            relation,
-            plan=None,
-            chunk_size=chunk_size,
-            n_jobs=n_jobs,
-            keep_derivations=keep_derivations,
-            keep_compared_pairs=keep_compared_pairs,
+            self._prepared_relation(relation),
+            None,
+            self._resolve_run(
+                min_similarity,
+                kernel_backend=kernel_backend,
+                chunk_size=chunk_size,
+                n_jobs=n_jobs,
+                keep_derivations=keep_derivations,
+                keep_compared_pairs=keep_compared_pairs,
+                prewarm=prewarm,
+                split_pairs=split_pairs,
+                prewarm_budget=prewarm_budget,
+                retry=retry,
+                on_error=on_error,
+            ),
             stream=stream,
-            prewarm=prewarm,
-            min_similarity=min_similarity,
-            kernel_backend=kernel_backend,
-            split_pairs=split_pairs,
-            prewarm_budget=prewarm_budget,
             on_progress=on_progress,
-            retry=retry,
-            on_error=on_error,
             on_fault=on_fault,
             audit=audit,
         )
@@ -550,9 +564,11 @@ class DuplicateDetector:
         relation: XRelation | ProbabilisticRelation | XTupleStore,
         *,
         journal=None,
-        min_similarity: float | Mapping[str, float] | str | None = None,
-        kernel_backend: str | None = None,
-        **session_options,
+        within_sources: bool = True,
+        on_progress: ProgressObserver | None = None,
+        on_fault: FaultObserver | None = None,
+        audit: str | os.PathLike | bool | None = None,
+        **options,
     ):
         """Open an incremental detection session over *relation*.
 
@@ -560,11 +576,12 @@ class DuplicateDetector:
         the prepared relation with a mutable delta view, keeps plan
         fingerprints, per-partition decisions and similarity caches
         alive between calls, and re-executes only the partitions each
-        ingested batch touches.  The procedure is resolved exactly as
-        :meth:`detect` would (floors, kernel backend), so the session's
-        first result is bitwise-identical to a one-shot ``detect`` over
-        the same input, and every refresh stays bitwise-identical to a
-        from-scratch detection over the base with all deltas applied.
+        ingested batch touches.  The options are resolved exactly as
+        :meth:`detect` resolves them (floors, kernel, execution
+        settings), so the session's first result is bitwise-identical
+        to a one-shot ``detect`` over the same input, and every refresh
+        stays bitwise-identical to a from-scratch detection over the
+        base with all deltas applied.
 
         ``journal`` names a session directory (or an opened
         :class:`~repro.pdb.storage.SessionJournal`) for durable
@@ -572,21 +589,22 @@ class DuplicateDetector:
         it and restores the snapshot's caches and fingerprint index.
         Remaining keyword options are those of :meth:`detect`
         (``n_jobs``, ``split_pairs``, ``keep_derivations``, ``retry``
-        …), plus ``within_sources``.
+        …) except ``stream``.
         """
         from repro.service.session import DetectionSession
 
-        backend = resolve_backend_name(kernel_backend)
-        procedure = self._resolve_procedure(min_similarity, backend)
-        prepared = self._prepared_relation(relation)
+        procedure, floors, settings = self._resolve_run(**options)
         return DetectionSession(
             procedure,
             self._reducer,
-            prepared,
+            self._prepared_relation(relation),
+            settings,
             journal=journal,
-            kernel_backend=backend,
-            floors=self._resolve_floors(min_similarity),
-            **session_options,
+            within_sources=within_sources,
+            on_progress=on_progress,
+            on_fault=on_fault,
+            audit=audit,
+            floors=floors,
         )
 
     def detect_between(
@@ -595,7 +613,11 @@ class DuplicateDetector:
         right: XRelation | ProbabilisticRelation | XTupleStore,
         *more: XRelation | ProbabilisticRelation | XTupleStore,
         within_sources: bool = True,
-        **detect_options,
+        stream: bool = False,
+        on_progress: ProgressObserver | None = None,
+        on_fault: FaultObserver | None = None,
+        audit: str | os.PathLike | bool | None = None,
+        **options,
     ) -> DetectionResult | Iterator[DetectionResult]:
         """Inter-source detection without materializing the union.
 
@@ -635,7 +657,15 @@ class DuplicateDetector:
         plan = plan_sources(self._reducer, view)
         if not within_sources:
             plan = cross_source_plan(plan, view)
-        return self._detect_prepared(view, plan=plan, **detect_options)
+        return self._detect_prepared(
+            view,
+            plan,
+            self._resolve_run(**options),
+            stream=stream,
+            on_progress=on_progress,
+            on_fault=on_fault,
+            audit=audit,
+        )
 
     def _prepare_source(
         self, source: XRelation | ProbabilisticRelation | XTupleStore
@@ -661,52 +691,26 @@ class DuplicateDetector:
     def _detect_prepared(
         self,
         relation: XRelation | XTupleStore,
-        *,
         plan: CandidatePlan | None,
-        chunk_size: int | None = None,
-        n_jobs: int | None = 1,
-        keep_derivations: bool = True,
-        keep_compared_pairs: bool = True,
-        stream: bool = False,
-        prewarm: bool | None = None,
-        min_similarity: float | Mapping[str, float] | str | None = None,
-        kernel_backend: str | None = None,
-        split_pairs: int | None = None,
-        prewarm_budget: int | None = None,
-        on_progress: ProgressObserver | None = None,
-        retry: RetryPolicy | None = None,
-        on_error: str = "raise",
-        on_fault: FaultObserver | None = None,
-        audit: str | os.PathLike | bool | None = None,
+        run: tuple[
+            XTupleDecisionProcedure,
+            SimilarityFloors | None,
+            ExecutionSettings,
+        ],
+        *,
+        stream: bool,
+        on_progress: ProgressObserver | None,
+        on_fault: FaultObserver | None,
+        audit: str | os.PathLike | bool | None,
     ) -> DetectionResult | Iterator[DetectionResult]:
-        backend = resolve_backend_name(kernel_backend)
-        procedure = self._resolve_procedure(min_similarity, backend)
+        procedure, floors, settings = run
         if audit and stream:
             raise ValueError(
                 "audit manifests require a collected run (stream=False)"
             )
-        if chunk_size is None:
-            chunk_size = DEFAULT_CHUNK_SIZE
-        if n_jobs is None:
-            n_jobs = multiprocessing.cpu_count()
-        settings_options = dict(
-            chunk_size=chunk_size,
-            n_jobs=n_jobs,
-            keep_derivations=keep_derivations,
-            keep_compared_pairs=keep_compared_pairs,
-            prewarm=prewarm,
-            kernel_backend=backend,
-            on_error=on_error,
-        )
-        if retry is not None:
-            settings_options["retry"] = retry
-        if split_pairs is not None:
-            settings_options["split_pairs"] = split_pairs
-        if prewarm_budget is not None:
-            settings_options["prewarm_budget"] = prewarm_budget
         engine = ExecutionEngine(
             procedure,
-            ExecutionSettings(**settings_options),
+            settings,
             splitter=self._reducer,
             observer=on_progress,
             fault_observer=on_fault,
@@ -722,61 +726,30 @@ class DuplicateDetector:
         partition_counts: dict[str, list[int]] = {}
         for piece in slices:
             decisions.extend(piece.decisions)
-            if keep_compared_pairs:
+            if settings.keep_compared_pairs:
                 compared.update(piece.compared_pairs)
             if audit:
-                partition_counts[piece.partition_label] = (
-                    _status_counts(piece.decisions)
+                partition_counts[piece.partition_label] = status_counts(
+                    piece.decisions
                 )
         if audit:
-            self.last_manifest = self._build_manifest(
-                relation,
-                plan,
-                procedure,
-                partition_counts,
-                floors=self._resolve_floors(min_similarity),
-                backend=backend,
-                audit=audit,
+            self.last_manifest = build_manifest(
+                procedure=procedure,
+                plan_fingerprints=plan_fingerprints(relation, plan),
+                partition_counts=partition_counts,
+                floors=floors,
+                failures=tuple(
+                    failure.partition for failure in engine.report.failures
+                ),
+                environment=run_environment(settings, relation, procedure),
             )
+            if not isinstance(audit, bool):
+                self.last_manifest.write(audit)
         return DetectionResult(
             decisions=tuple(decisions),
             compared_pairs=frozenset(compared),
             relation_size=len(relation),
         )
-
-    def _build_manifest(
-        self,
-        relation,
-        plan: CandidatePlan,
-        procedure: XTupleDecisionProcedure,
-        partition_counts: Mapping[str, Sequence[int]],
-        *,
-        floors: SimilarityFloors | None,
-        backend: str,
-        audit: str | os.PathLike | bool,
-    ):
-        """Assemble (and possibly write) the run's audit manifest."""
-        from repro.audit import build_manifest
-
-        report = self.last_report
-        manifest = build_manifest(
-            procedure=procedure,
-            plan_fingerprints=plan_fingerprints(relation, plan),
-            partition_counts=partition_counts,
-            floors=floors,
-            failures=tuple(
-                failure.partition for failure in report.failures
-            ),
-            environment={
-                "n_jobs": report.n_jobs,
-                "kernel_backend": backend,
-                "storage": type(relation).__name__,
-                "model": type(procedure.model).__name__,
-            },
-        )
-        if not isinstance(audit, bool):
-            manifest.write(audit)
-        return manifest
 
     def __repr__(self) -> str:
         return (

@@ -117,7 +117,6 @@ def build_session(args: argparse.Namespace):
         n_jobs=args.n_jobs,
         keep_derivations=not args.no_derivations,
         min_similarity=args.min_similarity,
-        kernel_backend=args.kernel_backend,
         on_progress=on_progress,
         audit=args.audit,
     )
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--target-fpr", type=float, default=0.05, help="false-positive-rate target for calibration")
         sub.add_argument("--audit", default=None, metavar="DIR", help="write one audit manifest per refresh into this directory")
         sub.add_argument("--min-similarity", default=None, help="similarity floors: 'auto' or a float")
-        sub.add_argument("--kernel-backend", default=None, help="comparison kernel backend")
         sub.add_argument("--n-jobs", type=int, default=1, help="worker processes")
         sub.add_argument("--no-derivations", action="store_true", help="drop derivation matrices (enables decision persistence)")
         sub.add_argument("--progress", action="store_true", help="stream per-partition progress to stderr")

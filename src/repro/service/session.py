@@ -34,11 +34,11 @@ read-only around forks so parallel workers share them copy-on-write).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
+from repro.audit.manifest import build_manifest, run_environment, status_counts
 from repro.matching.decision import Decision, MatchStatus
 from repro.matching.engine import XTupleDecision, XTupleDecisionProcedure
 from repro.matching.executor import (
@@ -48,11 +48,9 @@ from repro.matching.executor import (
     ExecutionReport,
     FaultObserver,
     ProgressObserver,
-    RetryPolicy,
     cross_source_plan,
     plan_sources,
 )
-from repro.matching.executor.scheduler import DEFAULT_CHUNK_SIZE
 from repro.pdb.storage import SessionJournal, SessionStore, XTupleStore
 from repro.pdb.xtuples import XTuple
 from repro.reduction import delta_plan, plan_fingerprints
@@ -122,8 +120,8 @@ class DetectionSession:
     """A persistent, incrementally refreshable detection.
 
     Build one through :meth:`~repro.matching.DuplicateDetector.session`
-    — the detector resolves its configured procedure (floors, kernel
-    backend) and prepares the base relation exactly as ``detect``
+    — the detector resolves its options (floors, kernel, execution
+    settings) and prepares the base relation exactly as ``detect``
     would, so the session's first result is bitwise-identical to a
     one-shot ``detect`` over the same input.
 
@@ -136,6 +134,9 @@ class DetectionSession:
         in pooled runs, the sub-key splitter).
     base:
         The prepared base relation or store the session overlays.
+    settings:
+        The resolved execution settings of the initial run; later
+        refreshes reuse them with the caches retained.
     journal:
         Optional session directory (or an opened
         :class:`~repro.pdb.storage.SessionJournal`).  When given, the
@@ -154,19 +155,10 @@ class DetectionSession:
         procedure: XTupleDecisionProcedure,
         reducer,
         base: XTupleStore,
+        settings: ExecutionSettings | None = None,
         *,
         journal: SessionJournal | str | None = None,
         within_sources: bool = True,
-        chunk_size: int | None = None,
-        n_jobs: int | None = 1,
-        keep_derivations: bool = True,
-        keep_compared_pairs: bool = True,
-        prewarm: bool | None = None,
-        prewarm_budget: int | None = None,
-        split_pairs: int | None = None,
-        kernel_backend: str = "auto",
-        retry: RetryPolicy | None = None,
-        on_error: str = "raise",
         on_progress: ProgressObserver | None = None,
         on_fault: FaultObserver | None = None,
         audit: str | os.PathLike | bool | None = None,
@@ -176,20 +168,9 @@ class DetectionSession:
         self._reducer = reducer
         self._store = SessionStore(base)
         self._within_sources = within_sources
-        self._chunk_size = (
-            DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
+        self._settings = (
+            settings if settings is not None else ExecutionSettings()
         )
-        self._n_jobs = (
-            multiprocessing.cpu_count() if n_jobs is None else n_jobs
-        )
-        self._keep_derivations = keep_derivations
-        self._keep_compared_pairs = keep_compared_pairs
-        self._prewarm = prewarm
-        self._prewarm_budget = prewarm_budget
-        self._split_pairs = split_pairs
-        self._backend = kernel_backend
-        self._retry = retry
-        self._on_error = on_error
         self._on_progress = on_progress
         self._on_fault = on_fault
         self._audit = audit
@@ -295,9 +276,14 @@ class DetectionSession:
 
         executed: dict[str, tuple[XTupleDecision, ...]] = {}
         if stale.partitions:
+            settings = self._settings
+            if self.stats.refreshes:
+                # Later refreshes keep the already-warm caches instead
+                # of prewarming like the initial (one-shot) run.
+                settings = replace(settings, retain_caches=True, prewarm=None)
             engine = ExecutionEngine(
                 self._procedure,
-                self._settings(retain=self.stats.refreshes > 0),
+                settings,
                 splitter=self._reducer,
                 observer=self._on_progress,
                 fault_observer=self._on_fault,
@@ -343,11 +329,9 @@ class DetectionSession:
             decisions.extend(slice_decisions)
             covered.extend(partition.pairs)
             if self._audit:
-                counts = [0, 0, 0]
-                for decided in slice_decisions:
-                    status = decided.decision.status.value
-                    counts["mpu".index(status)] += 1
-                partition_counts[partition.label] = counts
+                partition_counts[partition.label] = status_counts(
+                    slice_decisions
+                )
 
         current = frozenset(covered)
         self.tombstones = tuple(
@@ -372,7 +356,7 @@ class DetectionSession:
         self._result = DetectionResult(
             decisions=tuple(decisions),
             compared_pairs=(
-                current if self._keep_compared_pairs else frozenset()
+                current if self._settings.keep_compared_pairs else frozenset()
             ),
             relation_size=len(view),
         )
@@ -404,8 +388,6 @@ class DetectionSession:
         so a session refresh over some view fingerprints identically
         to a from-scratch audited detection over the same content.
         """
-        from repro.audit import build_manifest
-
         manifest = build_manifest(
             procedure=self._procedure,
             plan_fingerprints=fingerprints,
@@ -413,10 +395,9 @@ class DetectionSession:
             floors=self._floors,
             failures=skipped,
             environment={
-                "n_jobs": self._n_jobs,
-                "kernel_backend": self._backend,
-                "storage": type(self._store).__name__,
-                "model": type(self._procedure.model).__name__,
+                **run_environment(
+                    self._settings, self._store, self._procedure
+                ),
                 "refresh": self.stats.refreshes,
             },
         )
@@ -471,7 +452,7 @@ class DetectionSession:
                 attribute: cache.cursor()
                 for attribute, cache in self._matcher.cache_stats().items()
             },
-            None if self._keep_derivations else set(persisted),
+            None if self._settings.keep_derivations else set(persisted),
         )
 
     # ------------------------------------------------------------------
@@ -482,28 +463,6 @@ class DetectionSession:
     def _matcher(self):
         return self._procedure.matcher
 
-    def _settings(self, *, retain: bool) -> ExecutionSettings:
-        options: dict = dict(
-            chunk_size=self._chunk_size,
-            n_jobs=self._n_jobs,
-            keep_derivations=self._keep_derivations,
-            keep_compared_pairs=self._keep_compared_pairs,
-            kernel_backend=self._backend,
-            on_error=self._on_error,
-            retain_caches=retain,
-        )
-        if not retain:
-            # Initial run prewarms like a one-shot detect; later runs
-            # keep the already-warm caches instead.
-            options["prewarm"] = self._prewarm
-        if self._prewarm_budget is not None:
-            options["prewarm_budget"] = self._prewarm_budget
-        if self._split_pairs is not None:
-            options["split_pairs"] = self._split_pairs
-        if self._retry is not None:
-            options["retry"] = self._retry
-        return ExecutionSettings(**options)
-
     def _snapshot_document(self) -> dict:
         caches: dict[str, list] = {}
         for attribute, cache in self._matcher.cache_stats().items():
@@ -511,7 +470,7 @@ class DetectionSession:
             if entries:
                 caches[attribute] = entries
         document: dict = {"format": SNAPSHOT_FORMAT, "caches": caches}
-        if not self._keep_derivations:
+        if not self._settings.keep_derivations:
             retained = self._portable_slices(self._retained)
             if retained is not None:
                 document["retained"] = retained
@@ -589,7 +548,7 @@ class DetectionSession:
             cache = live.get(attribute)
             if cache is not None:
                 cache.absorb(tuple(row) for row in rows)
-        if not self._keep_derivations:
+        if not self._settings.keep_derivations:
             for fingerprint, rows in (
                 document.get("retained") or {}
             ).items():

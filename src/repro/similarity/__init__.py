@@ -9,24 +9,17 @@ Section IV-A (matching of uncertain attribute values):
   :mod:`repro.similarity.basic`, :mod:`repro.similarity.semantic`;
 * the probabilistic lift — :mod:`repro.similarity.uncertain`
   (Equations 4 and 5 with ⊥ and pattern-value semantics);
-* pluggable comparison kernels — :mod:`repro.similarity.backends`
-  (reference Python DPs, Myers bit-parallel kernels and a
-  numpy-vectorized batch scorer, all pinned bitwise to each other).
+* two edit kernels — ``"python"``, the banded reference DPs of
+  :mod:`repro.similarity.kernels`, and ``"fast"``, the Myers
+  bit-parallel kernels and numpy batch scorer of
+  :mod:`repro.similarity.backends`, pinned bitwise to the reference.
 """
 
 from repro.similarity.backends import (
-    BACKEND_ENV_VAR,
-    KERNEL_KINDS,
-    KernelBackend,
-    available_backends,
     bitparallel_damerau_levenshtein,
     bitparallel_damerau_levenshtein_similarity,
     bitparallel_levenshtein,
     bitparallel_levenshtein_similarity,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    resolve_backend_name,
 )
 from repro.similarity.base import (
     Comparator,
@@ -134,7 +127,6 @@ COMPARATORS = {
 }
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BIGRAM",
     "COMPARATORS",
     "Comparator",
@@ -147,8 +139,6 @@ __all__ = [
     "FAST_JARO_WINKLER",
     "FAST_LEVENSHTEIN",
     "Glossary",
-    "KERNEL_KINDS",
-    "KernelBackend",
     "HAMMING",
     "JACCARD_BIGRAM",
     "JARO",
@@ -166,7 +156,6 @@ __all__ = [
     "TRIGRAM",
     "UncertainValueComparator",
     "as_strings",
-    "available_backends",
     "banded_damerau_levenshtein",
     "banded_damerau_levenshtein_similarity",
     "banded_levenshtein",
@@ -183,7 +172,6 @@ __all__ = [
     "equality_probability",
     "exact_similarity",
     "expected_similarity",
-    "get_backend",
     "hamming_distance",
     "jaccard_qgram_similarity",
     "jaro_similarity",
@@ -200,10 +188,7 @@ __all__ = [
     "soundex_similarity",
     "qgram_similarity",
     "qgrams",
-    "register_backend",
     "relative_numeric_similarity",
-    "resolve_backend",
-    "resolve_backend_name",
     "similarity_from_distance",
     "symmetrized",
     "token_jaccard_similarity",

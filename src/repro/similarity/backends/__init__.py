@@ -1,22 +1,13 @@
-"""Pluggable comparison-kernel backends (python / bitparallel / numpy).
+"""The fast edit kernels behind ``kernel_backend="fast"``.
 
-See :mod:`repro.similarity.backends.base` for the registry and
-selection rules, :mod:`repro.similarity.backends.bitparallel` for the
-Myers bit-parallel kernels, and
-:mod:`repro.similarity.backends.numpy_backend` for the vectorized
-batch scorer.
+:mod:`repro.similarity.backends.bitparallel` holds the Myers
+bit-parallel per-pair kernels and
+:mod:`repro.similarity.backends.numpy_backend` the vectorized batch
+scorer.  Both are pinned bitwise to the reference banded DPs of
+:mod:`repro.similarity.kernels`, which also maps the two kernel names
+(``"fast"``, ``"python"``) to their functions.
 """
 
-from repro.similarity.backends.base import (
-    BACKEND_ENV_VAR,
-    KERNEL_KINDS,
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    resolve_backend_name,
-)
 from repro.similarity.backends.bitparallel import (
     bitparallel_damerau_levenshtein,
     bitparallel_damerau_levenshtein_similarity,
@@ -25,14 +16,6 @@ from repro.similarity.backends.bitparallel import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "KERNEL_KINDS",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "resolve_backend_name",
     "bitparallel_damerau_levenshtein",
     "bitparallel_damerau_levenshtein_similarity",
     "bitparallel_levenshtein",

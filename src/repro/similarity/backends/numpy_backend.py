@@ -20,9 +20,9 @@ Distances are exact integers, so the similarity wrappers reproduce the
 banded kernels' results bit for bit (the ``min_similarity`` cutoff is
 applied to the exact distance with the same one-row slack formula).
 
-Per-pair calls delegate to
-:mod:`repro.similarity.backends.bitparallel` — the batch path only pays
-off when amortized over many pairs.
+Per-pair calls of the ``"fast"`` kernel go to
+:mod:`repro.similarity.backends.bitparallel` instead — the batch path
+only pays off when amortized over many pairs.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ from typing import Any, Sequence
 import numpy as _np
 
 from repro.similarity.base import as_strings, similarity_from_distance
-from repro.similarity.backends.bitparallel import (
-    bitparallel_damerau_levenshtein,
-    bitparallel_damerau_levenshtein_similarity,
-    bitparallel_levenshtein,
-    bitparallel_levenshtein_similarity,
-)
 
 
 def _encode(string: str) -> "Any":
@@ -194,40 +188,3 @@ def batch_damerau_levenshtein_similarities(
         pairs, damerau=True, min_similarity=min_similarity
     )
 
-
-# Per-pair entry points of the numpy backend: a single comparison cannot
-# amortize array setup, so they delegate to the bit-parallel kernels
-# (bitwise-identical results; module-level so comparator clones stay
-# picklable across fork/spawn boundaries).
-
-
-def numpy_levenshtein_similarity(
-    left: Any, right: Any, *, min_similarity: float = 0.0
-) -> float:
-    """Per-pair Levenshtein similarity of the numpy backend."""
-    return bitparallel_levenshtein_similarity(
-        left, right, min_similarity=min_similarity
-    )
-
-
-def numpy_damerau_levenshtein_similarity(
-    left: Any, right: Any, *, min_similarity: float = 0.0
-) -> float:
-    """Per-pair Damerau similarity of the numpy backend."""
-    return bitparallel_damerau_levenshtein_similarity(
-        left, right, min_similarity=min_similarity
-    )
-
-
-def numpy_levenshtein(
-    left: str, right: str, max_distance: int | None = None
-) -> int:
-    """Per-pair Levenshtein distance of the numpy backend."""
-    return bitparallel_levenshtein(left, right, max_distance)
-
-
-def numpy_damerau_levenshtein(
-    left: str, right: str, max_distance: int | None = None
-) -> int:
-    """Per-pair Damerau distance of the numpy backend."""
-    return bitparallel_damerau_levenshtein(left, right, max_distance)

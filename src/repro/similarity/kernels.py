@@ -58,6 +58,14 @@ from repro.similarity.base import (
     as_strings,
     similarity_from_distance,
 )
+from repro.similarity.backends.bitparallel import (
+    bitparallel_damerau_levenshtein_similarity,
+    bitparallel_levenshtein_similarity,
+)
+from repro.similarity.backends.numpy_backend import (
+    batch_damerau_levenshtein_similarities,
+    batch_levenshtein_similarities,
+)
 
 
 def banded_levenshtein(
@@ -247,6 +255,50 @@ def banded_damerau_levenshtein_similarity(
     return similarity_from_distance(distance, longest)
 
 
+#: The two kernels a backend-aware comparator can run: ``"python"``,
+#: the banded reference DPs above (the bitwise ground truth), and
+#: ``"fast"``, the Myers bit-parallel kernels per pair plus the numpy
+#: batch scorer (pinned bitwise to the reference by
+#: ``tests/test_backends.py``).  ``"fast"`` is the default.
+KERNELS = ("fast", "python")
+
+#: ``(kind, kernel) -> (per-pair similarity, batch scorer or None)``.
+_KERNEL_TABLE = {
+    ("levenshtein", "python"): (banded_levenshtein_similarity, None),
+    ("damerau_levenshtein", "python"): (
+        banded_damerau_levenshtein_similarity,
+        None,
+    ),
+    ("levenshtein", "fast"): (
+        bitparallel_levenshtein_similarity,
+        batch_levenshtein_similarities,
+    ),
+    ("damerau_levenshtein", "fast"): (
+        bitparallel_damerau_levenshtein_similarity,
+        batch_damerau_levenshtein_similarities,
+    ),
+}
+
+
+def resolve_kernel(kernel: str | None) -> str:
+    """The kernel a ``kernel_backend`` option selects (``None``: ``"fast"``).
+
+    >>> resolve_kernel(None), resolve_kernel("python")
+    ('fast', 'python')
+    >>> resolve_kernel("numpy")
+    Traceback (most recent call last):
+    ...
+    ValueError: unknown kernel backend 'numpy'; expected 'fast' or 'python'
+    """
+    if kernel is None:
+        return "fast"
+    if kernel not in KERNELS:
+        raise ValueError(
+            f"unknown kernel backend {kernel!r}; expected 'fast' or 'python'"
+        )
+    return kernel
+
+
 class BandedEditComparator:
     """A banded edit-distance comparator with a configurable similarity floor.
 
@@ -276,11 +328,11 @@ class BandedEditComparator:
     0.0
 
     Comparators built with a *kind* are additionally **backend-aware**:
-    :meth:`with_backend` swaps the kernel implementation family (see
-    :mod:`repro.similarity.backends`) while keeping name, floor and —
-    because every backend is pinned bitwise to the reference DPs —
-    results unchanged, and :meth:`batch_similarities` exposes the
-    backend's vectorized batch scorer to the cache prewarm path.
+    :meth:`with_backend` switches between the two :data:`KERNELS` while
+    keeping name, floor and — because ``"fast"`` is pinned bitwise to
+    the reference DPs — results unchanged, and
+    :meth:`batch_similarities` exposes the fast kernel's numpy batch
+    scorer to the cache prewarm path.
     """
 
     __slots__ = ("name", "min_similarity", "_fn", "_kind", "_backend")
@@ -317,11 +369,12 @@ class BandedEditComparator:
 
     @property
     def backend_name(self) -> str | None:
-        """The kernel backend computing this comparator's results.
+        """The kernel (``"fast"`` / ``"python"``) computing this
+        comparator's results.
 
         ``None`` for comparators wrapping an opaque function — those
         cannot be switched and are treated as their own (anonymous)
-        backend by the band-cache registry.
+        kernel by the band-cache registry.
         """
         return self._backend
 
@@ -343,53 +396,41 @@ class BandedEditComparator:
             backend=self._backend,
         )
 
-    def with_backend(self, backend: Any) -> "BandedEditComparator":
-        """A clone whose kernel runs on *backend* (name or instance).
+    def with_backend(self, backend: str) -> "BandedEditComparator":
+        """A clone whose kernel is *backend* (``"fast"`` or ``"python"``).
 
-        Results are unchanged — every registered backend is pinned
-        bitwise to the reference DPs — so this is purely a performance
-        selection.  Comparators without a :attr:`kind` (opaque wrapped
-        functions) return themselves unchanged.
+        Results are unchanged — the fast kernel is pinned bitwise to the
+        reference DPs — so this is purely a performance selection.
+        Comparators without a :attr:`kind` (opaque wrapped functions)
+        return themselves unchanged.
         """
-        if self._kind is None:
-            return self
-        from repro.similarity.backends.base import resolve_backend
-
-        resolved = (
-            backend
-            if hasattr(backend, "similarity_fn")
-            else resolve_backend(backend)
-        )
-        if resolved.name == self._backend:
+        kernel = resolve_kernel(backend)
+        if self._kind is None or kernel == self._backend:
             return self
         return BandedEditComparator(
             self.name,
-            resolved.similarity_fn(self._kind),
+            _KERNEL_TABLE[self._kind, kernel][0],
             min_similarity=self.min_similarity,
             kind=self._kind,
-            backend=resolved.name,
+            backend=kernel,
         )
 
     def batch_similarities(
         self, pairs: Any
     ) -> list[float] | None:
-        """Score a batch of pairs via the backend's vectorized path.
+        """Score a batch of pairs via the fast kernel's numpy scorer.
 
-        Returns ``None`` when the configured backend has no batch
-        scorer (the caller then loops per pair); a returned list is
-        positionally aligned with *pairs* and bitwise equal to calling
-        the comparator on each pair.
+        Returns ``None`` on the ``"python"`` kernel and for opaque
+        comparators (the caller then loops per pair); a returned list
+        is positionally aligned with *pairs* and bitwise equal to
+        calling the comparator on each pair.
         """
         if self._kind is None:
             return None
-        from repro.similarity.backends.base import get_backend
-
-        backend = get_backend(self._backend)
-        if not backend.available:
+        batch = _KERNEL_TABLE[self._kind, self._backend][1]
+        if batch is None:
             return None
-        return backend.batch_similarities(
-            self._kind, pairs, min_similarity=self.min_similarity
-        )
+        return batch(pairs, min_similarity=self.min_similarity)
 
     def __repr__(self) -> str:
         if self.min_similarity > 0.0:
@@ -758,20 +799,20 @@ class SimilarityCache:
         Returns a cache whose entries hold the results of *base* (the
         band's cutoff-configured comparator) and whose :attr:`band`
         records the floor — one derived cache per distinct
-        ``(band, backend)`` combination is memoized on this instance,
+        ``(band, kernel)`` combination is memoized on this instance,
         so repeated pushdown configurations (re-running detection with
-        the same derived floors, or switching kernel backends back and
-        forth) reuse the same warmed banded table instead of silently
-        dropping it.  Asking for this cache's own band *and* backend
-        returns ``self``.
+        the same derived floors, or switching kernels back and forth)
+        reuse the same warmed banded table instead of silently dropping
+        it.  Asking for this cache's own band *and* kernel returns
+        ``self``.
 
         Band stores are deliberately *not* shared across bands: an
         entry computed under a cutoff may read 0.0 where the exact
         table reads the true similarity, and serving one to the other
-        would break the pushdown contract.  (Backends, by contrast,
-        are bitwise-interchangeable — the per-backend keying exists so
-        each derived cache keeps computing its misses with the backend
-        it was requested for.)
+        would break the pushdown contract.  (Kernels, by contrast, are
+        bitwise-interchangeable — the per-kernel keying exists so each
+        derived cache keeps computing its misses with the kernel it was
+        requested for.)
         """
         band = float(band)
         backend = getattr(base, "backend_name", None)
@@ -799,10 +840,10 @@ class SimilarityCache:
     def with_base(self, base: Comparator) -> "SimilarityCache":
         """A view of this cache computing misses with *base* instead.
 
-        Used by kernel-backend switching: the clone **shares** this
-        cache's store, band registry and frozen flag (every registered
-        backend returns bitwise-identical results, so sharing entries
-        across backends is safe and keeps warmed tables warm), but
+        Used by kernel switching: the clone **shares** this cache's
+        store, band registry and frozen flag (both kernels return
+        bitwise-identical results, so sharing entries across kernels is
+        safe and keeps warmed tables warm), but
         scores cache misses with the new comparator.  Hit/miss
         statistics are tracked per view.
         """

@@ -201,17 +201,18 @@ class UncertainValueComparator:
             min_similarity=floor,
         )
 
-    def with_backend(self, backend: Any) -> "UncertainValueComparator":
-        """A clone whose base comparator runs on a different kernel backend.
+    def with_backend(self, backend: str) -> "UncertainValueComparator":
+        """A clone whose base comparator runs on kernel *backend*
+        (``"fast"`` or ``"python"``).
 
-        Kernel backends are pinned bitwise to the reference DPs (see
-        :mod:`repro.similarity.backends`), so the clone returns exactly
-        the same similarities — only faster.  The domain-element cache
-        is therefore *shared* with this comparator
-        (:meth:`SimilarityCache.with_base` — same store, misses scored
-        by the new backend), keeping warmed tables warm across backend
-        switches.  Returns ``self`` when the base comparator is not
-        backend-aware (e.g. Jaro–Winkler) or already runs on *backend*.
+        The fast kernel is pinned bitwise to the reference DPs (see
+        :mod:`repro.similarity.kernels`), so the clone returns exactly
+        the same similarities.  The domain-element cache is therefore
+        *shared* with this comparator (:meth:`SimilarityCache.with_base`
+        — same store, misses scored by the new kernel), keeping warmed
+        tables warm across kernel switches.  Returns ``self`` when the
+        base comparator is not backend-aware (e.g. Jaro–Winkler) or
+        already runs on *backend*.
         """
         if self._base is None:
             return self

@@ -1,19 +1,20 @@
-"""Pluggable comparison-kernel backends: bitwise pinning + selection.
-
-Three invariant families guard the batch comparison backend:
+"""The two edit kernels: bitwise pinning, selection and comparator clones.
 
 * **kernel pinning** — the Myers bit-parallel kernels and the numpy
-  batch scorer reproduce the reference DPs bit for bit, over unicode,
-  empty strings, strings beyond the 64-bit word boundary, and every
-  ``min_similarity`` cutoff band (hypothesis properties plus directed
-  edges);
-* **selection** — ``"auto"`` resolution, the ``REPRO_KERNEL_BACKEND``
-  environment override, loud failure on unknown/unavailable names, and
-  graceful degradation to ``bitparallel`` when numpy is absent;
-* **end-to-end equivalence** — every reducer family's detection run is
-  bitwise identical to the ``"python"`` reference backend under every
-  execution mode (serial, ``n_jobs=2``, streamed, spilled store,
-  threshold-pruned, work stealing).
+  batch scorer behind ``"fast"`` reproduce the reference DPs bit for
+  bit, over unicode, empty strings, strings beyond the 64-bit word
+  boundary, and every ``min_similarity`` cutoff band (hypothesis
+  properties plus directed edges);
+* **selection** — only ``"fast"`` and ``"python"`` are accepted, by
+  ``detect``, ``session`` and ``ExecutionSettings`` alike;
+* **comparator clones** — kernel switches keep name, band and scores,
+  and share the similarity caches;
+* **end-to-end equivalence** — every reducer family's detection run on
+  ``"fast"``, with and without its numpy batch scorer, is bitwise
+  identical to the ``"python"`` oracle under every execution mode
+  (serial, ``n_jobs=2``, streamed, spilled store, threshold-pruned,
+  work stealing).  ``tests/test_differential.py`` samples the wider
+  configuration lattice.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import DatasetConfig, generate_dataset
+from repro.datagen.corpus import JOBS
 from repro.experiments.quality import default_matcher, weighted_model
 from repro.matching import DuplicateDetector, FullComparison
+from repro.matching.comparison import AttributeMatcher
+from repro.matching.executor import ExecutionSettings
 from repro.pdb.io import open_store
 from repro.pdb.relations import XRelation
 from repro.reduction import (
@@ -46,24 +50,23 @@ from repro.reduction.plan import (
 )
 from repro.similarity import (
     FAST_DAMERAU_LEVENSHTEIN,
+    FAST_JARO_WINKLER,
     FAST_LEVENSHTEIN,
     SimilarityCache,
-    available_backends,
     bitparallel_damerau_levenshtein,
     bitparallel_damerau_levenshtein_similarity,
     bitparallel_levenshtein,
     bitparallel_levenshtein_similarity,
     damerau_levenshtein_distance,
-    get_backend,
     levenshtein_distance,
-    resolve_backend_name,
 )
-from repro.similarity.backends import BACKEND_ENV_VAR
 from repro.similarity.backends import numpy_backend
 from repro.similarity.kernels import (
+    BandedEditComparator,
     banded_damerau_levenshtein_similarity,
     banded_levenshtein_similarity,
 )
+from repro.similarity.uncertain import PatternPolicy, UncertainValueComparator
 
 # ----------------------------------------------------------------------
 # Strategies: unicode text crossing the 64-char machine-word boundary
@@ -185,88 +188,39 @@ class TestNumpyBatchPinning:
             for left, right in pairs
         ]
 
-    def test_per_pair_entry_points_delegate(self):
-        assert numpy_backend.numpy_levenshtein("kitten", "sitting") == 3
-        assert numpy_backend.numpy_damerau_levenshtein("ab", "ba") == 1
-        assert numpy_backend.numpy_levenshtein_similarity(
-            "meier", "maier"
-        ) == banded_levenshtein_similarity("meier", "maier")
-
 
 # ----------------------------------------------------------------------
 # Backend selection
 # ----------------------------------------------------------------------
 
 
+#: Only "fast" and "python" exist; the retired selector values fail as
+#: loudly as a typo, wherever a kernel is named.
+UNKNOWN_KERNELS = ("auto", "bitparallel", "numpy", "imaginary")
+
+
 class TestBackendSelection:
-    def test_python_and_bitparallel_always_registered(self):
-        names = available_backends()
-        assert "python" in names
-        assert "bitparallel" in names
-
-    def test_auto_prefers_numpy_then_bitparallel(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend_name(None) == "numpy"
-        assert resolve_backend_name("auto") == "numpy"
-
-    def test_env_var_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert resolve_backend_name(None) == "python"
-        assert resolve_backend_name("auto") == "python"
-        # Explicit names beat the environment.
-        assert resolve_backend_name("bitparallel") == "bitparallel"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "imaginary")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend_name(None)
-
-    def test_env_var_is_case_normalized(self, monkeypatch):
-        # Operators type environment values; "NumPy", "PYTHON" and
-        # surrounding whitespace all resolve to the registered name.
-        monkeypatch.setenv(BACKEND_ENV_VAR, "PYTHON")
-        assert resolve_backend_name(None) == "python"
-        monkeypatch.setenv(BACKEND_ENV_VAR, " BitParallel ")
-        assert resolve_backend_name("auto") == "bitparallel"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "AUTO")
-        # Case-normalized "auto" falls through to preference order.
-        assert resolve_backend_name(None) == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "NumPy")
-        assert resolve_backend_name(None) == "numpy"
-
-    def test_env_var_casing_does_not_relax_unknown_names(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "IMAGINARY")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend_name(None)
-        # Explicit API names stay case-sensitive: loud error, no guess.
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend_name("Python")
-
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend_name("imaginary")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("imaginary")
-
-    def test_numpy_unavailable_falls_back_to_bitparallel(
-        self, monkeypatch
-    ):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        numpy = get_backend("numpy")
-        monkeypatch.setattr(numpy, "_is_available", lambda: False)
-        assert not get_backend("numpy").available
-        assert resolve_backend_name("auto") == "bitparallel"
-        with pytest.raises(ValueError, match="not available"):
-            resolve_backend_name("numpy")
+        relation = generate_dataset(
+            DatasetConfig(entity_count=4, seed=7), flat=True
+        ).relation
+        detector = DuplicateDetector(default_matcher(), weighted_model())
+        for name in UNKNOWN_KERNELS:
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                detector.session(relation, kernel_backend=name)
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                ExecutionSettings(kernel_backend=name)
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                FAST_LEVENSHTEIN.with_backend(name)
 
     def test_detect_rejects_unknown_backend(self):
         relation = generate_dataset(
             DatasetConfig(entity_count=4, seed=7), flat=True
         ).relation
         detector = DuplicateDetector(default_matcher(), weighted_model())
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            detector.detect(relation, kernel_backend="imaginary")
+        for name in UNKNOWN_KERNELS:
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                detector.detect(relation, kernel_backend=name)
 
 
 # ----------------------------------------------------------------------
@@ -277,14 +231,14 @@ class TestBackendSelection:
 class TestComparatorBackends:
     def test_with_backend_clones_preserve_band_and_kind(self):
         fast = FAST_LEVENSHTEIN.with_min_similarity(0.85)
-        clone = fast.with_backend("bitparallel")
+        clone = fast.with_backend("fast")
         assert clone is not fast
-        assert clone.backend_name == "bitparallel"
+        assert clone.backend_name == "fast"
         assert clone.kind == fast.kind
         assert clone.min_similarity == fast.min_similarity
         assert clone.name == fast.name
         # Same backend → same object; python round-trip restores.
-        assert clone.with_backend("bitparallel") is clone
+        assert clone.with_backend("fast") is clone
         assert fast.with_backend("python") is fast
 
     @pytest.mark.parametrize(
@@ -300,17 +254,14 @@ class TestComparatorBackends:
         ]
         for floor in (0.0, 0.4, 0.85):
             reference = comparator.with_min_similarity(floor)
-            for name in ("bitparallel", "numpy"):
-                if not get_backend(name).available:
-                    continue
-                clone = reference.with_backend(name)
-                for left, right in pairs:
-                    assert clone(left, right) == reference(left, right)
+            clone = reference.with_backend("fast")
+            for left, right in pairs:
+                assert clone(left, right) == reference(left, right)
 
     def test_batch_similarities_hook(self):
         pairs = [("meier", "maier"), ("bauer", "brauer")]
         python_batch = FAST_LEVENSHTEIN.batch_similarities(pairs)
-        clone = FAST_LEVENSHTEIN.with_backend("numpy")
+        clone = FAST_LEVENSHTEIN.with_backend("fast")
         assert clone.batch_similarities(pairs) == [
             FAST_LEVENSHTEIN(left, right) for left, right in pairs
         ]
@@ -319,9 +270,7 @@ class TestComparatorBackends:
     def test_cache_with_base_shares_the_store(self):
         cache = SimilarityCache(FAST_LEVENSHTEIN)
         cache.warm(["meier", "maier", "mayer"])
-        clone = cache.with_base(
-            FAST_LEVENSHTEIN.with_backend("bitparallel")
-        )
+        clone = cache.with_base(FAST_LEVENSHTEIN.with_backend("fast"))
         assert clone is not cache
         assert len(clone) == len(cache)
         before = cache.misses
@@ -355,9 +304,7 @@ class TestComparatorBackends:
         python_band = cache.banded(
             0.85, FAST_LEVENSHTEIN.with_min_similarity(0.85)
         )
-        fast = FAST_LEVENSHTEIN.with_min_similarity(0.85).with_backend(
-            "bitparallel"
-        )
+        fast = FAST_LEVENSHTEIN.with_min_similarity(0.85).with_backend("fast")
         bit_band = cache.banded(0.85, fast)
         assert bit_band is not python_band
         # Same (band, backend) key → the warm derived cache comes back.
@@ -371,7 +318,7 @@ class TestComparatorBackends:
 
 
 # ----------------------------------------------------------------------
-# End-to-end golden equivalence, all reducers × modes × backends
+# End-to-end: each half of the fast kernel decides like "python"
 # ----------------------------------------------------------------------
 
 SORT_KEY = SubstringKey([("name", 3), ("job", 2)])
@@ -452,12 +399,6 @@ REDUCERS = {
     ),
 }
 
-FAST_BACKENDS = [
-    name
-    for name in ("bitparallel", "numpy")
-    if get_backend(name).available
-]
-
 
 def _relation_for(kind, flat_relation, x_relation):
     if kind == "flat":
@@ -467,10 +408,24 @@ def _relation_for(kind, flat_relation, x_relation):
     return r34()
 
 
-def _detector(factory):
-    return DuplicateDetector(
-        default_matcher(), weighted_model(), reducer=factory()
+def _edit_matcher():
+    """:func:`default_matcher` with ``job`` scored by an edit comparator,
+    so the run's ``kernel_backend`` decides which edit kernel runs."""
+    return AttributeMatcher(
+        {
+            "name": UncertainValueComparator(FAST_JARO_WINKLER, cache=True),
+            "job": UncertainValueComparator(
+                FAST_LEVENSHTEIN,
+                pattern_policy=PatternPolicy.EXPAND,
+                pattern_lexicon=JOBS,
+                cache=True,
+            ),
+        }
     )
+
+
+def _detector(factory, matcher=default_matcher):
+    return DuplicateDetector(matcher(), weighted_model(), reducer=factory())
 
 
 def _triples(result):
@@ -480,51 +435,61 @@ def _triples(result):
     ]
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("backend", ["bitparallel", "numpy"])
 @pytest.mark.parametrize("name", sorted(REDUCERS))
 def test_backend_detection_is_bitwise_python(
-    name, backend, flat_relation, x_relation, stores
+    name, backend, flat_relation, x_relation, stores, monkeypatch
 ):
-    """The acceptance pin: every reducer × mode, per fast backend."""
+    """The acceptance pin: every reducer × mode, per half of ``"fast"``.
+
+    ``"fast"`` scores single pairs with the Myers bit-parallel kernels
+    and batches with the numpy scorer.  The ``bitparallel`` case turns
+    the batch hook off, so every edit pair goes through the per-pair
+    kernels; the ``numpy`` case leaves it on.  Workers are forked, so
+    the switch reaches them too.
+    """
+    if backend == "bitparallel":
+        monkeypatch.setattr(
+            BandedEditComparator,
+            "batch_similarities",
+            lambda self, pairs: None,
+        )
     factory, kind = REDUCERS[name]
     relation = _relation_for(kind, flat_relation, x_relation)
-    reference = _triples(
-        _detector(factory).detect(relation, kernel_backend="python")
-    )
 
-    serial_detector = _detector(factory)
-    serial = serial_detector.detect(relation, kernel_backend=backend)
+    def detector():
+        return _detector(factory, _edit_matcher)
+
+    reference = _triples(detector().detect(relation, kernel_backend="python"))
+
+    serial_detector = detector()
+    serial = serial_detector.detect(relation, kernel_backend="fast")
     assert _triples(serial) == reference
-    assert serial_detector.last_report.kernel_backend == backend
+    assert serial_detector.last_report.kernel_backend == "fast"
 
-    parallel = _detector(factory).detect(
-        relation, kernel_backend=backend, n_jobs=2, chunk_size=7
+    parallel = detector().detect(
+        relation, kernel_backend="fast", n_jobs=2, chunk_size=7
     )
     assert _triples(parallel) == reference
 
     slices = list(
-        _detector(factory).detect(
-            relation, kernel_backend=backend, stream=True
-        )
+        detector().detect(relation, kernel_backend="fast", stream=True)
     )
     assert [
         triple for piece in slices for triple in _triples(piece)
     ] == reference
 
     store = open_store(stores[kind], page_size=4, max_pages=3)
-    spilled = _detector(factory).detect(store, kernel_backend=backend)
+    spilled = detector().detect(store, kernel_backend="fast")
     assert _triples(spilled) == reference
 
-    pruned = _detector(factory).detect(
-        relation, kernel_backend=backend, min_similarity="auto"
+    pruned = detector().detect(
+        relation, kernel_backend="fast", min_similarity="auto"
     )
     assert _triples(pruned) == reference
 
-    stealing = _detector(factory).detect(
-        relation,
-        kernel_backend=backend,
-        n_jobs=2,
-        split_pairs=9,
+    stealing = detector().detect(
+        relation, kernel_backend="fast", n_jobs=2, split_pairs=9
     )
     assert _triples(stealing) == reference
 
@@ -630,16 +595,3 @@ class TestPairAwarePrewarm:
         ).detect(flat_relation)
         assert _triples(result) == _triples(reference)
 
-
-def test_env_var_steers_the_whole_detection(monkeypatch, flat_relation):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "bitparallel")
-    detector = DuplicateDetector(default_matcher(), weighted_model())
-    result = detector.detect(flat_relation)
-    assert detector.last_report.kernel_backend == "bitparallel"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-    reference_detector = DuplicateDetector(
-        default_matcher(), weighted_model()
-    )
-    reference = reference_detector.detect(flat_relation)
-    assert _triples(result) == _triples(reference)
-    assert reference_detector.last_report.kernel_backend == "python"

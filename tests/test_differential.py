@@ -4,8 +4,12 @@ Scheduling may change the order of work but never a result, so every
 sampled configuration must decide exactly what the reference oracle
 (``tests/conftest.py``) decides, bit for bit: any of the ten reducers,
 in-process or on a two-worker pool, any split budget, collected or
-streamed, in memory or spilled to disk, under a clean
-two-attempt retry policy that degrades or raises on exhaustion.
+streamed, in memory or spilled to disk, on the fast or the ``"python"``
+edit kernel, exact or under threshold pushdown, under a clean
+two-attempt retry policy that degrades or raises on exhaustion.  The
+lattice matcher scores ``job`` with an edit comparator, so the kernel
+dimension really runs the kernel it names; the oracle always runs the
+reference DPs.
 
 The batched decide loop must likewise agree with the oracle's per-pair
 ``decide`` for every decision model, derivation, pattern policy and
@@ -28,7 +32,6 @@ from hypothesis import strategies as st
 
 from repro.datagen import DatasetConfig, generate_dataset
 from repro.datagen.corpus import JOBS
-from repro.experiments.quality import default_matcher, weighted_model
 from repro.matching import DuplicateDetector, FullComparison
 from repro.matching.combination import (
     Average,
@@ -120,10 +123,51 @@ def _r34() -> XRelation:
     )
 
 
+def _lattice_matcher(max_entries=None):
+    """Jaro–Winkler names and edit-distance jobs (pattern-aware).
+
+    ``job`` goes through a backend-aware comparator, so a run's
+    ``kernel_backend`` decides which edit kernel scores it; the
+    oracle's procedure keeps the reference ``"python"`` kernel.  With
+    *max_entries*, caches that small clear wholesale while a session
+    runs (so a save must compact).
+    """
+
+    def cache(base):
+        if max_entries is None:
+            return True
+        return SimilarityCache(base, max_entries=max_entries)
+
+    return AttributeMatcher(
+        {
+            "name": UncertainValueComparator(
+                FAST_JARO_WINKLER, cache=cache(FAST_JARO_WINKLER)
+            ),
+            "job": UncertainValueComparator(
+                FAST_LEVENSHTEIN,
+                pattern_policy=PatternPolicy.EXPAND,
+                pattern_lexicon=JOBS,
+                cache=cache(FAST_LEVENSHTEIN),
+            ),
+        }
+    )
+
+
+def _lattice_model():
+    """A Fellegi–Sunter model: its agreement threshold derives pushdown
+    floors, so ``min_similarity="auto"`` really runs banded kernels."""
+    return FellegiSunterModel(
+        m_probabilities={"name": 0.92, "job": 0.7},
+        u_probabilities={"name": 0.03, "job": 0.05},
+        classifier=ThresholdClassifier(10.0, 1.0),
+        agreement_threshold=0.82,
+    )
+
+
 def _detector(name):
     factory, _kind = REDUCERS[name]
     return DuplicateDetector(
-        default_matcher(), weighted_model(), reducer=factory()
+        _lattice_matcher(), _lattice_model(), reducer=factory()
     )
 
 
@@ -162,7 +206,7 @@ def references(relations, oracle):
     }
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(sorted(REDUCERS)),
     n_jobs=st.sampled_from((1, 2)),
@@ -170,6 +214,8 @@ def references(relations, oracle):
     stream=st.booleans(),
     storage=st.sampled_from(("memory", "spilled")),
     on_error=st.sampled_from(("degrade", "raise")),
+    kernel_backend=st.sampled_from((None, "python")),
+    min_similarity=st.sampled_from((None, "auto")),
 )
 def test_sampled_configuration_decides_like_the_oracle(
     relations,
@@ -181,6 +227,8 @@ def test_sampled_configuration_decides_like_the_oracle(
     stream,
     storage,
     on_error,
+    kernel_backend,
+    min_similarity,
 ):
     kind = REDUCERS[name][1]
     if storage == "memory":
@@ -197,6 +245,8 @@ def test_sampled_configuration_decides_like_the_oracle(
             stream=stream,
             retry=RetryPolicy(max_attempts=2),
             on_error=on_error,
+            kernel_backend=kernel_backend,
+            min_similarity=min_similarity,
         )
         if stream:
             slices = list(result)
@@ -211,6 +261,7 @@ def test_sampled_configuration_decides_like_the_oracle(
         if storage != "memory":
             relation.close()
     report = detector.last_report
+    assert report.kernel_backend == (kernel_backend or "fast")
     assert report.worker_crashes + report.worker_timeouts == 0
     assert not report.failures
 
@@ -439,31 +490,11 @@ def session_relation():
 
 
 def _session_detector(name, max_entries):
-    """*name*'s detector; with *max_entries*, caches that small clear
-    wholesale while a session runs (so a save must compact)."""
-    if max_entries is None:
-        matcher = default_matcher()
-    else:
-        matcher = AttributeMatcher(
-            {
-                "name": UncertainValueComparator(
-                    FAST_JARO_WINKLER,
-                    cache=SimilarityCache(
-                        FAST_JARO_WINKLER, max_entries=max_entries
-                    ),
-                ),
-                "job": UncertainValueComparator(
-                    FAST_JARO_WINKLER,
-                    pattern_policy=PatternPolicy.EXPAND,
-                    pattern_lexicon=JOBS,
-                    cache=SimilarityCache(
-                        FAST_JARO_WINKLER, max_entries=max_entries
-                    ),
-                ),
-            }
-        )
+    """*name*'s detector over :func:`_lattice_matcher` (*max_entries*)."""
     return DuplicateDetector(
-        matcher, weighted_model(), reducer=REDUCERS[name][0]()
+        _lattice_matcher(max_entries),
+        _lattice_model(),
+        reducer=REDUCERS[name][0](),
     )
 
 

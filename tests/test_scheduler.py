@@ -378,24 +378,24 @@ def test_pruned_procedure_memo_is_bounded_lru():
     from repro.matching.pipeline import _MAX_PRUNED_PROCEDURES
 
     detector = _prunable_detector()
-    hot = detector._resolve_procedure(0.5)
+    hot = detector._resolve_run(0.5)[0]
     assert hot is not detector.procedure  # a real pruned clone
-    assert detector._resolve_procedure(0.5) is hot  # memoized
+    assert detector._resolve_run(0.5)[0] is hot  # memoized
     # A cutoff sweep interleaved with the hot configuration: the hot
     # clone must survive (the old wholesale clear() dropped it).
     for step in range(2 * _MAX_PRUNED_PROCEDURES):
-        detector._resolve_procedure(0.05 + step * 0.02)
-        assert detector._resolve_procedure(0.5) is hot
+        detector._resolve_run(0.05 + step * 0.02)
+        assert detector._resolve_run(0.5)[0] is hot
         assert len(detector._pruned_procedures) <= _MAX_PRUNED_PROCEDURES
     # Cold sweep entries were evicted least-recently-used first: the
     # earliest sweep cutoffs are gone, the latest still memoized.
     memo = detector._pruned_procedures
-    late = detector._resolve_procedure(
+    late = detector._resolve_run(
         0.05 + (2 * _MAX_PRUNED_PROCEDURES - 1) * 0.02
-    )
+    )[0]
     assert any(procedure is late for procedure in memo.values())
     early_key_count = len(memo)
-    detector._resolve_procedure(0.05)  # re-derive an evicted cutoff
+    detector._resolve_run(0.05)  # re-derive an evicted cutoff
     assert len(memo) <= max(early_key_count, _MAX_PRUNED_PROCEDURES)
 
 
@@ -404,11 +404,11 @@ def test_pruned_procedure_memo_evicts_oldest_not_everything():
 
     detector = _prunable_detector()
     procedures = [
-        detector._resolve_procedure(0.1 + i * 0.05)
+        detector._resolve_run(0.1 + i * 0.05)[0]
         for i in range(_MAX_PRUNED_PROCEDURES)
     ]
     # Memo is full; one more eviction drops exactly the oldest.
-    detector._resolve_procedure(0.9)
+    detector._resolve_run(0.9)
     memo_values = list(detector._pruned_procedures.values())
     assert procedures[0] not in memo_values
     assert all(p in memo_values for p in procedures[1:])

@@ -369,14 +369,14 @@ def test_empty_relation_detects_nothing_under_pushdown():
 
 def test_pruned_procedure_is_memoized_per_configuration(flat_relation):
     detector = _detector(FullComparison, fs_model)
-    first = detector._resolve_procedure("auto")
-    second = detector._resolve_procedure("auto")
+    first = detector._resolve_run("auto")[0]
+    second = detector._resolve_run("auto")[0]
     assert first is second and first is not detector.procedure
     # Explicit floors equal to the derived ones share the signature.
     floors = detector.attribute_floors()
-    explicit = detector._resolve_procedure(
+    explicit = detector._resolve_run(
         {attr: floors.floor(attr) for attr in ("name", "job")}
-    )
+    )[0]
     assert explicit is not detector.procedure
 
 
@@ -386,7 +386,7 @@ def test_prewarm_fills_banded_caches(flat_relation):
         lambda: CertainKeyBlocking(BLOCK_KEY), fs_model
     )
     detector.detect(flat_relation, min_similarity="auto", n_jobs=2)
-    pruned = detector._resolve_procedure("auto")
+    pruned = detector._resolve_run("auto")[0]
     stats = pruned.matcher.cache_stats()
     assert stats, "pruned matcher must expose its banded caches"
     for cache in stats.values():
@@ -601,7 +601,7 @@ def test_non_bandable_comparators_are_reused_unchanged():
     detector = DuplicateDetector(matcher, fs_model())
     # Floors derive, but nothing can prune: auto stays the exact
     # procedure instead of memoizing a useless cold clone.
-    assert detector._resolve_procedure("auto") is detector.procedure
+    assert detector._resolve_run("auto")[0] is detector.procedure
 
 
 def test_pruned_procedure_memo_is_bounded(flat_relation):
@@ -609,7 +609,7 @@ def test_pruned_procedure_memo_is_bounded(flat_relation):
     from repro.matching.pipeline import _MAX_PRUNED_PROCEDURES
 
     for step in range(_MAX_PRUNED_PROCEDURES + 3):
-        detector._resolve_procedure(0.5 + step * 0.01)
+        detector._resolve_run(0.5 + step * 0.01)
     assert len(detector._pruned_procedures) <= _MAX_PRUNED_PROCEDURES
 
 
