@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.datagen import DatasetConfig, generate_dataset
@@ -288,6 +289,48 @@ def test_bench_matching_cache(benchmark, matching_workload, cached):
 
     total = benchmark(run)
     assert total >= 0.0
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_bench_matching_cache_batch(benchmark, matching_workload, cached):
+    """The same 500 row pairs through one ``compare_batch`` call.
+
+    The batched counterpart of :func:`test_bench_matching_cache`: the
+    code-keyed cache probe and Equation-5 memo.  Its vectors must be
+    bitwise what ``compare_rows`` returns, with the same cache hit and
+    miss counts, on a cold round and on a memo-warm one.
+    """
+    rows = list(
+        {id(row): row for pair in matching_workload for row in pair}.values()
+    )
+    position = {id(row): index for index, row in enumerate(rows)}
+    lefts = np.array([position[id(left)] for left, _ in matching_workload])
+    rights = np.array([position[id(right)] for _, right in matching_workload])
+    attributes = rows[0].attributes
+    matcher = _matcher(cached)
+
+    vectors = benchmark(
+        lambda: matcher.compare_batch(attributes, rows, lefts, rights)
+    )
+    assert vectors.shape == (len(matching_workload), len(attributes))
+
+    scalar, batched = _matcher(cached), _matcher(cached)
+    for _round in range(2):
+        expected = [
+            [value.hex() for value in scalar.compare_rows(left, right).values]
+            for left, right in matching_workload
+        ]
+        got = batched.compare_batch(attributes, rows, lefts, rights)
+        assert [[value.hex() for value in row] for row in got.tolist()] == (
+            expected
+        )
+        assert {
+            attribute: (cache.hits, cache.misses)
+            for attribute, cache in batched.cache_stats().items()
+        } == {
+            attribute: (cache.hits, cache.misses)
+            for attribute, cache in scalar.cache_stats().items()
+        }
 
 
 def test_cached_equals_uncached_on_bench_data(matching_workload):

@@ -148,7 +148,7 @@ class ThresholdClassifier:
             0,
             np.where(values < self.unmatch_threshold, 2, 1),
         )
-        return [_BY_CODE[code] for code in codes.tolist()]
+        return list(map(_BY_CODE.__getitem__, codes.tolist()))
 
     def __repr__(self) -> str:
         return (

@@ -16,8 +16,11 @@ exactly to Figure 3 — tests assert this equivalence.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -330,22 +333,20 @@ class XTupleDecisionProcedure:
             similarities, statuses, cells.weights, cells.offsets, cells.shapes
         )
         derived = derive_all(self._derivation, batch)
-        records = list(
-            map(
-                XTupleDecision,
-                [left.tuple_id for left in lefts],
-                [right.tuple_id for right in rights],
-                map(
-                    Decision,
-                    self._final_classifier.classify_batch(derived),
-                    derived,
-                ),
-                (
-                    [batch.input(pair) for pair in range(len(batch))]
-                    if keep_derivations
-                    else [None] * len(batch)
-                ),
-            )
+        records = _build_all(
+            XTupleDecision,
+            list(map(_TUPLE_ID, lefts)),
+            list(map(_TUPLE_ID, rights)),
+            _build_all(
+                Decision,
+                self._final_classifier.classify_batch(derived),
+                derived,
+            ),
+            (
+                [batch.input(pair) for pair in range(len(batch))]
+                if keep_derivations
+                else [None] * len(batch)
+            ),
         )
         first = records[0]
         if first != reference or repr(first.similarity) != repr(
@@ -389,6 +390,25 @@ class XTupleDecisionProcedure:
             f"XTupleDecisionProcedure({variant}, ϑ={self._derivation!r}, "
             f"final={self._final_classifier!r})"
         )
+
+
+#: An x-tuple's identifier, read in C.
+_TUPLE_ID = attrgetter("tuple_id")
+
+
+def _build_all(cls, *columns: Sequence) -> list:
+    """``list(map(cls, *columns))`` for a frozen, slotted dataclass
+    without ``__post_init__``, built in bulk.
+
+    The objects are allocated at once and their slots filled column by
+    column through the slot descriptors, so no Python frame runs per
+    object, where calling *cls* runs its generated ``__init__`` (one
+    frame plus one ``object.__setattr__`` per field) for each.
+    """
+    built = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for field, column in zip(fields(cls), columns, strict=True):
+        deque(map(cls.__dict__[field.name].__set__, built, column), maxlen=0)
+    return built
 
 
 class _CellBatch:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.audit.manifest import status_counts
+
 
 @dataclass(frozen=True)
 class PartitionProgress:
@@ -194,20 +196,17 @@ class ProgressTracker:
 
         *decisions* are the partition's
         :class:`~repro.matching.engine.XTupleDecision` objects; their
-        matching values feed the report's η counters (and, through the
-        audit layer, the manifest's per-partition counts).
+        matching values feed the report's η counters, counted by
+        :func:`repro.audit.manifest.status_counts` like the manifest's
+        per-partition counts.
         """
         report = self.report
         report.decided_pairs += len(partition.pairs)
         report.completed_partitions += 1
-        for decided in decisions:
-            status = decided.decision.status.value
-            if status == "m":
-                report.decided_matches += 1
-            elif status == "p":
-                report.decided_possibles += 1
-            else:
-                report.decided_unmatches += 1
+        matches, possibles, unmatches = status_counts(decisions)
+        report.decided_matches += matches
+        report.decided_possibles += possibles
+        report.decided_unmatches += unmatches
         if self.observer is not None:
             self.observer(
                 PartitionProgress(

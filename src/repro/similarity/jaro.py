@@ -297,12 +297,9 @@ def batch_jaro_winkler_similarities(
         raise ValueError("prefix_scale * max_prefix must stay within [0, 1]")
     if not pairs:
         return []
-    left_strings = [
-        left if type(left) is str else str(left) for left, _ in pairs
-    ]
-    right_strings = [
-        right if type(right) is str else str(right) for _, right in pairs
-    ]
+    lefts, rights = zip(*pairs)
+    left_strings = list(map(str, lefts))
+    right_strings = list(map(str, rights))
     codes = {
         string: code
         for code, string in enumerate(dict.fromkeys(left_strings + right_strings))
@@ -313,17 +310,68 @@ def batch_jaro_winkler_similarities(
     right_codes = np.fromiter(
         map(codes.__getitem__, right_strings), dtype=np.int64, count=len(pairs)
     )
-    rows, lengths = _codepoint_rows(list(codes))
+    return _scores(
+        *_codepoint_rows(list(codes)),
+        left_codes,
+        right_codes,
+        prefix_scale,
+        max_prefix,
+        min_similarity,
+    ).tolist()
+
+
+def coded_jaro_winkler_similarities(
+    elements: Sequence[Any],
+    lefts: np.ndarray,
+    rights: np.ndarray,
+    *,
+    prefix_scale: float = 0.1,
+    max_prefix: int = 4,
+    min_similarity: float = 0.0,
+) -> np.ndarray:
+    """:func:`batch_jaro_winkler_similarities` of the pairs
+    ``elements[lefts[i]], elements[rights[i]]``, as float64.
+
+    For callers that already hold their operands as integer codes: no
+    pair is built, and only the elements the codes name are encoded.
+    """
+    if not 0.0 <= prefix_scale * max_prefix <= 1.0:
+        raise ValueError("prefix_scale * max_prefix must stay within [0, 1]")
+    used, inverse = np.unique(
+        np.concatenate((lefts, rights)).astype(np.int64), return_inverse=True
+    )
+    return _scores(
+        *_codepoint_rows([str(elements[code]) for code in used.tolist()]),
+        inverse[: len(lefts)],
+        inverse[len(lefts) :],
+        prefix_scale,
+        max_prefix,
+        min_similarity,
+    )
+
+
+def _scores(
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    left_codes: np.ndarray,
+    right_codes: np.ndarray,
+    prefix_scale: float,
+    max_prefix: int,
+    min_similarity: float,
+) -> np.ndarray:
+    """Jaro–Winkler of ``rows[left_codes[i]]`` against
+    ``rows[right_codes[i]]``, scored in slices of similar length."""
     left_len = lengths[left_codes]
     right_len = lengths[right_codes]
     longest = np.maximum(left_len, right_len)
     order = np.argsort(longest, kind="stable")
-    result = np.empty(len(pairs), dtype=np.float64)
+    count = len(left_codes)
+    result = np.empty(count, dtype=np.float64)
     start = 0
-    while start < len(pairs):
+    while start < count:
         # Pairs come shortest first, so the slice's last pair is its
         # widest; shrink the slice until its arrays fit the budget.
-        stop = len(pairs)
+        stop = count
         width = max(int(longest[order[stop - 1]]), 1)
         while stop - start > 1 and (stop - start) * width * width > _SLICE_CELLS:
             stop = start + max(1, _SLICE_CELLS // (width * width))
@@ -339,7 +387,7 @@ def batch_jaro_winkler_similarities(
             max_prefix,
             min_similarity,
         )
-    return result.tolist()
+    return result
 
 
 class BoundedJaroWinkler:
@@ -402,6 +450,21 @@ class BoundedJaroWinkler:
         """
         return batch_jaro_winkler_similarities(
             pairs,
+            prefix_scale=self._scale,
+            max_prefix=self._max_prefix,
+            min_similarity=self.min_similarity,
+        )
+
+    def batch_code_similarities(
+        self, elements: Sequence[Any], lefts: np.ndarray, rights: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`batch_similarities` of the pairs ``elements[lefts[i]],
+        elements[rights[i]]``, scored from the codes (see
+        :func:`coded_jaro_winkler_similarities`)."""
+        return coded_jaro_winkler_similarities(
+            elements,
+            lefts,
+            rights,
             prefix_scale=self._scale,
             max_prefix=self._max_prefix,
             min_similarity=self.min_similarity,

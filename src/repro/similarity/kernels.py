@@ -35,7 +35,11 @@ module provides the performance core:
   the same element pairs constantly (identical values recur across
   alternatives, x-tuples and candidate pairs), so hit rates are high;
   the cache turns a Jaro–Winkler or Levenshtein evaluation into one
-  dict lookup.  For block-partitioned execution the cache also supports
+  dict lookup.  The table is integer-coded — one int key per pair of
+  element codes — so the batched decide loop probes and fills it with
+  numpy and C-level maps (:meth:`SimilarityCache.lookup_codes`);
+  strings appear only where entries are exported and absorbed.  For
+  block-partitioned execution the cache also supports
   **pre-warming** (:meth:`SimilarityCache.warm` fills the table from an
   observed vocabulary before any candidate pair is decided) and
   **freezing** (:meth:`SimilarityCache.freeze` makes the table
@@ -50,8 +54,11 @@ module provides the performance core:
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations, count, islice, repeat
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 from repro.similarity.base import (
     Comparator,
@@ -448,17 +455,19 @@ class BandedEditComparator:
 _MAX_BANDS = 8
 
 
-def _pair_key(left: Any, right: Any) -> tuple[Any, Any]:
-    """Canonical unordered-pair key for a symmetric comparator.
+def pair_key(left: Any, right: Any) -> tuple[Any, Any]:
+    """Canonical unordered-pair key of two domain elements.
 
-    Orders the operands so ``(a, b)`` and ``(b, a)`` share one cache
-    entry.  Strings (the dominant domain) are keyed directly; other
-    operands are keyed together with their type, because Python treats
-    cross-type equalities like ``1 == 1.0`` as dict-key collisions even
-    though their string forms — and hence comparator results — differ.
-    Falls back to hash ordering for incomparable operand types; a hash
-    tie keeps the given order (costs at most a duplicate entry, never a
-    wrong result, because the key stores the actual operands).
+    Orders the operands so ``(a, b)`` and ``(b, a)`` share one key, as
+    they share one :class:`SimilarityCache` entry; pair-aware prewarm
+    collection (:func:`repro.reduction.plan.partition_value_pairs`)
+    deduplicates candidate value pairs with it.  Strings (the dominant
+    domain) are keyed directly; other operands are keyed together with
+    their type, because Python treats cross-type equalities like
+    ``1 == 1.0`` as dict-key collisions even though their string forms
+    — and hence comparator results — differ.  Falls back to hash
+    ordering for incomparable operand types; a hash tie keeps the given
+    order (costs at most a duplicate key, never a wrong result).
     """
     if type(left) is str and type(right) is str:
         return (left, right) if left <= right else (right, left)
@@ -499,49 +508,132 @@ def score_pairs(base: Comparator, pairs: list[tuple[Any, Any]]) -> list[float]:
     return [base(left, right) for left, right in pairs]
 
 
-def _lookup_key(left: Any, right: Any) -> tuple[Any, Any] | None:
-    """The cache key of a lookup, or ``None`` when the reflexive
-    shortcut of :meth:`SimilarityCache.__call__` answers it."""
-    if left is right or (type(left) is type(right) and left == right):
-        return None
-    return _pair_key(left, right)
+def score_codes(
+    base: Comparator,
+    elements: list[Any],
+    lefts: np.ndarray,
+    rights: np.ndarray,
+) -> Any:
+    """:func:`score_pairs` of the pairs ``elements[lefts[i]],
+    elements[rights[i]]``.
+
+    From :data:`BATCH_SCORE_MIN_PAIRS` pairs on, a comparator with a
+    ``batch_code_similarities`` hook scores them straight from the
+    codes; otherwise the pairs are built and handed to
+    :func:`score_pairs`.
+    """
+    if len(lefts) >= BATCH_SCORE_MIN_PAIRS:
+        batch = getattr(base, "batch_code_similarities", None)
+        if callable(batch):
+            return batch(elements, lefts, rights)
+    element = elements.__getitem__
+    return score_pairs(
+        base,
+        list(zip(map(element, lefts.tolist()), map(element, rights.tolist()))),
+    )
 
 
-#: Public alias: the canonical unordered-pair key, used by pair-aware
-#: prewarm collection (:func:`repro.reduction.plan.partition_value_pairs`)
-#: to deduplicate candidate value pairs exactly as the cache would.
-pair_key = _pair_key
+def unique_in_order(
+    keys: np.ndarray, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(distinct, inverse, occurrences, first)`` of an int64 key array.
+
+    *distinct* lists each key once, in order of first occurrence, and
+    ``distinct[inverse] == keys``; *first* holds each distinct key's
+    first position and *occurrences* how often it occurs — or, with
+    *counts*, the sum of the counts of its positions.  One unstable
+    sort: each group's first position is its smallest.
+    """
+    if not len(keys):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    permutation = np.argsort(keys)
+    ordered = keys[permutation]
+    boundary = np.empty(len(keys), dtype=bool)
+    boundary[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    first = np.minimum.reduceat(permutation, starts)
+    rank = np.empty(len(starts), dtype=np.int64)
+    order = np.argsort(first)
+    rank[order] = np.arange(len(starts))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[permutation] = rank[np.cumsum(boundary) - 1]
+    if counts is None:
+        occurrences = np.diff(np.append(starts, len(keys)))
+    else:
+        occurrences = np.add.reduceat(
+            np.asarray(counts, dtype=np.int64)[permutation], starts
+        )
+    first = first[order]
+    return keys[first], inverse, occurrences[order], first
+
+
+#: Base of the integer key of a pair of codes, ``first * PAIR_BASE +
+#: second``: a cache entry's key (lower code first) and an Equation-5
+#: memo entry's (ordered).  Odd and about 2**31.3, so the low bits a
+#: dict probes first mix both codes; under ``first << 32 | second``
+#: they would be *second*'s alone, and every probe of a table over a
+#: few hundred elements would start on one of a few hundred slots.
+#: Keys stay unique while codes stay below it.
+PAIR_BASE = 0x9E37_79B1
+
+#: Bits of the quiet NaN :func:`probe` gets back for an absent key —
+#: ``dict.get``'s default, told apart from every stored value (an
+#: ordinary NaN included) by its payload.
+_MISS_BITS = 0x7FF8_DEAD_BEEF_0001
+_MISS = float(np.array(_MISS_BITS, dtype=np.int64).view(np.float64))
+
+
+def probe(
+    table: dict[int, float], keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, missed)``: *table*'s value for each of *keys* (garbage
+    where absent) and the positions of the absent keys — one C-level
+    pass of ``dict.get``, no per-key Python."""
+    values = np.fromiter(
+        map(table.get, keys.tolist(), repeat(_MISS)),
+        dtype=np.float64,
+        count=len(keys),
+    )
+    return values, np.flatnonzero(values.view(np.int64) == _MISS_BITS)
 
 
 class SimilarityCache:
     """Memoize a symmetric domain-element comparator.
 
-    Wraps any normalized comparison function and caches results under
-    unordered-pair keys, so ``sim(a, b)`` and ``sim(b, a)`` share one
-    entry.  Equal operands *of the same type* short-circuit to 1.0
-    without touching the dictionary (every normalized similarity is
-    reflexive; the type guard keeps cross-type equalities like
-    ``1 == 1.0`` — whose string forms differ — out of the shortcut).
+    Wraps any normalized comparison function and caches results on
+    unordered element pairs, so ``sim(a, b)`` and ``sim(b, a)`` share
+    one entry.  Each element gets an integer code — strings by value,
+    other operands by ``(type, value)``, so ``1`` and ``1.0`` (equal as
+    dict keys, different as strings) stay apart — and each entry is
+    stored under one int, ``lo * PAIR_BASE + hi`` of its two codes.  Equal
+    operands *of the same type* short-circuit to 1.0 without touching
+    the table (every normalized similarity is reflexive; the type
+    guard keeps cross-type equalities like ``1 == 1.0`` out of the
+    shortcut).  Strings appear only at the persistence boundary:
+    :meth:`export_entries`, :meth:`export_since` and :meth:`absorb`
+    translate between codes and ``(left, right, similarity)`` triples.
 
     Parameters
     ----------
     base:
         The comparator to memoize.
     max_entries:
-        Soft capacity bound.  When the store would exceed it, the cache
-        is cleared wholesale (cheap, and the working set repopulates in
-        one pass) — a deliberate trade against LRU bookkeeping on the
-        hot path.
+        Soft capacity bound.  When the table would exceed it, the cache
+        is cleared wholesale, codes included (cheap, and the working set
+        repopulates in one pass) — a deliberate trade against LRU
+        bookkeeping on the hot path.
     reflexive_value:
         The result for equal same-type operands, answered without
-        touching the dictionary.  1.0 (default) fits normalized
+        touching the table.  1.0 (default) fits normalized
         similarities; pass 0.0 to memoize a *distance* function.
     band:
         The similarity floor the *base* comparator is configured with
         (0.0 for an exact comparator).  Entries of a banded cache hold
         cutoff-pruned results — exact at or above the band, possibly
         0.0 below it — so caches of different bands never share a
-        store; :meth:`banded` is the constructor that keeps one derived
+        table; :meth:`banded` is the constructor that keeps one derived
         cache per active band.
     """
 
@@ -555,7 +647,9 @@ class SimilarityCache:
         "band",
         "_bands",
         "_frozen",
-        "_store",
+        "_table",
+        "_codes",
+        "_elements",
         "_clears",
     )
 
@@ -582,28 +676,56 @@ class SimilarityCache:
             tuple[float, str | None], "SimilarityCache"
         ] = {}
         self._frozen = False
-        self._store: dict[tuple[Any, Any], float] = {}
-        #: Wholesale clears of the store so far — one counter shared
-        #: with every :meth:`with_base` view, like the store itself.
+        #: Similarities by ``lo * PAIR_BASE + hi`` of the operands'
+        #: codes, in insertion order.
+        self._table: dict[int, float] = {}
+        #: Element key (a string, or ``(type, value)``) → code, and
+        #: code → element.
+        self._codes: dict[Any, int] = {}
+        self._elements: list[Any] = []
+        #: Wholesale clears of the table so far.  Table, codes and this
+        #: counter are shared with every :meth:`with_base` view.
         self._clears = [0]
 
     def __call__(self, left: Any, right: Any) -> float:
         if left is right or (type(left) is type(right) and left == right):
             return self.reflexive_value
-        key = _pair_key(left, right)
-        store = self._store
-        cached = store.get(key)
-        if cached is not None:
+        # Subscripts, not .get: a hit is three C-level probes, and the
+        # KeyError only ever precedes a miss.
+        codes = self._codes
+        try:
+            a = codes[left if type(left) is str else (type(left), left)]
+            b = codes[right if type(right) is str else (type(right), right)]
+            cached = self._table[
+                a * PAIR_BASE + b if a < b else b * PAIR_BASE + a
+            ]
+        except KeyError:
+            pass
+        else:
             self.hits += 1
             return cached
         self.misses += 1
         result = self.base(left, right)
         if not self._frozen:
-            if len(store) >= self.max_entries:
-                store.clear()
-                self._clears[0] += 1
-            store[key] = result
+            if len(self._table) >= self.max_entries:
+                self._reset()
+            a = self._code(left)
+            b = self._code(right)
+            self._table[
+                a * PAIR_BASE + b if a < b else b * PAIR_BASE + a
+            ] = result
         return result
+
+    def _code(self, element: Any) -> int:
+        """The code of *element*, coding it if unseen."""
+        elements = self._elements
+        code = self._codes.setdefault(
+            element if type(element) is str else (type(element), element),
+            len(elements),
+        )
+        if code == len(elements):
+            elements.append(element)
+        return code
 
     def lookup_batch(
         self,
@@ -612,74 +734,169 @@ class SimilarityCache:
     ) -> list[float]:
         """``self(left, right)`` for each pair, misses scored in one batch.
 
-        Each pair stands for *counts[i]* identical lookups (default one).
-        Answers, stores and counts exactly what that many per-pair calls
-        would, in any order — a repeated miss counts as the hit the
-        first one's stored entry would have served, or, while frozen,
-        as another miss — but scores the distinct misses in one
-        :func:`score_pairs` call.  A batch that could fill the store
-        takes the per-pair path, whose wholesale clear it would
-        otherwise have to replay.
+        Each pair stands for *counts[i]* identical lookups (default
+        one).  The operands are coded locally and answered by
+        :meth:`lookup_codes`, whose contract this shares.
         """
-        if counts is None:
-            counts = [1] * len(pairs)
-        store = self._store
-        if len(store) + len(pairs) >= self.max_entries:
-            results = []
-            for (left, right), count in zip(pairs, counts):
-                for _ in range(count):
-                    value = self(left, right)
-                results.append(value)
-            return results
-        # Keys as __call__ builds them (None: answered reflexively,
-        # uncounted); comprehensions and map keep the loop in C.
-        keys = [
-            ((left, right) if left < right else (right, left))
-            if type(left) is str and type(right) is str and left != right
-            else _lookup_key(left, right)
-            for left, right in pairs
-        ]
-        results = list(map(store.get, keys))
-        self.hits += sum(
-            count
-            for count, found in zip(counts, results)
-            if found is not None
+        operands = [element for pair in pairs for element in pair]
+        local: dict[Any, int] = {}
+        # Each operand's code is the position of its first occurrence.
+        codes = np.fromiter(
+            map(
+                local.setdefault,
+                [x if type(x) is str else (type(x), x) for x in operands],
+                count(),
+            ),
+            dtype=np.int64,
+            count=len(operands),
         )
-        absent = [
-            index
-            for index, (key, found) in enumerate(zip(keys, results))
-            if found is None
-        ]
-        reflexive = self.reflexive_value
-        first: dict[tuple[Any, Any], int] = {}
-        occurrences = 0
-        for index in absent:
-            key = keys[index]
-            if key is None:
-                results[index] = reflexive
+        return self.lookup_codes(
+            operands, codes[0::2], codes[1::2], {}, counts
+        ).tolist()
+
+    def lookup_codes(
+        self,
+        elements: list[Any],
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        translations: dict,
+        counts: list[int] | None = None,
+    ) -> np.ndarray:
+        """``self(elements[lefts[i]], elements[rights[i]])`` for every i.
+
+        *lefts* and *rights* are the caller's own codes for the
+        operands listed in *elements*; equal codes must mean equal
+        same-type elements, which are answered reflexively, uncounted.
+        *translations* is a dict the caller keeps with its codes: the
+        cache stores in it the array mapping them to its own codes,
+        grown as *elements* grows and rebuilt after a wholesale clear.
+
+        Each pair stands for *counts[i]* identical lookups (default
+        one).  Answers, stores and counts exactly what that many
+        per-pair calls would, in any order — a repeated miss counts as
+        the hit the first one's stored entry would have served, or,
+        while frozen, as another miss — but probes and fills the table
+        in bulk and scores the distinct misses in one
+        :func:`score_codes` call, each in the orientation of its first
+        occurrence and stored in first-occurrence order.  A batch that
+        could fill the table takes the per-pair path, whose wholesale
+        clear it would otherwise have to replay.
+        """
+        lefts = np.asarray(lefts, dtype=np.int64)
+        rights = np.asarray(rights, dtype=np.int64)
+        results = np.full(len(lefts), self.reflexive_value)
+        compared = np.flatnonzero(lefts != rights)
+        if not len(compared):
+            return results
+        lefts = lefts[compared]
+        rights = rights[compared]
+        counts = (
+            np.ones(len(compared), dtype=np.int64)
+            if counts is None
+            else np.asarray(counts, dtype=np.int64)[compared]
+        )
+        distinct, inverse, occurrences, first = unique_in_order(
+            np.minimum(lefts, rights) * PAIR_BASE + np.maximum(lefts, rights),
+            counts,
+        )
+        if len(self._table) + len(distinct) >= self.max_entries:
+            values = []
+            for left, right, repeats in zip(
+                lefts.tolist(), rights.tolist(), counts.tolist()
+            ):
+                for _ in range(repeats):
+                    value = self(elements[left], elements[right])
+                values.append(value)
+            results[compared] = values
+            return results
+        lefts = lefts[first]
+        rights = rights[first]
+        mine = self._translation(elements, lefts, rights, translations)
+        left_codes = mine[lefts]
+        right_codes = mine[rights]
+        keys = np.minimum(left_codes, right_codes) * PAIR_BASE + np.maximum(
+            left_codes, right_codes
+        )
+        keys[(left_codes < 0) | (right_codes < 0)] = -1  # uncoded: a miss
+        found, missed = probe(self._table, keys)
+        repeats = int(occurrences[missed].sum())
+        self.hits += int(occurrences.sum()) - repeats
+        if len(missed):
+            if self._frozen:
+                self.misses += repeats
             else:
-                first.setdefault(key, index)
-                occurrences += counts[index]
-        if not first:
-            return results
-        if self._frozen:
-            self.misses += occurrences
-        else:
-            self.misses += len(first)
-            self.hits += occurrences - len(first)
-        fresh = dict(
-            zip(first, score_pairs(self.base, [pairs[i] for i in first.values()]))
-        )
-        for index in absent:
-            key = keys[index]
-            if key is not None:
-                results[index] = fresh[key]
-        if not self._frozen:
-            store.update(fresh)
+                self.misses += len(missed)
+                self.hits += repeats - len(missed)
+            found[missed] = score_codes(
+                self.base, elements, lefts[missed], rights[missed]
+            )
+            if not self._frozen:
+                self._table.update(
+                    zip(keys[missed].tolist(), found[missed].tolist())
+                )
+        results[compared] = found[inverse]
         return results
 
+    def _translation(
+        self,
+        elements: list[Any],
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        translations: dict,
+    ) -> np.ndarray:
+        """The caller-code → cache-code array of *translations*, with
+        every operand of *lefts* / *rights* coded (-1 while frozen for
+        an element the table has never seen)."""
+        codes = self._codes
+        entry = translations.get(id(codes))
+        if entry is None or entry[1] != self._clears[0]:
+            # The entry holds the code map, so its id stays unique.
+            entry = translations[id(codes)] = [
+                codes, self._clears[0], np.zeros(0, dtype=np.int64),
+            ]
+        mine = entry[2]
+        if len(mine) < len(elements):
+            mine = entry[2] = np.concatenate(
+                (mine, np.full(len(elements) - len(mine), -1, dtype=np.int64))
+            )
+        used = np.concatenate((lefts, rights))
+        pending = np.unique(used[mine[used] < 0])
+        if len(pending):
+            operands = list(map(elements.__getitem__, pending.tolist()))
+            if self._frozen:
+                keys = [
+                    x if type(x) is str else (type(x), x) for x in operands
+                ]
+                mine[pending] = np.fromiter(
+                    map(codes.get, keys, repeat(-1)),
+                    dtype=np.int64,
+                    count=len(keys),
+                )
+            else:
+                mine[pending] = self._encode(operands)
+        return mine
+
+    def _encode(self, operands: list[Any]) -> np.ndarray:
+        """The codes of *operands*, coding the unseen ones."""
+        keys = [x if type(x) is str else (type(x), x) for x in operands]
+        codes = self._codes
+        elements = self._elements
+        fresh = [key for key in dict.fromkeys(keys) if key not in codes]
+        codes.update(zip(fresh, count(len(elements))))
+        elements.extend(key if type(key) is str else key[1] for key in fresh)
+        return np.fromiter(
+            map(codes.__getitem__, keys), dtype=np.int64, count=len(keys)
+        )
+
+    def _reset(self) -> None:
+        """Empty the shared table and code map (the wholesale clear)."""
+        self._table.clear()
+        self._codes.clear()
+        self._elements.clear()
+        self._clears[0] += 1
+
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._table)
 
     @property
     def hit_rate(self) -> float:
@@ -747,10 +964,11 @@ class SimilarityCache:
         """
         if self._frozen:
             return 0
-        store = self._store
+        table = self._table
+        code = self._code
         max_entries = self.max_entries
         examined = 0
-        pending: dict[tuple[Any, Any], tuple[Any, Any]] = {}
+        pending: dict[int, tuple[Any, Any]] = {}
         for left, right in pairs:
             if budget is not None and examined >= budget:
                 break
@@ -759,17 +977,17 @@ class SimilarityCache:
                 type(left) is type(right) and left == right
             ):
                 continue
-            key = _pair_key(left, right)
-            if key in store or key in pending:
-                continue
-            if len(store) + len(pending) >= max_entries:
+            if len(table) + len(pending) >= max_entries:
                 break
-            pending[key] = (left, right)
+            a = code(left)
+            b = code(right)
+            key = a * PAIR_BASE + b if a < b else b * PAIR_BASE + a
+            if key not in table:
+                pending.setdefault(key, (left, right))
         if not pending:
             return 0
-        results = score_pairs(self.base, list(pending.values()))
-        for key, result in zip(pending, results):
-            store[key] = result
+        scores = score_pairs(self.base, list(pending.values()))
+        table.update(zip(pending, scores))
         self.warmed += len(pending)
         return len(pending)
 
@@ -782,10 +1000,11 @@ class SimilarityCache:
         """Make the table read-only.
 
         A frozen cache still answers hits and still computes misses —
-        it just stops storing new entries, so the warmed table can be
-        shared copy-on-write across forked workers without any page
-        ever being dirtied (and without the overflow clear wiping the
-        shared table mid-run).
+        it just stops storing new entries and coding new elements, so
+        the warmed table can be shared copy-on-write across forked
+        workers without any page ever being dirtied (and without the
+        overflow clear wiping the shared table mid-run).  An element
+        the table has never seen is simply a miss.
         """
         self._frozen = True
 
@@ -806,7 +1025,7 @@ class SimilarityCache:
         it.  Asking for this cache's own band *and* kernel returns
         ``self``.
 
-        Band stores are deliberately *not* shared across bands: an
+        Band tables are deliberately *not* shared across bands: an
         entry computed under a cutoff may read 0.0 where the exact
         table reads the true similarity, and serving one to the other
         would break the pushdown contract.  (Kernels, by contrast, are
@@ -841,11 +1060,11 @@ class SimilarityCache:
         """A view of this cache computing misses with *base* instead.
 
         Used by kernel switching: the clone **shares** this cache's
-        store, band registry and frozen flag (both kernels return
-        bitwise-identical results, so sharing entries across kernels is
-        safe and keeps warmed tables warm), but
-        scores cache misses with the new comparator.  Hit/miss
-        statistics are tracked per view.
+        table, code map, band registry and frozen flag (both kernels
+        return bitwise-identical results, so sharing entries across
+        kernels is safe and keeps warmed tables warm), but scores cache
+        misses with the new comparator.  Hit/miss statistics are
+        tracked per view.
         """
         if base is self.base:
             return self
@@ -855,7 +1074,9 @@ class SimilarityCache:
             reflexive_value=self.reflexive_value,
             band=self.band,
         )
-        clone._store = self._store
+        clone._table = self._table
+        clone._codes = self._codes
+        clone._elements = self._elements
         clone._clears = self._clears
         clone._bands = self._bands
         clone._frozen = self._frozen
@@ -864,19 +1085,31 @@ class SimilarityCache:
     def export_entries(self) -> Iterator[tuple[str, str, float]]:
         """Stream the portable (string-keyed) entries of the table.
 
-        Yields ``(left, right, similarity)`` triples for every entry
-        whose operands are plain strings — the dominant domain, and the
-        only one a session store can round-trip through JSON without a
-        type codec.  Entries under composite keys (non-string operands)
-        are simply not exported; they are re-derivable on demand.
+        Yields ``(left, right, similarity)`` triples, ``left <= right``,
+        for every entry whose operands are plain strings — the dominant
+        domain, and the only one a session store can round-trip through
+        JSON without a type codec — in insertion order.  Entries of
+        other operands are simply not exported; they are re-derivable
+        on demand.
         """
-        return self._portable(self._store.items())
+        table = self._table
+        return iter(self._portable(list(table), list(table.values())))
 
-    @staticmethod
-    def _portable(items) -> Iterator[tuple[str, str, float]]:
-        for (left, right), value in items:
-            if type(left) is str and type(right) is str:
-                yield left, right, value
+    def _portable(
+        self, keys: list[int], values: list[float]
+    ) -> list[tuple[str, str, float]]:
+        """The string entries among table entries, decoded in bulk."""
+        lefts, rights = np.divmod(np.array(keys, dtype=np.int64), PAIR_BASE)
+        element = self._elements.__getitem__
+        return [
+            (left, right, value) if left <= right else (right, left, value)
+            for left, right, value in zip(
+                map(element, lefts.tolist()),
+                map(element, rights.tolist()),
+                values,
+            )
+            if type(left) is str and type(right) is str
+        ]
 
     def cursor(self) -> tuple:
         """A position in the table's insertion order, for
@@ -884,10 +1117,10 @@ class SimilarityCache:
 
         Entries are only ever appended — lookups, warming and absorbing
         insert, nothing removes one entry — until a wholesale clear
-        (the overflow clear or :meth:`clear`) empties the store; the
-        cursor records the store, its clear count and its length.
+        (the overflow clear or :meth:`clear`) empties the table; the
+        cursor records the table, its clear count and its length.
         """
-        return (self._store, self._clears[0], len(self._store))
+        return (self._table, self._clears[0], len(self._table))
 
     def export_since(
         self, cursor: tuple
@@ -898,45 +1131,61 @@ class SimilarityCache:
         the cursor was taken: entries exported before it may be gone,
         so only a full :meth:`export_entries` describes the table.
         """
-        store, clears, position = cursor
-        if store is not self._store or clears != self._clears[0]:
+        table, clears, position = cursor
+        if table is not self._table or clears != self._clears[0]:
             return None
+        fresh = len(table) - position
+        if not fresh:
+            return []
         # Walk back from the newest entry: O(new entries), not O(table).
-        fresh = list(islice(reversed(store.items()), len(store) - position))
-        fresh.reverse()
-        return list(self._portable(fresh))
+        keys = list(islice(reversed(table), fresh))
+        values = list(islice(reversed(table.values()), fresh))
+        keys.reverse()
+        values.reverse()
+        return self._portable(keys, values)
 
     def absorb(self, entries: Iterable[tuple[Any, Any, float]]) -> int:
         """Restore previously exported entries without recomputation.
 
         The persistence counterpart of :meth:`export_entries`: each
-        ``(left, right, similarity)`` triple is stored under the
-        canonical unordered-pair key, skipping pairs already present.
-        Only values a prior run actually computed should be absorbed —
-        the cache trusts them exactly as it trusts its own memoized
-        results.  Respects :attr:`frozen` (absorbs nothing) and stops
-        at :attr:`max_entries` without triggering the wholesale clear.
+        ``(left, right, similarity)`` triple is stored under its
+        operands' codes, skipping pairs already present.  Only values a
+        prior run actually computed should be absorbed — the cache
+        trusts them exactly as it trusts its own memoized results.
+        Respects :attr:`frozen` (absorbs nothing) and stops at
+        :attr:`max_entries` without triggering the wholesale clear.
         Returns the number of entries newly stored.
         """
-        if self._frozen:
+        room = self.max_entries - len(self._table)
+        if self._frozen or room <= 0:
             return 0
-        store = self._store
-        stored = 0
-        for left, right, value in entries:
-            if len(store) >= self.max_entries:
-                break
-            key = _pair_key(left, right)
-            if key in store:
-                continue
-            store[key] = float(value)
-            stored += 1
+        rows = list(entries)
+        if not rows:
+            return 0
+        operands = list(map(itemgetter(0), rows))
+        operands += map(itemgetter(1), rows)
+        codes = self._encode(operands)
+        lefts = codes[: len(rows)]
+        rights = codes[len(rows) :]
+        keys = np.minimum(lefts, rights) * PAIR_BASE + np.maximum(
+            lefts, rights
+        )
+        values = map(float, map(itemgetter(2), rows))
+        table = self._table
+        stored = len(table)
+        for key, value in zip(keys.tolist(), values):
+            if key not in table:
+                table[key] = value
+                room -= 1
+                if not room:
+                    break
+        stored = len(table) - stored
         self.warmed += stored
         return stored
 
     def clear(self) -> None:
-        """Drop all entries and reset the statistics."""
-        self._store.clear()
-        self._clears[0] += 1
+        """Drop all entries and codes and reset the statistics."""
+        self._reset()
         self.hits = 0
         self.misses = 0
         self.warmed = 0
@@ -949,7 +1198,7 @@ class SimilarityCache:
     def __repr__(self) -> str:
         banded = f", band={self.band:g}" if self.band > 0.0 else ""
         return (
-            f"SimilarityCache({self.name}, entries={len(self._store)}, "
+            f"SimilarityCache({self.name}, entries={len(self._table)}, "
             f"hit_rate={self.hit_rate:.2%}{banded})"
         )
 

@@ -28,7 +28,14 @@ import numpy as np
 
 from repro.pdb.values import NULL, PatternValue, ProbabilisticValue
 from repro.similarity.base import Comparator, NamedComparator
-from repro.similarity.kernels import SimilarityCache, pair_key, score_pairs
+from repro.similarity.kernels import (
+    PAIR_BASE,
+    SimilarityCache,
+    pair_key,
+    probe,
+    score_codes,
+    unique_in_order,
+)
 
 
 class PatternPolicy:
@@ -143,13 +150,15 @@ class UncertainValueComparator:
                 else SimilarityCache(base)
             )
         # Value-level memos (enabled together with the element cache):
-        # full Equation-5 results keyed by the ordered pair of exact
-        # value keys, and pattern expansions keyed by the unexpanded
-        # value's exact key (:attr:`ProbabilisticValue.exact_key`).
-        self._pair_cache: dict[Any, float] = {}
+        # full Equation-5 results keyed by ``left * PAIR_BASE + right`` of
+        # the ordered pair's value codes, which the registry assigns per
+        # exact key (:attr:`ProbabilisticValue.exact_key`), and pattern
+        # expansions keyed by the unexpanded value's exact key.  One
+        # memo serves the per-pair call and similarity_batch.
+        self._memo: dict[int, float] = {}
         self._prepared_cache: dict[tuple, ProbabilisticValue] = {}
-        # Element codes and prepared outcomes of similarity_batch,
-        # created by its first call.
+        # Element and value codes, created by the first call that
+        # needs them; replacing it empties the memo.
         self._registry: _Registry | None = None
         # Threshold pushdown: a positive floor plus a bandable base
         # arms the certain-value fast path with the cutoff-banded
@@ -409,24 +418,42 @@ class UncertainValueComparator:
         right_value = _coerce(right)
         if self._memoize:
             # Memoize whole Equation-5 results on the *ordered* pair of
-            # exact value keys: uncertain values recur across candidate
-            # pairs, and only keys exact in outcome order and
+            # value codes: uncertain values recur across candidate
+            # pairs, and only codes of keys exact in outcome order and
             # probability keep memoized results bit-identical to the
             # uncached double loop.
-            key = (left_value.exact_key, right_value.exact_key)
-            cached = self._pair_cache.get(key)
-            if cached is not None:
-                return cached
+            registry = self._registry
+            if registry is None:
+                registry = self._new_registry()
+            left_key = left_value.exact_key
+            right_key = right_value.exact_key
+            try:
+                values = registry.values
+                return self._memo[
+                    values[left_key] * PAIR_BASE + values[right_key]
+                ]
+            except KeyError:
+                pass
             result = self._prepared(left_value).expected_similarity(
                 self._prepared(right_value), self._domain_similarity
             )
-            if len(self._pair_cache) >= _VALUE_MEMO_CAP:
-                self._pair_cache.clear()
-            self._pair_cache[key] = result
+            if len(registry) >= _VALUE_MEMO_CAP:
+                registry = self._new_registry()
+            memo = self._memo
+            if len(memo) >= _VALUE_MEMO_CAP:
+                memo.clear()
+            left_code = registry.value(left_key)
+            memo[left_code * PAIR_BASE + registry.value(right_key)] = result
             return result
         return self._prepared(left_value).expected_similarity(
             self._prepared(right_value), self._domain_similarity
         )
+
+    def _new_registry(self) -> "_Registry":
+        """Start a fresh registry; the memo's codes die with the old one."""
+        self._registry = _Registry()
+        self._memo.clear()
+        return self._registry
 
     def similarity_batch(
         self,
@@ -440,20 +467,21 @@ class UncertainValueComparator:
         integer index arrays pairing them up.  Every rule of
         :meth:`__call__` holds pair by pair — ⊥ semantics, the
         certain-value fast path (banded under a pushdown floor),
-        ``expand`` preparation, the exact-key Equation-5 memo and the
-        double loop summed term by term in dict order — with the work
-        done on integer codes: each value and domain element is encoded
-        once, Equation-5 terms are expanded and summed as arrays, and
-        each distinct element pair is looked up once per cache
-        (:meth:`SimilarityCache.lookup_batch`, counting every
-        occurrence as the per-pair calls would), so cache misses are
-        scored in one batch call.  A batch that could overflow the
-        value memo takes the per-pair path.
+        ``expand`` preparation, the Equation-5 memo (the one the
+        per-pair call uses) and the double loop summed term by term in
+        dict order — with the work done on integer codes: each value
+        and domain element is encoded once, the memo is probed and
+        filled by value code, Equation-5 terms are expanded and summed
+        as arrays, and each cache is probed by element code
+        (:meth:`SimilarityCache.lookup_codes`, counting every occurrence
+        as the per-pair calls would), so cache misses are scored in one
+        batch call.  A batch that could overflow the value memo takes
+        the per-pair path.
         """
         lefts = np.asarray(lefts, dtype=np.int64)
         rights = np.asarray(rights, dtype=np.int64)
         if self._memoize and (
-            len(self._pair_cache) + len(lefts) >= _VALUE_MEMO_CAP
+            len(self._memo) + len(lefts) >= _VALUE_MEMO_CAP
         ):
             return np.array(
                 [
@@ -464,7 +492,7 @@ class UncertainValueComparator:
             )
         registry = self._registry
         if registry is None or len(registry) >= _VALUE_MEMO_CAP:
-            registry = self._registry = _Registry()
+            registry = self._new_registry()
         codes = _Codes(self, registry, values)
         left_plain = codes.plain[lefts]
         right_plain = codes.plain[rights]
@@ -502,55 +530,26 @@ class UncertainValueComparator:
         Adds the terms of every pair the memo cannot answer to *terms*
         and returns ``finish(similarities)``: given the similarities of
         ``terms.pairs``, each pair's expectation, with every newly
-        computed one memoized.
+        computed one memoized.  Values with equal exact keys share a
+        value code, so distinct pairs below are distinct memo keys.
         """
-        memo = self._pair_cache if self._memoize else None
-        if memo is not None:
-            # Values with equal exact keys share one memo entry: map
-            # each to the first of its kind, so distinct pairs below are
-            # distinct memo keys.
-            used = list(dict.fromkeys(np.concatenate((lefts, rights)).tolist()))
-            exact_keys = [codes.exact_key(index) for index in used]
-            first_of: dict[Any, int] = {}
-            canonical = np.arange(len(codes.values))
-            canonical[used] = [
-                first_of.setdefault(key, index)
-                for key, index in zip(exact_keys, used)
-            ]
-            key_of = dict(zip(used, exact_keys)).__getitem__
-            lefts = canonical[lefts]
-            rights = canonical[rights]
-        span = max(len(codes.values), 1)
-        distinct, pair_slot, _ = _distinct(lefts * span + rights)
-        left_ids = (distinct // span).tolist()
-        right_ids = (distinct % span).tolist()
+        value_codes = codes.value_codes(np.concatenate((lefts, rights)))
+        distinct, pair_slot, _, _ = unique_in_order(
+            value_codes[: len(lefts)] * PAIR_BASE + value_codes[len(lefts) :]
+        )
+        memo = self._memo if self._memoize else None
         if memo is None:
-            keys = None
             known = np.zeros(len(distinct), dtype=np.float64)
             missed = np.arange(len(distinct))
         else:
-            all_keys = list(zip(map(key_of, left_ids), map(key_of, right_ids)))
-            found = list(map(memo.get, all_keys))
-            known = np.array(
-                [0.0 if cached is None else cached for cached in found],
-                dtype=np.float64,
-            )
-            missed = np.array(
-                [slot for slot, cached in enumerate(found) if cached is None],
-                dtype=np.int64,
-            )
-            keys = [all_keys[slot] for slot in missed.tolist()]
-        sides = [
-            value
-            for slot in missed.tolist()
-            for value in (left_ids[slot], right_ids[slot])
-        ]
-        terms.expand(codes, sides)
+            known, missed = probe(memo, distinct)
+        keys = distinct[missed]
+        terms.expand(codes, *np.divmod(keys, PAIR_BASE))
 
         def finish(similarities: np.ndarray) -> np.ndarray:
             totals = terms.sums(similarities)
-            if keys is not None:
-                memo.update(zip(keys, totals.tolist()))
+            if memo is not None:
+                memo.update(zip(keys.tolist(), totals.tolist()))
             known[missed] = totals
             return known[pair_slot]
 
@@ -602,46 +601,37 @@ _UNCERTAIN = object()
 _VALUE_MEMO_CAP = 1 << 20
 
 
-#: Most distinct element pairs one :meth:`SimilarityCache.lookup_batch`
-#: call receives.
-_LOOKUP_SLICE = 2048
-
 #: Plain-element codes of values that are ⊥ or genuinely uncertain
 #: (element codes are ≥ 0).
 _NULL = -1
 _VALUE = -2
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(distinct keys, inverse, counts)``, first occurrences first."""
-    listed = keys.tolist()
-    index = {key: slot for slot, key in enumerate(dict.fromkeys(listed))}
-    inverse = np.fromiter(
-        map(index.__getitem__, listed), dtype=np.int64, count=len(listed)
-    )
-    distinct = np.fromiter(index, dtype=np.int64, count=len(index))
-    return distinct, inverse, np.bincount(inverse, minlength=len(index))
-
-
 class _Registry:
-    """Domain-element codes and prepared outcomes, kept across batches.
+    """Element and value codes, kept across batches.
 
     Elements are coded by type and value, so ``1`` and ``1.0`` stay
-    apart as they do in :class:`SimilarityCache` keys; prepared
-    Equation-5 outcomes are keyed by the unprepared value's exact key,
-    like the pattern-expansion memo.
+    apart as they do in :class:`SimilarityCache` codes; values are coded
+    by exact key, the Equation-5 memo's key, and their prepared
+    outcomes are kept by value code.  :attr:`translations` holds each
+    cache's translation of the element codes
+    (:meth:`SimilarityCache.lookup_codes`).
     """
 
-    __slots__ = ("_codes", "elements", "patterns", "outcomes")
+    __slots__ = (
+        "_codes", "elements", "patterns", "values", "outcomes", "translations",
+    )
 
     def __init__(self) -> None:
         self._codes: dict[Any, int] = {}
         self.elements: list[Any] = []
         self.patterns: list[bool] = []
-        self.outcomes: dict[tuple, tuple[list[int], list[float]]] = {}
+        self.values: dict[tuple, int] = {}
+        self.outcomes: dict[int, tuple[list[int], list[float]]] = {}
+        self.translations: dict = {}
 
     def __len__(self) -> int:
-        return len(self.elements) + len(self.outcomes)
+        return len(self.elements) + len(self.values)
 
     def element(self, element: Any) -> int:
         if element is NULL:
@@ -654,18 +644,25 @@ class _Registry:
             self.patterns.append(isinstance(element, PatternValue))
         return code
 
+    def value(self, exact_key: tuple) -> int:
+        code = self.values.get(exact_key)
+        if code is None:
+            code = self.values[exact_key] = len(self.values)
+        return code
+
 
 class _Codes:
     """Integer codes for the values of one batch.
 
     :attr:`plain` maps each value to its single domain element's code,
     :data:`_NULL` for ⊥, or :data:`_VALUE` when it takes the
-    Equation-5 path; element codes come from the comparator's
-    :class:`_Registry`.
+    Equation-5 path; element and value codes come from the
+    comparator's :class:`_Registry`.
     """
 
     __slots__ = (
-        "_comparator", "_registry", "values", "plain", "elements", "_coerced",
+        "_comparator", "_registry", "values", "plain", "elements",
+        "_coerced", "_value_codes", "_index_of",
     )
 
     def __init__(
@@ -679,6 +676,8 @@ class _Codes:
         self.values = values
         self.elements = registry.elements
         self._coerced: dict[int, ProbabilisticValue] = {}
+        self._value_codes = np.full(len(values), -1, dtype=np.int64)
+        self._index_of: dict[int, int] = {}
         plain_element = comparator._plain_element
         element = registry.element
         plain = []
@@ -693,18 +692,26 @@ class _Codes:
             value = self._coerced[index] = _coerce(self.values[index])
         return value
 
-    def exact_key(self, index: int) -> tuple:
-        return self._value(index).exact_key
+    def value_codes(self, indices: np.ndarray) -> np.ndarray:
+        """The registry's value code of each value *indices* names."""
+        known = self._value_codes
+        fresh = np.unique(indices[known[indices] < 0]).tolist()
+        if fresh:
+            code = self._registry.value
+            coded = [code(self._value(index).exact_key) for index in fresh]
+            known[fresh] = coded
+            self._index_of.update(zip(coded, fresh))
+        return known[indices]
 
-    def items(self, index: int) -> tuple[list[int], list[float]]:
-        """Value *index*, prepared, as ``(element codes, probabilities)``."""
-        value = self._value(index)
+    def items(self, code: int) -> tuple[list[int], list[float]]:
+        """Value *code*, prepared, as ``(element codes, probabilities)``."""
         outcomes = self._registry.outcomes
-        known = outcomes.get(value.exact_key)
+        known = outcomes.get(code)
         if known is None:
+            value = self._value(self._index_of[code])
             pairs = tuple(self._comparator._prepared(value).items())
             element = self._registry.element
-            known = outcomes[value.exact_key] = (
+            known = outcomes[code] = (
                 [element(outcome) for outcome, _ in pairs],
                 [probability for _, probability in pairs],
             )
@@ -722,51 +729,52 @@ class _Codes:
     ) -> np.ndarray:
         """Domain similarity of each element-code pair (``pairs`` is N×2).
 
-        Distinct pairs are resolved once: patterns by
-        :meth:`UncertainValueComparator._domain_similarity`, Equation 4
-        by equality, everything else through *cache* (looked up as
-        often as the pair occurs) or, without one, *base*.
+        Patterns (by
+        :meth:`UncertainValueComparator._domain_similarity`) and
+        Equation 4 (by equality) are resolved once per distinct pair,
+        uncached; everything else through *cache*
+        (:meth:`SimilarityCache.lookup_codes`, each pair one lookup)
+        or, without one, once per distinct pair by *base*.
         """
+        values = np.empty(len(pairs), dtype=np.float64)
         if not len(pairs):
-            return np.zeros(0, dtype=np.float64)
-        span = len(self.elements)
-        distinct, inverse, occurrences = _distinct(
-            pairs[:, 0] * span + pairs[:, 1]
-        )
-        left_codes = distinct // span
-        right_codes = distinct % span
+            return values
+        lefts = pairs[:, 0]
+        rights = pairs[:, 1]
         if base is None:
-            direct = np.ones(len(distinct), dtype=bool)
+            direct = np.ones(len(pairs), dtype=bool)
         else:
             patterns = self.patterns()
-            direct = patterns[left_codes] | patterns[right_codes]
-        values = np.empty(len(distinct), dtype=np.float64)
-        elements = self.elements
+            direct = patterns[lefts] | patterns[rights]
         if direct.any():
-            # Equation 4 or pattern heuristics: per pair, uncached.
-            domain = self._comparator._domain_similarity
-            for slot in np.flatnonzero(direct).tolist():
-                values[slot] = domain(
-                    elements[left_codes[slot]], elements[right_codes[slot]]
-                )
-        element = elements.__getitem__
-        looked_up = np.flatnonzero(~direct)
-        # In slices, so the per-pair Python objects of one lookup stay
-        # bounded however large the batch.
-        for start in range(0, len(looked_up), _LOOKUP_SLICE):
-            slots = looked_up[start : start + _LOOKUP_SLICE]
-            operands = list(
-                zip(
-                    map(element, left_codes[slots].tolist()),
-                    map(element, right_codes[slots].tolist()),
-                )
+            values[direct] = self._each(
+                self._comparator._domain_similarity,
+                lefts[direct],
+                rights[direct],
             )
-            values[slots] = (
-                cache.lookup_batch(operands, occurrences[slots].tolist())
+            rest = ~direct
+            lefts = lefts[rest]
+            rights = rights[rest]
+        else:
+            rest = slice(None)
+        if len(lefts):
+            values[rest] = (
+                cache.lookup_codes(
+                    self.elements, lefts, rights, self._registry.translations
+                )
                 if cache is not None
-                else score_pairs(base, operands)
+                else self._each(base, lefts, rights)
             )
-        return values[inverse]
+        return values
+
+    def _each(self, similarity: Comparator, lefts, rights) -> np.ndarray:
+        """*similarity* of each code pair, called once per distinct pair."""
+        span = len(self.elements)
+        distinct, inverse, _, _ = unique_in_order(lefts * span + rights)
+        scored = score_codes(
+            similarity, self.elements, *np.divmod(distinct, span)
+        )
+        return np.asarray(scored, dtype=np.float64)[inverse]
 
 
 class _Terms:
@@ -785,17 +793,22 @@ class _Terms:
         self.pairs = np.zeros((0, 2), dtype=np.int64)
         self._offsets = np.zeros(1, dtype=np.int64)
 
-    def expand(self, codes: _Codes, sides: list[int]) -> None:
-        """Build the terms of the value pairs ``sides[2p], sides[2p + 1]``;
-        :attr:`pairs` then lists the element pairs :meth:`sums` needs."""
-        if not sides:
+    def expand(
+        self, codes: _Codes, lefts: np.ndarray, rights: np.ndarray
+    ) -> None:
+        """Build the terms of the value pairs ``lefts[p], rights[p]``
+        (value codes); :attr:`pairs` then lists the element pairs
+        :meth:`sums` needs."""
+        if not len(lefts):
             return
-        index = {value: slot for slot, value in enumerate(dict.fromkeys(sides))}
+        distinct, slots, _, _ = unique_in_order(
+            np.concatenate((lefts, rights))
+        )
         element_codes: list[int] = []
         probabilities: list[float] = []
         starts: list[int] = []
         sizes: list[int] = []
-        for value in index:
+        for value in distinct.tolist():
             value_codes, value_probs = codes.items(value)
             starts.append(len(element_codes))
             sizes.append(len(value_codes))
@@ -805,8 +818,7 @@ class _Terms:
         probabilities = np.array(probabilities, dtype=np.float64)
         starts = np.array(starts, dtype=np.int64)
         sizes = np.array(sizes, dtype=np.int64)
-        slots = np.array([index[value] for value in sides], dtype=np.int64)
-        left, right = slots[0::2], slots[1::2]
+        left, right = slots[: len(lefts)], slots[len(lefts) :]
         right_size = sizes[right]
         counts = sizes[left] * right_size
         self._offsets = np.concatenate(([0], np.cumsum(counts)))

@@ -299,6 +299,100 @@ class TestComparatorBackends:
         small("a", "d")  # overflow: the store clears wholesale
         assert small.export_since(cursor) is None
 
+    def test_cache_exports_only_strings_and_keeps_1_and_1_0_apart(self):
+        cache = SimilarityCache(FAST_JARO_WINKLER)
+        cache(1, "1.0")
+        cache(1.0, "1.0")
+        cache(1, 1.0)  # unequal types: not the reflexive shortcut
+        cache("meier", "maier")
+        cache(1.0, 1)  # the (1, 1.0) entry, looked up the other way
+        assert len(cache) == 4
+        assert (cache.hits, cache.misses) == (1, 4)
+        assert cache(1, "1.0") != cache(1.0, "1.0")
+        assert list(cache.export_entries()) == [
+            ("maier", "meier", FAST_JARO_WINKLER("meier", "maier"))
+        ]
+
+    def test_cache_exports_pairs_in_canonical_orientation(self):
+        cache = SimilarityCache(FAST_JARO_WINKLER)
+        cursor = cache.cursor()
+        cache("zeta", "alpha")
+        cache("beta", "gamma")
+        cache.lookup_batch([("omega", "delta"), ("delta", "omega")])
+        expected = [
+            ("alpha", "zeta", FAST_JARO_WINKLER("zeta", "alpha")),
+            ("beta", "gamma", FAST_JARO_WINKLER("beta", "gamma")),
+            ("delta", "omega", FAST_JARO_WINKLER("omega", "delta")),
+        ]
+        assert list(cache.export_entries()) == expected
+        assert cache.export_since(cursor) == expected
+        assert all(left <= right for left, right, _ in expected)
+
+    def test_cache_absorb_round_trips_export_entries(self):
+        source = SimilarityCache(FAST_JARO_WINKLER)
+        source.warm(["meier", "maier", "mayer", "meyer"])
+        entries = list(source.export_entries())
+        restored = SimilarityCache(FAST_JARO_WINKLER)
+        # Duplicates and either orientation collapse onto one entry.
+        mirrored = [(right, left, value) for left, right, value in entries]
+        assert restored.absorb(entries + mirrored) == len(entries)
+        assert list(restored.export_entries()) == entries
+        assert restored.absorb(entries) == 0
+        assert restored("meyer", "meier") == source("meier", "meyer")
+        assert (restored.hits, restored.misses) == (1, 0)
+        capped = SimilarityCache(FAST_JARO_WINKLER, max_entries=2)
+        assert capped.absorb(entries) == 2
+        assert list(capped.export_entries()) == entries[:2]
+
+    def test_cache_wholesale_clear_resets_codes_and_cursors(self):
+        cache = SimilarityCache(FAST_JARO_WINKLER, max_entries=2)
+        cache("a", "b")
+        cache("c", "d")
+        cursor = cache.cursor()
+        cache("e", "f")  # overflow: table and code map clear wholesale
+        assert cache.export_since(cursor) is None
+        assert len(cache) == 1
+        assert cache._elements == ["e", "f"]
+        assert list(cache.export_entries()) == [
+            ("e", "f", FAST_JARO_WINKLER("e", "f"))
+        ]
+        cursor = cache.cursor()
+        cache.clear()
+        assert cache.export_since(cursor) is None
+        assert (len(cache), cache._elements) == (0, [])
+
+    def test_cache_with_base_views_share_one_table(self):
+        cache = SimilarityCache(FAST_LEVENSHTEIN)
+        view = cache.with_base(FAST_LEVENSHTEIN.with_backend("fast"))
+        assert view._table is cache._table
+        assert view._codes is cache._codes
+        view("meier", "maier")
+        cache.lookup_batch([("maier", "meier"), ("meier", "mayer")])
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert list(view.export_entries()) == list(cache.export_entries())
+        assert len(view) == len(cache) == 2
+        view.clear()
+        assert len(cache) == 0 and cache._elements == []
+
+    def test_frozen_cache_assigns_no_codes_and_stores_nothing(self):
+        cache = SimilarityCache(FAST_JARO_WINKLER)
+        cache("meier", "maier")
+        cache.freeze()
+        elements = list(cache._elements)
+        assert cache("meier", "mayer") == FAST_JARO_WINKLER("meier", "mayer")
+        assert cache.lookup_batch(
+            [("mayer", "meyer"), ("meyer", "mayer"), ("maier", "meier")]
+        ) == [
+            FAST_JARO_WINKLER("mayer", "meyer"),
+            FAST_JARO_WINKLER("meyer", "mayer"),
+            FAST_JARO_WINKLER("maier", "meier"),
+        ]
+        assert cache.absorb([("x", "y", 0.5)]) == 0
+        assert cache.warm(["p", "q"]) == 0
+        # One miss before freezing; frozen, a repeated miss stays a miss.
+        assert (cache.hits, cache.misses) == (1, 4)
+        assert len(cache) == 1 and cache._elements == elements
+
     def test_banded_caches_memoized_per_band_and_backend(self):
         cache = SimilarityCache(FAST_LEVENSHTEIN)
         python_band = cache.banded(

@@ -39,6 +39,7 @@ from repro.similarity.jaro import (
 )
 from repro.similarity.kernels import (
     BATCH_SCORE_MIN_PAIRS,
+    PAIR_BASE,
     FAST_LEVENSHTEIN,
     SimilarityCache,
     score_pairs,
@@ -84,6 +85,15 @@ def test_batch_jaro_winkler_is_bitwise_the_scalar_kernel(pairs, floor):
     comparator = BoundedJaroWinkler(min_similarity=floor)
     batch = comparator.batch_similarities(pairs)
     assert len(batch) == len(pairs)
+    # The same pairs as codes into an element list, repeats included.
+    elements = [element for pair in pairs for element in pair]
+    codes = np.arange(len(elements))
+    coded = comparator.batch_code_similarities(
+        elements, codes[0::2], codes[1::2]
+    )
+    assert [value.hex() for value in coded.tolist()] == [
+        value.hex() for value in batch
+    ]
     for (left, right), value in zip(pairs, batch):
         assert value.hex() == comparator(left, right).hex()
         exact = jaro_winkler_similarity(left, right)
@@ -112,6 +122,9 @@ def test_batch_jaro_winkler_edge_cases():
         jaro_winkler_similarity(left, right).hex() for left, right in pairs
     ]
     assert BoundedJaroWinkler().batch_similarities([]) == []
+    empty = np.zeros(0, dtype=np.int64)
+    scorer = BoundedJaroWinkler()
+    assert not len(scorer.batch_code_similarities([], empty, empty))
 
 
 def test_score_pairs_batches_only_from_the_crossover():
@@ -149,6 +162,20 @@ def _counted_base(log):
     return base
 
 
+def _table(cache):
+    """The cache's full table, decoded: each entry under the unordered
+    pair of its operands, tagged with their types (``1`` and ``1.0``
+    are different operands)."""
+    elements = cache._elements
+    return {
+        frozenset(
+            (type(elements[code]), repr(elements[code]))
+            for code in divmod(key, PAIR_BASE)
+        ): value
+        for key, value in cache._table.items()
+    }
+
+
 LOOKUPS = [
     ("ab", "abc"),
     ("abc", "ab"),
@@ -180,7 +207,7 @@ def test_lookup_batch_answers_and_counts_like_per_pair_calls(frozen, warm):
         expected.append(value)
     assert batched.lookup_batch(LOOKUPS, counts) == expected
     assert (batched.hits, batched.misses) == (scalar.hits, scalar.misses)
-    assert batched._store == scalar._store
+    assert _table(batched) == _table(scalar)
 
 
 def test_lookup_batch_near_capacity_replays_the_wholesale_clear():
@@ -190,7 +217,7 @@ def test_lookup_batch_near_capacity_replays_the_wholesale_clear():
     expected = [scalar(left, right) for left, right in pairs]
     assert batched.lookup_batch(pairs) == expected
     assert (batched.hits, batched.misses) == (scalar.hits, scalar.misses)
-    assert batched._store == scalar._store
+    assert _table(batched) == _table(scalar)
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +301,8 @@ def test_similarity_batch_is_bitwise_the_per_pair_call(name):
     count = len(values)
     lefts = np.array([i for i in range(count) for _ in range(count)])
     rights = np.array([j for _ in range(count) for j in range(count)])
-    for _round in range(2):  # the second round answers from the memos
+
+    def check_round():
         expected = [
             scalar(values[i], values[j])
             for i, j in zip(lefts.tolist(), rights.tolist())
@@ -292,6 +320,18 @@ def test_similarity_batch_is_bitwise_the_per_pair_call(name):
                     theirs.hits,
                     theirs.misses,
                 )
+
+    for _round in range(2):  # the second round answers from the memos
+        check_round()
+    # A round as decide_batch runs one: the batched comparator first
+    # answers one uncertain pair through the per-pair call (the batch's
+    # reference decision).  The batch must find that Equation-5 result
+    # in the same memo, or it looks the pair's terms up a second time
+    # and its cache counters drift from the scalar comparator's.
+    scalar, batched = _comparators(name)
+    left, right = (2, 3) if values is PATTERN_VALUES else (1, 4)
+    batched(values[left], values[right])
+    check_round()
 
 
 def test_similarity_batch_keeps_the_strict_pattern_error():
