@@ -31,6 +31,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
+from repro.pdb.io import write_text_atomic
+
 #: Manifest schema version.
 MANIFEST_FORMAT = 1
 
@@ -176,11 +178,18 @@ class AuditManifest:
         return document
 
     def write(self, path: str | os.PathLike) -> str:
-        """Write the manifest JSON; returns the recorded digest."""
+        """Write the manifest JSON atomically; returns the recorded
+        digest.
+
+        The file is replaced whole (:func:`repro.pdb.io.write_text_atomic`),
+        so a crash mid-write leaves the previous manifest, never a
+        truncated one.
+        """
         document = self.to_document()
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_text_atomic(
+            os.fspath(path),
+            json.dumps(document, sort_keys=True, indent=2) + "\n",
+        )
         return document["digest"]
 
     def verify_integrity(self) -> bool:
@@ -229,10 +238,25 @@ def load_manifest(
     With ``verify=True`` (default) a file whose content no longer
     matches its recorded digest raises :class:`ManifestIntegrityError`;
     pass ``verify=False`` to load it anyway and inspect
-    :meth:`AuditManifest.verify_integrity` manually.
+    :meth:`AuditManifest.verify_integrity` manually.  A file that is
+    not a JSON object (a torn or overwritten manifest) raises
+    :class:`ManifestIntegrityError` either way.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        manifest = AuditManifest.from_document(json.load(handle))
+        text = handle.read()
+    try:
+        document = json.loads(text)
+    except ValueError as error:
+        raise ManifestIntegrityError(
+            f"{os.fspath(path)}: not a manifest document ({error}) — "
+            "the file is torn or corrupt"
+        ) from error
+    if not isinstance(document, dict):
+        raise ManifestIntegrityError(
+            f"{os.fspath(path)}: not a manifest document (a JSON "
+            f"{type(document).__name__}) — the file is corrupt"
+        )
+    manifest = AuditManifest.from_document(document)
     if verify and not manifest.verify_integrity():
         raise ManifestIntegrityError(
             f"{os.fspath(path)}: content does not match recorded "

@@ -85,19 +85,40 @@ def partition_sources(
 def tag_plan_sources(
     plan: CandidatePlan, view: MultiSourceStore
 ) -> CandidatePlan:
-    """The same plan with every partition source-tagged."""
-    return replace(
-        plan,
-        partitions=tuple(
-            CandidatePartition(
+    """The same plan with every partition source-tagged.
+
+    A view exposing ``tagged_partitions`` (the session overlay) memoizes
+    the tagged copies, ``id(partition) → (partition, tagged copy)``: a
+    partition object the planner reused keeps its copy — a tuple id
+    never changes source within a session — and only new partitions are
+    tagged, each counted in the view's ``partitions_built``.  The memo
+    is left holding this plan's entries only.
+    """
+    memo = getattr(view, "tagged_partitions", None)
+    previous = memo if memo is not None else {}
+    entries: dict[int, tuple[CandidatePartition, CandidatePartition]] = {}
+    tagged: list[CandidatePartition] = []
+    built = 0
+    for partition in plan.partitions:
+        entry = previous.get(id(partition))
+        if entry is not None and entry[0] is partition:
+            copy = entry[1]
+        else:
+            copy = CandidatePartition(
                 partition.label,
                 partition.pairs,
                 partition.members,
                 partition_sources(partition, view),
             )
-            for partition in plan.partitions
-        ),
-        source_names=view.source_names,
+            built += 1
+        entries[id(partition)] = (partition, copy)
+        tagged.append(copy)
+    if memo is not None:
+        memo.clear()
+        memo.update(entries)
+        view.partitions_built += built
+    return replace(
+        plan, partitions=tuple(tagged), source_names=view.source_names
     )
 
 

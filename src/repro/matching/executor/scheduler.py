@@ -18,9 +18,11 @@ pipeline.  Every run takes the same four steps:
    its sub-key units keep worker working sets coherent and warming
    would serialize work the workers can do in parallel.
 2. **Work units.**  In-process runs (``n_jobs == 1``) take every
-   partition whole, in plan order.  A pool subdivides partitions
-   exceeding the ``split_pairs`` cost budget — by the reducer's sub-key
-   ``split_partition`` hook
+   partition whole and pack consecutive ones, in plan order, into
+   tasks of at most ``chunk_size`` pairs, so a run of small blocks is
+   decided by one batch per chunk instead of one per block.  A pool
+   subdivides partitions exceeding the ``split_pairs`` cost budget —
+   by the reducer's sub-key ``split_partition`` hook
    (:class:`~repro.reduction.plan.SplittableReducer`) when available,
    by contiguous row-banding otherwise — and packs the units into
    dispatch tasks *largest first*, so an idle worker always steals the
@@ -30,9 +32,13 @@ pipeline.  Every run takes the same four steps:
    :func:`~repro.matching.executor.faults.run_supervised_inline`
    in-process or the
    :class:`~repro.matching.executor.faults.SupervisedDispatcher` over a
-   pool.  With the default :class:`RetryPolicy` (one attempt, no
-   deadline) and ``on_error="raise"`` an attempt's exception
-   propagates unchanged.
+   pool.  An in-process task packing several partitions first makes
+   one unsupervised attempt; if that raises, nothing is recorded and
+   each of its partitions is replayed as its own supervised task, so
+   faults stay isolated per partition exactly as without packing.
+   With the default :class:`RetryPolicy` (one attempt, no deadline)
+   and ``on_error="raise"`` an attempt's exception propagates
+   unchanged.
 4. **One collector.**  Each partition's decisions are reassembled into
    its original pair order and emitted in plan order; a partition of a
    terminally failed task is dropped whole.
@@ -367,7 +373,14 @@ class ExecutionEngine:
     def execute(
         self, relation, plan: CandidatePlan
     ) -> Iterator[DetectionResult]:
-        """Yield one result slice per partition, in plan order."""
+        """Yield one result slice per partition, in plan order.
+
+        In-process runs decide packed tasks of consecutive partitions
+        (at most ``chunk_size`` pairs each, one batch per chunk), pooled
+        runs dispatch stolen work units; either way each partition's
+        decisions are reassembled and emitted as its own slice, and
+        every fetch covers at most one chunk's working set.
+        """
         settings = self._settings
         self._tracker.start(plan, n_jobs=settings.n_jobs)
         self.report.kernel_backend = settings.kernel_backend
@@ -376,29 +389,20 @@ class ExecutionEngine:
         newly_frozen = self._prewarm(relation, plan)
         try:
             unit_pairs, owners = self._work_units(relation, plan)
+
+            def partitions_of(task) -> list[CandidatePartition]:
+                covered = dict.fromkeys(owners[unit] for unit, _pairs in task)
+                return [plan.partitions[i] for i in covered]
+
             if settings.n_jobs == 1:
-                tasks = [
-                    [(unit, pairs)] for unit, pairs in enumerate(unit_pairs)
-                ]
-                run = self._run_inline
+                runner = self._run_inline(
+                    relation, self._packed_tasks(unit_pairs), partitions_of
+                )
             else:
                 tasks = self._stealing_tasks(unit_pairs)
                 self.report.dispatch_tasks = len(tasks)
-                run = self._run_pool
-
-            def task_partitions(index: int) -> list[CandidatePartition]:
-                covered = dict.fromkeys(
-                    owners[unit] for unit, _pairs in tasks[index]
-                )
-                return [plan.partitions[i] for i in covered]
-
-            yield from self._collect(
-                plan,
-                run(relation, tasks, task_partitions),
-                tasks,
-                unit_pairs,
-                owners,
-            )
+                runner = self._run_pool(relation, tasks, partitions_of)
+            yield from self._collect(plan, runner, unit_pairs, owners)
         finally:
             # Restore only the freezes this run established; caches the
             # caller froze beforehand stay frozen.
@@ -437,8 +441,9 @@ class ExecutionEngine:
         index)``, unit ids being list positions.
 
         In-process runs keep every partition whole, in plan order — the
-        serial fetch order and tuple-cache behaviour.  A pooled run
-        subdivides each partition over the split budget
+        serial fetch order and tuple-cache behaviour — for
+        :meth:`_packed_tasks` to pack into chunk-sized tasks.  A pooled
+        run subdivides each partition over the split budget
         (:func:`subdivide_partition`).
         """
         settings = self._settings
@@ -460,6 +465,32 @@ class ExecutionEngine:
                 owners.append(index)
         self.report.work_units = len(unit_pairs)
         return unit_pairs, owners
+
+    def _packed_tasks(
+        self, unit_pairs: list[tuple[tuple[str, str], ...]]
+    ) -> list[list[tuple[int, tuple[tuple[str, str], ...]]]]:
+        """Pack consecutive units, in plan order, into in-process tasks.
+
+        A task is closed *before* a unit would take it past
+        ``chunk_size`` pairs, so packing never glues two partitions
+        that would each fill most of a chunk into one over-long task;
+        a unit larger than a chunk rides alone and is chunked by
+        :func:`decide_task`.
+        """
+        chunk_size = self._settings.chunk_size
+        tasks: list[list[tuple[int, tuple[tuple[str, str], ...]]]] = []
+        task: list[tuple[int, tuple[tuple[str, str], ...]]] = []
+        task_pairs = 0
+        for unit, pairs in enumerate(unit_pairs):
+            if task and task_pairs + len(pairs) > chunk_size:
+                tasks.append(task)
+                task = []
+                task_pairs = 0
+            task.append((unit, pairs))
+            task_pairs += len(pairs)
+        if task:
+            tasks.append(task)
+        return tasks
 
     def _stealing_tasks(
         self, unit_pairs: list[tuple[tuple[str, str], ...]]
@@ -512,56 +543,74 @@ class ExecutionEngine:
             deadline,
         )
 
+    def _attempt(self, relation, task, number: int) -> list:
+        """One in-process attempt of *task*: capture the attempt's
+        deadline, consult the fault hook with the task's pairs (inside
+        the deadline), then decide."""
+        deadline = self._settings.retry.deadline()
+        hook = fault_hook()
+        if hook is not None:
+            hook(number, [pair for _unit, pairs in task for pair in pairs])
+        return self._decide_task(relation, task, deadline)
+
     def _run_inline(
-        self, relation, tasks, task_partitions
-    ) -> Iterator[tuple[int, list | None]]:
+        self, relation, tasks, partitions_of
+    ) -> Iterator[list]:
         """Run every task in-process, in order, under the attempt budget.
 
-        Yields ``(task index, results | None)`` exactly like the pool's
-        dispatcher.  Each attempt captures its deadline before running
-        and the task's chunk loop checks it at every chunk boundary, so
-        ``RetryPolicy.timeout`` is honored without a pool; the fault
-        hook is consulted once per attempt with the task's flattened
-        pairs (inside the deadline), and the degraded fallback is hook-
-        and deadline-free.
+        Yields each task's ``[(unit, decisions | None)]``.  A task of
+        several units first makes one packed attempt (attempt 1, fault
+        hook and deadline included); if it raises, nothing is recorded
+        and every unit is replayed as its own task through
+        :func:`~repro.matching.executor.faults.run_supervised_inline`
+        from attempt 1.  Fault hooks are pure functions of the attempt
+        and the pairs, so each partition then sees exactly the attempts
+        — and the run records exactly the retries, degradations and
+        failures — of an unpacked run.  ``RetryPolicy.timeout`` is
+        honored without a pool: the chunk loop checks each attempt's
+        deadline at every chunk boundary.  The degraded fallback is
+        hook- and deadline-free.
         """
         settings = self._settings
-        for index, task in enumerate(tasks):
-
-            def attempt(number, task=task):
-                deadline = settings.retry.deadline()
-                hook = fault_hook()
-                if hook is not None:
-                    hook(
-                        number,
-                        [pair for _unit, pairs in task for pair in pairs],
-                    )
-                return self._decide_task(relation, task, deadline)
-
-            yield index, run_supervised_inline(
-                attempt,
-                fallback=lambda task=task: self._decide_task(
-                    relation, task
-                ),
-                partitions=task_partitions(index),
-                policy=settings.retry,
-                on_error=settings.on_error,
-                tracker=self._tracker,
-            )
+        for task in tasks:
+            if len(task) > 1:
+                try:
+                    results = self._attempt(relation, task, 1)
+                except Exception:  # noqa: BLE001 — replayed per unit
+                    results = None
+                if results is not None:
+                    yield results
+                    continue
+            for unit, pairs in task:
+                single = [(unit, pairs)]
+                outcome = run_supervised_inline(
+                    lambda number, single=single: self._attempt(
+                        relation, single, number
+                    ),
+                    fallback=lambda single=single: self._decide_task(
+                        relation, single
+                    ),
+                    partitions=partitions_of(single),
+                    policy=settings.retry,
+                    on_error=settings.on_error,
+                    tracker=self._tracker,
+                )
+                yield outcome if outcome is not None else [(unit, None)]
 
     def _run_pool(
-        self, relation, tasks, task_partitions
-    ) -> Iterator[tuple[int, list | None]]:
+        self, relation, tasks, partitions_of
+    ) -> Iterator[list]:
         """Dispatch every task to a forked pool under the attempt budget.
 
-        Yields ``(task index, results | None)`` in completion order.
+        Yields each task's ``[(unit, decisions | None)]`` in completion
+        order.
         """
         settings = self._settings
         dispatcher = SupervisedDispatcher(
             policy=settings.retry,
             on_error=settings.on_error,
             tracker=self._tracker,
-            task_partitions=task_partitions,
+            task_partitions=lambda index: partitions_of(tasks[index]),
             fallback=lambda index: self._decide_task(relation, tasks[index]),
             max_outstanding=settings.n_jobs,
         )
@@ -575,13 +624,19 @@ class ExecutionEngine:
                 settings.chunk_size,
             ),
         ) as pool:
-            yield from dispatcher.run(pool, decide_supervised, tasks)
+            for index, results in dispatcher.run(
+                pool, decide_supervised, tasks
+            ):
+                yield (
+                    results
+                    if results is not None
+                    else [(unit, None) for unit, _pairs in tasks[index]]
+                )
 
     def _collect(
         self,
         plan: CandidatePlan,
-        runner: Iterator[tuple[int, list | None]],
-        tasks,
+        runner: Iterator[list],
         unit_pairs: list[tuple[tuple[str, str], ...]],
         owners: list[int],
     ) -> Iterator[DetectionResult]:
@@ -591,10 +646,10 @@ class ExecutionEngine:
         reassembled into its original pair order, and finished
         partitions are buffered until every earlier partition has been
         yielded — scheduling reorders *work*, never *results*.  A
-        ``None`` result marks a task resolved terminally, which drops
-        every partition any of its units belongs to (a partition is
-        either complete or absent, never truncated); the remaining
-        partitions still emit in plan order.
+        ``None`` unit result marks a unit resolved terminally, which
+        drops the partition it belongs to (a partition is either
+        complete or absent, never truncated); the remaining partitions
+        still emit in plan order.
         """
         size = plan.relation_size
         keep = self._settings.keep_compared_pairs
@@ -605,9 +660,7 @@ class ExecutionEngine:
         ready: dict[int, tuple[XTupleDecision, ...] | None] = {}
         failed: set[int] = set()
         next_index = 0
-        for task_index, results in runner:
-            if results is None:
-                results = [(unit, None) for unit, _pairs in tasks[task_index]]
+        for results in runner:
             for unit, decisions in results:
                 index = owners[unit]
                 if decisions is None:

@@ -10,13 +10,14 @@ copies the relation (see
 
 :func:`decide_task` is the engine's one decide loop: in-process
 attempts and worker dispatches decide their pairs through the same
-code, one batched call per chunk.
+code, one batched call per chunk of the task's concatenated pairs.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from collections.abc import Sequence
+from itertools import chain
 
 from repro.matching.executor.faults import check_deadline
 from repro.pdb.storage import fetch_tuples
@@ -88,27 +89,36 @@ def decide_task(
 ):
     """Decide one task of ``(unit, pairs)`` work units, chunk by chunk.
 
-    Each chunk loads its own working set, so residency stays bounded by
-    *chunk_size* even when a plan degenerates to one partition spanning
-    the whole relation.  With a *deadline* (an in-process attempt under
-    a timeout) every chunk boundary checks it, and a lapsed attempt
-    raises :class:`~repro.matching.executor.faults.DeadlineExceeded`.
+    The units' pairs are decided as one concatenated sequence, one
+    :func:`decide_pairs` batch per *chunk_size* pairs across unit
+    boundaries, and the decisions are split back per unit — so a task
+    packing many small partitions pays one batch set-up per chunk, not
+    one per partition.  Each chunk loads its own working set, so
+    residency stays bounded by *chunk_size* even when a plan
+    degenerates to one partition spanning the whole relation.  With a
+    *deadline* (an in-process attempt under a timeout) every chunk
+    boundary checks it, and a lapsed attempt raises
+    :class:`~repro.matching.executor.faults.DeadlineExceeded`.
     Returns ``[(unit, decisions)]`` in task order.
     """
-    results = []
-    for unit, pairs in task:
-        decisions = []
-        for start in range(0, len(pairs), chunk_size):
-            check_deadline(deadline)
-            decisions.extend(
-                decide_pairs(
-                    procedure,
-                    relation,
-                    pairs[start : start + chunk_size],
-                    keep_derivations,
-                )
+    pairs = list(chain.from_iterable(unit_pairs for _unit, unit_pairs in task))
+    decisions = []
+    for start in range(0, len(pairs), chunk_size):
+        check_deadline(deadline)
+        decisions.extend(
+            decide_pairs(
+                procedure,
+                relation,
+                pairs[start : start + chunk_size],
+                keep_derivations,
             )
-        results.append((unit, decisions))
+        )
+    results = []
+    offset = 0
+    for unit, unit_pairs in task:
+        end = offset + len(unit_pairs)
+        results.append((unit, decisions[offset:end]))
+        offset = end
     return results
 
 

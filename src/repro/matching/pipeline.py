@@ -436,8 +436,9 @@ class DuplicateDetector:
         stream:
             With ``True``, returns a lazy iterator of per-partition
             :class:`DetectionResult` slices instead of one collected
-            result — decisions for a partition
-            are released to the caller as soon as it is decided, so a
+            result — decisions for a partition are released to the
+            caller as soon as its task (at most one chunk of pairs, or
+            the partition alone when it is larger) is decided, so a
             run over a huge relation never materializes all decisions.
         prewarm:
             Whether to pre-warm the matcher's similarity caches from the

@@ -32,10 +32,20 @@ supplies the two pieces that reconcile the contracts:
   stale index simply fails to match and the refresh recomputes — never
   serves wrong retained state.
 
-The overlay also keeps the per-tuple memos a refresh reads — content
-fingerprints and certain blocking keys — and drops an id from them
-whenever it changes, so a refresh re-hashes and re-keys changed tuples
-only.
+The overlay also keeps the memos a refresh reads, so its planning
+cost follows the delta rather than the view:
+
+* per tuple — content fingerprints and certain blocking keys, each
+  dropped for an id whenever it changes, so a refresh re-hashes and
+  re-keys changed tuples only;
+* per partition — the block partitions of each certain blocking key
+  (by ``(label, members)``), the source-tagged copy of each partition
+  object and each partition object's digest together with the member
+  fingerprints it covers.  These need no invalidation: a block's
+  partition is a function of its label and members, a tuple id never
+  changes source, and a digest is reused only while its member
+  fingerprints are unchanged.  Each is rebuilt by every refresh to
+  hold the current plan's entries only, so none grows with ingests.
 """
 
 from __future__ import annotations
@@ -107,6 +117,17 @@ class SessionStore:
         self._key_memos: dict[tuple, dict[str, str]] = {}
         #: Blocking keys computed through :meth:`key_memo` users.
         self.keys_computed = 0
+        #: Per-partition memos of the last plan (see the module docs):
+        #: block partitions per :meth:`partition_memo` key, tagged
+        #: copies (:func:`~repro.matching.executor.multisource.tag_plan_sources`)
+        #: and digests (:func:`~repro.reduction.plan.plan_fingerprints`),
+        #: the latter two keyed by ``id(partition)``.
+        self._partition_memos: dict[tuple, dict] = {}
+        self.tagged_partitions: dict[int, tuple] = {}
+        self.partition_digests: dict[int, tuple] = {}
+        #: Partitions the planner built anew rather than reused, as
+        #: counted where they are source-tagged.
+        self.partitions_built = 0
 
     # ------------------------------------------------------------------
     # Mutation (the only writable surface in the storage package)
@@ -170,6 +191,15 @@ class SessionStore:
         Filled by :func:`repro.reduction.plan.tuple_keys`.
         """
         return self._key_memos.setdefault((key.parts, strategy), {})
+
+    def partition_memo(self, key, strategy) -> dict:
+        """The ``(label, members) → partition`` memo of one blocking key.
+
+        Read and rebuilt by
+        :func:`~repro.reduction.plan.plan_from_blocks`: a block whose
+        label and members did not change keeps its partition object.
+        """
+        return self._partition_memos.setdefault((key.parts, strategy), {})
 
     def apply(self, operation: Mapping) -> None:
         """Apply one journal operation document (see :class:`SessionJournal`)."""

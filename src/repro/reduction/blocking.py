@@ -218,11 +218,22 @@ class CertainKeyBlocking:
         >>> plan = CertainKeyBlocking(SubstringKey([("name", 1)])).plan(relation)
         >>> [(p.label, p.pairs) for p in plan]
         [('block:a', (('t1', 't2'),))]
+
+        A store exposing ``partition_memo`` (the session overlay) lends
+        the plan its memo of block partitions, so a refresh rebuilds
+        only blocks whose members changed — the way
+        :func:`~repro.reduction.plan.tuple_keys` finds ``key_memo``.
         """
+        partition_memo = getattr(relation, "partition_memo", None)
         return plan_from_blocks(
             self.blocks(relation),
             relation_size=len(relation),
             source=repr(self),
+            memo=(
+                partition_memo(self._key, self._key_strategy)
+                if callable(partition_memo)
+                else None
+            ),
         )
 
     def split_partition(

@@ -16,7 +16,9 @@ makes the structure explicit:
   global first-occurrence dedup), so a plan's concatenated pair sequence
   is *exactly* the sequence the legacy ``detect`` loop would have
   compared — planned execution stays bitwise-equivalent to the serial
-  seed pipeline;
+  seed pipeline; block partitions can be memoized across plans by
+  ``(label, members)``, so a session refresh rebuilds touched blocks
+  only;
 * :func:`plan_candidates` — planner entry point with a single-partition
   fallback for legacy ``pairs()``-only reducers;
 * :func:`partition_vocabulary` — the observed per-attribute domain
@@ -38,7 +40,8 @@ makes the structure explicit:
   over a partition's decision-relevant state (pairs + member tuple
   contents) and the delta-plan entry point, the basis of incremental
   re-detection: a refresh executes only partitions whose fingerprint
-  changed and provably reuses retained decisions for the rest.
+  changed and provably reuses retained decisions for the rest (a
+  partition planned again over unchanged members keeps its digest).
 
 Partitions and plans additionally carry optional *source tags*
 (:attr:`CandidatePartition.sources`), set when a plan is built over a
@@ -284,11 +287,42 @@ class PlanBuilder:
     reachable through several blocks/worlds lands in the first partition
     that emits it — exactly where the legacy flattened stream would have
     compared it.
+
+    Blocks added through :meth:`add_block` skip that set while every
+    block so far is duplicate-free and disjoint from all earlier ones:
+    such a block cannot lose a pair to the dedup, so its partition is a
+    pure function of ``(label, members)``.  An optional *memo* maps
+    those keys to partitions an earlier plan built; :meth:`build`
+    leaves it holding exactly this plan's entries.  At the first block
+    that overlaps earlier members the dedup set is built from the
+    partitions so far and every later partition takes :meth:`add`.
     """
 
-    def __init__(self) -> None:
-        self._seen: set[tuple[str, str]] = set()
+    def __init__(
+        self,
+        memo: MutableMapping[
+            tuple[str, tuple[str, ...]], CandidatePartition
+        ] | None = None,
+    ) -> None:
+        #: Pairs claimed so far; ``None`` until a partition needs it.
+        self._seen: set[tuple[str, str]] | None = None
+        #: Members of the disjoint blocks added while ``_seen`` is None.
+        self._members: set[str] = set()
         self._partitions: list[CandidatePartition] = []
+        self._memo = memo
+        self._entries: dict[
+            tuple[str, tuple[str, ...]], CandidatePartition
+        ] = {}
+
+    def _claimed(self) -> set[tuple[str, str]]:
+        seen = self._seen
+        if seen is None:
+            seen = self._seen = {
+                pair
+                for partition in self._partitions
+                for pair in partition.pairs
+            }
+        return seen
 
     def add(
         self, label: str, pairs: Iterable[tuple[str, str]]
@@ -298,7 +332,7 @@ class PlanBuilder:
         Self-pairs and pairs already claimed by an earlier partition are
         dropped; empty partitions are not recorded.
         """
-        seen = self._seen
+        seen = self._claimed()
         unique: list[tuple[str, str]] = []
         for left, right in pairs:
             if left == right:
@@ -319,8 +353,44 @@ class PlanBuilder:
             )
         return len(unique)
 
+    def add_block(self, label: str, members: Sequence[str]) -> int:
+        """Add one block's within-block pairs (as :meth:`add` would).
+
+        Reuses the memo's partition for ``(label, members)`` while the
+        blocks added so far are disjoint; see the class docs.
+        """
+        members = tuple(members)
+        if len(members) < 2:  # a single member forms no pair
+            return 0
+        if self._seen is not None or not self._disjoint(members):
+            return self.add(label, within_block_pairs(members))
+        key = (str(label), members)
+        partition = self._memo.get(key) if self._memo is not None else None
+        if partition is None:
+            pairs = tuple(
+                (left, right) if left <= right else (right, left)
+                for left, right in combinations(members, 2)
+            )
+            partition = CandidatePartition(
+                label=key[0],
+                pairs=pairs,
+                members=tuple(dict.fromkeys(chain.from_iterable(pairs))),
+            )
+        self._entries[key] = partition
+        self._partitions.append(partition)
+        return len(partition)
+
+    def _disjoint(self, members: tuple[str, ...]) -> bool:
+        """Record *members*; whether they are duplicate-free and new."""
+        known = len(self._members)
+        self._members.update(members)
+        return len(self._members) == known + len(members)
+
     def build(self, *, relation_size: int, source: str) -> CandidatePlan:
         """Finalize the plan (the builder can be discarded afterwards)."""
+        if self._memo is not None:
+            self._memo.clear()
+            self._memo.update(self._entries)
         return CandidatePlan(
             partitions=tuple(self._partitions),
             relation_size=relation_size,
@@ -360,12 +430,19 @@ def plan_from_blocks(
     relation_size: int,
     source: str,
     prefix: str = "block",
+    memo: MutableMapping[tuple[str, tuple[str, ...]], CandidatePartition]
+    | None = None,
 ) -> CandidatePlan:
-    """One partition per block, in block-insertion order."""
-    builder = PlanBuilder()
+    """One partition per block, in block-insertion order.
+
+    *memo* maps ``(label, members)`` to the partition an earlier plan
+    built for that block (see :class:`PlanBuilder`); a session overlay
+    passes one so a refresh rebuilds only the blocks an ingest touched.
+    """
+    builder = PlanBuilder(memo)
     for key, members in blocks.items():
         if len(members) > 1:  # a single member forms no pair
-            builder.add(f"{prefix}:{key}", within_block_pairs(members))
+            builder.add_block(f"{prefix}:{key}", members)
     return builder.build(relation_size=relation_size, source=source)
 
 
@@ -711,6 +788,16 @@ def partition_fingerprint(
     generations, an equal fingerprint proves the retained decisions for
     the old partition are bitwise-valid for the new one.
     """
+    return _partition_digest(
+        partition,
+        tuple(tuple_fingerprints[member] for member in partition.members),
+    )
+
+
+def _partition_digest(
+    partition: CandidatePartition, member_fingerprints: tuple[str, ...]
+) -> str:
+    """:func:`partition_fingerprint` from the members' fingerprints."""
     # The digest reads ``left \x00 right \x01`` (UTF-8) per pair, then
     # \x02 and the member fingerprints: one joined buffer per part feeds
     # the streaming hash the same bytes as per-piece updates would.
@@ -721,11 +808,7 @@ def partition_fingerprint(
         ).encode("utf-8")
     )
     digest.update(b"\x02")
-    digest.update(
-        "".join(
-            tuple_fingerprints[member] for member in partition.members
-        ).encode("ascii")
-    )
+    digest.update("".join(member_fingerprints).encode("ascii"))
     return digest.hexdigest()
 
 
@@ -734,6 +817,7 @@ def plan_fingerprints(
     plan: CandidatePlan,
     *,
     tuple_fingerprints: MutableMapping[str, str] | None = None,
+    partition_digests: MutableMapping[int, tuple] | None = None,
 ) -> tuple[str, ...]:
     """Per-partition fingerprints of a plan, in plan order.
 
@@ -743,19 +827,44 @@ def plan_fingerprints(
     already present are trusted without fetching the tuple — a session
     that invalidates the memo on upsert/delete pays one hash per
     *changed* tuple per refresh, not one per tuple.
+
+    *partition_digests* is an optional memo of the previous call's
+    digests, ``id(partition) → (partition, member fingerprints,
+    digest)``: a partition object planned again whose members'
+    fingerprints are unchanged keeps its digest unhashed — the digest
+    covers exactly its pairs and those fingerprints.  It is left
+    holding this plan's entries only.
     """
     memo: MutableMapping[str, str] = (
         tuple_fingerprints if tuple_fingerprints is not None else {}
     )
+    previous = partition_digests if partition_digests is not None else {}
+    entries: dict[int, tuple] = {}
     fingerprints: list[str] = []
     for partition in plan.partitions:
-        missing = [m for m in partition.members if m not in memo]
+        members = partition.members
+        missing = [m for m in members if m not in memo]
         for start in range(0, len(missing), VOCABULARY_BATCH_MEMBERS):
             batch = missing[start : start + VOCABULARY_BATCH_MEMBERS]
             working_set = fetch_tuples(relation, batch)
             for tuple_id in batch:
                 memo[tuple_id] = tuple_fingerprint(working_set[tuple_id])
-        fingerprints.append(partition_fingerprint(partition, memo))
+        member_fingerprints = tuple(map(memo.__getitem__, members))
+        entry = previous.get(id(partition))
+        if (
+            entry is not None
+            and entry[0] is partition
+            and entry[1] == member_fingerprints
+        ):
+            digest = entry[2]
+        else:
+            digest = _partition_digest(partition, member_fingerprints)
+        if partition_digests is not None:
+            entries[id(partition)] = (partition, member_fingerprints, digest)
+        fingerprints.append(digest)
+    if partition_digests is not None:
+        partition_digests.clear()
+        partition_digests.update(entries)
     return tuple(fingerprints)
 
 

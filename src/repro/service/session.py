@@ -53,7 +53,7 @@ from repro.matching.executor import (
 )
 from repro.pdb.storage import SessionJournal, SessionStore, XTupleStore
 from repro.pdb.xtuples import XTuple
-from repro.reduction import delta_plan, plan_fingerprints
+from repro.reduction import CandidatePlan, delta_plan, plan_fingerprints
 
 #: Snapshot schema version; unknown versions are ignored on restore.
 SNAPSHOT_FORMAT = 1
@@ -90,6 +90,10 @@ class SessionStats:
     snapshot_compactions: int = 0
     #: Blocking keys computed by the planner (memoized keys excluded).
     keys_computed: int = 0
+    #: Partitions the planner built anew across refreshes (memo
+    #: misses); a partition of an untouched block is reused, not
+    #: rebuilt, so after the first refresh this follows the delta.
+    partitions_replanned: int = 0
     #: Torn or corrupt journal/snapshot records dropped on open.
     torn_records: int = 0
 
@@ -103,7 +107,10 @@ class SessionStats:
             f"pairs {self.pairs_executed}/{self.pairs_planned} decided, "
             f"{self.tombstoned_pairs} tombstoned"
         )
-        line += f"; {self.keys_computed} keys computed"
+        line += (
+            f"; {self.partitions_replanned} partitions replanned, "
+            f"{self.keys_computed} keys computed"
+        )
         if self.snapshot_bytes:
             line += (
                 f"; snapshot {self.snapshot_bytes} B written, "
@@ -195,6 +202,11 @@ class DetectionSession:
         self.last_report: ExecutionReport | None = None
         #: Pairs retracted by the most recent refresh.
         self.tombstones: tuple[tuple[str, str], ...] = ()
+        #: The most recent refresh's plan over the view (cross-source
+        #: filtered when ``within_sources=False``) and its partition
+        #: fingerprints, in plan order; ``None`` / ``()`` until then.
+        self.last_plan: CandidatePlan | None = None
+        self.last_fingerprints: tuple[str, ...] = ()
         #: One :class:`~repro.audit.AuditManifest` per refresh, when the
         #: session was opened with ``audit`` (oldest first).
         self.manifests: list = []
@@ -270,8 +282,13 @@ class DetectionSession:
         if not self._within_sources:
             plan = cross_source_plan(plan, view)
         fingerprints = plan_fingerprints(
-            view, plan, tuple_fingerprints=view.fingerprints
+            view,
+            plan,
+            tuple_fingerprints=view.fingerprints,
+            partition_digests=view.partition_digests,
         )
+        self.last_plan = plan
+        self.last_fingerprints = fingerprints
         stale = delta_plan(plan, fingerprints, self._retained)
 
         executed: dict[str, tuple[XTupleDecision, ...]] = {}
@@ -349,6 +366,7 @@ class DetectionSession:
         self.stats.tombstoned_pairs += len(self.tombstones)
         self.stats.gate_trips += len(self.gate_trips)
         self.stats.keys_computed = view.keys_computed
+        self.stats.partitions_replanned = view.partitions_built
 
         if self._audit:
             self._record_manifest(fingerprints, partition_counts, skipped)

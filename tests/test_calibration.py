@@ -29,8 +29,10 @@ Pins, in order:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
 import random
 
 import pytest
@@ -617,6 +619,52 @@ def test_manifest_round_trip_and_tamper_detection(
     tampered = load_manifest(path, verify=False)
     assert not tampered.verify_integrity()
     assert "decided_pairs" in tampered.diff(built)
+
+
+def test_manifest_write_cut_before_replace_keeps_previous(
+    flat_relation, tmp_path, monkeypatch
+):
+    """A manifest write that dies before its atomic replace leaves the
+    previous manifest in place, loadable and verified, and no temp
+    file behind."""
+    path = str(tmp_path / "manifest.json")
+    detector = _audited_detector()
+    detector.detect(flat_relation, audit=path)
+    previous = detector.last_manifest
+    changed = dataclasses.replace(
+        previous, decided_pairs=previous.decided_pairs + 1
+    )
+
+    def cut(source, destination):
+        raise OSError("cut before replace")
+
+    monkeypatch.setattr(os, "replace", cut)
+    with pytest.raises(OSError, match="cut before replace"):
+        changed.write(path)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["manifest.json"]
+    loaded = load_manifest(path)
+    assert loaded.verify_integrity()
+    assert loaded.fingerprint() == previous.fingerprint()
+
+
+def test_truncated_manifest_raises_integrity_error(flat_relation, tmp_path):
+    """A torn manifest fails as ManifestIntegrityError, verified or
+    not — never as a bare JSON error."""
+    path = str(tmp_path / "manifest.json")
+    _audited_detector().detect(flat_relation, audit=path)
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text[: len(text) // 2])
+    with pytest.raises(ManifestIntegrityError, match="torn"):
+        load_manifest(path)
+    with pytest.raises(ManifestIntegrityError, match="torn"):
+        load_manifest(path, verify=False)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("[]")
+    with pytest.raises(ManifestIntegrityError, match="corrupt"):
+        load_manifest(path)
 
 
 def test_manifest_stable_across_execution_variants(

@@ -16,9 +16,12 @@ The batched decide loop must likewise agree with the oracle's per-pair
 pushdown setting, with and without kept derivations.
 
 A durable session must too: after every ingest of a sampled stream of
-re-keying upserts, deletes with re-upserts and new ids, and again when
+re-keying upserts, key-preserving content changes, deletes with
+re-upserts and new ids, and again when
 re-opened from its directory — with caches small enough to clear
-wholesale between saves.
+wholesale between saves.  Its memoized re-planning must equal a
+memo-free plan of the same view after every refresh: labels, order,
+source tags and fingerprints.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from repro.matching.decision.fellegi_sunter import FellegiSunterModel
 from repro.matching.decision.gates import GateTrip
 from repro.matching.decision.rules import IdentificationRule, RuleBasedModel
 from repro.matching.derivation import DERIVATIONS
-from repro.matching.executor import RetryPolicy
+from repro.matching.executor import RetryPolicy, plan_sources
 from repro.pdb.io import open_store
 from repro.pdb.relations import XRelation
 from repro.pdb.values import NULL, PatternValue, ProbabilisticValue
@@ -70,6 +73,7 @@ from repro.reduction import (
     UncertainKeyClusteringBlocking,
     UncertainKeySNM,
     most_probable_key,
+    plan_fingerprints,
 )
 
 SORT_KEY = SubstringKey([("name", 3), ("job", 2)])
@@ -524,6 +528,19 @@ def _session_batches(relation, steps):
         if kind in ("rekey", "modify"):
             content[victim] = XTuple(victim, donor.alternatives)
             batches.append(([content[victim]], []))
+        elif kind == "reweigh":
+            # New content under every key: halving each alternative's
+            # probability keeps which one is most probable.
+            content[victim] = XTuple(
+                victim,
+                tuple(
+                    TupleAlternative(
+                        alternative.values(), alternative.probability / 2
+                    )
+                    for alternative in content[victim].alternatives
+                ),
+            )
+            batches.append(([content[victim]], []))
         elif kind == "delete_readd":
             batches.append(([], [victim]))
             batches.append(([content[victim]], []))
@@ -535,12 +552,65 @@ def _session_batches(relation, steps):
     return base, batches
 
 
+class _MemoFreeView:
+    """A session view's read and source-tag surface without its memos:
+    planning it runs every planner step from scratch."""
+
+    def __init__(self, view) -> None:
+        self._view = view
+        self.schema = view.schema
+        self.name = view.name
+
+    @property
+    def tuple_ids(self):
+        return self._view.tuple_ids
+
+    @property
+    def source_names(self):
+        return self._view.source_names
+
+    def __iter__(self):
+        return iter(self._view)
+
+    def __len__(self) -> int:
+        return len(self._view)
+
+    def __contains__(self, tuple_id) -> bool:
+        return tuple_id in self._view
+
+    def get(self, tuple_id):
+        return self._view.get(tuple_id)
+
+    def fetch(self, tuple_ids):
+        return self._view.fetch(tuple_ids)
+
+    def project(self, attributes):
+        return self._view.project(attributes)
+
+    def source_of(self, tuple_id):
+        return self._view.source_of(tuple_id)
+
+
+def _assert_plan_is_memo_free(session, name) -> None:
+    """The refresh's plan and fingerprints equal a memo-free
+    ``plan_sources`` + ``plan_fingerprints`` over the same view."""
+    view = _MemoFreeView(session.store)
+    fresh = plan_sources(REDUCERS[name][0](), view)
+    assert session.last_plan == fresh
+    assert [p.sources for p in session.last_plan] == [
+        p.sources for p in fresh
+    ]
+    assert session.last_fingerprints == plan_fingerprints(view, fresh)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(SESSION_REDUCERS),
     steps=st.lists(
         st.tuples(
-            st.sampled_from(("rekey", "modify", "delete_readd", "new")),
+            st.sampled_from(
+                ("rekey", "modify", "reweigh", "delete_readd", "new")
+            ),
             st.integers(min_value=0, max_value=10_000),
         ),
         min_size=2,
@@ -552,7 +622,8 @@ def test_session_decides_like_the_oracle(
     session_relation, oracle, materialize, name, steps, max_entries
 ):
     """detect over the committed view, every ingest of the stream, and
-    a re-opened session all decide what the oracle decides."""
+    a re-opened session all decide what the oracle decides; every
+    refresh plans what a memo-free planner plans."""
     base, batches = _session_batches(session_relation, steps)
     with tempfile.TemporaryDirectory() as directory:
         detector = _session_detector(name, max_entries)
@@ -560,11 +631,13 @@ def test_session_decides_like_the_oracle(
             base, journal=directory, keep_derivations=False
         )
         session.detect()
+        _assert_plan_is_memo_free(session, name)
         caches = detector.procedure.matcher.cache_stats().values()
         for count, (upserts, deletes) in enumerate(batches, 1):
             cursors = [cache.cursor() for cache in caches]
             compactions = session.stats.snapshot_compactions
             result = session.ingest(upserts, deletes=deletes)
+            _assert_plan_is_memo_free(session, name)
             if any(
                 cache.export_since(cursor) is None
                 for cache, cursor in zip(caches, cursors)

@@ -233,6 +233,60 @@ def test_plan_from_blocks_equals_pairs_from_blocks(blocks):
     assert list(plan.pairs()) == list(pairs_from_blocks(mapping))
 
 
+_BLOCK_LISTS = st.lists(
+    st.lists(
+        st.integers(min_value=0, max_value=12).map("t{}".format),
+        min_size=1,
+        max_size=5,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generations=st.lists(_BLOCK_LISTS, min_size=1, max_size=4))
+def test_memoized_block_plans_equal_fresh_plans(generations):
+    """Property: a partition memo carried across plans never changes a
+    plan, and is left holding only the latest plan's partitions."""
+    memo = {}
+    for blocks in generations:
+        mapping = {f"b{i}": members for i, members in enumerate(blocks)}
+        memoized = plan_from_blocks(
+            mapping, relation_size=13, source="prop", memo=memo
+        )
+        assert memoized == plan_from_blocks(
+            mapping, relation_size=13, source="prop"
+        )
+        kept = {id(partition) for partition in memoized}
+        assert all(id(partition) in kept for partition in memo.values())
+
+
+def test_block_memo_reuses_untouched_partitions():
+    """Unchanged blocks keep their partition object; a changed block is
+    rebuilt; from the first block overlapping earlier members on, the
+    cross-block dedup applies and nothing more is memoized."""
+    memo = {}
+
+    def plan(mapping):
+        return plan_from_blocks(
+            mapping, relation_size=5, source="memo", memo=memo
+        )
+
+    first = plan({"a": ["t1", "t2"], "b": ["t3", "t4", "t5"]})
+    second = plan({"a": ["t1", "t2"], "b": ["t3", "t5"]})
+    assert second.partitions[0] is first.partitions[0]
+    assert second.partitions[1].pairs == (("t3", "t5"),)
+    assert set(memo) == {
+        ("block:a", ("t1", "t2")),
+        ("block:b", ("t3", "t5")),
+    }
+    third = plan({"a": ["t1", "t2"], "b": ["t2", "t1", "t3"]})
+    assert third.partitions[0] is first.partitions[0]
+    assert third.partitions[1].pairs == (("t2", "t3"), ("t1", "t3"))
+    assert set(memo) == {("block:a", ("t1", "t2"))}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     pairs=st.lists(

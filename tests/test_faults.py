@@ -811,23 +811,34 @@ def test_serial_timeout_degrades_bitwise(flat_relation, references):
     _assert_observable(report, events)
 
 
+#: In-process chunk sizes: 16 packs few blocks per task, 4096 packs the
+#: whole blocking plan into one task (asserted where it matters), so a
+#: fault lands in a task shared with healthy partitions.
+PACKING_CHUNKS = (16, 4096)
+
+
+def _victims(plan, pair) -> set[str]:
+    return {
+        partition.label for partition in plan if pair in partition.pairs
+    }
+
+
+@pytest.mark.parametrize("chunk_size", PACKING_CHUNKS)
 def test_in_process_timeout_skip_drops_partitions_whole(
-    flat_relation, references
+    chunk_size, flat_relation, references
 ):
     """on_error="skip" under an in-process timeout drops exactly the
-    stalled unit's partitions and records structured failures."""
+    stalled unit's partitions and records structured failures — also
+    when the victim shares a packed task with healthy partitions: the
+    packed attempt is replayed partition by partition."""
     detector = _detector(REDUCERS["blocking"]())
     plan = detector.plan(flat_relation)
     pair = FaultInjector(5).pick_pair(plan)
-    victims = {
-        partition.label
-        for partition in plan
-        if pair in partition.pairs
-    }
+    victims = _victims(plan, pair)
     with installed(stall_on(pair, TIMEOUT * 2, attempts=(1,))):
         result = detector.detect(
             flat_relation,
-            chunk_size=16,
+            chunk_size=chunk_size,
             retry=RetryPolicy(max_attempts=1, timeout=TIMEOUT),
             on_error="skip",
         )
@@ -842,3 +853,65 @@ def test_in_process_timeout_skip_drops_partitions_whole(
     for triple in decided:
         assert reference[(triple[0], triple[1])] == triple
     assert len(decided) < len(references["blocking"])
+
+
+@pytest.mark.parametrize("chunk_size", PACKING_CHUNKS)
+def test_in_process_crash_skip_drops_packed_partitions_whole(
+    chunk_size, flat_relation, references
+):
+    """The crash counterpart: a victim crashing every attempt of its
+    budget is dropped alone, with today's attempt count, whatever
+    partitions were packed with it."""
+    detector = _detector(REDUCERS["blocking"]())
+    plan = detector.plan(flat_relation)
+    assert len(plan) > 1 and plan.total_pairs <= max(PACKING_CHUNKS)
+    pair = FaultInjector(5).pick_pair(plan)
+    victims = _victims(plan, pair)
+    events = []
+    with installed(crash_on(pair, attempts=(1, 2))):
+        result = detector.detect(
+            flat_relation,
+            chunk_size=chunk_size,
+            retry=RetryPolicy(max_attempts=2),
+            on_error="skip",
+            on_fault=events.append,
+        )
+    report = detector.last_report
+    assert {failure.partition for failure in report.failures} == victims
+    assert all(failure.attempt == 2 for failure in report.failures)
+    assert report.worker_crashes == 2
+    assert report.retried_dispatches == 1
+    assert report.worker_timeouts == 0
+    _assert_observable(report, events)
+    reference = {(t[0], t[1]): t for t in references["blocking"]}
+    decided = _triples(result)
+    assert len(decided) == len(reference) - sum(
+        len(partition) for partition in plan if partition.label in victims
+    )
+    for triple in decided:
+        assert reference[(triple[0], triple[1])] == triple
+
+
+def test_in_process_crash_retry_recovers_packed_bitwise(
+    flat_relation, references
+):
+    """A first-attempt crash inside a packed task recovers bitwise, and
+    records exactly what an unpacked run (one partition per task)
+    records: one crash, one retry, no failure."""
+    detector = _detector(REDUCERS["blocking"]())
+    pair = FaultInjector(5).pick_pair(detector.plan(flat_relation))
+    reports = {}
+    for chunk_size in (1, max(PACKING_CHUNKS)):
+        with installed(crash_on(pair, attempts=(1,))):
+            result = detector.detect(
+                flat_relation,
+                chunk_size=chunk_size,
+                retry=RetryPolicy(max_attempts=2),
+                on_error="skip",
+            )
+        assert _triples(result) == references["blocking"]
+        reports[chunk_size] = detector.last_report
+    unpacked, packed = reports[1], reports[max(PACKING_CHUNKS)]
+    assert packed.worker_crashes == unpacked.worker_crashes == 1
+    assert packed.retried_dispatches == unpacked.retried_dispatches == 1
+    assert not packed.failures and not unpacked.failures

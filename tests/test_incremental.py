@@ -256,10 +256,16 @@ def test_untouched_partitions_are_not_re_executed(flat_relation):
     session.detect()
     executed_before = session.stats.partitions_executed
     planned_before = session.stats.partitions_planned
+    replanned_before = session.stats.partitions_replanned
+    assert replanned_before == planned_before
     assert session.stats.keys_computed == len(base)
     session.ingest(upserts, deletes=deletes)
     executed = session.stats.partitions_executed - executed_before
     planned = session.stats.partitions_planned - planned_before
+    replanned = session.stats.partitions_replanned - replanned_before
+    # Only blocks the delta touched were rebuilt.
+    assert 0 < replanned <= executed
+    assert "partitions replanned" in session.stats.summary()
     # Only the upserted tuples were re-keyed.
     assert session.stats.keys_computed == len(base) + len(upserts)
     # The delta touches a handful of blocks; the rest splice in.

@@ -218,6 +218,58 @@ def test_in_process_runs_never_split(flat_relation):
     assert report.dispatch_tasks == 0
 
 
+def _packed_batch_sizes(plan, chunk_size):
+    """Batch sizes of packed in-process execution: consecutive
+    partitions share a task until the next would overflow the chunk,
+    and each task is decided chunk by chunk."""
+    totals, task = [], 0
+    for partition in plan:
+        if task and task + len(partition) > chunk_size:
+            totals.append(task)
+            task = 0
+        task += len(partition)
+    totals.append(task)
+    return [
+        min(chunk_size, total - start)
+        for total in totals
+        for start in range(0, total, chunk_size)
+    ]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 37, 4096])
+def test_in_process_packs_partitions_into_chunk_batches(
+    chunk_size, flat_relation, oracle
+):
+    """n_jobs=1 packs consecutive partitions into tasks closed *before*
+    they would exceed ``chunk_size`` pairs and decides each task with
+    one ``decide_batch`` per chunk; slices still come one per
+    partition, in plan order, with the oracle's decisions."""
+    detector = _detector(CertainKeyBlocking(BLOCK_KEY))
+    plan = detector.plan(flat_relation)
+    sizes = []
+    original = detector.procedure.decide_batch
+
+    def counting(lefts, rights, keep_derivations=True):
+        sizes.append(len(lefts))
+        return original(lefts, rights, keep_derivations)
+
+    detector.procedure.decide_batch = counting
+    slices = list(
+        detector.detect(flat_relation, chunk_size=chunk_size, stream=True)
+    )
+    assert sizes == _packed_batch_sizes(plan, chunk_size)
+    assert len(sizes) < len(plan) or chunk_size == 1
+    assert [piece.partition_label for piece in slices] == [
+        partition.label for partition in plan
+    ]
+    reference = oracle(
+        _detector(CertainKeyBlocking(BLOCK_KEY)), flat_relation
+    )
+    assert [t for piece in slices for t in _triples(piece)] == _triples(
+        reference
+    )
+
+
 # ----------------------------------------------------------------------
 # Exact cover of subdivisions
 # ----------------------------------------------------------------------
