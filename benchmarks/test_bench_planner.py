@@ -24,7 +24,7 @@ from repro.reduction import (
     SubstringKey,
     plan_candidates,
 )
-from repro.reduction.plan import partition_vocabulary
+from repro.reduction.plan import partition_value_pairs
 
 BLOCK_KEY = SubstringKey([("name", 1), ("job", 1)])
 
@@ -73,18 +73,18 @@ def test_bench_planner_streamed_detection(benchmark, planner_dataset):
 
 
 def test_bench_planner_cache_prewarm(benchmark, planner_dataset):
-    """Warming the whole plan's vocabulary into fresh caches."""
+    """Warming the whole plan's candidate value pairs into fresh caches."""
     relation = planner_dataset.relation
     plan = plan_candidates(CertainKeyBlocking(BLOCK_KEY), relation)
-    vocabularies = [
-        partition_vocabulary(relation, partition) for partition in plan
+    batches = [
+        partition_value_pairs(relation, partition)[0] for partition in plan
     ]
 
     def run():
         matcher = default_matcher()
         warmed = 0
-        for vocabulary in vocabularies:
-            warmed += matcher.warm(vocabulary)[0]
+        for value_pairs in batches:
+            warmed += matcher.warm_pairs(value_pairs)[0]
         return warmed
 
     warmed = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)

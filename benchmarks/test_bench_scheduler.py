@@ -2,10 +2,10 @@
 
 The workload is the planner's worst case: one giant block holding ~50%
 of all candidate pairs next to many small blocks.  Pre-warming every
-partition's full pairwise similarity table in the parent before
-forking would make that serial section a large fraction of all kernel
-work, bounding any parallel speedup (Amdahl), and past the warm budget
-it is abandoned half-done with the caches left unfrozen.  The engine
+partition's candidate similarities in the parent before forking would
+make that serial section a large fraction of all kernel work, bounding
+any parallel speedup (Amdahl), and past the warm budget it is
+abandoned half-done with the caches left unfrozen.  The engine
 instead subdivides the giant block by refined sub-key
 (``CertainKeyBlocking.split_partition``), dispatches the work units
 largest-first through the pool's shared queue, and skips parent-side
@@ -139,7 +139,7 @@ def test_bench_scheduler_serial_section_partitioned(
     """The pre-fork serial section a whole-plan warm would cost.
 
     Everything measured here would happen in the parent while the pool
-    sits idle — the giant block's full pairwise table dominates, so
+    sits idle — the giant block's candidate pairs dominate, so
     this section scales with the square of the skew and would cap any
     parallel speedup.
     """

@@ -408,26 +408,31 @@ class AttributeMatcher:
             stats["<default>"] = self._default.cache
         return stats
 
-    def warm(
+    def warm_pairs(
         self,
-        vocabulary: Mapping[str, Sequence[Any]],
+        value_pairs: Mapping[str, Sequence[tuple[Any, Any]]],
         *,
         budget: int | None = None,
     ) -> tuple[int, int, bool]:
-        """Pre-warm the per-attribute caches from an observed vocabulary.
+        """Pre-warm the per-attribute caches from candidate value pairs.
 
-        For every attribute with a cache-carrying comparator, all
-        pairwise domain-element similarities of its vocabulary are
-        computed into the cache (see
-        :meth:`~repro.similarity.kernels.SimilarityCache.warm`).  The
-        execution planner calls this once per candidate partition before
-        forking workers, so the forked processes inherit a hot, shared
-        similarity table instead of each re-learning it.
+        Only the value combinations that actually occur across candidate
+        tuple pairs (collected by
+        :func:`repro.reduction.plan.partition_value_pairs`) are scored,
+        not the full pairwise square of each attribute's vocabulary —
+        window-family plans would over-warm by roughly
+        ``|span| / (2·(w−1))`` under the square — and the batch is
+        what the vectorized scorer
+        (:meth:`~repro.similarity.kernels.SimilarityCache.warm_pairs`)
+        encodes and scores in bulk.  The execution planner calls this
+        once per candidate partition before forking workers, so the
+        forked processes inherit a hot, shared similarity table instead
+        of each re-learning it.
 
         Parameters
         ----------
-        vocabulary:
-            ``{attribute: observed domain elements}``.
+        value_pairs:
+            ``{attribute: candidate value pairs}``.
         budget:
             Optional total bound on pairs examined across all
             attributes.
@@ -437,56 +442,9 @@ class AttributeMatcher:
         (warmed, examined, complete):
             Entries newly stored, pairs examined (stored or already
             present — the caller's budget bookkeeping unit), and whether
-            every attribute's full pairwise table fit within the budget
-            and cache capacities (conservative: entries shared across
-            calls may make an "incomplete" warm complete in practice).
-        """
-        warmed = 0
-        examined = 0
-        complete = True
-        for attribute, values in vocabulary.items():
-            comparator = self._comparators.get(attribute, self._default)
-            if comparator is None or comparator.cache is None:
-                continue
-            cache = comparator.cache
-            unique = comparator.cacheable_vocabulary(values)
-            needed = len(unique) * (len(unique) - 1) // 2
-            remaining = None if budget is None else budget - examined
-            if remaining is not None and remaining <= 0:
-                complete = complete and needed == 0
-                continue
-            if (remaining is not None and needed > remaining) or (
-                len(cache) + needed > cache.max_entries
-            ):
-                complete = False
-            warmed += cache.warm(unique, budget=remaining)
-            examined += (
-                min(needed, remaining) if remaining is not None else needed
-            )
-        return warmed, examined, complete
-
-    def warm_pairs(
-        self,
-        value_pairs: Mapping[str, Sequence[tuple[Any, Any]]],
-        *,
-        budget: int | None = None,
-    ) -> tuple[int, int, bool]:
-        """Pre-warm the per-attribute caches from candidate value pairs.
-
-        The pair-aware counterpart of :meth:`warm`: instead of the full
-        pairwise square of each attribute's vocabulary, only the value
-        combinations that actually occur across candidate tuple pairs
-        (collected by
-        :func:`repro.reduction.plan.partition_value_pairs`) are scored
-        — window-family plans over-warm by roughly
-        ``|span| / (2·(w−1))`` under the square, and the smaller
-        working set is what the vectorized batch scorer
-        (:meth:`~repro.similarity.kernels.SimilarityCache.warm_pairs`)
-        encodes and scores in bulk.
-
-        Same return contract as :meth:`warm`: ``(warmed, examined,
-        complete)`` with *examined* counting pairs in the caller's
-        budget bookkeeping unit.
+            every attribute's pairs fit within the budget and cache
+            capacities (conservative: entries shared across calls may
+            make an "incomplete" warm complete in practice).
         """
         warmed = 0
         examined = 0

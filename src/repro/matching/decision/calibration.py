@@ -52,6 +52,7 @@ from repro.matching.decision.reasons import (
     ReasonCode,
     categorize_decision,
 )
+from repro.pdb.io import write_text_atomic
 
 #: Digest size (bytes) of calibration-set fingerprints.
 _FINGERPRINT_BYTES = 16
@@ -206,8 +207,12 @@ class CalibrationSet:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_document(), handle, separators=(",", ":"))
+        """Write the set to *path*, replacing the file whole
+        (:func:`repro.pdb.io.write_text_atomic`): a crash mid-write
+        leaves the previous calibration set in place."""
+        write_text_atomic(
+            path, json.dumps(self.to_document(), separators=(",", ":"))
+        )
 
     @classmethod
     def load(cls, path: str) -> "CalibrationSet":

@@ -58,7 +58,6 @@ from repro.matching.executor.progress import (
 from repro.matching.executor.results import DetectionResult, slice_result
 from repro.matching.executor.scheduler import (
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_SPLIT_PAIRS,
     PREWARM_PAIR_BUDGET,
     ExecutionEngine,
     ExecutionSettings,
@@ -68,7 +67,6 @@ from repro.matching.executor.scheduler import (
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_SPLIT_PAIRS",
     "ON_ERROR_MODES",
     "PREWARM_PAIR_BUDGET",
     "DeadlineExceeded",

@@ -97,7 +97,7 @@ class ExecutionReport:
     prewarmed_entries: int = 0
     #: Whether the warmed caches were frozen around the fork.
     caches_frozen: bool = False
-    #: Partitions that exceeded the split budget.
+    #: Partitions that exceeded the work-unit budget.
     oversized_partitions: int = 0
     #: Oversized partitions a reducer subdivided by sub-key.
     subkey_split_partitions: int = 0

@@ -13,16 +13,17 @@ pipeline.  Every run takes the same four steps:
 1. **Prewarm / freeze.**  Before forking, the matcher's shared
    similarity caches are warmed from the plan's candidate pairs and
    frozen read-only, so every worker shares the parent's table
-   copy-on-write.  By default this happens when a pool is used and no
-   partition exceeds the split budget; a skewed plan skips it, since
-   its sub-key units keep worker working sets coherent and warming
-   would serialize work the workers can do in parallel.
+   copy-on-write.  This happens when a pool is used and no partition
+   exceeds the work-unit budget; a skewed plan skips it, since its
+   sub-key units keep worker working sets coherent and warming would
+   serialize work the workers can do in parallel.
 2. **Work units.**  In-process runs (``n_jobs == 1``) take every
    partition whole and pack consecutive ones, in plan order, into
    tasks of at most ``chunk_size`` pairs, so a run of small blocks is
    decided by one batch per chunk instead of one per block.  A pool
-   subdivides partitions exceeding the ``split_pairs`` cost budget —
-   by the reducer's sub-key ``split_partition`` hook
+   subdivides partitions exceeding the work-unit budget
+   (:attr:`ExecutionSettings.unit_budget`) — by the reducer's sub-key
+   ``split_partition`` hook
    (:class:`~repro.reduction.plan.SplittableReducer`) when available,
    by contiguous row-banding otherwise — and packs the units into
    dispatch tasks *largest first*, so an idle worker always steals the
@@ -78,9 +79,9 @@ from repro.matching.executor.workers import (
 from repro.reduction.plan import (
     CandidatePartition,
     CandidatePlan,
+    DEFAULT_PARTITION_PAIRS,
     band_partition,
     partition_value_pairs,
-    partition_vocabulary,
 )
 from repro.similarity.kernels import resolve_kernel
 
@@ -93,26 +94,11 @@ from repro.similarity.kernels import resolve_kernel
 #: a sliver of a run.
 DEFAULT_CHUNK_SIZE = 4096
 
-#: Cost budget (candidate pairs) above which a pooled run subdivides a
-#: partition.  Matches the window-family planning target: a unit this
-#: size amortizes dispatch but cannot monopolize a worker.
-DEFAULT_SPLIT_PAIRS = 2048
-
 #: Total pairwise-similarity budget for cache pre-warming, across all
 #: partitions and attributes of one detection run.  Blocking plans warm
 #: completely well below this; the bound exists so an unstructured plan
 #: (full comparison) cannot spend the whole run warming in the parent.
 PREWARM_PAIR_BUDGET = 200_000
-
-#: Minimum structural shrinkage required to take the pair-aware warm
-#: path.  Enumerating a partition's candidate tuple pairs costs work
-#: proportional to the pair count; it only beats the legacy
-#: vocabulary-square warm when the pair set is materially smaller than
-#: the member square.  Window-family plans (pairs ≈ (w−1)·|span|) pass
-#: easily; dense blocking partitions (pairs ≈ |block|²/2) fail and keep
-#: the cheaper square warm, which still batches through
-#: ``warm → warm_pairs → batch_similarities``.
-PAIR_AWARE_ADVANTAGE = 2
 
 
 @dataclass(frozen=True)
@@ -120,25 +106,13 @@ class ExecutionSettings:
     """One detection run's execution knobs (validated on construction).
 
     Parameters mirror :meth:`DuplicateDetector.detect
-    <repro.matching.pipeline.DuplicateDetector.detect>`; ``split_pairs``
-    is a pooled run's cost budget per work unit.
+    <repro.matching.pipeline.DuplicateDetector.detect>`.
     """
 
     chunk_size: int = DEFAULT_CHUNK_SIZE
     n_jobs: int = 1
     keep_derivations: bool = True
     keep_compared_pairs: bool = True
-    #: Parent-side cache warm before executing; ``None`` resolves per
-    #: plan (:meth:`should_prewarm`).
-    prewarm: bool | None = None
-    split_pairs: int = DEFAULT_SPLIT_PAIRS
-    #: Parent-side warm budget (pairwise similarity evaluations).  A
-    #: partition whose vocabulary table exceeds what remains of the
-    #: budget leaves the warm *incomplete*: the caches are then not
-    #: frozen around the fork and every worker re-learns its share —
-    #: the skew pathology work-unit subdivision avoids (see
-    #: ``benchmarks/test_bench_scheduler.py``).
-    prewarm_budget: int = PREWARM_PAIR_BUDGET
     #: Edit kernel the run's procedure was configured with (``"fast"``
     #: or ``"python"``; ``None`` reads ``"fast"``).  Informational at
     #: the engine level — the detector facade clones the procedure
@@ -169,10 +143,6 @@ class ExecutionSettings:
             raise ValueError("chunk_size must be positive")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be at least 1 (or None)")
-        if self.split_pairs <= 0:
-            raise ValueError("split_pairs must be positive")
-        if self.prewarm_budget < 0:
-            raise ValueError("prewarm_budget must be >= 0")
         object.__setattr__(
             self, "kernel_backend", resolve_kernel(self.kernel_backend)
         )
@@ -182,23 +152,32 @@ class ExecutionSettings:
                 f"expected one of {ON_ERROR_MODES}"
             )
 
+    @property
+    def unit_budget(self) -> int:
+        """A pooled run's work-unit budget (candidate pairs).
+
+        Partitions above it are subdivided.  At most one chunk, and at
+        most the window-family planning target
+        (:data:`~repro.reduction.plan.DEFAULT_PARTITION_PAIRS`): a unit
+        that size amortizes dispatch but cannot monopolize a worker.
+        """
+        return min(self.chunk_size, DEFAULT_PARTITION_PAIRS)
+
     def should_prewarm(self, plan: CandidatePlan) -> bool:
         """Whether to warm the caches in the parent before running *plan*.
 
-        An explicit ``prewarm`` wins.  Otherwise warm exactly when
-        forking over a plan no partition of which exceeds the split
-        budget: a plan that needs subdivision keeps each worker's
-        working set coherent through its sub-key units, and warming it
-        would serialize similarity work the workers can do in
-        parallel.  Retained-cache runs never re-prewarm: the session
-        already holds the warm tables.
+        Warm exactly when forking over a plan no partition of which
+        exceeds the work-unit budget: a plan that needs subdivision
+        keeps each worker's working set coherent through its sub-key
+        units, and warming it would serialize similarity work the
+        workers can do in parallel.  Retained-cache runs never
+        re-prewarm: the session already holds the warm tables.
         """
         if self.retain_caches:
             return False
-        if self.prewarm is not None:
-            return self.prewarm
+        budget = self.unit_budget
         return self.n_jobs > 1 and all(
-            len(partition) <= self.split_pairs for partition in plan
+            len(partition) <= budget for partition in plan
         )
 
 
@@ -220,25 +199,16 @@ def prewarm_plan(
     :meth:`~repro.matching.comparison.AttributeMatcher.warm_pairs`,
     which hands whole batches to the fast kernel's vectorized scorer
     when one is configured (encode once, score in bulk) and loops per
-    pair otherwise.
-
-    Pair-awareness is per partition, not per run: enumerating candidate
-    tuple pairs is itself O(pairs), so a partition only takes the
-    pair-aware path when its pair count promises at least
-    :data:`PAIR_AWARE_ADVANTAGE`-fold shrinkage under its member square.
-    Dense blocking partitions — where the candidate set *is* roughly
-    the square — warm from the vocabulary instead, paying nothing for
-    an enumeration that could not shrink anything.
+    pair otherwise.  The default *budget* bounds the parent-side warm
+    of one run; a partition whose combinations exceed what remains
+    leaves the warm incomplete.
 
     Returns ``(entries stored, complete)`` where *complete* means every
     partition's candidate combinations fit the budget — the
     precondition for freezing the caches read-only around a fork.
-    Matchers without the pair-aware hook fall back to the legacy
-    vocabulary-square warm.
     """
     if not matcher.cache_stats():
         return 0, False
-    pair_aware = callable(getattr(matcher, "warm_pairs", None))
     total_warmed = 0
     complete = True
     remaining = budget
@@ -246,27 +216,15 @@ def prewarm_plan(
         if remaining <= 0:
             complete = False
             break
-        members = len(partition.members)
-        member_square = members * (members - 1) // 2
-        if (
-            pair_aware
-            and len(partition.pairs) * PAIR_AWARE_ADVANTAGE <= member_square
-        ):
-            value_pairs, truncated = partition_value_pairs(
-                relation, partition, limit=remaining + 1
-            )
-            warmed, examined, partition_complete = matcher.warm_pairs(
-                value_pairs, budget=remaining
-            )
-            partition_complete = partition_complete and not truncated
-        else:
-            vocabulary = partition_vocabulary(relation, partition)
-            warmed, examined, partition_complete = matcher.warm(
-                vocabulary, budget=remaining
-            )
+        value_pairs, truncated = partition_value_pairs(
+            relation, partition, limit=remaining + 1
+        )
+        warmed, examined, partition_complete = matcher.warm_pairs(
+            value_pairs, budget=remaining
+        )
         total_warmed += warmed
         remaining -= max(examined, 1)
-        complete = complete and partition_complete
+        complete = complete and partition_complete and not truncated
     return total_warmed, complete
 
 
@@ -340,7 +298,7 @@ class ExecutionEngine:
     splitter:
         Optional provider of the ``split_partition`` sub-key hook —
         normally the detector's reducer.  Only consulted by pooled runs,
-        for partitions over the cost budget.
+        for partitions over the work-unit budget.
     observer:
         Optional per-partition progress callback
         (:data:`~repro.matching.executor.progress.ProgressObserver`).
@@ -416,16 +374,13 @@ class ExecutionEngine:
         """
         settings = self._settings
         matcher = self._procedure.matcher
-        forking = settings.n_jobs > 1
         if settings.should_prewarm(plan):
-            warmed, complete = prewarm_plan(
-                matcher, relation, plan, budget=settings.prewarm_budget
-            )
+            warmed, complete = prewarm_plan(matcher, relation, plan)
             self.report.prewarmed_entries = warmed
-            if complete and forking:
+            if complete:
                 self.report.caches_frozen = True
                 return matcher.freeze_caches()
-        elif settings.retain_caches and forking:
+        elif settings.retain_caches and settings.n_jobs > 1:
             # Retained-cache session: tables were warmed by earlier runs
             # and live across calls — freeze them read-only around the
             # fork so workers share them copy-on-write, thaw after.
@@ -443,21 +398,23 @@ class ExecutionEngine:
         In-process runs keep every partition whole, in plan order — the
         serial fetch order and tuple-cache behaviour — for
         :meth:`_packed_tasks` to pack into chunk-sized tasks.  A pooled
-        run subdivides each partition over the split budget
-        (:func:`subdivide_partition`).
+        run subdivides each partition over the work-unit budget
+        (:attr:`ExecutionSettings.unit_budget`,
+        :func:`subdivide_partition`).
         """
         settings = self._settings
+        budget = settings.unit_budget
         unit_pairs: list[tuple[tuple[str, str], ...]] = []
         owners: list[int] = []
         for index, partition in enumerate(plan.partitions):
-            if settings.n_jobs == 1 or len(partition) <= settings.split_pairs:
+            if settings.n_jobs == 1 or len(partition) <= budget:
                 units = [partition]
             else:
                 units = subdivide_partition(
                     self._splitter,
                     relation,
                     partition,
-                    max_pairs=settings.split_pairs,
+                    max_pairs=budget,
                     report=self.report,
                 )
             for unit in units:
@@ -714,7 +671,6 @@ def _reassemble(
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_SPLIT_PAIRS",
     "ExecutionEngine",
     "ExecutionSettings",
     "prewarm_plan",

@@ -260,9 +260,6 @@ class DuplicateDetector:
         n_jobs: int | None = 1,
         keep_derivations: bool = True,
         keep_compared_pairs: bool = True,
-        prewarm: bool | None = None,
-        split_pairs: int | None = None,
-        prewarm_budget: int | None = None,
         retry: RetryPolicy | None = None,
         on_error: str = "raise",
     ) -> tuple[
@@ -279,17 +276,11 @@ class DuplicateDetector:
         (including its band-keyed similarity caches), evicting
         least-recently-used clones past the bound.
         """
-        defaulted = dict(
-            chunk_size=chunk_size,
-            split_pairs=split_pairs,
-            prewarm_budget=prewarm_budget,
-            retry=retry,
-        )
+        defaulted = dict(chunk_size=chunk_size, retry=retry)
         settings = ExecutionSettings(
             n_jobs=multiprocessing.cpu_count() if n_jobs is None else n_jobs,
             keep_derivations=keep_derivations,
             keep_compared_pairs=keep_compared_pairs,
-            prewarm=prewarm,
             kernel_backend=kernel_backend,
             on_error=on_error,
             **{
@@ -358,11 +349,8 @@ class DuplicateDetector:
         keep_derivations: bool = True,
         keep_compared_pairs: bool = True,
         stream: bool = False,
-        prewarm: bool | None = None,
         min_similarity: float | Mapping[str, float] | str | None = None,
         kernel_backend: str | None = None,
-        split_pairs: int | None = None,
-        prewarm_budget: int | None = None,
         on_progress: ProgressObserver | None = None,
         retry: RetryPolicy | None = None,
         on_error: str = "raise",
@@ -413,18 +401,30 @@ class DuplicateDetector:
         ----------
         chunk_size:
             Candidate pairs decided per working-set load (default
-            :data:`~repro.matching.executor.DEFAULT_CHUNK_SIZE`);
-            chunk boundaries never cross partitions.
+            :data:`~repro.matching.executor.DEFAULT_CHUNK_SIZE`).
+            In-process runs pack consecutive whole partitions into
+            tasks of at most this many pairs.  A pooled run subdivides
+            partitions above ``min(chunk_size, DEFAULT_PARTITION_PAIRS)``
+            pairs (2048 at the default) — via the reducer's sub-key
+            ``split_partition`` hook, else contiguous banding — and
+            dispatches the work units largest-first, so one skewed
+            block no longer serializes a parallel run.  Decisions are
+            bitwise identical either way.
         n_jobs:
             Number of worker processes.  1 (default) decides everything
-            in-process, one whole partition after another in plan
-            order; ``None`` uses one worker per CPU.  Workers are
-            forked and receive whole partitions — or, for partitions
-            above ``split_pairs``, their sub-key or banded work units —
-            so each worker's similarity-cache working set covers one
-            block neighborhood.  Storage backends are opened read-only
-            by workers: a forked worker re-opens a spilled store's
-            segment files for itself and never copies the relation.
+            in-process, in plan order; ``None`` uses one worker per
+            CPU.  Workers are forked and receive whole partitions or
+            their sub-key or banded work units, so each worker's
+            similarity-cache working set covers one block neighborhood.
+            When no partition needs subdividing, the parent first warms
+            the matcher's similarity caches from the plan's candidate
+            pairs and, if the warm fits
+            :data:`~repro.matching.executor.PREWARM_PAIR_BUDGET`,
+            freezes them read-only for the pool's lifetime so every
+            worker shares the parent's table copy-on-write.  Storage
+            backends are opened read-only by workers: a forked worker
+            re-opens a spilled store's segment files for itself and
+            never copies the relation.
         keep_derivations:
             When ``False``, decisions are returned without their
             intermediate comparison matrices (``derivation_input`` is
@@ -440,17 +440,6 @@ class DuplicateDetector:
             caller as soon as its task (at most one chunk of pairs, or
             the partition alone when it is larger) is decided, so a
             run over a huge relation never materializes all decisions.
-        prewarm:
-            Whether to pre-warm the matcher's similarity caches from the
-            plan's candidate pairs before executing.  Default
-            (``None``) warms exactly when forking a pool over a plan
-            with no partition above ``split_pairs`` (when the warm
-            table is complete the caches are frozen read-only for the
-            pool's lifetime so every worker shares the parent's table
-            copy-on-write); a plan that needs subdivision is not
-            warmed in the parent — its sub-key work units keep worker
-            working sets coherent, so warming would serialize
-            similarity work the workers compute in parallel.
         min_similarity:
             Threshold pushdown.  ``"auto"`` derives per-attribute
             cutoffs from the decision model's classifier structure
@@ -479,22 +468,6 @@ class DuplicateDetector:
             backend-aware comparators such as
             :data:`~repro.similarity.FAST_LEVENSHTEIN`.  Any other
             value raises ``ValueError``.
-        split_pairs:
-            Cost budget of a pooled run (default
-            :data:`~repro.matching.executor.DEFAULT_SPLIT_PAIRS`):
-            partitions above this many pairs are subdivided — via the
-            reducer's sub-key ``split_partition`` hook, else contiguous
-            banding — and the work units dispatched largest-first
-            through the pool's shared queue, so one skewed block no
-            longer serializes a parallel run.  Results are reassembled
-            into plan order, so decisions stay bitwise identical.
-            In-process runs never subdivide.
-        prewarm_budget:
-            Parent-side warm budget in pairwise similarity evaluations
-            (default
-            :data:`~repro.matching.executor.PREWARM_PAIR_BUDGET`).
-            When one partition's vocabulary table exceeds what remains,
-            warming stops incomplete and the caches are not frozen.
         on_progress:
             Optional callback invoked once per completed partition with
             a :class:`~repro.matching.executor.PartitionProgress`
@@ -548,9 +521,6 @@ class DuplicateDetector:
                 n_jobs=n_jobs,
                 keep_derivations=keep_derivations,
                 keep_compared_pairs=keep_compared_pairs,
-                prewarm=prewarm,
-                split_pairs=split_pairs,
-                prewarm_budget=prewarm_budget,
                 retry=retry,
                 on_error=on_error,
             ),
@@ -589,7 +559,7 @@ class DuplicateDetector:
         sessions: ingests append to the journal, and a restart replays
         it and restores the snapshot's caches and fingerprint index.
         Remaining keyword options are those of :meth:`detect`
-        (``n_jobs``, ``split_pairs``, ``keep_derivations``, ``retry``
+        (``n_jobs``, ``chunk_size``, ``keep_derivations``, ``retry``
         …) except ``stream``.
         """
         from repro.service.session import DetectionSession
@@ -642,8 +612,10 @@ class DuplicateDetector:
         A configured ``preparation`` hook is applied to *each source
         separately, before planning* — per-source standardization —
         and requires in-memory sources (materialize stores first).
-        Keyword options are forwarded to :meth:`detect`.
+        Remaining keyword options are those of :meth:`detect`, resolved
+        the same way.
         """
+        run = self._resolve_run(**options)
         sources = [self._prepare_source(s) for s in (left, right, *more)]
         view = combine_sources(sources)
         if not within_sources:
@@ -661,7 +633,7 @@ class DuplicateDetector:
         return self._detect_prepared(
             view,
             plan,
-            self._resolve_run(**options),
+            run,
             stream=stream,
             on_progress=on_progress,
             on_fault=on_fault,

@@ -68,7 +68,6 @@ from repro.reduction.plan import (
     members_of_pairs,
     ordered_pair,
     partition_fingerprint,
-    partition_vocabulary,
     plan_candidates,
     plan_fingerprints,
     plan_from_blocks,
@@ -132,7 +131,6 @@ __all__ = [
     "partition_fingerprint",
     "plan_fingerprints",
     "pairs_from_blocks",
-    "partition_vocabulary",
     "phonetic_key",
     "plan_candidates",
     "plan_from_blocks",

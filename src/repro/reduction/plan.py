@@ -21,8 +21,9 @@ makes the structure explicit:
   only;
 * :func:`plan_candidates` — planner entry point with a single-partition
   fallback for legacy ``pairs()``-only reducers;
-* :func:`partition_vocabulary` — the observed per-attribute domain
-  elements of one partition, the input of similarity-cache pre-warming;
+* :func:`partition_value_pairs` — the attribute-value combinations one
+  partition's candidate pairs can compare, the input of similarity-cache
+  pre-warming;
 * :func:`split_partition_by_groups` / :func:`band_partition` — exact
   subdivisions of one partition (by member grouping, or contiguous
   banding) for the skew-aware scheduler; reducers with sub-key
@@ -601,40 +602,6 @@ def band_partition(
     return bands
 
 
-def partition_vocabulary(
-    relation, partition: CandidatePartition
-) -> dict[str, tuple[Any, ...]]:
-    """Observed domain elements per attribute of one partition.
-
-    Collects, in deterministic first-occurrence order, every outcome of
-    every member tuple's alternatives — the operand universe the
-    partition's attribute matching can draw from.  ⊥ is excluded (the
-    comparator layer resolves non-existence before the domain-element
-    cache); pattern values are kept, because an ``expand``-policy
-    comparator queries the cache with their lexicon expansions — the
-    warming layer maps them accordingly (see
-    :meth:`repro.similarity.uncertain.UncertainValueComparator.cacheable_vocabulary`).
-    """
-    vocabulary: dict[str, dict[Any, None]] = {}
-    members = partition.members
-    for start in range(0, len(members), VOCABULARY_BATCH_MEMBERS):
-        batch = members[start : start + VOCABULARY_BATCH_MEMBERS]
-        working_set = fetch_tuples(relation, batch)
-        for tuple_id in batch:
-            xtuple = working_set[tuple_id]
-            for alternative in xtuple.alternatives:
-                for attribute in alternative.attributes:
-                    observed = vocabulary.setdefault(attribute, {})
-                    for outcome in alternative.value(attribute).support:
-                        if outcome is NULL:
-                            continue
-                        observed.setdefault(outcome, None)
-    return {
-        attribute: tuple(values)
-        for attribute, values in vocabulary.items()
-    }
-
-
 def partition_value_pairs(
     relation,
     partition: CandidatePartition,
@@ -643,9 +610,8 @@ def partition_value_pairs(
 ) -> tuple[dict[str, tuple[tuple[Any, Any], ...]], bool]:
     """Attribute-value combinations the partition's pairs can compare.
 
-    The pair-aware refinement of :func:`partition_vocabulary`: instead
-    of the full pairwise square of each attribute's vocabulary, walks
-    the partition's *candidate tuple pairs* and collects, per
+    Instead of the full pairwise square of each attribute's vocabulary,
+    walks the partition's *candidate tuple pairs* and collects, per
     attribute, only the cross products of the two tuples' observed
     outcomes — exactly the domain-element comparisons attribute
     matching can issue for this partition.  Window-family plans whose

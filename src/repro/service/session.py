@@ -297,7 +297,7 @@ class DetectionSession:
             if self.stats.refreshes:
                 # Later refreshes keep the already-warm caches instead
                 # of prewarming like the initial (one-shot) run.
-                settings = replace(settings, retain_caches=True, prewarm=None)
+                settings = replace(settings, retain_caches=True)
             engine = ExecutionEngine(
                 self._procedure,
                 settings,

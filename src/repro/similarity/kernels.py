@@ -40,8 +40,8 @@ module provides the performance core:
   numpy and C-level maps (:meth:`SimilarityCache.lookup_codes`);
   strings appear only where entries are exported and absorbed.  For
   block-partitioned execution the cache also supports
-  **pre-warming** (:meth:`SimilarityCache.warm` fills the table from an
-  observed vocabulary before any candidate pair is decided) and
+  **pre-warming** (:meth:`SimilarityCache.warm_pairs` fills the table
+  from a partition's candidate value pairs before any pair is decided) and
   **freezing** (:meth:`SimilarityCache.freeze` makes the table
   read-only, so forked workers share the warmed pages copy-on-write
   without ever dirtying them).  Cutoff-pruned results are *banded*:
@@ -54,7 +54,7 @@ module provides the performance core:
 
 from __future__ import annotations
 
-from itertools import combinations, count, islice, repeat
+from itertools import count, islice, repeat
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
@@ -908,37 +908,6 @@ class SimilarityCache:
     # Pre-warm / freeze (block-partitioned execution support)
     # ------------------------------------------------------------------
 
-    def warm(
-        self, values: Any, *, budget: int | None = None
-    ) -> int:
-        """Precompute all pairwise results of a vocabulary.
-
-        Fills the table with ``base(a, b)`` for every unordered pair of
-        distinct *values*, skipping pairs already stored, so a plan
-        scheduler can build the shared similarity table once in the
-        parent before forking workers.  Warming never changes a result —
-        entries hold exactly what a cold lookup would compute.
-
-        Parameters
-        ----------
-        values:
-            The observed vocabulary (duplicates are collapsed, input
-            order preserved so warming is deterministic).
-        budget:
-            Optional bound on the number of pairs *examined* (stored or
-            already present).  Warming stops once the budget or
-            :attr:`max_entries` is reached; it never triggers the
-            wholesale clear that a hot-path overflow would.
-
-        Returns
-        -------
-        int
-            Number of entries newly stored (always 0 while frozen —
-            warming is a write and respects the read-only contract).
-        """
-        unique = dict.fromkeys(values)
-        return self.warm_pairs(combinations(unique, 2), budget=budget)
-
     def warm_pairs(
         self,
         pairs: Iterable[tuple[Any, Any]],
@@ -947,20 +916,25 @@ class SimilarityCache:
     ) -> int:
         """Precompute results for an explicit sequence of value pairs.
 
-        The pair-aware counterpart of :meth:`warm`: instead of the full
-        vocabulary square, only the given candidate combinations are
-        examined (duplicates and reflexive same-type-equal pairs — which
-        the lookup path short-circuits anyway — are skipped).  When the
+        Fills the table with ``base(a, b)`` for every given candidate
+        combination not already stored, so a plan scheduler can build
+        the shared similarity table once in the parent before forking
+        workers (duplicates and reflexive same-type-equal pairs — which
+        the lookup path short-circuits anyway — are skipped).  Warming
+        never changes a result: entries hold exactly what a cold lookup
+        would compute.  When the
         base comparator exposes a vectorized ``batch_similarities`` hook
         (see :meth:`BandedEditComparator.batch_similarities`), all
         missing entries of the batch are scored in one call instead of
         pair by pair — results are identical either way, the hook is
         purely a throughput lever.
 
-        Same bookkeeping contract as :meth:`warm`: *budget* bounds the
-        number of pairs examined, warming stops at :attr:`max_entries`
-        without triggering the wholesale clear, and the return value is
-        the number of entries newly stored (0 while frozen).
+        *budget* bounds the number of pairs examined (stored or already
+        present), warming stops at :attr:`max_entries` without
+        triggering the wholesale clear a hot-path overflow would, and
+        the return value is the number of entries newly stored (always
+        0 while frozen — warming is a write and respects the read-only
+        contract).
         """
         if self._frozen:
             return 0

@@ -271,28 +271,6 @@ class UncertainValueComparator:
         """The exact (band-0) domain-element memo, when enabled."""
         return self._cache
 
-    def cacheable_vocabulary(self, values: Iterable[Any]) -> tuple[Any, ...]:
-        """The concrete elements the element cache may be queried with.
-
-        Maps an observed vocabulary (which may contain pattern values)
-        to the operands that can actually reach :attr:`cache`: under the
-        ``expand`` policy a pattern contributes its lexicon expansions —
-        those are what Equation 5 compares after expansion — while under
-        the other policies patterns bypass the cache (prefix heuristic
-        calls the base comparator directly; strict raises) and are
-        dropped.  Used by cache pre-warming so a warmed-then-frozen
-        table covers every lookup the partition can make.
-        """
-        concrete: dict[Any, None] = {}
-        for value in values:
-            if isinstance(value, PatternValue):
-                if self._policy == PatternPolicy.EXPAND:
-                    for expansion in value.expansions(self._lexicon or ()):
-                        concrete.setdefault(expansion, None)
-                continue
-            concrete.setdefault(value, None)
-        return tuple(concrete)
-
     def _cacheable_elements(self, value: Any) -> tuple[Any, ...]:
         """The concrete operands *value* can put in front of the cache."""
         if isinstance(value, PatternValue):
@@ -306,12 +284,12 @@ class UncertainValueComparator:
     ) -> tuple[tuple[Any, Any], ...]:
         """The element pairs the cache may be queried with for *pairs*.
 
-        The pair-level counterpart of :meth:`cacheable_vocabulary`:
-        maps observed candidate *value* pairs to the domain-element
+        Maps observed candidate *value* pairs to the domain-element
         pairs that can actually reach :attr:`cache` — expanding
         patterns under the ``expand`` policy (their expansions are what
         Equation 5 compares), dropping patterns under the other
-        policies, and skipping reflexive same-type-equal pairs (the
+        policies (prefix heuristic calls the base comparator directly;
+        strict raises), and skipping reflexive same-type-equal pairs (the
         lookup path short-circuits those without touching the store).
         Deduplicated under the cache's unordered-pair key, first
         occurrence wins, so pair-aware pre-warming examines each

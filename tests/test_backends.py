@@ -19,6 +19,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,10 +46,9 @@ from repro.reduction import (
     UncertainKeySNM,
     plan_candidates,
 )
-from repro.reduction.plan import (
-    partition_value_pairs,
-    partition_vocabulary,
-)
+from repro.pdb.storage.base import fetch_tuples
+from repro.pdb.values import NULL
+from repro.reduction.plan import partition_value_pairs
 from repro.similarity import (
     FAST_DAMERAU_LEVENSHTEIN,
     FAST_JARO_WINKLER,
@@ -269,7 +270,7 @@ class TestComparatorBackends:
 
     def test_cache_with_base_shares_the_store(self):
         cache = SimilarityCache(FAST_LEVENSHTEIN)
-        cache.warm(["meier", "maier", "mayer"])
+        cache.warm_pairs(combinations(["meier", "maier", "mayer"], 2))
         clone = cache.with_base(FAST_LEVENSHTEIN.with_backend("fast"))
         assert clone is not cache
         assert len(clone) == len(cache)
@@ -330,7 +331,9 @@ class TestComparatorBackends:
 
     def test_cache_absorb_round_trips_export_entries(self):
         source = SimilarityCache(FAST_JARO_WINKLER)
-        source.warm(["meier", "maier", "mayer", "meyer"])
+        source.warm_pairs(
+            combinations(["meier", "maier", "mayer", "meyer"], 2)
+        )
         entries = list(source.export_entries())
         restored = SimilarityCache(FAST_JARO_WINKLER)
         # Duplicates and either orientation collapse onto one entry.
@@ -388,7 +391,7 @@ class TestComparatorBackends:
             FAST_JARO_WINKLER("maier", "meier"),
         ]
         assert cache.absorb([("x", "y", 0.5)]) == 0
-        assert cache.warm(["p", "q"]) == 0
+        assert cache.warm_pairs([("p", "q")]) == 0
         # One miss before freezing; frozen, a repeated miss stays a miss.
         assert (cache.hits, cache.misses) == (1, 4)
         assert len(cache) == 1 and cache._elements == elements
@@ -583,7 +586,7 @@ def test_backend_detection_is_bitwise_python(
     assert _triples(pruned) == reference
 
     stealing = detector().detect(
-        relation, kernel_backend="fast", n_jobs=2, split_pairs=9
+        relation, kernel_backend="fast", n_jobs=2, chunk_size=9
     )
     assert _triples(stealing) == reference
 
@@ -591,6 +594,27 @@ def test_backend_detection_is_bitwise_python(
 # ----------------------------------------------------------------------
 # Pair-aware pre-warming
 # ----------------------------------------------------------------------
+
+
+def _vocabulary(relation, partition):
+    """Observed values per attribute over a partition's members."""
+    observed = {}
+    for xtuple in fetch_tuples(relation, partition.members).values():
+        for alternative in xtuple.alternatives:
+            for attribute in alternative.attributes:
+                observed.setdefault(attribute, set()).update(
+                    outcome
+                    for outcome in alternative.value(attribute).support
+                    if outcome is not NULL
+                )
+    return observed
+
+
+def _vocabulary_square(vocabulary):
+    return sum(
+        len(values) * (len(values) - 1) // 2
+        for values in vocabulary.values()
+    )
 
 
 class TestPairAwarePrewarm:
@@ -601,11 +625,8 @@ class TestPairAwarePrewarm:
             SortedNeighborhood(SORT_KEY, window=5), flat_relation
         )
         partition = max(plan.partitions, key=lambda p: len(p.pairs))
-        vocabulary = partition_vocabulary(flat_relation, partition)
-        square = sum(
-            len(values) * (len(values) - 1) // 2
-            for values in vocabulary.values()
-        )
+        vocabulary = _vocabulary(flat_relation, partition)
+        square = _vocabulary_square(vocabulary)
         value_pairs, truncated = partition_value_pairs(
             flat_relation, partition
         )
@@ -614,7 +635,7 @@ class TestPairAwarePrewarm:
         assert 0 < total <= square
         # Every collected combination draws from the vocabulary.
         for attribute, pairs in value_pairs.items():
-            observed = set(vocabulary[attribute])
+            observed = vocabulary[attribute]
             for left, right in pairs:
                 assert left in observed and right in observed
 
@@ -627,11 +648,7 @@ class TestPairAwarePrewarm:
         partition = max(plan.partitions, key=lambda p: len(p.pairs))
         if len(partition.members) < 8:
             pytest.skip("partition too small to separate the counts")
-        vocabulary = partition_vocabulary(flat_relation, partition)
-        square = sum(
-            len(values) * (len(values) - 1) // 2
-            for values in vocabulary.values()
-        )
+        square = _vocabulary_square(_vocabulary(flat_relation, partition))
         value_pairs, _ = partition_value_pairs(flat_relation, partition)
         assert sum(len(p) for p in value_pairs.values()) < square
 
@@ -669,20 +686,17 @@ class TestPairAwarePrewarm:
         detector = _detector(
             lambda: SortedNeighborhood(SORT_KEY, window=5)
         )
-        result = detector.detect(flat_relation, n_jobs=2, chunk_size=7)
+        result = detector.detect(flat_relation, n_jobs=2)
         report = detector.last_report
         assert report.prewarmed_entries > 0
         assert report.caches_frozen
         plan = plan_candidates(
             SortedNeighborhood(SORT_KEY, window=5), flat_relation
         )
-        squares = 0
-        for partition in plan:
-            vocabulary = partition_vocabulary(flat_relation, partition)
-            squares += sum(
-                len(values) * (len(values) - 1) // 2
-                for values in vocabulary.values()
-            )
+        squares = sum(
+            _vocabulary_square(_vocabulary(flat_relation, partition))
+            for partition in plan
+        )
         assert report.prewarmed_entries < squares
         reference = _detector(
             lambda: SortedNeighborhood(SORT_KEY, window=5)

@@ -301,6 +301,29 @@ def test_calibration_set_round_trips_exactly(tmp_path):
     assert loaded.match_scores == original.match_scores
 
 
+def test_calibration_save_cut_before_replace_keeps_previous(
+    tmp_path, monkeypatch
+):
+    """A save that dies before its atomic replace leaves the previous
+    calibration set in place, loadable, and no temp file behind."""
+    path = str(tmp_path / "calibration.json")
+    previous = CalibrationSet(
+        [CalibrationPair("a", 0.9, True), CalibrationPair("b", 0.2, False)]
+    )
+    previous.save(path)
+    changed = CalibrationSet([CalibrationPair("c", 0.5, False)])
+
+    def cut(source, destination):
+        raise OSError("cut before replace")
+
+    monkeypatch.setattr(os, "replace", cut)
+    with pytest.raises(OSError, match="cut before replace"):
+        changed.save(path)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["calibration.json"]
+    assert CalibrationSet.load(path).fingerprint() == previous.fingerprint()
+
+
 # ----------------------------------------------------------------------
 # Safety gates: trips are exact and force UNSURE
 # ----------------------------------------------------------------------
@@ -683,17 +706,11 @@ def test_manifest_stable_across_execution_variants(
 
     variants = {}
     parallel = _audited_detector()
-    parallel.detect(flat_relation, audit=True, n_jobs=2, chunk_size=7)
+    parallel.detect(flat_relation, audit=True, n_jobs=2)
     variants["n_jobs=2"] = parallel.last_manifest
 
     stealing = _audited_detector()
-    stealing.detect(
-        flat_relation,
-        audit=True,
-        n_jobs=2,
-        chunk_size=7,
-        split_pairs=7,
-    )
+    stealing.detect(flat_relation, audit=True, n_jobs=2, chunk_size=7)
     variants["stealing"] = stealing.last_manifest
 
     spilled = _audited_detector()
@@ -806,8 +823,7 @@ def _skipping_run(relation, *, audit=False):
         result = detector.detect(
             relation,
             n_jobs=2,
-            chunk_size=8,
-            split_pairs=16,
+            chunk_size=16,
             retry=RetryPolicy(max_attempts=2),
             on_error="skip",
             audit=audit,

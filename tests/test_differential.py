@@ -3,7 +3,8 @@
 Scheduling may change the order of work but never a result, so every
 sampled configuration must decide exactly what the reference oracle
 (``tests/conftest.py``) decides, bit for bit: any of the ten reducers,
-in-process or on a two-worker pool, any split budget, collected or
+in-process or on a two-worker pool, any chunk size (which packs
+in-process tasks and sets a pool's work-unit budget), collected or
 streamed, in memory or spilled to disk, on the fast or the ``"python"``
 edit kernel, exact or under threshold pushdown, under a clean
 two-attempt retry policy that degrades or raises on exhaustion.  The
@@ -214,7 +215,7 @@ def references(relations, oracle):
 @given(
     name=st.sampled_from(sorted(REDUCERS)),
     n_jobs=st.sampled_from((1, 2)),
-    split_pairs=st.integers(min_value=1, max_value=40),
+    chunk_size=st.integers(min_value=1, max_value=40),
     stream=st.booleans(),
     storage=st.sampled_from(("memory", "spilled")),
     on_error=st.sampled_from(("degrade", "raise")),
@@ -227,7 +228,7 @@ def test_sampled_configuration_decides_like_the_oracle(
     references,
     name,
     n_jobs,
-    split_pairs,
+    chunk_size,
     stream,
     storage,
     on_error,
@@ -244,8 +245,7 @@ def test_sampled_configuration_decides_like_the_oracle(
         result = detector.detect(
             relation,
             n_jobs=n_jobs,
-            split_pairs=split_pairs,
-            chunk_size=7,
+            chunk_size=chunk_size,
             stream=stream,
             retry=RetryPolicy(max_attempts=2),
             on_error=on_error,

@@ -14,6 +14,8 @@ Two invariant families are pinned here:
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,8 +41,8 @@ from repro.reduction import (
     plan_candidates,
     plan_from_blocks,
 )
-from repro.reduction.plan import partition_vocabulary
-from repro.similarity.kernels import SimilarityCache
+from repro.reduction.plan import partition_value_pairs
+from repro.similarity.kernels import SimilarityCache, pair_key
 
 SORT_KEY = SubstringKey([("name", 3), ("job", 2)])
 BLOCK_KEY = SubstringKey([("name", 1), ("job", 1)])
@@ -202,16 +204,32 @@ def test_blocking_plan_matches_blocks(x_relation):
         assert set(partition.members) <= set(members)
 
 
-def test_partition_vocabulary_collects_member_values(x_relation):
+def test_partition_value_pairs_cover_every_candidate_comparison(x_relation):
+    """Every distinct cross-alternative name comparison a candidate pair
+    can issue is collected once, under the cache's unordered key."""
     plan = CertainKeyBlocking(BLOCK_KEY).plan(x_relation)
-    partition = plan.partitions[0]
-    vocabulary = partition_vocabulary(x_relation, partition)
-    assert set(vocabulary) <= {"name", "job"}
-    observed_names = set(vocabulary.get("name", ()))
-    for tuple_id in partition.members:
-        for alternative in x_relation.get(tuple_id).alternatives:
-            for outcome in alternative.value("name").support:
-                assert outcome in observed_names
+    partition = max(plan.partitions, key=len)
+    value_pairs, truncated = partition_value_pairs(x_relation, partition)
+    assert not truncated
+    assert set(value_pairs) <= {"name", "job"}
+    collected = [pair_key(*pair) for pair in value_pairs.get("name", ())]
+    assert len(collected) == len(set(collected))
+
+    def names(tuple_id):
+        return {
+            outcome
+            for alternative in x_relation.get(tuple_id).alternatives
+            for outcome in alternative.value("name").support
+        }
+
+    expected = {
+        pair_key(left, right)
+        for left_id, right_id in partition.pairs
+        for left in names(left_id)
+        for right in names(right_id)
+        if left != right
+    }
+    assert set(collected) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,7 +413,7 @@ def test_cache_warm_precomputes_pairwise_table():
         return 0.5
 
     cache = SimilarityCache(base)
-    stored = cache.warm(["a", "b", "c", "b"])
+    stored = cache.warm_pairs(combinations(["a", "b", "c", "b"], 2))
     assert stored == 3
     assert len(cache) == 3
     assert cache.warmed == 3
@@ -407,20 +425,21 @@ def test_cache_warm_precomputes_pairwise_table():
 
 def test_cache_warm_budget_and_idempotence():
     cache = SimilarityCache(lambda a, b: 1.0)
-    assert cache.warm("abcdef", budget=4) == 4
-    assert cache.warm("abcdef") == 15 - 4
-    assert cache.warm("abcdef") == 0  # everything already present
+    pairs = list(combinations("abcdef", 2))
+    assert cache.warm_pairs(pairs, budget=4) == 4
+    assert cache.warm_pairs(pairs) == 15 - 4
+    assert cache.warm_pairs(pairs) == 0  # everything already present
 
 
 def test_frozen_cache_reads_but_never_writes():
     cache = SimilarityCache(lambda a, b: 0.25)
-    cache.warm(["x", "y"])
+    cache.warm_pairs([("x", "y")])
     cache.freeze()
     assert cache.frozen
     assert cache("x", "y") == 0.25
     assert cache("x", "z") == 0.25  # computed, not stored
     assert len(cache) == 1
-    assert cache.warm(["x", "z"]) == 0  # warming is a write too
+    assert cache.warm_pairs([("x", "z")]) == 0  # warming is a write too
     assert len(cache) == 1
     cache.thaw()
     assert cache("x", "z") == 0.25
@@ -430,19 +449,20 @@ def test_frozen_cache_reads_but_never_writes():
 def test_matcher_warm_fills_attribute_caches(x_relation):
     matcher = default_matcher()
     plan = CertainKeyBlocking(BLOCK_KEY).plan(x_relation)
-    vocabulary = partition_vocabulary(x_relation, plan.partitions[0])
-    warmed, examined, complete = matcher.warm(vocabulary)
+    partition = max(plan.partitions, key=len)
+    value_pairs, _ = partition_value_pairs(x_relation, partition)
+    warmed, examined, complete = matcher.warm_pairs(value_pairs)
     assert complete
     assert warmed > 0
     assert examined >= warmed
     assert all(
         len(cache) > 0 for cache in matcher.cache_stats().values()
     )
-    again = matcher.warm(vocabulary)
+    again = matcher.warm_pairs(value_pairs)
     assert again[0] == 0  # idempotent
 
 
-def test_cacheable_vocabulary_expands_patterns():
+def test_cacheable_pairs_expand_patterns():
     """EXPAND-policy comparators query the cache with lexicon expansions,
     so warming must cover them — not the raw pattern objects."""
     from repro.pdb.values import PatternValue
@@ -459,17 +479,21 @@ def test_cacheable_vocabulary_expands_patterns():
         pattern_lexicon=lexicon,
         cache=True,
     )
-    vocabulary = ["baker", PatternValue("mu*")]
-    assert expanding.cacheable_vocabulary(vocabulary) == (
-        "baker",
-        "musician",
-        "muser",
+    pairs = [
+        ("baker", PatternValue("mu*")),
+        ("muser", PatternValue("mu*")),
+        ("baker", "muser"),
+    ]
+    assert expanding.cacheable_pairs(pairs) == (
+        ("baker", "musician"),
+        ("baker", "muser"),
+        ("muser", "musician"),
     )
     # Non-expanding policies never reach the cache with patterns.
     prefix = UncertainValueComparator(
         JARO_WINKLER, pattern_policy=PatternPolicy.PREFIX, cache=True
     )
-    assert prefix.cacheable_vocabulary(vocabulary) == ("baker",)
+    assert prefix.cacheable_pairs(pairs) == (("baker", "muser"),)
 
 
 def test_pattern_vocabulary_prewarm_covers_expansion_lookups():
@@ -524,12 +548,13 @@ def test_pattern_vocabulary_prewarm_covers_expansion_lookups():
     plan = plan_candidates(
         CertainKeyBlocking(SubstringKey([("name", 1)])), relation
     )
-    vocabulary = partition_vocabulary(relation, plan.partitions[0])
+    value_pairs, _ = partition_value_pairs(relation, plan.partitions[0])
     assert any(
         isinstance(value, PatternValue)
-        for value in vocabulary.get("job", ())
+        for pair in value_pairs.get("job", ())
+        for value in pair
     )
-    _, _, complete = matcher.warm(vocabulary)
+    _, _, complete = matcher.warm_pairs(value_pairs)
     assert complete
     job_cache = matcher.cache_stats()["job"]
     job_cache.freeze()
@@ -556,7 +581,7 @@ def test_prewarmed_parallel_detection_is_unchanged(x_relation, oracle):
     matcher = default_matcher()
     warmed = DuplicateDetector(
         matcher, weighted_model(), reducer=reducer
-    ).detect(x_relation, n_jobs=2, prewarm=True)
+    ).detect(x_relation, n_jobs=2)
     assert _triples(warmed) == _triples(reference)
     # The pool froze and thawed the caches around the fork.
     assert all(
@@ -577,7 +602,8 @@ def test_detect_preserves_caller_established_freezes(x_relation):
         weighted_model(),
         reducer=CertainKeyBlocking(BLOCK_KEY),
     )
-    detector.detect(x_relation, n_jobs=2, prewarm=True)
+    detector.detect(x_relation, n_jobs=2)
+    assert detector.last_report.prewarmed_entries > 0
     assert name_cache.frozen  # detect only thaws its own freezes
     assert not matcher.cache_stats()["job"].frozen
     name_cache.thaw()

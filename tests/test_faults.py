@@ -72,9 +72,10 @@ FAULT_SEEDS = (11, 29)
 TIMEOUT = 0.4
 STALL = 1.5
 
-#: Work-unit shapes of a pooled run: whole partitions (the default split
-#: budget) or stolen sub-units (a budget that splits most blocks).
-SPLIT_PAIRS = {"partitioned": None, "stealing": 16}
+#: Work-unit shapes of a pooled run, set by the chunk size (a pooled
+#: run's unit budget): whole blocks (a chunk above the fixture's largest
+#: block, 28 pairs) or stolen sub-units (a chunk that splits most blocks).
+CHUNK_SIZES = {"partitioned": 32, "stealing": 16}
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ def _assert_observable(report: ExecutionReport, events) -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("units", sorted(SPLIT_PAIRS))
+@pytest.mark.parametrize("units", sorted(CHUNK_SIZES))
 @pytest.mark.parametrize("name", sorted(REDUCERS))
 def test_retry_then_degrade_bitwise_golden(
     name, units, flat_relation, references
@@ -150,8 +151,7 @@ def test_retry_then_degrade_bitwise_golden(
         result = detector.detect(
             flat_relation,
             n_jobs=2,
-            chunk_size=16,
-            split_pairs=SPLIT_PAIRS[units],
+            chunk_size=CHUNK_SIZES[units],
             retry=RetryPolicy(max_attempts=2),
             on_error="degrade",
             on_fault=events.append,
@@ -215,7 +215,7 @@ def test_worker_kill_recovered_by_deadline(
     _assert_observable(report, events)
 
 
-@pytest.mark.parametrize("units", sorted(SPLIT_PAIRS))
+@pytest.mark.parametrize("units", sorted(CHUNK_SIZES))
 @pytest.mark.parametrize("seed", FAULT_SEEDS)
 def test_stall_recovered_by_deadline(
     seed, units, flat_relation, references
@@ -229,8 +229,7 @@ def test_stall_recovered_by_deadline(
         result = detector.detect(
             flat_relation,
             n_jobs=2,
-            chunk_size=16,
-            split_pairs=SPLIT_PAIRS[units],
+            chunk_size=CHUNK_SIZES[units],
             retry=RetryPolicy(max_attempts=2, timeout=TIMEOUT),
             on_fault=events.append,
         )
@@ -268,7 +267,7 @@ def test_composed_faults_recover(flat_relation, references):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("units", sorted(SPLIT_PAIRS))
+@pytest.mark.parametrize("units", sorted(CHUNK_SIZES))
 def test_skip_drops_failed_partitions_whole(
     units, flat_relation, references
 ):
@@ -279,8 +278,7 @@ def test_skip_drops_failed_partitions_whole(
         result = detector.detect(
             flat_relation,
             n_jobs=2,
-            chunk_size=8,
-            split_pairs=SPLIT_PAIRS[units],
+            chunk_size=CHUNK_SIZES[units],
             retry=RetryPolicy(max_attempts=2),
             on_error="skip",
         )

@@ -237,7 +237,7 @@ def test_detect_between_is_stealing_compatible(flat_halves):
     factory = lambda: CertainKeyBlocking(BLOCK_KEY)  # noqa: E731
     reference = _detector(factory).detect(left.union(right))
     stolen = _detector(factory).detect_between(
-        left, right, split_pairs=7, n_jobs=2
+        left, right, chunk_size=7, n_jobs=2
     )
     assert _triples(stolen) == _triples(reference)
 

@@ -2,7 +2,7 @@
 
 Three invariant families pin the executor extraction:
 
-* **stealing equivalence** — a pooled run's cost-budget subdivision,
+* **stealing equivalence** — a pooled run's work-unit subdivision,
   largest-first dispatch and plan-order reassembly produce exactly the
   decisions of the reference oracle, streamed and collected, and an
   in-process run never splits;
@@ -17,6 +17,8 @@ pushdown) is pinned here too, since the facade slimming moved it.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +36,11 @@ from repro.matching import (
 from repro.matching.executor import (
     ExecutionEngine,
     ExecutionSettings,
+    RetryPolicy,
+    prewarm_plan,
     subdivide_partition,
 )
+from repro.matching.executor import scheduler
 from repro.pdb.relations import XRelation
 from repro.reduction import (
     CandidatePartition,
@@ -89,15 +94,14 @@ STEALING_REDUCERS = {
 def test_stealing_matches_serial_seed_pipeline(
     name, flat_relation, oracle
 ):
-    """Tiny split budget forces subdivision on every oversized block."""
+    """A tiny chunk forces subdivision on every oversized block."""
     factory = STEALING_REDUCERS[name]
     reference = oracle(_detector(factory()), flat_relation)
     serial = _detector(factory()).detect(flat_relation)
     parallel = _detector(factory()).detect(
         flat_relation,
-        split_pairs=11,
         n_jobs=2,
-        chunk_size=23,
+        chunk_size=11,
     )
     assert _triples(serial) == _triples(reference)
     assert _triples(parallel) == _triples(reference)
@@ -112,7 +116,7 @@ def test_stealing_stream_slices_stay_in_plan_order(flat_relation):
     slices = list(
         detector.detect(
             flat_relation,
-            split_pairs=7,
+            chunk_size=7,
             n_jobs=2,
             stream=True,
         )
@@ -129,7 +133,7 @@ def test_stealing_stream_slices_stay_in_plan_order(flat_relation):
 
 def test_stealing_report_counts_splits(flat_relation):
     detector = _detector(CertainKeyBlocking(BLOCK_KEY))
-    detector.detect(flat_relation, n_jobs=2, split_pairs=7)
+    detector.detect(flat_relation, n_jobs=2, chunk_size=7)
     report = detector.last_report
     assert report.oversized_partitions > 0
     assert report.subkey_split_partitions > 0
@@ -156,29 +160,52 @@ def test_progress_events_track_the_plan(flat_relation):
 
 
 def test_partitioned_report_counts_dispatches(flat_relation):
+    """A chunk that holds the largest block keeps every partition whole,
+    so the pool auto-warms the caches and freezes them around the fork."""
     detector = _detector(CertainKeyBlocking(BLOCK_KEY))
-    detector.detect(flat_relation, n_jobs=2, chunk_size=13)
+    largest = max(len(p) for p in detector.plan(flat_relation))
+    detector.detect(flat_relation, n_jobs=2, chunk_size=largest)
     report = detector.last_report
     assert report.n_jobs == 2
-    assert report.dispatch_tasks > 0
+    assert report.oversized_partitions == 0
+    assert report.work_units == report.partitions
+    assert report.dispatch_tasks > 1
     assert report.prewarmed_entries > 0
     assert report.caches_frozen
     assert report.decided_pairs == report.total_pairs
 
 
 def test_stealing_defaults_to_no_parent_prewarm(flat_relation):
+    """A plan that needs subdividing is not warmed in the parent; the
+    same plan at the default chunk size is warmed and frozen."""
     detector = _detector(CertainKeyBlocking(BLOCK_KEY))
-    detector.detect(
-        flat_relation, n_jobs=2, split_pairs=7
-    )
+    detector.detect(flat_relation, n_jobs=2, chunk_size=7)
+    assert detector.last_report.oversized_partitions > 0
     assert detector.last_report.prewarmed_entries == 0
-    detector.detect(
-        flat_relation,
-        n_jobs=2,
-        split_pairs=7,
-        prewarm=True,
-    )
+    assert not detector.last_report.caches_frozen
+    detector.detect(flat_relation, n_jobs=2)
     assert detector.last_report.prewarmed_entries > 0
+    assert detector.last_report.caches_frozen
+
+
+def test_default_chunk_subdivides_at_the_partition_target(flat_relation):
+    """Full comparison over the fixture plans one 2054-pair block: a pooled
+    run at the default chunk size splits it into the planners' 2048-pair
+    units; a smaller chunk is what forces finer subdivision."""
+    from repro.reduction.plan import DEFAULT_PARTITION_PAIRS
+
+    assert ExecutionSettings().unit_budget == DEFAULT_PARTITION_PAIRS == 2048
+    assert ExecutionSettings(chunk_size=7).unit_budget == 7
+    detector = _detector(FullComparison())
+    plan = detector.plan(flat_relation)
+    oversized = [p for p in plan if len(p) > 2048]
+    assert [len(p) for p in oversized] == [2054]
+    detector.detect(flat_relation, n_jobs=2)
+    report = detector.last_report
+    assert report.oversized_partitions == 1
+    assert report.banded_partitions == 1
+    assert report.work_units == len(plan) + 1
+    assert report.prewarmed_entries == 0
 
 
 def test_execution_settings_validate():
@@ -186,32 +213,42 @@ def test_execution_settings_validate():
         ExecutionSettings(chunk_size=0)
     with pytest.raises(ValueError):
         ExecutionSettings(n_jobs=0)
-    with pytest.raises(ValueError):
-        ExecutionSettings(split_pairs=0)
-    with pytest.raises(ValueError):
-        ExecutionSettings(prewarm_budget=-1)
 
 
-def test_prewarm_budget_overflow_skips_freezing(flat_relation):
+def test_prewarm_budget_overflow_skips_freezing(flat_relation, monkeypatch):
     """A budget too small for the plan leaves the warm incomplete: the
     caches are then not frozen around the fork (the skewed-block regime
     the stealing scheduler sidesteps) — and decisions are unchanged."""
+    detector = _detector(CertainKeyBlocking(BLOCK_KEY))
+    plan = detector.plan(flat_relation)
+    matcher = default_matcher()
+    warmed, complete = prewarm_plan(matcher, flat_relation, plan, budget=5)
+    assert not complete
+    assert 0 < warmed <= 5
     reference = _detector(CertainKeyBlocking(BLOCK_KEY)).detect(
         flat_relation
     )
-    detector = _detector(CertainKeyBlocking(BLOCK_KEY))
-    capped = detector.detect(flat_relation, n_jobs=2, prewarm_budget=5)
+    full_warm = scheduler.prewarm_plan
+    monkeypatch.setattr(
+        scheduler,
+        "prewarm_plan",
+        lambda matcher, relation, plan: full_warm(
+            matcher, relation, plan, budget=5
+        ),
+    )
+    capped = detector.detect(flat_relation, n_jobs=2)
     assert not detector.last_report.caches_frozen
     assert _triples(capped) == _triples(reference)
+    monkeypatch.undo()
     detector.detect(flat_relation, n_jobs=2)
     assert detector.last_report.caches_frozen
 
 
 def test_in_process_runs_never_split(flat_relation):
-    """n_jobs=1 decides every partition whole, in plan order: the split
+    """n_jobs=1 decides every partition whole, in plan order: the unit
     budget only subdivides work a pool would otherwise serialize."""
     detector = _detector(CertainKeyBlocking(BLOCK_KEY))
-    detector.detect(flat_relation, split_pairs=7)
+    detector.detect(flat_relation, chunk_size=7)
     report = detector.last_report
     assert report.oversized_partitions == 0
     assert report.work_units == report.partitions
@@ -393,7 +430,7 @@ def test_engine_is_usable_directly(flat_relation):
     plan = plan_candidates(reducer, flat_relation)
     engine = ExecutionEngine(
         detector.procedure,
-        ExecutionSettings(n_jobs=2, split_pairs=9),
+        ExecutionSettings(n_jobs=2, chunk_size=9),
         splitter=reducer,
     )
     slices = list(engine.execute(flat_relation, plan))
@@ -465,3 +502,74 @@ def test_pruned_procedure_memo_evicts_oldest_not_everything():
     assert procedures[0] not in memo_values
     assert all(p in memo_values for p in procedures[1:])
     assert len(memo_values) == _MAX_PRUNED_PROCEDURES
+
+
+# ----------------------------------------------------------------------
+# Option surface: one execution-options path
+# ----------------------------------------------------------------------
+
+#: Every keyword ``_resolve_run`` takes, each set off its default.
+RUN_OPTIONS = {
+    "min_similarity": 0.5,
+    "kernel_backend": "python",
+    "chunk_size": 9,
+    "n_jobs": 2,
+    "keep_derivations": False,
+    "keep_compared_pairs": False,
+    "retry": RetryPolicy(max_attempts=2),
+    "on_error": "degrade",
+}
+
+RETIRED_OPTIONS = ("prewarm", "prewarm_budget", "split_pairs")
+
+
+class _Resolved(Exception):
+    """Raised by the resolver spy once it has recorded a call."""
+
+
+def _entry_points(detector, relation):
+    """``detect``, ``detect_between`` and ``session`` over *relation*."""
+    return (
+        lambda **options: detector.detect(relation, **options),
+        lambda **options: detector.detect_between(
+            relation, relation, **options
+        ),
+        lambda **options: detector.session(relation, **options),
+    )
+
+
+def test_entry_points_resolve_one_option_surface(flat_relation, monkeypatch):
+    """detect, detect_between and session hand the same execution
+    keywords to ``_resolve_run``; detect takes 12 keywords."""
+    resolver = inspect.signature(DuplicateDetector._resolve_run)
+    assert set(resolver.parameters) - {"self"} == set(RUN_OPTIONS)
+    detect = inspect.signature(DuplicateDetector.detect)
+    keywords = set(detect.parameters) - {"self", "relation"}
+    assert len(keywords) == 12
+    assert set(RUN_OPTIONS) <= keywords
+
+    detector = _detector(CertainKeyBlocking(BLOCK_KEY))
+    seen = []
+
+    def spy(*args, **kwargs):
+        bound = resolver.bind(detector, *args, **kwargs)
+        bound.apply_defaults()
+        seen.append({k: v for k, v in bound.arguments.items() if k != "self"})
+        raise _Resolved
+
+    monkeypatch.setattr(detector, "_resolve_run", spy)
+    entry_points = _entry_points(detector, flat_relation)
+    for call in entry_points:
+        with pytest.raises(_Resolved):
+            call(**RUN_OPTIONS)
+    assert seen == [RUN_OPTIONS] * len(entry_points)
+
+
+@pytest.mark.parametrize("option", RETIRED_OPTIONS)
+def test_retired_execution_options_raise_type_error(option, flat_relation):
+    detector = _detector(CertainKeyBlocking(BLOCK_KEY))
+    for call in _entry_points(detector, flat_relation):
+        with pytest.raises(TypeError, match=option):
+            call(**{option: 1})
+    with pytest.raises(TypeError, match=option):
+        ExecutionSettings(**{option: 1})
