@@ -63,8 +63,7 @@ sort_keys=True)``).  The fields this tracker and the benches rely on:
 ``cpu_count`` / ``cpu_affinity``
     Added by this tracker: ``os.cpu_count()`` and the number of CPUs
     the run could use (``len(os.sched_getaffinity(0))`` where the
-    platform has it).  With one usable CPU, ``n_jobs=2`` rows measure
-    total work, not speedup.
+    platform has it).
 
 Anything else pytest-benchmark emits is carried along untouched —
 consumers must tolerate unknown keys.
@@ -92,7 +91,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATTERN = re.compile(r"BENCH_(\d+)\.json$")
 
 #: Pytest arguments selecting the CI smoke subset.  The round flags only
-#: affect non-pedantic benches; pedantic benches (the scheduler fan-out)
+#: affect non-pedantic benches; pedantic benches (end-to-end detections)
 #: honor the ``BENCH_QUICK`` environment variable instead, which
 #: :func:`run_suite` exports in quick mode.
 QUICK_ARGS = [

@@ -7,12 +7,13 @@ These benches put numbers on that claim, on the same adversarial
 skewed-block workload as the scheduler benches (one giant block
 holding ~50% of all candidate pairs):
 
-* ``clean_path`` — end-to-end skewed detect at ``n_jobs=2`` under a
-  retry budget and a generous timeout that never fires: the price of
-  deadline-tracked, throttled dispatch when nothing goes wrong.
+* ``clean_path`` — end-to-end skewed detect under a retry budget and a
+  generous timeout that never fires: the price of deadline-checked
+  chunks when nothing goes wrong.
 * ``recovery`` — the same supervised run with one injected crash on
-  the first attempt: the marginal price of an actual retry (one extra
-  dispatch of one chunk) on top of the clean path.
+  the first attempt: the marginal price of an actual retry (the
+  victim's packed task replayed per partition, one partition decided
+  twice) on top of the clean path.
 * ``checksum_stream`` — streaming a spilled copy of the workload
   through a fresh store, so every file's CRC is verified on its first
   map: the out-of-core read path with its integrity check included.
@@ -33,7 +34,7 @@ from repro.testing import FaultInjector, installed
 
 ROUNDS = 1 if os.environ.get("BENCH_QUICK") else 3
 
-#: Never fires on a healthy dispatch — clean-path cost only.
+#: Never fires on a healthy attempt — clean-path cost only.
 SUPERVISED = RetryPolicy(max_attempts=2, timeout=60.0)
 
 
@@ -50,13 +51,12 @@ def expected_pairs(skewed_relation):
 
 
 def test_bench_faults_clean_path(benchmark, skewed_relation, expected_pairs):
-    """Skewed detect, n_jobs=2, under a policy that never fires."""
+    """Skewed detect under a policy that never fires."""
 
     def run():
         detector = _detector()
         result = detector.detect(
             skewed_relation,
-            n_jobs=2,
             keep_derivations=False,
             retry=SUPERVISED,
         )
@@ -84,7 +84,6 @@ def test_bench_faults_recovery(
         with installed(hook):
             result = fresh.detect(
                 skewed_relation,
-                n_jobs=2,
                 keep_derivations=False,
                 retry=SUPERVISED,
             )

@@ -158,11 +158,12 @@ def test_bench_bitparallel_damerau(benchmark, word_pairs):
 
 @pytest.fixture(scope="module")
 def warm_batch():
-    """A prewarm-shaped workload: one partition vocabulary crossed.
+    """A batch-shaped workload: one partition vocabulary crossed.
 
-    This is what the pair-aware prewarm hands the batch scorer — a few
-    thousand pairs drawn from a modest vocabulary, so shape groups are
-    large enough for vectorization to amortize array setup.
+    A cold cache's first chunk over one block hands the batch scorer a
+    batch like this — a few thousand pairs drawn from a modest
+    vocabulary, so shape groups are large enough for vectorization to
+    amortize array setup.
     """
     rng = random.Random(23)
     alphabet = "abcdefghijklmnopqrstuvwxyz"

@@ -1,9 +1,8 @@
 """Bench: block-aware execution planner.
 
-The planner hands the engine whole block partitions (disjoint cache
-working sets), and a pooled run pre-warms the shared caches from the
-plan before forking — these benches track that plan construction,
-streaming and cache pre-warming stay cheap.
+The planner hands the engine whole block partitions (coherent cache
+working sets) — these benches track that plan construction and
+streamed detection stay cheap.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from repro.reduction import (
     SubstringKey,
     plan_candidates,
 )
-from repro.reduction.plan import partition_value_pairs
 
 BLOCK_KEY = SubstringKey([("name", 1), ("job", 1)])
 
 
 @pytest.fixture(scope="module")
 def planner_dataset():
-    """Large enough that worker compute dominates fork overhead."""
+    """Large enough that decide work dominates per-partition overhead."""
     return generate_dataset(
         DatasetConfig(entity_count=1200, seed=47), flat=True
     )
@@ -70,22 +68,3 @@ def test_bench_planner_streamed_detection(benchmark, planner_dataset):
 
     total = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
     assert total > 0
-
-
-def test_bench_planner_cache_prewarm(benchmark, planner_dataset):
-    """Warming the whole plan's candidate value pairs into fresh caches."""
-    relation = planner_dataset.relation
-    plan = plan_candidates(CertainKeyBlocking(BLOCK_KEY), relation)
-    batches = [
-        partition_value_pairs(relation, partition)[0] for partition in plan
-    ]
-
-    def run():
-        matcher = default_matcher()
-        warmed = 0
-        for value_pairs in batches:
-            warmed += matcher.warm_pairs(value_pairs)[0]
-        return warmed
-
-    warmed = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
-    assert warmed > 0

@@ -8,14 +8,14 @@ input that determined the outcome — calibration-set fingerprints,
 resolved thresholds and pushdown floors, the plan's per-partition
 content fingerprints, and the per-partition η counts.
 
-The **semantic payload** deliberately excludes how the run was
-executed — worker count, kernel backend, storage backend — because
-the execution layers are all pinned bitwise to the serial reference:
-a spilled ``n_jobs=2`` run with split work units over the same
-data with the same model *must* produce the same manifest fingerprint
-as an in-memory serial run, and ``tests/test_calibration.py`` holds the
-system to that.  Execution details are still recorded, as
-non-fingerprinted ``environment`` metadata.
+The **semantic payload** deliberately excludes how the run was executed
+— chunk size, kernel backend, storage backend — because the execution
+layers are all pinned bitwise to the in-memory reference: a spilled run
+packed at a small chunk size over the same data with the same model
+*must* produce the same manifest fingerprint as an in-memory run at the
+default chunk size, and ``tests/test_calibration.py`` holds the system
+to that.  Execution details are still recorded, as non-fingerprinted
+``environment`` metadata.
 
 Serialization is canonical JSON (sorted keys, no whitespace, shortest
 round-trip floats), so equal payloads are equal *bytes* — the

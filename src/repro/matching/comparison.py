@@ -408,88 +408,6 @@ class AttributeMatcher:
             stats["<default>"] = self._default.cache
         return stats
 
-    def warm_pairs(
-        self,
-        value_pairs: Mapping[str, Sequence[tuple[Any, Any]]],
-        *,
-        budget: int | None = None,
-    ) -> tuple[int, int, bool]:
-        """Pre-warm the per-attribute caches from candidate value pairs.
-
-        Only the value combinations that actually occur across candidate
-        tuple pairs (collected by
-        :func:`repro.reduction.plan.partition_value_pairs`) are scored,
-        not the full pairwise square of each attribute's vocabulary —
-        window-family plans would over-warm by roughly
-        ``|span| / (2·(w−1))`` under the square — and the batch is
-        what the vectorized scorer
-        (:meth:`~repro.similarity.kernels.SimilarityCache.warm_pairs`)
-        encodes and scores in bulk.  The execution planner calls this
-        once per candidate partition before forking workers, so the
-        forked processes inherit a hot, shared similarity table instead
-        of each re-learning it.
-
-        Parameters
-        ----------
-        value_pairs:
-            ``{attribute: candidate value pairs}``.
-        budget:
-            Optional total bound on pairs examined across all
-            attributes.
-
-        Returns
-        -------
-        (warmed, examined, complete):
-            Entries newly stored, pairs examined (stored or already
-            present — the caller's budget bookkeeping unit), and whether
-            every attribute's pairs fit within the budget and cache
-            capacities (conservative: entries shared across calls may
-            make an "incomplete" warm complete in practice).
-        """
-        warmed = 0
-        examined = 0
-        complete = True
-        for attribute, pairs in value_pairs.items():
-            comparator = self._comparators.get(attribute, self._default)
-            if comparator is None or comparator.cache is None:
-                continue
-            cache = comparator.cache
-            concrete = comparator.cacheable_pairs(pairs)
-            needed = len(concrete)
-            remaining = None if budget is None else budget - examined
-            if remaining is not None and remaining <= 0:
-                complete = complete and needed == 0
-                continue
-            if (remaining is not None and needed > remaining) or (
-                len(cache) + needed > cache.max_entries
-            ):
-                complete = False
-            warmed += cache.warm_pairs(concrete, budget=remaining)
-            examined += (
-                min(needed, remaining) if remaining is not None else needed
-            )
-        return warmed, examined, complete
-
-    def freeze_caches(self) -> list[SimilarityCache]:
-        """Freeze every live cache (read-only shared table for workers).
-
-        Returns only the caches this call actually froze, so a caller
-        can restore exactly its own freezes — caches the user froze
-        beforehand (e.g. a shared immutable table) are left untouched
-        on both freeze and the matching thaw.
-        """
-        newly_frozen: list[SimilarityCache] = []
-        for cache in self.cache_stats().values():
-            if not cache.frozen:
-                cache.freeze()
-                newly_frozen.append(cache)
-        return newly_frozen
-
-    def thaw_caches(self) -> None:
-        """Thaw every live cache, regardless of who froze it."""
-        for cache in self.cache_stats().values():
-            cache.thaw()
-
     def comparator_for(self, attribute: str) -> UncertainValueComparator:
         """The configured comparator for *attribute*."""
         comparator = self._comparators.get(attribute, self._default)

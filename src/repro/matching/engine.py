@@ -137,7 +137,7 @@ class XTupleDecisionProcedure:
 
     @property
     def matcher(self) -> AttributeMatcher:
-        """The attribute matcher (exposed for cache pre-warming)."""
+        """The attribute matcher (exposed for cache inspection)."""
         return self._matcher
 
     @property

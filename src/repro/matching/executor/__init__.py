@@ -3,13 +3,11 @@
 Everything between planning and the per-pair decision:
 
 * :mod:`~repro.matching.executor.scheduler` —
-  :class:`ExecutionEngine` / :class:`ExecutionSettings`: one pipeline
-  for every run — cache pre-warm/freeze around forks, work units
-  (skew-aware subdivision through the reducers' ``split_partition``
-  hook, largest-first dispatch), one supervised runner, plan-order
-  reassembly;
-* :mod:`~repro.matching.executor.workers` — forked worker state and the
-  one decide loop shared by in-process attempts and workers;
+  :class:`ExecutionEngine` / :class:`ExecutionSettings`: one
+  in-process pipeline for every run — partitions packed into
+  chunk-sized tasks, one supervised runner, plan-order emission;
+* :mod:`~repro.matching.executor.workers` — the one decide loop and the
+  fault-injection hook seam;
 * :mod:`~repro.matching.executor.multisource` — source-tagged planning
   over :class:`~repro.pdb.storage.MultiSourceStore` views and
   cross-source pruning (the ℛ1/ℛ2, ℛ3/ℛ4 consolidation scenario
@@ -17,7 +15,7 @@ Everything between planning and the per-pair decision:
 * :mod:`~repro.matching.executor.faults` — the fault-tolerance layer:
   structured error taxonomy (:class:`WorkerCrash` /
   :class:`WorkerTimeout` / :class:`PartitionFailure`),
-  :class:`RetryPolicy` and the supervised dispatcher driving
+  :class:`RetryPolicy` and the supervised runner driving
   retry-then-degrade recovery;
 * :mod:`~repro.matching.executor.progress` —
   :class:`ExecutionReport` run reports, per-partition
@@ -58,17 +56,14 @@ from repro.matching.executor.progress import (
 from repro.matching.executor.results import DetectionResult, slice_result
 from repro.matching.executor.scheduler import (
     DEFAULT_CHUNK_SIZE,
-    PREWARM_PAIR_BUDGET,
     ExecutionEngine,
     ExecutionSettings,
     prewarm_plan,
-    subdivide_partition,
 )
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "ON_ERROR_MODES",
-    "PREWARM_PAIR_BUDGET",
     "DeadlineExceeded",
     "DetectionResult",
     "ExecutionEngine",
@@ -91,6 +86,5 @@ __all__ = [
     "prune_disjoint_sources",
     "slice_result",
     "source_key_ranges",
-    "subdivide_partition",
     "tag_plan_sources",
 ]

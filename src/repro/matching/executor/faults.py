@@ -1,33 +1,32 @@
 """Fault tolerance for the execution engine: taxonomy, retry, supervision.
 
 The paper's pipeline assumes every comparison completes; a production
-run does not get that luxury — worker processes die, comparisons hang
-on pathological inputs, and out-of-core segments rot on disk.  This
+run does not get that luxury — comparisons raise or hang on
+pathological inputs, and out-of-core segments rot on disk.  This
 module gives the executor a *fault model*:
 
 * a structured error taxonomy — :class:`WorkerCrash` (a work unit's
-  dispatch raised or its process died), :class:`WorkerTimeout` (a
-  dispatch missed its deadline) and the terminal
-  :class:`PartitionFailure` — every instance carries the partition
-  label(s), multi-source tags and attempt count, so a failure report
-  is attributable without log spelunking;
-* a :class:`RetryPolicy` (attempt budget, per-dispatch timeout,
+  attempt raised), :class:`WorkerTimeout` (an attempt missed its
+  deadline) and the terminal :class:`PartitionFailure` — every
+  instance carries the partition label(s), multi-source tags and
+  attempt count, so a failure report is attributable without log
+  spelunking;
+* a :class:`RetryPolicy` (attempt budget, per-attempt timeout,
   exponential backoff) carried by
   :class:`~repro.matching.executor.scheduler.ExecutionSettings`;
-* the two runners every work unit goes through —
-  :func:`run_supervised_inline` in-process and the
-  :class:`SupervisedDispatcher` over a worker pool: every attempt is
-  tracked against its deadline, failed attempts are retried up to the
+* the runner every work unit goes through,
+  :func:`run_supervised_inline`: failed attempts are retried up to the
   budget, and an exhausted work unit is resolved per ``on_error`` —
 
   ``"raise"``
       raise a :class:`PartitionFailure` (chained to the underlying
       fault) and abort the run;
   ``"degrade"``
-      re-execute the work unit *in-process* in the parent.  Work units
-      are pure functions of their pair ids and the configured
-      procedure, so a degraded re-execution preserves bitwise-identical
-      decisions — the run completes correctly, merely slower;
+      re-execute the work unit once more without fault hook or
+      deadline.  Work units are pure functions of their pair ids and
+      the configured procedure, so a degraded re-execution preserves
+      bitwise-identical decisions — the run completes correctly,
+      merely slower;
   ``"skip"``
       drop the unit's partitions from the results and record one
       :class:`PartitionFailure` per partition in
@@ -41,36 +40,25 @@ increment report counters and emit
 :class:`~repro.matching.executor.progress.FaultEvent` objects, so a
 run can never degrade silently (the chaos CI job pins exactly this).
 
-Both runners resolve a failed attempt in one place,
+A failed attempt is resolved in one place,
 :func:`_resolve_failed_attempt`.  With the default policy (one
 attempt, no timeout) and ``on_error="raise"`` it engages no recovery:
 the attempt's own exception propagates unchanged, with its own type,
 and nothing is recorded — a clean run pays one ``try`` per work unit.
 
-A genuinely *killed* worker (SIGKILL, ``os._exit``) never reports
-back — the pool respawns a replacement but the in-flight task is lost,
-so process death is detected as a :class:`WorkerTimeout` once the
-dispatch deadline lapses.  Supervising against crashes therefore needs
-``RetryPolicy(timeout=...)`` set; exceptions raised *inside* a live
-worker surface immediately as :class:`WorkerCrash` without any
-deadline.
-
-In-process attempts (``n_jobs=1``) honor the same timeout
-*cooperatively*: the engine's chunk loop calls :func:`check_deadline`
-at every chunk boundary, and a lapsed attempt raises
-:class:`DeadlineExceeded` — classified by :func:`run_supervised_inline`
-as a :class:`WorkerTimeout` and resolved through exactly the same
-retry → degrade/skip/raise ladder as a dispatched timeout.  Only the
-degraded re-execution runs deadline-free: it is the run's last resort
-and must complete.
+Timeouts are enforced *cooperatively*: the engine's chunk loop calls
+:func:`check_deadline` at every chunk boundary, and a lapsed attempt
+raises :class:`DeadlineExceeded` — classified by
+:func:`run_supervised_inline` as a :class:`WorkerTimeout` and resolved
+through the retry → degrade/skip/raise ladder.  Only the degraded
+re-execution runs deadline-free: it is the run's last resort and must
+complete.
 """
 
 from __future__ import annotations
 
-import heapq
-import queue
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.matching.executor.progress import FaultEvent, ProgressTracker
@@ -93,16 +81,11 @@ class RetryPolicy:
         retry).
     timeout:
         Seconds one attempt may run before it counts as a
-        :class:`WorkerTimeout` (``None`` = no deadline).  Dispatched
-        attempts are detected the moment the deadline lapses; with a
-        timeout set, dispatch is throttled to ``n_jobs`` outstanding
-        tasks so time spent queued behind other tasks never counts
-        against a unit's deadline.  In-process (serial) attempts
-        enforce the same budget cooperatively — the chunk loop checks
-        the attempt deadline at every chunk boundary
-        (:func:`check_deadline`), so a lapsed attempt times out
-        between chunks; a comparison stuck *inside* one chunk still
-        cannot be preempted.  The degraded re-execution runs
+        :class:`WorkerTimeout` (``None`` = no deadline).  Enforced
+        cooperatively — the chunk loop checks the attempt deadline at
+        every chunk boundary (:func:`check_deadline`), so a lapsed
+        attempt times out between chunks; a comparison stuck *inside*
+        one chunk cannot be preempted.  The degraded re-execution runs
         deadline-free.
     backoff:
         Base delay in seconds before retry ``k`` (waits
@@ -177,13 +160,13 @@ class ExecutionFault(Exception):
 
 
 class WorkerCrash(ExecutionFault):
-    """A work unit's execution raised, or its worker process died."""
+    """A work unit's attempt raised."""
 
     kind = "crash"
 
 
 class WorkerTimeout(ExecutionFault):
-    """A dispatched work unit missed its per-attempt deadline."""
+    """A work unit's attempt missed its deadline."""
 
     kind = "timeout"
 
@@ -298,8 +281,7 @@ def fail_partitions(
     """Resolve exhausted *partitions* terminally: record, then raise/skip.
 
     Builds one :class:`PartitionFailure` per partition (deduplicated by
-    label across tasks — a partition whose pairs were batched into
-    several failed tasks is reported once), appends them to the run
+    label, so a label is reported once per run), appends them to the run
     report, emits one ``"failed"`` event, and raises the first failure
     when *on_error* is ``"raise"``.
     """
@@ -354,7 +336,7 @@ def _resolve_failed_attempt(
 ):
     """Retry, degrade, skip or raise one failed attempt of a work unit.
 
-    The one decision point both runners share.  Without recovery
+    The one decision point of the fault model.  Without recovery
     configured — *policy* neither retries nor times out and *on_error*
     is ``"raise"`` — the attempt's own *error* is re-raised unchanged
     and nothing is recorded.  Otherwise the attempt is counted and
@@ -455,229 +437,12 @@ def run_supervised_inline(
         attempt += 1
 
 
-@dataclass
-class _Pending:
-    """One outstanding dispatch attempt."""
-
-    attempt: int
-    deadline: float | None
-
-
-class SupervisedDispatcher:
-    """Retry/timeout supervision over one worker pool's dispatch queue.
-
-    Submissions go through ``apply_async`` with completion callbacks
-    feeding a result queue; the supervising (parent) thread waits on
-    that queue with a wake-up at the earliest outstanding deadline, so
-    a clean run costs one queue round trip per task and a hung or dead
-    worker is detected the moment its deadline lapses — never by
-    blocking forever on one missing result.
-
-    Parameters
-    ----------
-    policy / on_error:
-        See :class:`RetryPolicy` and :data:`ON_ERROR_MODES`.
-    tracker:
-        The run's :class:`~repro.matching.executor.progress.ProgressTracker`.
-    task_partitions:
-        ``index -> Sequence[CandidatePartition]`` — the plan partitions
-        task *index* touches (fault attribution).
-    fallback:
-        ``index -> results`` — hook-free in-process re-execution of
-        task *index* (the ``"degrade"`` path).
-    max_outstanding:
-        Dispatch throttle used when a timeout is configured (normally
-        ``n_jobs``); without a timeout every task is submitted up
-        front.
-    """
-
-    def __init__(
-        self,
-        *,
-        policy: RetryPolicy,
-        on_error: str,
-        tracker: ProgressTracker,
-        task_partitions: Callable[[int], Sequence],
-        fallback: Callable[[int], list],
-        max_outstanding: int,
-    ) -> None:
-        if on_error not in ON_ERROR_MODES:
-            raise ValueError(
-                f"unknown on_error {on_error!r}; "
-                f"expected one of {ON_ERROR_MODES}"
-            )
-        self._policy = policy
-        self._on_error = on_error
-        self._tracker = tracker
-        self._task_partitions = task_partitions
-        self._fallback = fallback
-        self._max_outstanding = max(max_outstanding, 1)
-
-    def run(
-        self, pool, worker: Callable, tasks: Sequence
-    ) -> Iterator[tuple[int, list | None]]:
-        """Yield ``(task index, results | None)`` in completion order.
-
-        ``None`` marks a task resolved by skip / degraded-failure; its
-        partitions are recorded in the report's failures.  Raises
-        :class:`PartitionFailure` under ``on_error="raise"``, or the
-        worker's own exception when no recovery is configured.
-        """
-        policy = self._policy
-        results_queue: queue.Queue = queue.Queue()
-        pending: dict[int, _Pending] = {}
-        delayed: list[tuple[float, int, int]] = []  # (when, index, attempt)
-        next_fresh = 0
-        finished = 0
-        limit = (
-            len(tasks) if policy.timeout is None else self._max_outstanding
-        )
-
-        def submit(index: int, attempt: int) -> None:
-            deadline = (
-                None
-                if policy.timeout is None
-                else time.monotonic() + policy.timeout
-            )
-            pending[index] = _Pending(attempt, deadline)
-
-            def succeeded(result, index=index, attempt=attempt):
-                results_queue.put((index, attempt, result, None))
-
-            def errored(error, index=index, attempt=attempt):
-                results_queue.put((index, attempt, None, error))
-
-            pool.apply_async(
-                worker,
-                ((attempt, tasks[index]),),
-                callback=succeeded,
-                error_callback=errored,
-            )
-
-        while finished < len(tasks):
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, index, attempt = heapq.heappop(delayed)
-                submit(index, attempt)
-            while next_fresh < len(tasks) and len(pending) < limit:
-                submit(next_fresh, 1)
-                next_fresh += 1
-            wake = min(
-                (
-                    entry.deadline
-                    for entry in pending.values()
-                    if entry.deadline is not None
-                ),
-                default=None,
-            )
-            if delayed and (wake is None or delayed[0][0] < wake):
-                wake = delayed[0][0]
-            try:
-                item = results_queue.get(
-                    timeout=(
-                        None
-                        if wake is None
-                        else max(wake - time.monotonic(), 0.0)
-                    )
-                )
-            except queue.Empty:
-                # A deadline (or a backoff resubmission) came due.
-                now = time.monotonic()
-                overdue = [
-                    index
-                    for index, entry in pending.items()
-                    if entry.deadline is not None and entry.deadline <= now
-                ]
-                for index in overdue:
-                    attempt = pending.pop(index).attempt
-                    fault = self._timeout_fault(index, attempt)
-                    outcome = self._attempt_failed(
-                        index, fault, fault, delayed
-                    )
-                    if outcome is not _RETRYING:
-                        finished += 1
-                        yield index, outcome
-                continue
-            index, attempt, result, error = item
-            entry = pending.get(index)
-            if entry is None or entry.attempt != attempt:
-                # Late result of an abandoned (timed-out) attempt: the
-                # retry recomputes the same pure results; drop it.
-                continue
-            del pending[index]
-            if error is None:
-                finished += 1
-                yield index, result
-                continue
-            fault = self._crash_fault(index, attempt, error)
-            outcome = self._attempt_failed(index, fault, error, delayed)
-            if outcome is not _RETRYING:
-                finished += 1
-                yield index, outcome
-
-    # ------------------------------------------------------------------
-    # Attempt resolution
-    # ------------------------------------------------------------------
-
-    def _timeout_fault(self, index: int, attempt: int) -> WorkerTimeout:
-        labels, sources = _partitions_context(self._task_partitions(index))
-        return WorkerTimeout(
-            f"dispatch exceeded its {self._policy.timeout}s deadline "
-            "(worker hung, or its process died and the task was lost)",
-            partitions=labels,
-            sources=sources,
-            attempt=attempt,
-        )
-
-    def _crash_fault(
-        self, index: int, attempt: int, error: BaseException
-    ) -> WorkerCrash:
-        labels, sources = _partitions_context(self._task_partitions(index))
-        fault = WorkerCrash(
-            f"worker raised {type(error).__name__}: {error}",
-            partitions=labels,
-            sources=sources,
-            attempt=attempt,
-        )
-        fault.__cause__ = error
-        return fault
-
-    def _attempt_failed(
-        self,
-        index: int,
-        fault: ExecutionFault,
-        error: BaseException,
-        delayed: list[tuple[float, int, int]],
-    ):
-        """Resolve one failed dispatch attempt, queueing any retry."""
-        outcome = _resolve_failed_attempt(
-            fault,
-            error,
-            partitions=self._task_partitions(index),
-            fallback=lambda: self._fallback(index),
-            policy=self._policy,
-            on_error=self._on_error,
-            tracker=self._tracker,
-        )
-        if outcome is _RETRYING:
-            heapq.heappush(
-                delayed,
-                (
-                    time.monotonic() + self._policy.delay(fault.attempt),
-                    index,
-                    fault.attempt + 1,
-                ),
-            )
-        return outcome
-
-
 __all__ = [
     "ON_ERROR_MODES",
     "DeadlineExceeded",
     "ExecutionFault",
     "PartitionFailure",
     "RetryPolicy",
-    "SupervisedDispatcher",
     "WorkerCrash",
     "WorkerTimeout",
     "check_deadline",

@@ -1,9 +1,8 @@
 """Execution introspection: run reports and partition progress events.
 
 Large detections are opaque without this: a caller streaming a
-million-pair run wants to know how far along it is, whether the
-scheduler had to subdivide skewed blocks, and whether cache pre-warming
-actually completed before the fork.  The engine fills one
+million-pair run wants to know how far along it is, how its decisions
+split over η, and which faults it recovered from.  The engine fills one
 :class:`ExecutionReport` per run (exposed as
 ``DuplicateDetector.last_report``) and, when an observer callable is
 installed, emits one :class:`PartitionProgress` event per completed
@@ -44,7 +43,7 @@ class PartitionProgress:
 
 
 #: Observer signature: called once per completed partition slice, in
-#: plan order, from the process driving the execution.
+#: plan order.
 ProgressObserver = Callable[[PartitionProgress], None]
 
 
@@ -53,9 +52,10 @@ class FaultEvent:
     """One recovery action of a supervised run.
 
     Emitted by the fault layer (see
-    :mod:`repro.matching.executor.faults`) whenever a failed dispatch
-    is retried (``kind="retry"``), re-executed in-process
-    (``kind="degraded"``) or resolved terminally (``kind="failed"``) —
+    :mod:`repro.matching.executor.faults`) whenever a failed attempt
+    is retried (``kind="retry"``), re-executed without fault hook or
+    deadline (``kind="degraded"``) or resolved terminally
+    (``kind="failed"``) —
     the observable trail that makes silent degradation impossible.
     """
 
@@ -78,13 +78,13 @@ FaultObserver = Callable[[FaultEvent], None]
 
 @dataclass
 class ExecutionReport:
-    """What one execution did — scheduling decisions included.
+    """What one execution did: plan shape, decisions and fault recoveries.
 
     Counters are filled as the run progresses (a streamed run's report
     is complete only once the slice iterator is exhausted).
     """
 
-    #: Worker processes used (1 = in-process).
+    #: The run's ``n_jobs`` setting (always 1: every run is in-process).
     n_jobs: int = 1
     #: Partitions in the executed plan.
     partitions: int = 0
@@ -93,20 +93,6 @@ class ExecutionReport:
     #: Edit kernel recorded in the run's settings (``"fast"`` or
     #: ``"python"``).
     kernel_backend: str = ""
-    #: Similarity-cache entries stored by pre-warming.
-    prewarmed_entries: int = 0
-    #: Whether the warmed caches were frozen around the fork.
-    caches_frozen: bool = False
-    #: Partitions that exceeded the work-unit budget.
-    oversized_partitions: int = 0
-    #: Oversized partitions a reducer subdivided by sub-key.
-    subkey_split_partitions: int = 0
-    #: Oversized partitions (or sub-key groups) banded contiguously.
-    banded_partitions: int = 0
-    #: Work units after subdivision (one per partition in-process).
-    work_units: int = 0
-    #: Dispatch tasks handed to the worker queue.
-    dispatch_tasks: int = 0
     #: Pairs decided so far.
     decided_pairs: int = 0
     #: Decisions so far with η = m (declared duplicates).
@@ -117,13 +103,14 @@ class ExecutionReport:
     decided_unmatches: int = 0
     #: Partition slices yielded so far.
     completed_partitions: int = 0
-    #: Dispatch attempts that raised inside a worker (or in-process).
+    #: Attempts that raised.
     worker_crashes: int = 0
-    #: Dispatch attempts that missed their deadline (hang or dead worker).
+    #: Attempts that missed their deadline.
     worker_timeouts: int = 0
-    #: Failed attempts that were re-dispatched within the retry budget.
+    #: Failed attempts that were retried within the retry budget.
     retried_dispatches: int = 0
-    #: Exhausted work units re-executed in-process (``on_error="degrade"``).
+    #: Exhausted work units re-executed without fault hook or deadline
+    #: (``on_error="degrade"``).
     degraded_tasks: int = 0
     #: Terminal ``PartitionFailure`` objects, one per failed partition
     #: (``on_error="skip"``, or degradation that itself failed).
@@ -146,20 +133,6 @@ class ExecutionReport:
             f"eta m={self.decided_matches} p={self.decided_possibles} "
             f"u={self.decided_unmatches}",
         ]
-        if self.oversized_partitions:
-            parts.append(
-                f"split {self.oversized_partitions} oversized "
-                f"({self.subkey_split_partitions} by sub-key, "
-                f"{self.banded_partitions} banded) "
-                f"into {self.work_units} units"
-            )
-        if self.dispatch_tasks:
-            parts.append(f"{self.dispatch_tasks} dispatches")
-        if self.prewarmed_entries:
-            frozen = "frozen" if self.caches_frozen else "unfrozen"
-            parts.append(
-                f"prewarmed {self.prewarmed_entries} entries ({frozen})"
-            )
         faults = self.worker_crashes + self.worker_timeouts
         if faults:
             parts.append(

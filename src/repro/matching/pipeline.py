@@ -18,8 +18,8 @@ procedure, threshold-pushdown clones, preparation hooks) into a
 :class:`~repro.reduction.plan.CandidatePlan` and an
 :class:`~repro.matching.executor.ExecutionEngine`, and the engine in
 :mod:`repro.matching.executor` does everything between planning and the
-per-pair decision — partition scheduling, cache pre-warming, worker
-fan-out, skew-aware work stealing, streaming.  Inter-source detection
+per-pair decision — packing partitions into chunk-sized tasks, fault
+supervision, streaming.  Inter-source detection
 (:meth:`DuplicateDetector.detect_between`) plans source pairs over a
 :class:`~repro.pdb.storage.MultiSourceStore` view — two spilled stores
 are consolidated without ever materializing their union.
@@ -30,7 +30,6 @@ pipeline, in the same order, for every storage backend.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -257,7 +256,7 @@ class DuplicateDetector:
         *,
         kernel_backend: str | None = None,
         chunk_size: int | None = None,
-        n_jobs: int | None = 1,
+        n_jobs: int = 1,
         keep_derivations: bool = True,
         keep_compared_pairs: bool = True,
         retry: RetryPolicy | None = None,
@@ -268,9 +267,10 @@ class DuplicateDetector:
         """One run's ``(procedure, floors, settings)`` from its options.
 
         The one place :meth:`detect`, :meth:`detect_between` and
-        :meth:`session` resolve their options.  ``n_jobs=None`` means
-        one worker per CPU; the other ``None`` options keep the
-        :class:`~repro.matching.executor.ExecutionSettings` defaults.
+        :meth:`session` resolve their options.  ``None`` options keep
+        the :class:`~repro.matching.executor.ExecutionSettings`
+        defaults; ``n_jobs`` is retired, and anything but ``1`` raises
+        ``ValueError``.
         The configured pipeline clone is derived once per distinct
         ``(floors, kernel)`` combination and reused afterwards
         (including its band-keyed similarity caches), evicting
@@ -278,7 +278,7 @@ class DuplicateDetector:
         """
         defaulted = dict(chunk_size=chunk_size, retry=retry)
         settings = ExecutionSettings(
-            n_jobs=multiprocessing.cpu_count() if n_jobs is None else n_jobs,
+            n_jobs=n_jobs,
             keep_derivations=keep_derivations,
             keep_compared_pairs=keep_compared_pairs,
             kernel_backend=kernel_backend,
@@ -331,7 +331,7 @@ class DuplicateDetector:
             if not isinstance(relation, XRelation):
                 # Preparation hooks rewrite whole relations; rewriting an
                 # out-of-core store in place would defeat its read-only
-                # worker semantics.  Prepare, then spill.
+                # semantics.  Prepare, then spill.
                 raise TypeError(
                     "preparation hooks require an in-memory XRelation; "
                     "materialize the store, prepare, and re-spill "
@@ -345,7 +345,7 @@ class DuplicateDetector:
         relation: XRelation | ProbabilisticRelation | XTupleStore,
         *,
         chunk_size: int | None = None,
-        n_jobs: int | None = 1,
+        n_jobs: int = 1,
         keep_derivations: bool = True,
         keep_compared_pairs: bool = True,
         stream: bool = False,
@@ -402,29 +402,13 @@ class DuplicateDetector:
         chunk_size:
             Candidate pairs decided per working-set load (default
             :data:`~repro.matching.executor.DEFAULT_CHUNK_SIZE`).
-            In-process runs pack consecutive whole partitions into
-            tasks of at most this many pairs.  A pooled run subdivides
-            partitions above ``min(chunk_size, DEFAULT_PARTITION_PAIRS)``
-            pairs (2048 at the default) — via the reducer's sub-key
-            ``split_partition`` hook, else contiguous banding — and
-            dispatches the work units largest-first, so one skewed
-            block no longer serializes a parallel run.  Decisions are
-            bitwise identical either way.
+            Consecutive whole partitions are packed into tasks of at
+            most this many pairs; a larger partition is decided chunk
+            by chunk.  Decisions are bitwise identical at any size.
         n_jobs:
-            Number of worker processes.  1 (default) decides everything
-            in-process, in plan order; ``None`` uses one worker per
-            CPU.  Workers are forked and receive whole partitions or
-            their sub-key or banded work units, so each worker's
-            similarity-cache working set covers one block neighborhood.
-            When no partition needs subdividing, the parent first warms
-            the matcher's similarity caches from the plan's candidate
-            pairs and, if the warm fits
-            :data:`~repro.matching.executor.PREWARM_PAIR_BUDGET`,
-            freezes them read-only for the pool's lifetime so every
-            worker shares the parent's table copy-on-write.  Storage
-            backends are opened read-only by workers: a forked worker
-            re-opens a spilled store's segment files for itself and
-            never copies the relation.
+            Retired.  Every run decides in-process, in plan order;
+            ``1`` (the default) is the only accepted value, and any
+            other — ``None`` included — raises ``ValueError``.
         keep_derivations:
             When ``False``, decisions are returned without their
             intermediate comparison matrices (``derivation_input`` is
@@ -453,14 +437,13 @@ class DuplicateDetector:
             *assertions* by the caller that similarities below the
             floor cannot change any decision; unlike ``"auto"`` they
             are not validated against the model.  ``None`` (default)
-            computes every similarity exactly.  Cache pre-warming
-            under pushdown fills the band-keyed cutoff caches instead
-            of the exact tables.
+            computes every similarity exactly.  Under pushdown the
+            band-keyed cutoff caches fill instead of the exact tables.
         kernel_backend:
             Which edit kernel scores attribute similarities:
             ``"fast"`` (``None``, the default) — Myers bit-parallel
-            kernels per pair plus a numpy batch scorer for cache
-            pre-warming — or ``"python"``, the reference banded DPs.
+            kernels per pair plus a numpy batch scorer for a batch's
+            cache misses — or ``"python"``, the reference banded DPs.
             The fast kernel is pinned bitwise to the reference
             (``tests/test_backends.py``), so this is purely a
             performance knob; it composes with ``min_similarity``
@@ -476,9 +459,10 @@ class DuplicateDetector:
         retry:
             Fault-tolerance budget, a
             :class:`~repro.matching.executor.RetryPolicy`: failed or
-            timed-out worker dispatches are retried up to
-            ``max_attempts`` (with exponential ``backoff``), each
-            dispatch bounded by ``timeout`` seconds.  The default
+            timed-out attempts are retried up to ``max_attempts``
+            (with exponential ``backoff``), each attempt bounded by
+            ``timeout`` seconds, checked at every chunk boundary.  The
+            default
             policy (one attempt, no deadline) together with
             ``on_error="raise"`` engages no recovery: an attempt's
             exception propagates unchanged, with its own type, and
@@ -487,10 +471,10 @@ class DuplicateDetector:
             What happens to a work unit that exhausts the retry
             budget: ``"raise"`` (default) aborts the run with a
             :class:`~repro.matching.executor.PartitionFailure`;
-            ``"degrade"`` re-executes the unit in-process — work units
-            are pure, so a degraded run's decisions stay bitwise
-            identical, merely slower; ``"skip"`` drops the unit's
-            partitions and records one
+            ``"degrade"`` re-executes the unit once more without fault
+            hook or deadline — work units are pure, so a degraded
+            run's decisions stay bitwise identical, merely slower;
+            ``"skip"`` drops the unit's partitions and records one
             :class:`~repro.matching.executor.PartitionFailure` per
             partition in ``last_report.failures`` (partial results for
             consolidation workloads that prefer serving healthy
@@ -504,8 +488,8 @@ class DuplicateDetector:
             Build an :class:`~repro.audit.AuditManifest` for the run —
             calibration fingerprints, resolved thresholds/floors, plan
             fingerprints and per-partition η counts, canonicalized so
-            any execution variant of the same inputs (n_jobs, spilled
-            storage, kernel) fingerprints byte-identically.
+            any execution variant of the same inputs (chunk size,
+            spilled storage, kernel) fingerprints byte-identically.
             ``True`` records it as :attr:`last_manifest` only; a path
             additionally writes the manifest JSON (with a tamper-
             evident self-digest) to that file.  Requires a collected
@@ -559,8 +543,8 @@ class DuplicateDetector:
         sessions: ingests append to the journal, and a restart replays
         it and restores the snapshot's caches and fingerprint index.
         Remaining keyword options are those of :meth:`detect`
-        (``n_jobs``, ``chunk_size``, ``keep_derivations``, ``retry``
-        …) except ``stream``.
+        (``chunk_size``, ``keep_derivations``, ``retry`` …) except
+        ``stream``.
         """
         from repro.service.session import DetectionSession
 
@@ -684,7 +668,6 @@ class DuplicateDetector:
         engine = ExecutionEngine(
             procedure,
             settings,
-            splitter=self._reducer,
             observer=on_progress,
             fault_observer=on_fault,
         )

@@ -21,8 +21,8 @@ Contract (both implementations):
   chunk.  Backends may service it however is cheapest (the in-memory
   relation hands out its existing objects; the columnar store decodes
   each uncached tuple once, in file order);
-* stores are read-only from the pipeline's perspective: forked workers
-  may share one store and only ever read through it.
+* stores are read-only from the pipeline's perspective: the engine
+  only ever reads through them.
 """
 
 from __future__ import annotations

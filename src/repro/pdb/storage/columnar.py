@@ -33,15 +33,15 @@ be reassembled without consulting the others.
 
 Reads are **mmap-backed**: every file is mapped once per process and
 lines are sliced straight out of the mapping, so OS-cached pages are
-served without a read syscall or userspace buffering, and forked
-workers share the page cache with their parent for free (a mapping has
-no seek position).  Only ids and offsets stay resident; :meth:`get` and
+served without a read syscall or userspace buffering, and every
+process mapping the store shares one page cache (a mapping has no seek
+position).  Only ids and offsets stay resident; :meth:`get` and
 :meth:`fetch` serve an LRU cache of decoded tuples keyed by tuple id
 and decode only the requested tuples that miss it — one structure line
 plus one line per column each, in file order — so decoded residency
 stays bounded by ``page_size × max_pages`` tuples.  Mappings and cached
-tuples are pickled away (``__getstate__``), so shipping a store to a
-spawn-based worker costs only metadata.
+tuples are pickled away (``__getstate__``), so pickling a store costs
+only metadata.
 
 The payoff is **projection**: :meth:`ColumnarXTupleStore.project`
 scans the structure file plus only the named attributes' columns —
@@ -926,7 +926,7 @@ class ColumnarXTupleStore:
 
     def __getstate__(self) -> dict:
         # Mappings are process-local and cached tuples are cheap to
-        # refill; pickling (e.g. spawn-based pools) ships metadata only.
+        # refill; pickling ships metadata only.
         state = self.__dict__.copy()
         state["_maps"] = OrderedDict()
         state["_cache"] = OrderedDict()

@@ -3,7 +3,7 @@
 A long-running detection session sees *deltas* — batches of new,
 changed or retracted x-tuples arriving against a large, already-planned
 base — but every storage backend in this package is read-only by
-contract (forked workers share stores and only ever read).  This module
+contract (the engine only ever reads through a store).  This module
 supplies the two pieces that reconcile the contracts:
 
 * :class:`SessionStore` — a mutable *overlay* over any read-only

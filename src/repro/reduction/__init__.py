@@ -23,8 +23,8 @@ All strategies implement the ``pairs(relation)`` protocol of
 :class:`repro.matching.DuplicateDetector` directly.  Every strategy also
 implements ``plan(relation)`` (:mod:`repro.reduction.plan`), exposing its
 block/window structure as a :class:`~repro.reduction.plan.CandidatePlan`
-of schedulable partitions — the input of the detector's block-aware
-scheduler and cache pre-warming.
+of schedulable partitions — the input of the detector's execution
+engine and of incremental session refreshes.
 """
 
 from repro.reduction.alternatives import AlternativeSorting, MatchingMatrix
@@ -42,8 +42,6 @@ from repro.reduction.blocking import (
     CertainKeyBlocking,
     MultiPassBlocking,
     pairs_from_blocks,
-    refine_key,
-    split_block_by_refined_key,
 )
 from repro.reduction.keys import (
     KeyFunction,
@@ -61,9 +59,7 @@ from repro.reduction.plan import (
     CandidatePlan,
     PlanBuilder,
     PlanningReducer,
-    SplittableReducer,
     add_window_spans,
-    band_partition,
     delta_plan,
     members_of_pairs,
     ordered_pair,
@@ -72,7 +68,6 @@ from repro.reduction.plan import (
     plan_fingerprints,
     plan_from_blocks,
     plan_from_window,
-    split_partition_by_groups,
     tuple_fingerprint,
     tuple_keys,
 )
@@ -109,13 +104,11 @@ __all__ = [
     "PlanBuilder",
     "PlanningReducer",
     "SortedNeighborhood",
-    "SplittableReducer",
     "SubstringKey",
     "UncertainKeyClusteringBlocking",
     "UncertainKeySNM",
     "WorldSelection",
     "add_window_spans",
-    "band_partition",
     "delta_plan",
     "alternative_key_distribution",
     "average_pairwise_overlap",
@@ -136,15 +129,12 @@ __all__ = [
     "plan_from_blocks",
     "plan_from_window",
     "prefix_transform",
-    "refine_key",
     "tuple_fingerprint",
     "tuple_keys",
-    "split_block_by_refined_key",
     "select_diverse_worlds",
     "select_probable_worlds",
     "sort_by_key",
     "soundex_transform",
-    "split_partition_by_groups",
     "window_pairs",
     "xtuple_key_distribution",
 ]

@@ -28,15 +28,11 @@ from repro.reduction.keys import (
     alternative_key_distribution,
 )
 from repro.reduction.plan import (
-    CandidatePartition,
     CandidatePlan,
     plan_from_window,
     planning_view,
 )
-from repro.reduction.snm import (
-    split_window_partition_by_key,
-    window_pairs,
-)
+from repro.reduction.snm import window_pairs
 
 
 class MatchingMatrix:
@@ -205,24 +201,6 @@ class AlternativeSorting:
             relation_size=len(relation),
             source=repr(self),
             label="entries",
-        )
-
-    def split_partition(
-        self,
-        relation,
-        partition: "CandidatePartition",
-        *,
-        max_pairs: int,
-    ) -> "list[CandidatePartition] | None":
-        """Skew hook: subdivide one oversized entry span by key range.
-
-        Members bucket by their *most probable* key — a locality proxy
-        for the multi-entry sort positions an x-tuple occupies; the
-        regrouping is an exact pair cover either way, so decisions
-        never change (see :func:`split_window_partition_by_key`).
-        """
-        return split_window_partition_by_key(
-            relation, partition, self._key, max_pairs=max_pairs
         )
 
     def __repr__(self) -> str:

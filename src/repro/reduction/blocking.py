@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Mapping
 
 from repro.pdb.relations import XRelation
-from repro.pdb.storage.base import fetch_tuples
 from repro.pdb.worlds import PossibleWorld, enumerate_full_worlds
 from repro.pdb.xtuples import XTuple
 from repro.reduction.keys import (
@@ -31,13 +30,11 @@ from repro.reduction.keys import (
     most_probable_key,
 )
 from repro.reduction.plan import (
-    CandidatePartition,
     CandidatePlan,
     PlanBuilder,
     ordered_pair as _ordered,
     plan_from_blocks,
     planning_view,
-    split_partition_by_groups,
     tuple_keys,
     within_block_pairs,
 )
@@ -45,91 +42,6 @@ from repro.reduction.world_selection import (
     select_diverse_worlds,
     select_probable_worlds,
 )
-
-#: How many times a block split may double the sub-key lengths before
-#: giving up (the scheduler then falls back to contiguous banding).
-SPLIT_REFINEMENT_LIMIT = 4
-
-#: Member tuples fetched per batch while computing refined sub-keys, so
-#: splitting a giant block of an out-of-core store never pins more than
-#: this many decoded tuples beyond the store's tuple cache.
-SPLIT_FETCH_BATCH = 512
-
-
-def refine_key(key: SubstringKey, factor: int = 2) -> SubstringKey:
-    """A finer sub-key: every part keeps ``factor``× more characters.
-
-    The natural refinement of the paper's prefix keys — tuples sharing
-    a 1-character block key scatter over their 2-character keys — used
-    by the blocking family's ``split_partition`` hook to subdivide
-    skewed blocks without changing which pairs are compared.
-    """
-    if factor < 2:
-        raise ValueError(f"refinement factor must be >= 2, got {factor}")
-    return SubstringKey(
-        [(attribute, length * factor) for attribute, length in key.parts]
-    )
-
-
-def split_block_by_refined_key(
-    relation,
-    partition: CandidatePartition,
-    key: SubstringKey,
-    member_key: Callable[[XTuple, SubstringKey], str],
-    *,
-    max_pairs: int,
-    refinement_limit: int = SPLIT_REFINEMENT_LIMIT,
-) -> list[CandidatePartition] | None:
-    """Subdivide one block partition by progressively finer sub-keys.
-
-    Members are grouped by their refined key value (doubling part
-    lengths per refinement level); every candidate pair lands in the
-    sub-partition of its endpoint groups, so the split covers the
-    block's pairs exactly once whatever grouping wins.  The coarsest
-    level whose largest sub-partition fits ``max_pairs`` is preferred;
-    if no level within the refinement limit fits, the finest level that
-    subdivides at all is returned, and ``None`` (scheduler falls back
-    to banding) when the members never separate — or when a pattern
-    value cannot produce the longer key piece.
-    """
-    # One batch of decoded tuples at a time: every refinement level's
-    # key is computed while the batch is resident, and only the id →
-    # key strings survive — splitting a giant block of an out-of-core
-    # store never pins more than SPLIT_FETCH_BATCH decoded tuples
-    # beyond the store's tuple cache.
-    refined_keys = [
-        refine_key(key, 2**level) for level in range(1, refinement_limit + 1)
-    ]
-    groups_per_level: list[dict[str, str]] = [{} for _ in refined_keys]
-    valid_levels = len(refined_keys)
-    ids = partition.members
-    for start in range(0, len(ids), SPLIT_FETCH_BATCH):
-        batch = ids[start : start + SPLIT_FETCH_BATCH]
-        working_set = fetch_tuples(relation, batch)
-        for tuple_id in batch:
-            xtuple = working_set[tuple_id]
-            for index in range(valid_levels):
-                try:
-                    piece = member_key(xtuple, refined_keys[index])
-                except ValueError:
-                    # Pattern prefixes shorter than the refined part
-                    # length cannot key — and every finer level only
-                    # asks for longer pieces.  Drop this level and all
-                    # finer ones; the scheduler bands if none is left.
-                    valid_levels = index
-                    del groups_per_level[index:]
-                    break
-                groups_per_level[index][tuple_id] = piece
-    best: list[CandidatePartition] | None = None
-    for groups in groups_per_level[:valid_levels]:
-        if len(set(groups.values())) <= 1:
-            continue
-        split = split_partition_by_groups(partition, groups)
-        best = split
-        if max(len(sub) for sub in split) <= max_pairs:
-            return split
-    return best
-
 
 def pairs_from_blocks(
     blocks: Mapping[str, list[str]],
@@ -206,7 +118,7 @@ class CertainKeyBlocking:
 
         Blocks whose single member can form no pair are dropped; each
         surviving partition carries exactly its block's within-block
-        pairs, so a worker's cache working set covers one key
+        pairs, so a chunk's cache working set covers one key
         neighborhood.
 
         >>> from repro.pdb.relations import XRelation
@@ -234,28 +146,6 @@ class CertainKeyBlocking:
                 if callable(partition_memo)
                 else None
             ),
-        )
-
-    def split_partition(
-        self,
-        relation,
-        partition: CandidatePartition,
-        *,
-        max_pairs: int,
-    ) -> list[CandidatePartition] | None:
-        """Skew hook: subdivide one oversized block by a refined key.
-
-        Members are regrouped by the same conflict-resolution strategy
-        over doubled key-part lengths (see
-        :func:`split_block_by_refined_key`); which pairs are compared —
-        and their decisions — never changes.
-        """
-        return split_block_by_refined_key(
-            relation,
-            partition,
-            self._key,
-            self._key_strategy,
-            max_pairs=max_pairs,
         )
 
     def __repr__(self) -> str:
@@ -323,29 +213,6 @@ class AlternativeKeyBlocking:
             self.blocks(relation),
             relation_size=len(relation),
             source=repr(self),
-        )
-
-    def split_partition(
-        self,
-        relation,
-        partition: CandidatePartition,
-        *,
-        max_pairs: int,
-    ) -> list[CandidatePartition] | None:
-        """Skew hook: subdivide one oversized block by a refined key.
-
-        A member may sit in the block through any of its alternatives;
-        grouping by the most probable refined key is still an exact
-        cover (the grouping only steers locality — every pair lands in
-        exactly one sub-partition), it merely concentrates each
-        member's likeliest neighbors in one unit.
-        """
-        return split_block_by_refined_key(
-            relation,
-            partition,
-            self._key,
-            most_probable_key,
-            max_pairs=max_pairs,
         )
 
     def __repr__(self) -> str:

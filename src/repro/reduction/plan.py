@@ -2,9 +2,9 @@
 
 The Section-V reducers know their block/window structure, but the
 legacy ``pairs(relation)`` protocol flattens it into one anonymous pair
-stream — so batched detection could only stripe chunks blindly across
-workers, duplicating similarity-cache misses in every fork.  This module
-makes the structure explicit:
+stream — so batched detection could only cut it into blind chunks,
+and an incremental refresh could not tell which part of the stream a
+changed tuple touches.  This module makes the structure explicit:
 
 * :class:`CandidatePartition` — one schedulable unit of candidate pairs
   (a block, a window span, one multi-pass world) together with the
@@ -21,13 +21,6 @@ makes the structure explicit:
   only;
 * :func:`plan_candidates` — planner entry point with a single-partition
   fallback for legacy ``pairs()``-only reducers;
-* :func:`partition_value_pairs` — the attribute-value combinations one
-  partition's candidate pairs can compare, the input of similarity-cache
-  pre-warming;
-* :func:`split_partition_by_groups` / :func:`band_partition` — exact
-  subdivisions of one partition (by member grouping, or contiguous
-  banding) for the skew-aware scheduler; reducers with sub-key
-  structure expose it through the :class:`SplittableReducer` hook;
 * :func:`planning_view` / :func:`store_statistics` — the storage
   pushdown seam: key-extraction passes scan only the keyed attributes'
   columns of stores that support projection (the columnar backend),
@@ -51,8 +44,8 @@ partitions by.
 
 Every reducer in :mod:`repro.reduction` implements ``plan(relation)``
 on top of :func:`plan_from_blocks` / :func:`plan_from_window`; the
-scheduler in :mod:`repro.matching.pipeline` assigns whole partitions to
-workers so cache working sets stay disjoint.
+engine in :mod:`repro.matching.executor` decides whole partitions, in
+plan order.
 """
 
 from __future__ import annotations
@@ -62,16 +55,15 @@ import json
 from collections.abc import Iterable, Iterator, MutableMapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
-from typing import Any, Collection, Mapping, Protocol, runtime_checkable
+from typing import Collection, Mapping, Protocol, runtime_checkable
 
 from repro.pdb.storage.base import fetch_tuples
 from repro.pdb.storage.stats import StoreStatistics
-from repro.pdb.values import NULL
-from repro.similarity.kernels import pair_key
 
 #: Pair-count target per partition for window-family planners, chosen so
-#: partitions stay large enough to amortize worker dispatch and small
-#: enough that a plan has work for every worker.
+#: partitions stay large enough to amortize per-partition bookkeeping and
+#: small enough that a session refresh re-executes only the spans an
+#: ingest touched.
 DEFAULT_PARTITION_PAIRS = 2048
 
 #: Members fetched per batch during vocabulary extraction, so planning
@@ -179,26 +171,6 @@ class PlanningReducer(Protocol):
     """Reducers that expose their block/window structure as a plan."""
 
     def plan(self, relation) -> CandidatePlan:  # pragma: no cover
-        ...
-
-
-@runtime_checkable
-class SplittableReducer(Protocol):
-    """Reducers that can subdivide one of their partitions by sub-key.
-
-    The skew-aware scheduler calls ``split_partition`` on partitions
-    exceeding its cost budget; the reducer may return sub-partitions
-    whose concatenated pair *sets* cover the partition's pairs exactly
-    once (order may differ — the scheduler restores emission order when
-    reassembling), grouped so each sub-partition touches a small,
-    coherent member subset (e.g. a refined block key).  Returning
-    ``None`` (or raising nothing but producing one group) falls back to
-    the scheduler's contiguous row-banding.
-    """
-
-    def split_partition(
-        self, relation, partition: "CandidatePartition", *, max_pairs: int
-    ) -> "list[CandidatePartition] | None":  # pragma: no cover
         ...
 
 
@@ -458,7 +430,7 @@ def add_window_spans(
     """Append one sliding-window pass to *builder* as contiguous row spans.
 
     Row spans keep key-adjacent tuples — whose values the window will
-    compare against each other — in the same partition, so each worker's
+    compare against each other — in the same partition, so a chunk's
     cache working set covers one neighborhood of the sort order.
     Multi-pass strategies call this once per world on a shared builder.
     """
@@ -527,180 +499,6 @@ def members_of_pairs(
         members[left] = None
         members[right] = None
     return tuple(members)
-
-
-def split_partition_by_groups(
-    partition: CandidatePartition,
-    group_of: Mapping[str, str],
-) -> list[CandidatePartition]:
-    """Subdivide a partition by a member → group assignment.
-
-    Every pair lands in exactly one sub-partition — the one keyed by
-    its (unordered) endpoint group pair — so the sub-partitions' pair
-    sets cover the partition exactly once, whatever the grouping.  The
-    grouping only steers *locality*: a good assignment (refined block
-    key, sub-range of the sort order) gives each sub-partition a small
-    member working set, which is what lets a worker decide it with a
-    cold cache and no duplicated similarity work.
-
-    Pairs keep their relative emission order inside each sub-partition;
-    sub-partitions are ordered by first pair occurrence, so
-    concatenating them is a stable grouping of the original sequence.
-    Members inherit source tags per sub-partition.
-    """
-    buckets: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for pair in partition.pairs:
-        left_group = group_of[pair[0]]
-        right_group = group_of[pair[1]]
-        key = (
-            (left_group, right_group)
-            if left_group <= right_group
-            else (right_group, left_group)
-        )
-        buckets.setdefault(key, []).append(pair)
-    if len(buckets) <= 1:
-        return [partition]
-    subdivided: list[CandidatePartition] = []
-    for (one, other), pairs in buckets.items():
-        suffix = one if one == other else f"{one}×{other}"
-        subdivided.append(
-            CandidatePartition(
-                label=f"{partition.label}/{suffix}",
-                pairs=tuple(pairs),
-                members=members_of_pairs(pairs),
-                sources=partition.sources,
-            )
-        )
-    return subdivided
-
-
-def band_partition(
-    partition: CandidatePartition, max_pairs: int
-) -> list[CandidatePartition]:
-    """Fallback subdivision: contiguous ≤ ``max_pairs`` pair bands.
-
-    Works for *opaque* partitions (no sub-key structure known): slicing
-    the emission order preserves pair order trivially, so bands cover
-    the partition exactly once and concatenate back to it.
-    """
-    if max_pairs < 1:
-        raise ValueError("max_pairs must be >= 1")
-    pairs = partition.pairs
-    if len(pairs) <= max_pairs:
-        return [partition]
-    bands: list[CandidatePartition] = []
-    for start in range(0, len(pairs), max_pairs):
-        piece = pairs[start : start + max_pairs]
-        bands.append(
-            CandidatePartition(
-                label=f"{partition.label}/band[{start}:{start + len(piece)}]",
-                pairs=piece,
-                members=members_of_pairs(piece),
-                sources=partition.sources,
-            )
-        )
-    return bands
-
-
-def partition_value_pairs(
-    relation,
-    partition: CandidatePartition,
-    *,
-    limit: int | None = None,
-) -> tuple[dict[str, tuple[tuple[Any, Any], ...]], bool]:
-    """Attribute-value combinations the partition's pairs can compare.
-
-    Instead of the full pairwise square of each attribute's vocabulary,
-    walks the partition's *candidate tuple pairs* and collects, per
-    attribute, only the cross products of the two tuples' observed
-    outcomes — exactly the domain-element comparisons attribute
-    matching can issue for this partition.  Window-family plans whose
-    pairs span a sorted run of length ``|span|`` over-warm by roughly
-    ``|span| / (2·(w−1))`` under the square; the pair-aware set is what
-    the vectorized prewarm scorer encodes and scores in bulk.
-
-    Deduplicated per attribute under the cache's unordered-pair key
-    (first occurrence wins, so collection is deterministic in plan
-    order); ⊥ and reflexive same-type-equal combinations are excluded
-    — the comparator layer answers both without touching the cache.
-    Pattern values are kept for
-    :meth:`repro.similarity.uncertain.UncertainValueComparator.cacheable_pairs`
-    to expand or drop by policy.
-
-    Returns ``({attribute: value pairs}, truncated)``; with a *limit*,
-    collection stops once that many combinations are gathered and
-    *truncated* reports whether the partition may hold more — callers
-    warming under a budget pass ``limit=budget + 1`` so truncation
-    implies the budget was insufficient.
-    """
-    collected: dict[str, dict[tuple[Any, Any], tuple[Any, Any]]] = {}
-    outcomes_by_member: dict[str, dict[str, tuple[Any, ...]]] = {}
-    total = 0
-    truncated = False
-    pairs = partition.pairs
-    for start in range(0, len(pairs), VOCABULARY_BATCH_MEMBERS):
-        batch = pairs[start : start + VOCABULARY_BATCH_MEMBERS]
-        needed_members = [
-            member
-            for pair in batch
-            for member in pair
-            if member not in outcomes_by_member
-        ]
-        if needed_members:
-            working_set = fetch_tuples(
-                relation, list(dict.fromkeys(needed_members))
-            )
-            for tuple_id, xtuple in working_set.items():
-                observed: dict[str, dict[Any, None]] = {}
-                for alternative in xtuple.alternatives:
-                    for attribute in alternative.attributes:
-                        outcomes = observed.setdefault(attribute, {})
-                        for outcome in alternative.value(attribute).support:
-                            if outcome is NULL:
-                                continue
-                            outcomes.setdefault(outcome, None)
-                outcomes_by_member[tuple_id] = {
-                    attribute: tuple(outcomes)
-                    for attribute, outcomes in observed.items()
-                }
-        for left_id, right_id in batch:
-            left_outcomes = outcomes_by_member[left_id]
-            right_outcomes = outcomes_by_member[right_id]
-            for attribute, left_values in left_outcomes.items():
-                right_values = right_outcomes.get(attribute)
-                if not right_values:
-                    continue
-                seen = collected.setdefault(attribute, {})
-                for left_value in left_values:
-                    for right_value in right_values:
-                        if left_value is right_value or (
-                            type(left_value) is type(right_value)
-                            and left_value == right_value
-                        ):
-                            continue
-                        key = pair_key(left_value, right_value)
-                        if key in seen:
-                            continue
-                        if limit is not None and total >= limit:
-                            truncated = True
-                            break
-                        seen[key] = (left_value, right_value)
-                        total += 1
-                    if truncated:
-                        break
-                if truncated:
-                    break
-            if truncated:
-                break
-        if truncated:
-            break
-    return (
-        {
-            attribute: tuple(pairs.values())
-            for attribute, pairs in collected.items()
-        },
-        truncated,
-    )
 
 
 # ----------------------------------------------------------------------

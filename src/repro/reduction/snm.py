@@ -18,22 +18,14 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.pdb.relations import XRelation
-from repro.pdb.storage.base import fetch_tuples
 from repro.pdb.xtuples import XTuple
 from repro.reduction.keys import SubstringKey, most_probable_key
 from repro.reduction.plan import (
-    CandidatePartition,
     CandidatePlan,
     ordered_pair as _ordered,
     plan_from_window,
-    split_partition_by_groups,
     tuple_keys,
 )
-
-#: Members fetched per batch while recomputing keys for a sub-key
-#: split, bounding decoded residency on out-of-core stores.
-SPLIT_FETCH_BATCH = 512
-
 
 def window_pairs(
     ordered_ids: Sequence[str],
@@ -70,62 +62,6 @@ def window_pairs(
                     continue
                 seen.add(pair)
             yield pair
-
-
-def split_window_partition_by_key(
-    relation,
-    partition: CandidatePartition,
-    key: SubstringKey,
-    member_key: Callable[[XTuple, SubstringKey], str] = most_probable_key,
-    *,
-    max_pairs: int,
-    batch_size: int = SPLIT_FETCH_BATCH,
-) -> list[CandidatePartition] | None:
-    """Subdivide a window-span partition by sort-key range.
-
-    The SNM-family sub-key split hook: members are re-keyed with the
-    reducer's sort key, ordered by it, and cut into contiguous key
-    buckets sized so a bucket's expected pair share fits *max_pairs*
-    (per-member pair density is taken from the partition itself, so
-    windows and entry repetition need no special casing).  Pairs then
-    regroup by their endpoint buckets via
-    :func:`~repro.reduction.plan.split_partition_by_groups` — an exact
-    cover for any grouping, so which pairs are compared (and their
-    decisions) never changes; the bucketing only gives each stolen unit
-    a small, key-contiguous member range.  Window pairs straddling a
-    cut land in the ``bucket×bucket`` boundary units.
-
-    Returns ``None`` — letting the scheduler band contiguously — when
-    the partition is small enough, a key is uncomputable (pattern
-    prefix shorter than a key part), or everything shares one bucket.
-    """
-    pairs = len(partition.pairs)
-    members = partition.members
-    if pairs <= max_pairs or len(members) < 2:
-        return None
-    keys: dict[str, str] = {}
-    try:
-        for start in range(0, len(members), batch_size):
-            batch = members[start : start + batch_size]
-            working_set = fetch_tuples(relation, batch)
-            for tuple_id in batch:
-                keys[tuple_id] = member_key(working_set[tuple_id], key)
-    except ValueError:
-        return None
-    # Stable on member order, so equal keys keep their window order.
-    ordered = sorted(members, key=lambda tuple_id: keys[tuple_id])
-    density = max(1.0, pairs / len(members))
-    capacity = max(1, int(max_pairs // density))
-    bucket_count = -(-len(ordered) // capacity)
-    if bucket_count < 2:
-        return None
-    width = len(str(bucket_count - 1))
-    group_of = {
-        tuple_id: f"k{index // capacity:0{width}d}"
-        for index, tuple_id in enumerate(ordered)
-    }
-    subdivided = split_partition_by_groups(partition, group_of)
-    return subdivided if len(subdivided) > 1 else None
 
 
 def sort_by_key(
@@ -218,27 +154,6 @@ class SortedNeighborhood:
             self._window,
             relation_size=len(relation),
             source=repr(self),
-        )
-
-    def split_partition(
-        self,
-        relation,
-        partition: CandidatePartition,
-        *,
-        max_pairs: int,
-    ) -> list[CandidatePartition] | None:
-        """Skew hook: subdivide one oversized span by sort-key range.
-
-        Members regroup into contiguous key buckets (see
-        :func:`split_window_partition_by_key`); which pairs are
-        compared — and their decisions — never changes.
-        """
-        return split_window_partition_by_key(
-            relation,
-            partition,
-            self._key,
-            self._key_strategy,
-            max_pairs=max_pairs,
         )
 
     def __repr__(self) -> str:

@@ -20,15 +20,11 @@ from repro.pdb.ranking import KeyDistribution, expected_rank_order
 from repro.pdb.relations import XRelation
 from repro.reduction.keys import SubstringKey, xtuple_key_distribution
 from repro.reduction.plan import (
-    CandidatePartition,
     CandidatePlan,
     plan_from_window,
     planning_view,
 )
-from repro.reduction.snm import (
-    split_window_partition_by_key,
-    window_pairs,
-)
+from repro.reduction.snm import window_pairs
 
 #: Signature of a ranking function over `(item, key distribution)` pairs.
 RankingFunction = Callable[
@@ -114,24 +110,6 @@ class UncertainKeySNM:
             self._window,
             relation_size=len(relation),
             source=repr(self),
-        )
-
-    def split_partition(
-        self,
-        relation,
-        partition: "CandidatePartition",
-        *,
-        max_pairs: int,
-    ) -> "list[CandidatePartition] | None":
-        """Skew hook: subdivide one oversized ranked span by key range.
-
-        Members bucket by their *most probable* key — a locality proxy
-        for the expected-rank order; the regrouping is an exact pair
-        cover either way, so decisions never change (see
-        :func:`split_window_partition_by_key`).
-        """
-        return split_window_partition_by_key(
-            relation, partition, self._key, max_pairs=max_pairs
         )
 
     def __repr__(self) -> str:

@@ -26,16 +26,14 @@ recomputed; retained state is never *wrongly* reused.
 The session degrades gracefully to a full run: on the first
 :meth:`~DetectionSession.detect` the retained index is empty, every
 partition is stale, and the refresh is an ordinary plan-driven
-execution (including pair-aware cache prewarming).  Subsequent
-refreshes skip prewarming and instead retain the already-warm caches
-across calls (``ExecutionSettings(retain_caches=True)`` freezes them
-read-only around forks so parallel workers share them copy-on-write).
+execution.  The matcher's similarity caches live across calls, so
+later refreshes start warm.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.audit.manifest import build_manifest, run_environment, status_counts
@@ -137,13 +135,12 @@ class DetectionSession:
     procedure:
         The resolved Figure-6 decision procedure.
     reducer:
-        The detector's search-space reduction strategy (planner and,
-        in pooled runs, the sub-key splitter).
+        The detector's search-space reduction strategy (the planner).
     base:
         The prepared base relation or store the session overlays.
     settings:
-        The resolved execution settings of the initial run; later
-        refreshes reuse them with the caches retained.
+        The resolved execution settings; every refresh runs with
+        them.
     journal:
         Optional session directory (or an opened
         :class:`~repro.pdb.storage.SessionJournal`).  When given, the
@@ -293,15 +290,9 @@ class DetectionSession:
 
         executed: dict[str, tuple[XTupleDecision, ...]] = {}
         if stale.partitions:
-            settings = self._settings
-            if self.stats.refreshes:
-                # Later refreshes keep the already-warm caches instead
-                # of prewarming like the initial (one-shot) run.
-                settings = replace(settings, retain_caches=True)
             engine = ExecutionEngine(
                 self._procedure,
-                settings,
-                splitter=self._reducer,
+                self._settings,
                 observer=self._on_progress,
                 fault_observer=self._on_fault,
             )

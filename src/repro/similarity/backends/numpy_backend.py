@@ -1,7 +1,7 @@
 """Vectorized batch edit-distance scoring over numpy arrays.
 
-The prewarm path hands the cache *batches* of candidate value pairs
-(:meth:`repro.similarity.kernels.SimilarityCache.warm_pairs`), and
+The batched decide hands the cache *batches* of missed value pairs
+(:meth:`repro.similarity.kernels.SimilarityCache.lookup_codes`), and
 per-pair kernels leave almost all of that batch structure on the table:
 every pair pays the full Python interpreter overhead.  This module is
 the columnar alternative the "massive probabilistic databases" line of

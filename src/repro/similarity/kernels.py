@@ -38,13 +38,8 @@ module provides the performance core:
   dict lookup.  The table is integer-coded — one int key per pair of
   element codes — so the batched decide loop probes and fills it with
   numpy and C-level maps (:meth:`SimilarityCache.lookup_codes`);
-  strings appear only where entries are exported and absorbed.  For
-  block-partitioned execution the cache also supports
-  **pre-warming** (:meth:`SimilarityCache.warm_pairs` fills the table
-  from a partition's candidate value pairs before any pair is decided) and
-  **freezing** (:meth:`SimilarityCache.freeze` makes the table
-  read-only, so forked workers share the warmed pages copy-on-write
-  without ever dirtying them).  Cutoff-pruned results are *banded*:
+  strings appear only where entries are exported and absorbed.
+  Cutoff-pruned results are *banded*:
   each cache records the similarity floor its base comparator was
   configured with (:attr:`SimilarityCache.band`), and
   :meth:`SimilarityCache.banded` hands out one derived cache per active
@@ -339,7 +334,7 @@ class BandedEditComparator:
     keeping name, floor and — because ``"fast"`` is pinned bitwise to
     the reference DPs — results unchanged, and
     :meth:`batch_similarities` exposes the fast kernel's numpy batch
-    scorer to the cache prewarm path.
+    scorer to the cache's batched miss path.
     """
 
     __slots__ = ("name", "min_similarity", "_fn", "_kind", "_backend")
@@ -453,31 +448,6 @@ class BandedEditComparator:
 #: re-derivable, and live references keep working — they just stop
 #: being shared with future clones).
 _MAX_BANDS = 8
-
-
-def pair_key(left: Any, right: Any) -> tuple[Any, Any]:
-    """Canonical unordered-pair key of two domain elements.
-
-    Orders the operands so ``(a, b)`` and ``(b, a)`` share one key, as
-    they share one :class:`SimilarityCache` entry; pair-aware prewarm
-    collection (:func:`repro.reduction.plan.partition_value_pairs`)
-    deduplicates candidate value pairs with it.  Strings (the dominant
-    domain) are keyed directly; other operands are keyed together with
-    their type, because Python treats cross-type equalities like
-    ``1 == 1.0`` as dict-key collisions even though their string forms
-    — and hence comparator results — differ.  Falls back to hash
-    ordering for incomparable operand types; a hash tie keeps the given
-    order (costs at most a duplicate key, never a wrong result).
-    """
-    if type(left) is str and type(right) is str:
-        return (left, right) if left <= right else (right, left)
-    try:
-        if right < left:
-            left, right = right, left
-    except TypeError:
-        if hash(right) < hash(left):
-            left, right = right, left
-    return ((type(left), left), (type(right), right))
 
 
 #: Fewest pairs a batch must hold before :func:`score_pairs` hands it
@@ -642,11 +612,9 @@ class SimilarityCache:
         "max_entries",
         "hits",
         "misses",
-        "warmed",
         "reflexive_value",
         "band",
         "_bands",
-        "_frozen",
         "_table",
         "_codes",
         "_elements",
@@ -669,13 +637,11 @@ class SimilarityCache:
         self.max_entries = int(max_entries)
         self.hits = 0
         self.misses = 0
-        self.warmed = 0
         self.reflexive_value = float(reflexive_value)
         self.band = float(band)
         self._bands: dict[
             tuple[float, str | None], "SimilarityCache"
         ] = {}
-        self._frozen = False
         #: Similarities by ``lo * PAIR_BASE + hi`` of the operands'
         #: codes, in insertion order.
         self._table: dict[int, float] = {}
@@ -706,14 +672,11 @@ class SimilarityCache:
             return cached
         self.misses += 1
         result = self.base(left, right)
-        if not self._frozen:
-            if len(self._table) >= self.max_entries:
-                self._reset()
-            a = self._code(left)
-            b = self._code(right)
-            self._table[
-                a * PAIR_BASE + b if a < b else b * PAIR_BASE + a
-            ] = result
+        if len(self._table) >= self.max_entries:
+            self._reset()
+        a = self._code(left)
+        b = self._code(right)
+        self._table[a * PAIR_BASE + b if a < b else b * PAIR_BASE + a] = result
         return result
 
     def _code(self, element: Any) -> int:
@@ -774,8 +737,8 @@ class SimilarityCache:
         Each pair stands for *counts[i]* identical lookups (default
         one).  Answers, stores and counts exactly what that many
         per-pair calls would, in any order — a repeated miss counts as
-        the hit the first one's stored entry would have served, or,
-        while frozen, as another miss — but probes and fills the table
+        the hit the first one's stored entry would have served — but
+        probes and fills the table
         in bulk and scores the distinct misses in one
         :func:`score_codes` call, each in the orientation of its first
         occurrence and stored in first-occurrence order.  A batch that
@@ -817,23 +780,18 @@ class SimilarityCache:
         keys = np.minimum(left_codes, right_codes) * PAIR_BASE + np.maximum(
             left_codes, right_codes
         )
-        keys[(left_codes < 0) | (right_codes < 0)] = -1  # uncoded: a miss
         found, missed = probe(self._table, keys)
         repeats = int(occurrences[missed].sum())
         self.hits += int(occurrences.sum()) - repeats
         if len(missed):
-            if self._frozen:
-                self.misses += repeats
-            else:
-                self.misses += len(missed)
-                self.hits += repeats - len(missed)
+            self.misses += len(missed)
+            self.hits += repeats - len(missed)
             found[missed] = score_codes(
                 self.base, elements, lefts[missed], rights[missed]
             )
-            if not self._frozen:
-                self._table.update(
-                    zip(keys[missed].tolist(), found[missed].tolist())
-                )
+            self._table.update(
+                zip(keys[missed].tolist(), found[missed].tolist())
+            )
         results[compared] = found[inverse]
         return results
 
@@ -845,8 +803,7 @@ class SimilarityCache:
         translations: dict,
     ) -> np.ndarray:
         """The caller-code → cache-code array of *translations*, with
-        every operand of *lefts* / *rights* coded (-1 while frozen for
-        an element the table has never seen)."""
+        every operand of *lefts* / *rights* coded."""
         codes = self._codes
         entry = translations.get(id(codes))
         if entry is None or entry[1] != self._clears[0]:
@@ -862,18 +819,9 @@ class SimilarityCache:
         used = np.concatenate((lefts, rights))
         pending = np.unique(used[mine[used] < 0])
         if len(pending):
-            operands = list(map(elements.__getitem__, pending.tolist()))
-            if self._frozen:
-                keys = [
-                    x if type(x) is str else (type(x), x) for x in operands
-                ]
-                mine[pending] = np.fromiter(
-                    map(codes.get, keys, repeat(-1)),
-                    dtype=np.int64,
-                    count=len(keys),
-                )
-            else:
-                mine[pending] = self._encode(operands)
+            mine[pending] = self._encode(
+                list(map(elements.__getitem__, pending.tolist()))
+            )
         return mine
 
     def _encode(self, operands: list[Any]) -> np.ndarray:
@@ -903,88 +851,6 @@ class SimilarityCache:
         """Fraction of lookups answered from the cache."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    # ------------------------------------------------------------------
-    # Pre-warm / freeze (block-partitioned execution support)
-    # ------------------------------------------------------------------
-
-    def warm_pairs(
-        self,
-        pairs: Iterable[tuple[Any, Any]],
-        *,
-        budget: int | None = None,
-    ) -> int:
-        """Precompute results for an explicit sequence of value pairs.
-
-        Fills the table with ``base(a, b)`` for every given candidate
-        combination not already stored, so a plan scheduler can build
-        the shared similarity table once in the parent before forking
-        workers (duplicates and reflexive same-type-equal pairs — which
-        the lookup path short-circuits anyway — are skipped).  Warming
-        never changes a result: entries hold exactly what a cold lookup
-        would compute.  When the
-        base comparator exposes a vectorized ``batch_similarities`` hook
-        (see :meth:`BandedEditComparator.batch_similarities`), all
-        missing entries of the batch are scored in one call instead of
-        pair by pair — results are identical either way, the hook is
-        purely a throughput lever.
-
-        *budget* bounds the number of pairs examined (stored or already
-        present), warming stops at :attr:`max_entries` without
-        triggering the wholesale clear a hot-path overflow would, and
-        the return value is the number of entries newly stored (always
-        0 while frozen — warming is a write and respects the read-only
-        contract).
-        """
-        if self._frozen:
-            return 0
-        table = self._table
-        code = self._code
-        max_entries = self.max_entries
-        examined = 0
-        pending: dict[int, tuple[Any, Any]] = {}
-        for left, right in pairs:
-            if budget is not None and examined >= budget:
-                break
-            examined += 1
-            if left is right or (
-                type(left) is type(right) and left == right
-            ):
-                continue
-            if len(table) + len(pending) >= max_entries:
-                break
-            a = code(left)
-            b = code(right)
-            key = a * PAIR_BASE + b if a < b else b * PAIR_BASE + a
-            if key not in table:
-                pending.setdefault(key, (left, right))
-        if not pending:
-            return 0
-        scores = score_pairs(self.base, list(pending.values()))
-        table.update(zip(pending, scores))
-        self.warmed += len(pending)
-        return len(pending)
-
-    @property
-    def frozen(self) -> bool:
-        """Whether the table is read-only (lookups only, no inserts)."""
-        return self._frozen
-
-    def freeze(self) -> None:
-        """Make the table read-only.
-
-        A frozen cache still answers hits and still computes misses —
-        it just stops storing new entries and coding new elements, so
-        the warmed table can be shared copy-on-write across forked
-        workers without any page ever being dirtied (and without the
-        overflow clear wiping the shared table mid-run).  An element
-        the table has never seen is simply a miss.
-        """
-        self._frozen = True
-
-    def thaw(self) -> None:
-        """Re-enable inserts after :meth:`freeze`."""
-        self._frozen = False
 
     def banded(self, band: float, base: Comparator) -> "SimilarityCache":
         """The derived cache for one cutoff band.
@@ -1034,7 +900,7 @@ class SimilarityCache:
         """A view of this cache computing misses with *base* instead.
 
         Used by kernel switching: the clone **shares** this cache's
-        table, code map, band registry and frozen flag (both kernels
+        table, code map and band registry (both kernels
         return bitwise-identical results, so sharing entries across
         kernels is safe and keeps warmed tables warm), but scores cache
         misses with the new comparator.  Hit/miss statistics are
@@ -1053,7 +919,6 @@ class SimilarityCache:
         clone._elements = self._elements
         clone._clears = self._clears
         clone._bands = self._bands
-        clone._frozen = self._frozen
         return clone
 
     def export_entries(self) -> Iterator[tuple[str, str, float]]:
@@ -1089,7 +954,7 @@ class SimilarityCache:
         """A position in the table's insertion order, for
         :meth:`export_since`.
 
-        Entries are only ever appended — lookups, warming and absorbing
+        Entries are only ever appended — lookups and absorbing
         insert, nothing removes one entry — until a wholesale clear
         (the overflow clear or :meth:`clear`) empties the table; the
         cursor records the table, its clear count and its length.
@@ -1126,12 +991,11 @@ class SimilarityCache:
         operands' codes, skipping pairs already present.  Only values a
         prior run actually computed should be absorbed — the cache
         trusts them exactly as it trusts its own memoized results.
-        Respects :attr:`frozen` (absorbs nothing) and stops at
-        :attr:`max_entries` without triggering the wholesale clear.
-        Returns the number of entries newly stored.
+        Stops at :attr:`max_entries` without triggering the wholesale
+        clear.  Returns the number of entries newly stored.
         """
         room = self.max_entries - len(self._table)
-        if self._frozen or room <= 0:
+        if room <= 0:
             return 0
         rows = list(entries)
         if not rows:
@@ -1153,16 +1017,13 @@ class SimilarityCache:
                 room -= 1
                 if not room:
                     break
-        stored = len(table) - stored
-        self.warmed += stored
-        return stored
+        return len(table) - stored
 
     def clear(self) -> None:
         """Drop all entries and codes and reset the statistics."""
         self._reset()
         self.hits = 0
         self.misses = 0
-        self.warmed = 0
 
     @property
     def name(self) -> str:

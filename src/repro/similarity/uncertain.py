@@ -31,7 +31,6 @@ from repro.similarity.base import Comparator, NamedComparator
 from repro.similarity.kernels import (
     PAIR_BASE,
     SimilarityCache,
-    pair_key,
     probe,
     score_codes,
     unique_in_order,
@@ -270,49 +269,6 @@ class UncertainValueComparator:
     def exact_cache(self) -> SimilarityCache | None:
         """The exact (band-0) domain-element memo, when enabled."""
         return self._cache
-
-    def _cacheable_elements(self, value: Any) -> tuple[Any, ...]:
-        """The concrete operands *value* can put in front of the cache."""
-        if isinstance(value, PatternValue):
-            if self._policy == PatternPolicy.EXPAND:
-                return tuple(value.expansions(self._lexicon or ()))
-            return ()
-        return (value,)
-
-    def cacheable_pairs(
-        self, pairs: Iterable[tuple[Any, Any]]
-    ) -> tuple[tuple[Any, Any], ...]:
-        """The element pairs the cache may be queried with for *pairs*.
-
-        Maps observed candidate *value* pairs to the domain-element
-        pairs that can actually reach :attr:`cache` — expanding
-        patterns under the ``expand`` policy (their expansions are what
-        Equation 5 compares), dropping patterns under the other
-        policies (prefix heuristic calls the base comparator directly;
-        strict raises), and skipping reflexive same-type-equal pairs (the
-        lookup path short-circuits those without touching the store).
-        Deduplicated under the cache's unordered-pair key, first
-        occurrence wins, so pair-aware pre-warming examines each
-        distinct comparison exactly once.
-        """
-        concrete: dict[tuple[Any, Any], tuple[Any, Any]] = {}
-        for left, right in pairs:
-            left_options = self._cacheable_elements(left)
-            if not left_options:
-                continue
-            right_options = self._cacheable_elements(right)
-            for left_element in left_options:
-                for right_element in right_options:
-                    if left_element is right_element or (
-                        type(left_element) is type(right_element)
-                        and left_element == right_element
-                    ):
-                        continue
-                    concrete.setdefault(
-                        pair_key(left_element, right_element),
-                        (left_element, right_element),
-                    )
-        return tuple(concrete.values())
 
     def _certain_similarity(self, left: Any, right: Any) -> float:
         """Fast-path similarity of two concrete elements, floor-aware.

@@ -2,9 +2,9 @@
 
 Currently one: :mod:`repro.testing.faults`, the deterministic
 fault-injection harness behind the chaos suite — seeded injectors that
-kill the worker handling a chosen dispatch, stall it past its deadline,
-crash it outright, flip a byte of a spilled segment on disk, or cut a
-durable session at one write boundary of its directory.  Lives in the
+crash the attempt carrying a chosen pair, stall it past its deadline,
+flip a byte of a spilled segment on disk, or cut a durable session at
+one write boundary of its directory.  Lives in the
 package (not ``tests/``) so downstream deployments can chaos-test their
 own configurations with the same tools CI uses.
 """
@@ -21,7 +21,6 @@ from repro.testing.faults import (
     crash_on,
     cut_write,
     installed,
-    kill_on,
     stall_on,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "crash_on",
     "cut_write",
     "installed",
-    "kill_on",
     "stall_on",
 ]

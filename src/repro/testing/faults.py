@@ -2,20 +2,19 @@
 
 Chaos testing is only useful when it is *reproducible*: a fault that
 appears once in a thousand runs proves nothing about recovery.  This
-module injects the three production failure modes the fault-tolerance
-layer defends against — worker death, hung dispatch, bit rot — at
-seed-chosen but fully deterministic targets:
+module injects the production failure modes the fault-tolerance layer
+defends against — a raising comparison, a hung one, bit rot, a crash
+mid-write — at seed-chosen but fully deterministic targets:
 
-* **content-addressed dispatch hooks** — the executor consults an
-  installed hook once per attempt of every work unit with the attempt
-  number and the unit's candidate pairs
+* **content-addressed attempt hooks** — the executor consults an
+  installed hook once per attempt of every task with the attempt
+  number and the task's candidate pairs
   (:func:`repro.matching.executor.workers.set_fault_hook`).  Hooks
-  built here fire when a chosen *target pair* is part of the dispatch,
-  so the same pair misbehaves wherever scheduling happens to place it —
-  whole partitions or split work units, any worker count, any
-  chunking.  The attempt number travels in the dispatch payload, so
+  built here fire when a chosen *target pair* is part of the task, so
+  the same pair misbehaves wherever packing happens to place it — in a
+  task of many partitions or replayed alone, at any chunk size.
   ``attempts=(1,)`` injectors fail the first attempt and let the retry
-  succeed no matter which worker process the retry lands on;
+  succeed;
 * **on-disk byte flips** — :meth:`FaultInjector.flip_byte` corrupts a
   seed-chosen byte of a seed-chosen file (structure or column) of a
   seed-chosen segment family of a spilled store, for exercising
@@ -27,21 +26,17 @@ seed-chosen but fully deterministic targets:
   (install it as the session journal's
   :attr:`~repro.pdb.storage.SessionJournal.write_hook`).
 
-The hooks are installed in the parent *before* the engine forks its
-pool, so every worker inherits them (fork start method; the platforms
-the pipeline fans out on).  The degraded in-process fallback
-deliberately bypasses the hook — recovery must not re-trigger the
-fault it recovers from.
+The degraded re-execution deliberately bypasses the attempt hook —
+recovery must not re-trigger the fault it recovers from.
 
-Example — first attempt of whatever dispatch carries ``pair`` crashes,
+Example — the first attempt of whatever task carries ``pair`` crashes,
 the retry completes the run bitwise-identically::
 
     injector = FaultInjector(seed=7)
     pair = injector.pick_pair(plan)
     with installed(crash_on(pair)):
         result = detector.detect(
-            relation, n_jobs=2,
-            retry=RetryPolicy(max_attempts=2), on_error="raise",
+            relation, retry=RetryPolicy(max_attempts=2), on_error="raise",
         )
 """
 
@@ -53,7 +48,6 @@ import time
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import parent_process
 
 from repro.matching.executor.workers import set_fault_hook
 
@@ -73,7 +67,7 @@ WRITE_BOUNDARIES = ("journal", "delta", "replace", "truncate")
 
 
 class InjectedWorkerCrash(RuntimeError):
-    """The exception :func:`crash_on` injectors raise inside a worker."""
+    """The exception :func:`crash_on` injectors raise in an attempt."""
 
 
 class InjectedWriteCrash(RuntimeError):
@@ -84,8 +78,7 @@ class InjectedWriteCrash(RuntimeError):
 def installed(hook: FaultHook) -> Iterator[FaultHook]:
     """Install *hook* for the duration of a ``with`` block.
 
-    Install *before* the detect call so the engine's forked workers
-    inherit it; always cleared on exit, even when the run raises.
+    Always cleared on exit, even when the run raises.
     """
     set_fault_hook(hook)
     try:
@@ -111,11 +104,10 @@ def _targets(
 def crash_on(
     pair: tuple[str, str], *, attempts: Sequence[int] = (1,)
 ) -> FaultHook:
-    """Raise :class:`InjectedWorkerCrash` in the dispatch carrying *pair*.
+    """Raise :class:`InjectedWorkerCrash` in the attempt carrying *pair*.
 
     Models a work unit whose execution raises (poison input, transient
-    resource failure): the exception travels back through the pool's
-    error callback and surfaces as a
+    resource failure): the exception surfaces as a
     :class:`~repro.matching.executor.WorkerCrash` — detected
     immediately, no timeout needed.
     """
@@ -131,48 +123,19 @@ def crash_on(
     return hook
 
 
-def kill_on(
-    pair: tuple[str, str], *, attempts: Sequence[int] = (1,)
-) -> FaultHook:
-    """Kill the worker process handling the dispatch that carries *pair*.
-
-    Models hard process death (OOM killer, SIGKILL): ``os._exit`` skips
-    every handler, so the task is simply lost and the pool respawns a
-    replacement worker — detection therefore requires a
-    ``RetryPolicy(timeout=...)`` deadline, after which the unit
-    surfaces as a :class:`~repro.matching.executor.WorkerTimeout`.
-    When consulted *in-process* (serial supervision — there is no
-    worker process to lose), it degenerates to an
-    :class:`InjectedWorkerCrash` instead of killing the test run.
-    """
-    matches = _targets(pair, attempts)
-
-    def hook(attempt: int, pairs: Sequence[tuple[str, str]]) -> None:
-        if matches(attempt, pairs):
-            if parent_process() is None:
-                raise InjectedWorkerCrash(
-                    f"injected kill for pair {tuple(pair)!r} on attempt "
-                    f"{attempt} (in-process: no worker to kill)"
-                )
-            os._exit(1)
-
-    return hook
-
-
 def stall_on(
     pair: tuple[str, str],
     seconds: float,
     *,
     attempts: Sequence[int] = (1,),
 ) -> FaultHook:
-    """Stall the dispatch carrying *pair* for *seconds*.
+    """Stall the attempt carrying *pair* for *seconds*.
 
     Models a hung comparison (pathological input, stuck I/O): the
-    worker stays alive but the dispatch misses its deadline and is
-    retried as a :class:`~repro.matching.executor.WorkerTimeout`; the
-    stalled attempt's late result is discarded as stale.  Keep
-    *seconds* comfortably above the policy's ``timeout`` but bounded —
-    the sleeping worker occupies its pool slot until it wakes.
+    attempt overruns its deadline, the chunk loop notices at its first
+    chunk boundary, and the attempt is resolved as a
+    :class:`~repro.matching.executor.WorkerTimeout`.  Keep *seconds*
+    above the policy's ``timeout`` but small — the run waits them out.
     """
     matches = _targets(pair, attempts)
 
@@ -278,25 +241,19 @@ class FaultInjector:
         return tuple(self._rng.choice(partition.pairs))
 
     # ------------------------------------------------------------------
-    # Executor faults (content-addressed dispatch hooks)
+    # Executor faults (content-addressed attempt hooks)
     # ------------------------------------------------------------------
-
-    def worker_kill(
-        self, plan, *, attempts: Sequence[int] = (1,)
-    ) -> FaultHook:
-        """Kill the worker handling a seed-chosen pair's dispatch."""
-        return kill_on(self.pick_pair(plan), attempts=attempts)
 
     def partition_crash(
         self, plan, *, attempts: Sequence[int] = (1,)
     ) -> FaultHook:
-        """Crash the dispatch carrying a seed-chosen pair."""
+        """Crash the attempt carrying a seed-chosen pair."""
         return crash_on(self.pick_pair(plan), attempts=attempts)
 
     def partition_stall(
         self, plan, seconds: float, *, attempts: Sequence[int] = (1,)
     ) -> FaultHook:
-        """Stall the dispatch carrying a seed-chosen pair."""
+        """Stall the attempt carrying a seed-chosen pair."""
         return stall_on(self.pick_pair(plan), seconds, attempts=attempts)
 
     # ------------------------------------------------------------------
@@ -351,6 +308,5 @@ __all__ = [
     "crash_on",
     "cut_write",
     "installed",
-    "kill_on",
     "stall_on",
 ]

@@ -12,8 +12,8 @@
 * **end-to-end equivalence** — every reducer family's detection run on
   ``"fast"``, with and without its numpy batch scorer, is bitwise
   identical to the ``"python"`` oracle under every execution mode
-  (serial, ``n_jobs=2``, streamed, spilled store, threshold-pruned,
-  work stealing).  ``tests/test_differential.py`` samples the wider
+  (default chunk, packed at a small chunk, streamed, spilled store,
+  threshold-pruned).  ``tests/test_differential.py`` samples the wider
   configuration lattice.
 """
 
@@ -44,11 +44,7 @@ from repro.reduction import (
     SubstringKey,
     UncertainKeyClusteringBlocking,
     UncertainKeySNM,
-    plan_candidates,
 )
-from repro.pdb.storage.base import fetch_tuples
-from repro.pdb.values import NULL
-from repro.reduction.plan import partition_value_pairs
 from repro.similarity import (
     FAST_DAMERAU_LEVENSHTEIN,
     FAST_JARO_WINKLER,
@@ -270,7 +266,8 @@ class TestComparatorBackends:
 
     def test_cache_with_base_shares_the_store(self):
         cache = SimilarityCache(FAST_LEVENSHTEIN)
-        cache.warm_pairs(combinations(["meier", "maier", "mayer"], 2))
+        for left, right in combinations(["meier", "maier", "mayer"], 2):
+            cache(left, right)
         clone = cache.with_base(FAST_LEVENSHTEIN.with_backend("fast"))
         assert clone is not cache
         assert len(clone) == len(cache)
@@ -331,9 +328,9 @@ class TestComparatorBackends:
 
     def test_cache_absorb_round_trips_export_entries(self):
         source = SimilarityCache(FAST_JARO_WINKLER)
-        source.warm_pairs(
-            combinations(["meier", "maier", "mayer", "meyer"], 2)
-        )
+        names = ["meier", "maier", "mayer", "meyer"]
+        for left, right in combinations(names, 2):
+            source(left, right)
         entries = list(source.export_entries())
         restored = SimilarityCache(FAST_JARO_WINKLER)
         # Duplicates and either orientation collapse onto one entry.
@@ -376,25 +373,6 @@ class TestComparatorBackends:
         assert len(view) == len(cache) == 2
         view.clear()
         assert len(cache) == 0 and cache._elements == []
-
-    def test_frozen_cache_assigns_no_codes_and_stores_nothing(self):
-        cache = SimilarityCache(FAST_JARO_WINKLER)
-        cache("meier", "maier")
-        cache.freeze()
-        elements = list(cache._elements)
-        assert cache("meier", "mayer") == FAST_JARO_WINKLER("meier", "mayer")
-        assert cache.lookup_batch(
-            [("mayer", "meyer"), ("meyer", "mayer"), ("maier", "meier")]
-        ) == [
-            FAST_JARO_WINKLER("mayer", "meyer"),
-            FAST_JARO_WINKLER("meyer", "mayer"),
-            FAST_JARO_WINKLER("maier", "meier"),
-        ]
-        assert cache.absorb([("x", "y", 0.5)]) == 0
-        assert cache.warm_pairs([("p", "q")]) == 0
-        # One miss before freezing; frozen, a repeated miss stays a miss.
-        assert (cache.hits, cache.misses) == (1, 4)
-        assert len(cache) == 1 and cache._elements == elements
 
     def test_banded_caches_memoized_per_band_and_backend(self):
         cache = SimilarityCache(FAST_LEVENSHTEIN)
@@ -542,8 +520,7 @@ def test_backend_detection_is_bitwise_python(
     ``"fast"`` scores single pairs with the Myers bit-parallel kernels
     and batches with the numpy scorer.  The ``bitparallel`` case turns
     the batch hook off, so every edit pair goes through the per-pair
-    kernels; the ``numpy`` case leaves it on.  Workers are forked, so
-    the switch reaches them too.
+    kernels; the ``numpy`` case leaves it on.
     """
     if backend == "bitparallel":
         monkeypatch.setattr(
@@ -564,10 +541,8 @@ def test_backend_detection_is_bitwise_python(
     assert _triples(serial) == reference
     assert serial_detector.last_report.kernel_backend == "fast"
 
-    parallel = detector().detect(
-        relation, kernel_backend="fast", n_jobs=2, chunk_size=7
-    )
-    assert _triples(parallel) == reference
+    packed = detector().detect(relation, kernel_backend="fast", chunk_size=7)
+    assert _triples(packed) == reference
 
     slices = list(
         detector().detect(relation, kernel_backend="fast", stream=True)
@@ -584,122 +559,3 @@ def test_backend_detection_is_bitwise_python(
         relation, kernel_backend="fast", min_similarity="auto"
     )
     assert _triples(pruned) == reference
-
-    stealing = detector().detect(
-        relation, kernel_backend="fast", n_jobs=2, chunk_size=9
-    )
-    assert _triples(stealing) == reference
-
-
-# ----------------------------------------------------------------------
-# Pair-aware pre-warming
-# ----------------------------------------------------------------------
-
-
-def _vocabulary(relation, partition):
-    """Observed values per attribute over a partition's members."""
-    observed = {}
-    for xtuple in fetch_tuples(relation, partition.members).values():
-        for alternative in xtuple.alternatives:
-            for attribute in alternative.attributes:
-                observed.setdefault(attribute, set()).update(
-                    outcome
-                    for outcome in alternative.value(attribute).support
-                    if outcome is not NULL
-                )
-    return observed
-
-
-def _vocabulary_square(vocabulary):
-    return sum(
-        len(values) * (len(values) - 1) // 2
-        for values in vocabulary.values()
-    )
-
-
-class TestPairAwarePrewarm:
-    def test_value_pairs_are_a_subset_of_the_vocabulary_square(
-        self, flat_relation
-    ):
-        plan = plan_candidates(
-            SortedNeighborhood(SORT_KEY, window=5), flat_relation
-        )
-        partition = max(plan.partitions, key=lambda p: len(p.pairs))
-        vocabulary = _vocabulary(flat_relation, partition)
-        square = _vocabulary_square(vocabulary)
-        value_pairs, truncated = partition_value_pairs(
-            flat_relation, partition
-        )
-        assert not truncated
-        total = sum(len(pairs) for pairs in value_pairs.values())
-        assert 0 < total <= square
-        # Every collected combination draws from the vocabulary.
-        for attribute, pairs in value_pairs.items():
-            observed = vocabulary[attribute]
-            for left, right in pairs:
-                assert left in observed and right in observed
-
-    def test_window_plans_warm_fewer_than_the_square(self, flat_relation):
-        # A window of 5 over a sorted run compares only neighbors, so
-        # the pair-aware set must undercut the all-pairs square.
-        plan = plan_candidates(
-            SortedNeighborhood(SORT_KEY, window=5), flat_relation
-        )
-        partition = max(plan.partitions, key=lambda p: len(p.pairs))
-        if len(partition.members) < 8:
-            pytest.skip("partition too small to separate the counts")
-        square = _vocabulary_square(_vocabulary(flat_relation, partition))
-        value_pairs, _ = partition_value_pairs(flat_relation, partition)
-        assert sum(len(p) for p in value_pairs.values()) < square
-
-    def test_limit_truncates_and_reports_it(self, flat_relation):
-        plan = plan_candidates(
-            SortedNeighborhood(SORT_KEY, window=5), flat_relation
-        )
-        partition = max(plan.partitions, key=lambda p: len(p.pairs))
-        value_pairs, truncated = partition_value_pairs(
-            flat_relation, partition, limit=3
-        )
-        assert truncated
-        assert sum(len(pairs) for pairs in value_pairs.values()) == 3
-
-    def test_matcher_warm_pairs_fills_and_is_idempotent(
-        self, flat_relation
-    ):
-        plan = plan_candidates(
-            SortedNeighborhood(SORT_KEY, window=5), flat_relation
-        )
-        partition = max(plan.partitions, key=lambda p: len(p.pairs))
-        value_pairs, _ = partition_value_pairs(flat_relation, partition)
-        matcher = default_matcher()
-        warmed, examined, complete = matcher.warm_pairs(value_pairs)
-        assert complete
-        assert warmed > 0
-        assert examined >= warmed
-        again, _, complete_again = matcher.warm_pairs(value_pairs)
-        assert again == 0
-        assert complete_again
-
-    def test_prewarmed_run_freezes_and_undershoots_the_square(
-        self, flat_relation
-    ):
-        detector = _detector(
-            lambda: SortedNeighborhood(SORT_KEY, window=5)
-        )
-        result = detector.detect(flat_relation, n_jobs=2)
-        report = detector.last_report
-        assert report.prewarmed_entries > 0
-        assert report.caches_frozen
-        plan = plan_candidates(
-            SortedNeighborhood(SORT_KEY, window=5), flat_relation
-        )
-        squares = sum(
-            _vocabulary_square(_vocabulary(flat_relation, partition))
-            for partition in plan
-        )
-        assert report.prewarmed_entries < squares
-        reference = _detector(
-            lambda: SortedNeighborhood(SORT_KEY, window=5)
-        ).detect(flat_relation)
-        assert _triples(result) == _triples(reference)
-

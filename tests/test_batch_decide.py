@@ -189,16 +189,19 @@ LOOKUPS = [
 ]
 
 
-@pytest.mark.parametrize("frozen", (False, True))
+@pytest.mark.parametrize("absorbed", (False, True))
 @pytest.mark.parametrize("warm", (False, True))
-def test_lookup_batch_answers_and_counts_like_per_pair_calls(frozen, warm):
+def test_lookup_batch_answers_and_counts_like_per_pair_calls(absorbed, warm):
+    """From an empty table, one warmed by earlier lookups, and one
+    restored through ``absorb`` (a session snapshot's path)."""
     scalar = SimilarityCache(_counted_base([]))
     batched = SimilarityCache(_counted_base([]))
     for cache in (scalar, batched):
         if warm:
-            cache.warm_pairs([("x", "y"), ("ab", "q")])
-        if frozen:
-            cache.freeze()
+            cache("x", "y")
+            cache("ab", "q")
+        if absorbed:
+            cache.absorb([("ab", "abc", 0.125), ("q", "x", 0.5)])
     counts = [1, 2, 1, 3, 1, 1, 2, 1, 1]
     expected = []
     for (left, right), count in zip(LOOKUPS, counts):

@@ -1,8 +1,8 @@
-"""The batched / parallel execution modes of :meth:`DuplicateDetector.detect`.
+"""The batched execution modes of :meth:`DuplicateDetector.detect`.
 
-Every execution mode — chunked serial, multiprocessing fan-out,
-derivation-dropping — must produce exactly the same decisions as the
-plain serial pipeline; only resource usage may differ.
+Every execution mode — chunked, derivation-dropping — must produce
+exactly the same decisions as the plain pipeline; only resource usage
+may differ.
 """
 
 from __future__ import annotations
@@ -47,28 +47,6 @@ def test_keep_derivations_false_drops_matrices(dataset, reference):
     assert _decision_triples(slim) == _decision_triples(reference)
     assert all(d.derivation_input is None for d in slim.decisions)
     assert all(d.derivation_input is not None for d in reference.decisions)
-
-
-def test_parallel_detection_matches_reference(dataset, reference):
-    detector = DuplicateDetector(default_matcher(), weighted_model())
-    parallel = detector.detect(
-        dataset.relation, n_jobs=2, chunk_size=11
-    )
-    assert parallel.compared_pairs == reference.compared_pairs
-    assert _decision_triples(parallel) == _decision_triples(reference)
-    # Derivation inputs survive the process boundary.
-    assert all(
-        d.derivation_input is not None for d in parallel.decisions
-    )
-
-
-def test_parallel_without_derivations(dataset, reference):
-    detector = DuplicateDetector(default_matcher(), weighted_model())
-    slim = detector.detect(
-        dataset.relation, n_jobs=2, keep_derivations=False
-    )
-    assert _decision_triples(slim) == _decision_triples(reference)
-    assert all(d.derivation_input is None for d in slim.decisions)
 
 
 def test_detect_between_forwards_options(dataset):

@@ -17,8 +17,8 @@ Pins, in order:
   thresholds coincide with the inner model's decides bitwise
   identically to the unwrapped model, floors still pruning;
 * **audit manifests** — round-trip with tamper detection, and the
-  acceptance pin: a spilled ``n_jobs=2`` run's manifest is
-  byte-identical to the serial in-memory reference;
+  acceptance pin: a spilled run's manifest, packed at a small chunk
+  size, is byte-identical to the in-memory reference;
 * **sessions** — incremental ingest with a calibrated model stays
   bitwise equal to from-scratch detection, gate trips surface in
   ``SessionStats``, session manifests fingerprint-equal detect ones;
@@ -695,32 +695,27 @@ def test_manifest_stable_across_execution_variants(
 ):
     """The acceptance pin: execution never changes the fingerprint.
 
-    Serial in-memory is the reference; ``n_jobs=2`` (whole partitions
-    and split work units), the spilled out-of-core store under ``n_jobs=2``, and a
-    forced ``python`` kernel backend must all produce byte-identical
-    manifest payloads.
+    In-memory at the default chunk size is the reference; packing at
+    a small chunk size, the spilled out-of-core store at that chunk
+    size, and a forced ``python`` kernel backend must all produce
+    byte-identical manifest payloads.
     """
     serial = _audited_detector()
     serial.detect(flat_relation, audit=True)
     reference = serial.last_manifest
 
     variants = {}
-    parallel = _audited_detector()
-    parallel.detect(flat_relation, audit=True, n_jobs=2)
-    variants["n_jobs=2"] = parallel.last_manifest
-
-    stealing = _audited_detector()
-    stealing.detect(flat_relation, audit=True, n_jobs=2, chunk_size=7)
-    variants["stealing"] = stealing.last_manifest
+    packed = _audited_detector()
+    packed.detect(flat_relation, audit=True, chunk_size=7)
+    variants["packed"] = packed.last_manifest
 
     spilled = _audited_detector()
     spilled.detect(
         open_store(spilled_flat, page_size=4, max_pages=3),
         audit=True,
-        n_jobs=2,
         chunk_size=7,
     )
-    variants["spilled n_jobs=2"] = spilled.last_manifest
+    variants["spilled packed"] = spilled.last_manifest
 
     python_backend = _audited_detector()
     python_backend.detect(
@@ -733,9 +728,11 @@ def test_manifest_stable_across_execution_variants(
         assert manifest.fingerprint() == reference.fingerprint(), name
         assert manifest.verify_against(reference), name
     # The environment still records how each run executed …
-    assert variants["n_jobs=2"].environment["n_jobs"] == 2
-    assert variants["spilled n_jobs=2"].environment["storage"] != (
+    assert variants["spilled packed"].environment["storage"] != (
         reference.environment["storage"]
+    )
+    assert variants["python backend"].environment["kernel_backend"] == (
+        "python"
     )
     # … without ever entering the fingerprint.
     assert "environment" not in reference.payload()
@@ -822,7 +819,6 @@ def _skipping_run(relation, *, audit=False):
     with installed(crash_on(pair, attempts=(1, 2, 3))):
         result = detector.detect(
             relation,
-            n_jobs=2,
             chunk_size=16,
             retry=RetryPolicy(max_attempts=2),
             on_error="skip",

@@ -1,10 +1,9 @@
 """Seeded differential tests over the execution lattice and the decide path.
 
-Scheduling may change the order of work but never a result, so every
+Packing may change how work is batched but never a result, so every
 sampled configuration must decide exactly what the reference oracle
 (``tests/conftest.py``) decides, bit for bit: any of the ten reducers,
-in-process or on a two-worker pool, any chunk size (which packs
-in-process tasks and sets a pool's work-unit budget), collected or
+any chunk size (which packs partitions into tasks), collected or
 streamed, in memory or spilled to disk, on the fast or the ``"python"``
 edit kernel, exact or under threshold pushdown, under a clean
 two-attempt retry policy that degrades or raises on exhaustion.  The
@@ -214,7 +213,6 @@ def references(relations, oracle):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(sorted(REDUCERS)),
-    n_jobs=st.sampled_from((1, 2)),
     chunk_size=st.integers(min_value=1, max_value=40),
     stream=st.booleans(),
     storage=st.sampled_from(("memory", "spilled")),
@@ -227,7 +225,6 @@ def test_sampled_configuration_decides_like_the_oracle(
     spilled,
     references,
     name,
-    n_jobs,
     chunk_size,
     stream,
     storage,
@@ -244,7 +241,6 @@ def test_sampled_configuration_decides_like_the_oracle(
     try:
         result = detector.detect(
             relation,
-            n_jobs=n_jobs,
             chunk_size=chunk_size,
             stream=stream,
             retry=RetryPolicy(max_attempts=2),

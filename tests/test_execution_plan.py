@@ -6,15 +6,13 @@ Two invariant families are pinned here:
   stream: concatenated plan pairs equal the normalized, deduplicated
   ``pairs()`` sequence *in order*, and no pair appears in two
   partitions;
-* **execution equivalence** — in-process execution, multiprocessing
-  fan-out over whole partitions, and ``stream=True`` all produce exactly
-  the decisions of the reference oracle (the seed behavior), for every
+* **execution equivalence** — execution at the default chunk size,
+  packed at a small one, and ``stream=True`` all produce exactly the
+  decisions of the reference oracle (the seed behavior), for every
   reducer family of Section V.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +39,7 @@ from repro.reduction import (
     plan_candidates,
     plan_from_blocks,
 )
-from repro.reduction.plan import partition_value_pairs
-from repro.similarity.kernels import SimilarityCache, pair_key
+from repro.similarity.kernels import SimilarityCache
 
 SORT_KEY = SubstringKey([("name", 3), ("job", 2)])
 BLOCK_KEY = SubstringKey([("name", 1), ("job", 1)])
@@ -204,34 +201,6 @@ def test_blocking_plan_matches_blocks(x_relation):
         assert set(partition.members) <= set(members)
 
 
-def test_partition_value_pairs_cover_every_candidate_comparison(x_relation):
-    """Every distinct cross-alternative name comparison a candidate pair
-    can issue is collected once, under the cache's unordered key."""
-    plan = CertainKeyBlocking(BLOCK_KEY).plan(x_relation)
-    partition = max(plan.partitions, key=len)
-    value_pairs, truncated = partition_value_pairs(x_relation, partition)
-    assert not truncated
-    assert set(value_pairs) <= {"name", "job"}
-    collected = [pair_key(*pair) for pair in value_pairs.get("name", ())]
-    assert len(collected) == len(set(collected))
-
-    def names(tuple_id):
-        return {
-            outcome
-            for alternative in x_relation.get(tuple_id).alternatives
-            for outcome in alternative.value("name").support
-        }
-
-    expected = {
-        pair_key(left, right)
-        for left_id, right_id in partition.pairs
-        for left in names(left_id)
-        for right in names(right_id)
-        if left != right
-    }
-    assert set(collected) == expected
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     blocks=st.lists(
@@ -337,7 +306,7 @@ def test_plan_builder_dedups_like_the_pipeline(pairs, split):
 def test_partitioned_and_streamed_match_serial_seed_pipeline(
     name, flat_relation, x_relation, oracle
 ):
-    """Partitioned, parallel and streamed execution are bitwise-serial."""
+    """Partitioned, packed and streamed execution are bitwise-serial."""
     factory, kind = REDUCERS[name]
     relation = _relation_for(kind, flat_relation, x_relation)
 
@@ -348,13 +317,13 @@ def test_partitioned_and_streamed_match_serial_seed_pipeline(
 
     reference = oracle(detector(), relation)
     partitioned = detector().detect(relation)
-    parallel = detector().detect(relation, n_jobs=2, chunk_size=7)
+    packed = detector().detect(relation, chunk_size=7)
     slices = list(detector().detect(relation, stream=True))
 
     assert _triples(partitioned) == _triples(reference)
-    assert _triples(parallel) == _triples(reference)
+    assert _triples(packed) == _triples(reference)
     assert partitioned.compared_pairs == reference.compared_pairs
-    assert parallel.compared_pairs == reference.compared_pairs
+    assert packed.compared_pairs == reference.compared_pairs
 
     streamed = [triple for piece in slices for triple in _triples(piece)]
     assert streamed == _triples(reference)
@@ -398,215 +367,6 @@ def test_detector_plan_exposes_the_execution_plan(x_relation):
     )
     plan = detector.plan(x_relation)
     assert list(plan.pairs()) == _legacy_unique_pairs(reducer, x_relation)
-
-
-# ----------------------------------------------------------------------
-# Cache pre-warm / freeze
-# ----------------------------------------------------------------------
-
-
-def test_cache_warm_precomputes_pairwise_table():
-    calls = []
-
-    def base(left, right):
-        calls.append((left, right))
-        return 0.5
-
-    cache = SimilarityCache(base)
-    stored = cache.warm_pairs(combinations(["a", "b", "c", "b"], 2))
-    assert stored == 3
-    assert len(cache) == 3
-    assert cache.warmed == 3
-    calls.clear()
-    assert cache("b", "a") == 0.5
-    assert calls == []  # answered from the warm table
-    assert cache.hits == 1
-
-
-def test_cache_warm_budget_and_idempotence():
-    cache = SimilarityCache(lambda a, b: 1.0)
-    pairs = list(combinations("abcdef", 2))
-    assert cache.warm_pairs(pairs, budget=4) == 4
-    assert cache.warm_pairs(pairs) == 15 - 4
-    assert cache.warm_pairs(pairs) == 0  # everything already present
-
-
-def test_frozen_cache_reads_but_never_writes():
-    cache = SimilarityCache(lambda a, b: 0.25)
-    cache.warm_pairs([("x", "y")])
-    cache.freeze()
-    assert cache.frozen
-    assert cache("x", "y") == 0.25
-    assert cache("x", "z") == 0.25  # computed, not stored
-    assert len(cache) == 1
-    assert cache.warm_pairs([("x", "z")]) == 0  # warming is a write too
-    assert len(cache) == 1
-    cache.thaw()
-    assert cache("x", "z") == 0.25
-    assert len(cache) == 2
-
-
-def test_matcher_warm_fills_attribute_caches(x_relation):
-    matcher = default_matcher()
-    plan = CertainKeyBlocking(BLOCK_KEY).plan(x_relation)
-    partition = max(plan.partitions, key=len)
-    value_pairs, _ = partition_value_pairs(x_relation, partition)
-    warmed, examined, complete = matcher.warm_pairs(value_pairs)
-    assert complete
-    assert warmed > 0
-    assert examined >= warmed
-    assert all(
-        len(cache) > 0 for cache in matcher.cache_stats().values()
-    )
-    again = matcher.warm_pairs(value_pairs)
-    assert again[0] == 0  # idempotent
-
-
-def test_cacheable_pairs_expand_patterns():
-    """EXPAND-policy comparators query the cache with lexicon expansions,
-    so warming must cover them — not the raw pattern objects."""
-    from repro.pdb.values import PatternValue
-    from repro.similarity.jaro import JARO_WINKLER
-    from repro.similarity.uncertain import (
-        PatternPolicy,
-        UncertainValueComparator,
-    )
-
-    lexicon = ("musician", "muser", "baker")
-    expanding = UncertainValueComparator(
-        JARO_WINKLER,
-        pattern_policy=PatternPolicy.EXPAND,
-        pattern_lexicon=lexicon,
-        cache=True,
-    )
-    pairs = [
-        ("baker", PatternValue("mu*")),
-        ("muser", PatternValue("mu*")),
-        ("baker", "muser"),
-    ]
-    assert expanding.cacheable_pairs(pairs) == (
-        ("baker", "musician"),
-        ("baker", "muser"),
-        ("muser", "musician"),
-    )
-    # Non-expanding policies never reach the cache with patterns.
-    prefix = UncertainValueComparator(
-        JARO_WINKLER, pattern_policy=PatternPolicy.PREFIX, cache=True
-    )
-    assert prefix.cacheable_pairs(pairs) == (("baker", "muser"),)
-
-
-def test_pattern_vocabulary_prewarm_covers_expansion_lookups():
-    """A warmed-then-frozen cache must answer pattern-expansion lookups."""
-    from repro.pdb.relations import Schema, XRelation
-    from repro.pdb.values import PatternValue, ProbabilisticValue
-    from repro.pdb.xtuples import TupleAlternative, XTuple
-    from repro.matching import AttributeMatcher
-    from repro.datagen.corpus import JOBS
-    from repro.similarity.jaro import JARO_WINKLER
-    from repro.similarity.uncertain import (
-        PatternPolicy,
-        UncertainValueComparator,
-    )
-    from repro.reduction import CertainKeyBlocking, plan_candidates
-
-    schema = Schema(("name", "job"))
-
-    def xt(tuple_id, name, job):
-        return XTuple(
-            tuple_id,
-            [
-                TupleAlternative(
-                    {
-                        "name": ProbabilisticValue.certain(name),
-                        "job": ProbabilisticValue.certain(job),
-                    },
-                    1.0,
-                )
-            ],
-        )
-
-    relation = XRelation(
-        "patterns",
-        schema,
-        [
-            xt("t1", "John", PatternValue("mu*")),
-            xt("t2", "Jon", "musician"),
-        ],
-    )
-    matcher = AttributeMatcher(
-        {
-            "name": UncertainValueComparator(JARO_WINKLER, cache=True),
-            "job": UncertainValueComparator(
-                JARO_WINKLER,
-                pattern_policy=PatternPolicy.EXPAND,
-                pattern_lexicon=JOBS,
-                cache=True,
-            ),
-        }
-    )
-    plan = plan_candidates(
-        CertainKeyBlocking(SubstringKey([("name", 1)])), relation
-    )
-    value_pairs, _ = partition_value_pairs(relation, plan.partitions[0])
-    assert any(
-        isinstance(value, PatternValue)
-        for pair in value_pairs.get("job", ())
-        for value in pair
-    )
-    _, _, complete = matcher.warm_pairs(value_pairs)
-    assert complete
-    job_cache = matcher.cache_stats()["job"]
-    job_cache.freeze()
-    try:
-        before = job_cache.misses
-        comparator = matcher.comparator_for("job")
-        comparator(
-            ProbabilisticValue.certain(PatternValue("mu*")),
-            ProbabilisticValue.certain("musician"),
-        )
-        assert job_cache.misses == before  # every expansion pair was warm
-    finally:
-        job_cache.thaw()
-
-
-def test_prewarmed_parallel_detection_is_unchanged(x_relation, oracle):
-    reducer = CertainKeyBlocking(BLOCK_KEY)
-    reference = oracle(
-        DuplicateDetector(
-            default_matcher(), weighted_model(), reducer=reducer
-        ),
-        x_relation,
-    )
-    matcher = default_matcher()
-    warmed = DuplicateDetector(
-        matcher, weighted_model(), reducer=reducer
-    ).detect(x_relation, n_jobs=2)
-    assert _triples(warmed) == _triples(reference)
-    # The pool froze and thawed the caches around the fork.
-    assert all(
-        not cache.frozen for cache in matcher.cache_stats().values()
-    )
-    assert any(
-        cache.warmed > 0 for cache in matcher.cache_stats().values()
-    )
-
-
-def test_detect_preserves_caller_established_freezes(x_relation):
-    """A cache the caller froze stays frozen across a prewarmed run."""
-    matcher = default_matcher()
-    name_cache = matcher.cache_stats()["name"]
-    name_cache.freeze()
-    detector = DuplicateDetector(
-        matcher,
-        weighted_model(),
-        reducer=CertainKeyBlocking(BLOCK_KEY),
-    )
-    detector.detect(x_relation, n_jobs=2)
-    assert detector.last_report.prewarmed_entries > 0
-    assert name_cache.frozen  # detect only thaws its own freezes
-    assert not matcher.cache_stats()["job"].frozen
-    name_cache.thaw()
 
 
 # ----------------------------------------------------------------------

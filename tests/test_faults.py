@@ -1,12 +1,11 @@
 """Fault-tolerance golden suite: recovery is bitwise, failure is loud.
 
-The contract under test (the PR-6 acceptance pin): with deterministic,
-seeded fault injection — worker crashes, worker kills, stalled
-dispatches, flipped segment bytes —
+The contract under test: with deterministic, seeded fault injection —
+crashed attempts, stalled attempts, flipped segment bytes —
 
-* whenever recovery succeeds (retry or in-process degradation), the
-  run's decisions are **bitwise identical** to the clean serial
-  pipeline's, across reducers and work-unit shapes;
+* whenever recovery succeeds (retry or degraded re-execution), the
+  run's decisions are **bitwise identical** to the clean reference
+  pipeline's, across reducers and chunk sizes;
 * whenever recovery is exhausted, the run resolves per ``on_error``:
   a structured ``PartitionFailure`` raised, or recorded in
   ``ExecutionReport.failures`` with the partitions dropped whole;
@@ -50,7 +49,6 @@ from repro.testing import (
     compose,
     crash_on,
     installed,
-    kill_on,
     stall_on,
 )
 
@@ -67,15 +65,21 @@ REDUCERS = {
 #: targets, every run with one seed picks the same.
 FAULT_SEEDS = (11, 29)
 
-#: Generous next to the ~5ms dispatches here; keeps slow-CI wiggle room
-#: while a stalled dispatch still times out quickly.
+#: Generous next to the ~5ms attempts here; keeps slow-CI wiggle room
+#: while a stalled attempt still times out quickly.
 TIMEOUT = 0.4
 STALL = 1.5
 
-#: Work-unit shapes of a pooled run, set by the chunk size (a pooled
-#: run's unit budget): whole blocks (a chunk above the fixture's largest
-#: block, 28 pairs) or stolen sub-units (a chunk that splits most blocks).
+#: Chunk shapes, by id: ``"partitioned"`` decides every block within one
+#: chunk (above the fixture's largest block, 28 pairs); ``"stealing"``
+#: — an id kept so the chaos job's ``-k`` selections stay stable — uses
+#: a chunk below it, so the large blocks ride alone, over several chunks.
 CHUNK_SIZES = {"partitioned": 32, "stealing": 16}
+
+#: In-process chunk sizes: 16 packs few blocks per task, 4096 packs the
+#: whole blocking plan into one task (asserted where it matters), so a
+#: fault lands in a task shared with healthy partitions.
+PACKING_CHUNKS = (16, 4096)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +135,7 @@ def _assert_observable(report: ExecutionReport, events) -> None:
 
 
 # ----------------------------------------------------------------------
-# Retry-then-degrade stays bitwise golden: 3 reducers × both unit shapes
+# Retry-then-degrade stays bitwise golden: 3 reducers × both chunk shapes
 # ----------------------------------------------------------------------
 
 
@@ -141,8 +145,8 @@ def test_retry_then_degrade_bitwise_golden(
     name, units, flat_relation, references
 ):
     """Crash every attempt: the budget is spent retrying, then the unit
-    degrades to an in-process re-execution — decisions bitwise-equal to
-    the clean serial pipeline, and every recovery step observable."""
+    degrades to a hook-free re-execution — decisions bitwise-equal to
+    the clean reference pipeline, and every recovery step observable."""
     detector = _detector(REDUCERS[name]())
     plan = detector.plan(flat_relation)
     pair = FaultInjector(7).pick_pair(plan)
@@ -150,7 +154,6 @@ def test_retry_then_degrade_bitwise_golden(
     with installed(crash_on(pair, attempts=(1, 2))):
         result = detector.detect(
             flat_relation,
-            n_jobs=2,
             chunk_size=CHUNK_SIZES[units],
             retry=RetryPolicy(max_attempts=2),
             on_error="degrade",
@@ -175,7 +178,6 @@ def test_first_attempt_crash_retry_recovers(
     with installed(crash_on(pair, attempts=(1,))):
         result = detector.detect(
             flat_relation,
-            n_jobs=2,
             chunk_size=16,
             retry=RetryPolicy(max_attempts=2),
         )
@@ -185,34 +187,8 @@ def test_first_attempt_crash_retry_recovers(
 
 
 # ----------------------------------------------------------------------
-# The chaos seed matrix: worker-kill and stall recover via deadlines
+# The chaos seed matrix: stalls recover via deadlines
 # ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", FAULT_SEEDS)
-def test_worker_kill_recovered_by_deadline(
-    seed, flat_relation, references
-):
-    """A killed worker never reports back: the task is lost, the pool
-    respawns a replacement, and the dispatch deadline converts the loss
-    into a retried WorkerTimeout — the retry lands on a live worker."""
-    detector = _detector(REDUCERS["blocking"]())
-    plan = detector.plan(flat_relation)
-    events = []
-    with installed(FaultInjector(seed).worker_kill(plan)):
-        result = detector.detect(
-            flat_relation,
-            n_jobs=2,
-            chunk_size=16,
-            retry=RetryPolicy(max_attempts=2, timeout=TIMEOUT),
-            on_error="degrade",
-            on_fault=events.append,
-        )
-    assert _triples(result) == references["blocking"]
-    report = detector.last_report
-    assert report.worker_timeouts >= 1
-    assert report.recovered
-    _assert_observable(report, events)
 
 
 @pytest.mark.parametrize("units", sorted(CHUNK_SIZES))
@@ -220,15 +196,14 @@ def test_worker_kill_recovered_by_deadline(
 def test_stall_recovered_by_deadline(
     seed, units, flat_relation, references
 ):
-    """A hung dispatch misses its deadline and is retried; the stalled
-    attempt's late result is discarded as stale, not double-counted."""
+    """A hung attempt overruns its deadline, times out at the next
+    chunk boundary and is retried; the retry keeps decisions golden."""
     detector = _detector(REDUCERS["blocking"]())
     plan = detector.plan(flat_relation)
     events = []
     with installed(FaultInjector(seed).partition_stall(plan, STALL)):
         result = detector.detect(
             flat_relation,
-            n_jobs=2,
             chunk_size=CHUNK_SIZES[units],
             retry=RetryPolicy(max_attempts=2, timeout=TIMEOUT),
             on_fault=events.append,
@@ -242,7 +217,7 @@ def test_stall_recovered_by_deadline(
 
 
 def test_composed_faults_recover(flat_relation, references):
-    """Crash one dispatch and stall another in the same run."""
+    """Crash one attempt and stall another in the same run."""
     detector = _detector(REDUCERS["blocking"]())
     plan = detector.plan(flat_relation)
     injector = FaultInjector(5)
@@ -253,7 +228,6 @@ def test_composed_faults_recover(flat_relation, references):
     with installed(hook):
         result = detector.detect(
             flat_relation,
-            n_jobs=2,
             chunk_size=16,
             retry=RetryPolicy(max_attempts=3, timeout=TIMEOUT),
             on_error="degrade",
@@ -277,7 +251,6 @@ def test_skip_drops_failed_partitions_whole(
     with installed(crash_on(pair, attempts=(1, 2, 3))):
         result = detector.detect(
             flat_relation,
-            n_jobs=2,
             chunk_size=CHUNK_SIZES[units],
             retry=RetryPolicy(max_attempts=2),
             on_error="skip",
@@ -308,8 +281,7 @@ def test_raise_surfaces_structured_partition_failure(flat_relation):
         with pytest.raises(PartitionFailure) as info:
             detector.detect(
                 flat_relation,
-                n_jobs=2,
-                chunk_size=8,
+                    chunk_size=8,
                 retry=RetryPolicy(max_attempts=2),
                 on_error="raise",
             )
@@ -341,7 +313,6 @@ def test_degrade_failure_falls_back_to_recorded_failure(flat_relation):
     try:
         result = detector.detect(
             flat_relation,
-            n_jobs=1,
             chunk_size=8,
             retry=RetryPolicy(max_attempts=2),
             on_error="degrade",
@@ -357,7 +328,7 @@ def test_degrade_failure_falls_back_to_recorded_failure(flat_relation):
 
 
 # ----------------------------------------------------------------------
-# Serial supervision (n_jobs=1)
+# Serial supervision
 # ----------------------------------------------------------------------
 
 
@@ -369,7 +340,6 @@ def test_serial_supervision_retries_and_degrades(flat_relation, references):
     with installed(crash_on(pair, attempts=(1, 2))):
         result = detector.detect(
             flat_relation,
-            n_jobs=1,
             retry=RetryPolicy(max_attempts=2),
             on_error="degrade",
             on_fault=events.append,
@@ -381,30 +351,20 @@ def test_serial_supervision_retries_and_degrades(flat_relation, references):
     _assert_observable(report, events)
 
 
-def test_serial_kill_degenerates_to_crash(flat_relation, references):
-    """In-process there is no worker to kill: kill_on injects a crash
-    instead of taking down the test process."""
-    detector = _detector(REDUCERS["blocking"]())
-    plan = detector.plan(flat_relation)
-    with installed(FaultInjector(11).worker_kill(plan)):
-        result = detector.detect(
-            flat_relation,
-            retry=RetryPolicy(max_attempts=2),
-        )
-    assert _triples(result) == references["blocking"]
-    assert detector.last_report.worker_crashes >= 1
-
-
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_default_settings_propagate_raw_exceptions(n_jobs, flat_relation):
+@pytest.mark.parametrize("chunk_size", PACKING_CHUNKS)
+def test_default_settings_propagate_raw_exceptions(
+    chunk_size, flat_relation
+):
     """The compat pin: default settings engage no recovery.  Every run
     consults the fault hook, and an injected crash propagates with its
-    own type — not wrapped, not retried — with nothing recorded."""
+    own type — not wrapped, not retried — with nothing recorded, also
+    when the victim's first attempt was packed with healthy partitions
+    and replayed alone."""
     detector = _detector(REDUCERS["blocking"]())
     pair = FaultInjector(7).pick_pair(detector.plan(flat_relation))
     with installed(crash_on(pair)):
         with pytest.raises(InjectedWorkerCrash):
-            detector.detect(flat_relation, n_jobs=n_jobs)
+            detector.detect(flat_relation, chunk_size=chunk_size)
     report = detector.last_report
     assert report.worker_crashes == 0
     assert report.retried_dispatches == 0
@@ -703,22 +663,12 @@ def test_close_is_idempotent_and_fork_safe(tmp_path, flat_relation):
     with store:
         assert store.get(some_id).tuple_id == some_id
     store.close()
-    # A pickled copy (what a spawn pool would ship) has lazy handles
-    # that were never opened; closing it must not raise either.
+    # A pickled copy has lazy handles that were never opened; closing
+    # it must not raise either.
     clone = pickle.loads(pickle.dumps(store))
     clone.close()
     clone.close()
     assert clone.get(some_id).tuple_id == some_id
-
-
-def test_kill_hook_degenerates_in_main_process():
-    """kill_on must never ``os._exit`` the main (test) process."""
-    hook = kill_on(("a", "b"))
-    with pytest.raises(InjectedWorkerCrash, match="no worker to kill"):
-        hook(1, [("a", "b")])
-    # Non-matching dispatches and attempts pass through silently.
-    hook(2, [("a", "b")])
-    hook(1, [("x", "y")])
 
 
 # ----------------------------------------------------------------------
@@ -741,8 +691,7 @@ class TestLastReportPublication:
             with pytest.raises(PartitionFailure):
                 detector.detect(
                     flat_relation,
-                    n_jobs=2,
-                    chunk_size=8,
+                            chunk_size=8,
                     retry=RetryPolicy(max_attempts=2),
                     on_error="raise",
                 )
@@ -755,14 +704,14 @@ class TestLastReportPublication:
 
 
 # ----------------------------------------------------------------------
-# In-process deadlines: RetryPolicy.timeout honored without a pool
+# In-process deadlines: RetryPolicy.timeout honored at chunk boundaries
 # ----------------------------------------------------------------------
 
 
 def test_serial_timeout_retries_then_recovers(flat_relation, references):
     """A first-attempt stall past the deadline surfaces as a
-    WorkerTimeout at the next chunk boundary — no pool involved — and
-    the clean retry keeps the decisions bitwise golden."""
+    WorkerTimeout at the next chunk boundary, and the clean retry
+    keeps the decisions bitwise golden."""
     detector = _detector(REDUCERS["blocking"]())
     pair = FaultInjector(5).pick_pair(detector.plan(flat_relation))
     events = []
@@ -786,10 +735,8 @@ def test_serial_timeout_retries_then_recovers(flat_relation, references):
 
 
 def test_serial_timeout_degrades_bitwise(flat_relation, references):
-    """In-process (n_jobs=1): every attempt stalls, the budget is
-    spent on timeouts, and the deadline-free degraded re-execution
-    completes bitwise-identical — ``RetryPolicy.timeout`` is honored
-    without a pool."""
+    """Every attempt stalls, the budget is spent on timeouts, and the
+    deadline-free degraded re-execution completes bitwise-identical."""
     detector = _detector(REDUCERS["snm"]())
     pair = FaultInjector(5).pick_pair(detector.plan(flat_relation))
     events = []
@@ -807,12 +754,6 @@ def test_serial_timeout_degrades_bitwise(flat_relation, references):
     assert report.degraded_tasks >= 1
     assert not report.failures
     _assert_observable(report, events)
-
-
-#: In-process chunk sizes: 16 packs few blocks per task, 4096 packs the
-#: whole blocking plan into one task (asserted where it matters), so a
-#: fault lands in a task shared with healthy partitions.
-PACKING_CHUNKS = (16, 4096)
 
 
 def _victims(plan, pair) -> set[str]:

@@ -196,10 +196,12 @@ def test_ingest_matches_from_scratch(name, flat_relation, x_relation):
 def test_ingest_matches_from_scratch_parallel(
     name, flat_relation, x_relation
 ):
+    """A session deciding packed tasks of at most 8 pairs ingests like
+    a from-scratch detection."""
     factory, kind = REDUCERS[name]
     relation = _relation_for(kind, flat_relation, x_relation)
     base, upserts, deletes = split_scenario(relation)
-    session = _detector(factory()).session(base, n_jobs=2, chunk_size=8)
+    session = _detector(factory()).session(base, chunk_size=8)
     session.detect()
     result = session.ingest(upserts, deletes=deletes)
     union = materialized_union(base, upserts, deletes)

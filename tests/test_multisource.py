@@ -4,8 +4,8 @@ The acceptance pin: for every Section-V reducer,
 ``detect_between(left, right)`` — planned over the
 :class:`~repro.pdb.storage.MultiSourceStore` *view*, never a
 materialized union — produces bitwise the decisions of
-``detect(left.union(right))``, serial, fanned out (``n_jobs=2``),
-streamed, and with both sources spilled to out-of-core stores.
+``detect(left.union(right))``, at the default chunk, packed at a small
+one, streamed, and with both sources spilled to out-of-core stores.
 
 On top of the pin: source tagging, cross-source pruning
 (``within_sources=False`` equals the union run filtered to cross
@@ -171,15 +171,13 @@ def _triples(result):
 def test_detect_between_is_bitwise_the_union_run(
     name, flat_halves, x_halves, spilled_halves
 ):
-    """The acceptance pin: serial / n_jobs=2 / streamed / spilled."""
+    """The acceptance pin: default / packed / streamed / spilled."""
     factory, kind = REDUCERS[name]
     left, right = _halves_for(kind, flat_halves, x_halves)
     reference = _detector(factory).detect(left.union(right))
 
     serial = _detector(factory).detect_between(left, right)
-    parallel = _detector(factory).detect_between(
-        left, right, n_jobs=2, chunk_size=7
-    )
+    packed = _detector(factory).detect_between(left, right, chunk_size=7)
     slices = list(
         _detector(factory).detect_between(
             left, right, stream=True, keep_compared_pairs=False
@@ -187,7 +185,7 @@ def test_detect_between_is_bitwise_the_union_run(
     )
 
     assert _triples(serial) == _triples(reference)
-    assert _triples(parallel) == _triples(reference)
+    assert _triples(packed) == _triples(reference)
     assert serial.compared_pairs == reference.compared_pairs
     assert serial.relation_size == reference.relation_size
 
@@ -205,10 +203,10 @@ def test_detect_between_is_bitwise_the_union_run(
     right_store = open_store(right_path, page_size=4, max_pages=3)
     spilled = _detector(factory).detect_between(left_store, right_store)
     assert _triples(spilled) == _triples(reference)
-    spilled_parallel = _detector(factory).detect_between(
-        left_store, right_store, n_jobs=2, chunk_size=7
+    spilled_packed = _detector(factory).detect_between(
+        left_store, right_store, chunk_size=7
     )
-    assert _triples(spilled_parallel) == _triples(reference)
+    assert _triples(spilled_packed) == _triples(reference)
 
 
 @pytest.mark.parametrize("name", sorted(REDUCERS))
@@ -236,10 +234,8 @@ def test_detect_between_is_stealing_compatible(flat_halves):
     left, right = flat_halves
     factory = lambda: CertainKeyBlocking(BLOCK_KEY)  # noqa: E731
     reference = _detector(factory).detect(left.union(right))
-    stolen = _detector(factory).detect_between(
-        left, right, chunk_size=7, n_jobs=2
-    )
-    assert _triples(stolen) == _triples(reference)
+    packed = _detector(factory).detect_between(left, right, chunk_size=7)
+    assert _triples(packed) == _triples(reference)
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ Two invariant families pin the out-of-core path:
   full detect pipeline against a spilled
   :class:`~repro.pdb.storage.ColumnarXTupleStore` produces *bitwise*
   the decisions (ids, statuses, similarities), compared-pair sets and
-  partition labels of the in-memory :class:`XRelation` run — serial,
-  ``n_jobs=2``, ``stream=True`` and ``keep_compared_pairs=False``
-  alike;
+  partition labels of the in-memory :class:`XRelation` run — at the
+  default chunk, packed at a small one, ``stream=True`` and
+  ``keep_compared_pairs=False`` alike;
 * **segment-codec round trips** — arbitrary generated x-relations
   survive ``spill → open_store → iterate`` with exact outcome order,
   alternative probabilities and values intact (hypothesis properties
@@ -76,7 +76,7 @@ def test_spilled_detection_is_bitwise_in_memory(
 
     reference = build_detector(factory).detect(relation)
     serial = build_detector(factory).detect(store)
-    parallel = build_detector(factory).detect(store, n_jobs=2, chunk_size=7)
+    packed = build_detector(factory).detect(store, chunk_size=7)
     slices = list(
         build_detector(factory).detect(
             store, stream=True, keep_compared_pairs=False
@@ -84,9 +84,9 @@ def test_spilled_detection_is_bitwise_in_memory(
     )
 
     assert triples(serial) == triples(reference)
-    assert triples(parallel) == triples(reference)
+    assert triples(packed) == triples(reference)
     assert serial.compared_pairs == reference.compared_pairs
-    assert parallel.compared_pairs == reference.compared_pairs
+    assert packed.compared_pairs == reference.compared_pairs
     assert serial.relation_size == reference.relation_size
 
     streamed = [triple for piece in slices for triple in triples(piece)]

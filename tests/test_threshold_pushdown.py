@@ -10,9 +10,9 @@ pins both:
 
 * **pipeline equivalence** — for every Section-V reducer and both
   prunable model families (rules, Fellegi–Sunter), ``detect`` with
-  ``min_similarity="auto"`` matches the exact run bit for bit: serial,
-  ``n_jobs=2``, ``stream=True``, against the in-memory relation *and*
-  an out-of-core spilled store;
+  ``min_similarity="auto"`` matches the exact run bit for bit: at the
+  default chunk, packed at a small one, ``stream=True``, against the
+  in-memory relation *and* an out-of-core spilled store;
 * **floor derivation** — the inversion yields exactly the weakest
   decisive thresholds (rule-condition minima, agreement thresholds) and
   refuses configurations it cannot prove safe (continuous combiners,
@@ -234,8 +234,8 @@ def test_pruned_detection_is_bitwise_exact(
     serial = _detector(factory, model_factory).detect(
         relation, min_similarity="auto"
     )
-    parallel = _detector(factory, model_factory).detect(
-        relation, min_similarity="auto", n_jobs=2, chunk_size=7
+    packed = _detector(factory, model_factory).detect(
+        relation, min_similarity="auto", chunk_size=7
     )
     spilled = _detector(factory, model_factory).detect(
         store, min_similarity="auto"
@@ -251,7 +251,7 @@ def test_pruned_detection_is_bitwise_exact(
 
     expected = _triples(reference)
     assert _triples(serial) == expected
-    assert _triples(parallel) == expected
+    assert _triples(packed) == expected
     assert _triples(spilled) == expected
     assert [
         triple for piece in slices for triple in _triples(piece)
@@ -378,21 +378,6 @@ def test_pruned_procedure_is_memoized_per_configuration(flat_relation):
         {attr: floors.floor(attr) for attr in ("name", "job")}
     )[0]
     assert explicit is not detector.procedure
-
-
-def test_prewarm_fills_banded_caches(flat_relation):
-    """Parallel pushdown warms cutoff-aware entries, keyed by band."""
-    detector = _detector(
-        lambda: CertainKeyBlocking(BLOCK_KEY), fs_model
-    )
-    detector.detect(flat_relation, min_similarity="auto", n_jobs=2)
-    pruned = detector._resolve_run("auto")[0]
-    stats = pruned.matcher.cache_stats()
-    assert stats, "pruned matcher must expose its banded caches"
-    for cache in stats.values():
-        assert cache.band == pytest.approx(0.82)
-        assert cache.warmed > 0
-        assert not cache.frozen  # thawed again after the pool closed
 
 
 # ----------------------------------------------------------------------
