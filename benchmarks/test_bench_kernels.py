@@ -82,6 +82,18 @@ def word_pairs():
     return _word_pairs(400)
 
 
+def _codes(pairs):
+    """*pairs* as ``(elements, lefts, rights)``, the operands of the
+    code-keyed batch scorers: each distinct string listed once, as a
+    similarity cache codes its misses."""
+    elements = list(dict.fromkeys(word for pair in pairs for word in pair))
+    code = {word: index for index, word in enumerate(elements)}
+    flat = np.array(
+        [code[word] for pair in pairs for word in pair], dtype=np.int64
+    )
+    return elements, flat[0::2], flat[1::2]
+
+
 def test_bench_reference_levenshtein(benchmark, word_pairs):
     """Baseline: the reference two-row DP over 400 pairs."""
 
@@ -198,14 +210,14 @@ def test_bench_perpair_similarity_python(benchmark, warm_batch):
 
 
 def test_bench_numpy_batch_similarities(benchmark, warm_batch):
-    """Partition-vectorized scoring of the whole warm batch at once."""
+    """Partition-vectorized scoring of the whole warm batch at once,
+    from the codes a cache hands the scorer."""
+    codes = _codes(warm_batch)
 
     def run():
-        return sum(
-            numpy_backend.batch_levenshtein_similarities(
-                warm_batch, min_similarity=0.75
-            )
-        )
+        return numpy_backend.batch_levenshtein_similarities(
+            *codes, min_similarity=0.75
+        ).sum()
 
     total = benchmark(run)
     assert total > 0
@@ -237,13 +249,14 @@ def test_backends_agree_bitwise_on_bench_data(word_pairs):
         assert bitparallel_damerau_levenshtein(a, b) == (
             damerau_levenshtein_distance(a, b)
         )
+    codes = _codes(word_pairs)
     assert numpy_backend.batch_levenshtein_similarities(
-        word_pairs, min_similarity=0.75
-    ) == [
+        *codes, min_similarity=0.75
+    ).tolist() == [
         banded_levenshtein_similarity(a, b, min_similarity=0.75)
         for a, b in word_pairs
     ]
-    assert numpy_backend.batch_edit_distances(word_pairs) == [
+    assert numpy_backend.batch_edit_distances(*codes).tolist() == [
         levenshtein_distance(a, b) for a, b in word_pairs
     ]
 
@@ -381,13 +394,15 @@ CROSSOVER_SIZES = (2, 37, 300)
 @pytest.mark.parametrize("size", CROSSOVER_SIZES)
 @pytest.mark.parametrize("path", ("scalar", "numpy"))
 def test_bench_jaro_winkler_crossover(benchmark, path, size):
-    """Distinct name/job pairs scored per pair or in one numpy batch."""
+    """Distinct name/job pairs scored per pair or in one numpy batch
+    from their codes (the cache's miss path)."""
     rng = random.Random(size)
     pairs = [
         (rng.choice(JOBS), rng.choice(JOBS) + rng.choice("aeiou"))
         for _ in range(size)
     ]
     comparator = BoundedJaroWinkler()
+    codes = _codes(pairs)
 
     def scalar():
         return [comparator(left, right) for left, right in pairs]
@@ -395,9 +410,9 @@ def test_bench_jaro_winkler_crossover(benchmark, path, size):
     scores = benchmark(
         scalar
         if path == "scalar"
-        else lambda: comparator.batch_similarities(pairs)
+        else lambda: comparator.batch_code_similarities(*codes)
     )
-    assert scores == scalar()
+    assert list(scores) == scalar()
 
 
 @pytest.fixture(scope="module")

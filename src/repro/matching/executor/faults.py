@@ -42,9 +42,10 @@ run can never degrade silently (the chaos CI job pins exactly this).
 
 A failed attempt is resolved in one place,
 :func:`_resolve_failed_attempt`.  With the default policy (one
-attempt, no timeout) and ``on_error="raise"`` it engages no recovery:
-the attempt's own exception propagates unchanged, with its own type,
-and nothing is recorded — a clean run pays one ``try`` per work unit.
+attempt, no timeout) and ``on_error="raise"`` the engine engages no
+recovery and never calls :func:`run_supervised_inline`: each task's
+one attempt runs bare, its exception propagates unchanged, with its
+own type, and nothing is recorded.
 
 Timeouts are enforced *cooperatively*: the engine's chunk loop calls
 :func:`check_deadline` at every chunk boundary, and a lapsed attempt
@@ -326,7 +327,6 @@ def fail_partitions(
 
 def _resolve_failed_attempt(
     fault: ExecutionFault,
-    error: BaseException,
     *,
     partitions,
     fallback: Callable[[], list],
@@ -336,18 +336,13 @@ def _resolve_failed_attempt(
 ):
     """Retry, degrade, skip or raise one failed attempt of a work unit.
 
-    The one decision point of the fault model.  Without recovery
-    configured — *policy* neither retries nor times out and *on_error*
-    is ``"raise"`` — the attempt's own *error* is re-raised unchanged
-    and nothing is recorded.  Otherwise the attempt is counted and
-    resolved: :data:`_RETRYING` while the attempt budget lasts (the
+    The one decision point of the fault model.  The attempt is counted
+    and resolved: :data:`_RETRYING` while the attempt budget lasts (the
     caller reschedules after ``policy.delay``), the hook-free
     *fallback*'s results under ``"degrade"``, or ``None`` once the
     unit's *partitions* are failed terminally (recorded; raises under
     ``"raise"``).
     """
-    if not policy.supervises and on_error == "raise":
-        raise error
     _record_attempt(tracker, fault)
     if fault.attempt < policy.max_attempts:
         _record_retry(tracker, fault)
@@ -422,7 +417,6 @@ def run_supervised_inline(
         fault.__cause__ = error
         outcome = _resolve_failed_attempt(
             fault,
-            error,
             partitions=partitions,
             fallback=fallback,
             policy=policy,

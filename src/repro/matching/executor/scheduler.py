@@ -15,14 +15,14 @@ steps:
    consecutive partitions are packed, in plan order, into tasks of at
    most ``chunk_size`` pairs, so a run of small blocks is decided by
    one batch per chunk instead of one per block.
-2. **One supervised runner.**  A task packing several partitions first
-   makes one unsupervised attempt; if that raises, nothing is recorded
-   and each of its partitions is replayed as its own task through
+2. **One supervised runner.**  With the default :class:`RetryPolicy`
+   (one attempt, no deadline) and ``on_error="raise"`` every task gets
+   exactly one attempt, and its exception propagates unchanged.  Under
+   a recovery budget a task packing several partitions first makes one
+   unsupervised attempt; if that raises, nothing is recorded and each
+   of its partitions is replayed as its own task through
    :func:`~repro.matching.executor.faults.run_supervised_inline`, so
    faults stay isolated per partition exactly as without packing.
-   With the default :class:`RetryPolicy` (one attempt, no deadline)
-   and ``on_error="raise"`` an attempt's exception propagates
-   unchanged.
 3. **Plan-order emission.**  Tasks finish in plan order, so each
    partition's decisions are emitted as its own slice as soon as its
    task returns; a partition resolved terminally is dropped whole.
@@ -244,7 +244,11 @@ class ExecutionEngine:
         """Run every packed task, in order, under the attempt budget.
 
         Yields each task's ``[(partition index, decisions | None)]``.
-        A task of several partitions first makes one packed attempt
+        Without recovery configured — the policy neither retries nor
+        times out and ``on_error`` is ``"raise"`` — each task makes one
+        attempt and its exception propagates unchanged, whatever the
+        packing.  Otherwise a task of several partitions first makes
+        one packed attempt
         (attempt 1, fault hook and deadline included); if it raises,
         nothing is recorded and every partition is replayed as its own
         task through
@@ -258,7 +262,13 @@ class ExecutionEngine:
         hook- and deadline-free.
         """
         settings = self._settings
+        unsupervised = (
+            not settings.retry.supervises and settings.on_error == "raise"
+        )
         for task in self._packed_tasks(partitions):
+            if unsupervised:
+                yield self._attempt(relation, task, 1)
+                continue
             if len(task) > 1:
                 try:
                     results = self._attempt(relation, task, 1)

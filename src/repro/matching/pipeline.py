@@ -325,6 +325,8 @@ class DuplicateDetector:
     def _prepared_relation(
         self, relation: XRelation | ProbabilisticRelation | XTupleStore
     ) -> XRelation | XTupleStore:
+        """Step A for one relation (of ``detect`` and ``session``) or
+        one autonomous source (of ``detect_between``)."""
         if isinstance(relation, ProbabilisticRelation):
             relation = relation.to_x_relation()
         if self._preparation is not None:
@@ -333,8 +335,8 @@ class DuplicateDetector:
                 # out-of-core store in place would defeat its read-only
                 # semantics.  Prepare, then spill.
                 raise TypeError(
-                    "preparation hooks require an in-memory XRelation; "
-                    "materialize the store, prepare, and re-spill "
+                    "preparation hooks require in-memory relations; "
+                    "materialize each store, prepare, and re-spill "
                     "(store.materialize() → prepare → XRelation.spill)"
                 )
             relation = self._preparation(relation)
@@ -600,7 +602,9 @@ class DuplicateDetector:
         the same way.
         """
         run = self._resolve_run(**options)
-        sources = [self._prepare_source(s) for s in (left, right, *more)]
+        sources = [
+            self._prepared_relation(s) for s in (left, right, *more)
+        ]
         view = combine_sources(sources)
         if not within_sources:
             # Zone-map pruning (Section V's search-space reduction across
@@ -623,23 +627,6 @@ class DuplicateDetector:
             on_fault=on_fault,
             audit=audit,
         )
-
-    def _prepare_source(
-        self, source: XRelation | ProbabilisticRelation | XTupleStore
-    ) -> XRelation | XTupleStore:
-        """Step A for one autonomous source of ``detect_between``."""
-        if isinstance(source, ProbabilisticRelation):
-            source = source.to_x_relation()
-        if self._preparation is not None:
-            if not isinstance(source, XRelation):
-                raise TypeError(
-                    "preparation hooks require in-memory sources; "
-                    "materialize each store, prepare, and re-spill "
-                    "(store.materialize() → prepare → XRelation.spill) "
-                    "before detect_between"
-                )
-            source = self._preparation(source)
-        return source
 
     # ------------------------------------------------------------------
     # Execution (delegated to repro.matching.executor)

@@ -152,33 +152,36 @@ class CertainKeyBlocking:
         return f"CertainKeyBlocking(key={self._key!r})"
 
 
-class AlternativeKeyBlocking:
-    """Blocking with one block entry per alternative key (Figure 14).
+class KeyDistributionBlocking:
+    """Blocking on every key value an x-tuple's alternatives can take.
 
-    "Similar to the approach of sorting alternatives an x-tuple can be
-    inserted into multiple blocks by creating a key for each alternative.
-    … If an x-tuple is allocated to a single block for multiple times,
-    except for one, all entries of this tuple are removed."
+    The alternative-key discipline of Figure 14, shared by
+    :class:`AlternativeKeyBlocking` (prefix keys) and
+    :class:`~repro.reduction.derived_keys.PhoneticBlocking` (derived
+    keys), which differ only in :meth:`key_distribution`: each
+    alternative contributes the key values of its distribution, and an
+    x-tuple joins every such block once.  Blocks are keyed and ordered
+    by first occurrence, so plans list them in scan order.
     """
 
-    def __init__(self, key: SubstringKey) -> None:
+    def __init__(self, key) -> None:
         self._key = key
 
-    @property
-    def prune_key(self) -> SubstringKey:
-        """Equality key shared by all candidate pairs (see
-        :attr:`CertainKeyBlocking.prune_key`)."""
-        return self._key
+    def key_distribution(self, alternative) -> list[tuple[str, float]]:
+        """``[(key value, probability)]`` of one alternative."""
+        raise NotImplementedError
 
     def blocks(self, relation: XRelation) -> dict[str, list[str]]:
-        """``key value → member tuple ids`` with in-block tuple dedup."""
+        """``key value → member tuple ids`` with in-block tuple dedup.
+
+        Runs over :func:`~repro.reduction.plan.planning_view`, so
+        columnar stores serve the pass from the keyed columns alone.
+        """
         blocks: dict[str, list[str]] = {}
         for xtuple in planning_view(relation, self._key.attributes):
             key_values: list[str] = []
             for alternative in xtuple.alternatives:
-                for key_value, _ in alternative_key_distribution(
-                    alternative, self._key
-                ):
+                for key_value, _ in self.key_distribution(alternative):
                     if key_value not in key_values:
                         key_values.append(key_value)
             for key_value in key_values:
@@ -196,24 +199,44 @@ class AlternativeKeyBlocking:
 
         The plan builder's global dedup reproduces the Figure-14
         matching-matrix discipline across partitions.
-
-        >>> from repro.pdb.relations import XRelation
-        >>> from repro.pdb.xtuples import TupleAlternative, XTuple
-        >>> from repro.reduction.keys import SubstringKey
-        >>> uncertain = XTuple("t1", (
-        ...     TupleAlternative({"name": "anna"}, 0.5),
-        ...     TupleAlternative({"name": "hanna"}, 0.5)))
-        >>> certain = XTuple("t2", (TupleAlternative({"name": "hans"}, 1.0),))
-        >>> relation = XRelation("R", ("name",), [uncertain, certain])
-        >>> plan = AlternativeKeyBlocking(SubstringKey([("name", 1)])).plan(relation)
-        >>> [(p.label, p.pairs) for p in plan]  # t1 joins blocks 'a' and 'h'
-        [('block:h', (('t1', 't2'),))]
         """
         return plan_from_blocks(
             self.blocks(relation),
             relation_size=len(relation),
             source=repr(self),
         )
+
+
+class AlternativeKeyBlocking(KeyDistributionBlocking):
+    """Blocking with one block entry per alternative key (Figure 14).
+
+    "Similar to the approach of sorting alternatives an x-tuple can be
+    inserted into multiple blocks by creating a key for each alternative.
+    … If an x-tuple is allocated to a single block for multiple times,
+    except for one, all entries of this tuple are removed."
+
+    >>> from repro.pdb.relations import XRelation
+    >>> from repro.pdb.xtuples import TupleAlternative, XTuple
+    >>> from repro.reduction.keys import SubstringKey
+    >>> uncertain = XTuple("t1", (
+    ...     TupleAlternative({"name": "anna"}, 0.5),
+    ...     TupleAlternative({"name": "hanna"}, 0.5)))
+    >>> certain = XTuple("t2", (TupleAlternative({"name": "hans"}, 1.0),))
+    >>> relation = XRelation("R", ("name",), [uncertain, certain])
+    >>> plan = AlternativeKeyBlocking(SubstringKey([("name", 1)])).plan(relation)
+    >>> [(p.label, p.pairs) for p in plan]  # t1 joins blocks 'a' and 'h'
+    [('block:h', (('t1', 't2'),))]
+    """
+
+    @property
+    def prune_key(self) -> SubstringKey:
+        """Equality key shared by all candidate pairs (see
+        :attr:`CertainKeyBlocking.prune_key`)."""
+        return self._key
+
+    def key_distribution(self, alternative) -> list[tuple[str, float]]:
+        """The alternative's prefix-key distribution."""
+        return alternative_key_distribution(alternative, self._key)
 
     def __repr__(self) -> str:
         return f"AlternativeKeyBlocking(key={self._key!r})"

@@ -19,6 +19,7 @@ from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from repro.pdb.values import NULL, PatternValue
+from repro.reduction.blocking import KeyDistributionBlocking
 from repro.similarity.phonetic import soundex
 
 #: A key-part transform: concrete outcome → key piece.
@@ -171,68 +172,30 @@ def phonetic_key(
     return DerivedKey(parts)
 
 
-class PhoneticBlocking:
+class PhoneticBlocking(KeyDistributionBlocking):
     """Blocking on the Soundex key of each x-tuple's alternatives.
 
     Every alternative contributes its phonetic key; an x-tuple joins
     every corresponding block once (the alternative-key discipline of
-    Figure 14 applied to derived keys).
+    Figure 14 applied to derived keys), so phonetically close
+    spellings land in one block regardless of which alternative is
+    true.
+
+    >>> from repro.pdb.relations import XRelation
+    >>> from repro.pdb.xtuples import TupleAlternative, XTuple
+    >>> relation = XRelation("R", ("name",), [
+    ...     XTuple(t, (TupleAlternative({"name": n}, 1.0),))
+    ...     for t, n in [("t1", "meier"), ("t2", "meyer"), ("t3", "smith")]])
+    >>> [(p.label, p.pairs) for p in PhoneticBlocking().plan(relation)]
+    [('block:M600', (('t1', 't2'),))]
     """
 
     def __init__(self, key: DerivedKey | None = None) -> None:
-        self._key = key if key is not None else phonetic_key()
+        super().__init__(key if key is not None else phonetic_key())
 
-    def blocks(self, relation) -> dict[str, list[str]]:
-        """``key → member tuple ids`` with in-block dedup.
-
-        Runs over :func:`~repro.reduction.plan.planning_view`, so
-        columnar stores serve the pass from the keyed columns alone.
-        """
-        from repro.reduction.plan import planning_view
-
-        blocks: dict[str, list[str]] = {}
-        for xtuple in planning_view(relation, self._key.attributes):
-            key_values: list[str] = []
-            for alternative in xtuple.alternatives:
-                for key_value, _ in derived_alternative_key_distribution(
-                    alternative, self._key
-                ):
-                    if key_value not in key_values:
-                        key_values.append(key_value)
-            for key_value in key_values:
-                members = blocks.setdefault(key_value, [])
-                if xtuple.tuple_id not in members:
-                    members.append(xtuple.tuple_id)
-        return blocks
-
-    def pairs(self, relation):
-        """Within-block candidate pairs."""
-        from repro.reduction.blocking import pairs_from_blocks
-
-        return pairs_from_blocks(self.blocks(relation))
-
-    def plan(self, relation):
-        """One partition per phonetic block.
-
-        Alternatives contribute their Soundex keys, so phonetically
-        close spellings land in one block regardless of which
-        alternative is true.
-
-        >>> from repro.pdb.relations import XRelation
-        >>> from repro.pdb.xtuples import TupleAlternative, XTuple
-        >>> relation = XRelation("R", ("name",), [
-        ...     XTuple(t, (TupleAlternative({"name": n}, 1.0),))
-        ...     for t, n in [("t1", "meier"), ("t2", "meyer"), ("t3", "smith")]])
-        >>> [(p.label, p.pairs) for p in PhoneticBlocking().plan(relation)]
-        [('block:M600', (('t1', 't2'),))]
-        """
-        from repro.reduction.plan import plan_from_blocks
-
-        return plan_from_blocks(
-            self.blocks(relation),
-            relation_size=len(relation),
-            source=repr(self),
-        )
+    def key_distribution(self, alternative) -> list[tuple[str, float]]:
+        """The alternative's derived-key distribution."""
+        return derived_alternative_key_distribution(alternative, self._key)
 
     def __repr__(self) -> str:
         return f"PhoneticBlocking({self._key!r})"

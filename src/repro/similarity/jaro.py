@@ -12,6 +12,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.similarity.backends.numpy_backend import CODEPOINT_PAD, coded_rows
 from repro.similarity.base import NamedComparator, as_strings, clamp01
 
 
@@ -125,34 +126,9 @@ def jaro_winkler_upper_bound(
 
 #: Cells (pairs × length²) scored per vectorized slice: bounds the
 #: ``pairs × length × length`` match-candidate arrays of
-#: :func:`batch_jaro_winkler_similarities` to a few hundred kilobytes
+#: :func:`coded_jaro_winkler_similarities` to a few hundred kilobytes
 #: however large the batch or long its strings.
 _SLICE_CELLS = 1 << 18
-
-#: Codepoint filling the rows of strings shorter than the slice's
-#: longest one; above U+10FFFF, so it never equals a real character.
-_PAD = np.uint32(0xFFFFFFFF)
-
-
-def _codepoint_rows(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Each string as one padded ``uint32`` codepoint row, plus lengths.
-
-    One encode of the concatenation and one scatter, instead of one
-    array per string.
-    """
-    lengths = np.fromiter(
-        (len(string) for string in strings), dtype=np.int64, count=len(strings)
-    )
-    width = max(int(lengths.max()), 1) if len(strings) else 1
-    rows = np.full((len(strings), width), _PAD, dtype=np.uint32)
-    flat = np.frombuffer(
-        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
-    )
-    if flat.size:
-        row_of = np.repeat(np.arange(len(strings)), lengths)
-        starts = np.cumsum(lengths) - lengths
-        rows[row_of, np.arange(flat.size) - starts[row_of]] = flat
-    return rows, lengths
 
 
 def _jaro_winkler_slice(
@@ -184,11 +160,15 @@ def _jaro_winkler_slice(
     width = max(left.shape[1], right.shape[1], max_prefix)
     if left.shape[1] < width:
         left = np.pad(
-            left, ((0, 0), (0, width - left.shape[1])), constant_values=_PAD
+            left,
+            ((0, 0), (0, width - left.shape[1])),
+            constant_values=CODEPOINT_PAD,
         )
     if right.shape[1] < width:
         right = np.pad(
-            right, ((0, 0), (0, width - right.shape[1])), constant_values=_PAD
+            right,
+            ((0, 0), (0, width - right.shape[1])),
+            constant_values=CODEPOINT_PAD,
         )
     # Winkler's common prefix, capped at max_prefix.
     prefix = np.zeros(count, dtype=np.int64)
@@ -272,52 +252,9 @@ def _matched_in_order(text: np.ndarray, matched: np.ndarray) -> np.ndarray:
     order, padding behind."""
     rows, positions = np.nonzero(matched)
     rank = np.cumsum(matched, axis=1)[rows, positions] - 1
-    ordered = np.full(text.shape, _PAD, dtype=np.uint32)
+    ordered = np.full(text.shape, CODEPOINT_PAD, dtype=np.uint32)
     ordered[rows, rank] = text[rows, positions]
     return ordered
-
-
-def batch_jaro_winkler_similarities(
-    pairs: Sequence[tuple[Any, Any]],
-    *,
-    prefix_scale: float = 0.1,
-    max_prefix: int = 4,
-    min_similarity: float = 0.0,
-) -> list[float]:
-    """Jaro–Winkler of a batch of pairs, vectorized with numpy.
-
-    Bitwise equal, pair by pair, to :class:`BoundedJaroWinkler` with
-    the same parameters (so to :func:`jaro_winkler_similarity` when
-    *min_similarity* is 0).  Each distinct string is encoded once as
-    a padded codepoint row and gathered by integer code; pairs are
-    scored in slices of similar length, so padding stays small and
-    the working arrays stay bounded.
-    """
-    if not 0.0 <= prefix_scale * max_prefix <= 1.0:
-        raise ValueError("prefix_scale * max_prefix must stay within [0, 1]")
-    if not pairs:
-        return []
-    lefts, rights = zip(*pairs)
-    left_strings = list(map(str, lefts))
-    right_strings = list(map(str, rights))
-    codes = {
-        string: code
-        for code, string in enumerate(dict.fromkeys(left_strings + right_strings))
-    }
-    left_codes = np.fromiter(
-        map(codes.__getitem__, left_strings), dtype=np.int64, count=len(pairs)
-    )
-    right_codes = np.fromiter(
-        map(codes.__getitem__, right_strings), dtype=np.int64, count=len(pairs)
-    )
-    return _scores(
-        *_codepoint_rows(list(codes)),
-        left_codes,
-        right_codes,
-        prefix_scale,
-        max_prefix,
-        min_similarity,
-    ).tolist()
 
 
 def coded_jaro_winkler_similarities(
@@ -329,43 +266,24 @@ def coded_jaro_winkler_similarities(
     max_prefix: int = 4,
     min_similarity: float = 0.0,
 ) -> np.ndarray:
-    """:func:`batch_jaro_winkler_similarities` of the pairs
-    ``elements[lefts[i]], elements[rights[i]]``, as float64.
+    """Jaro–Winkler of the pairs ``elements[lefts[i]],
+    elements[rights[i]]``, vectorized with numpy, as float64.
 
-    For callers that already hold their operands as integer codes: no
-    pair is built, and only the elements the codes name are encoded.
+    Bitwise equal, pair by pair, to :class:`BoundedJaroWinkler` with
+    the same parameters (so to :func:`jaro_winkler_similarity` when
+    *min_similarity* is 0).  Each element the codes name is encoded
+    once as a padded codepoint row; pairs are scored in slices of
+    similar length, so padding stays small and the working arrays stay
+    bounded.
     """
     if not 0.0 <= prefix_scale * max_prefix <= 1.0:
         raise ValueError("prefix_scale * max_prefix must stay within [0, 1]")
-    used, inverse = np.unique(
-        np.concatenate((lefts, rights)).astype(np.int64), return_inverse=True
-    )
-    return _scores(
-        *_codepoint_rows([str(elements[code]) for code in used.tolist()]),
-        inverse[: len(lefts)],
-        inverse[len(lefts) :],
-        prefix_scale,
-        max_prefix,
-        min_similarity,
-    )
-
-
-def _scores(
-    rows: np.ndarray,
-    lengths: np.ndarray,
-    left_codes: np.ndarray,
-    right_codes: np.ndarray,
-    prefix_scale: float,
-    max_prefix: int,
-    min_similarity: float,
-) -> np.ndarray:
-    """Jaro–Winkler of ``rows[left_codes[i]]`` against
-    ``rows[right_codes[i]]``, scored in slices of similar length."""
-    left_len = lengths[left_codes]
-    right_len = lengths[right_codes]
+    rows, lengths, left_rows, right_rows = coded_rows(elements, lefts, rights)
+    left_len = lengths[left_rows]
+    right_len = lengths[right_rows]
     longest = np.maximum(left_len, right_len)
     order = np.argsort(longest, kind="stable")
-    count = len(left_codes)
+    count = len(left_rows)
     result = np.empty(count, dtype=np.float64)
     start = 0
     while start < count:
@@ -379,8 +297,8 @@ def _scores(
         members = order[start:stop]
         start = stop
         result[members] = _jaro_winkler_slice(
-            rows[left_codes[members], :width],
-            rows[right_codes[members], :width],
+            rows[left_rows[members], :width],
+            rows[right_rows[members], :width],
             left_len[members],
             right_len[members],
             prefix_scale,
@@ -440,27 +358,12 @@ class BoundedJaroWinkler:
             max_prefix=self._max_prefix,
         )
 
-    def batch_similarities(self, pairs: Sequence[tuple[Any, Any]]) -> list[float]:
-        """Score a batch of pairs with the vectorized numpy scorer.
-
-        The same hook :meth:`repro.similarity.kernels.BandedEditComparator.batch_similarities`
-        exposes: a list positionally aligned with *pairs*, bitwise equal
-        to calling the comparator on each pair (see
-        :func:`batch_jaro_winkler_similarities`).
-        """
-        return batch_jaro_winkler_similarities(
-            pairs,
-            prefix_scale=self._scale,
-            max_prefix=self._max_prefix,
-            min_similarity=self.min_similarity,
-        )
-
     def batch_code_similarities(
         self, elements: Sequence[Any], lefts: np.ndarray, rights: np.ndarray
     ) -> np.ndarray:
-        """:meth:`batch_similarities` of the pairs ``elements[lefts[i]],
-        elements[rights[i]]``, scored from the codes (see
-        :func:`coded_jaro_winkler_similarities`)."""
+        """The comparator's scores of the pairs ``elements[lefts[i]],
+        elements[rights[i]]``, bitwise, scored from the codes in one
+        numpy batch (see :func:`coded_jaro_winkler_similarities`)."""
         return coded_jaro_winkler_similarities(
             elements,
             lefts,

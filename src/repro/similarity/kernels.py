@@ -37,8 +37,11 @@ module provides the performance core:
   the cache turns a Jaro–Winkler or Levenshtein evaluation into one
   dict lookup.  The table is integer-coded — one int key per pair of
   element codes — so the batched decide loop probes and fills it with
-  numpy and C-level maps (:meth:`SimilarityCache.lookup_codes`);
-  strings appear only where entries are exported and absorbed.
+  numpy and C-level maps (:meth:`SimilarityCache.lookup_codes`) and
+  scores a batch's distinct misses from their codes
+  (:func:`score_codes`, the one batch entry point: a comparator's
+  ``batch_code_similarities`` hook, else one call per pair); strings
+  appear only where entries are exported and absorbed.
   Cutoff-pruned results are *banded*:
   each cache records the similarity floor its base comparator was
   configured with (:attr:`SimilarityCache.band`), and
@@ -264,7 +267,9 @@ def banded_damerau_levenshtein_similarity(
 #: ``tests/test_backends.py``).  ``"fast"`` is the default.
 KERNELS = ("fast", "python")
 
-#: ``(kind, kernel) -> (per-pair similarity, batch scorer or None)``.
+#: ``(kind, kernel) -> (per-pair similarity, code-keyed batch scorer or
+#: None)``; a batch scorer takes ``(elements, lefts, rights)`` like
+#: :meth:`BandedEditComparator.batch_code_similarities`.
 _KERNEL_TABLE = {
     ("levenshtein", "python"): (banded_levenshtein_similarity, None),
     ("damerau_levenshtein", "python"): (
@@ -333,8 +338,8 @@ class BandedEditComparator:
     :meth:`with_backend` switches between the two :data:`KERNELS` while
     keeping name, floor and — because ``"fast"`` is pinned bitwise to
     the reference DPs — results unchanged, and
-    :meth:`batch_similarities` exposes the fast kernel's numpy batch
-    scorer to the cache's batched miss path.
+    :meth:`batch_code_similarities` exposes the fast kernel's numpy
+    batch scorer to the cache's batched miss path.
     """
 
     __slots__ = ("name", "min_similarity", "_fn", "_kind", "_backend")
@@ -417,22 +422,25 @@ class BandedEditComparator:
             backend=kernel,
         )
 
-    def batch_similarities(
-        self, pairs: Any
-    ) -> list[float] | None:
-        """Score a batch of pairs via the fast kernel's numpy scorer.
+    def batch_code_similarities(
+        self, elements: Any, lefts: np.ndarray, rights: np.ndarray
+    ) -> np.ndarray | None:
+        """Score the pairs ``elements[lefts[i]], elements[rights[i]]``
+        from their codes via the fast kernel's numpy scorer.
 
         Returns ``None`` on the ``"python"`` kernel and for opaque
-        comparators (the caller then loops per pair); a returned list
-        is positionally aligned with *pairs* and bitwise equal to
-        calling the comparator on each pair.
+        comparators (the caller then loops per pair); a returned
+        float64 array is positionally aligned with the codes and
+        bitwise equal to calling the comparator on each pair.
         """
         if self._kind is None:
             return None
         batch = _KERNEL_TABLE[self._kind, self._backend][1]
         if batch is None:
             return None
-        return batch(pairs, min_similarity=self.min_similarity)
+        return batch(
+            elements, lefts, rights, min_similarity=self.min_similarity
+        )
 
     def __repr__(self) -> str:
         if self.min_similarity > 0.0:
@@ -450,32 +458,15 @@ class BandedEditComparator:
 _MAX_BANDS = 8
 
 
-#: Fewest pairs a batch must hold before :func:`score_pairs` hands it
-#: to a comparator's vectorized ``batch_similarities`` hook instead of
-#: looping the comparator.  A numpy batch call costs a fixed few hundred
-#: microseconds however small the batch, which per-pair Jaro–Winkler
-#: calls only overtake at a few dozen pairs; the
+#: Fewest pairs a batch must hold before :func:`score_codes` hands it
+#: to a comparator's vectorized ``batch_code_similarities`` hook instead
+#: of looping the comparator.  A numpy batch call costs a fixed few
+#: hundred microseconds however small the batch, which per-pair
+#: Jaro–Winkler calls only overtake at a few dozen pairs; the
 #: ``test_bench_jaro_winkler_crossover`` rows of
 #: ``benchmarks/test_bench_kernels.py`` measure both sides at 2, 37 and
 #: 300 pairs.  The choice follows the batch's own size, never an option.
 BATCH_SCORE_MIN_PAIRS = 40
-
-
-def score_pairs(base: Comparator, pairs: list[tuple[Any, Any]]) -> list[float]:
-    """``[base(left, right) for left, right in pairs]``, batched when it pays.
-
-    Batches of at least :data:`BATCH_SCORE_MIN_PAIRS` go through the
-    comparator's ``batch_similarities`` hook when it has one (and the
-    hook does not decline with ``None``); results are bitwise the same
-    either way.
-    """
-    if len(pairs) >= BATCH_SCORE_MIN_PAIRS:
-        batch = getattr(base, "batch_similarities", None)
-        if callable(batch):
-            results = batch(pairs)
-            if results is not None:
-                return results
-    return [base(left, right) for left, right in pairs]
 
 
 def score_codes(
@@ -484,23 +475,25 @@ def score_codes(
     lefts: np.ndarray,
     rights: np.ndarray,
 ) -> Any:
-    """:func:`score_pairs` of the pairs ``elements[lefts[i]],
-    elements[rights[i]]``.
+    """``base(elements[lefts[i]], elements[rights[i]])`` for every i,
+    batched when it pays.
 
-    From :data:`BATCH_SCORE_MIN_PAIRS` pairs on, a comparator with a
-    ``batch_code_similarities`` hook scores them straight from the
-    codes; otherwise the pairs are built and handed to
-    :func:`score_pairs`.
+    Batches of at least :data:`BATCH_SCORE_MIN_PAIRS` go through the
+    comparator's ``batch_code_similarities`` hook when it has one (and
+    the hook does not decline with ``None``), scored straight from the
+    codes; results are bitwise the same either way.
     """
     if len(lefts) >= BATCH_SCORE_MIN_PAIRS:
         batch = getattr(base, "batch_code_similarities", None)
         if callable(batch):
-            return batch(elements, lefts, rights)
+            results = batch(elements, lefts, rights)
+            if results is not None:
+                return results
     element = elements.__getitem__
-    return score_pairs(
-        base,
-        list(zip(map(element, lefts.tolist()), map(element, rights.tolist()))),
-    )
+    return [
+        base(element(left), element(right))
+        for left, right in zip(lefts.tolist(), rights.tolist())
+    ]
 
 
 def unique_in_order(
@@ -689,33 +682,6 @@ class SimilarityCache:
         if code == len(elements):
             elements.append(element)
         return code
-
-    def lookup_batch(
-        self,
-        pairs: list[tuple[Any, Any]],
-        counts: list[int] | None = None,
-    ) -> list[float]:
-        """``self(left, right)`` for each pair, misses scored in one batch.
-
-        Each pair stands for *counts[i]* identical lookups (default
-        one).  The operands are coded locally and answered by
-        :meth:`lookup_codes`, whose contract this shares.
-        """
-        operands = [element for pair in pairs for element in pair]
-        local: dict[Any, int] = {}
-        # Each operand's code is the position of its first occurrence.
-        codes = np.fromiter(
-            map(
-                local.setdefault,
-                [x if type(x) is str else (type(x), x) for x in operands],
-                count(),
-            ),
-            dtype=np.int64,
-            count=len(operands),
-        )
-        return self.lookup_codes(
-            operands, codes[0::2], codes[1::2], {}, counts
-        ).tolist()
 
     def lookup_codes(
         self,

@@ -9,6 +9,9 @@ suites compare against something the engine cannot share a bug with.
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
 import pytest
 
 from repro.matching.executor import DetectionResult
@@ -86,3 +89,30 @@ def materialize_batches(base, batches) -> XRelation:
 def materialize():
     """:func:`materialize_batches`, for tests and fixtures of any scope."""
     return materialize_batches
+
+
+def code_pairs(pairs):
+    """*pairs* as ``(elements, lefts, rights)``, the operands of the
+    code-keyed scorers and of ``SimilarityCache.lookup_codes``.
+
+    Each distinct operand is listed once — strings by value, anything
+    else by ``(type, value)``, so ``1`` and ``1.0`` stay apart — and
+    each pair becomes the int64 codes of its two operands.
+    """
+    codes: dict = {}
+    elements: list = []
+    flat = []
+    for operand in chain.from_iterable(pairs):
+        key = operand if type(operand) is str else (type(operand), operand)
+        if key not in codes:
+            codes[key] = len(elements)
+            elements.append(operand)
+        flat.append(codes[key])
+    flat = np.array(flat, dtype=np.int64)
+    return elements, flat[0::2], flat[1::2]
+
+
+@pytest.fixture(scope="session")
+def coded():
+    """:func:`code_pairs`, for tests and fixtures of any scope."""
+    return code_pairs

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,30 +161,44 @@ class TestNumpyBatchPinning:
         floor=FLOORS,
         damerau=st.booleans(),
     )
-    def test_batch_similarities_pinned(self, pairs, floor, damerau):
+    def test_batch_similarities_pinned(
+        self, coded, pairs, floor, damerau
+    ):
         if damerau:
             batch = numpy_backend.batch_damerau_levenshtein_similarities
             reference = banded_damerau_levenshtein_similarity
         else:
             batch = numpy_backend.batch_levenshtein_similarities
             reference = banded_levenshtein_similarity
-        assert batch(pairs, min_similarity=floor) == [
+        expected = [
             reference(left, right, min_similarity=floor)
             for left, right in pairs
         ]
+        # Every operand its own code, and equal operands sharing one.
+        for codes in (_own_codes(pairs), coded(pairs)):
+            assert batch(*codes, min_similarity=floor).tolist() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(pairs=st.lists(st.tuples(LONG_TEXT, LONG_TEXT), max_size=8))
     def test_batch_distances_beyond_64_chars(self, pairs):
-        assert numpy_backend.batch_edit_distances(pairs) == [
+        codes = _own_codes(pairs)
+        assert numpy_backend.batch_edit_distances(*codes).tolist() == [
             levenshtein_distance(left, right) for left, right in pairs
         ]
         assert numpy_backend.batch_edit_distances(
-            pairs, damerau=True
-        ) == [
+            *codes, damerau=True
+        ).tolist() == [
             damerau_levenshtein_distance(left, right)
             for left, right in pairs
         ]
+
+
+def _own_codes(pairs):
+    """*pairs* as codes into the list of their operands, repeats
+    included: every operand gets a code of its own."""
+    elements = [element for pair in pairs for element in pair]
+    codes = np.arange(len(elements))
+    return elements, codes[0::2], codes[1::2]
 
 
 # ----------------------------------------------------------------------
@@ -255,11 +270,12 @@ class TestComparatorBackends:
             for left, right in pairs:
                 assert clone(left, right) == reference(left, right)
 
-    def test_batch_similarities_hook(self):
+    def test_batch_similarities_hook(self, coded):
         pairs = [("meier", "maier"), ("bauer", "brauer")]
-        python_batch = FAST_LEVENSHTEIN.batch_similarities(pairs)
+        codes = coded(pairs)
+        python_batch = FAST_LEVENSHTEIN.batch_code_similarities(*codes)
         clone = FAST_LEVENSHTEIN.with_backend("fast")
-        assert clone.batch_similarities(pairs) == [
+        assert clone.batch_code_similarities(*codes).tolist() == [
             FAST_LEVENSHTEIN(left, right) for left, right in pairs
         ]
         assert python_batch is None
@@ -311,12 +327,14 @@ class TestComparatorBackends:
             ("maier", "meier", FAST_JARO_WINKLER("meier", "maier"))
         ]
 
-    def test_cache_exports_pairs_in_canonical_orientation(self):
+    def test_cache_exports_pairs_in_canonical_orientation(self, coded):
         cache = SimilarityCache(FAST_JARO_WINKLER)
         cursor = cache.cursor()
         cache("zeta", "alpha")
         cache("beta", "gamma")
-        cache.lookup_batch([("omega", "delta"), ("delta", "omega")])
+        cache.lookup_codes(
+            *coded([("omega", "delta"), ("delta", "omega")]), {}
+        )
         expected = [
             ("alpha", "zeta", FAST_JARO_WINKLER("zeta", "alpha")),
             ("beta", "gamma", FAST_JARO_WINKLER("beta", "gamma")),
@@ -361,13 +379,15 @@ class TestComparatorBackends:
         assert cache.export_since(cursor) is None
         assert (len(cache), cache._elements) == (0, [])
 
-    def test_cache_with_base_views_share_one_table(self):
+    def test_cache_with_base_views_share_one_table(self, coded):
         cache = SimilarityCache(FAST_LEVENSHTEIN)
         view = cache.with_base(FAST_LEVENSHTEIN.with_backend("fast"))
         assert view._table is cache._table
         assert view._codes is cache._codes
         view("meier", "maier")
-        cache.lookup_batch([("maier", "meier"), ("meier", "mayer")])
+        cache.lookup_codes(
+            *coded([("maier", "meier"), ("meier", "mayer")]), {}
+        )
         assert (cache.hits, cache.misses) == (1, 1)
         assert list(view.export_entries()) == list(cache.export_entries())
         assert len(view) == len(cache) == 2
@@ -525,8 +545,8 @@ def test_backend_detection_is_bitwise_python(
     if backend == "bitparallel":
         monkeypatch.setattr(
             BandedEditComparator,
-            "batch_similarities",
-            lambda self, pairs: None,
+            "batch_code_similarities",
+            lambda self, elements, lefts, rights: None,
         )
     factory, kind = REDUCERS[name]
     relation = _relation_for(kind, flat_relation, x_relation)

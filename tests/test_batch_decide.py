@@ -42,7 +42,7 @@ from repro.similarity.kernels import (
     PAIR_BASE,
     FAST_LEVENSHTEIN,
     SimilarityCache,
-    score_pairs,
+    score_codes,
 )
 from repro.similarity.uncertain import (
     PatternPolicy,
@@ -81,16 +81,20 @@ def jw_pairs(draw):
     pairs=st.lists(jw_pairs(), min_size=1, max_size=80),
     floor=st.sampled_from((0.0, 0.3, 0.75, 0.9, 1.0)),
 )
-def test_batch_jaro_winkler_is_bitwise_the_scalar_kernel(pairs, floor):
+def test_batch_jaro_winkler_is_bitwise_the_scalar_kernel(
+    coded, pairs, floor
+):
     comparator = BoundedJaroWinkler(min_similarity=floor)
-    batch = comparator.batch_similarities(pairs)
-    assert len(batch) == len(pairs)
-    # The same pairs as codes into an element list, repeats included.
+    # The pairs as codes into an element list, repeats included ...
     elements = [element for pair in pairs for element in pair]
     codes = np.arange(len(elements))
-    coded = comparator.batch_code_similarities(
+    batch = comparator.batch_code_similarities(
         elements, codes[0::2], codes[1::2]
-    )
+    ).tolist()
+    assert len(batch) == len(pairs)
+    # ... and into a list of the distinct elements, as a cache codes
+    # them: equal operands share one code.
+    coded = comparator.batch_code_similarities(*coded(pairs))
     assert [value.hex() for value in coded.tolist()] == [
         value.hex() for value in batch
     ]
@@ -103,7 +107,7 @@ def test_batch_jaro_winkler_is_bitwise_the_scalar_kernel(pairs, floor):
             assert value == 0.0 or value.hex() == exact.hex()
 
 
-def test_batch_jaro_winkler_edge_cases():
+def test_batch_jaro_winkler_edge_cases(coded):
     pairs = [
         ("", ""),
         ("", "a"),
@@ -117,37 +121,46 @@ def test_batch_jaro_winkler_edge_cases():
         ("😀x", "x😀"),
         (12, "12"),
     ]
-    scored = BoundedJaroWinkler().batch_similarities(pairs)
-    assert [value.hex() for value in scored] == [
+    scorer = BoundedJaroWinkler()
+    scored = scorer.batch_code_similarities(*coded(pairs))
+    assert [value.hex() for value in scored.tolist()] == [
         jaro_winkler_similarity(left, right).hex() for left, right in pairs
     ]
-    assert BoundedJaroWinkler().batch_similarities([]) == []
     empty = np.zeros(0, dtype=np.int64)
-    scorer = BoundedJaroWinkler()
     assert not len(scorer.batch_code_similarities([], empty, empty))
 
 
-def test_score_pairs_batches_only_from_the_crossover():
+def test_score_codes_batches_only_from_the_crossover():
     calls = []
 
     class Recording:
+        def __init__(self, batch=True):
+            self.batch = batch
+
         def __call__(self, left, right):
             return 0.5
 
-        def batch_similarities(self, pairs):
-            calls.append(len(pairs))
-            return [0.5] * len(pairs)
+        def batch_code_similarities(self, elements, lefts, rights):
+            calls.append(len(lefts))
+            return [0.5] * len(lefts) if self.batch else None
 
-    small = [("a", "b")] * (BATCH_SCORE_MIN_PAIRS - 1)
-    large = [("a", "b")] * BATCH_SCORE_MIN_PAIRS
-    assert score_pairs(Recording(), small) == [0.5] * len(small)
+    def score(comparator, size):
+        codes = np.zeros(size, dtype=np.int64)
+        return score_codes(comparator, ["a", "b"], codes, codes + 1)
+
+    small = BATCH_SCORE_MIN_PAIRS - 1
+    large = BATCH_SCORE_MIN_PAIRS
+    assert score(Recording(), small) == [0.5] * small
     assert calls == []
-    assert score_pairs(Recording(), large) == [0.5] * len(large)
-    assert calls == [BATCH_SCORE_MIN_PAIRS]
+    assert score(Recording(), large) == [0.5] * large
+    assert calls == [large]
+    # A hook that declines with None leaves the batch to per-pair calls.
+    assert list(score(Recording(batch=False), large)) == [0.5] * large
+    assert calls == [large, large]
 
 
 # ----------------------------------------------------------------------
-# SimilarityCache.lookup_batch
+# SimilarityCache.lookup_codes
 # ----------------------------------------------------------------------
 
 
@@ -191,7 +204,9 @@ LOOKUPS = [
 
 @pytest.mark.parametrize("absorbed", (False, True))
 @pytest.mark.parametrize("warm", (False, True))
-def test_lookup_batch_answers_and_counts_like_per_pair_calls(absorbed, warm):
+def test_lookup_batch_answers_and_counts_like_per_pair_calls(
+    coded, absorbed, warm
+):
     """From an empty table, one warmed by earlier lookups, and one
     restored through ``absorb`` (a session snapshot's path)."""
     scalar = SimilarityCache(_counted_base([]))
@@ -208,17 +223,19 @@ def test_lookup_batch_answers_and_counts_like_per_pair_calls(absorbed, warm):
         for _ in range(count):
             value = scalar(left, right)
         expected.append(value)
-    assert batched.lookup_batch(LOOKUPS, counts) == expected
+    assert batched.lookup_codes(
+        *coded(LOOKUPS), {}, counts
+    ).tolist() == expected
     assert (batched.hits, batched.misses) == (scalar.hits, scalar.misses)
     assert _table(batched) == _table(scalar)
 
 
-def test_lookup_batch_near_capacity_replays_the_wholesale_clear():
+def test_lookup_batch_near_capacity_replays_the_wholesale_clear(coded):
     scalar = SimilarityCache(_counted_base([]), max_entries=3)
     batched = SimilarityCache(_counted_base([]), max_entries=3)
     pairs = [("a", "b"), ("c", "d"), ("e", "f"), ("g", "h"), ("a", "b")]
     expected = [scalar(left, right) for left, right in pairs]
-    assert batched.lookup_batch(pairs) == expected
+    assert batched.lookup_codes(*coded(pairs), {}).tolist() == expected
     assert (batched.hits, batched.misses) == (scalar.hits, scalar.misses)
     assert _table(batched) == _table(scalar)
 

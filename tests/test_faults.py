@@ -358,18 +358,28 @@ def test_default_settings_propagate_raw_exceptions(
     """The compat pin: default settings engage no recovery.  Every run
     consults the fault hook, and an injected crash propagates with its
     own type — not wrapped, not retried — with nothing recorded, also
-    when the victim's first attempt was packed with healthy partitions
-    and replayed alone."""
+    when the victim shares its packed task with healthy partitions.
+    A transient crash (the hook's first call only) propagates too: a
+    packed task is never replayed, whatever the chunk size."""
     detector = _detector(REDUCERS["blocking"]())
     pair = FaultInjector(7).pick_pair(detector.plan(flat_relation))
-    with installed(crash_on(pair)):
-        with pytest.raises(InjectedWorkerCrash):
-            detector.detect(flat_relation, chunk_size=chunk_size)
-    report = detector.last_report
-    assert report.worker_crashes == 0
-    assert report.retried_dispatches == 0
-    assert report.degraded_tasks == 0
-    assert not report.failures
+    calls = []
+
+    def transient(attempt, pairs):
+        calls.append(attempt)
+        if len(calls) == 1:
+            raise InjectedWorkerCrash("transient fault on the first call")
+
+    for hook in (crash_on(pair), transient):
+        with installed(hook):
+            with pytest.raises(InjectedWorkerCrash):
+                detector.detect(flat_relation, chunk_size=chunk_size)
+        report = detector.last_report
+        assert report.worker_crashes == 0
+        assert report.retried_dispatches == 0
+        assert report.degraded_tasks == 0
+        assert not report.failures
+    assert calls == [1]
 
 
 # ----------------------------------------------------------------------
