@@ -142,6 +142,10 @@ def run_suite(
         *pytest_args,
     ]
     env = dict(os.environ)
+    # The benches import ``repro`` from this checkout's ``src/``.
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
     if quick:
         env["BENCH_QUICK"] = "1"
     print("$", " ".join(command))
@@ -252,12 +256,18 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp) / "bench.json"
         status = run_suite(scratch, argv, quick=quick)
-        if not scratch.exists():
-            print("benchmark run produced no JSON; nothing written")
+        try:
+            data = json.loads(scratch.read_text())
+        except (OSError, ValueError):
+            # pytest-benchmark leaves an empty file when the run fails
+            # before any benchmark (an import error, say).
+            print(
+                f"benchmark run produced no JSON (pytest exit status "
+                f"{status}); nothing written"
+            )
             return status or 1
         # Compact re-serialization: pytest-benchmark pretty-prints >100k
         # lines; one line per run keeps the committed artifacts small.
-        data = json.loads(scratch.read_text())
         data["cpu_count"] = os.cpu_count()
         data["cpu_affinity"] = (
             len(os.sched_getaffinity(0))

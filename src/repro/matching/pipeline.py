@@ -543,7 +543,7 @@ class DuplicateDetector:
         ``journal`` names a session directory (or an opened
         :class:`~repro.pdb.storage.SessionJournal`) for durable
         sessions: ingests append to the journal, and a restart replays
-        it and restores the snapshot's caches and fingerprint index.
+        it and restores the snapshot's fingerprint index and decisions.
         Remaining keyword options are those of :meth:`detect`
         (``chunk_size``, ``keep_derivations``, ``retry`` …) except
         ``stream``.

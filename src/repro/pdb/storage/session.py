@@ -553,17 +553,19 @@ class SessionJournal:
       overlay exactly; a batch is applied whole or not at all.
       Unframed one-operation lines of older journals still replay.
     * ``snapshot.json`` — the *base* of a document the service layer
-      owns (portable similarity-cache entries ``caches``, optionally
-      retained decisions ``retained``), tagged with a random
-      ``generation`` and atomically replaced.
+      owns (its ``format`` and, optionally, retained decisions
+      ``retained``), tagged with a random ``generation`` and atomically
+      replaced.
     * ``snapshot.delta.jsonl`` — what later saves added, one
       :class:`FramedLog` record each, header ``{"gen", "seq", "crc",
-      "len"}``, payload ``{"caches": {attribute: [[left, right,
-      similarity], ...]}, "retained": {fingerprint: rows}, "dropped":
+      "len"}``, payload ``{"retained": {fingerprint: rows}, "dropped":
       [fingerprint, ...]}`` (each key optional).
 
     :meth:`load_snapshot` folds the records of the base's generation
-    into the base, drops before additions per record.  A compaction
+    into the base, drops before additions per record.  Similarity-cache
+    rows (``caches``) that older directories hold in the base or in a
+    delta record are ignored: decisions are the state worth keeping,
+    and a cache re-scores its misses.  A compaction
     (:meth:`save_snapshot`) writes a new base under a new generation,
     then truncates the delta log; :meth:`append_snapshot_delta` declines
     (returns ``None``) until this journal wrote or loaded a base, and
@@ -693,9 +695,9 @@ class SessionJournal:
             data = snapshot.read()
         document = json.loads(data)
         generation = document.get("generation")
+        document.pop("caches", None)
         if generation is None:
             return document  # written before snapshots had delta logs
-        caches = document.setdefault("caches", {})
         for header, payload in self._deltas.records():
             if header is None or header.get("gen") != generation:
                 break  # a compaction cut before its truncate
@@ -705,8 +707,6 @@ class SessionJournal:
                 for fingerprint in delta.get("dropped", ()):
                     retained.pop(fingerprint, None)
                 retained.update(delta.get("retained", {}))
-            for attribute, rows in delta.get("caches", {}).items():
-                caches.setdefault(attribute, []).extend(rows)
         self._generation = generation
         self._base_bytes = len(data)
         return document

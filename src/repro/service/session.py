@@ -2,9 +2,9 @@
 
 A :class:`DetectionSession` keeps the products of a detect run alive
 between calls — the blocking/sorting *plan* over the current view, a
-partition *fingerprint index*, the per-partition *decisions*, and the
-matcher's similarity caches — so that the next batch of upserts and
-deletes re-executes only the partitions the delta actually touched.
+partition *fingerprint index* and the per-partition *decisions* — so
+that the next batch of upserts and deletes re-executes only the
+partitions the delta actually touched.
 
 Correctness rests on two properties of the underlying pipeline:
 
@@ -26,8 +26,9 @@ recomputed; retained state is never *wrongly* reused.
 The session degrades gracefully to a full run: on the first
 :meth:`~DetectionSession.detect` the retained index is empty, every
 partition is stale, and the refresh is an ordinary plan-driven
-execution.  The matcher's similarity caches live across calls, so
-later refreshes start warm.
+execution.  The matcher's similarity caches live across calls in
+memory, so later refreshes start warm; a journaled session persists
+only the decisions, and a re-opened one re-scores its misses.
 """
 
 from __future__ import annotations
@@ -145,8 +146,9 @@ class DetectionSession:
         Optional session directory (or an opened
         :class:`~repro.pdb.storage.SessionJournal`).  When given, the
         journal's operations are replayed over the base on startup, the
-        snapshot's similarity-cache entries and fingerprint index are
-        restored, and every ingest appends its operations durably.
+        snapshot's fingerprint index (with its decisions, under
+        ``keep_derivations=False``) is restored, and every ingest
+        appends its operations durably.
     within_sources:
         ``False`` restricts every refresh to cross-source pairs
         (:func:`~repro.matching.executor.cross_source_plan`) — the
@@ -185,12 +187,11 @@ class DetectionSession:
         #: Pairs the current result covers, in plan order.
         self._previous_pairs: tuple[tuple[str, str], ...] = ()
         self._result: DetectionResult | None = None
-        #: What the journal's snapshot holds: one cache cursor per
-        #: attribute, and the retained fingerprints (``None`` when
-        #: decisions are not persisted).  ``None`` until a save or a
-        #: restore; the first save of a session that restored nothing
-        #: therefore compacts.
-        self._saved: tuple[dict, set[str] | None] | None = None
+        #: The retained fingerprints the journal's snapshot holds
+        #: (empty when decisions are not persisted).  ``None`` until a
+        #: save or a restore; the first save of a session that
+        #: restored nothing therefore compacts.
+        self._saved: set[str] | None = None
 
         self.stats = SessionStats()
         #: Report of the most recent refresh's execution (the *delta*
@@ -429,11 +430,11 @@ class DetectionSession:
         }
 
     def save(self) -> None:
-        """Persist the snapshot (cache entries, retained index).
+        """Persist the snapshot (the retained decisions).
 
         Appends what changed since the last save as one delta record;
-        the first save, a save after a cache was cleared, and a save
-        whose deltas would outgrow the base rewrite the base instead
+        the first save of a session that restored nothing, and a save
+        whose deltas would outgrow the base, rewrite the base instead
         (see :class:`~repro.pdb.storage.SessionJournal`).
         """
         if self._journal is None:
@@ -444,24 +445,17 @@ class DetectionSession:
             written = (
                 self._journal.append_snapshot_delta(delta) if delta else 0
             )
-        persisted = self._retained
         if written is None:
-            document = self._snapshot_document()
-            written = self._journal.save_snapshot(document)
+            written = self._journal.save_snapshot(self._snapshot_document())
             self.stats.snapshot_compactions += 1
-            persisted = document.get("retained", {})
         self.stats.snapshot_bytes += written
-        self._mark_saved(persisted)
+        self._mark_saved()
 
-    def _mark_saved(self, persisted) -> None:
-        """Record that the snapshot now holds the live caches and, when
-        decisions persist, the retained fingerprints of *persisted*."""
+    def _mark_saved(self) -> None:
+        """Record that the snapshot now holds the retained fingerprints
+        (none when decisions are not persisted)."""
         self._saved = (
-            {
-                attribute: cache.cursor()
-                for attribute, cache in self._matcher.cache_stats().items()
-            },
-            None if self._settings.keep_derivations else set(persisted),
+            set() if self._settings.keep_derivations else set(self._retained)
         )
 
     # ------------------------------------------------------------------
@@ -473,90 +467,58 @@ class DetectionSession:
         return self._procedure.matcher
 
     def _snapshot_document(self) -> dict:
-        caches: dict[str, list] = {}
-        for attribute, cache in self._matcher.cache_stats().items():
-            entries = list(cache.export_entries())
-            if entries:
-                caches[attribute] = entries
-        document: dict = {"format": SNAPSHOT_FORMAT, "caches": caches}
+        document: dict = {"format": SNAPSHOT_FORMAT}
         if not self._settings.keep_derivations:
-            retained = self._portable_slices(self._retained)
-            if retained is not None:
-                document["retained"] = retained
+            document["retained"] = self._portable_slices(self._retained)
         return document
 
     def _snapshot_delta(self) -> dict | None:
         """What changed since the last save, or ``None`` when only a
-        full document describes the state (no save yet, a cache was
-        cleared or replaced, a retained slice is not portable)."""
+        full document describes the state (no save or restore yet)."""
         if self._saved is None:
             return None
-        cursors, saved_fps = self._saved
-        live = self._matcher.cache_stats()
-        if live.keys() != cursors.keys():
-            return None
+        if self._settings.keep_derivations:
+            return {}
         delta: dict = {}
-        caches: dict[str, list] = {}
-        for attribute, cache in live.items():
-            entries = cache.export_since(cursors[attribute])
-            if entries is None:
-                return None
-            if entries:
-                caches[attribute] = entries
-        if caches:
-            delta["caches"] = caches
-        if saved_fps is not None:
-            added = self._portable_slices(
-                {
-                    fingerprint: slice_decisions
-                    for fingerprint, slice_decisions in self._retained.items()
-                    if fingerprint not in saved_fps
-                }
-            )
-            if added is None:
-                return None
-            dropped = [
-                fingerprint
-                for fingerprint in saved_fps
-                if fingerprint not in self._retained
-            ]
-            if added:
-                delta["retained"] = added
-            if dropped:
-                delta["dropped"] = dropped
+        added = self._portable_slices(
+            {
+                fingerprint: slice_decisions
+                for fingerprint, slice_decisions in self._retained.items()
+                if fingerprint not in self._saved
+            }
+        )
+        dropped = [
+            fingerprint
+            for fingerprint in self._saved
+            if fingerprint not in self._retained
+        ]
+        if added:
+            delta["retained"] = added
+        if dropped:
+            delta["dropped"] = dropped
         return delta
 
     @staticmethod
-    def _portable_slices(slices) -> dict[str, list] | None:
-        """JSON rows per retained slice, or ``None`` if one carries
-        derivation matrices.  JSON round-trips Python floats exactly,
-        so restored decisions stay bitwise-identical."""
-        portable: dict[str, list] = {}
-        for fingerprint, slice_decisions in slices.items():
-            rows = []
-            for decision in slice_decisions:
-                if decision.derivation_input is not None:
-                    return None
-                rows.append(
-                    (
-                        decision.left_id,
-                        decision.right_id,
-                        decision.decision.status.value,
-                        decision.decision.similarity,
-                    )
+    def _portable_slices(slices) -> dict[str, list]:
+        """JSON rows per retained slice.  JSON round-trips Python
+        floats exactly, so restored decisions stay bitwise-identical."""
+        return {
+            fingerprint: [
+                (
+                    decision.left_id,
+                    decision.right_id,
+                    decision.decision.status.value,
+                    decision.decision.similarity,
                 )
-            portable[fingerprint] = rows
-        return portable
+                for decision in slice_decisions
+            ]
+            for fingerprint, slice_decisions in slices.items()
+        }
 
     def _restore_snapshot(self) -> None:
         document = self._journal.load_snapshot()
         if not document or document.get("format") != SNAPSHOT_FORMAT:
             return
-        live = self._matcher.cache_stats()
-        for attribute, rows in (document.get("caches") or {}).items():
-            cache = live.get(attribute)
-            if cache is not None:
-                cache.absorb(tuple(row) for row in rows)
         if not self._settings.keep_derivations:
             for fingerprint, rows in (
                 document.get("retained") or {}
@@ -572,7 +534,7 @@ class DetectionSession:
                 )
         # The restored state is what the snapshot holds: the next save
         # appends what changes after it.
-        self._mark_saved(self._retained)
+        self._mark_saved()
 
     def __repr__(self) -> str:
         return (

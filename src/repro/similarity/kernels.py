@@ -40,8 +40,9 @@ module provides the performance core:
   numpy and C-level maps (:meth:`SimilarityCache.lookup_codes`) and
   scores a batch's distinct misses from their codes
   (:func:`score_codes`, the one batch entry point: a comparator's
-  ``batch_code_similarities`` hook, else one call per pair); strings
-  appear only where entries are exported and absorbed.
+  ``batch_code_similarities`` hook, else one call per pair).  The
+  table is a memo, never persisted: a session snapshot keeps
+  decisions, which are what a refresh reuses.
   Cutoff-pruned results are *banded*:
   each cache records the similarity floor its base comparator was
   configured with (:attr:`SimilarityCache.band`), and
@@ -52,9 +53,8 @@ module provides the performance core:
 
 from __future__ import annotations
 
-from itertools import count, islice, repeat
-from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from itertools import count, repeat
+from typing import Any
 
 import numpy as np
 
@@ -574,9 +574,7 @@ class SimilarityCache:
     operands *of the same type* short-circuit to 1.0 without touching
     the table (every normalized similarity is reflexive; the type
     guard keeps cross-type equalities like ``1 == 1.0`` out of the
-    shortcut).  Strings appear only at the persistence boundary:
-    :meth:`export_entries`, :meth:`export_since` and :meth:`absorb`
-    translate between codes and ``(left, right, similarity)`` triples.
+    shortcut).
 
     Parameters
     ----------
@@ -610,7 +608,6 @@ class SimilarityCache:
         "_bands",
         "_table",
         "_codes",
-        "_elements",
         "_clears",
     )
 
@@ -638,10 +635,9 @@ class SimilarityCache:
         #: Similarities by ``lo * PAIR_BASE + hi`` of the operands'
         #: codes, in insertion order.
         self._table: dict[int, float] = {}
-        #: Element key (a string, or ``(type, value)``) → code, and
-        #: code → element.
+        #: Element key (a string, or ``(type, value)``) → code; codes
+        #: count up from 0 in coding order.
         self._codes: dict[Any, int] = {}
-        self._elements: list[Any] = []
         #: Wholesale clears of the table so far.  Table, codes and this
         #: counter are shared with every :meth:`with_base` view.
         self._clears = [0]
@@ -674,14 +670,11 @@ class SimilarityCache:
 
     def _code(self, element: Any) -> int:
         """The code of *element*, coding it if unseen."""
-        elements = self._elements
-        code = self._codes.setdefault(
+        codes = self._codes
+        return codes.setdefault(
             element if type(element) is str else (type(element), element),
-            len(elements),
+            len(codes),
         )
-        if code == len(elements):
-            elements.append(element)
-        return code
 
     def lookup_codes(
         self,
@@ -794,10 +787,8 @@ class SimilarityCache:
         """The codes of *operands*, coding the unseen ones."""
         keys = [x if type(x) is str else (type(x), x) for x in operands]
         codes = self._codes
-        elements = self._elements
         fresh = [key for key in dict.fromkeys(keys) if key not in codes]
-        codes.update(zip(fresh, count(len(elements))))
-        elements.extend(key if type(key) is str else key[1] for key in fresh)
+        codes.update(zip(fresh, count(len(codes))))
         return np.fromiter(
             map(codes.__getitem__, keys), dtype=np.int64, count=len(keys)
         )
@@ -806,7 +797,6 @@ class SimilarityCache:
         """Empty the shared table and code map (the wholesale clear)."""
         self._table.clear()
         self._codes.clear()
-        self._elements.clear()
         self._clears[0] += 1
 
     def __len__(self) -> int:
@@ -882,108 +872,9 @@ class SimilarityCache:
         )
         clone._table = self._table
         clone._codes = self._codes
-        clone._elements = self._elements
         clone._clears = self._clears
         clone._bands = self._bands
         return clone
-
-    def export_entries(self) -> Iterator[tuple[str, str, float]]:
-        """Stream the portable (string-keyed) entries of the table.
-
-        Yields ``(left, right, similarity)`` triples, ``left <= right``,
-        for every entry whose operands are plain strings — the dominant
-        domain, and the only one a session store can round-trip through
-        JSON without a type codec — in insertion order.  Entries of
-        other operands are simply not exported; they are re-derivable
-        on demand.
-        """
-        table = self._table
-        return iter(self._portable(list(table), list(table.values())))
-
-    def _portable(
-        self, keys: list[int], values: list[float]
-    ) -> list[tuple[str, str, float]]:
-        """The string entries among table entries, decoded in bulk."""
-        lefts, rights = np.divmod(np.array(keys, dtype=np.int64), PAIR_BASE)
-        element = self._elements.__getitem__
-        return [
-            (left, right, value) if left <= right else (right, left, value)
-            for left, right, value in zip(
-                map(element, lefts.tolist()),
-                map(element, rights.tolist()),
-                values,
-            )
-            if type(left) is str and type(right) is str
-        ]
-
-    def cursor(self) -> tuple:
-        """A position in the table's insertion order, for
-        :meth:`export_since`.
-
-        Entries are only ever appended — lookups and absorbing
-        insert, nothing removes one entry — until a wholesale clear
-        (the overflow clear or :meth:`clear`) empties the table; the
-        cursor records the table, its clear count and its length.
-        """
-        return (self._table, self._clears[0], len(self._table))
-
-    def export_since(
-        self, cursor: tuple
-    ) -> list[tuple[str, str, float]] | None:
-        """The portable entries stored after *cursor*, in insertion order.
-
-        ``None`` when the table was cleared (or is another table) since
-        the cursor was taken: entries exported before it may be gone,
-        so only a full :meth:`export_entries` describes the table.
-        """
-        table, clears, position = cursor
-        if table is not self._table or clears != self._clears[0]:
-            return None
-        fresh = len(table) - position
-        if not fresh:
-            return []
-        # Walk back from the newest entry: O(new entries), not O(table).
-        keys = list(islice(reversed(table), fresh))
-        values = list(islice(reversed(table.values()), fresh))
-        keys.reverse()
-        values.reverse()
-        return self._portable(keys, values)
-
-    def absorb(self, entries: Iterable[tuple[Any, Any, float]]) -> int:
-        """Restore previously exported entries without recomputation.
-
-        The persistence counterpart of :meth:`export_entries`: each
-        ``(left, right, similarity)`` triple is stored under its
-        operands' codes, skipping pairs already present.  Only values a
-        prior run actually computed should be absorbed — the cache
-        trusts them exactly as it trusts its own memoized results.
-        Stops at :attr:`max_entries` without triggering the wholesale
-        clear.  Returns the number of entries newly stored.
-        """
-        room = self.max_entries - len(self._table)
-        if room <= 0:
-            return 0
-        rows = list(entries)
-        if not rows:
-            return 0
-        operands = list(map(itemgetter(0), rows))
-        operands += map(itemgetter(1), rows)
-        codes = self._encode(operands)
-        lefts = codes[: len(rows)]
-        rights = codes[len(rows) :]
-        keys = np.minimum(lefts, rights) * PAIR_BASE + np.maximum(
-            lefts, rights
-        )
-        values = map(float, map(itemgetter(2), rows))
-        table = self._table
-        stored = len(table)
-        for key, value in zip(keys.tolist(), values):
-            if key not in table:
-                table[key] = value
-                room -= 1
-                if not room:
-                    break
-        return len(table) - stored
 
     def clear(self) -> None:
         """Drop all entries and codes and reset the statistics."""

@@ -296,22 +296,10 @@ class TestComparatorBackends:
         clone("meier", "unseen")
         assert cache("unseen", "meier") is not None
         assert cache.hits > 0
-        # Cursors see what either view stored since, in insertion order,
-        # until a wholesale clear through either view — the clear count
-        # is shared like the store.
-        cursor = cache.cursor()
-        clone("meier", "brandt")
-        assert cache.export_since(cursor) == [
-            ("brandt", "meier", FAST_LEVENSHTEIN("meier", "brandt"))
-        ]
+        # A wholesale clear through either view is seen by both.
+        assert clone._clears is cache._clears
         clone.clear()
-        assert cache.export_since(cursor) is None
-        small = SimilarityCache(FAST_LEVENSHTEIN, max_entries=2)
-        small("a", "b")
-        cursor = small.cursor()
-        small("a", "c")
-        small("a", "d")  # overflow: the store clears wholesale
-        assert small.export_since(cursor) is None
+        assert len(cache) == 0
 
     def test_cache_exports_only_strings_and_keeps_1_and_1_0_apart(self):
         cache = SimilarityCache(FAST_JARO_WINKLER)
@@ -323,61 +311,17 @@ class TestComparatorBackends:
         assert len(cache) == 4
         assert (cache.hits, cache.misses) == (1, 4)
         assert cache(1, "1.0") != cache(1.0, "1.0")
-        assert list(cache.export_entries()) == [
-            ("maier", "meier", FAST_JARO_WINKLER("meier", "maier"))
-        ]
-
-    def test_cache_exports_pairs_in_canonical_orientation(self, coded):
-        cache = SimilarityCache(FAST_JARO_WINKLER)
-        cursor = cache.cursor()
-        cache("zeta", "alpha")
-        cache("beta", "gamma")
-        cache.lookup_codes(
-            *coded([("omega", "delta"), ("delta", "omega")]), {}
-        )
-        expected = [
-            ("alpha", "zeta", FAST_JARO_WINKLER("zeta", "alpha")),
-            ("beta", "gamma", FAST_JARO_WINKLER("beta", "gamma")),
-            ("delta", "omega", FAST_JARO_WINKLER("omega", "delta")),
-        ]
-        assert list(cache.export_entries()) == expected
-        assert cache.export_since(cursor) == expected
-        assert all(left <= right for left, right, _ in expected)
-
-    def test_cache_absorb_round_trips_export_entries(self):
-        source = SimilarityCache(FAST_JARO_WINKLER)
-        names = ["meier", "maier", "mayer", "meyer"]
-        for left, right in combinations(names, 2):
-            source(left, right)
-        entries = list(source.export_entries())
-        restored = SimilarityCache(FAST_JARO_WINKLER)
-        # Duplicates and either orientation collapse onto one entry.
-        mirrored = [(right, left, value) for left, right, value in entries]
-        assert restored.absorb(entries + mirrored) == len(entries)
-        assert list(restored.export_entries()) == entries
-        assert restored.absorb(entries) == 0
-        assert restored("meyer", "meier") == source("meier", "meyer")
-        assert (restored.hits, restored.misses) == (1, 0)
-        capped = SimilarityCache(FAST_JARO_WINKLER, max_entries=2)
-        assert capped.absorb(entries) == 2
-        assert list(capped.export_entries()) == entries[:2]
+        assert len(cache._codes) == 5  # 1 and 1.0 coded apart
 
     def test_cache_wholesale_clear_resets_codes_and_cursors(self):
         cache = SimilarityCache(FAST_JARO_WINKLER, max_entries=2)
         cache("a", "b")
         cache("c", "d")
-        cursor = cache.cursor()
         cache("e", "f")  # overflow: table and code map clear wholesale
-        assert cache.export_since(cursor) is None
         assert len(cache) == 1
-        assert cache._elements == ["e", "f"]
-        assert list(cache.export_entries()) == [
-            ("e", "f", FAST_JARO_WINKLER("e", "f"))
-        ]
-        cursor = cache.cursor()
+        assert cache._codes == {"e": 0, "f": 1}
         cache.clear()
-        assert cache.export_since(cursor) is None
-        assert (len(cache), cache._elements) == (0, [])
+        assert (len(cache), cache._codes) == (0, {})
 
     def test_cache_with_base_views_share_one_table(self, coded):
         cache = SimilarityCache(FAST_LEVENSHTEIN)
@@ -389,10 +333,9 @@ class TestComparatorBackends:
             *coded([("maier", "meier"), ("meier", "mayer")]), {}
         )
         assert (cache.hits, cache.misses) == (1, 1)
-        assert list(view.export_entries()) == list(cache.export_entries())
         assert len(view) == len(cache) == 2
         view.clear()
-        assert len(cache) == 0 and cache._elements == []
+        assert len(cache) == 0 and cache._codes == {}
 
     def test_banded_caches_memoized_per_band_and_backend(self):
         cache = SimilarityCache(FAST_LEVENSHTEIN)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import combinations
 
 import pytest
 
@@ -49,8 +50,8 @@ def _detector() -> DuplicateDetector:
     )
 
 
-def _open(base, path, detector=None):
-    return (detector or _detector()).session(
+def _open(base, path):
+    return _detector().session(
         base, journal=str(path), keep_derivations=False
     )
 
@@ -95,6 +96,18 @@ def _folded_slices(path) -> int:
     return len(SessionJournal(str(path)).load_snapshot()["retained"])
 
 
+def _drop_generation(path) -> None:
+    """Rewrite the snapshot base of *path* as its folded document
+    without a generation — the layout before snapshot delta logs, whose
+    next save compacts.  The delta log stays behind as stale records
+    for the compaction's truncate."""
+    document = SessionJournal(str(path)).load_snapshot()
+    del document["generation"]
+    (path / SNAPSHOT_NAME).write_text(
+        json.dumps(document, separators=(",", ":"))
+    )
+
+
 @pytest.fixture
 def expected(oracle, materialize):
     """The oracle's decisions over ``base ⊎ batches``."""
@@ -122,13 +135,13 @@ def test_cut_ingest_resumes_to_the_oracle(
     session.detect()
     session.save()
     session.ingest(first[0], deletes=first[1])
-
-    detector = _detector()
-    resumed = _open(base, path, detector)
-    resumed.detect()
     if boundary in ("replace", "truncate"):
-        # A cleared cache forces the next save to compact.
-        detector.procedure.matcher.cache_stats()["name"].clear()
+        # A generation-less base forces the next save to compact.
+        assert os.path.getsize(path / DELTA_NAME) > 0
+        _drop_generation(path)
+
+    resumed = _open(base, path)
+    resumed.detect()
     resumed.journal.write_hook = cut_write(boundary, torn=torn)
     with pytest.raises(InjectedWriteCrash):
         resumed.ingest(second[0], deletes=second[1])
@@ -254,6 +267,65 @@ def test_legacy_session_directory_still_opens(tmp_path, scenario, expected):
     assert _quads(final.detect().decisions) == expected(
         base, [first, second]
     )
+
+
+def test_snapshot_with_cache_rows_still_opens(tmp_path, scenario, expected):
+    """A directory from when snapshots also persisted similarity-cache
+    rows, in the base and in a delta record, re-opens to its decisions.
+    The rows are ignored — they hold wrong similarities here, which a
+    restore that absorbed them would decide by — the fold drops them,
+    and the next save writes none."""
+    base, (first, second, _third) = scenario
+    current = tmp_path / "current"
+    session = _open(base, current)
+    session.detect()
+    session.save()
+    session.ingest(first[0], deletes=first[1])
+    assert session.stats.snapshot_compactions == 1  # the first save
+    (delta,) = [
+        json.loads(payload)
+        for _header, payload in FramedLog(str(current / DELTA_NAME)).records()
+    ]
+    document = json.loads((current / SNAPSHOT_NAME).read_text())
+    del document["generation"]
+    names = sorted(
+        {
+            name
+            for tuple_id in base.tuple_ids
+            for alternative in base.get(tuple_id).alternatives
+            for name in alternative["name"].existing_support
+            if isinstance(name, str)
+        }
+    )
+    rows = [[left, right, 0.0] for left, right in combinations(names, 2)]
+
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / JOURNAL_NAME).write_bytes((current / JOURNAL_NAME).read_bytes())
+    journal = SessionJournal(str(old))
+    journal.save_snapshot({**document, "caches": {"name": rows}})
+    assert journal.append_snapshot_delta(
+        {**delta, "caches": {"name": rows[:3]}}
+    )
+    assert "caches" not in SessionJournal(str(old)).load_snapshot()
+
+    reopened = _open(base, old)
+    assert _quads(reopened.detect().decisions) == expected(base, [first])
+    assert reopened.stats.partitions_executed == 0
+    reopened.ingest(second[0], deletes=second[1])
+    assert reopened.stats.partitions_executed > 0
+    assert _quads(reopened.detect().decisions) == expected(
+        base, [first, second]
+    )
+    assert reopened.stats.snapshot_compactions == 0
+    *_, (_header, payload) = FramedLog(str(old / DELTA_NAME)).records()
+    assert "caches" not in json.loads(payload)
+
+    final = _open(base, old)
+    assert _quads(final.detect().decisions) == expected(
+        base, [first, second]
+    )
+    assert final.stats.partitions_executed == 0
 
 
 def test_torn_legacy_line_is_dropped_and_reported(
