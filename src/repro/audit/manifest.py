@@ -90,7 +90,7 @@ class AuditManifest:
     failures:
         Labels of partitions dropped by ``on_error="skip"``, sorted.
     environment:
-        Execution metadata (n_jobs, kernel ``"fast"``/``"python"``,
+        Execution metadata (kernel ``"fast"``/``"python"``,
         storage class, model class; see :func:`run_environment`) —
         recorded for forensics, **excluded from the fingerprint** (see
         module docstring).
@@ -289,7 +289,6 @@ def run_environment(settings, store, procedure) -> dict:
     relation or view it read.
     """
     return {
-        "n_jobs": settings.n_jobs,
         "kernel_backend": settings.kernel_backend,
         "storage": type(store).__name__,
         "model": type(procedure.model).__name__,

@@ -4,19 +4,18 @@ Everything between planning and the per-pair decision:
 
 * :mod:`~repro.matching.executor.scheduler` —
   :class:`ExecutionEngine` / :class:`ExecutionSettings`: one
-  in-process pipeline for every run — partitions packed into
-  chunk-sized tasks, one supervised runner, plan-order emission;
-* :mod:`~repro.matching.executor.workers` — the one decide loop and the
-  fault-injection hook seam;
+  in-process loop for every run — partitions packed into chunk-sized
+  tasks, one decide batch per chunk, per-partition replay under a
+  recovery budget, plan-order emission;
 * :mod:`~repro.matching.executor.multisource` — source-tagged planning
   over :class:`~repro.pdb.storage.MultiSourceStore` views and
   cross-source pruning (the ℛ1/ℛ2, ℛ3/ℛ4 consolidation scenario
   without materializing a union);
-* :mod:`~repro.matching.executor.faults` — the fault-tolerance layer:
+* :mod:`~repro.matching.executor.faults` — the fault model:
   structured error taxonomy (:class:`WorkerCrash` /
   :class:`WorkerTimeout` / :class:`PartitionFailure`),
-  :class:`RetryPolicy` and the supervised runner driving
-  retry-then-degrade recovery;
+  :class:`RetryPolicy`, the ``on_error`` modes, cooperative deadlines
+  and the fault-injection hook seam;
 * :mod:`~repro.matching.executor.progress` —
   :class:`ExecutionReport` run reports, per-partition
   :class:`PartitionProgress` events and :class:`FaultEvent` recovery

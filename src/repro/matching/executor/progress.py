@@ -14,8 +14,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.audit.manifest import status_counts
-
 
 @dataclass(frozen=True)
 class PartitionProgress:
@@ -51,11 +49,10 @@ ProgressObserver = Callable[[PartitionProgress], None]
 class FaultEvent:
     """One recovery action of a supervised run.
 
-    Emitted by the fault layer (see
-    :mod:`repro.matching.executor.faults`) whenever a failed attempt
-    is retried (``kind="retry"``), re-executed without fault hook or
-    deadline (``kind="degraded"``) or resolved terminally
-    (``kind="failed"``) —
+    Emitted by the engine (see :mod:`repro.matching.executor.faults`
+    for the fault model) whenever a failed attempt is retried
+    (``kind="retry"``), re-executed without fault hook or deadline
+    (``kind="degraded"``) or resolved terminally (``kind="failed"``) —
     the observable trail that makes silent degradation impossible.
     """
 
@@ -84,8 +81,6 @@ class ExecutionReport:
     is complete only once the slice iterator is exhausted).
     """
 
-    #: The run's ``n_jobs`` setting (always 1: every run is in-process).
-    n_jobs: int = 1
     #: Partitions in the executed plan.
     partitions: int = 0
     #: Candidate pairs in the executed plan.
@@ -127,7 +122,6 @@ class ExecutionReport:
     def summary(self) -> str:
         """One log-friendly line describing the run."""
         parts = [
-            f"n_jobs={self.n_jobs}",
             f"{self.completed_partitions}/{self.partitions} partitions",
             f"{self.decided_pairs}/{self.total_pairs} pairs",
             f"eta m={self.decided_matches} p={self.decided_possibles} "
@@ -145,64 +139,10 @@ class ExecutionReport:
         return ", ".join(parts)
 
 
-@dataclass
-class ProgressTracker:
-    """Shared bookkeeping behind the engine's slice emission.
-
-    Wraps the run's :class:`ExecutionReport` and optional observer so
-    every execution path reports identically: the engine calls
-    :meth:`slice_done` once per partition slice, in plan order.
-    """
-
-    report: ExecutionReport
-    observer: ProgressObserver | None = None
-    fault_observer: FaultObserver | None = None
-
-    def start(self, plan, *, n_jobs: int) -> None:
-        """Record the plan shape before execution begins."""
-        self.report.n_jobs = n_jobs
-        self.report.partitions = len(plan.partitions)
-        self.report.total_pairs = plan.total_pairs
-
-    def slice_done(self, partition, decisions=()) -> None:
-        """Account one completed partition and notify the observer.
-
-        *decisions* are the partition's
-        :class:`~repro.matching.engine.XTupleDecision` objects; their
-        matching values feed the report's η counters, counted by
-        :func:`repro.audit.manifest.status_counts` like the manifest's
-        per-partition counts.
-        """
-        report = self.report
-        report.decided_pairs += len(partition.pairs)
-        report.completed_partitions += 1
-        matches, possibles, unmatches = status_counts(decisions)
-        report.decided_matches += matches
-        report.decided_possibles += possibles
-        report.decided_unmatches += unmatches
-        if self.observer is not None:
-            self.observer(
-                PartitionProgress(
-                    label=partition.label,
-                    pairs=len(partition.pairs),
-                    index=report.completed_partitions - 1,
-                    partitions=report.partitions,
-                    decided_pairs=report.decided_pairs,
-                    total_pairs=report.total_pairs,
-                )
-            )
-
-    def fault_event(self, event: FaultEvent) -> None:
-        """Notify the fault observer of one recovery action."""
-        if self.fault_observer is not None:
-            self.fault_observer(event)
-
-
 __all__ = [
     "ExecutionReport",
     "FaultEvent",
     "FaultObserver",
     "PartitionProgress",
     "ProgressObserver",
-    "ProgressTracker",
 ]

@@ -8,21 +8,25 @@ and the per-pair decision (:meth:`XTupleDecisionProcedure.decide
 :class:`~repro.pdb.storage.XTupleStore` and yields one
 :class:`~repro.matching.executor.results.DetectionResult` slice per
 partition, in plan order, bitwise identical to the serial seed
-pipeline.  Every run is decided in-process and takes the same three
-steps:
+pipeline.  Every run is decided in-process, in one loop:
 
 1. **Packed tasks.**  Every partition is one work unit, taken whole;
    consecutive partitions are packed, in plan order, into tasks of at
    most ``chunk_size`` pairs, so a run of small blocks is decided by
    one batch per chunk instead of one per block.
-2. **One supervised runner.**  With the default :class:`RetryPolicy`
+2. **Attempts.**  An attempt captures the deadline, consults the fault
+   hook (:func:`~repro.matching.executor.faults.set_fault_hook`) and
+   decides the task with one working-set fetch and one
+   :meth:`~repro.matching.engine.XTupleDecisionProcedure.decide_batch`
+   call per chunk, checking the deadline at every chunk boundary.
+   With the default :class:`~repro.matching.executor.faults.RetryPolicy`
    (one attempt, no deadline) and ``on_error="raise"`` every task gets
    exactly one attempt, and its exception propagates unchanged.  Under
    a recovery budget a task packing several partitions first makes one
-   unsupervised attempt; if that raises, nothing is recorded and each
-   of its partitions is replayed as its own task through
-   :func:`~repro.matching.executor.faults.run_supervised_inline`, so
-   faults stay isolated per partition exactly as without packing.
+   attempt; if that raises, nothing is recorded and each of its
+   partitions is replayed alone through the retry →
+   degrade/skip/raise loop (:meth:`ExecutionEngine._replay`), so faults
+   stay isolated per partition exactly as without packing.
 3. **Plan-order emission.**  Tasks finish in plan order, so each
    partition's decisions are emitted as its own slice as soon as its
    task returns; a partition resolved terminally is dropped whole.
@@ -34,23 +38,33 @@ so packing changes how work is batched, never a result.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
+from repro.audit.manifest import status_counts
 from repro.matching.engine import XTupleDecisionProcedure
 from repro.matching.executor.faults import (
     ON_ERROR_MODES,
+    DeadlineExceeded,
+    ExecutionFault,
+    PartitionFailure,
     RetryPolicy,
-    run_supervised_inline,
+    WorkerCrash,
+    WorkerTimeout,
+    check_deadline,
+    fault_hook,
 )
 from repro.matching.executor.progress import (
     ExecutionReport,
+    FaultEvent,
     FaultObserver,
+    PartitionProgress,
     ProgressObserver,
-    ProgressTracker,
 )
 from repro.matching.executor.results import DetectionResult, slice_result
-from repro.matching.executor.workers import decide_task, fault_hook
+from repro.pdb.storage import fetch_tuples
 from repro.reduction.plan import CandidatePartition, CandidatePlan
 from repro.similarity.kernels import resolve_kernel
 
@@ -72,9 +86,6 @@ class ExecutionSettings:
     """
 
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: Retired: every run executes in-process, so only ``1`` is
-    #: accepted; any other value (``None`` included) raises.
-    n_jobs: int = 1
     keep_derivations: bool = True
     keep_compared_pairs: bool = True
     #: Edit kernel the run's procedure was configured with (``"fast"``
@@ -98,12 +109,6 @@ class ExecutionSettings:
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self.n_jobs != 1:
-            raise ValueError(
-                f"n_jobs={self.n_jobs!r}: n_jobs is retired — the process "
-                "pool was removed and every run executes in-process; "
-                "pass n_jobs=1 or omit it"
-            )
         object.__setattr__(
             self, "kernel_backend", resolve_kernel(self.kernel_backend)
         )
@@ -122,6 +127,11 @@ def prewarm_plan(matcher, relation, plan: CandidatePlan) -> tuple[int, bool]:
     always ``(0, True)``.
     """
     return 0, True
+
+
+#: A packed task: ``(partition index, pairs)`` per partition, in plan
+#: order.
+_Task = list[tuple[int, tuple[tuple[str, str], ...]]]
 
 
 class ExecutionEngine:
@@ -153,8 +163,9 @@ class ExecutionEngine:
     ) -> None:
         self._procedure = procedure
         self._settings = settings if settings is not None else ExecutionSettings()
+        self._observer = observer
+        self._fault_observer = fault_observer
         self.report = ExecutionReport()
-        self._tracker = ProgressTracker(self.report, observer, fault_observer)
 
     @property
     def settings(self) -> ExecutionSettings:
@@ -169,38 +180,80 @@ class ExecutionEngine:
         Packed tasks of consecutive partitions (at most ``chunk_size``
         pairs each, one batch per chunk) are decided in plan order, and
         each partition's decisions are emitted as its own slice; every
-        fetch covers at most one chunk's working set.
+        fetch covers at most one chunk's working set.  Without a
+        recovery budget — the policy neither retries nor times out and
+        ``on_error`` is ``"raise"`` — each task makes one attempt and
+        its exception propagates unchanged, whatever the packing.
+        Otherwise a task of several partitions makes one attempt
+        (attempt 1, fault hook and deadline included); if it raises,
+        nothing is recorded and every partition is replayed alone
+        through :meth:`_replay` from attempt 1.  Fault hooks are pure
+        functions of the attempt and the pairs, so each partition then
+        sees exactly the attempts — and the run records exactly the
+        retries, degradations and failures — of an unpacked run.
         """
         settings = self._settings
-        self._tracker.start(plan, n_jobs=settings.n_jobs)
-        self.report.kernel_backend = settings.kernel_backend
+        report = self.report
+        report.partitions = len(plan.partitions)
+        report.total_pairs = plan.total_pairs
+        report.kernel_backend = settings.kernel_backend
         partitions = plan.partitions
         size = plan.relation_size
         keep = settings.keep_compared_pairs
-        for results in self._run_inline(relation, partitions):
-            for index, decisions in results:
+        recovers = settings.retry.supervises or settings.on_error != "raise"
+        for task in self._packed_tasks(partitions):
+            if not recovers:
+                outcomes = self._attempt(relation, task, 1)
+            else:
+                outcomes = None
+                if len(task) > 1:
+                    try:
+                        outcomes = self._attempt(relation, task, 1)
+                    except Exception:  # noqa: BLE001 — replayed below
+                        pass
+                if outcomes is None:
+                    outcomes = (
+                        (index, self._replay(relation, partitions, index))
+                        for index, _pairs in task
+                    )
+            for index, decisions in outcomes:
                 if decisions is None:
                     continue
                 partition = partitions[index]
                 decisions = tuple(decisions)
                 yield slice_result(partition, decisions, size, keep)
-                self._tracker.slice_done(partition, decisions)
+                report.decided_pairs += len(partition.pairs)
+                report.completed_partitions += 1
+                matches, possibles, unmatches = status_counts(decisions)
+                report.decided_matches += matches
+                report.decided_possibles += possibles
+                report.decided_unmatches += unmatches
+                if self._observer is not None:
+                    self._observer(
+                        PartitionProgress(
+                            label=partition.label,
+                            pairs=len(partition.pairs),
+                            index=report.completed_partitions - 1,
+                            partitions=report.partitions,
+                            decided_pairs=report.decided_pairs,
+                            total_pairs=report.total_pairs,
+                        )
+                    )
 
     def _packed_tasks(
         self, partitions: tuple[CandidatePartition, ...]
-    ) -> list[list[tuple[int, tuple[tuple[str, str], ...]]]]:
-        """Pack consecutive partitions, in plan order, into tasks of
-        ``(partition index, pairs)``.
+    ) -> list[_Task]:
+        """Pack consecutive partitions, in plan order, into tasks.
 
         A task is closed *before* a partition would take it past
         ``chunk_size`` pairs, so packing never glues two partitions
         that would each fill most of a chunk into one over-long task;
         a partition larger than a chunk rides alone and is chunked by
-        :func:`decide_task`.
+        :meth:`_decide`.
         """
         chunk_size = self._settings.chunk_size
-        tasks: list[list[tuple[int, tuple[tuple[str, str], ...]]]] = []
-        task: list[tuple[int, tuple[tuple[str, str], ...]]] = []
+        tasks: list[_Task] = []
+        task: _Task = []
         task_pairs = 0
         for index, partition in enumerate(partitions):
             pairs = partition.pairs
@@ -214,21 +267,7 @@ class ExecutionEngine:
             tasks.append(task)
         return tasks
 
-    def _decide_task(
-        self, relation, task, deadline: float | None = None
-    ) -> list:
-        """Decide one task in-process (see :func:`decide_task`)."""
-        settings = self._settings
-        return decide_task(
-            self._procedure,
-            relation,
-            task,
-            settings.keep_derivations,
-            settings.chunk_size,
-            deadline,
-        )
-
-    def _attempt(self, relation, task, number: int) -> list:
+    def _attempt(self, relation, task: _Task, number: int) -> list:
         """One attempt of *task*: capture the attempt's deadline,
         consult the fault hook with the task's pairs (inside the
         deadline), then decide."""
@@ -236,62 +275,152 @@ class ExecutionEngine:
         hook = fault_hook()
         if hook is not None:
             hook(number, [pair for _index, pairs in task for pair in pairs])
-        return self._decide_task(relation, task, deadline)
+        return self._decide(relation, task, deadline)
 
-    def _run_inline(
-        self, relation, partitions: tuple[CandidatePartition, ...]
-    ) -> Iterator[list]:
-        """Run every packed task, in order, under the attempt budget.
+    def _decide(self, relation, task: _Task, deadline: float | None = None):
+        """Decide one task chunk by chunk; ``[(index, decisions)]``.
 
-        Yields each task's ``[(partition index, decisions | None)]``.
-        Without recovery configured — the policy neither retries nor
-        times out and ``on_error`` is ``"raise"`` — each task makes one
-        attempt and its exception propagates unchanged, whatever the
-        packing.  Otherwise a task of several partitions first makes
-        one packed attempt
-        (attempt 1, fault hook and deadline included); if it raises,
-        nothing is recorded and every partition is replayed as its own
-        task through
-        :func:`~repro.matching.executor.faults.run_supervised_inline`
-        from attempt 1.  Fault hooks are pure functions of the attempt
-        and the pairs, so each partition then sees exactly the attempts
-        — and the run records exactly the retries, degradations and
-        failures — of an unpacked run.  ``RetryPolicy.timeout`` is
-        honored cooperatively: the chunk loop checks each attempt's
-        deadline at every chunk boundary.  The degraded fallback is
-        hook- and deadline-free.
+        The partitions' pairs are decided as one concatenated sequence,
+        one :meth:`~repro.matching.engine.XTupleDecisionProcedure.decide_batch`
+        call per ``chunk_size`` pairs across partition boundaries, and
+        the decisions are split back per partition — so a task packing
+        many small partitions pays one batch set-up per chunk, not one
+        per partition.  Each chunk loads its own working set as one
+        batch (:func:`~repro.pdb.storage.fetch_tuples`), so residency
+        stays bounded by ``chunk_size`` even when a plan degenerates to
+        one partition spanning the whole relation.  With a *deadline*
+        every chunk boundary checks it, and a lapsed attempt raises
+        :class:`~repro.matching.executor.faults.DeadlineExceeded`.
         """
         settings = self._settings
-        unsupervised = (
-            not settings.retry.supervises and settings.on_error == "raise"
-        )
-        for task in self._packed_tasks(partitions):
-            if unsupervised:
-                yield self._attempt(relation, task, 1)
-                continue
-            if len(task) > 1:
-                try:
-                    results = self._attempt(relation, task, 1)
-                except Exception:  # noqa: BLE001 — replayed per partition
-                    results = None
-                if results is not None:
-                    yield results
-                    continue
-            for index, pairs in task:
-                single = [(index, pairs)]
-                outcome = run_supervised_inline(
-                    lambda number, single=single: self._attempt(
-                        relation, single, number
-                    ),
-                    fallback=lambda single=single: self._decide_task(
-                        relation, single
-                    ),
-                    partitions=(partitions[index],),
-                    policy=settings.retry,
-                    on_error=settings.on_error,
-                    tracker=self._tracker,
+        chunk_size = settings.chunk_size
+        pairs = list(chain.from_iterable(unit for _index, unit in task))
+        decisions = []
+        for start in range(0, len(pairs), chunk_size):
+            check_deadline(deadline)
+            chunk = pairs[start : start + chunk_size]
+            working_set = fetch_tuples(
+                relation, dict.fromkeys(chain.from_iterable(chunk))
+            )
+            decisions.extend(
+                self._procedure.decide_batch(
+                    [working_set[left] for left, _right in chunk],
+                    [working_set[right] for _left, right in chunk],
+                    settings.keep_derivations,
                 )
-                yield outcome if outcome is not None else [(index, None)]
+            )
+        results = []
+        offset = 0
+        for index, unit in task:
+            end = offset + len(unit)
+            results.append((index, decisions[offset:end]))
+            offset = end
+        return results
+
+    def _replay(self, relation, partitions, index: int):
+        """Decide one partition alone within the recovery budget.
+
+        Returns the decisions of ``partitions[index]``, or ``None`` once
+        it is skipped.  Attempts count from 1.  An attempt that raises
+        :class:`~repro.matching.executor.faults.DeadlineExceeded` is a
+        :class:`~repro.matching.executor.faults.WorkerTimeout`, any
+        other exception a
+        :class:`~repro.matching.executor.faults.WorkerCrash`; it is
+        retried after ``RetryPolicy.delay`` while the attempt budget
+        lasts.  An exhausted partition is resolved per ``on_error``:
+        ``"degrade"`` decides it once more without fault hook or
+        deadline (if that raises too, the partition fails as a
+        ``WorkerCrash``), ``"skip"`` records a
+        :class:`~repro.matching.executor.faults.PartitionFailure`, and
+        ``"raise"`` records it and raises it, chained to the fault.
+        Every step is counted in :attr:`report` and announced to the
+        fault observer.
+        """
+        settings = self._settings
+        policy = settings.retry
+        report = self.report
+        partition = partitions[index]
+        task = [(index, partition.pairs)]
+        labels = (partition.label,)
+        sources = partition.sources or ()
+        attempt = 1
+        while True:
+            try:
+                return self._attempt(relation, task, attempt)[0][1]
+            except PartitionFailure:
+                raise
+            except Exception as raised:  # noqa: BLE001 — classified below
+                error = raised
+            fault: ExecutionFault
+            if isinstance(error, DeadlineExceeded):
+                report.worker_timeouts += 1
+                fault = WorkerTimeout(
+                    f"in-process execution exceeded its {policy.timeout}s "
+                    "deadline at a chunk boundary",
+                    partitions=labels,
+                    sources=sources,
+                    attempt=attempt,
+                )
+            else:
+                report.worker_crashes += 1
+                fault = WorkerCrash(
+                    f"in-process execution raised {type(error).__name__}: "
+                    f"{error}",
+                    partitions=labels,
+                    sources=sources,
+                    attempt=attempt,
+                )
+            fault.__cause__ = error
+            if attempt >= policy.max_attempts:
+                break
+            report.retried_dispatches += 1
+            self._fault_event("retry", fault)
+            delay = policy.delay(attempt)
+            if delay > 0:
+                time.sleep(delay)
+            attempt += 1
+        if settings.on_error == "degrade":
+            try:
+                decisions = self._decide(relation, task)[0][1]
+            except Exception as raised:  # noqa: BLE001 — terminal below
+                error = raised
+            else:
+                report.degraded_tasks += 1
+                self._fault_event("degraded", fault)
+                return decisions
+            fault = WorkerCrash(
+                "degraded in-process re-execution raised "
+                f"{type(error).__name__}: {error}",
+                partitions=labels,
+                sources=sources,
+                attempt=attempt,
+            )
+            fault.__cause__ = error
+        failure = PartitionFailure(
+            f"partition {partition.label!r} failed after {attempt} "
+            f"attempt(s): {fault}",
+            partition=partition.label,
+            sources=sources,
+            attempt=attempt,
+        )
+        report.failures.append(failure)
+        self._fault_event("failed", fault)
+        if settings.on_error == "raise":
+            raise failure from fault
+        return None
+
+    def _fault_event(self, kind: str, fault: ExecutionFault) -> None:
+        """Announce one recovery action on *fault* to the fault observer."""
+        if self._fault_observer is not None:
+            self._fault_observer(
+                FaultEvent(
+                    kind=kind,
+                    fault=fault.kind,
+                    partitions=fault.partitions,
+                    attempt=fault.attempt,
+                    error=str(fault),
+                )
+            )
 
 
 __all__ = [

@@ -256,7 +256,6 @@ class DuplicateDetector:
         *,
         kernel_backend: str | None = None,
         chunk_size: int | None = None,
-        n_jobs: int = 1,
         keep_derivations: bool = True,
         keep_compared_pairs: bool = True,
         retry: RetryPolicy | None = None,
@@ -269,16 +268,13 @@ class DuplicateDetector:
         The one place :meth:`detect`, :meth:`detect_between` and
         :meth:`session` resolve their options.  ``None`` options keep
         the :class:`~repro.matching.executor.ExecutionSettings`
-        defaults; ``n_jobs`` is retired, and anything but ``1`` raises
-        ``ValueError``.
-        The configured pipeline clone is derived once per distinct
+        defaults.  The configured pipeline clone is derived once per distinct
         ``(floors, kernel)`` combination and reused afterwards
         (including its band-keyed similarity caches), evicting
         least-recently-used clones past the bound.
         """
         defaulted = dict(chunk_size=chunk_size, retry=retry)
         settings = ExecutionSettings(
-            n_jobs=n_jobs,
             keep_derivations=keep_derivations,
             keep_compared_pairs=keep_compared_pairs,
             kernel_backend=kernel_backend,
@@ -347,7 +343,6 @@ class DuplicateDetector:
         relation: XRelation | ProbabilisticRelation | XTupleStore,
         *,
         chunk_size: int | None = None,
-        n_jobs: int = 1,
         keep_derivations: bool = True,
         keep_compared_pairs: bool = True,
         stream: bool = False,
@@ -407,10 +402,6 @@ class DuplicateDetector:
             Consecutive whole partitions are packed into tasks of at
             most this many pairs; a larger partition is decided chunk
             by chunk.  Decisions are bitwise identical at any size.
-        n_jobs:
-            Retired.  Every run decides in-process, in plan order;
-            ``1`` (the default) is the only accepted value, and any
-            other — ``None`` included — raises ``ValueError``.
         keep_derivations:
             When ``False``, decisions are returned without their
             intermediate comparison matrices (``derivation_input`` is
@@ -504,7 +495,6 @@ class DuplicateDetector:
                 min_similarity,
                 kernel_backend=kernel_backend,
                 chunk_size=chunk_size,
-                n_jobs=n_jobs,
                 keep_derivations=keep_derivations,
                 keep_compared_pairs=keep_compared_pairs,
                 retry=retry,

@@ -111,10 +111,6 @@ class MultiSourceStore:
         """The source tag a tuple id belongs to (``KeyError`` if unknown)."""
         return self._source_names[self._locate[tuple_id]]
 
-    def source_index(self, tuple_id: str) -> int:
-        """Positional index of the owning source."""
-        return self._locate[tuple_id]
-
     # ------------------------------------------------------------------
     # XTupleStore protocol
     # ------------------------------------------------------------------

@@ -56,9 +56,7 @@ class AttributeStatistics:
     #: Attribute cells observed (one per alternative carrying the
     #: attribute).
     value_count: int
-    #: Total ``str`` length of plain outcomes — with ``value_count``
-    #: this feeds per-member cost estimates (string lengths drive
-    #: comparison cost far more than pair counts alone).
+    #: Total ``str`` length of plain outcomes.
     total_bytes: int
 
     @property
@@ -140,11 +138,6 @@ class StoreStatistics:
     #: First-character bucket counts of plain outcomes, per attribute.
     histograms: Mapping[str, Mapping[str, int]]
 
-    def attribute_statistics(
-        self, attribute: str
-    ) -> AttributeStatistics | None:
-        return self.attributes.get(attribute)
-
     def key_range(
         self, attribute: str, length: int | None = None
     ) -> tuple[str, str] | None:
@@ -154,20 +147,6 @@ class StoreStatistics:
         if statistics is None:
             return None
         return statistics.key_range(length)
-
-    @property
-    def mean_alternatives(self) -> float:
-        """Average alternatives per x-tuple (≥ 1.0 for non-empty)."""
-        if self.count == 0:
-            return 1.0
-        return self.alternative_count / self.count
-
-    def mean_value_bytes(self, attribute: str) -> float:
-        """Average plain-outcome length for *attribute* (0.0 unknown)."""
-        statistics = self.attributes.get(attribute)
-        if statistics is None or statistics.value_count == 0:
-            return 0.0
-        return statistics.total_bytes / statistics.value_count
 
     def to_dict(self) -> dict:
         return {

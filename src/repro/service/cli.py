@@ -114,7 +114,6 @@ def build_session(args: argparse.Namespace):
     return detector.session(
         open_base(args.base),
         journal=args.journal,
-        n_jobs=args.n_jobs,
         keep_derivations=not args.no_derivations,
         min_similarity=args.min_similarity,
         on_progress=on_progress,
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--target-fpr", type=float, default=0.05, help="false-positive-rate target for calibration")
         sub.add_argument("--audit", default=None, metavar="DIR", help="write one audit manifest per refresh into this directory")
         sub.add_argument("--min-similarity", default=None, help="similarity floors: 'auto' or a float")
-        sub.add_argument("--n-jobs", type=int, default=1, help="retired: only 1 is accepted")
         sub.add_argument("--no-derivations", action="store_true", help="drop derivation matrices (enables decision persistence)")
         sub.add_argument("--progress", action="store_true", help="stream per-partition progress to stderr")
         if extra:

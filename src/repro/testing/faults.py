@@ -9,7 +9,7 @@ mid-write — at seed-chosen but fully deterministic targets:
 * **content-addressed attempt hooks** — the executor consults an
   installed hook once per attempt of every task with the attempt
   number and the task's candidate pairs
-  (:func:`repro.matching.executor.workers.set_fault_hook`).  Hooks
+  (:func:`repro.matching.executor.faults.set_fault_hook`).  Hooks
   built here fire when a chosen *target pair* is part of the task, so
   the same pair misbehaves wherever packing happens to place it — in a
   task of many partitions or replayed alone, at any chunk size.
@@ -49,7 +49,7 @@ from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.matching.executor.workers import set_fault_hook
+from repro.matching.executor.faults import set_fault_hook
 
 #: Hook signature the executor consults: ``(attempt, pairs) -> None``;
 #: raising (or not returning) is the injection.

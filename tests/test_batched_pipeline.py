@@ -65,5 +65,3 @@ def test_invalid_options_raise(dataset):
     detector = DuplicateDetector(default_matcher(), weighted_model())
     with pytest.raises(ValueError):
         detector.detect(dataset.relation, chunk_size=0)
-    with pytest.raises(ValueError):
-        detector.detect(dataset.relation, n_jobs=0)

@@ -864,3 +864,77 @@ def test_in_process_crash_retry_recovers_packed_bitwise(
     assert packed.worker_crashes == unpacked.worker_crashes == 1
     assert packed.retried_dispatches == unpacked.retried_dispatches == 1
     assert not packed.failures and not unpacked.failures
+
+
+#: Recovery cases the parity test replays packed and unpacked, by id:
+#: ``(fault, faulting attempts, policy, on_error)``.
+PARITY_CASES = {
+    "crash-degrade": ("crash", (1, 2), RetryPolicy(max_attempts=2), "degrade"),
+    "crash-skip": ("crash", (1, 2), RetryPolicy(max_attempts=2), "skip"),
+    "crash-raise": ("crash", (1, 2), RetryPolicy(max_attempts=2), "raise"),
+    "crash-retried": ("crash", (1,), RetryPolicy(max_attempts=2), "raise"),
+    "stall-skip": ("stall", (1,), RetryPolicy(timeout=TIMEOUT), "skip"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+@pytest.mark.parametrize("seed", (3, 5, 7))
+def test_packed_runs_record_what_unpacked_runs_record(
+    seed, case, flat_relation
+):
+    """Packing changes how a run is batched, never what its recovery
+    records: one partition per task (``chunk_size=1``) and the whole
+    plan in one task give the same fault events, counters, failures
+    and raised ``PartitionFailure``."""
+    fault, attempts, policy, on_error = PARITY_CASES[case]
+    detector = _detector(REDUCERS["blocking"]())
+    plan = detector.plan(flat_relation)
+    assert len(plan) > 1 and plan.total_pairs <= max(PACKING_CHUNKS)
+    pair = FaultInjector(seed).pick_pair(plan)
+    if fault == "crash":
+        hook = crash_on(pair, attempts=attempts)
+    else:
+        hook = stall_on(pair, TIMEOUT * 2, attempts=attempts)
+    records = []
+    for chunk_size in (1, max(PACKING_CHUNKS)):
+        events = []
+        raised = None
+        with installed(hook):
+            try:
+                detector.detect(
+                    flat_relation,
+                    chunk_size=chunk_size,
+                    retry=policy,
+                    on_error=on_error,
+                    on_fault=events.append,
+                )
+            except PartitionFailure as failure:
+                raised = (
+                    failure.partition,
+                    failure.attempt,
+                    type(failure.__cause__),
+                )
+        report = detector.last_report
+        records.append(
+            (
+                [
+                    (event.kind, event.fault, event.partitions, event.attempt)
+                    for event in events
+                ],
+                (
+                    report.worker_crashes,
+                    report.worker_timeouts,
+                    report.retried_dispatches,
+                    report.degraded_tasks,
+                ),
+                [
+                    (failure.partition, failure.attempt)
+                    for failure in report.failures
+                ],
+                raised,
+            )
+        )
+    unpacked, packed = records
+    assert unpacked[0], "the injected fault was never recorded"
+    assert (raised is not None) == (on_error == "raise" and len(attempts) > 1)
+    assert packed == unpacked

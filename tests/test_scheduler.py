@@ -86,8 +86,6 @@ def test_progress_events_track_the_plan(flat_relation):
 def test_execution_settings_validate():
     with pytest.raises(ValueError):
         ExecutionSettings(chunk_size=0)
-    with pytest.raises(ValueError):
-        ExecutionSettings(n_jobs=0)
 
 
 def test_in_process_runs_never_split(flat_relation):
@@ -248,14 +246,13 @@ RUN_OPTIONS = {
     "min_similarity": 0.5,
     "kernel_backend": "python",
     "chunk_size": 9,
-    "n_jobs": 2,
     "keep_derivations": False,
     "keep_compared_pairs": False,
     "retry": RetryPolicy(max_attempts=2),
     "on_error": "degrade",
 }
 
-RETIRED_OPTIONS = ("prewarm", "prewarm_budget", "split_pairs")
+RETIRED_OPTIONS = ("prewarm", "prewarm_budget", "split_pairs", "n_jobs")
 
 
 class _Resolved(Exception):
@@ -275,12 +272,12 @@ def _entry_points(detector, relation):
 
 def test_entry_points_resolve_one_option_surface(flat_relation, monkeypatch):
     """detect, detect_between and session hand the same execution
-    keywords to ``_resolve_run``; detect takes 12 keywords."""
+    keywords to ``_resolve_run``; detect takes 11 keywords."""
     resolver = inspect.signature(DuplicateDetector._resolve_run)
     assert set(resolver.parameters) - {"self"} == set(RUN_OPTIONS)
     detect = inspect.signature(DuplicateDetector.detect)
     keywords = set(detect.parameters) - {"self", "relation"}
-    assert len(keywords) == 12
+    assert len(keywords) == 11
     assert set(RUN_OPTIONS) <= keywords
 
     detector = _detector(CertainKeyBlocking(BLOCK_KEY))
@@ -310,19 +307,11 @@ def test_retired_execution_options_raise_type_error(option, flat_relation):
         ExecutionSettings(**{option: 1})
 
 
-@pytest.mark.parametrize("n_jobs", [None, 0, 2, 4])
-def test_retired_n_jobs_raises_value_error(n_jobs, flat_relation, tmp_path):
-    """Only ``n_jobs=1`` is accepted — through every entry point, the
-    settings and the CLI's ``--n-jobs`` — and the error names the
-    retirement; ``None`` no longer means one worker per CPU."""
-    detector = _detector(CertainKeyBlocking(BLOCK_KEY))
-    for call in _entry_points(detector, flat_relation):
-        with pytest.raises(ValueError, match="retired"):
-            call(n_jobs=n_jobs)
-    with pytest.raises(ValueError, match="retired"):
-        ExecutionSettings(n_jobs=n_jobs)
+def test_cli_rejects_retired_n_jobs(flat_relation, tmp_path, capsys):
+    """The CLI's retired ``--n-jobs`` flag is an unknown argument."""
     base = str(tmp_path / "base.json")
     pdb_io.dump(flat_relation, base)
-    if n_jobs is not None:
-        with pytest.raises(ValueError, match="retired"):
-            cli_main(["detect", "--base", base, "--n-jobs", str(n_jobs)])
+    with pytest.raises(SystemExit) as info:
+        cli_main(["detect", "--base", base, "--n-jobs", "1"])
+    assert info.value.code == 2
+    assert "--n-jobs" in capsys.readouterr().err
