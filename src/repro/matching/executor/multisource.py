@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.pdb.relations import XRelation
 from repro.pdb.storage import MultiSourceStore, XTupleStore
 from repro.pdb.storage.stats import relation_statistics
 from repro.reduction.keys import SubstringKey
@@ -55,7 +54,6 @@ from repro.reduction.plan import (
     CandidatePlan,
     members_of_pairs,
     plan_candidates,
-    store_statistics,
 )
 
 
@@ -181,18 +179,18 @@ def source_key_ranges(
     touching tuple data; in-memory relations stream their resident
     values once; a store without statistics (a manifest that records
     none, or any other backend that would have to decode every tuple)
-    reports ``None`` — unbounded, never pruned.
+    reports ``None`` — unbounded, never pruned (see
+    :func:`~repro.pdb.storage.stats.relation_statistics`).
     """
     attribute, length = key.parts[0]
     ranges: list[tuple[str, str] | None] = []
     for store in view.stores:
-        statistics = store_statistics(store)
-        if statistics is None and isinstance(store, XRelation):
-            statistics = relation_statistics(store)
-        if statistics is None:
-            ranges.append(None)
-            continue
-        ranges.append(statistics.key_range(attribute, length))
+        statistics = relation_statistics(store)
+        ranges.append(
+            None
+            if statistics is None
+            else statistics.key_range(attribute, length)
+        )
     return ranges
 
 

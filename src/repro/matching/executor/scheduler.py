@@ -11,9 +11,10 @@ partition, in plan order, bitwise identical to the serial seed
 pipeline.  Every run is decided in-process, in one loop:
 
 1. **Packed tasks.**  Every partition is one work unit, taken whole;
-   consecutive partitions are packed, in plan order, into tasks of at
-   most ``chunk_size`` pairs, so a run of small blocks is decided by
-   one batch per chunk instead of one per block.
+   without a recovery budget consecutive partitions are packed, in
+   plan order, into tasks of at most ``chunk_size`` pairs, so a run of
+   small blocks is decided by one batch per chunk instead of one per
+   block.
 2. **Attempts.**  An attempt captures the deadline, consults the fault
    hook (:func:`~repro.matching.executor.faults.set_fault_hook`) and
    decides the task with one working-set fetch and one
@@ -22,11 +23,10 @@ pipeline.  Every run is decided in-process, in one loop:
    With the default :class:`~repro.matching.executor.faults.RetryPolicy`
    (one attempt, no deadline) and ``on_error="raise"`` every task gets
    exactly one attempt, and its exception propagates unchanged.  Under
-   a recovery budget a task packing several partitions first makes one
-   attempt; if that raises, nothing is recorded and each of its
-   partitions is replayed alone through the retry →
-   degrade/skip/raise loop (:meth:`ExecutionEngine._replay`), so faults
-   stay isolated per partition exactly as without packing.
+   a recovery budget every partition is its own task and goes through
+   the retry → degrade/skip/raise loop
+   (:meth:`ExecutionEngine._replay`), so faults stay isolated per
+   partition and every attempt a fault hook sees is recorded.
 3. **Plan-order emission.**  Tasks finish in plan order, so each
    partition's decisions are emitted as its own slice as soon as its
    task returns; a partition resolved terminally is dropped whole.
@@ -184,13 +184,9 @@ class ExecutionEngine:
         recovery budget — the policy neither retries nor times out and
         ``on_error`` is ``"raise"`` — each task makes one attempt and
         its exception propagates unchanged, whatever the packing.
-        Otherwise a task of several partitions makes one attempt
-        (attempt 1, fault hook and deadline included); if it raises,
-        nothing is recorded and every partition is replayed alone
-        through :meth:`_replay` from attempt 1.  Fault hooks are pure
-        functions of the attempt and the pairs, so each partition then
-        sees exactly the attempts — and the run records exactly the
-        retries, degradations and failures — of an unpacked run.
+        Otherwise nothing is packed: each partition is decided alone
+        through :meth:`_replay`, so the run records one fault per failed
+        attempt, and a stalled attempt waits out its deadline once.
         """
         settings = self._settings
         report = self.report
@@ -200,45 +196,39 @@ class ExecutionEngine:
         partitions = plan.partitions
         size = plan.relation_size
         keep = settings.keep_compared_pairs
-        recovers = settings.retry.supervises or settings.on_error != "raise"
-        for task in self._packed_tasks(partitions):
-            if not recovers:
-                outcomes = self._attempt(relation, task, 1)
-            else:
-                outcomes = None
-                if len(task) > 1:
-                    try:
-                        outcomes = self._attempt(relation, task, 1)
-                    except Exception:  # noqa: BLE001 — replayed below
-                        pass
-                if outcomes is None:
-                    outcomes = (
-                        (index, self._replay(relation, partitions, index))
-                        for index, _pairs in task
+        if settings.retry.supervises or settings.on_error != "raise":
+            outcomes = (
+                (index, self._replay(relation, partitions, index))
+                for index in range(len(partitions))
+            )
+        else:
+            outcomes = chain.from_iterable(
+                self._attempt(relation, task, 1)
+                for task in self._packed_tasks(partitions)
+            )
+        for index, decisions in outcomes:
+            if decisions is None:
+                continue
+            partition = partitions[index]
+            decisions = tuple(decisions)
+            yield slice_result(partition, decisions, size, keep)
+            report.decided_pairs += len(partition.pairs)
+            report.completed_partitions += 1
+            matches, possibles, unmatches = status_counts(decisions)
+            report.decided_matches += matches
+            report.decided_possibles += possibles
+            report.decided_unmatches += unmatches
+            if self._observer is not None:
+                self._observer(
+                    PartitionProgress(
+                        label=partition.label,
+                        pairs=len(partition.pairs),
+                        index=report.completed_partitions - 1,
+                        partitions=report.partitions,
+                        decided_pairs=report.decided_pairs,
+                        total_pairs=report.total_pairs,
                     )
-            for index, decisions in outcomes:
-                if decisions is None:
-                    continue
-                partition = partitions[index]
-                decisions = tuple(decisions)
-                yield slice_result(partition, decisions, size, keep)
-                report.decided_pairs += len(partition.pairs)
-                report.completed_partitions += 1
-                matches, possibles, unmatches = status_counts(decisions)
-                report.decided_matches += matches
-                report.decided_possibles += possibles
-                report.decided_unmatches += unmatches
-                if self._observer is not None:
-                    self._observer(
-                        PartitionProgress(
-                            label=partition.label,
-                            pairs=len(partition.pairs),
-                            index=report.completed_partitions - 1,
-                            partitions=report.partitions,
-                            decided_pairs=report.decided_pairs,
-                            total_pairs=report.total_pairs,
-                        )
-                    )
+                )
 
     def _packed_tasks(
         self, partitions: tuple[CandidatePartition, ...]

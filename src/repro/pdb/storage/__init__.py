@@ -7,8 +7,8 @@ protocol feed the detection pipeline:
   (every tuple resident, ``fetch`` hands out the existing objects);
 * :class:`ColumnarXTupleStore` — the out-of-core backend over a
   directory of per-attribute column files (mmap-backed reads, an LRU
-  cache of decoded tuples, spill-time zone maps and key
-  histograms; only ids and offsets resident), whose
+  cache of decoded tuples, spill-time zone maps; only ids and offsets
+  resident), whose
   :meth:`~ColumnarXTupleStore.project` scans a subset of attributes
   without decoding the rest and whose
   :meth:`~ColumnarXTupleStore.statistics` feeds plan-time pruning.
@@ -57,7 +57,6 @@ from repro.pdb.storage.stats import (
     StatisticsBuilder,
     StoreStatistics,
     merge_statistics,
-    ranges_overlap,
     relation_statistics,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "fetch_tuples",
     "merge_statistics",
     "project_xtuple",
-    "ranges_overlap",
     "relation_statistics",
     "spill_relation",
 ]

@@ -7,8 +7,7 @@ attribute:
 .. code-block:: text
 
     store/
-      manifest.json            # layout marker, offsets, zone maps,
-                               # per-source key histograms, CRCs
+      manifest.json            # layout marker, offsets, zone maps, CRCs
       seg-00000.tuples.jsonl   # per tuple: id, alternative
                                # probabilities + attribute order
       seg-00000.col00.jsonl    # per tuple: exact-encoded values of
@@ -47,11 +46,10 @@ The payoff is **projection**: :meth:`ColumnarXTupleStore.project`
 scans the structure file plus only the named attributes' columns —
 key-extraction and planning passes over a wide relation decode a small
 fraction of the stored bytes.  At spill time the writer also folds
-per-segment **zone maps** (min/max value bytes, null / uncertain /
-pattern counts) and per-source **key histograms**
-(:mod:`repro.pdb.storage.stats`) into the manifest, so planners can
-prune work whose key ranges cannot overlap before touching any tuple
-data.
+per-source **zone maps** (min/max value bytes, ⊥ / pattern counts;
+:mod:`repro.pdb.storage.stats`) into the manifest, so cross-source
+pruning can drop a source whose key range overlaps no other source's
+before touching any tuple data.
 
 Integrity: a CRC32 per file, verified lazily the first time a mapping
 is sliced (a projection pass therefore only pays for the files it
@@ -237,7 +235,7 @@ def spill_relation(
 
     Streams tuples in insertion order into ``segment_size``-tuple
     segment families (structure file + one file per schema attribute),
-    folding zone maps and key histograms as it goes; the manifest —
+    folding the store's zone maps as it goes; the manifest —
     offsets, CRCs, statistics — is written last and atomically, so an
     interrupted spill never produces a directory that opens as a store.
     Returns the directory opened as a :class:`ColumnarXTupleStore`.
@@ -268,7 +266,7 @@ def spill_relation(
         attribute: column
         for column, attribute in enumerate(schema_attributes)
     }
-    overall = StatisticsBuilder(schema_attributes)
+    statistics = StatisticsBuilder(schema_attributes)
     segments: list[dict] = []
     seen: set[str] = set()
     iterator = iter(relation)
@@ -293,14 +291,12 @@ def spill_relation(
                 batch.append(xtuple)
             if not batch:
                 continue
-            zone = StatisticsBuilder(schema_attributes)
             structure_lines: list[str] = []
             column_lines: list[list[str]] = [
                 [] for _ in schema_attributes
             ]
             for xtuple in batch:
-                zone.observe(xtuple)
-                overall.observe(xtuple)
+                statistics.observe(xtuple)
                 alternatives_doc = []
                 per_column: list[list] = [[] for _ in schema_attributes]
                 for alternative in xtuple.alternatives:
@@ -351,7 +347,6 @@ def spill_relation(
                         "crc32": column_crc,
                     }
                 )
-            segment_statistics = zone.build(relation.name).to_dict()
             segments.append(
                 {
                     "tuples": tuples_file,
@@ -359,7 +354,6 @@ def spill_relation(
                     "offsets": offsets,
                     "crc32": crc,
                     "columns": columns_doc,
-                    "zones": segment_statistics["zones"],
                 }
             )
             index += 1
@@ -371,7 +365,7 @@ def spill_relation(
             "schema": list(schema_attributes),
             "count": len(seen),
             "segments": segments,
-            "statistics": overall.build(relation.name).to_dict(),
+            "statistics": statistics.build().to_dict(),
         }
         write_text_atomic(manifest_path, _dump(manifest))
     except BaseException:
@@ -400,8 +394,8 @@ class ColumnarXTupleStore:
     order, decoded values and probabilities are bitwise-identical to
     the in-memory relation.  Beyond the protocol it offers
     :meth:`project` (scan a subset of attributes without decoding the
-    rest) and :meth:`statistics` (the spill-time zone maps and
-    histograms as a :class:`~repro.pdb.storage.stats.StoreStatistics`).
+    rest) and :meth:`statistics` (the spill-time zone maps as a
+    :class:`~repro.pdb.storage.stats.StoreStatistics`).
 
     Parameters
     ----------
@@ -481,7 +475,6 @@ class ColumnarXTupleStore:
         self._segment_offsets: list[list[list[int]]] = []
         self._segment_ids: list[list[str]] = []
         self._segment_crcs: list[list[int | None]] = []
-        self._segment_zones: list[dict] = []
         #: (segment, column) pairs whose bytes already matched their CRC.
         self._verified: set[tuple[int, int]] = set()
         #: tuple id → (segment index, position within segment)
@@ -524,7 +517,6 @@ class ColumnarXTupleStore:
                 self._segment_offsets.append(per_file_offsets)
                 self._segment_ids.append(list(ids))
                 self._segment_crcs.append(crcs)
-                self._segment_zones.append(segment.get("zones", {}))
                 for position, tuple_id in enumerate(ids):
                     if tuple_id in self._locate:
                         raise StorageError(
@@ -754,12 +746,8 @@ class ColumnarXTupleStore:
         return ColumnarProjection(self, selected)
 
     def statistics(self) -> StoreStatistics:
-        """The spill-time zone maps and key histograms of this store."""
-        return StoreStatistics.from_dict(self.name, self._statistics_doc)
-
-    def segment_zones(self, segment: int) -> dict:
-        """Raw per-segment zone-map documents (attribute → zone)."""
-        return dict(self._segment_zones[segment])
+        """The spill-time zone maps of this store."""
+        return StoreStatistics.from_dict(self._statistics_doc)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

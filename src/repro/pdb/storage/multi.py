@@ -173,7 +173,7 @@ class MultiSourceStore:
             if computed is None:
                 return None
             collected.append(computed)
-        return merge_statistics(self.name, collected)
+        return merge_statistics(collected)
 
     def fetch(self, tuple_ids: Iterable[str]) -> dict[str, XTuple]:
         """Multi-store working-set fetch.

@@ -97,16 +97,22 @@ class CertainKeyBlocking:
         return blocks
 
     @property
-    def prune_key(self) -> SubstringKey:
-        """The equality key candidate pairs must share.
+    def prune_key(self) -> SubstringKey | None:
+        """The equality key candidate pairs must share, or ``None``.
 
         Blocking admits a pair only when both sides produce the *same*
         block key, so disjoint key ranges between two sources prove the
         absence of cross pairs — the zone-map pruning contract of
         :func:`repro.matching.executor.multisource.prune_disjoint_sources`.
+        Zone maps bound the raw outcomes, which is what the default
+        :func:`~repro.reduction.keys.most_probable_key` slices keys
+        from; a custom ``key_strategy`` may map them anywhere (case
+        folding, say), so then no key is exposed and nothing is pruned.
         (Window- and radius-based reducers pair *nearby* keys and must
         not expose this.)
         """
+        if self._key_strategy is not most_probable_key:
+            return None
         return self._key
 
     def pairs(self, relation: XRelation) -> Iterator[tuple[str, str]]:

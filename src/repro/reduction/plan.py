@@ -21,11 +21,9 @@ changed tuple touches.  This module makes the structure explicit:
   only;
 * :func:`plan_candidates` — planner entry point with a single-partition
   fallback for legacy ``pairs()``-only reducers;
-* :func:`planning_view` / :func:`store_statistics` — the storage
-  pushdown seam: key-extraction passes scan only the keyed attributes'
-  columns of stores that support projection (the columnar backend),
-  and spill-time statistics (zone maps, key histograms) reach the
-  planner without touching tuple data;
+* :func:`planning_view` — the storage pushdown seam: key-extraction
+  passes scan only the keyed attributes' columns of stores that
+  support projection (the columnar backend);
 * :func:`tuple_keys` — the certain-key pass over that view, memoized
   per tuple on session overlays so a refresh re-keys changed tuples
   only;
@@ -58,7 +56,6 @@ from itertools import chain, combinations
 from typing import Collection, Mapping, Protocol, runtime_checkable
 
 from repro.pdb.storage.base import fetch_tuples
-from repro.pdb.storage.stats import StoreStatistics
 
 #: Pair-count target per partition for window-family planners, chosen so
 #: partitions stay large enough to amortize per-partition bookkeeping and
@@ -175,25 +172,8 @@ class PlanningReducer(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Store statistics and projection — the storage→planner pushdown seam
+# Projection — the storage→planner pushdown seam
 # ----------------------------------------------------------------------
-
-
-def store_statistics(relation) -> StoreStatistics | None:
-    """Precomputed statistics of *relation*, or ``None``.
-
-    Stores that fold zone maps and key histograms at spill time (the
-    columnar backend) answer from their manifest; everything else —
-    in-memory relations, session overlays — returns ``None``, and callers
-    that *need* statistics fall back to
-    :func:`repro.pdb.storage.stats.relation_statistics` (one streaming
-    pass) or skip the statistics-driven optimization.
-    """
-    statistics = getattr(relation, "statistics", None)
-    if not callable(statistics):
-        return None
-    computed = statistics()
-    return computed if isinstance(computed, StoreStatistics) else None
 
 
 def planning_view(relation, attributes: Iterable[str]):

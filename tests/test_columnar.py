@@ -231,8 +231,6 @@ def test_empty_columns_roundtrip(tmp_path):
     assert decoded.alternatives[0].attributes == ("name",)
     assert decoded.alternatives[1].attributes == ("job",)
     assert store.get("t2").alternatives[0].attributes == ()
-    # The never-carried column exists and summarizes to an empty zone.
-    assert store.statistics().attributes["note"].value_count == 0
 
 
 def test_page_spanning_strings_roundtrip(tmp_path):
@@ -312,37 +310,73 @@ def test_spill_time_statistics_match_streamed(x_relation, stores):
     store = open_store(stores["x"])
     stored = store.statistics()
     streamed = relation_statistics(x_relation)
-    assert stored.count == streamed.count == len(x_relation)
-    assert stored.alternative_count == streamed.alternative_count
     for attribute in x_relation.schema.attributes:
         assert stored.attributes[attribute] == streamed.attributes[attribute]
         assert stored.key_range(attribute, 1) == streamed.key_range(
             attribute, 1
         )
-        assert dict(stored.histograms[attribute]) == dict(
-            streamed.histograms[attribute]
-        )
     assert stored.key_range("salary", 1) is None
 
 
 def test_multi_source_statistics_merge(consolidation_sources):
-    relations, stores = consolidation_sources
+    _, stores = consolidation_sources
     view = MultiSourceStore([stores["A"], stores["C"]])
     merged = view.statistics()
     assert merged is not None
-    assert merged.count == len(relations["A"]) + len(relations["C"])
     lo, hi = merged.key_range("name", 1)
     assert (lo, hi) == ("a", "z")
 
 
-def test_segment_zone_maps_are_per_segment(tmp_path):
-    relation = _named(
-        "Z", [("anna", "baker"), ("bob", "clerk"), ("zoe", "smith")]
+def _rewrite_in_earlier_shape(path):
+    """Rewrite a fresh manifest as earlier releases wrote it: store
+    counters and first-character key histograms beside the zones,
+    ``uncertain``/``values``/``bytes`` counters in every zone, and a
+    copy of the zones on every segment."""
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    statistics = manifest["statistics"]
+    count = manifest["count"]
+    for zone in statistics["zones"].values():
+        zone.update(uncertain=0, values=count, bytes=len(zone["max"]) * count)
+    statistics.update(
+        count=count,
+        alternatives=count,
+        histograms={
+            attribute: {zone["min"][:1]: count}
+            for attribute, zone in statistics["zones"].items()
+        },
     )
-    store = spill_relation(relation, str(tmp_path / "zones"), segment_size=2)
-    first, second = store.segment_zones(0), store.segment_zones(1)
-    assert first["name"]["min"].startswith("a")
-    assert second["name"]["min"].startswith("z")
+    for segment in manifest["segments"]:
+        segment["zones"] = json.loads(json.dumps(statistics["zones"]))
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_earlier_shaped_manifests_open_and_prune_alike(
+    tmp_path, consolidation_sources
+):
+    """Store directories whose manifests still carry histograms,
+    per-segment zones and the retired counters open, decode bitwise and
+    prune exactly the sources a fresh spill prunes."""
+    relations, fresh = consolidation_sources
+    reducer = CertainKeyBlocking(BLOCK_KEY)
+    earlier = {}
+    for name, relation in relations.items():
+        target = tmp_path / f"earlier-{name}"
+        spill_relation(relation, str(target), segment_size=2).close()
+        _rewrite_in_earlier_shape(target)
+        store = open_store(str(target))
+        assert list(store) == list(relation)
+        assert exact_value_items(store) == exact_value_items(relation)
+        assert store.statistics() == fresh[name].statistics()
+        earlier[name] = store
+    names = ("A", "B", "C")
+    _, pruned = prune_disjoint_sources(
+        MultiSourceStore([earlier[name] for name in names]), reducer
+    )
+    _, expected = prune_disjoint_sources(
+        MultiSourceStore([fresh[name] for name in names]), reducer
+    )
+    assert pruned == expected == ("C",)
 
 
 def test_verify_reports_per_file_and_quarantine_isolates_family(

@@ -21,6 +21,7 @@ crashed attempts, stalled attempts, flipped segment bytes —
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -77,8 +78,9 @@ STALL = 1.5
 CHUNK_SIZES = {"partitioned": 32, "stealing": 16}
 
 #: In-process chunk sizes: 16 packs few blocks per task, 4096 packs the
-#: whole blocking plan into one task (asserted where it matters), so a
-#: fault lands in a task shared with healthy partitions.
+#: whole blocking plan into one task (asserted where it matters).  Runs
+#: without a recovery budget pack; under one every partition is decided
+#: alone, so a fault must record the same at either size.
 PACKING_CHUNKS = (16, 4096)
 
 
@@ -214,6 +216,34 @@ def test_stall_recovered_by_deadline(
     assert report.retried_dispatches >= 1
     assert report.recovered
     _assert_observable(report, events)
+
+
+@pytest.mark.parametrize("units", sorted(CHUNK_SIZES))
+@pytest.mark.parametrize("seed", FAULT_SEEDS)
+def test_stall_waits_once_per_recorded_timeout(seed, units, flat_relation):
+    """Every stall the hook serves is an attempt the run records as a
+    timeout: a stalled partition that shares a chunk with healthy ones
+    is not first stalled in a packed attempt nobody records."""
+    detector = _detector(REDUCERS["blocking"]())
+    stall = FaultInjector(seed).partition_stall(
+        detector.plan(flat_relation), STALL
+    )
+    sleeps = []
+
+    def counted(attempt, pairs):
+        started = time.monotonic()
+        stall(attempt, pairs)
+        if time.monotonic() - started >= STALL / 2:
+            sleeps.append(attempt)
+
+    with installed(counted):
+        detector.detect(
+            flat_relation,
+            chunk_size=CHUNK_SIZES[units],
+            retry=RetryPolicy(max_attempts=2, timeout=TIMEOUT),
+        )
+    assert sleeps == [1]
+    assert len(sleeps) == detector.last_report.worker_timeouts
 
 
 def test_composed_faults_recover(flat_relation, references):
@@ -778,8 +808,8 @@ def test_in_process_timeout_skip_drops_partitions_whole(
 ):
     """on_error="skip" under an in-process timeout drops exactly the
     stalled unit's partitions and records structured failures — also
-    when the victim shares a packed task with healthy partitions: the
-    packed attempt is replayed partition by partition."""
+    at a chunk size that would pack the victim with healthy partitions,
+    since under a recovery budget every partition is decided alone."""
     detector = _detector(REDUCERS["blocking"]())
     plan = detector.plan(flat_relation)
     pair = FaultInjector(5).pick_pair(plan)

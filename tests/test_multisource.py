@@ -230,6 +230,30 @@ def test_cross_only_equals_filtered_union_run(
     assert _triples(cross) == expected
 
 
+def test_custom_key_strategy_disables_zone_pruning():
+    """Zone maps bound raw outcomes, so a key strategy that maps them
+    elsewhere (here: case folding) must not let "Anna" and "anna" —
+    disjoint zones, one shared block key — be pruned apart."""
+    from repro.pdb.xtuples import XTuple
+    from repro.reduction import most_probable_key
+
+    def folded(xtuple, key):
+        return most_probable_key(xtuple, key).lower()
+
+    left = XRelation("A", ("name",), [XTuple.certain("a1", {"name": "Anna"})])
+    right = XRelation("B", ("name",), [XTuple.certain("b1", {"name": "anna"})])
+    factory = lambda: CertainKeyBlocking(  # noqa: E731
+        SubstringKey([("name", 1)]), key_strategy=folded
+    )
+    reference = _detector(factory).detect(left.union(right))
+    assert [t[:2] for t in _triples(reference)] == [("a1", "b1")]
+    cross = _detector(factory).detect_between(
+        left, right, within_sources=False
+    )
+    assert _triples(cross) == _triples(reference)
+    assert factory().prune_key is None
+
+
 def test_detect_between_is_stealing_compatible(flat_halves):
     left, right = flat_halves
     factory = lambda: CertainKeyBlocking(BLOCK_KEY)  # noqa: E731
