@@ -307,7 +307,7 @@ def test_bench_matching_cache(benchmark, matching_workload, cached):
 
 @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
 def test_bench_matching_cache_batch(benchmark, matching_workload, cached):
-    """The same 500 row pairs through one ``compare_batch`` call.
+    """The same 500 row pairs, encoded, through one ``compare_batch`` call.
 
     The batched counterpart of :func:`test_bench_matching_cache`: the
     code-keyed cache probe and Equation-5 memo.  Its vectors must be
@@ -323,9 +323,16 @@ def test_bench_matching_cache_batch(benchmark, matching_workload, cached):
     attributes = rows[0].attributes
     matcher = _matcher(cached)
 
-    vectors = benchmark(
-        lambda: matcher.compare_batch(attributes, rows, lefts, rights)
-    )
+    def compare(matcher):
+        codes = [
+            matcher.comparator_for(attribute).encode(
+                [row.value(attribute) for row in rows]
+            )
+            for attribute in attributes
+        ]
+        return matcher.compare_batch(attributes, codes, lefts, rights)
+
+    vectors = benchmark(lambda: compare(matcher))
     assert vectors.shape == (len(matching_workload), len(attributes))
 
     scalar, batched = _matcher(cached), _matcher(cached)
@@ -334,7 +341,7 @@ def test_bench_matching_cache_batch(benchmark, matching_workload, cached):
             [value.hex() for value in scalar.compare_rows(left, right).values]
             for left, right in matching_workload
         ]
-        got = batched.compare_batch(attributes, rows, lefts, rights)
+        got = compare(batched)
         assert [[value.hex() for value in row] for row in got.tolist()] == (
             expected
         )

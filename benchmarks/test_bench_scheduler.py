@@ -8,6 +8,9 @@ fault benches (``test_bench_faults.py``) reuse it.
 * ``multisource_between`` — the ℛ1/ℛ2 consolidation scenario:
   ``detect_between`` over the two-source view vs materializing the
   union first; the view must cost no measurable premium.
+* ``chunk_sweep`` — full comparison of a seeded flat relation at
+  ``chunk_size`` 256 and 4096: the per-batch fixed cost of the batched
+  decide, tracked by the CI smoke subset.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import pytest
 #: to one round then so the CI smoke stays fast.
 ROUNDS = 1 if os.environ.get("BENCH_QUICK") else 3
 
+from repro.datagen import DatasetConfig, generate_dataset
 from repro.experiments.quality import default_matcher, weighted_model
-from repro.matching import DuplicateDetector
+from repro.matching import DuplicateDetector, FullComparison
 from repro.pdb.relations import XRelation
 from repro.pdb.xtuples import TupleAlternative, XTuple
 from repro.reduction import (
@@ -119,3 +123,51 @@ def test_bench_scheduler_multisource_between(benchmark, skewed_relation):
 
     result = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
     assert len(result.decisions) == expected
+
+
+@pytest.fixture(scope="module")
+def sweep_relation():
+    """A seeded flat relation for full comparison (~16k pairs)."""
+    return generate_dataset(
+        DatasetConfig(entity_count=120, seed=30), flat=True
+    ).relation
+
+
+@pytest.fixture(scope="module")
+def sweep_decisions(sweep_relation):
+    """Decisions of the sweep's detection in one batch per 16k pairs,
+    the reference every chunk size must reproduce bitwise."""
+    return _bitwise(
+        DuplicateDetector(
+            default_matcher(), weighted_model(), reducer=FullComparison()
+        )
+        .detect(sweep_relation, keep_derivations=False, chunk_size=1 << 14)
+        .decisions
+    )
+
+
+def _bitwise(decisions):
+    return [
+        (d.left_id, d.right_id, d.status, repr(d.similarity))
+        for d in decisions
+    ]
+
+
+@pytest.mark.parametrize("chunk_size", [256, 4096])
+def test_bench_chunk_sweep(
+    benchmark, sweep_relation, sweep_decisions, chunk_size
+):
+    """Full comparison at a small and the default chunk size, each
+    round with a fresh detector (cold caches).  The gap between the
+    two rows is the per-batch fixed cost of the batched decide; both
+    sizes decide the same, bit for bit."""
+
+    def run():
+        return DuplicateDetector(
+            default_matcher(), weighted_model(), reducer=FullComparison()
+        ).detect(
+            sweep_relation, keep_derivations=False, chunk_size=chunk_size
+        )
+
+    result = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
+    assert _bitwise(result.decisions) == sweep_decisions

@@ -23,7 +23,7 @@ from repro.pdb.values import ProbabilisticValue
 from repro.pdb.xtuples import TupleAlternative, XTuple
 from repro.similarity.base import Comparator
 from repro.similarity.kernels import SimilarityCache
-from repro.similarity.uncertain import UncertainValueComparator
+from repro.similarity.uncertain import CodedValues, UncertainValueComparator
 
 #: Things an attribute matcher can compare: flat tuples or x-tuple alternatives.
 Row = Union[ProbabilisticTuple, TupleAlternative]
@@ -469,16 +469,19 @@ class AttributeMatcher:
     def compare_batch(
         self,
         attributes: tuple[str, ...],
-        rows: Sequence[Row],
+        codes: Sequence[CodedValues],
         lefts: np.ndarray,
         rights: np.ndarray,
     ) -> np.ndarray:
         """Comparison vectors of many row pairs, as a cells × attributes array.
 
-        Cell ``c`` pairs ``rows[lefts[c]]`` with ``rows[rights[c]]``;
-        its row is bitwise what :meth:`compare_rows` returns for that
-        pair when every left row has *attributes* — one
-        :meth:`UncertainValueComparator.similarity_batch` call per
+        *codes* holds, per attribute, the rows' values as codes of that
+        attribute's comparator
+        (:meth:`UncertainValueComparator.encode`); cell ``c`` pairs
+        rows ``lefts[c]`` and ``rights[c]``.  Its row is bitwise what
+        :meth:`compare_rows` returns for that pair when every left row
+        has *attributes* — one
+        :meth:`UncertainValueComparator.similarity_codes` call per
         attribute, the same loud error for a similarity outside
         ``[0, 1]`` (the first one in row-major order) and the same
         clamp of round-off above 1.
@@ -486,15 +489,15 @@ class AttributeMatcher:
         comparators = self._comparators
         default = self._default
         vectors = np.empty((len(lefts), len(attributes)), dtype=np.float64)
-        for column, attr in enumerate(attributes):
+        for column, (attr, coded) in enumerate(zip(attributes, codes)):
             comparator = comparators.get(attr, default)
             if comparator is None:
                 raise KeyError(
                     f"no comparator configured for attribute {attr!r} "
                     "and no default given"
                 )
-            vectors[:, column] = comparator.similarity_batch(
-                [row.value(attr) for row in rows], lefts, rights
+            vectors[:, column] = comparator.similarity_codes(
+                coded, lefts, rights
             )
         outside = (vectors > 1.0 + 1e-12) | ~(vectors >= 0.0)
         if outside.any():

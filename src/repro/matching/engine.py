@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, compress, count, repeat
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -45,16 +45,19 @@ from repro.matching.derivation import (
 from repro.matching.pushdown import SimilarityFloors, derive_floors
 from repro.pdb.tuples import ProbabilisticTuple
 from repro.pdb.xtuples import XTuple
+from repro.similarity.kernels import AppendArray
+from repro.similarity.uncertain import CodedValues
 
 
 #: Fewest alternative-pair cells a batch needs before
-#: :meth:`XTupleDecisionProcedure.decide_batch` runs it as arrays.  The
-#: array path pays a fixed few hundred microseconds per batch (numpy
-#: calls, encoding) that per-pair :meth:`~XTupleDecisionProcedure.decide`
-#: calls only overtake at a few dozen cells — warm caches, the
-#: incremental session's case, put the crossover highest; smaller
-#: batches take the per-pair loop.  The ``test_bench_decide_crossover``
-#: rows of ``benchmarks/test_bench_kernels.py`` measure both sides.
+#: :meth:`XTupleDecisionProcedure.decide_batch` runs it as arrays.  On
+#: warm caches, the incremental session's case, a batch costs about
+#: 0.4 ms fixed (numpy calls, its reference decide, coding the tuples
+#: it meets) plus ~3 µs per flat pair, against ~16 µs per per-pair
+#: :meth:`~XTupleDecisionProcedure.decide` call, so the two cross at
+#: about 30 cells (the ``test_bench_decide_crossover`` rows of
+#: ``benchmarks/test_bench_kernels.py``, 2 CPUs); smaller batches take
+#: the per-pair loop.
 BATCH_MIN_CELLS = 48
 
 
@@ -283,6 +286,7 @@ class XTupleDecisionProcedure:
         lefts: Sequence[XTuple],
         rights: Sequence[XTuple],
         keep_derivations: bool = True,
+        view: "CodedView | None" = None,
     ) -> list[XTupleDecision]:
         """Figure 6 for many x-tuple pairs at once, as arrays.
 
@@ -293,10 +297,14 @@ class XTupleDecisionProcedure:
         the model's φ (:func:`model_similarities`), the step-1.2
         classification when ϑ is decision-based, ϑ
         (:func:`derive_all`, Eq. 6) and the final classification.
-        Only the result records are built per pair, and the
-        :class:`DerivationInput` ones only with *keep_derivations*.
-        Batches under :data:`BATCH_MIN_CELLS` cells, where the arrays'
-        fixed costs outweigh their gain, are decided pair by pair.
+        Rows, conditional weights and value codes are gathered by
+        position from *view*, the run's :class:`CodedView` (a batch
+        decided without one builds its own), so a run encodes each
+        tuple once, not once per batch.  Only the result records are
+        built per pair, and the :class:`DerivationInput` ones only with
+        *keep_derivations*.  Batches under :data:`BATCH_MIN_CELLS`
+        cells, where the arrays' fixed costs outweigh their gain, are
+        decided pair by pair.
 
         The first pair is also decided by :meth:`decide` beforehand —
         one per-pair run per batch, checked against the batch's record
@@ -311,15 +319,25 @@ class XTupleDecisionProcedure:
             < BATCH_MIN_CELLS
         ):
             return self._decide_each(lefts, rights, keep_derivations)
-        cells = _CellBatch(lefts, rights)
-        if cells.attributes is None:
-            # Alternatives of differing schemas: no common vector layout.
-            return self._decide_each(lefts, rights, keep_derivations)
         reference = self.decide(
             lefts[0], rights[0], keep_derivations=keep_derivations
         )
+        if view is None:
+            view = CodedView(self._matcher)
+        left_ids = list(map(_TUPLE_ID, lefts))
+        right_ids = list(map(_TUPLE_ID, rights))
+        cells = _CellBatch(view, lefts, rights, left_ids, right_ids)
+        if cells.attributes is None:
+            # Alternatives of differing schemas: no common vector layout.
+            return [
+                reference,
+                *self._decide_each(lefts[1:], rights[1:], keep_derivations),
+            ]
         vectors = self._matcher.compare_batch(
-            cells.attributes, cells.rows, cells.lefts, cells.rights
+            cells.attributes,
+            view.codes(cells.attributes),
+            cells.lefts,
+            cells.rights,
         )
         similarities = model_similarities(
             self._model, cells.attributes, vectors
@@ -335,8 +353,8 @@ class XTupleDecisionProcedure:
         derived = derive_all(self._derivation, batch)
         records = _build_all(
             XTupleDecision,
-            list(map(_TUPLE_ID, lefts)),
-            list(map(_TUPLE_ID, rights)),
+            left_ids,
+            right_ids,
             _build_all(
                 Decision,
                 self._final_classifier.classify_batch(derived),
@@ -411,46 +429,221 @@ def _build_all(cls, *columns: Sequence) -> list:
     return built
 
 
-class _CellBatch:
-    """The alternative-pair cells of a batch of x-tuple pairs.
+class CodedView:
+    """The x-tuples of one run, each coded once, for every batch to
+    gather from by position.
 
-    Each distinct x-tuple's alternatives become :attr:`rows` once; pair
-    ``p``'s ``k × l`` matrix becomes the cells ``offsets[p]:offsets[p +
-    1]`` in row-major order, cell ``c`` pairing ``rows[lefts[c]]`` with
-    ``rows[rights[c]]``, with its Eq. 6/8/9 conditional weight computed
-    as :class:`ComparisonMatrix` does.  :attr:`attributes` is the rows'
-    shared schema, or ``None`` when they differ.
+    The first batch that meets a tuple id appends the tuple: its
+    alternatives become rows — the tuple's row range, each row's Eq.
+    6/8/9 conditional weight ``p(tⁱ)/p(t)`` and the schema its
+    alternatives share — and, per attribute, each row's plain element
+    code and Eq. 5 value code from the attribute's comparator
+    (:meth:`~repro.similarity.uncertain.UncertainValueComparator.encode`).
+    A tuple met again, even as a freshly decoded object, is found by
+    its id, so each (tuple, alternative, attribute) is encoded once per
+    run however many batches the tuple falls in.  The view keeps codes
+    only, never the tuples.  When a comparator's registry is replaced
+    (it filled up), every code is stale: the view starts over, and the
+    batches that follow re-encode their tuples against the new one.
+
+    :meth:`ExecutionEngine.execute
+    <repro.matching.executor.ExecutionEngine.execute>` makes one per
+    run (a ``detect``, a ``detect_between`` or a session refresh); a
+    batch decided without one builds its own.
     """
 
     __slots__ = (
-        "rows", "lefts", "rights", "weights", "offsets", "shapes", "attributes",
+        "_matcher", "_positions", "_first", "_sizes", "_schema",
+        "_weights", "_schemas", "_columns",
     )
 
-    def __init__(self, lefts: Sequence[XTuple], rights: Sequence[XTuple]):
-        xtuples = dict(zip(map(id, lefts), lefts))
-        xtuples.update(zip(map(id, rights), rights))
-        position = {key: index for index, key in enumerate(xtuples)}
-        rows: list = []
-        first_row: list[int] = []
+    def __init__(self, matcher: AttributeMatcher) -> None:
+        self._matcher = matcher
+        self._clear()
+
+    def _clear(self) -> None:
+        self._positions: dict[str, int] = {}
+        self._first = AppendArray(np.int64)
+        self._sizes = AppendArray(np.int64)
+        #: Per position, the index of its alternatives' shared schema
+        #: in :attr:`_schemas`, or -1 when they differ (or have none).
+        self._schema = AppendArray(np.int64)
+        self._weights = AppendArray(np.float64)
+        self._schemas: dict[tuple[str, ...], int] = {}
+        self._columns: dict[str, _Column] = {}
+
+    def locate(
+        self,
+        lefts: Sequence[XTuple],
+        rights: Sequence[XTuple],
+        left_ids: list[str],
+        right_ids: list[str],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the pairs' tuples, appending those the view
+        has not met (after starting over if a registry was replaced)."""
+        for column in self._columns.values():
+            if column.registry is not column.current_registry():
+                self._clear()
+                break
+        positions = self._positions
+        left_at = list(map(positions.get, left_ids))
+        right_at = list(map(positions.get, right_ids))
+        if None in left_at or None in right_at:
+            fresh = dict(
+                compress(zip(left_ids, lefts), map(is_, left_at, repeat(None)))
+            )
+            fresh.update(
+                compress(
+                    zip(right_ids, rights), map(is_, right_at, repeat(None))
+                )
+            )
+            self._append(fresh)
+            left_at = map(positions.__getitem__, left_ids)
+            right_at = map(positions.__getitem__, right_ids)
+        return (
+            np.fromiter(left_at, dtype=np.int64, count=len(left_ids)),
+            np.fromiter(right_at, dtype=np.int64, count=len(right_ids)),
+        )
+
+    def _append(self, fresh: dict[str, XTuple]) -> None:
+        """Append the tuples of *fresh* (by id), all or none of them."""
+        base = row = len(self._weights)
+        first: list[int] = []
         sizes: list[int] = []
-        conditional: list[float] = []
-        for xtuple in xtuples.values():
+        schema: list[int] = []
+        weights: list[float] = []
+        schemas = dict(self._schemas)
+        #: Per attribute, the new rows holding it and their values.
+        held: dict[str, tuple[list[int], list]] = {}
+        for xtuple in fresh.values():
             alternatives = xtuple.alternatives
             probabilities = tuple(alt.probability for alt in alternatives)
             total = sum(probabilities)
-            first_row.append(len(rows))
+            first.append(row)
             sizes.append(len(alternatives))
-            rows.extend(alternatives)
-            conditional.extend(p / total for p in probabilities)
-        locate = position.__getitem__
-        left_at = np.fromiter(
-            map(locate, map(id, lefts)), dtype=np.int64, count=len(lefts)
-        )
-        right_at = np.fromiter(
-            map(locate, map(id, rights)), dtype=np.int64, count=len(rights)
-        )
-        first = np.array(first_row, dtype=np.int64)
-        size = np.array(sizes, dtype=np.int64)
+            weights.extend(p / total for p in probabilities)
+            shapes = {alt.attributes for alt in alternatives}
+            shape = shapes.pop()
+            if shape and not shapes:
+                schema.append(schemas.setdefault(shape, len(schemas)))
+                for attribute in shape:
+                    rows, values = held.setdefault(attribute, ([], []))
+                    start = row - base
+                    rows.extend(range(start, start + len(alternatives)))
+                    values.extend(alt.value(attribute) for alt in alternatives)
+            else:
+                schema.append(-1)
+            row += len(alternatives)
+        # Every column's registry is settled before anything is encoded.
+        columns = {
+            attribute: self._columns.get(attribute)
+            or _Column(self._matcher, attribute, base)
+            for attribute in chain(self._columns, held)
+        }
+        codes = {
+            attribute: column.encode(
+                *held.get(attribute, ((), ())), row - base
+            )
+            for attribute, column in columns.items()
+        }
+        self._positions.update(zip(fresh, count(len(self._positions))))
+        self._first.extend(first)
+        self._sizes.extend(sizes)
+        self._schema.extend(schema)
+        self._weights.extend(weights)
+        self._schemas = schemas
+        for attribute, column in columns.items():
+            column.extend(*codes[attribute])
+            self._columns[attribute] = column
+
+    def codes(self, attributes: tuple[str, ...]) -> list[CodedValues]:
+        """Every row's codes, per attribute of *attributes*."""
+        coded = []
+        for attribute in attributes:
+            column = self._columns[attribute]
+            if column.comparator is None:
+                self._matcher.comparator_for(attribute)  # raises KeyError
+            coded.append(column.coded())
+        return coded
+
+
+class _Column:
+    """One attribute's codes of every row of a :class:`CodedView`
+    (:data:`_ABSENT` on rows of tuples without the attribute)."""
+
+    __slots__ = ("comparator", "registry", "plain", "values")
+
+    def __init__(self, matcher: AttributeMatcher, attribute: str, rows: int):
+        try:
+            self.comparator = matcher.comparator_for(attribute)
+        except KeyError:
+            # Raised when a batch needs the attribute (CodedView.codes).
+            self.comparator = None
+        self.registry = self.current_registry()
+        self.plain = AppendArray(np.int64)
+        self.values = AppendArray(np.int64)
+        absent = np.full(rows, _ABSENT, dtype=np.int64)
+        self.extend(absent, absent)
+
+    def current_registry(self):
+        """The registry the comparator's next batch encodes against."""
+        if self.comparator is None:
+            return None
+        return self.comparator.batch_registry()
+
+    def encode(self, holders: list[int], values: list, rows: int):
+        """``(plain, value codes)`` of *rows* new rows, of which the
+        rows *holders* hold *values*."""
+        if self.comparator is None or not values:
+            absent = np.full(rows, _ABSENT, dtype=np.int64)
+            return absent, absent
+        coded = self.comparator.encode(values)
+        if len(values) == rows:
+            return coded.plain, coded.values
+        plain = np.full(rows, _ABSENT, dtype=np.int64)
+        codes = plain.copy()
+        plain[holders] = coded.plain
+        codes[holders] = coded.values
+        return plain, codes
+
+    def extend(self, plain: np.ndarray, codes: np.ndarray) -> None:
+        self.plain.extend(plain)
+        self.values.extend(codes)
+
+    def coded(self) -> CodedValues:
+        return CodedValues(self.registry, self.plain.array, self.values.array)
+
+
+#: The code of a row whose tuple lacks the attribute; no batch reads it.
+_ABSENT = -3
+
+
+class _CellBatch:
+    """The alternative-pair cells of a batch of x-tuple pairs.
+
+    Pair ``p``'s ``k × l`` matrix becomes the cells ``offsets[p]:offsets[p
+    + 1]`` in row-major order, cell ``c`` pairing the :class:`CodedView`
+    rows ``lefts[c]`` and ``rights[c]``, with its Eq. 6/8/9 conditional
+    weight computed as :class:`ComparisonMatrix` does — all gathered
+    from the view by the pairs' tuple positions.  :attr:`attributes` is
+    the tuples' shared schema, or ``None`` when they differ.
+    """
+
+    __slots__ = (
+        "lefts", "rights", "weights", "offsets", "shapes", "attributes",
+    )
+
+    def __init__(
+        self,
+        view: CodedView,
+        lefts: Sequence[XTuple],
+        rights: Sequence[XTuple],
+        left_ids: list[str],
+        right_ids: list[str],
+    ):
+        left_at, right_at = view.locate(lefts, rights, left_ids, right_ids)
+        first = view._first.array
+        size = view._sizes.array
         left_size = size[left_at]
         right_size = size[right_at]
         counts = left_size * right_size
@@ -463,11 +656,15 @@ class _CellBatch:
             within = np.arange(int(offsets[-1])) - offsets[:-1][owner]
             self.lefts = first[left_at][owner] + within // right_size[owner]
             self.rights = first[right_at][owner] + within % right_size[owner]
-        weight = np.array(conditional, dtype=np.float64)
+        weight = view._weights.array
         self.weights = weight[self.lefts] * weight[self.rights]
-        self.rows = rows
         self.offsets = offsets
         self.shapes = list(zip(left_size.tolist(), right_size.tolist()))
-        schemas = {row.attributes for row in rows}
-        schema = schemas.pop()
-        self.attributes = schema if schema and not schemas else None
+        schema = view._schema.array
+        schema = np.concatenate((schema[left_at], schema[right_at]))
+        low = int(schema.min())
+        self.attributes = (
+            list(view._schemas)[low]
+            if low >= 0 and low == int(schema.max())
+            else None
+        )

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from repro.audit.manifest import status_counts
-from repro.matching.engine import XTupleDecisionProcedure
+from repro.matching.engine import CodedView, XTupleDecisionProcedure
 from repro.matching.executor.faults import (
     ON_ERROR_MODES,
     DeadlineExceeded,
@@ -69,11 +69,10 @@ from repro.reduction.plan import CandidatePartition, CandidatePlan
 from repro.similarity.kernels import resolve_kernel
 
 #: Default number of candidate pairs decided per batch.  Large enough to
-#: amortize the per-batch encoding of the batched decide
+#: amortize the fixed numpy cost of each batched decide
 #: (:meth:`~repro.matching.engine.XTupleDecisionProcedure.decide_batch`
-#: encodes each chunk's values and looks up its distinct element pairs
-#: once), small enough that per-chunk result lists never hold more than
-#: a sliver of a run.
+#: looks up each chunk's distinct element pairs once), small enough
+#: that per-chunk result lists never hold more than a sliver of a run.
 DEFAULT_CHUNK_SIZE = 4096
 
 
@@ -178,7 +177,9 @@ class ExecutionEngine:
         """Yield one result slice per partition, in plan order.
 
         Packed tasks of consecutive partitions (at most ``chunk_size``
-        pairs each, one batch per chunk) are decided in plan order, and
+        pairs each, one batch per chunk) are decided in plan order,
+        every batch gathering from one
+        :class:`~repro.matching.engine.CodedView` for the run, and
         each partition's decisions are emitted as its own slice; every
         fetch covers at most one chunk's working set.  Without a
         recovery budget — the policy neither retries nor times out and
@@ -196,14 +197,15 @@ class ExecutionEngine:
         partitions = plan.partitions
         size = plan.relation_size
         keep = settings.keep_compared_pairs
+        view = CodedView(self._procedure.matcher)
         if settings.retry.supervises or settings.on_error != "raise":
             outcomes = (
-                (index, self._replay(relation, partitions, index))
+                (index, self._replay(relation, partitions, index, view))
                 for index in range(len(partitions))
             )
         else:
             outcomes = chain.from_iterable(
-                self._attempt(relation, task, 1)
+                self._attempt(relation, task, 1, view)
                 for task in self._packed_tasks(partitions)
             )
         for index, decisions in outcomes:
@@ -257,7 +259,7 @@ class ExecutionEngine:
             tasks.append(task)
         return tasks
 
-    def _attempt(self, relation, task: _Task, number: int) -> list:
+    def _attempt(self, relation, task: _Task, number: int, view) -> list:
         """One attempt of *task*: capture the attempt's deadline,
         consult the fault hook with the task's pairs (inside the
         deadline), then decide."""
@@ -265,9 +267,15 @@ class ExecutionEngine:
         hook = fault_hook()
         if hook is not None:
             hook(number, [pair for _index, pairs in task for pair in pairs])
-        return self._decide(relation, task, deadline)
+        return self._decide(relation, task, view, deadline)
 
-    def _decide(self, relation, task: _Task, deadline: float | None = None):
+    def _decide(
+        self,
+        relation,
+        task: _Task,
+        view: CodedView,
+        deadline: float | None = None,
+    ):
         """Decide one task chunk by chunk; ``[(index, decisions)]``.
 
         The partitions' pairs are decided as one concatenated sequence,
@@ -278,8 +286,13 @@ class ExecutionEngine:
         per partition.  Each chunk loads its own working set as one
         batch (:func:`~repro.pdb.storage.fetch_tuples`), so residency
         stays bounded by ``chunk_size`` even when a plan degenerates to
-        one partition spanning the whole relation.  With a *deadline*
-        every chunk boundary checks it, and a lapsed attempt raises
+        one partition spanning the whole relation.  Every batch gathers
+        its tuples' rows, weights and codes from *view*, the run's
+        :class:`~repro.matching.engine.CodedView`, which encodes each
+        tuple the first time a batch meets it and keeps codes only, so
+        a tuple is encoded once per run, whatever the chunk size.  With
+        a *deadline* every chunk boundary checks it, and a lapsed
+        attempt raises
         :class:`~repro.matching.executor.faults.DeadlineExceeded`.
         """
         settings = self._settings
@@ -297,6 +310,7 @@ class ExecutionEngine:
                     [working_set[left] for left, _right in chunk],
                     [working_set[right] for _left, right in chunk],
                     settings.keep_derivations,
+                    view,
                 )
             )
         results = []
@@ -307,7 +321,7 @@ class ExecutionEngine:
             offset = end
         return results
 
-    def _replay(self, relation, partitions, index: int):
+    def _replay(self, relation, partitions, index: int, view):
         """Decide one partition alone within the recovery budget.
 
         Returns the decisions of ``partitions[index]``, or ``None`` once
@@ -336,7 +350,7 @@ class ExecutionEngine:
         attempt = 1
         while True:
             try:
-                return self._attempt(relation, task, attempt)[0][1]
+                return self._attempt(relation, task, attempt, view)[0][1]
             except PartitionFailure:
                 raise
             except Exception as raised:  # noqa: BLE001 — classified below
@@ -371,7 +385,7 @@ class ExecutionEngine:
             attempt += 1
         if settings.on_error == "degrade":
             try:
-                decisions = self._decide(relation, task)[0][1]
+                decisions = self._decide(relation, task, view)[0][1]
             except Exception as raised:  # noqa: BLE001 — terminal below
                 error = raised
             else:

@@ -532,6 +532,48 @@ def unique_in_order(
     return keys[first], inverse, occurrences[order], first
 
 
+class AppendArray:
+    """A one-dimensional numpy array that only grows at its end.
+
+    Appends land in a buffer that doubles when full, so a run of
+    appends costs amortized O(1) each; :attr:`array` is a view of the
+    filled part, valid until the next append.
+    """
+
+    __slots__ = ("_buffer", "_size")
+
+    def __init__(self, dtype) -> None:
+        self._buffer = np.empty(16, dtype=dtype)
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._buffer[: self._size]
+
+    def _reserve(self, size: int) -> None:
+        if size > len(self._buffer):
+            buffer = np.empty(
+                max(size, 2 * len(self._buffer)), dtype=self._buffer.dtype
+            )
+            buffer[: self._size] = self._buffer[: self._size]
+            self._buffer = buffer
+
+    def append(self, value) -> None:
+        self._reserve(self._size + 1)
+        self._buffer[self._size] = value
+        self._size += 1
+
+    def extend(self, values) -> None:
+        values = np.asarray(values, dtype=self._buffer.dtype)
+        end = self._size + len(values)
+        self._reserve(end)
+        self._buffer[self._size : end] = values
+        self._size = end
+
+
 #: Base of the integer key of a pair of codes, ``first * PAIR_BASE +
 #: second``: a cache entry's key (lower code first) and an Equation-5
 #: memo entry's (ordered).  Odd and about 2**31.3, so the low bits a

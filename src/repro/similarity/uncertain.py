@@ -30,6 +30,7 @@ from repro.pdb.values import NULL, PatternValue, ProbabilisticValue
 from repro.similarity.base import Comparator, NamedComparator
 from repro.similarity.kernels import (
     PAIR_BASE,
+    AppendArray,
     SimilarityCache,
     probe,
     score_codes,
@@ -368,16 +369,21 @@ class UncertainValueComparator:
                 ]
             except KeyError:
                 pass
-            result = self._prepared(left_value).expected_similarity(
-                self._prepared(right_value), self._domain_similarity
+            left_prepared = self._prepared(left_value)
+            right_prepared = self._prepared(right_value)
+            result = left_prepared.expected_similarity(
+                right_prepared, self._domain_similarity
             )
             if len(registry) >= _VALUE_MEMO_CAP:
                 registry = self._new_registry()
             memo = self._memo
             if len(memo) >= _VALUE_MEMO_CAP:
                 memo.clear()
-            left_code = registry.value(left_key)
-            memo[left_code * PAIR_BASE + registry.value(right_key)] = result
+            left_code = registry.value(left_key, left_prepared.items())
+            memo[
+                left_code * PAIR_BASE
+                + registry.value(right_key, right_prepared.items())
+            ] = result
             return result
         return self._prepared(left_value).expected_similarity(
             self._prepared(right_value), self._domain_similarity
@@ -389,6 +395,53 @@ class UncertainValueComparator:
         self._memo.clear()
         return self._registry
 
+    def batch_registry(self) -> "_Registry":
+        """The registry a batch encodes against: the current one, or a
+        fresh one when there is none yet or it is full."""
+        registry = self._registry
+        if registry is None or len(registry) >= _VALUE_MEMO_CAP:
+            registry = self._new_registry()
+        return registry
+
+    def encode(
+        self, values: Sequence[ProbabilisticValue | Any]
+    ) -> "CodedValues":
+        """*values* as codes of the current registry (started if there
+        is none): each value's plain element code and its value code.
+
+        The one encoder of the batch path.  Each value costs one
+        :meth:`_plain_element` and one :meth:`_Registry.value` call; a
+        value code met for the first time also registers the value's
+        prepared outcomes (``expand`` applied), which the Equation-5
+        terms are later gathered from.
+        """
+        registry = self._registry
+        if registry is None:
+            registry = self._new_registry()
+        plain_element = self._plain_element
+        element = registry.element
+        value_code = registry.value
+        prepared = self._prepared
+        plain: list[int] = []
+        codes: list[int] = []
+        for value in values:
+            single = plain_element(value)
+            if single is _UNCERTAIN:
+                plain.append(_VALUE)
+                value = _coerce(value)
+                codes.append(
+                    value_code(value.exact_key, prepared(value).items())
+                )
+            else:
+                plain.append(element(single))
+                key = _certain_key(value)
+                codes.append(value_code(key, key))
+        return CodedValues(
+            registry,
+            np.array(plain, dtype=np.int64),
+            np.array(codes, dtype=np.int64),
+        )
+
     def similarity_batch(
         self,
         values: Sequence[ProbabilisticValue | Any],
@@ -398,38 +451,42 @@ class UncertainValueComparator:
         """``self(values[lefts[c]], values[rights[c]])`` for every c, as float64.
 
         *values* are the operands of a batch and *lefts* / *rights*
-        integer index arrays pairing them up.  Every rule of
-        :meth:`__call__` holds pair by pair — ⊥ semantics, the
-        certain-value fast path (banded under a pushdown floor),
-        ``expand`` preparation, the Equation-5 memo (the one the
-        per-pair call uses) and the double loop summed term by term in
-        dict order — with the work done on integer codes: each value
-        and domain element is encoded once, the memo is probed and
-        filled by value code, Equation-5 terms are expanded and summed
-        as arrays, and each cache is probed by element code
+        integer index arrays pairing them up; the values are encoded
+        (:meth:`encode`) and scored by :meth:`similarity_codes`.
+        """
+        self.batch_registry()
+        return self.similarity_codes(self.encode(values), lefts, rights)
+
+    def similarity_codes(
+        self, coded: "CodedValues", lefts: np.ndarray, rights: np.ndarray
+    ) -> np.ndarray:
+        """``self(values[lefts[c]], values[rights[c]])`` for every c of
+        the values *coded* stands for, as float64.
+
+        Every rule of :meth:`__call__` holds pair by pair — ⊥
+        semantics, the certain-value fast path (banded under a pushdown
+        floor), ``expand`` preparation, the Equation-5 memo (the one
+        the per-pair call uses) and the double loop summed term by term
+        in dict order — with the work done on integer codes: the memo
+        is probed and filled by value code, Equation-5 terms are
+        gathered from the registry's outcome arrays and summed as
+        arrays, and each cache is probed by element code
         (:meth:`SimilarityCache.lookup_codes`, counting every occurrence
         as the per-pair calls would), so cache misses are scored in one
-        batch call.  A batch that could overflow the value memo takes
-        the per-pair path.
+        batch call.  A batch that could overflow the value memo empties
+        it first.  *coded* must come from the current registry.
         """
+        registry = coded.registry
+        if registry is not self._registry:
+            raise RuntimeError("codes of a replaced registry")
         lefts = np.asarray(lefts, dtype=np.int64)
         rights = np.asarray(rights, dtype=np.int64)
         if self._memoize and (
             len(self._memo) + len(lefts) >= _VALUE_MEMO_CAP
         ):
-            return np.array(
-                [
-                    self(values[left], values[right])
-                    for left, right in zip(lefts.tolist(), rights.tolist())
-                ],
-                dtype=np.float64,
-            )
-        registry = self._registry
-        if registry is None or len(registry) >= _VALUE_MEMO_CAP:
-            registry = self._new_registry()
-        codes = _Codes(self, registry, values)
-        left_plain = codes.plain[lefts]
-        right_plain = codes.plain[rights]
+            self._memo.clear()
+        left_plain = coded.plain[lefts]
+        right_plain = coded.plain[rights]
         results = np.zeros(len(lefts), dtype=np.float64)
         certain = (left_plain != _VALUE) & (right_plain != _VALUE)
         missing = certain & ((left_plain == _NULL) | (right_plain == _NULL))
@@ -438,17 +495,21 @@ class UncertainValueComparator:
         fast_pairs = np.stack((left_plain[fast], right_plain[fast]), axis=1)
         banded = np.zeros(len(fast), dtype=bool)
         if self._banded_base is not None:
-            patterns = codes.patterns()
+            patterns = registry.patterns.array
             banded = ~(patterns[fast_pairs[:, 0]] | patterns[fast_pairs[:, 1]])
-            results[fast[banded]] = codes.similarities(
-                fast_pairs[banded], self._banded_cache, self._banded_base
+            results[fast[banded]] = self._element_similarities(
+                registry,
+                fast_pairs[banded],
+                self._banded_cache,
+                self._banded_base,
             )
         uncertain = np.flatnonzero(~certain)
         terms = _Terms()
         finish = self._expectations(
-            codes, terms, lefts[uncertain], rights[uncertain]
+            coded, terms, lefts[uncertain], rights[uncertain]
         )
-        exact_values = codes.similarities(
+        exact_values = self._element_similarities(
+            registry,
             np.concatenate((fast_pairs[~banded], terms.pairs)),
             self._cache,
             self._base,
@@ -458,7 +519,9 @@ class UncertainValueComparator:
         results[uncertain] = finish(exact_values[direct:])
         return results
 
-    def _expectations(self, codes: "_Codes", terms: "_Terms", lefts, rights):
+    def _expectations(
+        self, coded: "CodedValues", terms: "_Terms", lefts, rights
+    ):
         """Equation 5 for uncertain value pairs, deferred on their terms.
 
         Adds the terms of every pair the memo cannot answer to *terms*
@@ -467,7 +530,7 @@ class UncertainValueComparator:
         computed one memoized.  Values with equal exact keys share a
         value code, so distinct pairs below are distinct memo keys.
         """
-        value_codes = codes.value_codes(np.concatenate((lefts, rights)))
+        value_codes = coded.values[np.concatenate((lefts, rights))]
         distinct, pair_slot, _, _ = unique_in_order(
             value_codes[: len(lefts)] * PAIR_BASE + value_codes[len(lefts) :]
         )
@@ -478,7 +541,7 @@ class UncertainValueComparator:
         else:
             known, missed = probe(memo, distinct)
         keys = distinct[missed]
-        terms.expand(codes, *np.divmod(keys, PAIR_BASE))
+        terms.expand(coded.registry, *np.divmod(keys, PAIR_BASE))
 
         def finish(similarities: np.ndarray) -> np.ndarray:
             totals = terms.sums(similarities)
@@ -488,6 +551,53 @@ class UncertainValueComparator:
             return known[pair_slot]
 
         return finish
+
+    def _element_similarities(
+        self,
+        registry: "_Registry",
+        pairs: np.ndarray,
+        cache: SimilarityCache | None,
+        base: Comparator | None,
+    ) -> np.ndarray:
+        """Domain similarity of each element-code pair (``pairs`` is N×2).
+
+        Patterns (by :meth:`_domain_similarity`) and Equation 4 (by
+        equality) are resolved once per distinct pair, uncached;
+        everything else through *cache*
+        (:meth:`SimilarityCache.lookup_codes`, each pair one lookup)
+        or, without one, once per distinct pair by *base*.
+        """
+        values = np.empty(len(pairs), dtype=np.float64)
+        if not len(pairs):
+            return values
+        lefts = pairs[:, 0]
+        rights = pairs[:, 1]
+        if base is None:
+            direct = np.ones(len(pairs), dtype=bool)
+        else:
+            patterns = registry.patterns.array
+            direct = patterns[lefts] | patterns[rights]
+        if direct.any():
+            values[direct] = _each(
+                registry.elements,
+                self._domain_similarity,
+                lefts[direct],
+                rights[direct],
+            )
+            rest = ~direct
+            lefts = lefts[rest]
+            rights = rights[rest]
+        else:
+            rest = slice(None)
+        if len(lefts):
+            values[rest] = (
+                cache.lookup_codes(
+                    registry.elements, lefts, rights, registry.translations
+                )
+                if cache is not None
+                else _each(registry.elements, base, lefts, rights)
+            )
+        return values
 
     def _plain_element(self, value: Any) -> Any:
         """The single domain element behind *value*, or ``_UNCERTAIN``.
@@ -542,26 +652,32 @@ _VALUE = -2
 
 
 class _Registry:
-    """Element and value codes, kept across batches.
+    """Element and value codes, kept across batches and runs.
 
     Elements are coded by type and value, so ``1`` and ``1.0`` stay
     apart as they do in :class:`SimilarityCache` codes; values are coded
-    by exact key, the Equation-5 memo's key, and their prepared
-    outcomes are kept by value code.  :attr:`translations` holds each
-    cache's translation of the element codes
-    (:meth:`SimilarityCache.lookup_codes`).
+    by exact key, the Equation-5 memo's key.  Each value code's prepared
+    outcomes are registered with it as flat arrays: the value's
+    outcomes are ``items[starts[code] : starts[code] + sizes[code]]``
+    (element codes, :data:`_NULL` for ⊥) with ``probabilities`` alike,
+    in dict order.  :attr:`translations` holds each cache's translation
+    of the element codes (:meth:`SimilarityCache.lookup_codes`).
     """
 
     __slots__ = (
-        "_codes", "elements", "patterns", "values", "outcomes", "translations",
+        "_codes", "elements", "patterns", "values", "starts", "sizes",
+        "items", "probabilities", "translations",
     )
 
     def __init__(self) -> None:
         self._codes: dict[Any, int] = {}
         self.elements: list[Any] = []
-        self.patterns: list[bool] = []
+        self.patterns = AppendArray(bool)
         self.values: dict[tuple, int] = {}
-        self.outcomes: dict[int, tuple[list[int], list[float]]] = {}
+        self.starts = AppendArray(np.int64)
+        self.sizes = AppendArray(np.int64)
+        self.items = AppendArray(np.int64)
+        self.probabilities = AppendArray(np.float64)
         self.translations: dict = {}
 
     def __len__(self) -> int:
@@ -578,137 +694,64 @@ class _Registry:
             self.patterns.append(isinstance(element, PatternValue))
         return code
 
-    def value(self, exact_key: tuple) -> int:
+    def value(
+        self, exact_key: tuple, outcomes: Iterable[tuple[Any, float]]
+    ) -> int:
+        """The code of *exact_key*; a new one registers *outcomes*, the
+        value's prepared ``(outcome, probability)`` items."""
         code = self.values.get(exact_key)
         if code is None:
+            outcomes = tuple(outcomes)
+            element = self.element
+            self.starts.append(len(self.items))
+            self.sizes.append(len(outcomes))
+            self.items.extend([element(outcome) for outcome, _ in outcomes])
+            self.probabilities.extend([p for _, p in outcomes])
             code = self.values[exact_key] = len(self.values)
         return code
 
 
-class _Codes:
-    """Integer codes for the values of one batch.
+class CodedValues:
+    """A sequence of values as codes of one comparator's registry
+    (:meth:`UncertainValueComparator.encode`).
 
-    :attr:`plain` maps each value to its single domain element's code,
-    :data:`_NULL` for ⊥, or :data:`_VALUE` when it takes the
-    Equation-5 path; element and value codes come from the
-    comparator's :class:`_Registry`.
+    ``plain[i]`` is value ``i``'s single domain element's code,
+    :data:`_NULL` for ⊥, or :data:`_VALUE` when it takes the Equation-5
+    path; ``values[i]`` is its value code.
     """
 
-    __slots__ = (
-        "_comparator", "_registry", "values", "plain", "elements",
-        "_coerced", "_value_codes", "_index_of",
-    )
+    __slots__ = ("registry", "plain", "values")
 
     def __init__(
-        self,
-        comparator: "UncertainValueComparator",
-        registry: _Registry,
-        values: Sequence[Any],
+        self, registry: _Registry, plain: np.ndarray, values: np.ndarray
     ) -> None:
-        self._comparator = comparator
-        self._registry = registry
+        self.registry = registry
+        self.plain = plain
         self.values = values
-        self.elements = registry.elements
-        self._coerced: dict[int, ProbabilisticValue] = {}
-        self._value_codes = np.full(len(values), -1, dtype=np.int64)
-        self._index_of: dict[int, int] = {}
-        plain_element = comparator._plain_element
-        element = registry.element
-        plain = []
-        for value in values:
-            single = plain_element(value)
-            plain.append(_VALUE if single is _UNCERTAIN else element(single))
-        self.plain = np.array(plain, dtype=np.int64)
 
-    def _value(self, index: int) -> ProbabilisticValue:
-        value = self._coerced.get(index)
-        if value is None:
-            value = self._coerced[index] = _coerce(self.values[index])
-        return value
 
-    def value_codes(self, indices: np.ndarray) -> np.ndarray:
-        """The registry's value code of each value *indices* names."""
-        known = self._value_codes
-        fresh = np.unique(indices[known[indices] < 0]).tolist()
-        if fresh:
-            code = self._registry.value
-            coded = [code(self._value(index).exact_key) for index in fresh]
-            known[fresh] = coded
-            self._index_of.update(zip(coded, fresh))
-        return known[indices]
+def _certain_key(value: Any) -> tuple:
+    """The exact key of a value whose plain element is not
+    ``_UNCERTAIN``, without coercing it."""
+    if isinstance(value, ProbabilisticValue):
+        return value.exact_key
+    if value is None or value is NULL:
+        return _MISSING_KEY
+    return ((value, 1.0),)
 
-    def items(self, code: int) -> tuple[list[int], list[float]]:
-        """Value *code*, prepared, as ``(element codes, probabilities)``."""
-        outcomes = self._registry.outcomes
-        known = outcomes.get(code)
-        if known is None:
-            value = self._value(self._index_of[code])
-            pairs = tuple(self._comparator._prepared(value).items())
-            element = self._registry.element
-            known = outcomes[code] = (
-                [element(outcome) for outcome, _ in pairs],
-                [probability for _, probability in pairs],
-            )
-        return known
 
-    def patterns(self) -> np.ndarray:
-        """Per element code: whether the element is a pattern value."""
-        return np.array(self._registry.patterns, dtype=bool)
+#: The exact key of the certainly-missing value.
+_MISSING_KEY = ((NULL, 1.0),)
 
-    def similarities(
-        self,
-        pairs: np.ndarray,
-        cache: SimilarityCache | None,
-        base: Comparator | None,
-    ) -> np.ndarray:
-        """Domain similarity of each element-code pair (``pairs`` is N×2).
 
-        Patterns (by
-        :meth:`UncertainValueComparator._domain_similarity`) and
-        Equation 4 (by equality) are resolved once per distinct pair,
-        uncached; everything else through *cache*
-        (:meth:`SimilarityCache.lookup_codes`, each pair one lookup)
-        or, without one, once per distinct pair by *base*.
-        """
-        values = np.empty(len(pairs), dtype=np.float64)
-        if not len(pairs):
-            return values
-        lefts = pairs[:, 0]
-        rights = pairs[:, 1]
-        if base is None:
-            direct = np.ones(len(pairs), dtype=bool)
-        else:
-            patterns = self.patterns()
-            direct = patterns[lefts] | patterns[rights]
-        if direct.any():
-            values[direct] = self._each(
-                self._comparator._domain_similarity,
-                lefts[direct],
-                rights[direct],
-            )
-            rest = ~direct
-            lefts = lefts[rest]
-            rights = rights[rest]
-        else:
-            rest = slice(None)
-        if len(lefts):
-            values[rest] = (
-                cache.lookup_codes(
-                    self.elements, lefts, rights, self._registry.translations
-                )
-                if cache is not None
-                else self._each(base, lefts, rights)
-            )
-        return values
-
-    def _each(self, similarity: Comparator, lefts, rights) -> np.ndarray:
-        """*similarity* of each code pair, called once per distinct pair."""
-        span = len(self.elements)
-        distinct, inverse, _, _ = unique_in_order(lefts * span + rights)
-        scored = score_codes(
-            similarity, self.elements, *np.divmod(distinct, span)
-        )
-        return np.asarray(scored, dtype=np.float64)[inverse]
+def _each(
+    elements: list[Any], similarity: Comparator, lefts, rights
+) -> np.ndarray:
+    """*similarity* of each code pair, called once per distinct pair."""
+    span = len(elements)
+    distinct, inverse, _, _ = unique_in_order(lefts * span + rights)
+    scored = score_codes(similarity, elements, *np.divmod(distinct, span))
+    return np.asarray(scored, dtype=np.float64)[inverse]
 
 
 class _Terms:
@@ -728,41 +771,28 @@ class _Terms:
         self._offsets = np.zeros(1, dtype=np.int64)
 
     def expand(
-        self, codes: _Codes, lefts: np.ndarray, rights: np.ndarray
+        self, registry: _Registry, lefts: np.ndarray, rights: np.ndarray
     ) -> None:
         """Build the terms of the value pairs ``lefts[p], rights[p]``
-        (value codes); :attr:`pairs` then lists the element pairs
-        :meth:`sums` needs."""
+        (value codes), gathered from *registry*'s outcome arrays;
+        :attr:`pairs` then lists the element pairs :meth:`sums`
+        needs."""
         if not len(lefts):
             return
-        distinct, slots, _, _ = unique_in_order(
-            np.concatenate((lefts, rights))
-        )
-        element_codes: list[int] = []
-        probabilities: list[float] = []
-        starts: list[int] = []
-        sizes: list[int] = []
-        for value in distinct.tolist():
-            value_codes, value_probs = codes.items(value)
-            starts.append(len(element_codes))
-            sizes.append(len(value_codes))
-            element_codes.extend(value_codes)
-            probabilities.extend(value_probs)
-        element_codes = np.array(element_codes, dtype=np.int64)
-        probabilities = np.array(probabilities, dtype=np.float64)
-        starts = np.array(starts, dtype=np.int64)
-        sizes = np.array(sizes, dtype=np.int64)
-        left, right = slots[: len(lefts)], slots[len(lefts) :]
-        right_size = sizes[right]
-        counts = sizes[left] * right_size
+        starts = registry.starts.array
+        sizes = registry.sizes.array
+        right_size = sizes[rights]
+        counts = sizes[lefts] * right_size
         self._offsets = np.concatenate(([0], np.cumsum(counts)))
         owner = np.repeat(np.arange(len(counts)), counts)
         within = np.arange(int(self._offsets[-1])) - self._offsets[:-1][owner]
-        left_item = starts[left][owner] + within // right_size[owner]
-        right_item = starts[right][owner] + within % right_size[owner]
+        left_item = starts[lefts][owner] + within // right_size[owner]
+        right_item = starts[rights][owner] + within % right_size[owner]
+        probabilities = registry.probabilities.array
         self._weights = probabilities[left_item] * probabilities[right_item]
-        left_codes = element_codes[left_item]
-        right_codes = element_codes[right_item]
+        items = registry.items.array
+        left_codes = items[left_item]
+        right_codes = items[right_item]
         self._both_null = (left_codes == _NULL) & (right_codes == _NULL)
         self._compared = (left_codes != _NULL) & (right_codes != _NULL)
         self.pairs = np.stack(

@@ -542,3 +542,30 @@ def test_decide_batch_statuses_come_from_the_final_classifier():
     tuples = _relation()
     got = _procedure().decide_batch(tuples[:4], tuples[1:], False)
     assert {d.status for d in got} <= set(MatchStatus)
+
+
+def test_batch_of_differing_schemas_is_decided_pair_by_pair(monkeypatch):
+    """Tuples whose schemas differ share no vector layout: the batch is
+    decided pair by pair, and an attribute without a comparator that
+    only a right-hand tuple holds raises nowhere, as in ``decide``."""
+    tuples = _relation()
+    extra = XTuple(
+        "t6",
+        [
+            TupleAlternative(
+                {"name": "meier", "job": "baker", "city": "bern"}, 1.0
+            )
+        ],
+    )
+    lefts = [tuples[3], tuples[0]]
+    rights = [tuples[4], extra]
+    procedure = _procedure()
+
+    def unused(*args):
+        raise AssertionError("differing schemas must not take the array path")
+
+    monkeypatch.setattr(procedure.matcher, "compare_batch", unused)
+    got = procedure.decide_batch(lefts, rights, True)
+    assert got == [
+        _procedure().decide(left, right) for left, right in zip(lefts, rights)
+    ]

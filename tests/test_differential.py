@@ -649,3 +649,195 @@ def test_session_decides_like_the_oracle(
             reference.decisions
         )
         assert reopened.stats.torn_records == 0
+
+
+# ----------------------------------------------------------------------
+# Multi-batch runs over the coded view
+# ----------------------------------------------------------------------
+
+#: Relations large enough that full comparison at ``chunk_size`` 48..300
+#: runs several array batches (each of at least ``BATCH_MIN_CELLS``
+#: cells), every tuple's pairs spread over many of them.
+MULTI_BATCH = {
+    "flat": lambda: generate_dataset(
+        DatasetConfig(entity_count=30, seed=61), flat=True
+    ).relation,
+    "x": lambda: generate_dataset(
+        DatasetConfig(entity_count=16, seed=63)
+    ).relation,
+}
+
+
+def _full_detector():
+    return DuplicateDetector(
+        _lattice_matcher(), _lattice_model(), reducer=FullComparison()
+    )
+
+
+@pytest.fixture(scope="module")
+def multi_batch(tmp_path_factory, oracle):
+    """Each multi-batch relation, its spill and its oracle decisions."""
+    root = tmp_path_factory.mktemp("multi_batch")
+    cases = {}
+    for kind, make in MULTI_BATCH.items():
+        relation = make()
+        path = str(root / kind)
+        relation.spill(path, segment_size=5).close()
+        reference = oracle(_full_detector(), relation, keep_derivations=False)
+        cases[kind] = (relation, path, _bitwise(reference.decisions))
+    return cases
+
+
+class _ArrayBatches:
+    """Counts the batches a run decides as arrays (one
+    ``compare_batch`` call each) while active."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def __enter__(self):
+        original = AttributeMatcher.compare_batch
+
+        def counting(matcher, *args):
+            self.count += 1
+            return original(matcher, *args)
+
+        self._original = original
+        AttributeMatcher.compare_batch = counting
+        return self
+
+    def __exit__(self, *exc):
+        AttributeMatcher.compare_batch = self._original
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(MULTI_BATCH)),
+    chunk_size=st.integers(min_value=48, max_value=300),
+    storage=st.sampled_from(("memory", "spilled")),
+    min_similarity=st.sampled_from((None, "auto")),
+)
+def test_multi_batch_run_decides_like_the_oracle(
+    multi_batch, kind, chunk_size, storage, min_similarity
+):
+    """A run of several array batches gathers every tuple from one
+    coded view, including tuples whose pairs span batches and, spilled
+    with four-tuple pages, tuples decoded afresh by every fetch; it
+    still decides the oracle's decisions bit for bit."""
+    relation, path, reference = multi_batch[kind]
+    if storage == "spilled":
+        relation = open_store(path, page_size=4, max_pages=3)
+    try:
+        with _ArrayBatches() as batches:
+            result = _full_detector().detect(
+                relation,
+                chunk_size=chunk_size,
+                keep_derivations=False,
+                min_similarity=min_similarity,
+            )
+    finally:
+        if storage == "spilled":
+            relation.close()
+    assert batches.count >= 2
+    assert _bitwise(result.decisions) == reference
+
+
+def test_registry_reset_mid_run_decides_like_the_oracle(
+    multi_batch, monkeypatch
+):
+    """Registries so small that each fills within a batch are replaced
+    between the batches of one ``detect`` and of one session refresh;
+    the coded view re-encodes against each new registry, and every
+    decision stays the oracle's, bit for bit."""
+    import repro.similarity.uncertain as uncertain
+
+    monkeypatch.setattr(uncertain, "_VALUE_MEMO_CAP", 40)
+    resets = []
+    new_registry = uncertain.UncertainValueComparator._new_registry
+
+    def counting(comparator):
+        resets.append(comparator)
+        return new_registry(comparator)
+
+    monkeypatch.setattr(
+        uncertain.UncertainValueComparator, "_new_registry", counting
+    )
+    for kind in ("flat", "x"):
+        relation, _path, reference = multi_batch[kind]
+        with _ArrayBatches() as batches:
+            result = _full_detector().detect(
+                relation, chunk_size=60, keep_derivations=False
+            )
+        assert batches.count >= 3
+        assert len(resets) >= batches.count
+        assert _bitwise(result.decisions) == reference
+        resets.clear()
+        session = _full_detector().session(
+            relation, chunk_size=60, keep_derivations=False
+        )
+        with _ArrayBatches() as batches:
+            refreshed = session.detect()
+        assert batches.count >= 3
+        assert len(resets) >= batches.count
+        assert _bitwise(refreshed.decisions) == reference
+        resets.clear()
+
+
+def test_each_value_is_encoded_once_per_run(multi_batch, monkeypatch):
+    """Over a run of many array batches, outside the per-pair reference
+    decides, each (tuple, alternative, attribute) is encoded at most
+    once: one ``_plain_element`` and one ``_Registry.value`` call."""
+    import repro.matching.engine as engine
+    import repro.similarity.uncertain as uncertain
+
+    counts = {"plain": 0, "value": 0}
+    deciding = [0]
+    comparator = uncertain.UncertainValueComparator
+    plain_element = comparator._plain_element
+    value = uncertain._Registry.value
+    decide = engine.XTupleDecisionProcedure.decide
+
+    def counted(key, function):
+        def wrapper(*args):
+            if not deciding[0]:
+                counts[key] += 1
+            return function(*args)
+
+        return wrapper
+
+    def reference(procedure, *args, **kwargs):
+        deciding[0] += 1
+        try:
+            return decide(procedure, *args, **kwargs)
+        finally:
+            deciding[0] -= 1
+
+    monkeypatch.setattr(
+        comparator, "_plain_element", counted("plain", plain_element)
+    )
+    monkeypatch.setattr(uncertain._Registry, "value", counted("value", value))
+    monkeypatch.setattr(engine.XTupleDecisionProcedure, "decide", reference)
+    for kind in ("flat", "x"):
+        relation, path, reference_decisions = multi_batch[kind]
+        cells = sum(len(xtuple.alternatives) for xtuple in relation) * len(
+            relation.schema.attributes
+        )
+        for storage in ("memory", "spilled"):
+            counts.update(plain=0, value=0)
+            store = (
+                relation
+                if storage == "memory"
+                else open_store(path, page_size=4, max_pages=3)
+            )
+            try:
+                with _ArrayBatches() as batches:
+                    result = _full_detector().detect(
+                        store, chunk_size=64, keep_derivations=False
+                    )
+            finally:
+                if storage == "spilled":
+                    store.close()
+            assert batches.count >= 5
+            assert _bitwise(result.decisions) == reference_decisions
+            assert 0 < counts["plain"] <= cells, (kind, storage)
+            assert 0 < counts["value"] <= cells, (kind, storage)

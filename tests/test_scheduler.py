@@ -137,9 +137,9 @@ def test_in_process_packs_partitions_into_chunk_batches(
     sizes = []
     original = detector.procedure.decide_batch
 
-    def counting(lefts, rights, keep_derivations=True):
+    def counting(lefts, rights, keep_derivations=True, view=None):
         sizes.append(len(lefts))
-        return original(lefts, rights, keep_derivations)
+        return original(lefts, rights, keep_derivations, view)
 
     detector.procedure.decide_batch = counting
     slices = list(
