@@ -96,7 +96,8 @@ BENCH_PATTERN = re.compile(r"BENCH_(\d+)\.json$")
 #: :func:`run_suite` exports in quick mode.
 QUICK_ARGS = [
     "-k",
-    "kernels or planner or storage or columnar or cutoffs or scheduler or faults",
+    "kernels or planner or storage or columnar or cutoffs or scheduler or faults"
+    " or ingest_journaled",
     "--benchmark-min-rounds=1",
     "--benchmark-max-time=0.1",
 ]

@@ -6,12 +6,14 @@ partitions the delta touched and lands ≥5× faster than a from-scratch
 detection over the materialized union, with bitwise-identical
 decisions.
 
-Three bench families:
+Four bench families:
 
 * ``ingest_delta`` — wall clock of one ingest of a 1%-of-tuples batch
   against a warm :class:`~repro.service.DetectionSession`.  Each round
   rewrites the same handful of tuples with fresh content, so every
   round re-executes the same touched blocks and splices the rest.
+* ``ingest_journaled`` — the same ingest into a durable session: the
+  journal append and the snapshot save (packed slices) ride along.
 * ``full_union`` — the baseline being displaced: a from-scratch
   ``detect`` over the materialized base ⊎ delta.
 * ``delta_speedup`` — the explicit acceptance assertion, measured
@@ -140,6 +142,39 @@ def test_bench_incremental_ingest_delta(benchmark, blocked_relation):
     assert session.stats.partitions_reused == (
         session.stats.ingests * (planned - 1)
     )
+
+
+def test_bench_incremental_ingest_journaled(
+    benchmark, blocked_relation, tmp_path
+):
+    """One 1% ingest into a warm journaled session: refresh, journal
+    append and snapshot save; decisions equal a from-scratch detect of
+    the union."""
+    session = _detector().session(
+        blocked_relation, journal=str(tmp_path), keep_derivations=False
+    )
+    session.detect()
+    session.save()
+    salt = iter(range(1_000))
+    deltas = []
+
+    def run():
+        deltas.append(_delta(blocked_relation, next(salt)))
+        return session.ingest(deltas[-1])
+
+    result = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
+    assert session.last_report.partitions == 1
+    assert session.stats.snapshot_bytes > 0
+    scratch = _detector().detect(
+        _apply(blocked_relation, deltas[-1]), keep_derivations=False
+    )
+    assert [
+        (d.left_id, d.right_id, d.status, repr(d.similarity))
+        for d in result.decisions
+    ] == [
+        (d.left_id, d.right_id, d.status, repr(d.similarity))
+        for d in scratch.decisions
+    ]
 
 
 def test_bench_incremental_full_union(benchmark, blocked_relation):

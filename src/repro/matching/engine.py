@@ -17,7 +17,7 @@ exactly to Figure 3 — tests assert this equivalence.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from itertools import chain, compress, count, repeat
 from operator import attrgetter, is_
@@ -298,9 +298,9 @@ class XTupleDecisionProcedure:
         classification when ϑ is decision-based, ϑ
         (:func:`derive_all`, Eq. 6) and the final classification.
         Rows, conditional weights and value codes are gathered by
-        position from *view*, the run's :class:`CodedView` (a batch
-        decided without one builds its own), so a run encodes each
-        tuple once, not once per batch.  Only the result records are
+        position from *view*, the run's or session's :class:`CodedView`
+        (a batch decided without one builds its own), so each tuple is
+        encoded once, not once per batch.  Only the result records are
         built per pair, and the :class:`DerivationInput` ones only with
         *keep_derivations*.  Batches under :data:`BATCH_MIN_CELLS`
         cells, where the arrays' fixed costs outweigh their gain, are
@@ -430,8 +430,8 @@ def _build_all(cls, *columns: Sequence) -> list:
 
 
 class CodedView:
-    """The x-tuples of one run, each coded once, for every batch to
-    gather from by position.
+    """The x-tuples of a run or a session, each coded once, for every
+    batch to gather from by position.
 
     The first batch that meets a tuple id appends the tuple: its
     alternatives become rows — the tuple's row range, each row's Eq.
@@ -440,16 +440,20 @@ class CodedView:
     code and Eq. 5 value code from the attribute's comparator
     (:meth:`~repro.similarity.uncertain.UncertainValueComparator.encode`).
     A tuple met again, even as a freshly decoded object, is found by
-    its id, so each (tuple, alternative, attribute) is encoded once per
-    run however many batches the tuple falls in.  The view keeps codes
-    only, never the tuples.  When a comparator's registry is replaced
-    (it filled up), every code is stale: the view starts over, and the
-    batches that follow re-encode their tuples against the new one.
+    its id, so each (tuple, alternative, attribute) is encoded once
+    however many batches the tuple falls in.  The view keeps codes
+    only, never the tuples, so an id whose content changes must be
+    :meth:`forget`-ten; the next batch that meets it appends the new
+    content.  When a comparator's registry is replaced (it filled up),
+    every code is stale: the view starts over, and the batches that
+    follow re-encode their tuples against the new one.
 
     :meth:`ExecutionEngine.execute
     <repro.matching.executor.ExecutionEngine.execute>` makes one per
-    run (a ``detect``, a ``detect_between`` or a session refresh); a
-    batch decided without one builds its own.
+    run (a ``detect`` or a ``detect_between``) unless handed one; a
+    :class:`~repro.service.DetectionSession` hands every refresh the
+    one it keeps for its lifetime, forgetting each id an ingest
+    upserts or deletes.  A batch decided without one builds its own.
     """
 
     __slots__ = (
@@ -471,6 +475,17 @@ class CodedView:
         self._weights = AppendArray(np.float64)
         self._schemas: dict[tuple[str, ...], int] = {}
         self._columns: dict[str, _Column] = {}
+
+    def forget(self, tuple_ids: Iterable[str]) -> None:
+        """Drop the codes of *tuple_ids* (ids the view never met are
+        ignored).  Their rows stay behind, unreachable, until dead
+        tuples outnumber live ones; then the view starts over, which
+        keeps it within about twice the live tuples' codes."""
+        positions = self._positions
+        for tuple_id in tuple_ids:
+            positions.pop(tuple_id, None)
+        if len(self._first) - len(positions) > len(positions):
+            self._clear()
 
     def locate(
         self,
@@ -546,7 +561,9 @@ class CodedView:
             )
             for attribute, column in columns.items()
         }
-        self._positions.update(zip(fresh, count(len(self._positions))))
+        # Numbered after every position appended so far: a forgotten
+        # tuple's position stays taken by its rows.
+        self._positions.update(zip(fresh, count(len(self._first))))
         self._first.extend(first)
         self._sizes.extend(sizes)
         self._schema.extend(schema)

@@ -172,16 +172,17 @@ class ExecutionEngine:
         return self._settings
 
     def execute(
-        self, relation, plan: CandidatePlan
+        self, relation, plan: CandidatePlan, view: CodedView | None = None
     ) -> Iterator[DetectionResult]:
         """Yield one result slice per partition, in plan order.
 
         Packed tasks of consecutive partitions (at most ``chunk_size``
         pairs each, one batch per chunk) are decided in plan order,
         every batch gathering from one
-        :class:`~repro.matching.engine.CodedView` for the run, and
-        each partition's decisions are emitted as its own slice; every
-        fetch covers at most one chunk's working set.  Without a
+        :class:`~repro.matching.engine.CodedView`: *view*, which a
+        session keeps across its refreshes, or else one made for the
+        run.  Each partition's decisions are emitted as its own slice;
+        every fetch covers at most one chunk's working set.  Without a
         recovery budget — the policy neither retries nor times out and
         ``on_error`` is ``"raise"`` — each task makes one attempt and
         its exception propagates unchanged, whatever the packing.
@@ -197,7 +198,8 @@ class ExecutionEngine:
         partitions = plan.partitions
         size = plan.relation_size
         keep = settings.keep_compared_pairs
-        view = CodedView(self._procedure.matcher)
+        if view is None:
+            view = CodedView(self._procedure.matcher)
         if settings.retry.supervises or settings.on_error != "raise":
             outcomes = (
                 (index, self._replay(relation, partitions, index, view))
@@ -287,12 +289,12 @@ class ExecutionEngine:
         batch (:func:`~repro.pdb.storage.fetch_tuples`), so residency
         stays bounded by ``chunk_size`` even when a plan degenerates to
         one partition spanning the whole relation.  Every batch gathers
-        its tuples' rows, weights and codes from *view*, the run's
-        :class:`~repro.matching.engine.CodedView`, which encodes each
-        tuple the first time a batch meets it and keeps codes only, so
-        a tuple is encoded once per run, whatever the chunk size.  With
-        a *deadline* every chunk boundary checks it, and a lapsed
-        attempt raises
+        its tuples' rows, weights and codes from *view*, the run's or
+        session's :class:`~repro.matching.engine.CodedView`, which
+        encodes each tuple the first time a batch meets it and keeps
+        codes only, so a tuple is encoded once, whatever the chunk
+        size.  With a *deadline* every chunk boundary checks it, and a
+        lapsed attempt raises
         :class:`~repro.matching.executor.faults.DeadlineExceeded`.
         """
         settings = self._settings

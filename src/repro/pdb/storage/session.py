@@ -25,9 +25,9 @@ supplies the two pieces that reconcile the contracts:
   journal of upsert/delete batches (one CRC-framed record per ingest,
   so a restart replays the exact overlay and a torn batch not at all)
   plus a snapshot document the service layer uses for its retained
-  decisions and similarity-cache entries — an atomically-replaced base
-  and an append-only log of what each later save changed (both logs
-  are :class:`FramedLog` files).  Snapshot staleness is safe by
+  decisions — an atomically-replaced base and an append-only log of
+  what each later save changed (both logs are :class:`FramedLog`
+  files).  Snapshot staleness is safe by
   construction: fingerprints cover the decision-relevant content, so a
   stale index simply fails to match and the refresh recomputes — never
   serves wrong retained state.
@@ -554,12 +554,14 @@ class SessionJournal:
       Unframed one-operation lines of older journals still replay.
     * ``snapshot.json`` — the *base* of a document the service layer
       owns (its ``format`` and, optionally, retained decisions
-      ``retained``), tagged with a random ``generation`` and atomically
-      replaced.
+      ``retained``: one entry per partition fingerprint, in format 2 a
+      packed ``[statuses, similarities]`` slice, see
+      :data:`repro.service.session.SNAPSHOT_FORMAT`), tagged with a
+      random ``generation`` and atomically replaced.
     * ``snapshot.delta.jsonl`` — what later saves added, one
       :class:`FramedLog` record each, header ``{"gen", "seq", "crc",
-      "len"}``, payload ``{"retained": {fingerprint: rows}, "dropped":
-      [fingerprint, ...]}`` (each key optional).
+      "len"}``, payload ``{"retained": {fingerprint: slice},
+      "dropped": [fingerprint, ...]}`` (each key optional).
 
     :meth:`load_snapshot` folds the records of the base's generation
     into the base, drops before additions per record.  Similarity-cache
@@ -672,12 +674,15 @@ class SessionJournal:
         """Append one delta record to the base this journal wrote or
         loaded.
 
-        Returns the bytes written, or ``None`` when the caller must
-        compact instead: no base written yet, or the delta log would
-        outgrow the base.
+        Returns the bytes written (0 for an empty delta, which writes
+        nothing), or ``None`` when the caller must compact instead: no
+        base of a generation written or loaded yet, or the delta log
+        would outgrow the base.
         """
         if self._generation is None:
             return None
+        if not delta:
+            return 0
         record = self._deltas.frame(
             {"gen": self._generation}, json.dumps(delta, separators=(",", ":"))
         )

@@ -26,20 +26,29 @@ recomputed; retained state is never *wrongly* reused.
 The session degrades gracefully to a full run: on the first
 :meth:`~DetectionSession.detect` the retained index is empty, every
 partition is stale, and the refresh is an ordinary plan-driven
-execution.  The matcher's similarity caches live across calls in
-memory, so later refreshes start warm; a journaled session persists
-only the decisions, and a re-opened one re-scores its misses.
+execution.  The matcher's similarity caches and the session's coded
+view (each live tuple's Eq. 5 codes) live across calls in memory, so
+later refreshes start warm and encode only what an ingest changed; a
+journaled session persists only the decisions, and a re-opened one
+re-encodes its tuples and re-scores its misses.
 """
 
 from __future__ import annotations
 
+import base64
 import os
+import struct
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro.audit.manifest import build_manifest, run_environment, status_counts
 from repro.matching.decision import Decision, MatchStatus
-from repro.matching.engine import XTupleDecision, XTupleDecisionProcedure
+from repro.matching.engine import (
+    CodedView,
+    XTupleDecision,
+    XTupleDecisionProcedure,
+    _build_all,
+)
 from repro.matching.executor import (
     DetectionResult,
     ExecutionEngine,
@@ -50,12 +59,69 @@ from repro.matching.executor import (
     cross_source_plan,
     plan_sources,
 )
+from repro.pdb.errors import StorageError
 from repro.pdb.storage import SessionJournal, SessionStore, XTupleStore
 from repro.pdb.xtuples import XTuple
 from repro.reduction import CandidatePlan, delta_plan, plan_fingerprints
 
-#: Snapshot schema version; unknown versions are ignored on restore.
-SNAPSHOT_FORMAT = 1
+#: Snapshot schema version; other versions are ignored on restore, so
+#: a session re-decides what an older snapshot held and its first save
+#: compacts to this one.  Format 2 packs each retained slice as
+#: ``[statuses, similarities]`` (:func:`_pack_slice`); format 1 held
+#: ``(left_id, right_id, status, similarity)`` rows.
+SNAPSHOT_FORMAT = 2
+
+#: ``MatchStatus.value`` → status, for unpacking slices.
+_STATUSES = {status.value: status for status in MatchStatus}
+
+
+def _pack_slice(decisions) -> list[str]:
+    """A retained slice as ``[statuses, similarities]``, in plan pair
+    order and without ids: one ``MatchStatus.value`` character per
+    pair, and the base64 of the similarities as little-endian float64,
+    which keeps every similarity bit for bit."""
+    return [
+        "".join([decision.decision.status.value for decision in decisions]),
+        base64.b64encode(
+            struct.pack(
+                f"<{len(decisions)}d",
+                *[decision.decision.similarity for decision in decisions],
+            )
+        ).decode("ascii"),
+    ]
+
+
+def _unpack_slice(pairs, packed) -> tuple[XTupleDecision, ...]:
+    """The decisions of a :func:`_pack_slice` slice of the partition
+    whose candidate pairs are *pairs*; :class:`StorageError` when the
+    slice is malformed or does not hold one decision per pair.
+
+    A slice is kept under its partition's fingerprint, which hashes the
+    pair sequence, so the planned partition of equal fingerprint
+    supplies the ids in order."""
+    try:
+        statuses, similarities = packed
+        data = base64.b64decode(similarities, validate=True)
+        if len(statuses) != len(pairs) or len(data) != 8 * len(pairs):
+            raise ValueError(
+                f"{len(statuses)} statuses and {len(data)} similarity "
+                f"bytes for {len(pairs)} pairs"
+            )
+        lefts, rights = zip(*pairs) if pairs else ((), ())
+        decisions = _build_all(
+            Decision,
+            list(map(_STATUSES.__getitem__, statuses)),
+            struct.unpack(f"<{len(pairs)}d", data),
+        )
+        return tuple(
+            _build_all(
+                XTupleDecision, lefts, rights, decisions, [None] * len(pairs)
+            )
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise StorageError(
+            f"retained snapshot slice does not fit its partition: {error}"
+        ) from error
 
 
 @dataclass
@@ -131,6 +197,11 @@ class DetectionSession:
     would, so the session's first result is bitwise-identical to a
     one-shot ``detect`` over the same input.
 
+    The session keeps one :class:`~repro.matching.engine.CodedView` for
+    its lifetime and hands it to every refresh, so a tuple's Eq. 5
+    codes are encoded once and reused until an ingest upserts or
+    deletes its id (:meth:`~repro.matching.engine.CodedView.forget`).
+
     Parameters
     ----------
     procedure:
@@ -148,7 +219,10 @@ class DetectionSession:
         journal's operations are replayed over the base on startup, the
         snapshot's fingerprint index (with its decisions, under
         ``keep_derivations=False``) is restored, and every ingest
-        appends its operations durably.
+        appends its operations durably.  Restored slices stay packed
+        (:data:`SNAPSHOT_FORMAT`) until a refresh plans their
+        partition; a snapshot of another format is not restored, and
+        the session re-decides instead.
     within_sources:
         ``False`` restricts every refresh to cross-source pairs
         (:func:`~repro.matching.executor.cross_source_plan`) — the
@@ -184,14 +258,20 @@ class DetectionSession:
 
         #: Fingerprint → retained per-partition decision slice.
         self._retained: dict[str, tuple[XTupleDecision, ...]] = {}
+        #: Fingerprint → packed slice (:func:`_pack_slice`) restored
+        #: from the snapshot and not yet hydrated: the next refresh
+        #: unpacks those it plans and drops the rest.
+        self._packed: dict[str, list[str]] = {}
         #: Pairs the current result covers, in plan order.
         self._previous_pairs: tuple[tuple[str, str], ...] = ()
         self._result: DetectionResult | None = None
-        #: The retained fingerprints the journal's snapshot holds
-        #: (empty when decisions are not persisted).  ``None`` until a
-        #: save or a restore; the first save of a session that
+        #: Fingerprint → packed slice of what the journal's snapshot
+        #: holds (empty when decisions are not persisted).  ``None``
+        #: until a save or a restore; the first save of a session that
         #: restored nothing therefore compacts.
-        self._saved: set[str] | None = None
+        self._saved: dict[str, list[str]] | None = None
+        #: Every refresh's coded tuples (see the class docs).
+        self._view = CodedView(procedure.matcher)
 
         self.stats = SessionStats()
         #: Report of the most recent refresh's execution (the *delta*
@@ -255,11 +335,13 @@ class DetectionSession:
         upserted = 0
         for xtuple in upserts:
             self._store.upsert(xtuple)
+            self._view.forget((xtuple.tuple_id,))
             operations.append(SessionJournal.upsert_op(xtuple))
             upserted += 1
         deleted = 0
         for tuple_id in deletes:
             self._store.delete(tuple_id)
+            self._view.forget((tuple_id,))
             operations.append(SessionJournal.delete_op(tuple_id))
             deleted += 1
         if self._journal is not None and operations:
@@ -287,7 +369,8 @@ class DetectionSession:
         )
         self.last_plan = plan
         self.last_fingerprints = fingerprints
-        stale = delta_plan(plan, fingerprints, self._retained)
+        known = self._retained.keys() | self._packed.keys()
+        stale = delta_plan(plan, fingerprints, known)
 
         executed: dict[str, tuple[XTupleDecision, ...]] = {}
         if stale.partitions:
@@ -303,10 +386,10 @@ class DetectionSession:
             stale_fps = [
                 fingerprint
                 for fingerprint in fingerprints
-                if fingerprint not in self._retained
+                if fingerprint not in known
             ]
             index = 0
-            for piece in engine.execute(view, stale):
+            for piece in engine.execute(view, stale, self._view):
                 # Under on_error="skip" supervision may drop slices;
                 # realign by label (slices arrive in plan order).
                 while (
@@ -329,6 +412,11 @@ class DetectionSession:
             if fingerprint in self._retained:
                 slice_decisions = self._retained[fingerprint]
                 reused += 1
+            elif fingerprint in self._packed:
+                slice_decisions = _unpack_slice(
+                    partition.pairs, self._packed[fingerprint]
+                )
+                reused += 1
             elif fingerprint in executed:
                 slice_decisions = executed[fingerprint]
             else:
@@ -348,6 +436,7 @@ class DetectionSession:
         )
         self._previous_pairs = tuple(covered)
         self._retained = retained
+        self._packed = {}
 
         self.stats.refreshes += 1
         self.stats.partitions_planned += len(plan.partitions)
@@ -430,33 +519,54 @@ class DetectionSession:
         }
 
     def save(self) -> None:
-        """Persist the snapshot (the retained decisions).
+        """Persist the snapshot (the retained decisions, packed).
 
-        Appends what changed since the last save as one delta record;
-        the first save of a session that restored nothing, and a save
-        whose deltas would outgrow the base, rewrite the base instead
-        (see :class:`~repro.pdb.storage.SessionJournal`).
+        Appends what changed since the last save as one delta record:
+        the packed slices of fingerprints the snapshot lacks, and the
+        fingerprints it holds that are no longer retained.  The first
+        save of a session that restored nothing or a base without a
+        generation, and a save whose deltas would outgrow the base,
+        rewrite the base instead (see
+        :class:`~repro.pdb.storage.SessionJournal`).  A slice is packed
+        once, when first saved; restored slices not yet hydrated are
+        written as they were read.
         """
         if self._journal is None:
             raise ValueError("session has no journal to save into")
-        delta = self._snapshot_delta()
+        saved = self._saved
+        slices: dict[str, list[str]] = {}
+        if not self._settings.keep_derivations:
+            earlier = saved or {}
+            slices = {
+                fingerprint: earlier.get(fingerprint)
+                or _pack_slice(slice_decisions)
+                for fingerprint, slice_decisions in self._retained.items()
+            }
+            slices.update(self._packed)
         written = None
-        if delta is not None:
-            written = (
-                self._journal.append_snapshot_delta(delta) if delta else 0
-            )
+        if saved is not None:
+            delta: dict = {}
+            added = {
+                fingerprint: packed
+                for fingerprint, packed in slices.items()
+                if fingerprint not in saved
+            }
+            dropped = [
+                fingerprint for fingerprint in saved if fingerprint not in slices
+            ]
+            if added:
+                delta["retained"] = added
+            if dropped:
+                delta["dropped"] = dropped
+            written = self._journal.append_snapshot_delta(delta)
         if written is None:
-            written = self._journal.save_snapshot(self._snapshot_document())
+            document: dict = {"format": SNAPSHOT_FORMAT}
+            if not self._settings.keep_derivations:
+                document["retained"] = slices
+            written = self._journal.save_snapshot(document)
             self.stats.snapshot_compactions += 1
         self.stats.snapshot_bytes += written
-        self._mark_saved()
-
-    def _mark_saved(self) -> None:
-        """Record that the snapshot now holds the retained fingerprints
-        (none when decisions are not persisted)."""
-        self._saved = (
-            set() if self._settings.keep_derivations else set(self._retained)
-        )
+        self._saved = slices
 
     # ------------------------------------------------------------------
     # Internals
@@ -466,80 +576,20 @@ class DetectionSession:
     def _matcher(self):
         return self._procedure.matcher
 
-    def _snapshot_document(self) -> dict:
-        document: dict = {"format": SNAPSHOT_FORMAT}
-        if not self._settings.keep_derivations:
-            document["retained"] = self._portable_slices(self._retained)
-        return document
-
-    def _snapshot_delta(self) -> dict | None:
-        """What changed since the last save, or ``None`` when only a
-        full document describes the state (no save or restore yet)."""
-        if self._saved is None:
-            return None
-        if self._settings.keep_derivations:
-            return {}
-        delta: dict = {}
-        added = self._portable_slices(
-            {
-                fingerprint: slice_decisions
-                for fingerprint, slice_decisions in self._retained.items()
-                if fingerprint not in self._saved
-            }
-        )
-        dropped = [
-            fingerprint
-            for fingerprint in self._saved
-            if fingerprint not in self._retained
-        ]
-        if added:
-            delta["retained"] = added
-        if dropped:
-            delta["dropped"] = dropped
-        return delta
-
-    @staticmethod
-    def _portable_slices(slices) -> dict[str, list]:
-        """JSON rows per retained slice.  JSON round-trips Python
-        floats exactly, so restored decisions stay bitwise-identical."""
-        return {
-            fingerprint: [
-                (
-                    decision.left_id,
-                    decision.right_id,
-                    decision.decision.status.value,
-                    decision.decision.similarity,
-                )
-                for decision in slice_decisions
-            ]
-            for fingerprint, slice_decisions in slices.items()
-        }
-
     def _restore_snapshot(self) -> None:
         document = self._journal.load_snapshot()
         if not document or document.get("format") != SNAPSHOT_FORMAT:
             return
         if not self._settings.keep_derivations:
-            for fingerprint, rows in (
-                document.get("retained") or {}
-            ).items():
-                self._retained[fingerprint] = tuple(
-                    XTupleDecision(
-                        left_id,
-                        right_id,
-                        Decision(MatchStatus(status), float(similarity)),
-                        None,
-                    )
-                    for left_id, right_id, status, similarity in rows
-                )
+            self._packed = dict(document.get("retained") or {})
         # The restored state is what the snapshot holds: the next save
         # appends what changes after it.
-        self._mark_saved()
+        self._saved = dict(self._packed)
 
     def __repr__(self) -> str:
         return (
             f"DetectionSession({self._store!r}, "
-            f"retained={len(self._retained)}, "
+            f"retained={len(self._retained) + len(self._packed)}, "
             f"refreshes={self.stats.refreshes})"
         )
 

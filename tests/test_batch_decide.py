@@ -30,7 +30,11 @@ from repro.matching.derivation import (
     DerivationInput,
     ExpectedSimilarity,
 )
-from repro.matching.engine import BATCH_MIN_CELLS, XTupleDecisionProcedure
+from repro.matching.engine import (
+    BATCH_MIN_CELLS,
+    CodedView,
+    XTupleDecisionProcedure,
+)
 from repro.pdb.values import NULL, PatternValue, ProbabilisticValue
 from repro.pdb.xtuples import TupleAlternative, XTuple
 from repro.similarity.jaro import (
@@ -569,3 +573,32 @@ def test_batch_of_differing_schemas_is_decided_pair_by_pair(monkeypatch):
     assert got == [
         _procedure().decide(left, right) for left, right in zip(lefts, rights)
     ]
+
+
+def test_coded_view_forgets_changed_tuples():
+    """A view kept across batches forgets an id whose content changed:
+    the next batch appends the new content at a position no live tuple
+    holds and decides as ``decide`` does; once forgotten tuples
+    outnumber live ones, the view starts over."""
+    t1, _t2, t3, t4, t5 = _relation()
+    procedure = _procedure()
+    view = CodedView(procedure.matcher)
+    # 81 + 4 cells: an array batch; positions t4, t1, t5, t3.
+    procedure.decide_batch([t4, t1], [t5, t3], False, view)
+    changed = XTuple(
+        "t1", [TupleAlternative({"name": "meyer", "job": "banker"}, 1.0)]
+    )
+    view.forget(["t1", "unknown"])
+    lefts, rights = [t4, changed, t3], [t5, t3, changed]
+    got = procedure.decide_batch(lefts, rights, False, view)
+    assert got == [
+        _procedure().decide(left, right, keep_derivations=False)
+        for left, right in zip(lefts, rights)
+    ]
+    left_at, _right_at = view.locate(lefts, rights, ["t4", "t1", "t3"], [])
+    assert left_at.tolist() == [0, 4, 3]
+
+    view.forget(["t4"])  # dead: the old t1 and t4; live: t5, t3, t1
+    assert (len(view._positions), len(view._first)) == (3, 5)
+    view.forget(["t5"])  # dead 3 > live 2
+    assert len(view._positions) == len(view._first) == 0

@@ -16,10 +16,12 @@ The batched decide loop must likewise agree with the oracle's per-pair
 pushdown setting, with and without kept derivations.
 
 A durable session must too: after every ingest of a sampled stream of
-re-keying upserts, key-preserving content changes, deletes with
-re-upserts and new ids, and again when
-re-opened from its directory — with caches small enough to clear
-wholesale mid-session.  Its memoized re-planning must equal a
+re-keying upserts, key-preserving content changes, reverts to a
+tuple's earlier content, deletes with re-upserts and new ids, and
+again when re-opened from its directory — with caches small enough to
+clear wholesale mid-session, and with registries small enough to be
+replaced between refreshes, so the coded view the session keeps
+across refreshes starts over.  Its memoized re-planning must equal a
 memo-free plan of the same view after every refresh: labels, order,
 source tags and fingerprints.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -507,10 +510,20 @@ def _session_batches(relation, steps):
     donors = rows[cut:]
     live = list(base.tuple_ids)
     content = {xtuple.tuple_id: xtuple for xtuple in base}
+    changed: list[str] = []
     batches = []
     for number, (kind, pick) in enumerate(steps):
         victim = live[pick % len(live)]
         donor = donors[pick % len(donors)]
+        if kind == "revert":
+            # Back to the base content of a tuple an earlier step
+            # changed, which the session's view coded in between.
+            victim = changed[pick % len(changed)] if changed else victim
+            content[victim] = base.get(victim)
+            batches.append(([content[victim]], []))
+            continue
+        if kind in ("rekey", "modify", "reweigh"):
+            changed.append(victim)
         if kind == "rekey":
             initial = most_probable_key(content[victim], INITIAL)
             donor = next(
@@ -587,6 +600,17 @@ class _MemoFreeView:
         return self._view.source_of(tuple_id)
 
 
+def _memo_cap(cap):
+    """A patch under which registries and value memos fill at *cap*
+    entries (``None``: unchanged), so each refresh replaces the
+    registries the last one filled."""
+    import repro.similarity.uncertain as uncertain
+
+    return patch.object(
+        uncertain, "_VALUE_MEMO_CAP", cap or uncertain._VALUE_MEMO_CAP
+    )
+
+
 def _assert_plan_is_memo_free(session, name) -> None:
     """The refresh's plan and fingerprints equal a memo-free
     ``plan_sources`` + ``plan_fingerprints`` over the same view."""
@@ -605,7 +629,14 @@ def _assert_plan_is_memo_free(session, name) -> None:
     steps=st.lists(
         st.tuples(
             st.sampled_from(
-                ("rekey", "modify", "reweigh", "delete_readd", "new")
+                (
+                    "rekey",
+                    "modify",
+                    "reweigh",
+                    "revert",
+                    "delete_readd",
+                    "new",
+                )
             ),
             st.integers(min_value=0, max_value=10_000),
         ),
@@ -613,23 +644,29 @@ def _assert_plan_is_memo_free(session, name) -> None:
         max_size=4,
     ),
     max_entries=st.sampled_from((None, 2)),
+    memo_cap=st.sampled_from((None, 40)),
 )
 def test_session_decides_like_the_oracle(
-    session_relation, oracle, materialize, name, steps, max_entries
+    session_relation, oracle, materialize, name, steps, max_entries, memo_cap
 ):
     """detect over the committed view, every ingest of the stream, and
     a re-opened session all decide what the oracle decides; every
-    refresh plans what a memo-free planner plans."""
+    refresh plans what a memo-free planner plans.  Array batches gather
+    from the coded view the session keeps across refreshes; with
+    *memo_cap*, registries fill and are replaced between refreshes, so
+    the view starts over."""
     base, batches = _session_batches(session_relation, steps)
     with tempfile.TemporaryDirectory() as directory:
         detector = _session_detector(name, max_entries)
         session = detector.session(
             base, journal=directory, keep_derivations=False
         )
-        session.detect()
+        with _memo_cap(memo_cap):
+            session.detect()
         _assert_plan_is_memo_free(session, name)
         for count, (upserts, deletes) in enumerate(batches, 1):
-            result = session.ingest(upserts, deletes=deletes)
+            with _memo_cap(memo_cap):
+                result = session.ingest(upserts, deletes=deletes)
             _assert_plan_is_memo_free(session, name)
             reference = oracle(
                 _detector(name),
@@ -783,10 +820,10 @@ def test_registry_reset_mid_run_decides_like_the_oracle(
         resets.clear()
 
 
-def test_each_value_is_encoded_once_per_run(multi_batch, monkeypatch):
-    """Over a run of many array batches, outside the per-pair reference
-    decides, each (tuple, alternative, attribute) is encoded at most
-    once: one ``_plain_element`` and one ``_Registry.value`` call."""
+def _count_encodes(monkeypatch) -> dict[str, int]:
+    """Counters of ``_plain_element`` (``"plain"``) and
+    ``_Registry.value`` (``"value"``) calls made outside the per-pair
+    reference decides, from now until *monkeypatch* undoes them."""
     import repro.matching.engine as engine
     import repro.similarity.uncertain as uncertain
 
@@ -817,6 +854,14 @@ def test_each_value_is_encoded_once_per_run(multi_batch, monkeypatch):
     )
     monkeypatch.setattr(uncertain._Registry, "value", counted("value", value))
     monkeypatch.setattr(engine.XTupleDecisionProcedure, "decide", reference)
+    return counts
+
+
+def test_each_value_is_encoded_once_per_run(multi_batch, monkeypatch):
+    """Over a run of many array batches, outside the per-pair reference
+    decides, each (tuple, alternative, attribute) is encoded at most
+    once: one ``_plain_element`` and one ``_Registry.value`` call."""
+    counts = _count_encodes(monkeypatch)
     for kind in ("flat", "x"):
         relation, path, reference_decisions = multi_batch[kind]
         cells = sum(len(xtuple.alternatives) for xtuple in relation) * len(
@@ -841,3 +886,66 @@ def test_each_value_is_encoded_once_per_run(multi_batch, monkeypatch):
             assert _bitwise(result.decisions) == reference_decisions
             assert 0 < counts["plain"] <= cells, (kind, storage)
             assert 0 < counts["value"] <= cells, (kind, storage)
+
+
+def test_warm_session_ingest_encodes_only_its_upserts(
+    monkeypatch, oracle, materialize
+):
+    """A session keeps its coded view across refreshes.  Over one
+    ingest of a warm session — modified ids, a new id, a delete —
+    outside the per-pair reference decides, only the upserted tuples
+    are encoded: at most one ``_plain_element`` and one
+    ``_Registry.value`` call per (alternative, attribute) cell of the
+    upserts, though the refresh re-decides every window they shift.
+    (Sorted neighbourhood pairs every tuple, so the initial detection
+    meets them all.)"""
+    relation = generate_dataset(
+        DatasetConfig(entity_count=40, seed=63)
+    ).relation
+    rows = list(relation)
+    base = XRelation(relation.name, relation.schema.attributes, rows[:-8])
+    donors = rows[-8:]
+
+    def detector():
+        return DuplicateDetector(
+            _lattice_matcher(),
+            _lattice_model(),
+            reducer=SortedNeighborhood(SORT_KEY, window=5),
+        )
+
+    session = detector().session(base, keep_derivations=False)
+    session.detect()
+    ids = base.tuple_ids
+    upserts = [
+        XTuple(ids[0], donors[0].alternatives),
+        XTuple(ids[len(ids) // 2], donors[1].alternatives),
+        XTuple(ids[-1], donors[2].alternatives),
+        XTuple("fresh", donors[3].alternatives),
+    ]
+    deletes = [ids[len(ids) // 3]]
+    before = set(session.last_fingerprints)
+    counts = _count_encodes(monkeypatch)
+    with _ArrayBatches() as batches:
+        result = session.ingest(upserts, deletes=deletes)
+
+    cells = sum(len(xtuple.alternatives) for xtuple in upserts) * len(
+        base.schema.attributes
+    )
+    executed = {
+        member
+        for partition, fingerprint in zip(
+            session.last_plan.partitions, session.last_fingerprints
+        )
+        if fingerprint not in before
+        for member in partition.members
+    }
+    assert batches.count >= 1
+    assert len(executed) > 2 * len(upserts)
+    assert 0 < counts["plain"] <= cells
+    assert 0 < counts["value"] <= cells
+    reference = oracle(
+        detector(),
+        materialize(base, [(upserts, deletes)]),
+        keep_derivations=False,
+    )
+    assert _bitwise(result.decisions) == _bitwise(reference.decisions)

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from repro.datagen import DatasetConfig, generate_dataset
 from repro.experiments.quality import default_matcher, weighted_model
 from repro.matching import DuplicateDetector
+from repro.matching.decision import Decision, MatchStatus
+from repro.matching.engine import XTupleDecision
+from repro.pdb.errors import StorageError
 from repro.pdb.relations import XRelation
 from repro.pdb.storage import SessionJournal
 from repro.pdb.storage.session import (
@@ -33,6 +36,7 @@ from repro.pdb.storage.session import (
 )
 from repro.pdb.xtuples import XTuple
 from repro.reduction import CertainKeyBlocking, SubstringKey
+from repro.service.session import _pack_slice, _unpack_slice
 from repro.testing import (
     WRITE_BOUNDARIES,
     InjectedWriteCrash,
@@ -375,3 +379,119 @@ def test_framed_log_rejects_a_broken_sequence(tmp_path):
     log = FramedLog(path)
     assert len(list(log.records())) == 1
     assert log.torn == 1 and log.end == len(record) and log.seq == 1
+
+
+def test_packed_restore_is_bitwise(tmp_path, expected):
+    """Retained slices persist as one status letter and one little-endian
+    float64 per pair, so a restore is bitwise for every status and for
+    similarities that need all 17 significant digits (or are not
+    finite), and re-decides nothing."""
+    rows = [
+        XTupleDecision(
+            f"l{index}", f"r{index}", Decision(status, similarity), None
+        )
+        for index, (status, similarity) in enumerate(
+            zip(
+                [*MatchStatus] * 2,
+                [0.1 + 0.2, 1 / 3, -0.0, float("inf"), 5e-324, 2.0**-1074 * 3],
+            )
+        )
+    ]
+    packed = json.loads(json.dumps(_pack_slice(rows)))
+    pairs = [(row.left_id, row.right_id) for row in rows]
+    assert _quads(_unpack_slice(pairs, packed)) == _quads(rows)
+    with pytest.raises(StorageError):
+        _unpack_slice(pairs[1:], packed)
+
+    # x-tuples: their Eq. 6 expectations need 17 digits now and then.
+    base = generate_dataset(DatasetConfig(entity_count=48, seed=71)).relation
+    path = tmp_path / "session"
+    session = _open(base, path)
+    decisions = session.detect().decisions
+    session.save()
+    assert {decision.status for decision in decisions} == set(MatchStatus)
+    assert any(
+        float(f"{decision.similarity:.16g}") != decision.similarity
+        for decision in decisions
+    )
+    reopened = _open(base, path)
+    assert _quads(reopened.detect().decisions) == _quads(decisions)
+    assert reopened.stats.partitions_executed == 0
+    assert _quads(decisions) == expected(base, [])
+
+
+def test_unplanned_packed_slice_is_dropped_unhydrated(
+    tmp_path, scenario, expected
+):
+    """A compaction before any refresh writes the restored packed slices
+    back unchanged; a packed slice whose partition is no longer planned
+    is dropped without being unpacked (this one would not unpack), and
+    the next save records the drop."""
+    base, (first, _second, _third) = scenario
+    path = tmp_path / "session"
+    session = _open(base, path)
+    session.detect()
+    session.ingest(first[0], deletes=first[1])
+    folded = SessionJournal(str(path)).load_snapshot()["retained"]
+
+    _drop_generation(path)
+    compacting = _open(base, path)
+    compacting.save()
+    assert compacting.stats.snapshot_compactions == 1
+    rewritten = json.loads((path / SNAPSHOT_NAME).read_text())
+    assert rewritten["format"] == 2
+    assert rewritten["retained"] == folded
+
+    journal = SessionJournal(str(path))
+    document = journal.load_snapshot()
+    document["retained"]["0" * 64] = ["mm", "not base64"]
+    del document["generation"]
+    journal.save_snapshot(document)
+    reopened = _open(base, path)
+    assert _quads(reopened.detect().decisions) == expected(base, [first])
+    assert reopened.stats.partitions_executed == 0
+    reopened.save()
+    assert reopened.stats.snapshot_compactions == 0
+    *_, (_header, payload) = FramedLog(str(path / DELTA_NAME)).records()
+    assert json.loads(payload) == {"dropped": ["0" * 64]}
+    assert _folded_slices(path) == reopened.stats.partitions_planned
+
+
+def test_format_1_snapshot_is_re_decided(tmp_path, scenario, expected):
+    """A directory whose snapshot holds format-1 rows ``(left_id,
+    right_id, status, similarity)`` is not restored: the session
+    re-decides from its journal, to the oracle, and its first save
+    compacts to the packed format."""
+    base, (first, second, _third) = scenario
+    current = tmp_path / "current"
+    session = _open(base, current)
+    session.detect()
+    session.ingest(first[0], deletes=first[1])
+    decisions = iter(session.detect().decisions)
+    rows = {
+        fingerprint: [
+            [d.left_id, d.right_id, d.status.value, d.similarity]
+            for d in islice(decisions, len(partition.pairs))
+        ]
+        for partition, fingerprint in zip(
+            session.last_plan.partitions, session.last_fingerprints
+        )
+    }
+
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / JOURNAL_NAME).write_bytes((current / JOURNAL_NAME).read_bytes())
+    SessionJournal(str(old)).save_snapshot({"format": 1, "retained": rows})
+
+    reopened = _open(base, old)
+    assert _quads(reopened.detect().decisions) == expected(base, [first])
+    assert reopened.stats.partitions_executed > 0
+    reopened.ingest(second[0], deletes=second[1])
+    assert reopened.stats.snapshot_compactions == 1
+    assert json.loads((old / SNAPSHOT_NAME).read_text())["format"] == 2
+
+    final = _open(base, old)
+    assert _quads(final.detect().decisions) == expected(
+        base, [first, second]
+    )
+    assert final.stats.partitions_executed == 0
