@@ -6,10 +6,13 @@ claims of the kernel layer are tracked by the benchmark harness:
 
 * banded + early-exit Levenshtein/Damerau vs the full reference DP at a
   realistic duplicate-detection cutoff;
-* the Myers bit-parallel kernels and the numpy batch scorer (the
-  ``"fast"`` kernel) vs both of the above, with bitwise-agreement
-  sanity asserts — the CI smoke runs this module, so any divergence
-  from the ``"python"`` reference fails the build;
+* the Myers bit-parallel kernels (the ``"fast"`` kernel) vs both of
+  the above, with bitwise-agreement sanity asserts — the CI smoke runs
+  this module, so any divergence from the ``"python"`` reference fails
+  the build;
+* the per-pair similarities a cache's batch of misses costs on each
+  kernel, over one partition vocabulary crossed (``warm_batch``): the
+  edit kernels have no batch scorer, so these rows are the miss path;
 * memoized (``SimilarityCache``) vs uncached Equation-5 matching on the
   same pair workload;
 * comparison-matrix construction with the precomputed weight matrix;
@@ -30,10 +33,10 @@ import pytest
 from repro.datagen import DatasetConfig, generate_dataset
 from repro.datagen.corpus import JOBS
 from repro.matching.comparison import AttributeMatcher
-from repro.similarity.backends import numpy_backend
 from repro.similarity.backends.bitparallel import (
     bitparallel_damerau_levenshtein,
     bitparallel_levenshtein,
+    bitparallel_levenshtein_similarity,
 )
 from repro.similarity.edit import (
     damerau_levenshtein_distance,
@@ -84,8 +87,8 @@ def word_pairs():
 
 def _codes(pairs):
     """*pairs* as ``(elements, lefts, rights)``, the operands of the
-    code-keyed batch scorers: each distinct string listed once, as a
-    similarity cache codes its misses."""
+    code-keyed Jaro–Winkler batch scorer: each distinct string listed
+    once, as a similarity cache codes its misses."""
     elements = list(dict.fromkeys(word for pair in pairs for word in pair))
     code = {word: index for index, word in enumerate(elements)}
     flat = np.array(
@@ -172,10 +175,9 @@ def test_bench_bitparallel_damerau(benchmark, word_pairs):
 def warm_batch():
     """A batch-shaped workload: one partition vocabulary crossed.
 
-    A cold cache's first chunk over one block hands the batch scorer a
+    A cold cache's first chunk over one block hands the miss path a
     batch like this — a few thousand pairs drawn from a modest
-    vocabulary, so shape groups are large enough for vectorization to
-    amortize array setup.
+    vocabulary.
     """
     rng = random.Random(23)
     alphabet = "abcdefghijklmnopqrstuvwxyz"
@@ -197,7 +199,8 @@ def warm_batch():
 
 
 def test_bench_perpair_similarity_python(benchmark, warm_batch):
-    """Baseline for the batch scorer: per-pair banded similarities."""
+    """The ``"python"`` kernel's miss path: per-pair banded
+    similarities at a 0.75 floor."""
 
     def run():
         return sum(
@@ -209,15 +212,15 @@ def test_bench_perpair_similarity_python(benchmark, warm_batch):
     assert total > 0
 
 
-def test_bench_numpy_batch_similarities(benchmark, warm_batch):
-    """Partition-vectorized scoring of the whole warm batch at once,
-    from the codes a cache hands the scorer."""
-    codes = _codes(warm_batch)
+def test_bench_perpair_similarity_fast(benchmark, warm_batch):
+    """The ``"fast"`` kernel's miss path: per-pair bit-parallel
+    similarities at the same floor."""
 
     def run():
-        return numpy_backend.batch_levenshtein_similarities(
-            *codes, min_similarity=0.75
-        ).sum()
+        return sum(
+            bitparallel_levenshtein_similarity(a, b, min_similarity=0.75)
+            for a, b in warm_batch
+        )
 
     total = benchmark(run)
     assert total > 0
@@ -249,16 +252,9 @@ def test_backends_agree_bitwise_on_bench_data(word_pairs):
         assert bitparallel_damerau_levenshtein(a, b) == (
             damerau_levenshtein_distance(a, b)
         )
-    codes = _codes(word_pairs)
-    assert numpy_backend.batch_levenshtein_similarities(
-        *codes, min_similarity=0.75
-    ).tolist() == [
-        banded_levenshtein_similarity(a, b, min_similarity=0.75)
-        for a, b in word_pairs
-    ]
-    assert numpy_backend.batch_edit_distances(*codes).tolist() == [
-        levenshtein_distance(a, b) for a, b in word_pairs
-    ]
+        assert bitparallel_levenshtein_similarity(
+            a, b, min_similarity=0.75
+        ) == banded_levenshtein_similarity(a, b, min_similarity=0.75)
 
 
 def _matcher(cache: bool) -> AttributeMatcher:

@@ -435,8 +435,8 @@ class DuplicateDetector:
         kernel_backend:
             Which edit kernel scores attribute similarities:
             ``"fast"`` (``None``, the default) — Myers bit-parallel
-            kernels per pair plus a numpy batch scorer for a batch's
-            cache misses — or ``"python"``, the reference banded DPs.
+            kernels — or ``"python"``, the reference banded DPs; both
+            score one pair per call.
             The fast kernel is pinned bitwise to the reference
             (``tests/test_backends.py``), so this is purely a
             performance knob; it composes with ``min_similarity``

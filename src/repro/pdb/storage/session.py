@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.pdb.errors import SchemaMismatchError
@@ -142,6 +142,24 @@ class SessionStore:
                     f"schema {expected}: alternative has "
                     f"{tuple(alternative.attributes)}"
                 )
+
+    def check_batch(
+        self, upserts: Sequence[XTuple], deletes: Sequence[str]
+    ) -> None:
+        """Raise what applying *upserts*, then *deletes*, would raise,
+        applying nothing: ``SchemaMismatchError`` for an upsert off the
+        schema, ``KeyError`` for a delete of an id that is absent once
+        the upserts and the deletes before it apply."""
+        for xtuple in upserts:
+            self._check_schema(xtuple)
+        upserted = {xtuple.tuple_id for xtuple in upserts}
+        deleted: set[str] = set()
+        for tuple_id in deletes:
+            if tuple_id in deleted or (
+                tuple_id not in upserted and tuple_id not in self
+            ):
+                raise KeyError(tuple_id)
+            deleted.add(tuple_id)
 
     def upsert(self, xtuple: XTuple) -> None:
         """Insert a new x-tuple, or replace the one holding its id.

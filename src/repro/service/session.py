@@ -327,28 +327,28 @@ class DetectionSession:
         partitions.
 
         Upserts of known ids replace the stored x-tuple; new ids append
-        after the base in arrival order.  Operations are journaled (when
-        the session is persistent) *before* the refresh, so a crash
-        mid-refresh replays to the post-ingest view.
+        after the base in arrival order.  The whole batch is checked
+        first (:meth:`~repro.pdb.storage.SessionStore.check_batch`): a
+        batch that raises leaves store, coded view and journal as they
+        were.  Operations are journaled (when the session is
+        persistent) before they apply, so a crash mid-refresh replays
+        to the post-ingest view.
         """
-        operations: list[dict] = []
-        upserted = 0
-        for xtuple in upserts:
-            self._store.upsert(xtuple)
-            self._view.forget((xtuple.tuple_id,))
-            operations.append(SessionJournal.upsert_op(xtuple))
-            upserted += 1
-        deleted = 0
-        for tuple_id in deletes:
-            self._store.delete(tuple_id)
-            self._view.forget((tuple_id,))
-            operations.append(SessionJournal.delete_op(tuple_id))
-            deleted += 1
+        upserts = list(upserts)
+        deletes = list(deletes)
+        self._store.check_batch(upserts, deletes)
+        operations = list(map(SessionJournal.upsert_op, upserts))
+        operations += map(SessionJournal.delete_op, deletes)
         if self._journal is not None and operations:
             self._journal.append_ops(operations)
+        for xtuple in upserts:
+            self._store.upsert(xtuple)
+        for tuple_id in deletes:
+            self._store.delete(tuple_id)
+        self._view.forget([xtuple.tuple_id for xtuple in upserts] + deletes)
         self.stats.ingests += 1
-        self.stats.last_upserts = upserted
-        self.stats.last_deletes = deleted
+        self.stats.last_upserts = len(upserts)
+        self.stats.last_deletes = len(deletes)
         result = self.refresh()
         if self._journal is not None:
             self.save()

@@ -9,10 +9,10 @@ Section IV-A (matching of uncertain attribute values):
   :mod:`repro.similarity.basic`, :mod:`repro.similarity.semantic`;
 * the probabilistic lift — :mod:`repro.similarity.uncertain`
   (Equations 4 and 5 with ⊥ and pattern-value semantics);
-* two edit kernels — ``"python"``, the banded reference DPs of
-  :mod:`repro.similarity.kernels`, and ``"fast"``, the Myers
-  bit-parallel kernels and numpy batch scorer of
-  :mod:`repro.similarity.backends`, pinned bitwise to the reference.
+* two per-pair edit kernels — ``"python"``, the banded reference DPs
+  of :mod:`repro.similarity.kernels`, and ``"fast"``, the Myers
+  bit-parallel kernels of :mod:`repro.similarity.backends`, pinned
+  bitwise to the reference.
 """
 
 from repro.similarity.backends import (

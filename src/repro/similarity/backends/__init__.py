@@ -1,11 +1,10 @@
 """The fast edit kernels behind ``kernel_backend="fast"``.
 
 :mod:`repro.similarity.backends.bitparallel` holds the Myers
-bit-parallel per-pair kernels and
-:mod:`repro.similarity.backends.numpy_backend` the vectorized batch
-scorer.  Both are pinned bitwise to the reference banded DPs of
-:mod:`repro.similarity.kernels`, which also maps the two kernel names
-(``"fast"``, ``"python"``) to their functions.
+bit-parallel per-pair kernels, pinned bitwise to the reference banded
+DPs of :mod:`repro.similarity.kernels`, which also maps the two kernel
+names (``"fast"``, ``"python"``) to their functions.  Both kernels
+score one pair per call; there is no batch edit scorer.
 """
 
 from repro.similarity.backends.bitparallel import (

@@ -12,7 +12,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.similarity.backends.numpy_backend import CODEPOINT_PAD, coded_rows
 from repro.similarity.base import NamedComparator, as_strings, clamp01
 
 
@@ -122,6 +121,41 @@ def jaro_winkler_upper_bound(
             break
         prefix += 1
     return clamp01(jaro_bound + prefix * prefix_scale * (1.0 - jaro_bound))
+
+
+#: Codepoint filling the rows of strings shorter than the batch's
+#: longest one; above U+10FFFF, so it never equals a real character.
+CODEPOINT_PAD = np.uint32(0xFFFFFFFF)
+
+
+def coded_rows(
+    elements: Sequence[Any], lefts: np.ndarray, rights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, lengths, left_rows, right_rows)`` of the pairs
+    ``elements[lefts[i]], elements[rights[i]]``.
+
+    Each element the codes name is encoded once, as its ``str``, into
+    one ``uint32`` codepoint row padded with :data:`CODEPOINT_PAD` (one
+    encode of the concatenation and one scatter); pair ``i`` compares
+    row ``left_rows[i]`` with row ``right_rows[i]``.
+    """
+    lefts = np.asarray(lefts, dtype=np.int64)
+    used, inverse = np.unique(
+        np.concatenate((lefts, np.asarray(rights, dtype=np.int64))),
+        return_inverse=True,
+    )
+    strings = [str(elements[code]) for code in used.tolist()]
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(used))
+    width = max(int(lengths.max(initial=0)), 1)
+    rows = np.full((len(strings), width), CODEPOINT_PAD, dtype=np.uint32)
+    flat = np.frombuffer(
+        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+    )
+    if flat.size:
+        row_of = np.repeat(np.arange(len(strings)), lengths)
+        starts = np.cumsum(lengths) - lengths
+        rows[row_of, np.arange(flat.size) - starts[row_of]] = flat
+    return rows, lengths, inverse[: len(lefts)], inverse[len(lefts) :]
 
 
 #: Cells (pairs × length²) scored per vectorized slice: bounds the

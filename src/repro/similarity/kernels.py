@@ -28,7 +28,9 @@ module provides the performance core:
   layer derives safe floors from its classifier thresholds
   (:mod:`repro.matching.pushdown`) and the pipeline threads them down
   here, so the hottest comparisons stop as soon as a pair can no
-  longer influence any matching decision.
+  longer influence any matching decision.  Its kernel is one per-pair
+  function, the banded DP here or its bit-parallel twin
+  (:data:`KERNELS`).
 
 * :class:`SimilarityCache` — memoizes a symmetric comparator on
   *unordered* pairs of domain elements.  Duplicate detection re-compares
@@ -40,7 +42,8 @@ module provides the performance core:
   numpy and C-level maps (:meth:`SimilarityCache.lookup_codes`) and
   scores a batch's distinct misses from their codes
   (:func:`score_codes`, the one batch entry point: a comparator's
-  ``batch_code_similarities`` hook, else one call per pair).  The
+  ``batch_code_similarities`` hook — Jaro–Winkler's — else one call
+  per pair, as for both edit kernels).  The
   table is a memo, never persisted: a session snapshot keeps
   decisions, which are what a refresh reuses.
   Cutoff-pruned results are *banded*:
@@ -66,10 +69,6 @@ from repro.similarity.base import (
 from repro.similarity.backends.bitparallel import (
     bitparallel_damerau_levenshtein_similarity,
     bitparallel_levenshtein_similarity,
-)
-from repro.similarity.backends.numpy_backend import (
-    batch_damerau_levenshtein_similarities,
-    batch_levenshtein_similarities,
 )
 
 
@@ -262,27 +261,20 @@ def banded_damerau_levenshtein_similarity(
 
 #: The two kernels a backend-aware comparator can run: ``"python"``,
 #: the banded reference DPs above (the bitwise ground truth), and
-#: ``"fast"``, the Myers bit-parallel kernels per pair plus the numpy
-#: batch scorer (pinned bitwise to the reference by
-#: ``tests/test_backends.py``).  ``"fast"`` is the default.
+#: ``"fast"``, the Myers bit-parallel kernels (pinned bitwise to the
+#: reference by ``tests/test_backends.py``).  Both score one pair per
+#: call.  ``"fast"`` is the default.
 KERNELS = ("fast", "python")
 
-#: ``(kind, kernel) -> (per-pair similarity, code-keyed batch scorer or
-#: None)``; a batch scorer takes ``(elements, lefts, rights)`` like
-#: :meth:`BandedEditComparator.batch_code_similarities`.
+#: ``(kind, kernel) -> per-pair similarity function``.
 _KERNEL_TABLE = {
-    ("levenshtein", "python"): (banded_levenshtein_similarity, None),
+    ("levenshtein", "python"): banded_levenshtein_similarity,
     ("damerau_levenshtein", "python"): (
-        banded_damerau_levenshtein_similarity,
-        None,
+        banded_damerau_levenshtein_similarity
     ),
-    ("levenshtein", "fast"): (
-        bitparallel_levenshtein_similarity,
-        batch_levenshtein_similarities,
-    ),
+    ("levenshtein", "fast"): bitparallel_levenshtein_similarity,
     ("damerau_levenshtein", "fast"): (
-        bitparallel_damerau_levenshtein_similarity,
-        batch_damerau_levenshtein_similarities,
+        bitparallel_damerau_levenshtein_similarity
     ),
 }
 
@@ -337,9 +329,10 @@ class BandedEditComparator:
     Comparators built with a *kind* are additionally **backend-aware**:
     :meth:`with_backend` switches between the two :data:`KERNELS` while
     keeping name, floor and — because ``"fast"`` is pinned bitwise to
-    the reference DPs — results unchanged, and
-    :meth:`batch_code_similarities` exposes the fast kernel's numpy
-    batch scorer to the cache's batched miss path.
+    the reference DPs — results unchanged.  Neither kernel has a batch
+    hook, so :func:`score_codes` scores a batch's misses one pair at a
+    time: a vectorized numpy edit DP measured slower than the per-pair
+    bit-parallel kernel on batches of up to 640 pairs.
     """
 
     __slots__ = ("name", "min_similarity", "_fn", "_kind", "_backend")
@@ -416,30 +409,10 @@ class BandedEditComparator:
             return self
         return BandedEditComparator(
             self.name,
-            _KERNEL_TABLE[self._kind, kernel][0],
+            _KERNEL_TABLE[self._kind, kernel],
             min_similarity=self.min_similarity,
             kind=self._kind,
             backend=kernel,
-        )
-
-    def batch_code_similarities(
-        self, elements: Any, lefts: np.ndarray, rights: np.ndarray
-    ) -> np.ndarray | None:
-        """Score the pairs ``elements[lefts[i]], elements[rights[i]]``
-        from their codes via the fast kernel's numpy scorer.
-
-        Returns ``None`` on the ``"python"`` kernel and for opaque
-        comparators (the caller then loops per pair); a returned
-        float64 array is positionally aligned with the codes and
-        bitwise equal to calling the comparator on each pair.
-        """
-        if self._kind is None:
-            return None
-        batch = _KERNEL_TABLE[self._kind, self._backend][1]
-        if batch is None:
-            return None
-        return batch(
-            elements, lefts, rights, min_similarity=self.min_similarity
         )
 
     def __repr__(self) -> str:
@@ -460,10 +433,10 @@ _MAX_BANDS = 8
 
 #: Fewest pairs a batch must hold before :func:`score_codes` hands it
 #: to a comparator's vectorized ``batch_code_similarities`` hook instead
-#: of looping the comparator.  A numpy batch call costs a fixed few
-#: hundred microseconds however small the batch, which per-pair
-#: Jaro–Winkler calls only overtake at a few dozen pairs; the
-#: ``test_bench_jaro_winkler_crossover`` rows of
+#: of looping the comparator.  Only Jaro–Winkler has such a hook: a
+#: numpy batch call costs a fixed few hundred microseconds however
+#: small the batch, which per-pair calls only overtake at a few dozen
+#: pairs; the ``test_bench_jaro_winkler_crossover`` rows of
 #: ``benchmarks/test_bench_kernels.py`` measure both sides at 2, 37 and
 #: 300 pairs.  The choice follows the batch's own size, never an option.
 BATCH_SCORE_MIN_PAIRS = 40
@@ -481,7 +454,8 @@ def score_codes(
     Batches of at least :data:`BATCH_SCORE_MIN_PAIRS` go through the
     comparator's ``batch_code_similarities`` hook when it has one (and
     the hook does not decline with ``None``), scored straight from the
-    codes; results are bitwise the same either way.
+    codes; results are bitwise the same either way.  The edit kernels
+    have no hook, so their misses are always scored per pair.
     """
     if len(lefts) >= BATCH_SCORE_MIN_PAIRS:
         batch = getattr(base, "batch_code_similarities", None)

@@ -1,17 +1,17 @@
 """The two edit kernels: bitwise pinning, selection and comparator clones.
 
-* **kernel pinning** — the Myers bit-parallel kernels and the numpy
-  batch scorer behind ``"fast"`` reproduce the reference DPs bit for
-  bit, over unicode, empty strings, strings beyond the 64-bit word
-  boundary, and every ``min_similarity`` cutoff band (hypothesis
-  properties plus directed edges);
+* **kernel pinning** — the Myers bit-parallel kernels behind ``"fast"``
+  reproduce the reference DPs bit for bit, over unicode, empty
+  strings, strings beyond the 64-bit word boundary, and every
+  ``min_similarity`` cutoff band (hypothesis properties plus directed
+  edges);
 * **selection** — only ``"fast"`` and ``"python"`` are accepted, by
   ``detect``, ``session`` and ``ExecutionSettings`` alike;
 * **comparator clones** — kernel switches keep name, band and scores,
   and share the similarity caches;
 * **end-to-end equivalence** — every reducer family's detection run on
-  ``"fast"``, with and without its numpy batch scorer, is bitwise
-  identical to the ``"python"`` oracle under every execution mode
+  ``"fast"`` is bitwise identical to the ``"python"`` oracle under
+  every execution mode
   (default chunk, packed at a small chunk, streamed, spilled store,
   threshold-pruned).  ``tests/test_differential.py`` samples the wider
   configuration lattice.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,9 +57,7 @@ from repro.similarity import (
     damerau_levenshtein_distance,
     levenshtein_distance,
 )
-from repro.similarity.backends import numpy_backend
 from repro.similarity.kernels import (
-    BandedEditComparator,
     banded_damerau_levenshtein_similarity,
     banded_levenshtein_similarity,
 )
@@ -150,58 +147,6 @@ class TestBitparallelPinning:
 
 
 # ----------------------------------------------------------------------
-# Numpy batch scorer vs reference
-# ----------------------------------------------------------------------
-
-
-class TestNumpyBatchPinning:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        pairs=st.lists(st.tuples(TEXT, TEXT), max_size=16),
-        floor=FLOORS,
-        damerau=st.booleans(),
-    )
-    def test_batch_similarities_pinned(
-        self, coded, pairs, floor, damerau
-    ):
-        if damerau:
-            batch = numpy_backend.batch_damerau_levenshtein_similarities
-            reference = banded_damerau_levenshtein_similarity
-        else:
-            batch = numpy_backend.batch_levenshtein_similarities
-            reference = banded_levenshtein_similarity
-        expected = [
-            reference(left, right, min_similarity=floor)
-            for left, right in pairs
-        ]
-        # Every operand its own code, and equal operands sharing one.
-        for codes in (_own_codes(pairs), coded(pairs)):
-            assert batch(*codes, min_similarity=floor).tolist() == expected
-
-    @settings(max_examples=40, deadline=None)
-    @given(pairs=st.lists(st.tuples(LONG_TEXT, LONG_TEXT), max_size=8))
-    def test_batch_distances_beyond_64_chars(self, pairs):
-        codes = _own_codes(pairs)
-        assert numpy_backend.batch_edit_distances(*codes).tolist() == [
-            levenshtein_distance(left, right) for left, right in pairs
-        ]
-        assert numpy_backend.batch_edit_distances(
-            *codes, damerau=True
-        ).tolist() == [
-            damerau_levenshtein_distance(left, right)
-            for left, right in pairs
-        ]
-
-
-def _own_codes(pairs):
-    """*pairs* as codes into the list of their operands, repeats
-    included: every operand gets a code of its own."""
-    elements = [element for pair in pairs for element in pair]
-    codes = np.arange(len(elements))
-    return elements, codes[0::2], codes[1::2]
-
-
-# ----------------------------------------------------------------------
 # Backend selection
 # ----------------------------------------------------------------------
 
@@ -269,16 +214,6 @@ class TestComparatorBackends:
             clone = reference.with_backend("fast")
             for left, right in pairs:
                 assert clone(left, right) == reference(left, right)
-
-    def test_batch_similarities_hook(self, coded):
-        pairs = [("meier", "maier"), ("bauer", "brauer")]
-        codes = coded(pairs)
-        python_batch = FAST_LEVENSHTEIN.batch_code_similarities(*codes)
-        clone = FAST_LEVENSHTEIN.with_backend("fast")
-        assert clone.batch_code_similarities(*codes).tolist() == [
-            FAST_LEVENSHTEIN(left, right) for left, right in pairs
-        ]
-        assert python_batch is None
 
     def test_cache_with_base_shares_the_store(self):
         cache = SimilarityCache(FAST_LEVENSHTEIN)
@@ -473,24 +408,15 @@ def _triples(result):
     ]
 
 
-@pytest.mark.parametrize("backend", ["bitparallel", "numpy"])
 @pytest.mark.parametrize("name", sorted(REDUCERS))
 def test_backend_detection_is_bitwise_python(
-    name, backend, flat_relation, x_relation, stores, monkeypatch
+    name, flat_relation, x_relation, stores
 ):
-    """The acceptance pin: every reducer × mode, per half of ``"fast"``.
+    """The acceptance pin: every reducer × mode on ``"fast"``.
 
-    ``"fast"`` scores single pairs with the Myers bit-parallel kernels
-    and batches with the numpy scorer.  The ``bitparallel`` case turns
-    the batch hook off, so every edit pair goes through the per-pair
-    kernels; the ``numpy`` case leaves it on.
+    ``"fast"`` scores every edit pair with the Myers bit-parallel
+    kernels, batch misses included.
     """
-    if backend == "bitparallel":
-        monkeypatch.setattr(
-            BandedEditComparator,
-            "batch_code_similarities",
-            lambda self, elements, lefts, rights: None,
-        )
     factory, kind = REDUCERS[name]
     relation = _relation_for(kind, flat_relation, x_relation)
 

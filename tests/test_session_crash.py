@@ -25,7 +25,7 @@ from repro.experiments.quality import default_matcher, weighted_model
 from repro.matching import DuplicateDetector
 from repro.matching.decision import Decision, MatchStatus
 from repro.matching.engine import XTupleDecision
-from repro.pdb.errors import StorageError
+from repro.pdb.errors import SchemaMismatchError, StorageError
 from repro.pdb.relations import XRelation
 from repro.pdb.storage import SessionJournal
 from repro.pdb.storage.session import (
@@ -34,7 +34,7 @@ from repro.pdb.storage.session import (
     SNAPSHOT_NAME,
     FramedLog,
 )
-from repro.pdb.xtuples import XTuple
+from repro.pdb.xtuples import TupleAlternative, XTuple
 from repro.reduction import CertainKeyBlocking, SubstringKey
 from repro.service.session import _pack_slice, _unpack_slice
 from repro.testing import (
@@ -232,6 +232,43 @@ def test_cut_free_reopen_folds_every_delta(tmp_path, scenario, expected):
         # Dropped slices stay dropped: one per planned partition.
         assert _folded_slices(path) == session.stats.partitions_planned
     assert folded
+
+
+@pytest.mark.parametrize("fault", ["schema", "absent", "twice"])
+def test_rejected_batch_leaves_session_and_journal_unchanged(
+    tmp_path, scenario, expected, fault
+):
+    """A batch whose later operation raises applies none of its
+    operations: live session, re-open and oracle decide alike, with the
+    batch absent, and the next batch commits normally."""
+    base, (first, second, _third) = scenario
+    upserts, deletes = list(first[0]), list(first[1])
+    if fault == "schema":
+        upserts.append(
+            XTuple("off", (TupleAlternative({"name": "x"}, 1.0),))
+        )
+        error = SchemaMismatchError
+    else:
+        deletes += ["absent"] if fault == "absent" else deletes[-1:]
+        error = KeyError
+    path = tmp_path / "session"
+    session = _open(base, path)
+    session.detect()
+    with pytest.raises(error):
+        session.ingest(upserts, deletes=deletes)
+    assert session.stats.ingests == 0
+    unchanged = expected(base, [])
+    assert _quads(session.refresh().decisions) == unchanged
+    assert _quads(_open(base, path).detect().decisions) == unchanged
+
+    # A batch deleting an id its own upserts add is valid.
+    session.ingest(
+        second[0] + [XTuple("n9", second[0][1].alternatives)],
+        deletes=second[1] + ["n9"],
+    )
+    committed = expected(base, [second])
+    assert _quads(session.detect().decisions) == committed
+    assert _quads(_open(base, path).detect().decisions) == committed
 
 
 def test_legacy_session_directory_still_opens(tmp_path, scenario, expected):
