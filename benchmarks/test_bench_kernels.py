@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.datagen import DatasetConfig, generate_dataset
-from repro.datagen.corpus import JOBS
+from repro.datagen.corpus import FIRST_NAMES, JOBS
 from repro.matching.comparison import AttributeMatcher
 from repro.similarity.backends.bitparallel import (
     bitparallel_damerau_levenshtein,
@@ -416,6 +416,44 @@ def test_bench_jaro_winkler_crossover(benchmark, path, size):
         else lambda: comparator.batch_code_similarities(*codes)
     )
     assert list(scores) == scalar()
+
+
+#: Distinct pairs in the miss-batch row: about one batch's worth of
+#: name and job misses of a seed-30 ``full_flat`` detection at the
+#: default chunk size.
+MISS_BATCH_PAIRS = 2400
+
+
+def _miss_batch(seed: int = 30) -> list[tuple[str, str]]:
+    """Distinct name/name and job/job pairs, about a third of them
+    against a one-letter typo of a vocabulary word."""
+    rng = random.Random(seed)
+    words = []
+    for vocabulary in (FIRST_NAMES, JOBS):
+        typos = []
+        for word in vocabulary:
+            at = rng.randrange(len(word))
+            typos.append(word[:at] + rng.choice("aeinrst") + word[at + 1 :])
+        words.append((list(vocabulary), list(vocabulary) + typos))
+    pairs = set()
+    while len(pairs) < MISS_BATCH_PAIRS:
+        lefts, rights = rng.choice(words)
+        left, right = rng.choice(lefts), rng.choice(rights)
+        if left != right and (right, left) not in pairs:
+            pairs.add((left, right))
+    return sorted(pairs)
+
+
+def test_bench_jaro_winkler_miss_batch(benchmark):
+    """A full-run batch of distinct Jaro–Winkler cache misses scored in
+    one call from codes built beforehand (the scan alone)."""
+    pairs = _miss_batch()
+    comparator = BoundedJaroWinkler()
+    codes = _codes(pairs)
+    scores = benchmark(lambda: comparator.batch_code_similarities(*codes))
+    assert scores.tolist() == [
+        comparator(left, right) for left, right in pairs
+    ]
 
 
 @pytest.fixture(scope="module")

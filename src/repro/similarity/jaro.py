@@ -123,172 +123,176 @@ def jaro_winkler_upper_bound(
     return clamp01(jaro_bound + prefix * prefix_scale * (1.0 - jaro_bound))
 
 
-#: Codepoint filling the rows of strings shorter than the batch's
-#: longest one; above U+10FFFF, so it never equals a real character.
-CODEPOINT_PAD = np.uint32(0xFFFFFFFF)
+def _checked_prefix(prefix_scale: float, max_prefix: int) -> tuple[float, int]:
+    """Winkler's parameters as ``(float, int)``, checked: both
+    non-negative, and the largest bonus weight ``prefix_scale *
+    max_prefix`` at most 1, so scores stay within ``[0, 1]``."""
+    prefix_scale, max_prefix = float(prefix_scale), int(max_prefix)
+    if prefix_scale < 0.0 or max_prefix < 0 or prefix_scale * max_prefix > 1.0:
+        raise ValueError(
+            "prefix_scale and max_prefix must be non-negative and "
+            "prefix_scale * max_prefix must stay within [0, 1]"
+        )
+    return prefix_scale, max_prefix
 
 
-def coded_rows(
-    elements: Sequence[Any], lefts: np.ndarray, rights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, lengths, left_rows, right_rows)`` of the pairs
-    ``elements[lefts[i]], elements[rights[i]]``.
+#: Longest string the bit-parallel scan scores: one ``uint64`` mask bit
+#: per position.  Pairs with a longer operand are scored one at a time.
+MASK_BITS = 64
 
-    Each element the codes name is encoded once, as its ``str``, into
-    one ``uint32`` codepoint row padded with :data:`CODEPOINT_PAD` (one
-    encode of the concatenation and one scatter); pair ``i`` compares
-    row ``left_rows[i]`` with row ``right_rows[i]``.
+_ONE = np.uint64(1)
+
+#: ``_BANDS[i, window]``: the positions ``j`` with ``|i - j| <=
+#: window`` as a mask.  A string of at most :data:`MASK_BITS` characters
+#: has a match window below ``MASK_BITS // 2``.
+_BANDS = np.array(
+    [
+        [
+            (1 << min(i + window + 1, MASK_BITS)) - (1 << max(i - window, 0))
+            for window in range(MASK_BITS // 2)
+        ]
+        for i in range(MASK_BITS)
+    ],
+    dtype=np.uint64,
+)
+
+
+def coded_masks(
+    strings: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lengths, text, masks)`` of distinct strings of at most
+    :data:`MASK_BITS` characters.
+
+    The characters are indexed by the strings' own alphabet, in one
+    encode of the concatenation: ``text[i, s]`` is the index of
+    character ``i`` of string ``s``, with the alphabet's size past the
+    end of the string, and ``masks[s, c]`` has bit ``j`` set where
+    string ``s`` holds character ``c`` at position ``j`` (its column for
+    the past-the-end index is 0).
     """
-    lefts = np.asarray(lefts, dtype=np.int64)
-    used, inverse = np.unique(
-        np.concatenate((lefts, np.asarray(rights, dtype=np.int64))),
-        return_inverse=True,
-    )
-    strings = [str(elements[code]) for code in used.tolist()]
-    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(used))
-    width = max(int(lengths.max(initial=0)), 1)
-    rows = np.full((len(strings), width), CODEPOINT_PAD, dtype=np.uint32)
+    count = len(strings)
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=count)
     flat = np.frombuffer(
         "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
     )
-    if flat.size:
-        row_of = np.repeat(np.arange(len(strings)), lengths)
-        starts = np.cumsum(lengths) - lengths
-        rows[row_of, np.arange(flat.size) - starts[row_of]] = flat
-    return rows, lengths, inverse[: len(lefts)], inverse[len(lefts) :]
+    alphabet = np.unique(flat)
+    chars = np.searchsorted(alphabet, flat)
+    absent = len(alphabet)
+    row_of = np.repeat(np.arange(count), lengths)
+    positions = np.arange(flat.size) - (np.cumsum(lengths) - lengths)[row_of]
+    text = np.full(
+        (max(int(lengths.max(initial=0)), 1), count), absent, dtype=np.intp
+    )
+    text[positions, row_of] = chars
+    # Each (string, position) sets its own bit: adding is or-ing.
+    masks = np.zeros((count, absent + 1), dtype=np.uint64)
+    np.add.at(
+        masks.reshape(-1),
+        row_of * (absent + 1) + chars,
+        _ONE << positions.astype(np.uint64),
+    )
+    return lengths, text, masks
 
 
-#: Cells (pairs × length²) scored per vectorized slice: bounds the
-#: ``pairs × length × length`` match-candidate arrays of
-#: :func:`coded_jaro_winkler_similarities` to a few hundred kilobytes
-#: however large the batch or long its strings.
-_SLICE_CELLS = 1 << 18
-
-
-def _jaro_winkler_slice(
-    left: np.ndarray,
-    right: np.ndarray,
-    left_len: np.ndarray,
-    right_len: np.ndarray,
+def _jaro_winkler_scan(
+    strings: Sequence[str],
+    left_rows: np.ndarray,
+    right_rows: np.ndarray,
     prefix_scale: float,
     max_prefix: int,
     min_similarity: float,
 ) -> np.ndarray:
-    """Jaro–Winkler of one slice of padded codepoint rows.
+    """Jaro–Winkler of the pairs ``strings[left_rows[k]],
+    strings[right_rows[k]]`` of distinct short strings.
 
     Every step is the scalar :func:`jaro_winkler_similarity` applied to
-    all rows at once, with the same operand order in each float
+    all pairs at once, with the same operand order in each float
     operation, so each result is bitwise the scalar one:
 
-    * the greedy match scan runs once per left position — each row's
-      candidate is its first unmatched equal character inside the
-      window, found with one ``argmax`` over the whole slice;
-    * transpositions compare the matched characters of both sides in
-      position order, each moved to the slot its running match count
-      names;
+    * the greedy match scan runs once per left position: the candidates
+      are the right string's mask of the left character, inside the
+      window and still free, and the lowest one is taken;
+    * a second pass over the same masks pairs each matched left
+      position, in order, with the lowest right-matched bit not yet
+      paired; the pairs whose bit is not the left character's are the
+      transpositions;
     * with a positive *min_similarity* the upper bound of
-      :func:`jaro_winkler_upper_bound` is evaluated first and rows it
+      :func:`jaro_winkler_upper_bound` is evaluated first and pairs it
       proves below the floor read 0.0 without joining the scan.
     """
-    count = len(left)
-    width = max(left.shape[1], right.shape[1], max_prefix)
-    if left.shape[1] < width:
-        left = np.pad(
-            left,
-            ((0, 0), (0, width - left.shape[1])),
-            constant_values=CODEPOINT_PAD,
-        )
-    if right.shape[1] < width:
-        right = np.pad(
-            right,
-            ((0, 0), (0, width - right.shape[1])),
-            constant_values=CODEPOINT_PAD,
-        )
-    # Winkler's common prefix, capped at max_prefix.
-    prefix = np.zeros(count, dtype=np.int64)
-    alive = np.ones(count, dtype=bool)
+    lengths, text, masks = coded_masks(strings)
+    left_len = lengths[left_rows]
+    right_len = lengths[right_rows]
     shortest = np.minimum(left_len, right_len)
-    for position in range(max_prefix):
-        alive &= (left[:, position] == right[:, position]) & (
-            position < shortest
-        )
+    # Winkler's common prefix, capped at max_prefix.  Distinct strings
+    # differ at or before the shorter one's end (past it, one side
+    # reads the past-the-end index and the other a character).
+    head = text[:max_prefix]
+    left_head = np.take(head, left_rows, axis=1)
+    right_head = np.take(head, right_rows, axis=1)
+    prefix = np.zeros(len(left_rows), dtype=np.int64)
+    alive = np.ones(len(left_rows), dtype=bool)
+    for left_char, right_char in zip(left_head, right_head):
+        alive &= left_char == right_char
         prefix += alive
-    equal = (left_len == right_len) & (left == right).all(axis=1)
-    empty = shortest == 0
-    result = np.zeros(count, dtype=np.float64)
-    scan = ~(equal | empty)
+    equal = left_rows == right_rows
+    scan = ~equal & (shortest > 0)
     if min_similarity > 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = (shortest / left_len + shortest / right_len + 1.0) / 3.0
             bound = bound + prefix * prefix_scale * (1.0 - bound)
         bound = np.minimum(np.maximum(bound, 0.0), 1.0)
         scan &= ~(bound < min_similarity)
+    result = np.zeros(len(left_rows), dtype=np.float64)
     result[equal] = 1.0
-    rows = np.flatnonzero(scan)
-    if rows.size:
-        result[rows] = _jaro_winkler_scanned(
-            left[rows],
-            right[rows],
-            left_len[rows],
-            right_len[rows],
-            prefix[rows],
-            prefix_scale,
-        )
-    return result
-
-
-def _jaro_winkler_scanned(
-    left, right, left_len, right_len, prefix, prefix_scale
-) -> np.ndarray:
-    """The match scan and Jaro–Winkler formula for non-trivial rows."""
-    count, width = left.shape
+    # Longest left strings first: position i scans only the pairs
+    # whose left string reaches it, a prefix of the order.
+    pairs = np.flatnonzero(scan)
+    pairs = pairs[np.argsort(-left_len[pairs], kind="stable")]
+    left_len = left_len[pairs]
+    right_len = right_len[pairs]
+    width = int(left_len.max(initial=0))
+    live = np.searchsorted(-left_len, -np.arange(width))
     window = np.maximum(np.maximum(left_len, right_len) // 2 - 1, 0)
-    columns = np.arange(width)
-    all_rows = np.arange(count)
-    # candidates[r, i, j]: right[j] equals left[i], |i - j| is within
-    # the row's window and j is inside the right string.  Padding never
-    # matches: a padded left position equals only right padding, which
-    # lies beyond the right string.
-    bands = np.abs(columns[:, None] - columns) <= (
-        np.arange(int(window.max()) + 1)[:, None, None]
-    )
-    candidates = right[:, None, :] == left[:, :, None]
-    candidates &= bands[window]
-    candidates &= (columns < right_len[:, None])[:, None, :]
-    left_matched = np.zeros((count, width), dtype=bool)
-    right_free = np.ones((count, width), dtype=bool)
-    for position in range(int(left_len.max())):
-        open_ = candidates[:, position, :] & right_free
-        first = open_.argmax(axis=1)
-        found = open_[all_rows, first]
-        right_free[all_rows[found], first[found]] = False
-        left_matched[:, position] = found
-    matches = left_matched.sum(axis=1)
-    # A transposition is a position k where the k-th matched characters
-    # of the two sides differ; unmatched tails stay padding on both.
-    differ = _matched_in_order(left, left_matched) != _matched_in_order(
-        right, ~right_free
-    )
-    transpositions = differ.sum(axis=1) // 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jaro = (
-            matches / left_len
-            + matches / right_len
-            + (matches - transpositions) / matches
-        ) / 3.0
-    jaro[matches == 0] = 0.0
-    similarity = jaro + prefix * prefix_scale * (1.0 - jaro)
-    return np.minimum(np.maximum(similarity, 0.0), 1.0)
-
-
-def _matched_in_order(text: np.ndarray, matched: np.ndarray) -> np.ndarray:
-    """Each row's matched characters moved to the front, in position
-    order, padding behind."""
-    rows, positions = np.nonzero(matched)
-    rank = np.cumsum(matched, axis=1)[rows, positions] - 1
-    ordered = np.full(text.shape, CODEPOINT_PAD, dtype=np.uint32)
-    ordered[rows, rank] = text[rows, positions]
-    return ordered
+    # candidates[i, k]: the right string's mask of pair k's left
+    # character i (0 past the left string's end).
+    cells = np.take(text[:width], left_rows[pairs], axis=1)
+    cells += right_rows[pairs] * masks.shape[1]
+    candidates = np.take(masks, cells)
+    del cells
+    # taken[i, k]: whether pair k's left character i matched.
+    taken = np.zeros((width, len(pairs)), dtype=bool)
+    free = np.full(len(pairs), ~np.uint64(0))
+    for i in range(width):
+        stop = live[i]
+        bit = np.take(_BANDS[i], window[:stop])
+        bit &= candidates[i, :stop]
+        bit &= free[:stop]
+        bit &= -bit
+        free[:stop] ^= bit
+        np.not_equal(bit, 0, out=taken[i, :stop])
+    matched = ~free
+    matches = np.bitwise_count(matched).astype(np.int64)
+    # Pair the matched left characters, in order, with the matched
+    # right bits, lowest first; in order means the same character.
+    in_order = np.zeros(len(pairs), dtype=np.uint64)
+    for i in range(width):
+        stop = live[i]
+        rest = matched[:stop]
+        bit = rest & -rest
+        bit *= taken[i, :stop]
+        rest ^= bit
+        in_order[:stop] |= candidates[i, :stop] & bit
+    transpositions = (matches - np.bitwise_count(in_order)) // 2
+    # With no match, every term is 0 (and so is Winkler's prefix).
+    jaro = (
+        matches / left_len
+        + matches / right_len
+        + (matches - transpositions) / np.maximum(matches, 1)
+    ) / 3.0
+    similarity = jaro + prefix[pairs] * prefix_scale * (1.0 - jaro)
+    result[pairs] = np.minimum(np.maximum(similarity, 0.0), 1.0)
+    return result
 
 
 def coded_jaro_winkler_similarities(
@@ -301,44 +305,72 @@ def coded_jaro_winkler_similarities(
     min_similarity: float = 0.0,
 ) -> np.ndarray:
     """Jaro–Winkler of the pairs ``elements[lefts[i]],
-    elements[rights[i]]``, vectorized with numpy, as float64.
+    elements[rights[i]]``, as float64, bit-parallel.
 
     Bitwise equal, pair by pair, to :class:`BoundedJaroWinkler` with
     the same parameters (so to :func:`jaro_winkler_similarity` when
-    *min_similarity* is 0).  Each element the codes name is encoded
-    once as a padded codepoint row; pairs are scored in slices of
-    similar length, so padding stays small and the working arrays stay
-    bounded.
+    *min_similarity* is 0).  Each distinct ``str`` of the elements the
+    codes name is encoded once (:func:`coded_masks`), so codes of equal
+    strings score 1.0; a pair with an operand longer than
+    :data:`MASK_BITS` characters is scored alone by the scalar
+    comparator.
+
+    >>> names = ["martha", "marhta", "dwayne", "duane"]
+    >>> scores = coded_jaro_winkler_similarities(
+    ...     names, np.array([0, 2]), np.array([1, 3])
+    ... )
+    >>> [round(score, 4) for score in scores.tolist()]
+    [0.9611, 0.84]
+    >>> scores.tolist() == [
+    ...     jaro_winkler_similarity("martha", "marhta"),
+    ...     jaro_winkler_similarity("dwayne", "duane"),
+    ... ]
+    True
     """
-    if not 0.0 <= prefix_scale * max_prefix <= 1.0:
-        raise ValueError("prefix_scale * max_prefix must stay within [0, 1]")
-    rows, lengths, left_rows, right_rows = coded_rows(elements, lefts, rights)
-    left_len = lengths[left_rows]
-    right_len = lengths[right_rows]
-    longest = np.maximum(left_len, right_len)
-    order = np.argsort(longest, kind="stable")
-    count = len(left_rows)
-    result = np.empty(count, dtype=np.float64)
-    start = 0
-    while start < count:
-        # Pairs come shortest first, so the slice's last pair is its
-        # widest; shrink the slice until its arrays fit the budget.
-        stop = count
-        width = max(int(longest[order[stop - 1]]), 1)
-        while stop - start > 1 and (stop - start) * width * width > _SLICE_CELLS:
-            stop = start + max(1, _SLICE_CELLS // (width * width))
-            width = max(int(longest[order[stop - 1]]), 1)
-        members = order[start:stop]
-        start = stop
-        result[members] = _jaro_winkler_slice(
-            rows[left_rows[members], :width],
-            rows[right_rows[members], :width],
-            left_len[members],
-            right_len[members],
-            prefix_scale,
-            max_prefix,
-            min_similarity,
+    prefix_scale, max_prefix = _checked_prefix(prefix_scale, max_prefix)
+    count = len(lefts)
+    used, inverse = np.unique(
+        np.concatenate((lefts, rights)).astype(np.int64), return_inverse=True
+    )
+    rows: dict[str, int] = {}
+    row_of = np.fromiter(
+        (
+            rows.setdefault(str(elements[code]), len(rows))
+            for code in used.tolist()
+        ),
+        dtype=np.int64,
+        count=len(used),
+    )
+    left_rows = row_of[inverse[:count]]
+    right_rows = row_of[inverse[count:]]
+    strings = list(rows)
+    # Strings too long for one mask are encoded empty, so no scanned
+    # pair names them: their pairs are scored alone.
+    long = np.array([len(string) > MASK_BITS for string in strings], bool)
+    result = _jaro_winkler_scan(
+        [
+            "" if too_long else string
+            for string, too_long in zip(strings, long.tolist())
+        ],
+        left_rows,
+        right_rows,
+        prefix_scale,
+        max_prefix,
+        min_similarity,
+    )
+    alone = np.flatnonzero(long[left_rows] | long[right_rows])
+    if len(alone):
+        scalar = BoundedJaroWinkler(
+            min_similarity=min_similarity,
+            prefix_scale=prefix_scale,
+            max_prefix=max_prefix,
         )
+        result[alone] = [
+            scalar(strings[left], strings[right])
+            for left, right in zip(
+                left_rows[alone].tolist(), right_rows[alone].tolist()
+            )
+        ]
     return result
 
 
@@ -371,8 +403,9 @@ class BoundedJaroWinkler:
             )
         self.name = str(name)
         self.min_similarity = float(min_similarity)
-        self._scale = float(prefix_scale)
-        self._max_prefix = int(max_prefix)
+        self._scale, self._max_prefix = _checked_prefix(
+            prefix_scale, max_prefix
+        )
 
     def __call__(self, left: Any, right: Any) -> float:
         left_str, right_str = as_strings(left, right)

@@ -433,12 +433,16 @@ _MAX_BANDS = 8
 
 #: Fewest pairs a batch must hold before :func:`score_codes` hands it
 #: to a comparator's vectorized ``batch_code_similarities`` hook instead
-#: of looping the comparator.  Only Jaro–Winkler has such a hook: a
-#: numpy batch call costs a fixed few hundred microseconds however
-#: small the batch, which per-pair calls only overtake at a few dozen
-#: pairs; the ``test_bench_jaro_winkler_crossover`` rows of
-#: ``benchmarks/test_bench_kernels.py`` measure both sides at 2, 37 and
-#: 300 pairs.  The choice follows the batch's own size, never an option.
+#: of looping the comparator.  Only Jaro–Winkler has such a hook: its
+#: bit-parallel scan costs 0.2–0.25 ms per call however small the
+#: batch, then about 1 µs per pair against about 9 µs for a per-pair
+#: call on job titles, so it wins from about 30 pairs.  The
+#: ``test_bench_jaro_winkler_crossover`` rows of
+#: ``benchmarks/test_bench_kernels.py`` measure both sides (medians on
+#: a 2-CPU x86-64 VM: 210 µs against 19 µs at 2 pairs, 294 against
+#: 350 at 37, 563 against 2,820 at 300).  Names are shorter and cheaper
+#: per pair, so the bound sits a little above the job-title crossover.
+#: The choice follows the batch's own size, never an option.
 BATCH_SCORE_MIN_PAIRS = 40
 
 

@@ -60,12 +60,20 @@ from repro.similarity.uncertain import (
 #: ASCII, Latin-1, CJK and an astral-plane character.
 ALPHABET = "abcdeéß日😀"
 TEXT = st.text(alphabet=ALPHABET, max_size=12)
+#: Lengths around the scan's one-mask limit (64 characters) and well
+#: past it, where pairs are scored one at a time.
+LONG_SIZES = (63, 64, 65, 130)
 
 
 @st.composite
 def jw_pairs(draw):
-    """Random, identical, length-1, empty and long-common-prefix pairs."""
-    kind = draw(st.sampled_from(("random", "same", "single", "prefix")))
+    """Random, identical, length-1, empty, long-common-prefix, repeated
+    character and long (63–130 character) pairs."""
+    kind = draw(
+        st.sampled_from(
+            ("random", "same", "single", "prefix", "repeated", "long")
+        )
+    )
     if kind == "same":
         text = draw(TEXT)
         return text, text
@@ -77,6 +85,14 @@ def jw_pairs(draw):
     if kind == "prefix":
         prefix = draw(st.text(alphabet=ALPHABET, min_size=5, max_size=8))
         return prefix + draw(TEXT), prefix + draw(TEXT)
+    if kind == "repeated":
+        # Few distinct characters: many candidates in every window.
+        few = st.text(alphabet="ab", max_size=12)
+        return draw(few), draw(few)
+    if kind == "long":
+        size = draw(st.sampled_from(LONG_SIZES))
+        text = draw(st.text(alphabet=ALPHABET, min_size=size, max_size=size))
+        return text, draw(st.sampled_from((text[::-1], text[1:], text[:-1])))
     return draw(TEXT), draw(TEXT)
 
 
@@ -111,27 +127,101 @@ def test_batch_jaro_winkler_is_bitwise_the_scalar_kernel(
             assert value == 0.0 or value.hex() == exact.hex()
 
 
+def _long(size):
+    """*size* characters cycling through seven distinct ones."""
+    return (ALPHABET[:7] * (size // 7 + 1))[:size]
+
+
+#: Pairs at the scan's edges, each checked alone and all in one batch.
+EDGE_PAIRS = [
+    ("", ""),
+    ("", "a"),
+    ("a", ""),
+    ("a", "a"),
+    ("a", "b"),
+    ("martha", "marhta"),
+    ("dwayne", "duane"),
+    ("abcdefgh", "abcdefxy"),
+    ("日本語テキスト", "日本語テクスト"),
+    ("😀x", "x😀"),
+    # Codes of different elements whose strings are equal.
+    (12, "12"),
+    (1, "1"),
+    (1.0, "1.0"),
+    # Shorter than max_prefix.
+    ("ab", "ac"),
+    ("abc", "abd"),
+    ("ab", "abc"),
+    # Repeated characters at the window's edges: the greedy scan takes
+    # the first free candidate, not the nearest.
+    ("aaaab", "baaaa"),
+    ("abababab", "babababa"),
+    ("aaaaxbbbb", "bbbbxaaaa"),
+    ("abcdabcd", "dcbadcba"),
+    ("aaaa", "aaaaaaaa"),
+    ("xaaaaaax", "aaxxxxaa"),
+    # A lone surrogate, alone and beside the astral character whose
+    # surrogate pair it starts.
+    ("\ud800", "\ud800"),
+    ("\ud800", "\ud800a"),
+    ("\ud800a", "a\ud800"),
+    ("\ud83d\ude00", "😀"),
+    # Around the 64-character mask and well past it.
+    *((_long(size), _long(size)[::-1]) for size in LONG_SIZES),
+    *((_long(size), _long(size - 1)) for size in LONG_SIZES),
+    (_long(64), _long(65)),
+    (_long(130), "a"),
+    ("a" * 64, "a" * 63 + "b"),
+    ("a" * 65, "a" * 64),
+]
+
+
 def test_batch_jaro_winkler_edge_cases(coded):
-    pairs = [
-        ("", ""),
-        ("", "a"),
-        ("a", ""),
-        ("a", "a"),
-        ("a", "b"),
-        ("martha", "marhta"),
-        ("dwayne", "duane"),
-        ("abcdefgh", "abcdefxy"),
-        ("日本語テキスト", "日本語テクスト"),
-        ("😀x", "x😀"),
-        (12, "12"),
+    long_only = [
+        (left, right)
+        for left, right in EDGE_PAIRS
+        if max(len(str(left)), len(str(right))) > 64
     ]
-    scorer = BoundedJaroWinkler()
-    scored = scorer.batch_code_similarities(*coded(pairs))
-    assert [value.hex() for value in scored.tolist()] == [
-        jaro_winkler_similarity(left, right).hex() for left, right in pairs
-    ]
+    batches = [[pair] for pair in EDGE_PAIRS] + [EDGE_PAIRS, long_only]
+    for floor, prefix_scale, max_prefix in (
+        (0.0, 0.1, 4),
+        (0.8, 0.1, 4),
+        (0.0, 0.05, 6),
+    ):
+        scorer = BoundedJaroWinkler(
+            min_similarity=floor,
+            prefix_scale=prefix_scale,
+            max_prefix=max_prefix,
+        )
+        for batch in batches:
+            scored = scorer.batch_code_similarities(*coded(batch)).tolist()
+            assert [value.hex() for value in scored] == [
+                scorer(left, right).hex() for left, right in batch
+            ]
+            if floor == 0.0:
+                assert [value.hex() for value in scored] == [
+                    jaro_winkler_similarity(
+                        left,
+                        right,
+                        prefix_scale=prefix_scale,
+                        max_prefix=max_prefix,
+                    ).hex()
+                    for left, right in batch
+                ]
     empty = np.zeros(0, dtype=np.int64)
-    assert not len(scorer.batch_code_similarities([], empty, empty))
+    assert not len(
+        BoundedJaroWinkler().batch_code_similarities([], empty, empty)
+    )
+
+
+@pytest.mark.parametrize(
+    "prefix_scale, max_prefix", [(0.5, 4), (0.1, -3), (-0.1, 4), (-0.1, -3)]
+)
+def test_bounded_jaro_winkler_checks_prefix_at_construction(
+    prefix_scale, max_prefix
+):
+    with pytest.raises(ValueError, match="prefix_scale"):
+        BoundedJaroWinkler(prefix_scale=prefix_scale, max_prefix=max_prefix)
 
 
 def test_score_codes_batches_only_from_the_crossover():
