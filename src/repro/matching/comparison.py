@@ -139,7 +139,6 @@ class ComparisonMatrix:
         "_left_probs",
         "_right_probs",
         "_weights",
-        "_weight_array",
     )
 
     def __init__(
@@ -193,7 +192,7 @@ class ComparisonMatrix:
         # built once as the normalized outer product instead of re-summing
         # the alternative probabilities for every cell.  Plain tuples:
         # matrices are usually tiny (1×1 for flat pairs), where scalar
-        # math beats array dispatch; the numpy view is created lazily.
+        # math beats array dispatch.
         left_total = sum(left_probabilities)
         right_total = sum(right_probabilities)
         left_conditional = [p / left_total for p in left_probabilities]
@@ -202,7 +201,6 @@ class ComparisonMatrix:
             tuple(lp * rp for rp in right_conditional)
             for lp in left_conditional
         )
-        self._weight_array: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -245,18 +243,6 @@ class ComparisonMatrix:
         matrix sums to 1.
         """
         return self._weights
-
-    @property
-    def weight_matrix(self) -> np.ndarray:
-        """Read-only ``(k, l)`` numpy view of :attr:`weights`.
-
-        Materialized on first access and cached for the matrix lifetime.
-        """
-        if self._weight_array is None:
-            array = np.asarray(self._weights, dtype=np.float64)
-            array.setflags(write=False)
-            self._weight_array = array
-        return self._weight_array
 
     def conditional_weight(self, i: int, j: int) -> float:
         """``p(t1ⁱ)/p(t1) · p(t2ʲ)/p(t2)`` — the Eq. 6/8/9 pair weight.
@@ -320,76 +306,50 @@ class AttributeMatcher:
             comparator, cache=self._cache_enabled
         )
 
-    def with_floors(self, floors) -> "AttributeMatcher":
-        """A matcher whose comparators prune below per-attribute floors.
+    def configured(
+        self, floors=None, kernel: str | None = None
+    ) -> "AttributeMatcher":
+        """A matcher pruning below *floors* on kernel *kernel*.
 
-        The threshold-pushdown seam: *floors* (a
+        The threshold-pushdown and kernel seam: *floors* (a
         :class:`~repro.matching.pushdown.SimilarityFloors`, normally
         derived from the decision model via
-        :func:`~repro.matching.pushdown.derive_floors`) is distributed
-        over the per-attribute comparators with
-        :meth:`~repro.similarity.uncertain.UncertainValueComparator.with_min_similarity`.
-        Comparators whose base cannot prune (no banded kernel) are
-        reused unchanged, as is the matcher itself when no floor is
-        positive.  Exact domain-element caches are *shared* between the
-        original and the clone; banded caches are drawn per band from
-        :meth:`~repro.similarity.kernels.SimilarityCache.banded`, so
-        repeated calls with the same floors hit the same warmed tables.
+        :func:`~repro.matching.pushdown.derive_floors`; ``None`` keeps
+        each comparator's own floor) and *kernel* (``"fast"`` or
+        ``"python"``; ``None`` keeps each comparator's own) are
+        distributed over the per-attribute comparators with
+        :meth:`~repro.similarity.uncertain.UncertainValueComparator.configured`.
+        Attributes the floors name but the matcher serves through its
+        default comparator get a dedicated entry.  Comparators nothing
+        changes (a base with neither a cutoff band nor a kernel switch,
+        Equation 4) are reused unchanged, as is the matcher itself when
+        nothing changes at all.
         """
-        changed = False
-        comparators: dict[str, UncertainValueComparator] = {}
-        for attribute, comparator in self._comparators.items():
-            pruned = comparator.with_min_similarity(floors.floor(attribute))
-            changed = changed or pruned is not comparator
-            comparators[attribute] = pruned
+        comparators = {
+            attribute: comparator.configured(
+                floors.floor(attribute) if floors is not None else None,
+                kernel,
+            )
+            for attribute, comparator in self._comparators.items()
+        }
         default = self._default
         if default is not None:
-            # Attributes the floors name explicitly but the matcher
-            # serves through the default comparator get a dedicated
-            # floor-configured entry; the default itself prunes at the
-            # floors' default level.
-            for attribute, floor in floors.per_attribute.items():
-                if attribute not in comparators:
-                    comparators[attribute] = default.with_min_similarity(
-                        floor
-                    )
-                    changed = (
-                        changed or comparators[attribute] is not default
-                    )
-            default = default.with_min_similarity(floors.default)
-            changed = changed or default is not self._default
-        if not changed:
+            if floors is not None:
+                for attribute, floor in floors.per_attribute.items():
+                    if attribute not in comparators:
+                        comparators[attribute] = default.configured(
+                            floor, kernel
+                        )
+            default = default.configured(
+                floors.default if floors is not None else None, kernel
+            )
+        if default is self._default and all(
+            comparator is self._comparators.get(attribute, self._default)
+            for attribute, comparator in comparators.items()
+        ):
             return self
         # The constructor passes UncertainValueComparator instances
-        # through _lift unchanged, so this shares the pruned clones.
-        return AttributeMatcher(
-            comparators, default=default, cache=self._cache_enabled
-        )
-
-    def with_backend(self, backend: str) -> "AttributeMatcher":
-        """A matcher whose edit comparators run on another kernel.
-
-        The kernel seam: *backend* (``"fast"`` or ``"python"``) is
-        distributed over the per-attribute comparators with
-        :meth:`~repro.similarity.uncertain.UncertainValueComparator.with_backend`.
-        Comparators that are not backend-aware (Jaro–Winkler, custom
-        functions, Equation 4) are reused unchanged, as is the matcher
-        itself when nothing changes.  The fast kernel is pinned bitwise
-        to the reference DPs, so results are identical; domain-element
-        caches are shared between the original and the clone.
-        """
-        changed = False
-        comparators: dict[str, UncertainValueComparator] = {}
-        for attribute, comparator in self._comparators.items():
-            switched = comparator.with_backend(backend)
-            changed = changed or switched is not comparator
-            comparators[attribute] = switched
-        default = self._default
-        if default is not None:
-            default = default.with_backend(backend)
-            changed = changed or default is not self._default
-        if not changed:
-            return self
+        # through _lift unchanged, so this shares the configured clones.
         return AttributeMatcher(
             comparators, default=default, cache=self._cache_enabled
         )

@@ -88,17 +88,6 @@ class DerivationInput:
     statuses: tuple[tuple[MatchStatus, ...], ...] | None
     weights: tuple[tuple[float, ...], ...]
 
-    def __getstate__(self):
-        # Cached numpy views are derived data — rebuild after unpickling
-        # instead of shipping them over process boundaries.
-        return (self.similarities, self.statuses, self.weights)
-
-    def __setstate__(self, state) -> None:
-        similarities, statuses, weights = state
-        object.__setattr__(self, "similarities", similarities)
-        object.__setattr__(self, "statuses", statuses)
-        object.__setattr__(self, "weights", weights)
-
     @property
     def shape(self) -> tuple[int, int]:
         """``(k, l)``."""

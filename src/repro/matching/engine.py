@@ -168,47 +168,6 @@ class XTupleDecisionProcedure:
             self._model, self._derivation, self._final_classifier
         )
 
-    def with_floors(
-        self, floors: SimilarityFloors
-    ) -> "XTupleDecisionProcedure":
-        """A clone whose attribute matching prunes below *floors*.
-
-        Model, derivation and final classifier are shared; only the
-        matcher is replaced by its floor-configured clone (see
-        :meth:`AttributeMatcher.with_floors`).  Returns ``self`` when
-        the floors change nothing.
-        """
-        matcher = self._matcher.with_floors(floors)
-        if matcher is self._matcher:
-            return self
-        return XTupleDecisionProcedure(
-            matcher,
-            self._model,
-            self._derivation,
-            classifier=self._final_classifier,
-        )
-
-    def with_backend(self, backend: str) -> "XTupleDecisionProcedure":
-        """A clone whose edit comparators run on kernel *backend*
-        (``"fast"`` or ``"python"``).
-
-        Model, derivation and final classifier are shared; only the
-        matcher is replaced by its kernel-configured clone (see
-        :meth:`AttributeMatcher.with_backend`).  The fast kernel is
-        pinned bitwise to the reference DPs, so decisions are
-        identical.  Returns ``self`` when nothing changes (no
-        backend-aware comparators, or the kernel is already active).
-        """
-        matcher = self._matcher.with_backend(backend)
-        if matcher is self._matcher:
-            return self
-        return XTupleDecisionProcedure(
-            matcher,
-            self._model,
-            self._derivation,
-            classifier=self._final_classifier,
-        )
-
     # ------------------------------------------------------------------
     # Steps
     # ------------------------------------------------------------------

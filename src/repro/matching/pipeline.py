@@ -198,8 +198,8 @@ class DuplicateDetector:
             reducer if reducer is not None else FullComparison()
         )
         self._preparation = preparation
-        # Pruned pipeline clones, memoized per floors signature: one
-        # configuration is inverted (and its banded caches created)
+        # Configured pipeline clones, memoized per (floors signature,
+        # kernel): one configuration is built (and its caches created)
         # once, however many detect calls reuse it.  Bounded by true
         # LRU eviction: a cutoff sweep over many distinct floors only
         # ever drops the least recently used clone, so the hot clone
@@ -233,21 +233,40 @@ class DuplicateDetector:
         were requested or because the resolved floors would never
         prune.
         """
-        floors: SimilarityFloors | None = None
-        if min_similarity is not None:
-            if isinstance(min_similarity, str):
-                if min_similarity != "auto":
+        if min_similarity is None:
+            return None
+        if isinstance(min_similarity, str):
+            if min_similarity != "auto":
+                raise ValueError(
+                    f"unknown min_similarity mode {min_similarity!r}; "
+                    "expected 'auto', a float, a mapping, or None"
+                )
+            floors = self._procedure.attribute_floors()
+        elif isinstance(min_similarity, bool):
+            raise ValueError(
+                f"min_similarity={min_similarity!r} is not a floor; "
+                "expected 'auto', a float, a mapping, or None"
+            )
+        elif isinstance(min_similarity, Mapping):
+            matcher = self._procedure.matcher
+            for attribute, floor in min_similarity.items():
+                if isinstance(floor, bool):
                     raise ValueError(
-                        f"unknown min_similarity mode {min_similarity!r}; "
-                        "expected 'auto', a float, a mapping, or None"
+                        f"min_similarity floor {floor!r} of {attribute!r} "
+                        "is not a number"
                     )
-                floors = self._procedure.attribute_floors()
-            elif isinstance(min_similarity, Mapping):
-                floors = SimilarityFloors(dict(min_similarity))
-            else:
-                floors = SimilarityFloors.uniform(float(min_similarity))
-            if floors is not None and floors.is_exact:
-                floors = None
+                try:
+                    matcher.comparator_for(str(attribute))
+                except KeyError:
+                    raise ValueError(
+                        f"min_similarity names attribute {attribute!r}, "
+                        "which the matcher does not compare"
+                    ) from None
+            floors = SimilarityFloors(dict(min_similarity))
+        else:
+            floors = SimilarityFloors.uniform(float(min_similarity))
+        if floors is not None and floors.is_exact:
+            return None
         return floors
 
     def _resolve_run(
@@ -268,10 +287,11 @@ class DuplicateDetector:
         The one place :meth:`detect`, :meth:`detect_between` and
         :meth:`session` resolve their options.  ``None`` options keep
         the :class:`~repro.matching.executor.ExecutionSettings`
-        defaults.  The configured pipeline clone is derived once per distinct
-        ``(floors, kernel)`` combination and reused afterwards
-        (including its band-keyed similarity caches), evicting
-        least-recently-used clones past the bound.
+        defaults.  The configured pipeline clone is derived once per
+        distinct ``(floors, kernel)`` combination and reused afterwards
+        (with its similarity caches), evicting least-recently-used
+        clones past the bound; this memo is the only one, so a clone's
+        first run starts cold.
         """
         defaulted = dict(chunk_size=chunk_size, retry=retry)
         settings = ExecutionSettings(
@@ -293,15 +313,23 @@ class DuplicateDetector:
         memo = self._pruned_procedures
         procedure = memo.get(key)
         if procedure is None:
-            procedure = self._procedure.with_backend(settings.kernel_backend)
-            if floors is not None:
-                procedure = procedure.with_floors(floors)
-            if procedure is not self._procedure:
-                # A base procedure that nothing changed (no
-                # backend-aware comparators, no floors) needs no slot.
-                while len(memo) >= _MAX_PRUNED_PROCEDURES:
-                    memo.popitem(last=False)
-                memo[key] = procedure
+            base = self._procedure
+            matcher = base.matcher.configured(
+                floors, settings.kernel_backend
+            )
+            # A base matcher that nothing changed (no backend-aware or
+            # bandable comparators) keeps the base procedure, no slot.
+            if matcher is base.matcher:
+                return base, floors, settings
+            procedure = XTupleDecisionProcedure(
+                matcher,
+                base.model,
+                base.derivation,
+                classifier=base.final_classifier,
+            )
+            while len(memo) >= _MAX_PRUNED_PROCEDURES:
+                memo.popitem(last=False)
+            memo[key] = procedure
         else:
             memo.move_to_end(key)
         return procedure, floors, settings
@@ -429,9 +457,11 @@ class DuplicateDetector:
             floor, a mapping per-attribute floors — both are
             *assertions* by the caller that similarities below the
             floor cannot change any decision; unlike ``"auto"`` they
-            are not validated against the model.  ``None`` (default)
+            are not validated against the model, but a mapping may
+            name only attributes the matcher compares (else
+            ``ValueError``, as for a ``bool``).  ``None`` (default)
             computes every similarity exactly.  Under pushdown the
-            band-keyed cutoff caches fill instead of the exact tables.
+            banded cutoff caches fill instead of the exact tables.
         kernel_backend:
             Which edit kernel scores attribute similarities:
             ``"fast"`` (``None``, the default) — Myers bit-parallel

@@ -6,8 +6,8 @@ matching computes every similarity exactly.  This module inverts the
 decision layer: it asks a model for the **weakest per-attribute
 similarity that could still influence any matching decision** and packs
 the answer into a :class:`SimilarityFloors` object the pipeline pushes
-down — through :meth:`repro.matching.comparison.AttributeMatcher.with_floors`
-and :meth:`repro.similarity.uncertain.UncertainValueComparator.with_min_similarity`
+down — through :meth:`repro.matching.comparison.AttributeMatcher.configured`
+and :meth:`repro.similarity.uncertain.UncertainValueComparator.configured`
 — into the banded kernels of :mod:`repro.similarity.kernels`, which may
 then stop computing as soon as a similarity provably falls below its
 floor.

@@ -245,6 +245,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def parse_min_similarity(text: str) -> str | float:
+    """``--min-similarity``: ``auto`` or a float floor in [0, 1]."""
+    if text == "auto":
+        return text
+    try:
+        floor = float(text)
+    except ValueError:
+        floor = None
+    if floor is None or not 0.0 <= floor <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or a float in [0, 1], got {text!r}"
+        )
+    return floor
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -269,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--calibration-method", default="conformal", choices=("conformal", "np"), help="threshold calibration method (with --calibration)")
         sub.add_argument("--target-fpr", type=float, default=0.05, help="false-positive-rate target for calibration")
         sub.add_argument("--audit", default=None, metavar="DIR", help="write one audit manifest per refresh into this directory")
-        sub.add_argument("--min-similarity", default=None, help="similarity floors: 'auto' or a float")
+        sub.add_argument("--min-similarity", type=parse_min_similarity, default=None, help="similarity floors: 'auto' or a float in [0, 1]")
         sub.add_argument("--no-derivations", action="store_true", help="drop derivation matrices (enables decision persistence)")
         sub.add_argument("--progress", action="store_true", help="stream per-partition progress to stderr")
         if extra:
@@ -279,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.min_similarity is not None and args.min_similarity != "auto":
-        args.min_similarity = float(args.min_similarity)
     if args.block and args.sort:
         raise SystemExit("--block and --sort are mutually exclusive")
     return args.handler(args)
@@ -292,4 +305,5 @@ __all__ = [
     "build_session",
     "main",
     "parse_key",
+    "parse_min_similarity",
 ]

@@ -48,10 +48,9 @@ module provides the performance core:
   decisions, which are what a refresh reuses.
   Cutoff-pruned results are *banded*:
   each cache records the similarity floor its base comparator was
-  configured with (:attr:`SimilarityCache.band`), and
-  :meth:`SimilarityCache.banded` hands out one derived cache per active
-  band, so pruned entries can never be served to an exact lookup (or
-  vice versa).
+  configured with (:attr:`SimilarityCache.band`), and a floor-configured
+  comparator keeps its own banded cache beside the exact one, so pruned
+  entries can never be served to an exact lookup (or vice versa).
 """
 
 from __future__ import annotations
@@ -367,17 +366,6 @@ class BandedEditComparator:
         when backend-aware, else ``None``."""
         return self._kind
 
-    @property
-    def backend_name(self) -> str | None:
-        """The kernel (``"fast"`` / ``"python"``) computing this
-        comparator's results.
-
-        ``None`` for comparators wrapping an opaque function — those
-        cannot be switched and are treated as their own (anonymous)
-        kernel by the band-cache registry.
-        """
-        return self._backend
-
     def with_min_similarity(self, min_similarity: float) -> "BandedEditComparator":
         """A clone computing with the given similarity floor.
 
@@ -422,13 +410,6 @@ class BandedEditComparator:
                 f"min_similarity={self.min_similarity:g})"
             )
         return f"BandedEditComparator({self.name!r})"
-
-
-#: Soft bound on derived band caches memoized per exact cache; on
-#: overflow the registry is cleared wholesale (derived caches are
-#: re-derivable, and live references keep working — they just stop
-#: being shared with future clones).
-_MAX_BANDS = 8
 
 
 #: Fewest pairs a batch must hold before :func:`score_codes` hands it
@@ -614,8 +595,7 @@ class SimilarityCache:
         (0.0 for an exact comparator).  Entries of a banded cache hold
         cutoff-pruned results — exact at or above the band, possibly
         0.0 below it — so caches of different bands never share a
-        table; :meth:`banded` is the constructor that keeps one derived
-        cache per active band.
+        table.
     """
 
     __slots__ = (
@@ -625,7 +605,6 @@ class SimilarityCache:
         "misses",
         "reflexive_value",
         "band",
-        "_bands",
         "_table",
         "_codes",
         "_clears",
@@ -649,18 +628,14 @@ class SimilarityCache:
         self.misses = 0
         self.reflexive_value = float(reflexive_value)
         self.band = float(band)
-        self._bands: dict[
-            tuple[float, str | None], "SimilarityCache"
-        ] = {}
         #: Similarities by ``lo * PAIR_BASE + hi`` of the operands'
         #: codes, in insertion order.
         self._table: dict[int, float] = {}
         #: Element key (a string, or ``(type, value)``) → code; codes
         #: count up from 0 in coding order.
         self._codes: dict[Any, int] = {}
-        #: Wholesale clears of the table so far.  Table, codes and this
-        #: counter are shared with every :meth:`with_base` view.
-        self._clears = [0]
+        #: Wholesale clears of the table so far.
+        self._clears = 0
 
     def __call__(self, left: Any, right: Any) -> float:
         if left is right or (type(left) is type(right) and left == right):
@@ -785,10 +760,10 @@ class SimilarityCache:
         every operand of *lefts* / *rights* coded."""
         codes = self._codes
         entry = translations.get(id(codes))
-        if entry is None or entry[1] != self._clears[0]:
+        if entry is None or entry[1] != self._clears:
             # The entry holds the code map, so its id stays unique.
             entry = translations[id(codes)] = [
-                codes, self._clears[0], np.zeros(0, dtype=np.int64),
+                codes, self._clears, np.zeros(0, dtype=np.int64),
             ]
         mine = entry[2]
         if len(mine) < len(elements):
@@ -814,10 +789,10 @@ class SimilarityCache:
         )
 
     def _reset(self) -> None:
-        """Empty the shared table and code map (the wholesale clear)."""
+        """Empty the table and code map (the wholesale clear)."""
         self._table.clear()
         self._codes.clear()
-        self._clears[0] += 1
+        self._clears += 1
 
     def __len__(self) -> int:
         return len(self._table)
@@ -827,74 +802,6 @@ class SimilarityCache:
         """Fraction of lookups answered from the cache."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def banded(self, band: float, base: Comparator) -> "SimilarityCache":
-        """The derived cache for one cutoff band.
-
-        Returns a cache whose entries hold the results of *base* (the
-        band's cutoff-configured comparator) and whose :attr:`band`
-        records the floor — one derived cache per distinct
-        ``(band, kernel)`` combination is memoized on this instance,
-        so repeated pushdown configurations (re-running detection with
-        the same derived floors, or switching kernels back and forth)
-        reuse the same warmed banded table instead of silently dropping
-        it.  Asking for this cache's own band *and* kernel returns
-        ``self``.
-
-        Band tables are deliberately *not* shared across bands: an
-        entry computed under a cutoff may read 0.0 where the exact
-        table reads the true similarity, and serving one to the other
-        would break the pushdown contract.  (Kernels, by contrast, are
-        bitwise-interchangeable — the per-kernel keying exists so each
-        derived cache keeps computing its misses with the kernel it was
-        requested for.)
-        """
-        band = float(band)
-        backend = getattr(base, "backend_name", None)
-        if band == self.band and backend == getattr(
-            self.base, "backend_name", None
-        ):
-            return self
-        key = (band, backend)
-        derived = self._bands.get(key)
-        if derived is None:
-            derived = SimilarityCache(
-                base,
-                max_entries=self.max_entries,
-                reflexive_value=self.reflexive_value,
-                band=band,
-            )
-            # Soft bound (repo-wide cache policy: clear wholesale, no
-            # LRU bookkeeping): a cutoff sweep over many distinct
-            # floors must not retain one table per floor ever tried.
-            if len(self._bands) >= _MAX_BANDS:
-                self._bands.clear()
-            self._bands[key] = derived
-        return derived
-
-    def with_base(self, base: Comparator) -> "SimilarityCache":
-        """A view of this cache computing misses with *base* instead.
-
-        Used by kernel switching: the clone **shares** this cache's
-        table, code map and band registry (both kernels
-        return bitwise-identical results, so sharing entries across
-        kernels is safe and keeps warmed tables warm), but scores cache
-        misses with the new comparator.  Hit/miss statistics are
-        tracked per view.
-        """
-        if base is self.base:
-            return self
-        clone = SimilarityCache(
-            base,
-            max_entries=self.max_entries,
-            reflexive_value=self.reflexive_value,
-            band=self.band,
-        )
-        clone._table = self._table
-        clone._codes = self._codes
-        clone._clears = self._clears
-        clone._bands = self._bands
-        return clone
 
     def clear(self) -> None:
         """Drop all entries and codes and reset the statistics."""

@@ -162,7 +162,7 @@ class UncertainValueComparator:
         self._registry: _Registry | None = None
         # Threshold pushdown: a positive floor plus a bandable base
         # arms the certain-value fast path with the cutoff-banded
-        # kernel and its band-keyed cache.
+        # kernel and a banded cache of its own beside the exact one.
         self._floor = float(min_similarity)
         if not 0.0 <= self._floor <= 1.0:
             raise ValueError(
@@ -175,72 +175,67 @@ class UncertainValueComparator:
             if callable(maker):
                 self._banded_base = maker(self._floor)
                 if self._cache is not None:
-                    self._banded_cache = self._cache.banded(
-                        self._floor, self._banded_base
+                    self._banded_cache = SimilarityCache(
+                        self._banded_base,
+                        max_entries=self._cache.max_entries,
+                        reflexive_value=self._cache.reflexive_value,
+                        band=self._floor,
                     )
 
-    def with_min_similarity(self, floor: float) -> "UncertainValueComparator":
-        """A clone whose certain-value fast path prunes below *floor*.
+    def configured(
+        self, floor: float | None = None, kernel: str | None = None
+    ) -> "UncertainValueComparator":
+        """A clone pruning below *floor* on kernel *kernel*.
 
-        The clone shares this comparator's *exact* domain-element cache
-        (the Equation-5 expectation still needs exact similarities) and
-        draws its banded cache from
-        :meth:`SimilarityCache.banded`, so repeated pushdown
-        configurations reuse one warmed table per band.  Returns
-        ``self`` unchanged when pruning cannot apply: a floor equal to
-        the current one, the error-free Equation 4 (results are
-        already 0/1 steps), or a base comparator without a cutoff band
-        (no ``with_min_similarity``) — cloning those would cost warm
+        *floor* ``None`` keeps this comparator's floor; *kernel*
+        ``None`` (or a base that is not backend-aware, e.g.
+        Jaro–Winkler) keeps its kernel.  Both kernels are pinned
+        bitwise to the reference DPs, so only the floor can change a
+        result, and only below it.  A clone on the same kernel shares
+        this comparator's *exact* domain-element cache (the Equation-5
+        expectation still needs exact similarities); a clone on another
+        kernel gets a fresh one with the same ``max_entries`` and
+        ``reflexive_value``, which scores its misses with that kernel.
+        Either gets its own banded cache for a positive floor.
+
+        Returns ``self`` when nothing changes: the same floor and
+        kernel, the error-free Equation 4 (results are already 0/1
+        steps), or a positive floor on a base without a cutoff band (no
+        ``with_min_similarity``) — cloning those would cost warm
         value-level memos without skipping any work.
         """
-        floor = float(floor)
+        floor = self._floor if floor is None else float(floor)
         if not 0.0 <= floor <= 1.0:
             raise ValueError(f"min_similarity outside [0, 1]: {floor}")
-        if floor == self._floor or self._base is None:
+        base = self._base
+        if base is None:
             return self
         if floor > 0.0 and not callable(
-            getattr(self._base, "with_min_similarity", None)
+            getattr(base, "with_min_similarity", None)
         ):
+            floor = self._floor
+        switch = getattr(base, "with_backend", None)
+        if kernel is not None and callable(switch):
+            base = switch(kernel)
+        if floor == self._floor and base is self._base:
             return self
-        return UncertainValueComparator(
-            self._base,
-            pattern_policy=self._policy,
-            pattern_lexicon=self._lexicon,
-            cache=self._cache if self._cache is not None else self._memoize,
-            min_similarity=floor,
-        )
-
-    def with_backend(self, backend: str) -> "UncertainValueComparator":
-        """A clone whose base comparator runs on kernel *backend*
-        (``"fast"`` or ``"python"``).
-
-        The fast kernel is pinned bitwise to the reference DPs (see
-        :mod:`repro.similarity.kernels`), so the clone returns exactly
-        the same similarities.  The domain-element cache is therefore
-        *shared* with this comparator (:meth:`SimilarityCache.with_base`
-        — same store, misses scored by the new kernel), keeping warmed
-        tables warm across kernel switches.  Returns ``self`` when the
-        base comparator is not backend-aware (e.g. Jaro–Winkler) or
-        already runs on *backend*.
-        """
-        if self._base is None:
-            return self
-        switch = getattr(self._base, "with_backend", None)
-        if not callable(switch):
-            return self
-        base = switch(backend)
-        if base is self._base:
-            return self
+        cache: SimilarityCache | bool = self._memoize
+        if self._cache is not None:
+            cache = (
+                self._cache
+                if base is self._base
+                else SimilarityCache(
+                    base,
+                    max_entries=self._cache.max_entries,
+                    reflexive_value=self._cache.reflexive_value,
+                )
+            )
         return UncertainValueComparator(
             base,
             pattern_policy=self._policy,
             pattern_lexicon=self._lexicon,
-            cache=(
-                self._cache.with_base(base)
-                if self._cache is not None
-                else self._memoize
-            ),
-            min_similarity=self._floor,
+            cache=cache,
+            min_similarity=floor,
         )
 
     @property
@@ -258,9 +253,9 @@ class UncertainValueComparator:
         """The domain-element memo the fast path uses, when enabled.
 
         For a floor-configured comparator with a bandable base this is
-        the *banded* cache (entries keyed by the active band via one
-        cache instance per band); :attr:`exact_cache` exposes the
-        shared exact table the Equation-5 expectation reads.
+        its *banded* cache (entries hold results pruned at its floor);
+        :attr:`exact_cache` exposes the exact table the Equation-5
+        expectation reads.
         """
         if self._banded_cache is not None:
             return self._banded_cache

@@ -367,12 +367,6 @@ def test_matrix_weights_precomputed_and_consistent():
     for i in range(2):
         for j in range(2):
             assert matrix.conditional_weight(i, j) == reference[i][j]
-    array = matrix.weight_matrix
-    assert array.shape == (2, 2)
-    assert not array.flags.writeable
-    assert array.sum() == pytest.approx(1.0)
-    # The numpy view is cached, not rebuilt.
-    assert matrix.weight_matrix is array
 
 
 # ----------------------------------------------------------------------
@@ -480,14 +474,3 @@ def test_derivation_input_arrays_match_tuples():
     assert data.similarity_array is data.similarity_array
 
 
-def test_derivation_input_pickles_without_array_caches():
-    import pickle
-
-    data = DerivationInput(
-        similarities=((1.0,),), statuses=None, weights=((1.0,),)
-    )
-    data.similarity_array  # materialize a cache
-    clone = pickle.loads(pickle.dumps(data))
-    assert clone == data
-    assert clone.status_code_array is None
-    assert clone.weight_array.tolist() == [[1.0]]

@@ -19,7 +19,7 @@ pins both:
   unrecognized derivations);
 * **kernel/cache banding** — hypothesis properties for the
   "exact at or above the floor, exact-or-0.0 below" kernel contract and
-  the band-keyed similarity caches.
+  the banded similarity caches of configured comparators.
 """
 
 from __future__ import annotations
@@ -352,10 +352,36 @@ def test_explicit_floor_modes(flat_relation):
     )
     assert _triples(uniform) == _triples(exact)
     assert _triples(mapped) == _triples(exact)
-    with pytest.raises(ValueError, match="min_similarity"):
-        _detector(factory, fs_model).detect(
-            flat_relation, min_similarity="fastest"
-        )
+    for bad in ("fastest", True, False, {"nmae": 0.9}, {"name": True}):
+        with pytest.raises(ValueError, match="min_similarity"):
+            _detector(factory, fs_model).detect(
+                flat_relation, min_similarity=bad
+            )
+    # An attribute the default comparator serves takes a floor.
+    defaulted = DuplicateDetector(
+        AttributeMatcher(
+            {"name": UncertainValueComparator(FAST_LEVENSHTEIN, cache=True)},
+            default=UncertainValueComparator(FAST_LEVENSHTEIN, cache=True),
+        ),
+        fs_model(),
+    )
+    assert _triples(
+        defaulted.detect(flat_relation, min_similarity={"job": 0.82})
+    ) == _triples(exact)
+
+
+def test_cli_rejects_a_bad_min_similarity(flat_relation, tmp_path, capsys):
+    """A bad ``--min-similarity`` is a usage error, not a traceback."""
+    from repro.pdb import io as pdb_io
+    from repro.service.cli import main as cli_main
+
+    base = str(tmp_path / "base.json")
+    pdb_io.dump(flat_relation, base)
+    for bad in ("abc", "1.5", "-0.1", "nan"):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["detect", "--base", base, "--min-similarity", bad])
+        assert info.value.code == 2
+        assert "--min-similarity" in capsys.readouterr().err
 
 
 def test_empty_relation_detects_nothing_under_pushdown():
@@ -378,6 +404,32 @@ def test_pruned_procedure_is_memoized_per_configuration(flat_relation):
         {attr: floors.floor(attr) for attr in ("name", "job")}
     )[0]
     assert explicit is not detector.procedure
+
+
+@pytest.mark.parametrize("kernel", ["fast", "python"])
+def test_configured_clone_is_reused_warm(flat_relation, kernel):
+    """A second run of one ``(floors, kernel)`` reuses the memoized
+    clone, whose caches then answer every lookup."""
+    detector = _detector(FullComparison, fs_model)
+    options = dict(min_similarity="auto", kernel_backend=kernel)
+    first = detector.detect(flat_relation, **options)
+    procedure = detector._resolve_run(**options)[0]
+    assert procedure is not detector.procedure
+    comparators = [
+        procedure.matcher.comparator_for(attribute)
+        for attribute in ("name", "job")
+    ]
+    caches = [
+        cache
+        for comparator in comparators
+        for cache in (comparator.cache, comparator.exact_cache)
+    ]
+    misses = [cache.misses for cache in caches]
+    assert sum(misses) > 0
+    second = detector.detect(flat_relation, **options)
+    assert detector._resolve_run(**options)[0] is procedure
+    assert [cache.misses for cache in caches] == misses
+    assert _triples(second) == _triples(first)
 
 
 # ----------------------------------------------------------------------
@@ -522,27 +574,22 @@ def test_banded_comparator_clones():
 
 
 def test_similarity_cache_bands_are_isolated():
-    exact_cache = SimilarityCache(FAST_LEVENSHTEIN)
-    banded = exact_cache.banded(
-        0.9, FAST_LEVENSHTEIN.with_min_similarity(0.9)
-    )
-    assert banded is not exact_cache and banded.band == 0.9
-    # Same band twice: one memoized derived cache.
-    assert exact_cache.banded(
-        0.9, FAST_LEVENSHTEIN.with_min_similarity(0.9)
-    ) is banded
-    # The cache's own band returns itself.
-    assert exact_cache.banded(0.0, FAST_LEVENSHTEIN) is exact_cache
+    exact = UncertainValueComparator(FAST_LEVENSHTEIN, cache=True)
+    banded = exact.configured(0.9).cache
+    assert banded is not exact.cache and banded.band == 0.9
+    # Each clone holds its own banded cache; configured clones are
+    # memoized by the detector, not by the exact cache.
+    assert exact.configured(0.9).cache is not banded
     # Entries never leak across bands: a pair below the floor reads
     # 0.0 from the banded cache but its true similarity from the exact.
     assert banded("meier", "baker") == 0.0
-    assert exact_cache("meier", "baker") == pytest.approx(0.4)
-    assert len(banded) == 1 and len(exact_cache) == 1
+    assert exact.cache("meier", "baker") == pytest.approx(0.4)
+    assert len(banded) == 1 and len(exact.cache) == 1
 
 
 def test_pruned_comparator_shares_the_exact_cache():
     exact = UncertainValueComparator(FAST_LEVENSHTEIN, cache=True)
-    pruned = exact.with_min_similarity(0.8)
+    pruned = exact.configured(0.8)
     assert pruned is not exact
     assert pruned.min_similarity == 0.8
     assert pruned.exact_cache is exact.cache
@@ -553,10 +600,21 @@ def test_pruned_comparator_shares_the_exact_cache():
     assert exact("meier", "baker") == pytest.approx(0.4)
     assert pruned("meier", "baker") == 0.0
     # No-op clones.
-    assert exact.with_min_similarity(0.0) is exact
-    assert pruned.with_min_similarity(0.8) is pruned
+    assert exact.configured(0.0) is exact
+    assert exact.configured() is exact
+    assert pruned.configured(0.8, "python") is pruned
     eq4 = UncertainValueComparator()
-    assert eq4.with_min_similarity(0.9) is eq4
+    assert eq4.configured(0.9, "fast") is eq4
+    with pytest.raises(ValueError, match="min_similarity"):
+        exact.configured(1.5)
+    # Another kernel: a fresh exact cache of the same shape, same floor.
+    fast = pruned.configured(kernel="fast")
+    assert fast.min_similarity == 0.8
+    assert fast.exact_cache is not exact.cache
+    assert len(fast.exact_cache) == 0
+    assert fast.exact_cache.max_entries == exact.cache.max_entries
+    assert fast("meier", "meyer") == 0.8
+    assert fast("meier", "baker") == 0.0
 
 
 def test_uncertain_expectation_stays_exact_under_pushdown():
@@ -564,7 +622,7 @@ def test_uncertain_expectation_stays_exact_under_pushdown():
     from repro.pdb.values import ProbabilisticValue
 
     exact = UncertainValueComparator(FAST_LEVENSHTEIN, cache=True)
-    pruned = exact.with_min_similarity(0.85)
+    pruned = exact.configured(0.85)
     left = ProbabilisticValue({"meier": 0.5, "baker": 0.5})
     right = ProbabilisticValue.certain("meier")
     assert pruned(left, right) == exact(left, right)
@@ -575,14 +633,14 @@ def test_non_bandable_comparators_are_reused_unchanged():
     from repro.similarity import JARO_WINKLER
 
     jaro = UncertainValueComparator(JARO_WINKLER, cache=True)
-    assert jaro.with_min_similarity(0.8) is jaro
+    assert jaro.configured(0.8, "fast") is jaro
     matcher = AttributeMatcher(
         {
             "name": UncertainValueComparator(JARO_WINKLER, cache=True),
             "job": UncertainValueComparator(JARO_WINKLER, cache=True),
         }
     )
-    assert matcher.with_floors(SimilarityFloors.uniform(0.82)) is matcher
+    assert matcher.configured(SimilarityFloors.uniform(0.82), "fast") is matcher
     detector = DuplicateDetector(matcher, fs_model())
     # Floors derive, but nothing can prune: auto stays the exact
     # procedure instead of memoizing a useless cold clone.
@@ -601,9 +659,16 @@ def test_pruned_procedure_memo_is_bounded(flat_relation):
 def test_matcher_with_floors_threads_per_attribute():
     matcher = fast_matcher()
     floors = SimilarityFloors({"name": 0.9}, default=0.5)
-    pruned = matcher.with_floors(floors)
+    pruned = matcher.configured(floors)
     assert pruned is not matcher
     assert pruned.comparator_for("name").min_similarity == 0.9
     assert pruned.comparator_for("job").min_similarity == 0.5
-    # Exact floors leave the matcher untouched.
-    assert matcher.with_floors(SimilarityFloors()) is matcher
+    # Exact floors, no floors and the comparators' own kernel leave
+    # the matcher untouched.
+    assert matcher.configured(SimilarityFloors()) is matcher
+    assert matcher.configured(None, "python") is matcher
+    # A kernel switch alone keeps every comparator's floor.
+    switched = pruned.configured(None, "fast")
+    assert switched is not pruned
+    assert switched.comparator_for("name").min_similarity == 0.9
+    assert switched.comparator_for("job").min_similarity == 0.5
