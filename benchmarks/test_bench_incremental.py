@@ -6,7 +6,7 @@ partitions the delta touched and lands ≥5× faster than a from-scratch
 detection over the materialized union, with bitwise-identical
 decisions.
 
-Four bench families:
+Five bench families:
 
 * ``ingest_delta`` — wall clock of one ingest of a 1%-of-tuples batch
   against a warm :class:`~repro.service.DetectionSession`.  Each round
@@ -19,6 +19,11 @@ Four bench families:
 * ``delta_speedup`` — the explicit acceptance assertion, measured
   inside one test so the ratio is taken on the same host under the
   same load: ≥5× and bitwise equality.
+* ``large_session`` — one fixed 13-operation ingest into a journaled
+  session over 10,400 generated x-tuples (~227k planned pairs), where
+  the blocks an ingest touches hold tens of thousands of pairs but only
+  a few hundred have a changed member: the refresh re-decides those
+  pairs alone and touches only the partitions that changed.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ ROUNDS = 1 if os.environ.get("BENCH_QUICK") else 3
 #: the best of.
 SPEEDUP_ROUNDS = 3
 
+from repro.datagen import DatasetConfig, generate_dataset
 from repro.experiments.quality import default_matcher, weighted_model
 from repro.matching import DuplicateDetector
 from repro.pdb.relations import XRelation
@@ -52,6 +58,15 @@ BLOCK_LETTERS = "abcdefghijklmnop"
 BLOCK_MEMBERS = 30
 #: ~1% of the tuples, all in the 'a' block.
 DELTA_SIZE = 5
+
+
+#: The large session: a base of generated x-tuples (the tail of the
+#: draw supplies donor content), and ingests of exactly 10 upserts of
+#: live ids, 2 new ids and 1 delete, under the end-to-end ingest
+#: workload's blocking key.
+LARGE_BASE = 10_400
+LARGE_UPSERTS, LARGE_ADDS, LARGE_DELETES = 10, 2, 1
+LARGE_KEY = SubstringKey([("name", 1), ("job", 1)])
 
 
 def _word(rng: random.Random, prefix: str, length: int = 14) -> str:
@@ -109,11 +124,11 @@ def _apply(relation: XRelation, delta: list[XTuple]) -> XRelation:
     )
 
 
-def _detector() -> DuplicateDetector:
+def _detector(key=BLOCK_KEY) -> DuplicateDetector:
     return DuplicateDetector(
         default_matcher(),
         weighted_model(),
-        reducer=CertainKeyBlocking(BLOCK_KEY),
+        reducer=CertainKeyBlocking(key),
     )
 
 
@@ -234,3 +249,83 @@ def test_incremental_delta_speedup_and_equality(blocked_relation):
         f"delta refresh {ingest_elapsed:.3f}s vs full "
         f"{full_elapsed:.3f}s — below the 5× acceptance floor"
     )
+
+
+@pytest.fixture(scope="module")
+def large_draw():
+    """10,400 base x-tuples and the donors after them (one draw)."""
+    rows = list(
+        generate_dataset(DatasetConfig(entity_count=7000, seed=104)).relation
+    )
+    base = XRelation("large", ("name", "job"), rows[:LARGE_BASE])
+    return base, rows[LARGE_BASE:]
+
+
+def _large_batches(base, donors, count):
+    """*count* fixed-size batches; no id is touched twice overall."""
+    rng = random.Random(10_400)
+    untouched = list(base.tuple_ids)
+    rng.shuffle(untouched)
+    batches = []
+    for number in range(count):
+        upserts = [
+            XTuple(untouched.pop(), rng.choice(donors).alternatives)
+            for _ in range(LARGE_UPSERTS)
+        ]
+        upserts += [
+            XTuple(f"new{number}-{i}", rng.choice(donors).alternatives)
+            for i in range(LARGE_ADDS)
+        ]
+        deletes = [untouched.pop() for _ in range(LARGE_DELETES)]
+        batches.append((upserts, deletes))
+    return batches
+
+
+def _materialized(base, batches) -> XRelation:
+    """``base ⊎ batches`` in the session view's order."""
+    rows = {xt.tuple_id: xt for xt in base}
+    for upserts, deletes in batches:
+        rows.update((xt.tuple_id, xt) for xt in upserts)
+        for tuple_id in deletes:
+            del rows[tuple_id]
+    return XRelation("large+delta", base.schema.attributes, rows.values())
+
+
+def test_bench_incremental_large_session(benchmark, large_draw, tmp_path):
+    """One fixed 13-operation ingest into a journaled 10,400-tuple
+    session (refresh, journal append, snapshot save).
+
+    The session keeps no compared-pairs set, so a refresh's cost is its
+    delta's plus the planner's pass over the view; the final result
+    equals a from-scratch detect of the union bitwise."""
+    base, donors = large_draw
+    batches = _large_batches(base, donors, ROUNDS)
+    session = _detector(LARGE_KEY).session(
+        base,
+        journal=str(tmp_path),
+        keep_derivations=False,
+        keep_compared_pairs=False,
+    )
+    session.detect()
+    session.save()
+    pending = iter(batches)
+
+    def run():
+        upserts, deletes = next(pending)
+        return session.ingest(upserts, deletes=deletes)
+
+    executed = session.stats.pairs_executed
+    result = benchmark.pedantic(run, iterations=1, rounds=ROUNDS)
+    done = batches[: session.stats.ingests]
+    # Each ingest re-decided a few hundred of the ~227k planned pairs.
+    assert session.stats.pairs_executed - executed < 1_000 * len(done)
+    scratch = _detector(LARGE_KEY).detect(
+        _materialized(base, done), keep_derivations=False
+    )
+    assert [
+        (d.left_id, d.right_id, d.status, repr(d.similarity))
+        for d in result.decisions
+    ] == [
+        (d.left_id, d.right_id, d.status, repr(d.similarity))
+        for d in scratch.decisions
+    ]

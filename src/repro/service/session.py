@@ -3,34 +3,45 @@
 A :class:`DetectionSession` keeps the products of a detect run alive
 between calls — the blocking/sorting *plan* over the current view, a
 partition *fingerprint index* and the per-partition *decisions* — so
-that the next batch of upserts and deletes re-executes only the
-partitions the delta actually touched.
+that the next batch of upserts and deletes re-decides only the pairs
+the delta actually changed.
 
-Correctness rests on two properties of the underlying pipeline:
+Correctness rests on three properties of the underlying pipeline:
 
-* A partition's decisions are a pure function of its candidate pairs
-  and the exact content of its member x-tuples (Section III: every
-  stage downstream of reduction sees nothing else).  The fingerprint of
-  a partition (:func:`~repro.reduction.plan.partition_fingerprint`)
-  hashes exactly those inputs, so *equal fingerprint ⇒ bitwise-equal
-  decisions* and retained slices can be spliced in verbatim.
+* A pair's decision is a pure function of its two x-tuples' exact
+  content and the configured procedure (Section III, Fig. 6: every
+  stage downstream of reduction sees nothing else).  So a pair whose
+  members no ingest changed since it was decided keeps its decision,
+  whichever partition of the new plan holds it.
+* A partition's fingerprint
+  (:func:`~repro.reduction.plan.partition_fingerprint`) hashes its pair
+  sequence and its members' content, so *equal fingerprint ⇒
+  bitwise-equal decisions*: a retained slice of equal fingerprint is
+  spliced in verbatim.  A fingerprint-stale partition (new block,
+  changed member, shifted window span) re-decides only its pairs that
+  have a member an ingest changed or that the previous result did not
+  hold; the rest come from the previous result's stale slices, in the
+  partition's pair order.
 * The session view (:class:`~repro.pdb.storage.SessionStore`) iterates
   in materialized-union order, so the refreshed plan — and therefore
   the merged decision sequence — equals the plan of a from-scratch
   detection over ``base ⊎ deltas``.
 
-Staleness is safe by construction: a fingerprint that no longer
-matches simply drops out of the retained index and its partition is
-recomputed; retained state is never *wrongly* reused.
+Staleness is safe by construction: the ids an ingest upserts or deletes
+stay marked until a refresh completes, so a refresh that raises leaves
+them to the next; retained state is never *wrongly* reused.
 
 The session degrades gracefully to a full run: on the first
 :meth:`~DetectionSession.detect` the retained index is empty, every
-partition is stale, and the refresh is an ordinary plan-driven
-execution.  The matcher's similarity caches and the session's coded
-view (each live tuple's Eq. 5 codes) live across calls in memory, so
-later refreshes start warm and encode only what an ingest changed; a
-journaled session persists only the decisions, and a re-opened one
-re-encodes its tuples and re-scores its misses.
+partition is stale, every pair is decided, and the refresh is an
+ordinary plan-driven execution.  A re-opened session holds packed
+slices without pair ids, which splice by fingerprint only, so its first
+refresh re-decides whole stale partitions.  The matcher's similarity
+caches and the session's coded view (each live tuple's Eq. 5 codes)
+live across calls in memory, so later refreshes start warm and encode
+only what an ingest changed; a journaled session persists only the
+decisions, and a re-opened one re-encodes its tuples and re-scores its
+misses.
 """
 
 from __future__ import annotations
@@ -38,7 +49,8 @@ from __future__ import annotations
 import base64
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable
 
 from repro.audit.manifest import build_manifest, run_environment, status_counts
@@ -62,7 +74,13 @@ from repro.matching.executor import (
 from repro.pdb.errors import StorageError
 from repro.pdb.storage import SessionJournal, SessionStore, XTupleStore
 from repro.pdb.xtuples import XTuple
-from repro.reduction import CandidatePlan, delta_plan, plan_fingerprints
+from repro.reduction import (
+    CandidatePartition,
+    CandidatePlan,
+    delta_plan,
+    members_of_pairs,
+    plan_fingerprints,
+)
 
 #: Snapshot schema version; other versions are ignored on restore, so
 #: a session re-decides what an older snapshot held and its first save
@@ -124,6 +142,17 @@ def _unpack_slice(pairs, packed) -> tuple[XTupleDecision, ...]:
         ) from error
 
 
+def _splice(pairs, run, decided, pool) -> tuple[XTupleDecision, ...]:
+    """The decisions of a stale partition's *pairs*, in order: those of
+    its *run* (the pairs this refresh re-decided, in the same order) from
+    *decided*, every other one from *pool*.  Every pair is popped from
+    *pool*, so what is left there once all covered partitions are
+    spliced is what the refresh retracts."""
+    fresh = dict(zip(run, decided))
+    pop = pool.pop
+    return tuple([fresh.get(pair, pop(pair, None)) for pair in pairs])
+
+
 @dataclass
 class SessionStats:
     """Cumulative counters of one session's incremental behaviour."""
@@ -135,12 +164,20 @@ class SessionStats:
     #: Upserts / deletes in the most recent ingest batch.
     last_upserts: int = 0
     last_deletes: int = 0
-    #: Partitions across all refreshed plans / reused verbatim /
-    #: re-executed because their fingerprint changed.
+    #: Partitions across all refreshed plans.  Each planned partition
+    #: is either *reused* — every decision comes from an earlier
+    #: refresh: a retained slice of equal fingerprint, or a stale
+    #: partition none of whose pairs needed re-deciding (one a
+    #: delete-only ingest shrank) — or *executed*, the engine deciding
+    #: at least one of its pairs, or else skipped under
+    #: ``on_error="skip"``: planned = reused + executed + skipped.
     partitions_planned: int = 0
     partitions_reused: int = 0
     partitions_executed: int = 0
-    #: Candidate pairs across all refreshed plans / actually re-decided.
+    #: Candidate pairs across all refreshed plans / actually decided by
+    #: the engine (pairs with a member an ingest changed, pairs the
+    #: previous result did not hold, and nothing of a skipped
+    #: partition's failed attempts).
     pairs_planned: int = 0
     pairs_executed: int = 0
     #: Previously reported pairs retracted by later refreshes.
@@ -256,14 +293,16 @@ class DetectionSession:
         self._audit = audit
         self._floors = floors
 
-        #: Fingerprint → retained per-partition decision slice.
-        self._retained: dict[str, tuple[XTupleDecision, ...]] = {}
+        #: Fingerprint → ``(pairs, decisions)`` of each partition the
+        #: current result covers, in plan order.
+        self._retained: dict[str, tuple[tuple, tuple]] = {}
         #: Fingerprint → packed slice (:func:`_pack_slice`) restored
         #: from the snapshot and not yet hydrated: the next refresh
         #: unpacks those it plans and drops the rest.
         self._packed: dict[str, list[str]] = {}
-        #: Pairs the current result covers, in plan order.
-        self._previous_pairs: tuple[tuple[str, str], ...] = ()
+        #: Ids upserted or deleted since the current result was decided;
+        #: cleared when a refresh completes.
+        self._changed: set[str] = set()
         self._result: DetectionResult | None = None
         #: Fingerprint → packed slice of what the journal's snapshot
         #: holds (empty when decisions are not persisted).  ``None``
@@ -323,8 +362,8 @@ class DetectionSession:
         *,
         deletes: Iterable[str] = (),
     ) -> DetectionResult:
-        """Apply one delta batch and refresh, re-deciding only touched
-        partitions.
+        """Apply one delta batch and refresh, re-deciding only the pairs
+        it changed.
 
         Upserts of known ids replace the stored x-tuple; new ids append
         after the base in arrival order.  The whole batch is checked
@@ -345,7 +384,9 @@ class DetectionSession:
             self._store.upsert(xtuple)
         for tuple_id in deletes:
             self._store.delete(tuple_id)
-        self._view.forget([xtuple.tuple_id for xtuple in upserts] + deletes)
+        changed = [xtuple.tuple_id for xtuple in upserts] + deletes
+        self._view.forget(changed)
+        self._changed.update(changed)
         self.stats.ingests += 1
         self.stats.last_upserts = len(upserts)
         self.stats.last_deletes = len(deletes)
@@ -355,8 +396,10 @@ class DetectionSession:
         return result
 
     def refresh(self) -> DetectionResult:
-        """Re-plan the view and re-execute only fingerprint-stale
-        partitions, splicing retained decisions in plan order."""
+        """Re-plan the view and re-decide only the pairs of
+        fingerprint-stale partitions that an ingest changed or that the
+        previous result lacks, splicing every other decision in plan
+        order."""
         view = self._store
         plan = plan_sources(self._reducer, view)
         if not self._within_sources:
@@ -372,8 +415,41 @@ class DetectionSession:
         known = self._retained.keys() | self._packed.keys()
         stale = delta_plan(plan, fingerprints, known)
 
+        # Pair → previous decision, from the slices the new plan no
+        # longer holds by fingerprint, in previous plan order.  Without
+        # one, every stale partition is decided whole.
+        planned = set(fingerprints)
+        pool: dict[tuple[str, str], XTupleDecision] = {}
+        for fingerprint, (pairs, slice_decisions) in self._retained.items():
+            if fingerprint not in planned:
+                pool.update(zip(pairs, slice_decisions))
+        whole = not pool
+        # Fingerprint → the pairs of a stale partition to re-decide: those
+        # with a changed member or new to the pool.
+        changed = self._changed
+        runs: dict[str, tuple[tuple[str, str], ...]] = {}
+        subplan: list[CandidatePartition] = []
+        stale_fps = [fp for fp in fingerprints if fp not in known]
+        for partition, fingerprint in zip(stale.partitions, stale_fps):
+            pairs = partition.pairs
+            if not whole:
+                pairs = tuple(
+                    [
+                        pair
+                        for pair in pairs
+                        if pair not in pool or not changed.isdisjoint(pair)
+                    ]
+                )
+                partition = replace(
+                    partition, pairs=pairs, members=members_of_pairs(pairs)
+                )
+            if pairs:
+                runs[fingerprint] = pairs
+                subplan.append(partition)
+
         executed: dict[str, tuple[XTupleDecision, ...]] = {}
-        if stale.partitions:
+        pairs_decided = 0
+        if runs:
             engine = ExecutionEngine(
                 self._procedure,
                 self._settings,
@@ -383,67 +459,69 @@ class DetectionSession:
             # Published before execution so a raising refresh still
             # exposes the partial counters (matching detect()).
             self.last_report = engine.report
-            stale_fps = [
-                fingerprint
-                for fingerprint in fingerprints
-                if fingerprint not in known
-            ]
-            index = 0
-            for piece in engine.execute(view, stale, self._view):
-                # Under on_error="skip" supervision may drop slices;
-                # realign by label (slices arrive in plan order).
-                while (
-                    index < len(stale.partitions)
-                    and stale.partitions[index].label != piece.partition_label
-                ):
-                    index += 1
-                if index == len(stale.partitions):
-                    break
-                executed[stale_fps[index]] = piece.decisions
-                index += 1
+            # Sub-partitions keep their partition's label; under
+            # on_error="skip" supervision may drop slices, so realign
+            # by first pair (slices arrive in plan order).
+            pending = iter(runs.items())
+            delta = replace(stale, partitions=tuple(subplan))
+            for piece in engine.execute(view, delta, self._view):
+                first = piece.decisions[0]
+                head = (first.left_id, first.right_id)
+                for fingerprint, pairs in pending:
+                    if pairs[0] == head:
+                        break
+                executed[fingerprint] = piece.decisions
+            pairs_decided = engine.report.decided_pairs
 
         decisions: list[XTupleDecision] = []
-        covered: list[tuple[str, str]] = []
-        retained: dict[str, tuple[XTupleDecision, ...]] = {}
+        covered: list = []
+        retained: dict[str, tuple] = {}
         partition_counts: dict[str, list[int]] = {}
         skipped: list[str] = []
         reused = 0
         for partition, fingerprint in zip(plan.partitions, fingerprints):
+            pairs = partition.pairs
             if fingerprint in self._retained:
-                slice_decisions = self._retained[fingerprint]
-                reused += 1
+                slice_decisions = self._retained[fingerprint][1]
             elif fingerprint in self._packed:
                 slice_decisions = _unpack_slice(
-                    partition.pairs, self._packed[fingerprint]
+                    pairs, self._packed[fingerprint]
                 )
-                reused += 1
-            elif fingerprint in executed:
-                slice_decisions = executed[fingerprint]
-            else:
+            elif fingerprint in runs and fingerprint not in executed:
                 skipped.append(partition.label)
                 continue  # partition skipped by on_error="skip"
-            retained[fingerprint] = slice_decisions
+            elif whole:
+                slice_decisions = executed.get(fingerprint, ())
+            else:
+                slice_decisions = _splice(
+                    pairs,
+                    runs.get(fingerprint, ()),
+                    executed.get(fingerprint, ()),
+                    pool,
+                )
+            reused += fingerprint not in runs
+            retained[fingerprint] = (pairs, slice_decisions)
             decisions.extend(slice_decisions)
-            covered.extend(partition.pairs)
+            if self._settings.keep_compared_pairs:
+                covered.append(pairs)
             if self._audit:
                 partition_counts[partition.label] = status_counts(
                     slice_decisions
                 )
 
-        current = frozenset(covered)
-        self.tombstones = tuple(
-            pair for pair in self._previous_pairs if pair not in current
-        )
-        self._previous_pairs = tuple(covered)
+        # What the pool still holds, no covered partition holds: the
+        # previous result's pairs minus the current result's.
+        self.tombstones = tuple(pool)
         self._retained = retained
         self._packed = {}
+        self._changed = set()
 
         self.stats.refreshes += 1
         self.stats.partitions_planned += len(plan.partitions)
         self.stats.partitions_executed += len(executed)
         self.stats.partitions_reused += reused
         self.stats.pairs_planned += plan.total_pairs
-        self.stats.pairs_executed += stale.total_pairs
+        self.stats.pairs_executed += pairs_decided
         self.stats.tombstoned_pairs += len(self.tombstones)
         self.stats.gate_trips += len(self.gate_trips)
         self.stats.keys_computed = view.keys_computed
@@ -454,9 +532,7 @@ class DetectionSession:
 
         self._result = DetectionResult(
             decisions=tuple(decisions),
-            compared_pairs=(
-                current if self._settings.keep_compared_pairs else frozenset()
-            ),
+            compared_pairs=frozenset(chain.from_iterable(covered)),
             relation_size=len(view),
         )
         return self._result
@@ -540,7 +616,9 @@ class DetectionSession:
             slices = {
                 fingerprint: earlier.get(fingerprint)
                 or _pack_slice(slice_decisions)
-                for fingerprint, slice_decisions in self._retained.items()
+                for fingerprint, (_pairs, slice_decisions) in (
+                    self._retained.items()
+                )
             }
             slices.update(self._packed)
         written = None

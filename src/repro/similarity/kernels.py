@@ -826,16 +826,19 @@ class SimilarityCache:
 #: similarity floor 0, so they equal the reference comparators bit for
 #: bit).  Both are *bandable*: ``with_min_similarity(floor)`` yields the
 #: cutoff-pruned variant the threshold-pushdown layer threads through
-#: :class:`~repro.similarity.uncertain.UncertainValueComparator`.
+#: :class:`~repro.similarity.uncertain.UncertainValueComparator`.  They
+#: are built on the ``"fast"`` kernel, the one a default run resolves
+#: to, so a default run scores through them (and their caches) without
+#: a kernel clone.
 FAST_LEVENSHTEIN = BandedEditComparator(
     "fast_levenshtein",
-    banded_levenshtein_similarity,
+    bitparallel_levenshtein_similarity,
     kind="levenshtein",
-    backend="python",
+    backend="fast",
 )
 FAST_DAMERAU_LEVENSHTEIN = BandedEditComparator(
     "fast_damerau_levenshtein",
-    banded_damerau_levenshtein_similarity,
+    bitparallel_damerau_levenshtein_similarity,
     kind="damerau_levenshtein",
-    backend="python",
+    backend="fast",
 )

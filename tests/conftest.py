@@ -14,19 +14,35 @@ from itertools import chain
 import numpy as np
 import pytest
 
+from repro.matching.engine import XTupleDecisionProcedure
 from repro.matching.executor import DetectionResult
 from repro.pdb.relations import XRelation
 from repro.reduction.plan import ordered_pair
+
+
+def _python_kernel(procedure):
+    """*procedure* with every backend-aware comparator on the reference
+    ``"python"`` edit kernel (itself when it has none on another)."""
+    matcher = procedure.matcher.configured(None, "python")
+    if matcher is procedure.matcher:
+        return procedure
+    return XTupleDecisionProcedure(
+        matcher,
+        procedure.model,
+        procedure.derivation,
+        classifier=procedure.final_classifier,
+    )
 
 
 def oracle_detect(detector, relation, *, keep_derivations=True):
     """Decide the reducer's deduplicated ``pairs()`` stream, in order.
 
     Self-pairs are skipped and each unordered pair is decided once, at
-    its first occurrence, with ``detector.procedure.decide`` on tuples
-    read one at a time through ``relation.get``.
+    its first occurrence, with the per-pair ``decide`` of the detector's
+    procedure on the reference ``"python"`` edit kernel, on tuples read
+    one at a time through ``relation.get``.
     """
-    decide = detector.procedure.decide
+    decide = _python_kernel(detector.procedure).decide
     seen: set[tuple[str, str]] = set()
     decisions = []
     for left, right in detector.reducer.pairs(relation):

@@ -187,15 +187,15 @@ class TestBackendSelection:
 class TestComparatorBackends:
     def test_with_backend_clones_preserve_band_and_kind(self):
         fast = FAST_LEVENSHTEIN.with_min_similarity(0.85)
-        clone = fast.with_backend("fast")
+        clone = fast.with_backend("python")
         assert clone is not fast
         assert clone.kind == fast.kind
         assert clone.min_similarity == fast.min_similarity
         assert clone.name == fast.name
-        # Same backend → same object; python round-trip restores.
-        assert clone.with_backend("fast") is clone
-        assert clone.with_backend("python") is not clone
-        assert fast.with_backend("python") is fast
+        # Same backend → same object; fast round-trip restores.
+        assert clone.with_backend("python") is clone
+        assert clone.with_backend("fast") is not clone
+        assert fast.with_backend("fast") is fast
 
     @pytest.mark.parametrize(
         "comparator", [FAST_LEVENSHTEIN, FAST_DAMERAU_LEVENSHTEIN]
@@ -209,8 +209,8 @@ class TestComparatorBackends:
             ("x" * 70, "x" * 69 + "y"),
         ]
         for floor in (0.0, 0.4, 0.85):
-            reference = comparator.with_min_similarity(floor)
-            clone = reference.with_backend("fast")
+            clone = comparator.with_min_similarity(floor)
+            reference = clone.with_backend("python")
             for left, right in pairs:
                 assert clone(left, right) == reference(left, right)
 
@@ -235,6 +235,35 @@ class TestComparatorBackends:
         assert cache._codes == {"e": 0, "f": 1}
         cache.clear()
         assert (len(cache), cache._codes) == (0, {})
+
+    def test_default_detect_warms_the_detectors_own_caches(self):
+        """The edit constants are built on the kernel a default run
+        resolves to, so a default detect scores through the detector's
+        own comparators and caches, not a kernel clone's."""
+        relation = generate_dataset(
+            DatasetConfig(entity_count=20, seed=7), flat=True
+        ).relation
+        matcher = AttributeMatcher(
+            {
+                "name": UncertainValueComparator(
+                    FAST_LEVENSHTEIN, cache=True
+                ),
+                "job": UncertainValueComparator(
+                    FAST_DAMERAU_LEVENSHTEIN,
+                    cache=True,
+                    pattern_policy=PatternPolicy.EXPAND,
+                    pattern_lexicon=JOBS,
+                ),
+            }
+        )
+        detector = DuplicateDetector(matcher, weighted_model())
+        detector.detect(relation)
+        stats = detector.procedure.matcher.cache_stats()
+        assert set(stats) == {"name", "job"}
+        for cache in stats.values():
+            assert cache.hits > 0
+            assert cache.misses > 0
+            assert len(cache) > 0
 
 
 # ----------------------------------------------------------------------

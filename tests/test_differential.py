@@ -64,6 +64,7 @@ from repro.pdb.xtuples import TupleAlternative, XTuple
 from repro.similarity.jaro import FAST_JARO_WINKLER
 from repro.similarity.kernels import FAST_LEVENSHTEIN, SimilarityCache
 from repro.similarity.uncertain import PatternPolicy, UncertainValueComparator
+from repro.testing.faults import crash_on, installed
 from repro.reduction import (
     AlternativeKeyBlocking,
     AlternativeSorting,
@@ -623,6 +624,38 @@ def _assert_plan_is_memo_free(session, name) -> None:
     assert session.last_fingerprints == plan_fingerprints(view, fresh)
 
 
+def _pairs(result):
+    """A result's pairs, in order (none without a result)."""
+    if result is None:
+        return []
+    return [(d.left_id, d.right_id) for d in result.decisions]
+
+
+def _ingest_checked(session, previous, upserts, deletes):
+    """``session.ingest(upserts, deletes=deletes)``, checking the
+    refresh's bookkeeping against *previous*, the session's result
+    before it (``None`` when it has none, as right after a re-open).
+
+    The engine decided at most the new plan's pairs that have a member
+    the batch changed or that *previous* lacks, and the tombstones are
+    *previous*'s pairs minus the new result's, in previous order."""
+    executed = session.stats.pairs_executed
+    result = session.ingest(upserts, deletes=deletes)
+    changed = {xtuple.tuple_id for xtuple in upserts} | set(deletes)
+    held = set(_pairs(previous))
+    due = [
+        pair
+        for pair in session.last_plan.pairs()
+        if pair not in held or not changed.isdisjoint(pair)
+    ]
+    assert session.stats.pairs_executed - executed <= len(due)
+    current = set(_pairs(result))
+    assert session.tombstones == tuple(
+        pair for pair in _pairs(previous) if pair not in current
+    )
+    return result
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(SESSION_REDUCERS),
@@ -651,7 +684,9 @@ def test_session_decides_like_the_oracle(
 ):
     """detect over the committed view, every ingest of the stream, and
     a re-opened session all decide what the oracle decides; every
-    refresh plans what a memo-free planner plans.  Array batches gather
+    refresh plans what a memo-free planner plans, re-decides only the
+    pairs its batch changed and retracts exactly the pairs that left
+    the result (:func:`_ingest_checked`).  Array batches gather
     from the coded view the session keeps across refreshes; with
     *memo_cap*, registries fill and are replaced between refreshes, so
     the view starts over."""
@@ -662,11 +697,11 @@ def test_session_decides_like_the_oracle(
             base, journal=directory, keep_derivations=False
         )
         with _memo_cap(memo_cap):
-            session.detect()
+            result = session.detect()
         _assert_plan_is_memo_free(session, name)
         for count, (upserts, deletes) in enumerate(batches, 1):
             with _memo_cap(memo_cap):
-                result = session.ingest(upserts, deletes=deletes)
+                result = _ingest_checked(session, result, upserts, deletes)
             _assert_plan_is_memo_free(session, name)
             reference = oracle(
                 _detector(name),
@@ -686,6 +721,110 @@ def test_session_decides_like_the_oracle(
             reference.decisions
         )
         assert reopened.stats.torn_records == 0
+
+
+#: A fixed stream for the sibling test below: two re-weighs (new
+#: content under the same keys, so every reducer plans the tuple in a
+#: pair), a delete and its re-add, a new id, a revert and a re-weigh
+#: (7 batches).
+PAIR_STEPS = (
+    ("reweigh", 0),
+    ("reweigh", 4),
+    ("delete_readd", 11),
+    ("new", 5),
+    ("revert", 2),
+    ("reweigh", 5),
+)
+
+#: Batches the first session ingests; the rest go to a re-opened one.
+REOPEN_BATCH = 4
+
+
+@pytest.mark.parametrize("name", sorted(REDUCERS))
+def test_session_skips_a_faulted_partition_and_reopens_like_the_oracle(
+    name, session_relation, oracle, materialize, tmp_path
+):
+    """Every reducer's session, under ``on_error="skip"``, decides each
+    ingest of a fixed stream as the oracle does, re-deciding only the
+    pairs the batch changed (:func:`_ingest_checked`).  One ingest meets
+    a seeded crash in a pair with a changed member: its partition is
+    dropped whole, its previously held pairs are tombstoned, and the
+    next ingest decides it again.  The session is then re-opened, and
+    its first ingest (no result to splice pairs from) and the next
+    also decide what the oracle decides."""
+    relation = _r34() if REDUCERS[name][1] == "r34" else session_relation
+    base, batches = _session_batches(relation, PAIR_STEPS)
+
+    def expected(count):
+        return _bitwise(
+            oracle(
+                _detector(name),
+                materialize(base, batches[:count]),
+                keep_derivations=False,
+            ).decisions
+        )
+
+    def open_session():
+        return _detector(name).session(
+            base,
+            journal=str(tmp_path),
+            keep_derivations=False,
+            on_error="skip",
+        )
+
+    session = open_session()
+    result = session.detect()
+    faulted = False
+    for count, (upserts, deletes) in enumerate(
+        batches[:REOPEN_BATCH], 1
+    ):
+        # The first batch before the last whose upserts are planned in
+        # a pair meets the fault.
+        changed = {xtuple.tuple_id for xtuple in upserts}
+        candidates = [
+            pair
+            for pair in plan_sources(
+                REDUCERS[name][0](), materialize(base, batches[:count])
+            ).pairs()
+            if not changed.isdisjoint(pair)
+        ]
+        if faulted or count == REOPEN_BATCH or not candidates:
+            result = _ingest_checked(session, result, upserts, deletes)
+            assert _bitwise(result.decisions) == expected(count)
+            continue
+        faulted = True
+        target = random.Random(f"{name}/fault").choice(candidates)
+        planned = session.stats.partitions_planned
+        settled = (
+            session.stats.partitions_reused
+            + session.stats.partitions_executed
+        )
+        with installed(crash_on(target)):
+            result = _ingest_checked(session, result, upserts, deletes)
+        (failure,) = session.last_report.failures
+        (dropped,) = [
+            partition
+            for partition in session.last_plan
+            if target in partition.pairs
+        ]
+        assert failure.partition == dropped.label
+        assert _bitwise(result.decisions) == [
+            row for row in expected(count) if row[:2] not in dropped.pairs
+        ]
+        # planned = reused + executed + skipped
+        assert (
+            session.stats.partitions_reused
+            + session.stats.partitions_executed
+            - settled
+        ) == session.stats.partitions_planned - planned - 1
+    assert faulted
+    reopened = open_session()
+    result = None
+    for count, (upserts, deletes) in enumerate(batches, 1):
+        if count <= REOPEN_BATCH:
+            continue
+        result = _ingest_checked(reopened, result, upserts, deletes)
+        assert _bitwise(result.decisions) == expected(count)
 
 
 # ----------------------------------------------------------------------

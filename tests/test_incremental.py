@@ -8,7 +8,8 @@ family of Section V, for adds, modifies and deletes, over in-memory
 and spilled bases, serially and with process fan-out — while executing
 *only* the partitions the delta touched (the fingerprint property
 pinned here by hypothesis: a delta plan never contains an untouched
-partition).
+partition), and within them deciding only the pairs with a member the
+delta changed (a delete-only ingest decides none).
 """
 
 from __future__ import annotations
@@ -289,6 +290,86 @@ def test_tombstones_record_retracted_pairs(flat_relation):
     } - result.compared_pairs
     assert set(session.tombstones) == gone
     assert all(victim not in pair for pair in result.compared_pairs)
+
+
+def _pair_list(result):
+    return [(d.left_id, d.right_id) for d in result.decisions]
+
+
+def _busiest(pairs, exclude=()):
+    """The tuple id in most of *pairs* (first such, in pair order)."""
+    counts: dict[str, int] = {}
+    for pair in pairs:
+        for tuple_id in pair:
+            if tuple_id not in exclude:
+                counts[tuple_id] = counts.get(tuple_id, 0) + 1
+    return max(counts, key=counts.get)
+
+
+def test_delete_only_ingest_decides_no_pair(flat_relation):
+    """Deleting a member of a block that keeps pairs re-decides nothing:
+    the block's partition is stale, but every pair it still holds is
+    spliced from the previous result, so it counts as reused."""
+    factory = REDUCERS["certain_blocking"][0]
+    base, _, _ = split_scenario(flat_relation)
+    session = _detector(factory()).session(base)
+    initial = session.detect()
+    victim = _busiest(_pair_list(initial))
+    stats = session.stats
+    executed, reused, planned = (
+        stats.pairs_executed,
+        stats.partitions_reused,
+        stats.partitions_planned,
+    )
+    fingerprints = set(session.last_fingerprints)
+    result = session.ingest(deletes=[victim])
+    # The victim's block was re-planned under a new fingerprint ...
+    assert set(session.last_fingerprints) - fingerprints
+    # ... yet the engine decided no pair, and every partition is reused.
+    assert stats.pairs_executed == executed
+    assert (
+        stats.partitions_reused - reused
+        == stats.partitions_planned - planned
+    )
+    assert session.tombstones == tuple(
+        pair for pair in _pair_list(initial) if victim in pair
+    )
+    _assert_bitwise_equal(
+        result,
+        _detector(factory()).detect(materialized_union(base, [], [victim])),
+    )
+
+
+def test_moved_tuple_re_decides_only_its_own_pairs(flat_relation):
+    """An upsert that moves a tuple into another block re-decides only
+    that tuple's new pairs; its old-block pairs are tombstoned, in the
+    previous result's order, and both blocks' other pairs are spliced."""
+    factory = REDUCERS["certain_blocking"][0]
+    base, _, _ = split_scenario(flat_relation)
+    session = _detector(factory()).session(base)
+    initial = session.detect()
+    pairs = _pair_list(initial)
+    victim = _busiest(pairs)
+    # A donor from a block the victim does not share, with pairs of its
+    # own: the victim takes its content and so its block key.
+    neighbours = {
+        tuple_id for pair in pairs if victim in pair for tuple_id in pair
+    }
+    donor = _busiest(pairs, exclude=neighbours)
+    moved = XTuple(victim, base.get(donor).alternatives)
+    executed = session.stats.pairs_executed
+    result = session.ingest([moved])
+    new_pairs = [pair for pair in _pair_list(result) if victim in pair]
+    assert donor in {tuple_id for pair in new_pairs for tuple_id in pair}
+    assert session.stats.pairs_executed - executed == len(new_pairs)
+    assert session.last_report.decided_pairs == len(new_pairs)
+    assert session.tombstones == tuple(
+        pair for pair in pairs if victim in pair
+    )
+    _assert_bitwise_equal(
+        result,
+        _detector(factory()).detect(materialized_union(base, [moved], [])),
+    )
 
 
 _CONTENT_REDUCER = CertainKeyBlocking(BLOCK_KEY)

@@ -602,19 +602,19 @@ def test_pruned_comparator_shares_the_exact_cache():
     # No-op clones.
     assert exact.configured(0.0) is exact
     assert exact.configured() is exact
-    assert pruned.configured(0.8, "python") is pruned
+    assert pruned.configured(0.8, "fast") is pruned
     eq4 = UncertainValueComparator()
     assert eq4.configured(0.9, "fast") is eq4
     with pytest.raises(ValueError, match="min_similarity"):
         exact.configured(1.5)
     # Another kernel: a fresh exact cache of the same shape, same floor.
-    fast = pruned.configured(kernel="fast")
-    assert fast.min_similarity == 0.8
-    assert fast.exact_cache is not exact.cache
-    assert len(fast.exact_cache) == 0
-    assert fast.exact_cache.max_entries == exact.cache.max_entries
-    assert fast("meier", "meyer") == 0.8
-    assert fast("meier", "baker") == 0.0
+    python = pruned.configured(kernel="python")
+    assert python.min_similarity == 0.8
+    assert python.exact_cache is not exact.cache
+    assert len(python.exact_cache) == 0
+    assert python.exact_cache.max_entries == exact.cache.max_entries
+    assert python("meier", "meyer") == 0.8
+    assert python("meier", "baker") == 0.0
 
 
 def test_uncertain_expectation_stays_exact_under_pushdown():
@@ -666,9 +666,9 @@ def test_matcher_with_floors_threads_per_attribute():
     # Exact floors, no floors and the comparators' own kernel leave
     # the matcher untouched.
     assert matcher.configured(SimilarityFloors()) is matcher
-    assert matcher.configured(None, "python") is matcher
+    assert matcher.configured(None, "fast") is matcher
     # A kernel switch alone keeps every comparator's floor.
-    switched = pruned.configured(None, "fast")
+    switched = pruned.configured(None, "python")
     assert switched is not pruned
     assert switched.comparator_for("name").min_similarity == 0.9
     assert switched.comparator_for("job").min_similarity == 0.5
