@@ -293,9 +293,9 @@ class DetectionSession:
         self._audit = audit
         self._floors = floors
 
-        #: Fingerprint → ``(pairs, decisions)`` of each partition the
-        #: current result covers, in plan order.
-        self._retained: dict[str, tuple[tuple, tuple]] = {}
+        #: Fingerprint → decisions of each partition the current result
+        #: covers, in plan order.
+        self._retained: dict[str, tuple[XTupleDecision, ...]] = {}
         #: Fingerprint → packed slice (:func:`_pack_slice`) restored
         #: from the snapshot and not yet hydrated: the next refresh
         #: unpacks those it plans and drops the rest.
@@ -313,9 +313,10 @@ class DetectionSession:
         self._view = CodedView(procedure.matcher)
 
         self.stats = SessionStats()
-        #: Report of the most recent refresh's execution (the *delta*
-        #: plan), ``None`` until a refresh executes at least one
-        #: partition.
+        #: Report of the most recent refresh's execution (the pairs it
+        #: re-decided), published by every refresh that plans a
+        #: fingerprint-stale partition, even one whose pairs all splice;
+        #: ``None`` until then.
         self.last_report: ExecutionReport | None = None
         #: Pairs retracted by the most recent refresh.
         self.tombstones: tuple[tuple[str, str], ...] = ()
@@ -416,14 +417,16 @@ class DetectionSession:
         stale = delta_plan(plan, fingerprints, known)
 
         # Pair → previous decision, from the slices the new plan no
-        # longer holds by fingerprint, in previous plan order.  Without
-        # one, every stale partition is decided whole.
+        # longer holds by fingerprint, in previous plan order.  Empty on
+        # session creation and on a re-open (packed slices carry no
+        # ids), so every pair of a stale partition then runs.
         planned = set(fingerprints)
-        pool: dict[tuple[str, str], XTupleDecision] = {}
-        for fingerprint, (pairs, slice_decisions) in self._retained.items():
-            if fingerprint not in planned:
-                pool.update(zip(pairs, slice_decisions))
-        whole = not pool
+        pool: dict[tuple[str, str], XTupleDecision] = {
+            (decision.left_id, decision.right_id): decision
+            for fingerprint, slice_decisions in self._retained.items()
+            if fingerprint not in planned
+            for decision in slice_decisions
+        }
         # Fingerprint → the pairs of a stale partition to re-decide: those
         # with a changed member or new to the pool.
         changed = self._changed
@@ -431,15 +434,14 @@ class DetectionSession:
         subplan: list[CandidatePartition] = []
         stale_fps = [fp for fp in fingerprints if fp not in known]
         for partition, fingerprint in zip(stale.partitions, stale_fps):
-            pairs = partition.pairs
-            if not whole:
-                pairs = tuple(
-                    [
-                        pair
-                        for pair in pairs
-                        if pair not in pool or not changed.isdisjoint(pair)
-                    ]
-                )
+            pairs = tuple(
+                [
+                    pair
+                    for pair in partition.pairs
+                    if pair not in pool or not changed.isdisjoint(pair)
+                ]
+            )
+            if len(pairs) < len(partition.pairs):
                 partition = replace(
                     partition, pairs=pairs, members=members_of_pairs(pairs)
                 )
@@ -449,7 +451,7 @@ class DetectionSession:
 
         executed: dict[str, tuple[XTupleDecision, ...]] = {}
         pairs_decided = 0
-        if runs:
+        if stale.partitions:
             engine = ExecutionEngine(
                 self._procedure,
                 self._settings,
@@ -482,7 +484,7 @@ class DetectionSession:
         for partition, fingerprint in zip(plan.partitions, fingerprints):
             pairs = partition.pairs
             if fingerprint in self._retained:
-                slice_decisions = self._retained[fingerprint][1]
+                slice_decisions = self._retained[fingerprint]
             elif fingerprint in self._packed:
                 slice_decisions = _unpack_slice(
                     pairs, self._packed[fingerprint]
@@ -490,8 +492,6 @@ class DetectionSession:
             elif fingerprint in runs and fingerprint not in executed:
                 skipped.append(partition.label)
                 continue  # partition skipped by on_error="skip"
-            elif whole:
-                slice_decisions = executed.get(fingerprint, ())
             else:
                 slice_decisions = _splice(
                     pairs,
@@ -500,7 +500,7 @@ class DetectionSession:
                     pool,
                 )
             reused += fingerprint not in runs
-            retained[fingerprint] = (pairs, slice_decisions)
+            retained[fingerprint] = slice_decisions
             decisions.extend(slice_decisions)
             if self._settings.keep_compared_pairs:
                 covered.append(pairs)
@@ -616,9 +616,7 @@ class DetectionSession:
             slices = {
                 fingerprint: earlier.get(fingerprint)
                 or _pack_slice(slice_decisions)
-                for fingerprint, (_pairs, slice_decisions) in (
-                    self._retained.items()
-                )
+                for fingerprint, slice_decisions in self._retained.items()
             }
             slices.update(self._packed)
         written = None

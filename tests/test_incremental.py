@@ -322,11 +322,17 @@ def test_delete_only_ingest_decides_no_pair(flat_relation):
         stats.partitions_planned,
     )
     fingerprints = set(session.last_fingerprints)
+    initial_report = session.last_report
     result = session.ingest(deletes=[victim])
     # The victim's block was re-planned under a new fingerprint ...
     assert set(session.last_fingerprints) - fingerprints
     # ... yet the engine decided no pair, and every partition is reused.
     assert stats.pairs_executed == executed
+    # The refresh still publishes its own (empty) report.
+    report = session.last_report
+    assert report is not initial_report
+    assert (report.partitions, report.decided_pairs) == (0, 0)
+    assert not report.failures
     assert (
         stats.partitions_reused - reused
         == stats.partitions_planned - planned
